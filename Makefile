@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet orapvet audit fmt build test race bench bench-parallel bench-smoke bench-json ci
+.PHONY: all vet orapvet audit fmt build perfbench test race bench bench-parallel bench-smoke bench-json ci
 
 all: vet build test
 
@@ -32,6 +32,12 @@ fmt:
 build:
 	$(GO) build ./...
 
+# The repository benchmark is a nested module (perfbench/go.mod), so
+# `go build ./...` never sees it; vetting it here fails the build when a
+# change deletes or renames anything the benchmark calls.
+perfbench:
+	cd perfbench && $(GO) vet .
+
 test:
 	$(GO) test ./...
 
@@ -51,7 +57,7 @@ bench:
 # and EXPERIMENTS.md.
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'Serial|Parallel' -benchtime 3x .
-	$(GO) test -run '^$$' -bench 'CloneRelease|NewParallelNoPool' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'CloneRelease|ForProgramNoPool' -benchmem ./internal/sim
 
 # One-iteration compile-and-run pass over the SAT-engine, dataflow, and
 # vet benchmarks: the legacy-vs-COI miter attack pair, the propagation
@@ -72,4 +78,4 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'ScanOracle|SessionCached|SampleDisagreement|AppSAT' \
 		-benchtime $(BENCHTIME) -json ./internal/oracle ./internal/attack > BENCH_oracle.json
 
-ci: vet fmt orapvet audit build test race bench-smoke bench-json
+ci: vet fmt orapvet audit build perfbench test race bench-smoke bench-json

@@ -126,11 +126,8 @@ func BenchmarkIRCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalIR and BenchmarkEvalLegacy are a before/after pair for the
-// compiled-IR refactor: one full 64-pattern bit-parallel sweep over the
-// scaled b20 netlist, through the shared IR kernel versus an inline
-// walker chasing the netlist's slice-of-struct gates (the pre-IR
-// evaluation strategy, kept here only as the benchmark baseline).
+// BenchmarkEvalIR measures one full 64-pattern bit-parallel sweep over
+// the scaled b20 netlist through the shared IR kernel.
 func BenchmarkEvalIR(b *testing.B) {
 	circuit := benchEvalCircuit(b)
 	prog, err := ir.Compile(circuit)
@@ -148,63 +145,6 @@ func BenchmarkEvalIR(b *testing.B) {
 	}
 }
 
-func BenchmarkEvalLegacy(b *testing.B) {
-	circuit := benchEvalCircuit(b)
-	order, err := circuit.TopoOrder()
-	if err != nil {
-		b.Fatal(err)
-	}
-	vals := make([]uint64, circuit.NumNodes())
-	r := rng.New(benchSeed + 3)
-	for _, id := range circuit.AllInputs() {
-		vals[id] = r.Uint64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, id := range order {
-			g := &circuit.Gates[id]
-			switch g.Type {
-			case netlist.Input:
-			case netlist.Const0:
-				vals[id] = 0
-			case netlist.Const1:
-				vals[id] = ^uint64(0)
-			case netlist.Buf:
-				vals[id] = vals[g.Fanin[0]]
-			case netlist.Not:
-				vals[id] = ^vals[g.Fanin[0]]
-			case netlist.And, netlist.Nand:
-				v := vals[g.Fanin[0]]
-				for _, f := range g.Fanin[1:] {
-					v &= vals[f]
-				}
-				if g.Type == netlist.Nand {
-					v = ^v
-				}
-				vals[id] = v
-			case netlist.Or, netlist.Nor:
-				v := vals[g.Fanin[0]]
-				for _, f := range g.Fanin[1:] {
-					v |= vals[f]
-				}
-				if g.Type == netlist.Nor {
-					v = ^v
-				}
-				vals[id] = v
-			case netlist.Xor, netlist.Xnor:
-				v := vals[g.Fanin[0]]
-				for _, f := range g.Fanin[1:] {
-					v ^= vals[f]
-				}
-				if g.Type == netlist.Xnor {
-					v = ^v
-				}
-				vals[id] = v
-			}
-		}
-	}
-}
-
 // BenchmarkFaultSim measures the PPSFP random fault-simulation kernel
 // serial vs parallel on one generated circuit.
 func benchmarkFaultSim(b *testing.B, workers int) {
@@ -219,7 +159,11 @@ func benchmarkFaultSim(b *testing.B, workers int) {
 	faults := faultsim.CollapseFaults(circuit)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := faultsim.New(circuit)
+		prog, err := ir.Compile(circuit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := faultsim.ForProgram(prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,10 +201,11 @@ func BenchmarkAudit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := audit.Circuit(l.Circuit)
+		prog, err := ir.Compile(l.Circuit)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{})
 		if rep.HasErrors() {
 			b.Fatalf("audit errors on the weighted-locked benchmark:\n%s", rep)
 		}

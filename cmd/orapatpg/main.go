@@ -20,6 +20,7 @@ import (
 	"orap/internal/benchgen"
 	"orap/internal/check"
 	"orap/internal/faultsim"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 )
@@ -66,7 +67,9 @@ func main() {
 	}
 	fmt.Printf("circuit: %s", circuit.Summary())
 
-	sim, err := faultsim.New(circuit)
+	prog, err := ir.Compile(circuit)
+	fatal(err)
+	sim, err := faultsim.ForProgram(prog)
 	fatal(err)
 	sim.Workers = *workers
 	faults := faultsim.CollapseFaults(circuit)

@@ -7,6 +7,7 @@ import (
 	"orap/internal/audit"
 	"orap/internal/check"
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/orap"
@@ -83,11 +84,12 @@ func runSweep(stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "%-12s %-10s skipped (%v)\n", sc.name, sl.name, err)
 				continue
 			}
-			rep, err := audit.Circuit(l.Circuit)
+			prog, err := ir.Compile(l.Circuit)
 			if err != nil {
 				fmt.Fprintf(stderr, "orapaudit: sweep: %s/%s: %v\n", sc.name, sl.name, err)
 				return exitInternal
 			}
+			rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{})
 			audited++
 			errs, warns, infos := rep.Counts()
 			fmt.Fprintf(stdout, "%-12s %-10s %d errors, %d warnings, %d notes\n",

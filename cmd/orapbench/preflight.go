@@ -7,6 +7,7 @@ import (
 	"orap/internal/audit"
 	"orap/internal/benchgen"
 	"orap/internal/check"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/orap"
 	"orap/internal/rng"
@@ -80,11 +81,12 @@ func preflight(names []string, scale float64, seed uint64, doAudit bool, stdout,
 			fmt.Fprintf(stderr, "orapbench: %s: weighted lock: %v\n", name, err)
 			return exitInternal
 		}
-		arep, err := audit.Circuit(l.Circuit)
+		prog, err := ir.Compile(l.Circuit)
 		if err != nil {
 			fmt.Fprintf(stderr, "orapbench: %s: audit: %v\n", name, err)
 			return exitInternal
 		}
+		arep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{})
 		cfg, err := orap.Protect(l.Circuit, l.Key, scaled.Pins, scaled.PinOuts, scan.OraPBasic, orap.Options{Rand: r})
 		if err != nil {
 			fmt.Fprintf(stderr, "orapbench: %s: OraP protect: %v\n", name, err)

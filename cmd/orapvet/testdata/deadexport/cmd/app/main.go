@@ -1,0 +1,10 @@
+package main
+
+import (
+	"deadfixture/internal/lib"
+	"deadfixture/internal/other"
+)
+
+func main() {
+	println(lib.Used(), other.Answer())
+}

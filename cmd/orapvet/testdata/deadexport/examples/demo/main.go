@@ -1,0 +1,7 @@
+package main
+
+import mylib "deadfixture/internal/lib"
+
+func main() {
+	println(mylib.UsedByExample())
+}

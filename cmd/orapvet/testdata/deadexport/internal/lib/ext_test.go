@@ -1,0 +1,13 @@
+package lib_test
+
+import (
+	"testing"
+
+	"deadfixture/internal/lib"
+)
+
+func TestOwnExternal(t *testing.T) {
+	if lib.OwnTestOnly() != 5 {
+		t.Fatal("OwnTestOnly")
+	}
+}

@@ -1,0 +1,7 @@
+package main
+
+import "deadfixture/internal/lib"
+
+func main() {
+	println(lib.UsedByBench())
+}

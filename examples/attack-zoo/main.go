@@ -139,7 +139,7 @@ func main() {
 		for i := 0; i < 256; i++ {
 			rr.Bits(x)
 			want, _ := ref.Query(x)
-			got, _ := res.Eval(l.Circuit, x)
+			got, _ := res.Eval(x)
 			for j := range want {
 				if want[j] != got[j] {
 					wrong++

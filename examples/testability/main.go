@@ -14,6 +14,7 @@ import (
 	"orap/internal/atpg"
 	"orap/internal/benchgen"
 	"orap/internal/faultsim"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/rng"
@@ -57,7 +58,11 @@ func main() {
 }
 
 func flow(c *netlist.Circuit, seed uint64) (atpg.Summary, float64, error) {
-	sim, err := faultsim.New(c)
+	prog, err := ir.Compile(c)
+	if err != nil {
+		return atpg.Summary{}, 0, err
+	}
+	sim, err := faultsim.ForProgram(prog)
 	if err != nil {
 		return atpg.Summary{}, 0, err
 	}

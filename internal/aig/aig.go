@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"orap/internal/ir"
-	"orap/internal/netlist"
 )
 
 // Lit is an AIG literal: node index times two, plus one when complemented.
@@ -23,8 +22,8 @@ const (
 	ConstFalse Lit = 1
 )
 
-// MkLit builds a literal.
-func MkLit(node int, compl bool) Lit {
+// mkLit builds a literal.
+func mkLit(node int, compl bool) Lit {
 	l := Lit(node << 1)
 	if compl {
 		l |= 1
@@ -57,8 +56,8 @@ type AIG struct {
 	strash map[[2]Lit]int
 }
 
-// New returns an empty AIG containing only the constant node.
-func New() *AIG {
+// newAIG returns an empty AIG containing only the constant node.
+func newAIG() *AIG {
 	g := &AIG{strash: make(map[[2]Lit]int)}
 	g.nodes = append(g.nodes, node{}) // node 0: constant true
 	return g
@@ -78,7 +77,7 @@ func (g *AIG) AddPI() Lit {
 	id := len(g.nodes)
 	g.nodes = append(g.nodes, node{isPI: true})
 	g.pis = append(g.pis, id)
-	return MkLit(id, false)
+	return mkLit(id, false)
 }
 
 // AddPO marks a literal as a primary output.
@@ -113,13 +112,13 @@ func (g *AIG) And(a, b Lit) Lit {
 	}
 	key := [2]Lit{a, b}
 	if id, ok := g.strash[key]; ok {
-		return MkLit(id, false)
+		return mkLit(id, false)
 	}
 	id := len(g.nodes)
 	lv := max32(g.levelOf(a), g.levelOf(b)) + 1
 	g.nodes = append(g.nodes, node{f0: a, f1: b, level: lv})
 	g.strash[key] = id
-	return MkLit(id, false)
+	return mkLit(id, false)
 }
 
 // containment simplifies a ∧ b when b is an uncomplemented AND node that
@@ -206,16 +205,6 @@ func (g *AIG) CountUsed() (ands, levels int) {
 	return ands, g.Levels()
 }
 
-// FromCircuit compiles a gate-level circuit and strashes it into a fresh
-// AIG (see FromProgram).
-func FromCircuit(c *netlist.Circuit) (*AIG, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return FromProgram(prog)
-}
-
 // FromProgram strashes a compiled circuit into a fresh AIG. Key inputs
 // become ordinary PIs (appended after the primary inputs). Multi-input
 // gates are decomposed into balanced trees, which also realizes the
@@ -223,7 +212,7 @@ func FromCircuit(c *netlist.Circuit) (*AIG, error) {
 // program's topological order, so the same program always yields the
 // same graph.
 func FromProgram(prog *ir.Program) (*AIG, error) {
-	g := New()
+	g := newAIG()
 	lit := make([]Lit, prog.NumNodes())
 	for i := range lit {
 		lit[i] = ConstFalse

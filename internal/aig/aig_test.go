@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 	"orap/internal/sim"
 )
 
 func TestLitHelpers(t *testing.T) {
-	l := MkLit(5, true)
+	l := mkLit(5, true)
 	if l.Node() != 5 || !l.Compl() {
-		t.Fatalf("MkLit broken: %v", l)
+		t.Fatalf("mkLit broken: %v", l)
 	}
 	if l.Not().Compl() || l.Not().Node() != 5 {
 		t.Fatal("Not broken")
@@ -24,7 +25,7 @@ func TestLitHelpers(t *testing.T) {
 }
 
 func TestAndSimplifications(t *testing.T) {
-	g := New()
+	g := newAIG()
 	a := g.AddPI()
 	b := g.AddPI()
 	if g.And(a, ConstFalse) != ConstFalse {
@@ -52,7 +53,7 @@ func TestAndSimplifications(t *testing.T) {
 }
 
 func TestStructuralHashing(t *testing.T) {
-	g := New()
+	g := newAIG()
 	a := g.AddPI()
 	b := g.AddPI()
 	x := g.And(a, b)
@@ -65,7 +66,7 @@ func TestStructuralHashing(t *testing.T) {
 	}
 }
 
-// evalAIGvsCircuit cross-checks FromCircuit against the gate-level
+// evalAIGvsCircuit cross-checks FromProgram against the gate-level
 // simulator on random patterns by re-simulating through the AIG.
 func evalLit(g *AIG, l Lit, vals []bool) bool {
 	v := evalNode(g, l.Node(), vals)
@@ -89,7 +90,7 @@ func evalNode(g *AIG, id int, vals []bool) bool {
 func TestFromCircuitPreservesFunction(t *testing.T) {
 	for _, build := range []func() *netlist.Circuit{circuits.C17, circuits.FullAdder, circuits.Comparator4, circuits.Mux21} {
 		c := build()
-		g, err := FromCircuit(c)
+		g, err := FromProgram(ir.MustCompile(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestFromCircuitSharesLogic(t *testing.T) {
 	g2 := c.MustAddGate(netlist.And, "g2", a, b)
 	o := c.MustAddGate(netlist.Or, "o", g1, g2)
 	c.MarkOutput(o)
-	g, err := FromCircuit(c)
+	g, err := FromProgram(ir.MustCompile(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestBalancedAndReducesDepth(t *testing.T) {
 	}
 	o := c.MustAddGate(netlist.And, "wideand", ids...)
 	c.MarkOutput(o)
-	g, err := FromCircuit(c)
+	g, err := FromProgram(ir.MustCompile(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestBalancedAndReducesDepth(t *testing.T) {
 }
 
 func TestXorCost(t *testing.T) {
-	g := New()
+	g := newAIG()
 	a := g.AddPI()
 	b := g.AddPI()
 	g.AddPO(g.Xor(a, b))
@@ -170,7 +171,7 @@ func TestXorCost(t *testing.T) {
 }
 
 func TestMux(t *testing.T) {
-	g := New()
+	g := newAIG()
 	s := g.AddPI()
 	a := g.AddPI()
 	b := g.AddPI()
@@ -191,7 +192,7 @@ func TestMux(t *testing.T) {
 }
 
 func TestCountUsedIgnoresDangling(t *testing.T) {
-	g := New()
+	g := newAIG()
 	a := g.AddPI()
 	b := g.AddPI()
 	g.And(a, b) // dangling
@@ -207,7 +208,7 @@ func TestCountUsedIgnoresDangling(t *testing.T) {
 
 func TestFromCircuitRandomCrossCheck(t *testing.T) {
 	c := circuits.RippleAdder(6)
-	g, err := FromCircuit(c)
+	g, err := FromProgram(ir.MustCompile(c))
 	if err != nil {
 		t.Fatal(err)
 	}

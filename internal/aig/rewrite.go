@@ -1,7 +1,7 @@
 package aig
 
 // Rewrite runs the explicit optimization passes on an AIG that was built
-// with FromCircuit — the stand-in for ABC's refactor → rewrite steps on
+// with FromProgram — the stand-in for ABC's refactor → rewrite steps on
 // top of the constructive strash:
 //
 //   - two-level absorption and resolution rules on AND pairs
@@ -16,7 +16,7 @@ package aig
 // the two-level "resolution" pattern that construction order can hide.
 // Rewrite is idempotent and never increases the used-node count.
 func (g *AIG) Rewrite() *AIG {
-	out := New()
+	out := newAIG()
 	// Map old literal -> new literal.
 	mapped := make([]Lit, len(g.nodes))
 	mapped[0] = ConstTrue

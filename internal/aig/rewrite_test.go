@@ -5,13 +5,14 @@ import (
 
 	"orap/internal/benchgen"
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/rng"
 	"orap/internal/sim"
 )
 
 func TestRewriteResolutionRule(t *testing.T) {
 	// ¬(x∧y) ∧ ¬(x∧¬y) = ¬x: Rewrite must collapse the whole cone.
-	g := New()
+	g := newAIG()
 	x := g.AddPI()
 	y := g.AddPI()
 	p := g.And(x, y).Not()
@@ -28,9 +29,9 @@ func TestRewriteResolutionRule(t *testing.T) {
 
 func TestRewritePreservesFunction(t *testing.T) {
 	for _, build := range []func() (*AIG, error){
-		func() (*AIG, error) { return FromCircuit(circuits.C17()) },
-		func() (*AIG, error) { return FromCircuit(circuits.RippleAdder(5)) },
-		func() (*AIG, error) { return FromCircuit(circuits.Comparator4()) },
+		func() (*AIG, error) { return FromProgram(ir.MustCompile(circuits.C17())) },
+		func() (*AIG, error) { return FromProgram(ir.MustCompile(circuits.RippleAdder(5))) },
+		func() (*AIG, error) { return FromProgram(ir.MustCompile(circuits.Comparator4())) },
 	} {
 		g, err := build()
 		if err != nil {
@@ -77,7 +78,7 @@ func TestRewriteNeverGrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := FromCircuit(c)
+		g, err := FromProgram(ir.MustCompile(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestRewriteNeverGrows(t *testing.T) {
 }
 
 func TestRewriteIdempotent(t *testing.T) {
-	g, err := FromCircuit(circuits.RippleAdder(6))
+	g, err := FromProgram(ir.MustCompile(circuits.RippleAdder(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestRewriteRandomCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := FromCircuit(c)
+	g, err := FromProgram(ir.MustCompile(c))
 	if err != nil {
 		t.Fatal(err)
 	}

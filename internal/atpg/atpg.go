@@ -15,8 +15,8 @@
 // OraP the key register is wired into the scan chains, so "the tool was
 // allowed to set any value to the key inputs" (Table II's setup).
 //
-// A campaign compiles the circuit once (or reuses the fault simulator's
-// compiled program) and encodes every fault cone from the flat IR view;
+// A campaign reuses the fault simulator's compiled program and encodes
+// every fault cone from the flat IR view;
 // the Tseitin clauses themselves come from cnf.EmitGate, so the ATPG and
 // attack SAT paths share one gate encoding.
 package atpg
@@ -81,20 +81,9 @@ type Outcome struct {
 	Solver sat.Stats
 }
 
-// Generate targets one fault and returns its outcome. It compiles the
-// circuit per call; campaigns should compile once and use
-// GenerateProgram (Run does so automatically).
-func Generate(c *netlist.Circuit, f faultsim.Fault, opts Options) (Outcome, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return GenerateProgram(prog, f, opts)
-}
-
-// GenerateProgram targets one fault of an already-compiled circuit and
-// returns its outcome.
-func GenerateProgram(prog *ir.Program, f faultsim.Fault, opts Options) (Outcome, error) {
+// generate targets one fault of a compiled circuit and returns its
+// outcome.
+func generate(prog *ir.Program, f faultsim.Fault, opts Options) (Outcome, error) {
 	s := sat.New()
 	s.MaxConflicts = opts.budget()
 
@@ -280,7 +269,7 @@ func Run(c *netlist.Circuit, fsim *faultsim.Simulator, randomResult faultsim.Res
 	for len(live) > 0 {
 		f := live[0]
 		live = live[1:]
-		out, err := GenerateProgram(prog, f, opts)
+		out, err := generate(prog, f, opts)
 		if err != nil {
 			return sum, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"orap/internal/circuits"
 	"orap/internal/faultsim"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/rng"
@@ -12,12 +13,16 @@ import (
 
 func TestGenerateDetectsTestableFault(t *testing.T) {
 	c := circuits.C17()
-	sim, err := faultsim.New(c)
+	prog, err := ir.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := faultsim.ForProgram(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range faultsim.CollapseFaults(c) {
-		out, err := Generate(c, f, Options{})
+		out, err := generate(prog, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +47,8 @@ func TestGenerateProvesRedundancy(t *testing.T) {
 	and := c.MustAddGate(netlist.And, "and", a, b)
 	y := c.MustAddGate(netlist.Or, "y", a, and)
 	c.MarkOutput(y)
-	out, err := Generate(c, faultsim.Fault{Node: and, Pin: -1, SA1: false}, Options{})
+	prog := ir.MustCompile(c)
+	out, err := generate(prog, faultsim.Fault{Node: and, Pin: -1, SA1: false}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +56,7 @@ func TestGenerateProvesRedundancy(t *testing.T) {
 		t.Fatalf("absorbed fault classified %v, want redundant", out.Class)
 	}
 	// The same gate's s-a-1 is testable (a=0, b arbitrary → y flips).
-	out, err = Generate(c, faultsim.Fault{Node: and, Pin: -1, SA1: true}, Options{})
+	out, err = generate(prog, faultsim.Fault{Node: and, Pin: -1, SA1: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func TestGenerateUnobservableFault(t *testing.T) {
 	dead := c.MustAddGate(netlist.And, "dead", a, b)
 	y := c.MustAddGate(netlist.Or, "y", a, b)
 	c.MarkOutput(y)
-	out, err := Generate(c, faultsim.Fault{Node: dead, Pin: -1, SA1: true}, Options{})
+	out, err := generate(ir.MustCompile(c), faultsim.Fault{Node: dead, Pin: -1, SA1: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +84,11 @@ func TestGenerateUnobservableFault(t *testing.T) {
 
 func TestRunFullFlowC17(t *testing.T) {
 	c := circuits.C17()
-	sim, err := faultsim.New(c)
+	prog, err := ir.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := faultsim.ForProgram(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +120,11 @@ func TestRunFlowOnLockedCircuitKeyInputsControllable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []*netlist.Circuit{orig, l.Circuit} {
-		sim, err := faultsim.New(c)
+		prog, err := ir.Compile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := faultsim.ForProgram(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,9 +145,10 @@ func TestAbortedOnTinyBudget(t *testing.T) {
 	// one fault (XOR cones admit no easy implications).
 	c := circuits.Parity(24)
 	faults := faultsim.CollapseFaults(c)
+	prog := ir.MustCompile(c)
 	aborted := 0
 	for _, f := range faults[:8] {
-		out, err := Generate(c, f, Options{ConflictBudget: 1})
+		out, err := generate(prog, f, Options{ConflictBudget: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

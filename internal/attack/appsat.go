@@ -59,6 +59,7 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 	}
 	defer ev.Release()
 	res := &Result{}
+	defer res.finish(o, s)
 	maxIter := opts.iterations(10000)
 
 	currentKey := func() ([]bool, error) {
@@ -74,20 +75,15 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 
 	for {
 		if res.Iterations >= maxIter {
-			res.SolverStats = s.Stats()
-			res.finish(o)
 			return res, ErrIterationBudget
 		}
 		satisfiable, err := s.Solve(m.AssumeDiff())
 		if err != nil {
-			res.SolverStats = s.Stats()
 			return res, err
 		}
 		if !satisfiable {
 			// Exact convergence, as in the plain SAT attack.
 			key, err := currentKey()
-			res.SolverStats = s.Stats()
-			res.finish(o)
 			if err != nil {
 				return res, err
 			}
@@ -98,8 +94,6 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 		x := m.ExtractInputs()
 		y, err := o.Query(x)
 		if err != nil {
-			res.SolverStats = s.Stats()
-			res.finish(o)
 			return res, err
 		}
 		if err := m.AddIOConstraint(x, y); err != nil {
@@ -112,68 +106,15 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 		}
 		// Settlement: estimate error of the current candidate key on
 		// random queries, reinforcing each disagreement as a constraint.
-		// Queries go through the oracle's word channel in batches; the
-		// candidate key evaluates on the same batches in one parallel run.
 		key, err := currentKey()
 		if err != nil {
-			res.SolverStats = s.Stats()
-			res.finish(o)
 			return res, err
 		}
-		if err := ev.SetKey(key); err != nil {
+		bad, err := disagreements(ev, key, o, opts.SettleSamples, opts.Rand, m.AddIOConstraint)
+		if err != nil {
 			return res, err
 		}
-		prog := ev.Program()
-		disagreements := 0
-		xr := make([]bool, locked.NumInputs())
-		yr := make([]bool, locked.NumOutputs())
-		in := make([]uint64, locked.NumInputs())
-		for done := 0; done < opts.SettleSamples; {
-			n := opts.SettleSamples - done
-			if n > 64 {
-				n = 64
-			}
-			for i := range in {
-				in[i] = 0
-			}
-			for pat := 0; pat < n; pat++ {
-				opts.Rand.Bits(xr)
-				oracle.PackPattern(in, pat, xr)
-			}
-			want, err := oracle.QueryWords(o, in, n)
-			if err != nil {
-				res.SolverStats = s.Stats()
-				res.finish(o)
-				return res, err
-			}
-			for i, id := range prog.PIs {
-				ev.SetInput(int(id), in[i:i+1])
-			}
-			ev.Run()
-			var diff uint64
-			for j, id := range prog.POs {
-				diff |= want[j] ^ ev.Value(int(id))[0]
-			}
-			diff &= oracle.LaneMask(n)
-			// Constraints are added in ascending lane order — the order
-			// the scalar loop discovered them — keeping fixed-seed runs
-			// bit-identical.
-			for pat := 0; pat < n; pat++ {
-				if diff>>uint(pat)&1 == 0 {
-					continue
-				}
-				disagreements++
-				oracle.UnpackPattern(in, pat, xr)
-				oracle.UnpackPattern(want, pat, yr)
-				if err := m.AddIOConstraint(append([]bool(nil), xr...), append([]bool(nil), yr...)); err != nil {
-					return res, err
-				}
-			}
-			done += n
-		}
-		if frac := float64(disagreements) / float64(opts.SettleSamples); frac <= opts.ErrorThreshold {
-			res.SolverStats = s.Stats()
-			res.finish(o)
+		if frac := float64(bad) / float64(opts.SettleSamples); frac <= opts.ErrorThreshold {
 			res.Key = key
 			res.Converged = true
 			return res, nil

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"orap/internal/cnf"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/oracle"
 	"orap/internal/rng"
@@ -54,10 +56,15 @@ func channelStats(o oracle.Oracle) oracle.ChannelStats {
 	return oracle.ChannelStats{}
 }
 
-// finish stamps the oracle-derived fields of a result on the way out.
-func (res *Result) finish(o oracle.Oracle) {
+// finish stamps the oracle and solver telemetry of a result. Attacks
+// defer it once, so every exit — budget, error or convergence — reports
+// what it spent; s is nil for attacks that run no solver.
+func (res *Result) finish(o oracle.Oracle, s *sat.Solver) {
 	res.OracleQueries = o.Queries()
 	res.Channel = channelStats(o)
+	if s != nil {
+		res.SolverStats = s.Stats()
+	}
 }
 
 // Budgets bounds attack effort so experiments terminate even when a
@@ -94,12 +101,23 @@ func VerifyKey(locked, reference *netlist.Circuit, key []bool) (bool, error) {
 	if locked.NumInputs() != reference.NumInputs() || locked.NumOutputs() != reference.NumOutputs() {
 		return false, fmt.Errorf("attack: locked/reference shapes differ")
 	}
-	s := sat.New()
-	li, err := encodeLockedWithKey(s, locked, key)
+	lp, err := ir.Compile(locked)
 	if err != nil {
 		return false, err
 	}
-	ri, err := encodeShared(s, reference, li.PIVars)
+	rp, err := ir.Compile(reference)
+	if err != nil {
+		return false, err
+	}
+	s := sat.New()
+	li, err := cnf.EncodeProgram(s, lp, cnf.Options{})
+	if err != nil {
+		return false, err
+	}
+	if err := cnf.ConstrainBits(s, li.KeyVars, key); err != nil {
+		return false, err
+	}
+	ri, err := cnf.EncodeProgram(s, rp, cnf.Options{PIVars: li.PIVars})
 	if err != nil {
 		return false, err
 	}
@@ -107,7 +125,7 @@ func VerifyKey(locked, reference *netlist.Circuit, key []bool) (bool, error) {
 	diffs := make([]sat.Lit, 0, len(li.POVars))
 	for i := range li.POVars {
 		d := sat.MkLit(s.NewVar(), false)
-		addXor2(s, d, sat.MkLit(li.POVars[i], false), sat.MkLit(ri.POVars[i], false))
+		cnf.EmitXor2(s, d, sat.MkLit(li.POVars[i], false), sat.MkLit(ri.POVars[i], false))
 		diffs = append(diffs, d)
 	}
 	s.AddClause(diffs...)
@@ -120,54 +138,79 @@ func VerifyKey(locked, reference *netlist.Circuit, key []bool) (bool, error) {
 
 // SampleDisagreement estimates the fraction of random inputs on which the
 // locked circuit under key disagrees (in at least one output bit) with the
-// oracle; used by AppSAT's settlement test and by reporting. Patterns go
+// oracle; the attack study reports it for every recovered key. Patterns go
 // through the oracle's word channel in batches of up to 64, and the
 // candidate key evaluates word-parallel over the same batches.
 func SampleDisagreement(locked *netlist.Circuit, key []bool, o oracle.Oracle, samples int, r *rng.Stream) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("attack: non-positive sample count %d", samples)
 	}
-	p, err := sim.NewParallel(locked, 1)
+	prog, err := ir.Compile(locked)
 	if err != nil {
 		return 0, err
 	}
-	defer p.Release()
-	if err := p.SetKey(key); err != nil {
+	ev, err := sim.ForProgram(prog, 1)
+	if err != nil {
 		return 0, err
 	}
-	prog := p.Program()
+	defer ev.Release()
+	bad, err := disagreements(ev, key, o, samples, r, nil)
+	if err != nil {
+		return 0, err
+	}
+	return float64(bad) / float64(samples), nil
+}
+
+// disagreements is the batched disagreement sampler behind
+// SampleDisagreement and the AppSAT and Double DIP settle loops. It
+// draws samples random patterns from r (one r.Bits per pattern, in
+// pattern order), answers them through the oracle's word channel in
+// batches of up to 64 lanes, runs key word-parallel on ev over the same
+// batches, and returns how many patterns disagree in at least one
+// output. When visit is non-nil it receives each disagreeing pattern and
+// the oracle's response as fresh slices, in ascending lane order — the
+// order a scalar loop would find them — so fixed-seed runs stay
+// bit-identical.
+func disagreements(ev *sim.Parallel, key []bool, o oracle.Oracle, samples int, r *rng.Stream, visit func(x, y []bool) error) (int, error) {
+	if err := ev.SetKey(key); err != nil {
+		return 0, err
+	}
+	prog := ev.Program()
+	x := make([]bool, prog.NumInputs())
+	in := make([]uint64, prog.NumInputs())
 	bad := 0
-	x := make([]bool, locked.NumInputs())
-	in := make([]uint64, locked.NumInputs())
 	for done := 0; done < samples; {
-		n := samples - done
-		if n > 64 {
-			n = 64
-		}
-		for i := range in {
-			in[i] = 0
-		}
-		// One r.Bits draw per pattern, in pattern order, exactly as the
-		// scalar loop drew them — fixed-seed results stay bit-identical.
+		n := min(samples-done, 64)
+		clear(in)
 		for pat := 0; pat < n; pat++ {
 			r.Bits(x)
 			oracle.PackPattern(in, pat, x)
 		}
 		want, err := oracle.QueryWords(o, in, n)
 		if err != nil {
-			return 0, err
+			return bad, err
 		}
 		for i, id := range prog.PIs {
-			p.SetInput(int(id), in[i:i+1])
+			ev.SetInput(int(id), in[i:i+1])
 		}
-		p.Run()
+		ev.Run()
 		var diff uint64
 		for j, id := range prog.POs {
-			diff |= want[j] ^ p.Value(int(id))[0]
+			diff |= want[j] ^ ev.Value(int(id))[0]
 		}
 		diff &= oracle.LaneMask(n)
 		bad += bits.OnesCount64(diff)
+		for ; visit != nil && diff != 0; diff &= diff - 1 {
+			pat := bits.TrailingZeros64(diff)
+			xr := make([]bool, prog.NumInputs())
+			yr := make([]bool, prog.NumOutputs())
+			oracle.UnpackPattern(in, pat, xr)
+			oracle.UnpackPattern(want, pat, yr)
+			if err := visit(xr, yr); err != nil {
+				return bad, err
+			}
+		}
 		done += n
 	}
-	return float64(bad) / float64(samples), nil
+	return bad, nil
 }

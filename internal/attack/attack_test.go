@@ -117,6 +117,36 @@ func TestSATAttackIterationBudget(t *testing.T) {
 	}
 }
 
+// TestBudgetExhaustedAttackReportsOracleTelemetry pins the oracle
+// telemetry of an attack that stops on its iteration budget: the queries
+// it spent must show in the result exactly as the session counted them.
+func TestBudgetExhaustedAttackReportsOracleTelemetry(t *testing.T) {
+	orig := circuits.RippleAdder(4)
+	l, err := lock.SARLock(orig, 8, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comb, err := oracle.NewComb(orig, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := oracle.NewSession(comb, 0)
+	res, err := SAT(l.Circuit, sess, Budgets{MaxIterations: 3})
+	if err != ErrIterationBudget {
+		t.Fatalf("expected ErrIterationBudget, got %v", err)
+	}
+	if sess.Queries() != 3 {
+		t.Fatalf("session saw %d queries, want 3", sess.Queries())
+	}
+	if res.OracleQueries != sess.Queries() || res.Channel != sess.Stats() {
+		t.Fatalf("result reports %d queries, channel %+v; session has %d, %+v",
+			res.OracleQueries, res.Channel, sess.Queries(), sess.Stats())
+	}
+	if res.SolverStats.Propagations == 0 {
+		t.Fatal("solver stats missing on the budget exit")
+	}
+}
+
 // countWrongInputsExhaustive counts input patterns (over all 2^n, n ≤ 12)
 // on which the locked circuit under key disagrees with the original.
 func countWrongInputsExhaustive(t *testing.T, orig, locked *netlist.Circuit, key []bool) int {

@@ -34,10 +34,8 @@ type BypassResult struct {
 	// an oracle.Session; zero otherwise.
 	Channel oracle.ChannelStats
 
-	// evalFor/eval memoize the compiled evaluator of the last circuit
-	// passed to Eval, so verification loops do not recompile per pattern.
-	evalFor *netlist.Circuit
-	eval    *sim.Evaluator
+	// eval runs the locked circuit on the miter's compiled program.
+	eval *sim.Evaluator
 }
 
 // Bypass runs the bypass attack of Xu et al. (CHES'17): instead of
@@ -85,7 +83,12 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 	res := &BypassResult{
 		Key:     append([]bool(nil), chosenKey...),
 		Patches: make(map[string][]bool),
+		eval:    sim.EvaluatorFor(m.Prog),
 	}
+	defer func() {
+		res.OracleQueries = o.Queries()
+		res.Channel = channelStats(o)
+	}()
 	for {
 		satisfiable, err := s.Solve(m.AssumeDiff())
 		if err != nil {
@@ -100,8 +103,6 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 		x := m.ExtractInputs()
 		y, err := o.Query(x)
 		if err != nil {
-			res.OracleQueries = o.Queries()
-			res.Channel = channelStats(o)
 			return res, err
 		}
 		res.Patches[patternKey(x)] = y
@@ -112,26 +113,16 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 		}
 		s.AddClause(blocking...)
 	}
-	res.OracleQueries = o.Queries()
-	res.Channel = channelStats(o)
 	return res, nil
 }
 
 // Eval evaluates the patched design: the locked circuit under the chosen
 // key, with the patch table overriding the bypassed inputs. This is the
-// functional view of the attacker's bypass hardware. The circuit is
-// compiled on first use and reused while the same circuit is passed, so
-// sampling loops stay cheap; not safe for concurrent use.
-func (b *BypassResult) Eval(locked *netlist.Circuit, x []bool) ([]bool, error) {
+// functional view of the attacker's bypass hardware. It runs on the
+// program the attack compiled; not safe for concurrent use.
+func (b *BypassResult) Eval(x []bool) ([]bool, error) {
 	if y, ok := b.Patches[patternKey(x)]; ok {
 		return append([]bool(nil), y...), nil
-	}
-	if b.eval == nil || b.evalFor != locked {
-		ev, err := sim.NewEvaluator(locked)
-		if err != nil {
-			return nil, err
-		}
-		b.eval, b.evalFor = ev, locked
 	}
 	return b.eval.Eval(x, b.Key)
 }

@@ -42,7 +42,7 @@ func TestBypassDefeatsSARLock(t *testing.T) {
 			x[i] = v>>uint(i)&1 == 1
 		}
 		want, _ := sim.Eval(orig, x, nil)
-		got, err := res.Eval(l.Circuit, x)
+		got, err := res.Eval(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestBypassStarvedByOraP(t *testing.T) {
 			x[i] = v>>uint(i)&1 == 1
 		}
 		want, _ := sim.Eval(orig, x, nil)
-		got, err := res.Eval(l.Circuit, x)
+		got, err := res.Eval(x)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,13 +58,14 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 		diff = append(diff, sat.MkLit(actPair, true))
 		for i := range pair[0] {
 			d := sat.MkLit(s.NewVar(), false)
-			addXor2(s, d, sat.MkLit(pair[0][i], false), sat.MkLit(pair[1][i], false))
+			cnf.EmitXor2(s, d, sat.MkLit(pair[0][i], false), sat.MkLit(pair[1][i], false))
 			diff = append(diff, d)
 		}
 		s.AddClause(diff...)
 	}
 
 	res := &Result{}
+	defer res.finish(o, s)
 	maxIter := b.iterations(10000)
 	record := func(x []bool, y []bool) error {
 		if err := m1.AddIOConstraint(x, y); err != nil {
@@ -86,13 +87,10 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 		// Phase 1: drain 2-DIPs (both miters differ, pairs distinct).
 		for {
 			if res.Iterations >= maxIter {
-				res.SolverStats = s.Stats()
-				res.finish(o)
 				return res, ErrIterationBudget
 			}
 			satisfiable, err := s.Solve(m1.AssumeDiff(), m2.AssumeDiff(), sat.MkLit(actPair, false))
 			if err != nil {
-				res.SolverStats = s.Stats()
 				return res, err
 			}
 			if !satisfiable {
@@ -104,8 +102,6 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 				err = record(x, y)
 			}
 			if err != nil {
-				res.SolverStats = s.Stats()
-				res.finish(o)
 				return res, err
 			}
 			res.Iterations++
@@ -118,77 +114,23 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 		// and the search resumes. Point-function tails settle clean.
 		satisfiable, err := s.Solve(m1.AssumeNoDiff(), m2.AssumeNoDiff(), sat.MkLit(actPair, true))
 		if err != nil {
-			res.SolverStats = s.Stats()
-			res.finish(o)
 			return res, err
 		}
 		if !satisfiable {
-			res.SolverStats = s.Stats()
-			res.finish(o)
 			return res, fmt.Errorf("attack: observations inconsistent with locked netlist (no candidate key)")
 		}
 		key := m1.ExtractKey1()
-		if err := ev.SetKey(key); err != nil {
+		bad, err := disagreements(ev, key, o, doubleDIPSettleSamples, settleRand, record)
+		if err != nil {
 			return res, err
 		}
-		prog := ev.Program()
-		disagreements := 0
-		xr := make([]bool, locked.NumInputs())
-		yr := make([]bool, locked.NumOutputs())
-		in := make([]uint64, locked.NumInputs())
-		for done := 0; done < doubleDIPSettleSamples; {
-			n := doubleDIPSettleSamples - done
-			if n > 64 {
-				n = 64
-			}
-			for i := range in {
-				in[i] = 0
-			}
-			for pat := 0; pat < n; pat++ {
-				settleRand.Bits(xr)
-				oracle.PackPattern(in, pat, xr)
-			}
-			want, err := oracle.QueryWords(o, in, n)
-			if err != nil {
-				res.SolverStats = s.Stats()
-				res.finish(o)
-				return res, err
-			}
-			for i, id := range prog.PIs {
-				ev.SetInput(int(id), in[i:i+1])
-			}
-			ev.Run()
-			var diff uint64
-			for j, id := range prog.POs {
-				diff |= want[j] ^ ev.Value(int(id))[0]
-			}
-			diff &= oracle.LaneMask(n)
-			// Disagreements recorded in ascending lane order — the scalar
-			// discovery order — so fixed-seed runs stay bit-identical.
-			for pat := 0; pat < n; pat++ {
-				if diff>>uint(pat)&1 == 0 {
-					continue
-				}
-				disagreements++
-				oracle.UnpackPattern(in, pat, xr)
-				oracle.UnpackPattern(want, pat, yr)
-				if err := record(append([]bool(nil), xr...), append([]bool(nil), yr...)); err != nil {
-					return res, err
-				}
-			}
-			done += n
-		}
-		if disagreements == 0 {
-			res.SolverStats = s.Stats()
-			res.finish(o)
+		if bad == 0 {
 			res.Key = key
 			res.Converged = true
 			return res, nil
 		}
 		settleRounds++
 		if settleRounds >= maxIter {
-			res.SolverStats = s.Stats()
-			res.finish(o)
 			return res, ErrIterationBudget
 		}
 	}

@@ -3,6 +3,7 @@ package attack
 import (
 	"fmt"
 
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/oracle"
 	"orap/internal/rng"
@@ -51,7 +52,11 @@ func HillClimb(locked *netlist.Circuit, o oracle.Oracle, opts HillOptions) (*Res
 	patterns := words * 64
 
 	// Collect labelled patterns from the oracle.
-	p, err := sim.NewParallel(locked, words)
+	prog, err := ir.Compile(locked)
+	if err != nil {
+		return nil, err
+	}
+	p, err := sim.ForProgram(prog, words)
 	if err != nil {
 		return nil, err
 	}
@@ -65,6 +70,7 @@ func HillClimb(locked *netlist.Circuit, o oracle.Oracle, opts HillOptions) (*Res
 		want[i] = make([]uint64, words)
 	}
 	res := &Result{}
+	defer res.finish(o, nil)
 	// Label the working set through the oracle's word channel, one
 	// 64-pattern word per interface crossing: the pattern words already
 	// have the channel's bit-sliced layout.
@@ -75,7 +81,6 @@ func HillClimb(locked *netlist.Circuit, o oracle.Oracle, opts HillOptions) (*Res
 		}
 		y, err := oracle.QueryWords(o, laneIn, 64)
 		if err != nil {
-			res.finish(o)
 			return res, err
 		}
 		for i := range want {
@@ -167,6 +172,5 @@ func HillClimb(locked *netlist.Circuit, o oracle.Oracle, opts HillOptions) (*Res
 	}
 	res.Key = bestKey
 	res.Converged = bestCost == 0
-	res.finish(o)
 	return res, nil
 }

@@ -36,25 +36,22 @@ func satWithMiter(locked *netlist.Circuit, o oracle.Oracle, b Budgets,
 		return nil, err
 	}
 	res := &Result{}
+	defer res.finish(o, s)
 	maxIter := b.iterations(10000)
 	for {
 		satisfiable, err := s.Solve(m.AssumeDiff())
 		if err != nil {
-			res.SolverStats = s.Stats()
 			return res, err
 		}
 		if !satisfiable {
 			break // no more DIPs: keys consistent with observations are equivalent
 		}
 		if res.Iterations >= maxIter {
-			res.SolverStats = s.Stats()
 			return res, ErrIterationBudget
 		}
 		x := m.ExtractInputs()
 		y, err := o.Query(x)
 		if err != nil {
-			res.SolverStats = s.Stats()
-			res.finish(o)
 			return res, err
 		}
 		if err := m.AddIOConstraint(x, y); err != nil {
@@ -64,8 +61,6 @@ func satWithMiter(locked *netlist.Circuit, o oracle.Oracle, b Budgets,
 	}
 	// Extract a consistent key with the disequality disabled.
 	satisfiable, err := s.Solve(m.AssumeNoDiff())
-	res.SolverStats = s.Stats()
-	res.finish(o)
 	if err != nil {
 		return res, err
 	}
@@ -79,30 +74,4 @@ func satWithMiter(locked *netlist.Circuit, o oracle.Oracle, b Budgets,
 	res.Key = m.ExtractKey1()
 	res.Converged = true
 	return res, nil
-}
-
-// encodeLockedWithKey encodes one copy of a locked circuit with its key
-// inputs fixed to the given constants.
-func encodeLockedWithKey(s *sat.Solver, locked *netlist.Circuit, key []bool) (*cnf.Instance, error) {
-	inst, err := cnf.Encode(s, locked, cnf.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := cnf.ConstrainBits(s, inst.KeyVars, key); err != nil {
-		return nil, err
-	}
-	return inst, nil
-}
-
-// encodeShared encodes a circuit reusing the given primary-input variables.
-func encodeShared(s *sat.Solver, c *netlist.Circuit, piVars []sat.Var) (*cnf.Instance, error) {
-	return cnf.Encode(s, c, cnf.Options{PIVars: piVars})
-}
-
-// addXor2 emits d ↔ a ⊕ b.
-func addXor2(s *sat.Solver, d, a, b sat.Lit) {
-	s.AddClause(d.Not(), a, b)
-	s.AddClause(d.Not(), a.Not(), b.Not())
-	s.AddClause(d, a.Not(), b)
-	s.AddClause(d, a, b.Not())
 }

@@ -51,16 +51,17 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 	if nk == 0 {
 		return nil, fmt.Errorf("attack: circuit has no key inputs")
 	}
-	res := &SensitizeResult{}
-	res.Key = make([]bool, nk)
-	res.Determined = make([]bool, nk)
-
-	// One compile serves both the cone analysis and the verify loop.
+	// One compile serves the cone analysis, the golden-pattern encodings
+	// and the verify loop.
 	prog, err := ir.Compile(locked)
 	if err != nil {
 		return nil, err
 	}
 	ev := sim.EvaluatorFor(prog)
+	res := &SensitizeResult{}
+	res.Key = make([]bool, nk)
+	res.Determined = make([]bool, nk)
+	defer res.finish(o, nil)
 
 	// Structural analysis: which outputs does each key bit reach, and
 	// which outputs see exactly one key bit (isolated propagation, the
@@ -113,7 +114,7 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 		if len(candidates) > 8 {
 			candidates = candidates[:8]
 		}
-		x, ok, err := findGoldenPattern(locked, bit, candidates, opts.MaxConflicts)
+		x, ok, err := findGoldenPattern(prog, bit, candidates, opts.MaxConflicts)
 		if err != nil {
 			return res, err
 		}
@@ -188,7 +189,6 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 		}
 		y, err := oracle.QueryWords(o, in, n)
 		if err != nil {
-			res.finish(o)
 			return res, err
 		}
 		for pat := 0; pat < n; pat++ {
@@ -205,7 +205,6 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 		}
 		done += n
 	}
-	res.finish(o)
 	res.Converged = allTrue(res.Determined)
 	return res, nil
 }
@@ -213,20 +212,20 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 // findGoldenPattern searches for an input pattern on which flipping key
 // bit `bit` flips one of the candidate primary outputs for at least one
 // assignment of the remaining key bits.
-func findGoldenPattern(locked *netlist.Circuit, bit int, outputs []int, maxConflicts int64) ([]bool, bool, error) {
+func findGoldenPattern(prog *ir.Program, bit int, outputs []int, maxConflicts int64) ([]bool, bool, error) {
 	if len(outputs) == 0 {
 		return nil, false, nil // bit reaches no output: never sensitizable
 	}
 	s := sat.New()
 	s.MaxConflicts = maxConflicts
-	a, err := cnf.Encode(s, locked, cnf.Options{})
+	a, err := cnf.EncodeProgram(s, prog, cnf.Options{})
 	if err != nil {
 		return nil, false, err
 	}
 	// Second copy shares PIs and all key vars except the target bit.
 	sharedKeys := append([]sat.Var(nil), a.KeyVars...)
 	sharedKeys[bit] = s.NewVar()
-	b, err := cnf.Encode(s, locked, cnf.Options{PIVars: a.PIVars, KeyVars: sharedKeys})
+	b, err := cnf.EncodeProgram(s, prog, cnf.Options{PIVars: a.PIVars, KeyVars: sharedKeys})
 	if err != nil {
 		return nil, false, err
 	}
@@ -236,7 +235,7 @@ func findGoldenPattern(locked *netlist.Circuit, bit int, outputs []int, maxConfl
 	diffs := make([]sat.Lit, 0, len(outputs))
 	for _, j := range outputs {
 		d := sat.MkLit(s.NewVar(), false)
-		addXor2(s, d, sat.MkLit(a.POVars[j], false), sat.MkLit(b.POVars[j], false))
+		cnf.EmitXor2(s, d, sat.MkLit(a.POVars[j], false), sat.MkLit(b.POVars[j], false))
 		diffs = append(diffs, d)
 	}
 	s.AddClause(diffs...)

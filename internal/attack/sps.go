@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 	"orap/internal/sim"
@@ -66,7 +67,11 @@ func SPS(locked *netlist.Circuit, opts SPSOptions) (*SPSResult, error) {
 	if opts.SkewThreshold <= 0 {
 		opts.SkewThreshold = 0.45
 	}
-	p, err := sim.NewParallel(locked, opts.Words)
+	prog, err := ir.Compile(locked)
+	if err != nil {
+		return nil, err
+	}
+	p, err := sim.ForProgram(prog, opts.Words)
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +123,11 @@ func SPS(locked *netlist.Circuit, opts SPSOptions) (*SPSResult, error) {
 	return res, nil
 }
 
-// SPSRemove applies the removal step on a candidate: the skewed signal is
+// spsRemove applies the removal step on a candidate: the skewed signal is
 // replaced by its dominant constant value, and the (now dead) generating
 // logic falls away functionally. It returns a new circuit; the input is
 // unmodified.
-func SPSRemove(locked *netlist.Circuit, finding SPSFinding) (*netlist.Circuit, error) {
+func spsRemove(locked *netlist.Circuit, finding SPSFinding) (*netlist.Circuit, error) {
 	if finding.Node < 0 || finding.Node >= locked.NumNodes() {
 		return nil, fmt.Errorf("attack: SPS candidate %d out of range", finding.Node)
 	}
@@ -163,7 +168,7 @@ func SPSCutKeyDead(locked *netlist.Circuit, res *SPSResult) (*netlist.Circuit, S
 		if !f.KeyDependent {
 			continue
 		}
-		cut, err := SPSRemove(locked, f)
+		cut, err := spsRemove(locked, f)
 		if err != nil {
 			continue
 		}

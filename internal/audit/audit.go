@@ -47,7 +47,7 @@
 // domains drive testability-bound. Explain reconstructs per-finding
 // witness paths from the same fixpoints.
 //
-// Oracle-path rules (Oracle/ProbeChip):
+// Oracle-path rules (Oracle):
 //
 //   - oracle-unprotected: a conventional scan configuration — the key
 //     register survives test mode and the whole oracle-guided attack
@@ -67,10 +67,6 @@
 //   - scan-layout: key cells bunched in the scan chains, cheapening the
 //     scenario-(b) bypass-mux Trojan the Section III interleaving
 //     countermeasure defends against. Warning.
-//   - self-clear: a behavioural probe — after a rising scan-enable
-//     edge the key register must read back all-zero through the scan
-//     chain; a chip where it does not has the scenario-(a)/(b) reset
-//     suppression in place. Error.
 package audit
 
 import (
@@ -121,9 +117,6 @@ const (
 	RuleRespTaps = "resp-taps"
 	// RuleScanLayout: consecutive key cells in a scan chain. Warning.
 	RuleScanLayout = "scan-layout"
-	// RuleSelfClear: the key register survives a rising scan-enable
-	// edge. Error.
-	RuleSelfClear = "self-clear"
 )
 
 // Attack-literature references attached to findings.
@@ -326,28 +319,12 @@ type Options struct {
 	BDDBudget int
 }
 
-// Circuit audits a locked netlist with default options. The circuit
-// must pass check's structural rules (ir.Compile enforces them); the
-// returned error reports a structurally unsound circuit, not audit
-// findings — those are in the report.
-func Circuit(c *netlist.Circuit) (*Report, error) {
-	return Analyze(c, Options{})
-}
-
-// Analyze audits a locked netlist: key-gate removability, topology
-// fingerprints and static corruptibility bounds. Unlocked circuits
-// (no key inputs) produce an empty report.
-func Analyze(c *netlist.Circuit, opts Options) (*Report, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeProgram(prog, c, opts), nil
-}
-
-// AnalyzeProgram is Analyze for a circuit already compiled to its IR;
+// AnalyzeProgram audits a locked circuit compiled to its IR: key-gate
+// removability, topology fingerprints and static corruptibility bounds.
 // c supplies node names and source lines for the findings and must be
-// the circuit prog was compiled from.
+// the circuit prog was compiled from; ir.Compile enforces check's
+// structural rules, so a structurally unsound circuit never reaches the
+// audit. Unlocked circuits (no key inputs) produce an empty report.
 func AnalyzeProgram(prog *ir.Program, c *netlist.Circuit, opts Options) *Report {
 	rep := &Report{Circuit: c.Name}
 	if prog.NumKeys() == 0 {

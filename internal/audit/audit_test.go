@@ -8,6 +8,7 @@ import (
 
 	"orap/internal/audit"
 	"orap/internal/check"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 )
 
@@ -40,10 +41,11 @@ func markOut(t *testing.T, c *netlist.Circuit, ids ...int) {
 
 func mustAudit(t *testing.T, c *netlist.Circuit) *audit.Report {
 	t.Helper()
-	rep, err := audit.Circuit(c)
+	prog, err := ir.Compile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := audit.AnalyzeProgram(prog, c, audit.Options{})
 	return rep
 }
 
@@ -259,17 +261,15 @@ func TestCorruptibilityThresholdOption(t *testing.T) {
 	o3 := c.MustAddGate(netlist.Buf, "o3", d)
 	markOut(t, c, o1, o2, o3)
 
-	rep, err := audit.Analyze(c, audit.Options{})
+	prog, err := ir.Compile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := audit.AnalyzeProgram(prog, c, audit.Options{})
 	if fs := rep.ByRule(audit.RuleLowCorruptibility); len(fs) != 0 {
 		t.Fatalf("default threshold fired at coverage 2:\n%s", rep)
 	}
-	rep, err = audit.Analyze(c, audit.Options{MinCorruptPOs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = audit.AnalyzeProgram(prog, c, audit.Options{MinCorruptPOs: 3})
 	if fs := rep.ByRule(audit.RuleLowCorruptibility); len(fs) != 1 {
 		t.Fatalf("raised threshold did not fire:\n%s", rep)
 	}

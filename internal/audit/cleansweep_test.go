@@ -14,6 +14,7 @@ import (
 	"orap/internal/audit"
 	"orap/internal/check"
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/orap"
@@ -63,10 +64,11 @@ func TestAuditCleanSweep(t *testing.T) {
 				t.Logf("%s/%s: skipped (%v)", cname, lname, err)
 				continue
 			}
-			rep, err := audit.Circuit(l.Circuit)
+			prog, err := ir.Compile(l.Circuit)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cname, lname, err)
 			}
+			rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{})
 
 			// No legitimate scheme leaves removable key logic behind.
 			for _, f := range rep.ByRule(audit.RuleKeyRemovable) {

@@ -84,10 +84,7 @@ func enumerate(t *testing.T, c *netlist.Circuit) []enumBit {
 	if nIn > 14 {
 		t.Fatalf("%d inputs, harness expects ≤ 14", nIn)
 	}
-	ev, err := sim.NewEvaluator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := sim.EvaluatorFor(prog)
 	// One output table over the whole space, then every bit's counts
 	// come from table lookups instead of re-simulation.
 	nPO := len(prog.POs)
@@ -163,10 +160,11 @@ func eqIDs(a, b []int32) bool {
 // rate is the count over the space.
 func TestExactMatchesEnumeration(t *testing.T) {
 	for _, tc := range exactCases(t) {
-		rep, err := audit.Analyze(tc.l.Circuit, audit.Options{Exact: true})
+		prog, err := ir.Compile(tc.l.Circuit)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		rep := audit.AnalyzeProgram(prog, tc.l.Circuit, audit.Options{Exact: true})
 		ex := rep.Exact
 		if ex == nil {
 			t.Fatalf("%s: no exact result", tc.name)
@@ -224,10 +222,11 @@ func TestExactRandomXORDistinguishing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := audit.Analyze(l.Circuit, audit.Options{Exact: true})
+		prog, err := ir.Compile(l.Circuit)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{Exact: true})
 		for kb, b := range rep.Exact.Bits {
 			if !b.OK {
 				t.Fatalf("%s bit %d: budget fallback on a tiny circuit", c.Name, kb)
@@ -252,15 +251,15 @@ func TestExactRateMatchesFaultsim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := audit.Analyze(l.Circuit, audit.Options{Exact: true})
+	prog, err := ir.Compile(l.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := faultsim.New(l.Circuit)
+	rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{Exact: true})
+	s, err := faultsim.ForProgram(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := s.Program()
 	const samples = 4096
 	r := rng.New(42)
 	pattern := make([]bool, len(prog.Inputs))
@@ -386,10 +385,11 @@ func BenchmarkExactCorrupt(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := audit.Analyze(l.Circuit, audit.Options{Exact: true})
+		prog, err := ir.Compile(l.Circuit)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{Exact: true})
 		if rep.Exact.Stats.Fallbacks > 0 {
 			b.Fatalf("budget fallbacks at benchmark scale: %s", rep.Exact.Telemetry())
 		}
@@ -418,14 +418,12 @@ func TestExactBudgetFallbackScaledB19(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := audit.Analyze(l.Circuit, audit.Options{})
+	prog, err := ir.Compile(l.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := audit.Analyze(l.Circuit, audit.Options{Exact: true, BDDBudget: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{})
+	exact := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{Exact: true, BDDBudget: 8})
 	ex := exact.Exact
 	if ex == nil || ex.Stats.Fallbacks == 0 {
 		t.Fatalf("an 8-node budget produced no fallbacks: %+v", ex.Stats)

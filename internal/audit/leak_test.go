@@ -141,10 +141,11 @@ func buildTestabilityFixture(t *testing.T) *netlist.Circuit {
 // deep AND layers as info findings and leave the shallow OR alone.
 func TestTestabilityBoundFires(t *testing.T) {
 	c := buildTestabilityFixture(t)
-	rep, err := audit.Analyze(c, audit.Options{TestabilityThreshold: 15})
+	prog, err := ir.Compile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := audit.AnalyzeProgram(prog, c, audit.Options{TestabilityThreshold: 15})
 	tb := rep.ByRule(audit.RuleTestabilityBound)
 	if len(tb) == 0 {
 		t.Fatalf("testability-bound must fire on the 16-input point function:\n%s", rep)
@@ -169,10 +170,11 @@ func TestTestabilityBoundFires(t *testing.T) {
 // everything the rule left unflagged.
 func TestTestabilityBoundMatchesFaultsim(t *testing.T) {
 	c := buildTestabilityFixture(t)
-	rep, err := audit.Analyze(c, audit.Options{TestabilityThreshold: 15})
+	prog, err := ir.Compile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := audit.AnalyzeProgram(prog, c, audit.Options{TestabilityThreshold: 15})
 	flagged := map[int]bool{}
 	for _, f := range rep.ByRule(audit.RuleTestabilityBound) {
 		flagged[f.Node] = true
@@ -181,7 +183,7 @@ func TestTestabilityBoundMatchesFaultsim(t *testing.T) {
 		t.Fatal("fixture produced no testability-bound findings")
 	}
 
-	s, err := faultsim.New(c)
+	s, err := faultsim.ForProgram(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

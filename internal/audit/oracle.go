@@ -110,49 +110,6 @@ func layoutRules(lay *scan.Layout, keyCells int, rep *Report) {
 	})
 }
 
-// ProbeChip audits a built chip: the static Oracle rules plus a
-// behavioural self-clear probe — a nonzero pattern is scanned into the
-// key register and scan enable is pulsed; OraP's per-cell pulse
-// generators must clear every cell on the rising edge, so a nonzero
-// read-back means the reset is suppressed (Trojan scenarios (a)/(b)).
-//
-// The probe is destructive: it clears the key register and leaves the
-// chip locked with scan enable low. Re-run Unlock afterwards if the
-// chip is still needed as an oracle.
-func ProbeChip(ch *scan.Chip, lay *scan.Layout) (*Report, error) {
-	cfg := ch.Config()
-	rep, err := Oracle(cfg, lay)
-	if err != nil || cfg.Protection == scan.None {
-		return rep, err
-	}
-	pattern := make([]bool, cfg.Core.NumKeys())
-	for i := range pattern {
-		pattern[i] = true
-	}
-	ch.SetScanEnable(false)
-	ch.SetScanEnable(true)
-	if err := ch.ScanInKey(pattern); err != nil {
-		return nil, err
-	}
-	ch.SetScanEnable(false)
-	ch.SetScanEnable(true) // rising edge: the pulse generators must fire
-	got, err := ch.ScanOutKey()
-	ch.SetScanEnable(false)
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range got {
-		if b {
-			rep.add(Finding{
-				Rule: RuleSelfClear, Sev: check.Error, KeyBit: -1, Node: -1, Ref: RefOraP,
-				Msg: "key register reads back nonzero after a rising scan-enable edge: the per-cell self-clear is suppressed (Trojan scenarios (a)/(b)) and the oracle leaks the unlocked circuit",
-			})
-			break
-		}
-	}
-	return rep, nil
-}
-
 // sortedKeys returns the map's keys in increasing order, for
 // deterministic finding order.
 func sortedKeys(m map[int][]int) []int {

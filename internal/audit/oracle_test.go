@@ -198,35 +198,3 @@ func TestOracleScanLayoutRule(t *testing.T) {
 		t.Fatalf("scan-layout fired on the interleaved layout:\n%s", rep)
 	}
 }
-
-func TestProbeChipSelfClear(t *testing.T) {
-	cfg, _ := orapBasicConfig(t, scan.OraPBasic)
-
-	clean, err := scan.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := audit.ProbeChip(clean, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := rep.ByRule(audit.RuleSelfClear); len(fs) != 0 {
-		t.Fatalf("self-clear fired on a clean chip:\n%s", rep)
-	}
-	if rep.HasErrors() {
-		t.Fatalf("errors on a clean chip:\n%s", rep)
-	}
-
-	trojaned, err := scan.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trojaned.ArmTrojans(scan.Trojans{SuppressKeyReset: true})
-	rep, err = audit.ProbeChip(trojaned, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := rep.ByRule(audit.RuleSelfClear); len(fs) != 1 || fs[0].Sev != check.Error {
-		t.Fatalf("self-clear did not catch the reset-suppression Trojan:\n%s", rep)
-	}
-}

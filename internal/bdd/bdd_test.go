@@ -149,10 +149,7 @@ func TestSatCountAgainstEnumeration(t *testing.T) {
 		}
 		m, outs, varOf := compileOutputs(t, p, 0)
 		want := make([]int64, len(outs))
-		ev, err := sim.NewEvaluator(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := sim.EvaluatorFor(p)
 		nPI := len(p.PIs)
 		vars := make([]bool, nin)
 		for v := 0; v < 1<<nin; v++ {

@@ -3,6 +3,7 @@ package benchgen
 import (
 	"testing"
 
+	"orap/internal/ir"
 	"orap/internal/rng"
 	"orap/internal/sim"
 )
@@ -116,7 +117,7 @@ func TestGeneratedCircuitIsResponsive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sim.NewParallel(c, 4)
+	par, err := sim.ForProgram(ir.MustCompile(c), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestCycleDiagnosticPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep := SourceString(string(src), "cycle.bench")
+	_, rep := source(strings.NewReader(string(src)), "cycle.bench")
 	diags := rep.ByRule(RuleCycle)
 	if len(diags) == 0 {
 		t.Fatal("cycle rule did not fire from source")
@@ -212,7 +212,7 @@ func TestStructuralSubset(t *testing.T) {
 		t.Fatal("Circuit did not flag the dangling gate")
 	}
 	src, _ := os.ReadFile(filepath.Join("testdata", "dangling.bench"))
-	c, srep := SourceString(string(src), "dangling")
+	c, srep := source(strings.NewReader(string(src)), "dangling")
 	if srep.HasErrors() {
 		t.Fatalf("dangling corpus file has errors:\n%s", srep)
 	}

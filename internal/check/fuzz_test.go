@@ -1,6 +1,9 @@
 package check
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzCheckCircuit extends the .bench fuzz surface through the checker:
 // whatever the parser accepts or rejects, running the full rule set must
@@ -14,9 +17,9 @@ func FuzzCheckCircuit(f *testing.F) {
 	f.Add("q = DFF(d)\nINPUT(a)\nOUTPUT(y)\nd = AND(a, q)\ny = NOT(q)\n")
 	f.Add("p cnf nonsense\n= ()\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		c, rep := SourceString(src, "fuzz")
+		c, rep := source(strings.NewReader(src), "fuzz")
 		if rep == nil {
-			t.Fatal("SourceString returned a nil report")
+			t.Fatal("source returned a nil report")
 		}
 		if c == nil && len(rep.Diags) == 0 {
 			t.Fatal("parse failed but the report is empty")

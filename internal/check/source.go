@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"orap/internal/bench"
 	"orap/internal/netlist"
@@ -22,9 +21,9 @@ var parseRule = map[bench.ErrCode]string{
 	bench.ErrIO:          RuleIO,
 }
 
-// FromParseError converts a bench parse failure into a diagnostic.
+// fromParseError converts a bench parse failure into a diagnostic.
 // Non-ParseError values map onto a generic syntax diagnostic.
-func FromParseError(err error) Diagnostic {
+func fromParseError(err error) Diagnostic {
 	pe, ok := err.(*bench.ParseError)
 	if !ok {
 		return Diagnostic{Rule: RuleSyntax, Sev: Error, Node: -1, Msg: err.Error()}
@@ -43,21 +42,16 @@ func FromParseError(err error) Diagnostic {
 	}
 }
 
-// Source parses a .bench description and checks it. Parse failures come
+// source parses a .bench description and checks it. Parse failures come
 // back as a report with a single source-level diagnostic and a nil
 // circuit; successful parses return the circuit and the full Circuit
 // report.
-func Source(r io.Reader, name string) (*netlist.Circuit, *Report) {
+func source(r io.Reader, name string) (*netlist.Circuit, *Report) {
 	c, err := bench.Parse(r, name)
 	if err != nil {
-		return nil, &Report{Circuit: name, Diags: []Diagnostic{FromParseError(err)}}
+		return nil, &Report{Circuit: name, Diags: []Diagnostic{fromParseError(err)}}
 	}
 	return c, Circuit(c)
-}
-
-// SourceString is Source over an in-memory description.
-func SourceString(src, name string) (*netlist.Circuit, *Report) {
-	return Source(strings.NewReader(src), name)
 }
 
 // File opens, parses and checks a .bench file. The returned error covers
@@ -69,7 +63,7 @@ func File(path string) (*netlist.Circuit, *Report, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	c, rep := Source(f, path)
+	c, rep := source(f, path)
 	return c, rep, nil
 }
 

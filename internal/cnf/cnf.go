@@ -50,17 +50,6 @@ type Options struct {
 	FixedPIs []bool
 }
 
-// Encode adds one Tseitin copy of c to the solver and returns the variable
-// mapping. It compiles the circuit per call; repeat encoders (miters,
-// per-query copies) should compile once and use EncodeProgram.
-func Encode(s *sat.Solver, c *netlist.Circuit, opts Options) (*Instance, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeProgram(s, prog, opts)
-}
-
 // EncodeProgram adds one Tseitin copy of the compiled circuit to the
 // solver and returns the variable mapping. Variable numbering follows the
 // program's topological order, so repeated encodings of the same program
@@ -356,9 +345,6 @@ func (m *Miter) ExtractInputs() []bool {
 
 // ExtractKey1 reads key copy 1 from the last model.
 func (m *Miter) ExtractKey1() []bool { return extract(m.S, m.Key1) }
-
-// ExtractKey2 reads key copy 2 from the last model.
-func (m *Miter) ExtractKey2() []bool { return extract(m.S, m.Key2) }
 
 func extract(s *sat.Solver, vars []sat.Var) []bool {
 	out := make([]bool, len(vars))

@@ -5,6 +5,7 @@ import (
 
 	"orap/internal/benchgen"
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/rng"
@@ -17,7 +18,7 @@ import (
 func solveWithInputs(t *testing.T, c *netlist.Circuit, pattern []bool) []bool {
 	t.Helper()
 	s := sat.New()
-	inst, err := Encode(s, c, Options{FixedPIs: pattern})
+	inst, err := EncodeProgram(s, ir.MustCompile(c), Options{FixedPIs: pattern})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestEncodeMatchesSimulationAllGateTypes(t *testing.T) {
 func TestEncodeSharedVariables(t *testing.T) {
 	c := circuits.C17()
 	s := sat.New()
-	a, err := Encode(s, c, Options{})
+	a, err := EncodeProgram(s, ir.MustCompile(c), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encode(s, c, Options{PIVars: a.PIVars})
+	b, err := EncodeProgram(s, ir.MustCompile(c), Options{PIVars: a.PIVars})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +121,13 @@ func TestEncodeSharedVariables(t *testing.T) {
 func TestEncodeOptionValidation(t *testing.T) {
 	c := circuits.C17()
 	s := sat.New()
-	if _, err := Encode(s, c, Options{PIVars: make([]sat.Var, 2)}); err == nil {
+	if _, err := EncodeProgram(s, ir.MustCompile(c), Options{PIVars: make([]sat.Var, 2)}); err == nil {
 		t.Error("wrong PIVars width accepted")
 	}
-	if _, err := Encode(s, c, Options{FixedPIs: make([]bool, 2)}); err == nil {
+	if _, err := EncodeProgram(s, ir.MustCompile(c), Options{FixedPIs: make([]bool, 2)}); err == nil {
 		t.Error("wrong FixedPIs width accepted")
 	}
-	if _, err := Encode(s, c, Options{KeyVars: make([]sat.Var, 1)}); err == nil {
+	if _, err := EncodeProgram(s, ir.MustCompile(c), Options{KeyVars: make([]sat.Var, 1)}); err == nil {
 		t.Error("wrong KeyVars width accepted")
 	}
 }
@@ -159,7 +160,7 @@ func TestMiterFindsDistinguishingInput(t *testing.T) {
 	// The model must truly be a DIP: simulate both extracted keys.
 	x := m.ExtractInputs()
 	k1 := m.ExtractKey1()
-	k2 := m.ExtractKey2()
+	k2 := extract(s, m.Key2)
 	o1, _ := sim.Eval(l.Circuit, x, k1)
 	o2, _ := sim.Eval(l.Circuit, x, k2)
 	same := true
@@ -257,7 +258,7 @@ func TestEncodeMatchesSimulationRandomCircuits(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := sat.New()
-			inst, err := Encode(s, c, Options{FixedPIs: in})
+			inst, err := EncodeProgram(s, ir.MustCompile(c), Options{FixedPIs: in})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +284,7 @@ func BenchmarkEncodeB20Slice(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sat.New()
-		if _, err := Encode(s, c, Options{}); err != nil {
+		if _, err := EncodeProgram(s, ir.MustCompile(c), Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -129,7 +129,7 @@ func FormatSATScaling(rows []SATScalingRow) string {
 			fmt.Sprint(r.Solver.Conflicts), fmt.Sprint(r.Solver.Propagations), fmt.Sprintf("%.2f", r.Solver.MeanLBD()),
 		})
 	}
-	return FormatTable(header, cells)
+	return formatTable(header, cells)
 }
 
 // XorTreeRow is one point of the attack-(d) design-space ablation: the
@@ -196,7 +196,7 @@ func FormatXorTreeSweep(rows []XorTreeRow) string {
 			spacing, fmt.Sprint(r.Seeds), fmt.Sprint(r.FreeRun), fmt.Sprint(r.XorGates), fmt.Sprintf("%.0f", r.PayloadGE),
 		})
 	}
-	return FormatTable(header, cells)
+	return formatTable(header, cells)
 }
 
 // CtrlWidthRow is one point of the control-gate-width ablation for
@@ -264,7 +264,7 @@ func FormatCtrlWidthSweep(rows []CtrlWidthRow) string {
 	for _, r := range rows {
 		cells = append(cells, []string{fmt.Sprint(r.ControlWidth), fmt.Sprintf("%.2f", r.HDPercent)})
 	}
-	return FormatTable(header, cells)
+	return formatTable(header, cells)
 }
 
 // KeySizeRow is one point of the key-size saturation study that
@@ -330,5 +330,5 @@ func FormatKeySizeSweep(rows []KeySizeRow) string {
 	for _, r := range rows {
 		cells = append(cells, []string{fmt.Sprint(r.KeyBits), fmt.Sprintf("%.2f", r.HDPercent)})
 	}
-	return FormatTable(header, cells)
+	return formatTable(header, cells)
 }

@@ -151,14 +151,11 @@ func AttackStudy(opts AttackStudyOptions) ([]AttackRow, error) {
 		a    attackFn
 	}
 	var cells []cell
-	taintCol, err := taintSummary(l.Circuit)
+	prog, err := ir.Compile(l.Circuit)
 	if err != nil {
 		return nil, err
 	}
-	exactCol, err := exactSummary(l.Circuit)
-	if err != nil {
-		return nil, err
-	}
+	taintCol, exactCol := taintSummary(prog, l.Circuit), exactSummary(prog, l.Circuit)
 	auditCol := make(map[scan.Protection]string)
 	for _, prot := range []scan.Protection{scan.None, scan.OraPBasic} {
 		// The audit column is per protection level, not per attack: run the
@@ -235,11 +232,7 @@ func AttackStudy(opts AttackStudyOptions) ([]AttackRow, error) {
 // (the key-taint fixpoint) and how many key bits the audit proves
 // linearly separable at an output (key-leak findings). Weighted locking
 // should taint every output and leak nothing.
-func taintSummary(c *netlist.Circuit) (string, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return "", err
-	}
+func taintSummary(prog *ir.Program, c *netlist.Circuit) string {
 	taint := dataflow.Run[dataflow.KeySet](prog, dataflow.NewKeyTaint(prog), dataflow.Options{Workers: 1})
 	tainted := 0
 	for _, o := range prog.POs {
@@ -249,7 +242,7 @@ func taintSummary(c *netlist.Circuit) (string, error) {
 	}
 	rep := audit.AnalyzeProgram(prog, c, audit.Options{})
 	leaks := len(rep.ByRule(audit.RuleKeyLeak))
-	return fmt.Sprintf("%d/%dPO %dL", tainted, prog.NumOutputs(), leaks), nil
+	return fmt.Sprintf("%d/%dPO %dL", tainted, prog.NumOutputs(), leaks)
 }
 
 // exactSummary condenses the audit's symbolic backend into a table
@@ -258,11 +251,8 @@ func taintSummary(c *netlist.Circuit) (string, error) {
 // exploit) and how many key bits provably have at least one
 // distinguishing input. Key bits whose cones blew the BDD node budget
 // are reported as a fallback suffix rather than silently dropped.
-func exactSummary(c *netlist.Circuit) (string, error) {
-	rep, err := audit.Analyze(c, audit.Options{Exact: true})
-	if err != nil {
-		return "", err
-	}
+func exactSummary(prog *ir.Program, c *netlist.Circuit) string {
+	rep := audit.AnalyzeProgram(prog, c, audit.Options{Exact: true})
 	ex := rep.Exact
 	minRate, okBits, withDist := 1.0, 0, 0
 	for _, b := range ex.Bits {
@@ -278,13 +268,13 @@ func exactSummary(c *netlist.Circuit) (string, error) {
 		}
 	}
 	if okBits == 0 {
-		return fmt.Sprintf("budget(%d)", ex.Stats.Fallbacks), nil
+		return fmt.Sprintf("budget(%d)", ex.Stats.Fallbacks)
 	}
 	s := fmt.Sprintf("%.3gr %d/%dd", minRate, withDist, len(ex.Bits))
 	if ex.Stats.Fallbacks > 0 {
 		s += fmt.Sprintf(" %dfb", ex.Stats.Fallbacks)
 	}
-	return s, nil
+	return s
 }
 
 // auditSummary condenses the oracle-path audit of a configuration into
@@ -345,5 +335,5 @@ func FormatAttackStudy(rows []AttackRow) string {
 			r.Note,
 		})
 	}
-	return FormatTable(header, cells)
+	return formatTable(header, cells)
 }

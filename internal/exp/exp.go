@@ -15,8 +15,8 @@ import (
 	"strings"
 )
 
-// FormatTable renders rows of cells with aligned columns.
-func FormatTable(header []string, rows [][]string) string {
+// formatTable renders rows of cells with aligned columns.
+func formatTable(header []string, rows [][]string) string {
 	width := make([]int, len(header))
 	for i, h := range header {
 		width[i] = len(h)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestFormatTableAlignment(t *testing.T) {
-	out := FormatTable([]string{"A", "Long header"}, [][]string{{"wide cell", "x"}})
+	out := formatTable([]string{"A", "Long header"}, [][]string{{"wide cell", "x"}})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("expected 3 lines, got %d", len(lines))

@@ -5,6 +5,7 @@ import (
 
 	"orap/internal/attack"
 	"orap/internal/benchgen"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/oracle"
 	"orap/internal/orap"
@@ -139,7 +140,11 @@ func patchedMatches(design interface {
 }, l *lock.Locked, res *attack.BypassResult, seed uint64) bool {
 	const trials = 256
 	r := rng.NewNamed(seed, "other/verify")
-	p, err := sim.NewParallel(l.Circuit, trials/64)
+	prog, err := ir.Compile(l.Circuit)
+	if err != nil {
+		return false
+	}
+	p, err := sim.ForProgram(prog, trials/64)
 	if err != nil {
 		return false
 	}
@@ -256,5 +261,5 @@ func FormatOtherAttacks(rows []OtherAttackRow) string {
 			fmt.Sprint(r.Applies), fmt.Sprint(r.DesignRecovered), r.Note,
 		})
 	}
-	return FormatTable(header, cells)
+	return formatTable(header, cells)
 }

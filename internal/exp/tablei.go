@@ -142,5 +142,5 @@ func FormatTableI(rows []TableIRow) string {
 			fmt.Sprintf("%.2f", r.DelayOvhd),
 		})
 	}
-	return FormatTable(header, cells)
+	return formatTable(header, cells)
 }

@@ -6,6 +6,7 @@ import (
 	"orap/internal/atpg"
 	"orap/internal/benchgen"
 	"orap/internal/faultsim"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/par"
@@ -113,7 +114,11 @@ func TableII(opts TableIIOptions) ([]TableIIRow, error) {
 
 // testability runs the full random-then-deterministic flow on one circuit.
 func testability(c *netlist.Circuit, opts TableIIOptions, stream string) (atpg.Summary, error) {
-	sim, err := faultsim.New(c)
+	prog, err := ir.Compile(c)
+	if err != nil {
+		return atpg.Summary{}, err
+	}
+	sim, err := faultsim.ForProgram(prog)
 	if err != nil {
 		return atpg.Summary{}, err
 	}
@@ -136,5 +141,5 @@ func FormatTableII(rows []TableIIRow) string {
 			fmt.Sprint(r.ProtRedAbrt),
 		})
 	}
-	return FormatTable(header, cells)
+	return formatTable(header, cells)
 }

@@ -200,5 +200,5 @@ func FormatTrojanStudy(rows []TrojanRow) string {
 			r.Description,
 		})
 	}
-	return FormatTable(header, cells)
+	return formatTable(header, cells)
 }

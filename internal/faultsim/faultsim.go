@@ -46,30 +46,6 @@ func (f Fault) String() string {
 	return fmt.Sprintf("n%d.in%d s-a-%d", f.Node, f.Pin, v)
 }
 
-// AllFaults enumerates the uncollapsed fault universe: two faults per gate
-// output (for nodes with observers or marked as outputs) and two per gate
-// input pin.
-func AllFaults(c *netlist.Circuit) []Fault {
-	fanout := c.FanoutLists()
-	isPO := make([]bool, c.NumNodes())
-	for _, o := range c.POs {
-		isPO[o] = true
-	}
-	var faults []Fault
-	for id, g := range c.Gates {
-		if g.Type == netlist.Const0 || g.Type == netlist.Const1 {
-			continue
-		}
-		if len(fanout[id]) > 0 || isPO[id] {
-			faults = append(faults, Fault{Node: id, Pin: -1, SA1: false}, Fault{Node: id, Pin: -1, SA1: true})
-		}
-		for pin := range g.Fanin {
-			faults = append(faults, Fault{Node: id, Pin: pin, SA1: false}, Fault{Node: id, Pin: pin, SA1: true})
-		}
-	}
-	return faults
-}
-
 // CollapseFaults returns a reduced fault list using standard structural
 // equivalences: an input pin stuck at the gate's controlling value is
 // equivalent to the output stuck at the controlled value, and inverter /
@@ -133,16 +109,6 @@ type Simulator struct {
 	heap      posHeap
 
 	isPO []bool
-}
-
-// New compiles c and builds a fault simulator with one 64-pattern word
-// per node.
-func New(c *netlist.Circuit) (*Simulator, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return ForProgram(prog)
 }
 
 // ForProgram builds a fault simulator over an already-compiled program,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 )
@@ -11,7 +12,7 @@ import (
 func TestAllFaultsCount(t *testing.T) {
 	// c17: 5 inputs + 6 NAND2 gates, each with 2 input pins.
 	c := circuits.C17()
-	faults := AllFaults(c)
+	faults := allFaults(c)
 	// Outputs: 11 observed nodes (5 inputs + 6 gates) ×2 = 22;
 	// input pins: 12 ×2 = 24. Total 46.
 	if len(faults) != 46 {
@@ -21,7 +22,7 @@ func TestAllFaultsCount(t *testing.T) {
 
 func TestCollapseReducesFaults(t *testing.T) {
 	c := circuits.C17()
-	all := AllFaults(c)
+	all := allFaults(c)
 	col := CollapseFaults(c)
 	if len(col) >= len(all) {
 		t.Fatalf("collapsing did not reduce: %d vs %d", len(col), len(all))
@@ -35,7 +36,7 @@ func TestCollapseReducesFaults(t *testing.T) {
 func TestC17FullCoverageWithRandomPatterns(t *testing.T) {
 	// c17 is fully testable; plenty of random patterns must reach 100%.
 	c := circuits.C17()
-	s, err := New(c)
+	s, err := ForProgram(ir.MustCompile(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestStuckOutputDetectedByObviousPattern(t *testing.T) {
 	b, _ := c.AddInput("b")
 	y := c.MustAddGate(netlist.And, "y", a, b)
 	c.MarkOutput(y)
-	s, err := New(c)
+	s, err := ForProgram(ir.MustCompile(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestInputPinFault(t *testing.T) {
 	b, _ := c.AddInput("b")
 	y := c.MustAddGate(netlist.And, "y", a, b)
 	c.MarkOutput(y)
-	s, _ := New(c)
+	s, _ := ForProgram(ir.MustCompile(c))
 	f := Fault{Node: y, Pin: 0, SA1: true}
 	hit, err := s.DetectsWithPattern(f, []bool{false, true})
 	if err != nil {
@@ -104,7 +105,7 @@ func TestRedundantFaultNeverDetected(t *testing.T) {
 	and := c.MustAddGate(netlist.And, "and", a, b)
 	y := c.MustAddGate(netlist.Or, "y", a, and)
 	c.MarkOutput(y)
-	s, _ := New(c)
+	s, _ := ForProgram(ir.MustCompile(c))
 	f := Fault{Node: and, Pin: -1, SA1: false}
 	res := s.RunRandom([]Fault{f}, 16, rng.New(2))
 	if res.Detected != 0 {
@@ -114,7 +115,7 @@ func TestRedundantFaultNeverDetected(t *testing.T) {
 
 func TestFaultDroppingKeepsTotalsConsistent(t *testing.T) {
 	c := circuits.RippleAdder(4)
-	s, _ := New(c)
+	s, _ := ForProgram(ir.MustCompile(c))
 	faults := CollapseFaults(c)
 	res := s.RunRandom(faults, 4, rng.New(3))
 	if res.Detected+len(res.Remaining) != res.Total {
@@ -136,7 +137,7 @@ func TestKeyInputsAreControllable(t *testing.T) {
 	k, _ := c.AddKeyInput("keyinput0")
 	x := c.MustAddGate(netlist.Xor, "x", a, k)
 	c.MarkOutput(x)
-	s, _ := New(c)
+	s, _ := ForProgram(ir.MustCompile(c))
 	res := s.RunRandom(CollapseFaults(c), 4, rng.New(4))
 	if res.Coverage() != 100 {
 		t.Fatalf("keyed circuit coverage = %.2f%%, want 100%%", res.Coverage())
@@ -154,7 +155,7 @@ func TestFaultString(t *testing.T) {
 
 func BenchmarkRandomFaultSimAdder16(b *testing.B) {
 	c := circuits.RippleAdder(16)
-	s, err := New(c)
+	s, err := ForProgram(ir.MustCompile(c))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestRunRandomWorkerCountInvariance(t *testing.T) {
 		t.Fatalf("test circuit too small to exercise the parallel path: %d faults", len(faults))
 	}
 	run := func(workers int) Result {
-		s, err := New(c)
+		s, err := ForProgram(ir.MustCompile(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,4 +201,29 @@ func TestRunRandomWorkerCountInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allFaults enumerates the uncollapsed fault universe, the reference
+// CollapseFaults is checked against: two faults per gate
+// output (for nodes with observers or marked as outputs) and two per gate
+// input pin.
+func allFaults(c *netlist.Circuit) []Fault {
+	fanout := c.FanoutLists()
+	isPO := make([]bool, c.NumNodes())
+	for _, o := range c.POs {
+		isPO[o] = true
+	}
+	var faults []Fault
+	for id, g := range c.Gates {
+		if g.Type == netlist.Const0 || g.Type == netlist.Const1 {
+			continue
+		}
+		if len(fanout[id]) > 0 || isPO[id] {
+			faults = append(faults, Fault{Node: id, Pin: -1, SA1: false}, Fault{Node: id, Pin: -1, SA1: true})
+		}
+		for pin := range g.Fanin {
+			faults = append(faults, Fault{Node: id, Pin: pin, SA1: false}, Fault{Node: id, Pin: pin, SA1: true})
+		}
+	}
+	return faults
 }

@@ -169,8 +169,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
+// identity returns the n×n identity matrix.
+func identity(n int) *Matrix {
 	m := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, true)
@@ -326,7 +326,7 @@ func (m *Matrix) Invert() (*Matrix, bool) {
 	}
 	n := m.Rows
 	e := m.Clone()
-	inv := Identity(n)
+	inv := identity(n)
 	row := 0
 	for c := 0; c < n; c++ {
 		pivot := -1

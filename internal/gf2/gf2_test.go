@@ -109,7 +109,7 @@ func TestBoolsRoundTrip(t *testing.T) {
 
 func TestIdentityMulVec(t *testing.T) {
 	r := rng.New(3)
-	id := Identity(77)
+	id := identity(77)
 	for trial := 0; trial < 10; trial++ {
 		v := randVec(r, 77)
 		if !id.MulVec(v).Equal(v) {
@@ -132,7 +132,7 @@ func TestMatrixMulAssociativity(t *testing.T) {
 }
 
 func TestRankIdentity(t *testing.T) {
-	if got := Identity(50).Rank(); got != 50 {
+	if got := identity(50).Rank(); got != 50 {
 		t.Fatalf("rank(I50) = %d", got)
 	}
 }
@@ -215,7 +215,7 @@ func TestSolveWideAndTall(t *testing.T) {
 }
 
 func TestMatrixCloneIndependent(t *testing.T) {
-	m := Identity(5)
+	m := identity(5)
 	c := m.Clone()
 	c.Set(0, 1, true)
 	if m.At(0, 1) {
@@ -279,7 +279,7 @@ func TestInvertRoundTrip(t *testing.T) {
 			t.Fatal("M · M⁻¹ not full rank")
 		} else {
 			// Must equal identity exactly.
-			id := Identity(24)
+			id := identity(24)
 			for i := 0; i < 24; i++ {
 				if !prod.Row(i).Equal(id.Row(i)) {
 					t.Fatal("M · M⁻¹ != I")

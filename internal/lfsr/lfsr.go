@@ -187,9 +187,3 @@ func (l *LFSR) FreeRun(n int) {
 		l.Step(gf2.Vec{})
 	}
 }
-
-// StepExternal advances one clock with per-cell external XOR values, used
-// by the modified OraP scheme (Fig. 3) where circuit responses drive half
-// the reseeding points. ext[i] is XORed into injection point i; ext must
-// have SeedWidth bits.
-func (l *LFSR) StepExternal(ext gf2.Vec) error { return l.Step(ext) }

@@ -1,6 +1,7 @@
 package lfsr
 
 import (
+	"fmt"
 	"testing"
 
 	"orap/internal/gf2"
@@ -91,12 +92,12 @@ func TestStepIsLinear(t *testing.T) {
 			seedsAB[i].Xor(seedsB[i])
 		}
 		sc := UniformSchedule(3, 2)
-		sa, err := RunSchedule(cfg, sc, seedsA)
+		sa, err := runSchedule(cfg, sc, seedsA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, _ := RunSchedule(cfg, sc, seedsB)
-		sab, _ := RunSchedule(cfg, sc, seedsAB)
+		sb, _ := runSchedule(cfg, sc, seedsB)
+		sab, _ := runSchedule(cfg, sc, seedsAB)
 		sum := sa.Clone()
 		sum.Xor(sb)
 		if !sum.Equal(sab) {
@@ -126,7 +127,7 @@ func TestSymbolicMatchesConcrete(t *testing.T) {
 				}
 			}
 		}
-		concrete, err := RunSchedule(cfg, sc, seeds)
+		concrete, err := runSchedule(cfg, sc, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,8 +188,8 @@ func TestSeedWidthChecked(t *testing.T) {
 	if err := l.Step(gf2.NewVec(5)); err == nil {
 		t.Fatal("Step accepted wrong seed width")
 	}
-	if _, err := RunSchedule(cfg16(), UniformSchedule(2, 0), []gf2.Vec{gf2.NewVec(16)}); err == nil {
-		t.Fatal("RunSchedule accepted wrong seed count")
+	if _, err := runSchedule(cfg16(), UniformSchedule(2, 0), []gf2.Vec{gf2.NewVec(16)}); err == nil {
+		t.Fatal("runSchedule accepted wrong seed count")
 	}
 }
 
@@ -221,7 +222,7 @@ func TestSymbolicStepExprs(t *testing.T) {
 	// Injecting expression e at a point and later reading it back through
 	// shifting must preserve linearity.
 	cfg := Config{N: 4, Inject: []int{0}}
-	s, err := NewSymbolic(cfg, 2)
+	s, err := newSymbolic(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestSymbolicStepExprs(t *testing.T) {
 
 func TestSymbolicRejectsBadVariable(t *testing.T) {
 	cfg := Config{N: 4, Inject: []int{0}}
-	s, _ := NewSymbolic(cfg, 2)
+	s, _ := newSymbolic(cfg, 2)
 	if err := s.StepVars([]int{5}); err == nil {
 		t.Fatal("StepVars accepted out-of-range variable")
 	}
@@ -257,4 +258,24 @@ func BenchmarkTransferMatrix256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// runSchedule feeds the given seeds through a concrete LFSR following the
+// schedule and returns the final state. len(seeds) must equal sc.NumSeeds()
+// and every seed must have cfg.SeedWidth() bits.
+func runSchedule(cfg Config, sc Schedule, seeds []gf2.Vec) (gf2.Vec, error) {
+	if len(seeds) != sc.NumSeeds() {
+		return gf2.Vec{}, fmt.Errorf("lfsr: %d seeds for a %d-seed schedule", len(seeds), sc.NumSeeds())
+	}
+	l, err := New(cfg)
+	if err != nil {
+		return gf2.Vec{}, err
+	}
+	for i, fr := range sc.FreeRunAfter {
+		if err := l.Step(seeds[i]); err != nil {
+			return gf2.Vec{}, err
+		}
+		l.FreeRun(fr)
+	}
+	return l.State(), nil
 }

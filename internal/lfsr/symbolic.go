@@ -23,9 +23,9 @@ type Symbolic struct {
 	injIdx []int
 }
 
-// NewSymbolic returns a symbolic LFSR over nvars variables, starting from
+// newSymbolic returns a symbolic LFSR over nvars variables, starting from
 // the all-zero (reset) state.
-func NewSymbolic(cfg Config, nvars int) (*Symbolic, error) {
+func newSymbolic(cfg Config, nvars int) (*Symbolic, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func UniformSchedule(seeds, freeRun int) Schedule {
 // variable indices [i·w, (i+1)·w) for w = cfg.SeedWidth()).
 func TransferMatrix(cfg Config, sc Schedule) (*gf2.Matrix, error) {
 	w := cfg.SeedWidth()
-	sym, err := NewSymbolic(cfg, w*sc.NumSeeds())
+	sym, err := newSymbolic(cfg, w*sc.NumSeeds())
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func TransferMatrix(cfg Config, sc Schedule) (*gf2.Matrix, error) {
 // unreachable from memory, shrinking the key space an attacker must search.
 func MemTransferMatrix(cfg Config, sc Schedule, memInject []int) (*gf2.Matrix, error) {
 	w := len(memInject)
-	sym, err := NewSymbolic(cfg, w*sc.NumSeeds())
+	sym, err := newSymbolic(cfg, w*sc.NumSeeds())
 	if err != nil {
 		return nil, err
 	}
@@ -223,24 +223,4 @@ func MemTransferMatrix(cfg Config, sc Schedule, memInject []int) (*gf2.Matrix, e
 		sym.FreeRun(fr)
 	}
 	return sym.Matrix(), nil
-}
-
-// RunSchedule feeds the given seeds through a concrete LFSR following the
-// schedule and returns the final state. len(seeds) must equal sc.NumSeeds()
-// and every seed must have cfg.SeedWidth() bits.
-func RunSchedule(cfg Config, sc Schedule, seeds []gf2.Vec) (gf2.Vec, error) {
-	if len(seeds) != sc.NumSeeds() {
-		return gf2.Vec{}, fmt.Errorf("lfsr: %d seeds for a %d-seed schedule", len(seeds), sc.NumSeeds())
-	}
-	l, err := New(cfg)
-	if err != nil {
-		return gf2.Vec{}, err
-	}
-	for i, fr := range sc.FreeRunAfter {
-		if err := l.Step(seeds[i]); err != nil {
-			return gf2.Vec{}, err
-		}
-		l.FreeRun(fr)
-	}
-	return l.State(), nil
 }

@@ -6,6 +6,7 @@ import (
 	"orap/internal/audit"
 	"orap/internal/check"
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/rng"
 )
 
@@ -33,10 +34,11 @@ func TestLockedOutputsPassAudit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rep, err := audit.Circuit(l.Circuit)
+		prog, err := ir.Compile(l.Circuit)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{})
 		for _, f := range rep.ByRule(audit.RuleKeyRemovable) {
 			if f.Sev == check.Error {
 				t.Errorf("%s: removable key logic in the locked output:\n%s", name, rep)

@@ -322,7 +322,7 @@ func TestAntiSATUnequalHalvesCorrupt(t *testing.T) {
 func TestFaultImpactScoresShape(t *testing.T) {
 	r := rng.New(15)
 	c := circuits.C17()
-	scores, err := FaultImpactScores(c, r)
+	scores, err := faultImpactScores(c, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,22 +71,3 @@ func TTLock(c *netlist.Circuit, keyBits int, r *rng.Stream) (*Locked, error) {
 	}
 	return &Locked{Circuit: lc, Key: cube}, nil
 }
-
-// StripRestoreUnit returns the TTLock circuit with its restore unit
-// removed (the removal attack's view): the stripped function, which
-// differs from the original on the protected cube. It is used by tests
-// and studies to demonstrate TTLock's removal resistance.
-func StripRestoreUnit(l *Locked) (*netlist.Circuit, error) {
-	c := l.Circuit.Clone()
-	c.Name = l.Circuit.Name + "_removed"
-	// Removing the restore unit means the final XOR collapses to its
-	// stripped input: rewire PO[0] to the tt_sflip node.
-	out := c.POs[0]
-	g := c.Gates[out]
-	if g.Type != netlist.Xor || len(g.Fanin) != 2 {
-		return nil, fmt.Errorf("lock: circuit %q does not look TTLock-ed", l.Circuit.Name)
-	}
-	c.POs[0] = g.Fanin[0]
-	// Key inputs now drive dead logic only.
-	return c, nil
-}

@@ -1,9 +1,11 @@
 package lock
 
 import (
+	"fmt"
 	"testing"
 
 	"orap/internal/circuits"
+	"orap/internal/netlist"
 	"orap/internal/rng"
 	"orap/internal/sim"
 )
@@ -60,7 +62,7 @@ func TestTTLockRemovalResistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped, err := StripRestoreUnit(l)
+	stripped, err := stripRestoreUnit(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,4 +125,22 @@ func TestTTLockSARLockContrastOnRemoval(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stripRestoreUnit returns the TTLock circuit with its restore unit
+// removed (the removal attack's view): the stripped function, which
+// differs from the original on the protected cube.
+func stripRestoreUnit(l *Locked) (*netlist.Circuit, error) {
+	c := l.Circuit.Clone()
+	c.Name = l.Circuit.Name + "_removed"
+	// Removing the restore unit means the final XOR collapses to its
+	// stripped input: rewire PO[0] to the tt_sflip node.
+	out := c.POs[0]
+	g := c.Gates[out]
+	if g.Type != netlist.Xor || len(g.Fanin) != 2 {
+		return nil, fmt.Errorf("lock: circuit %q does not look TTLock-ed", l.Circuit.Name)
+	}
+	c.POs[0] = g.Fanin[0]
+	// Key inputs now drive dead logic only.
+	return c, nil
 }

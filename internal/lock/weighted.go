@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 	"orap/internal/sim"
@@ -62,7 +63,7 @@ func Weighted(c *netlist.Circuit, opts WeightedOptions) (*Locked, error) {
 	// critical path(s) where possible so the delay overhead stays near
 	// zero ("0% delay overhead means that no key gates have been inserted
 	// in a circuit's critical path(s)", Table I discussion).
-	scored, err := FaultImpactScores(lc, opts.Rand)
+	scored, err := faultImpactScores(lc, opts.Rand)
 	if err != nil {
 		return nil, err
 	}
@@ -163,11 +164,11 @@ func Weighted(c *netlist.Circuit, opts WeightedOptions) (*Locked, error) {
 	return &Locked{Circuit: lc, Key: key}, nil
 }
 
-// FaultImpactScores returns a per-node score approximating the output
+// faultImpactScores returns a per-node score approximating the output
 // corruption a stuck fault (or key-gate flip) at the node would cause:
 // the number of (sampled) reachable outputs weighted by the node's
 // switching activity under random patterns.
-func FaultImpactScores(c *netlist.Circuit, r *rng.Stream) ([]float64, error) {
+func faultImpactScores(c *netlist.Circuit, r *rng.Stream) ([]float64, error) {
 	order, err := c.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -195,7 +196,11 @@ func FaultImpactScores(c *netlist.Circuit, r *rng.Stream) ([]float64, error) {
 	}
 
 	// Switching activity from one word (64 patterns) of random simulation.
-	p, err := sim.NewParallel(c, 1)
+	prog, err := ir.Compile(c)
+	if err != nil {
+		return nil, err
+	}
+	p, err := sim.ForProgram(prog, 1)
 	if err != nil {
 		return nil, err
 	}

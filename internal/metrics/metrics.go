@@ -15,6 +15,7 @@ package metrics
 import (
 	"fmt"
 
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/par"
 	"orap/internal/rng"
@@ -93,9 +94,13 @@ func HammingDistance(locked *netlist.Circuit, correctKey []bool, opts HDOptions)
 	if locked.NumKeys() == 0 {
 		return HDResult{}, fmt.Errorf("metrics: circuit %q has no key inputs", locked.Name)
 	}
-	// The prototype evaluator compiles the circuit once; clones share the
-	// immutable program, so worker goroutines need no warm-up.
-	proto, err := sim.NewParallel(locked, opts.BlockWords)
+	// The circuit compiles once for the prototype evaluator; clones share
+	// the immutable program, so worker goroutines need no warm-up.
+	prog, err := ir.Compile(locked)
+	if err != nil {
+		return HDResult{}, err
+	}
+	proto, err := sim.ForProgram(prog, opts.BlockWords)
 	if err != nil {
 		return HDResult{}, err
 	}

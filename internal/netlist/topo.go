@@ -116,15 +116,6 @@ func (c *Circuit) cyclePath(cyc []int) string {
 	return b.String()
 }
 
-// MustTopoOrder is TopoOrder that panics on cyclic circuits.
-func (c *Circuit) MustTopoOrder() []int {
-	order, err := c.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	return order
-}
-
 // FanoutLists returns, for every node, the IDs of the nodes it drives.
 // Duplicate fanin edges yield duplicate fanout entries, mirroring the
 // physical connection count.

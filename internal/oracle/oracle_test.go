@@ -46,51 +46,6 @@ func TestCombOracleKeyWidthChecked(t *testing.T) {
 	}
 }
 
-func TestLimitedOracleBudget(t *testing.T) {
-	c := circuits.C17()
-	inner, _ := NewComb(c, nil)
-	o := &Limited{Oracle: inner, Max: 2}
-	x := make([]bool, 5)
-	for i := 0; i < 2; i++ {
-		if _, err := o.Query(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := o.Query(x); err != ErrBudget {
-		t.Fatalf("expected ErrBudget, got %v", err)
-	}
-}
-
-func TestLimitedBudgetCountsOnlyAdmittedQueries(t *testing.T) {
-	// Regression: the budget used to compare the wrapped oracle's lifetime
-	// Queries() against Max, so reusing an oracle across attacks charged
-	// the earlier attack's queries to the new budget.
-	c := circuits.C17()
-	inner, _ := NewComb(c, nil)
-	x := make([]bool, 5)
-	// Pre-warm the shared oracle: 5 queries before the wrapper exists.
-	for i := 0; i < 5; i++ {
-		if _, err := inner.Query(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	o := &Limited{Oracle: inner, Max: 3}
-	for i := 0; i < 3; i++ {
-		if _, err := o.Query(x); err != nil {
-			t.Fatalf("admitted query %d rejected: %v (budget charged for pre-warm queries)", i, err)
-		}
-	}
-	if _, err := o.Query(x); err != ErrBudget {
-		t.Fatalf("expected ErrBudget after 3 admitted queries, got %v", err)
-	}
-	if o.Used() != 3 {
-		t.Fatalf("Used() = %d, want 3", o.Used())
-	}
-	if inner.Queries() != 8 {
-		t.Fatalf("inner queries = %d, want 8", inner.Queries())
-	}
-}
-
 // protectedChip builds a locked adder behind the requested protection and
 // returns (original, locked, chip). testing.TB so benchmarks share it.
 func protectedChip(t testing.TB, prot scan.Protection, seed uint64) (*netlist.Circuit, *lock.Locked, *scan.Chip) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"orap/internal/audit"
+	"orap/internal/ir"
 	"orap/internal/rng"
 	"orap/internal/scan"
 )
@@ -32,10 +33,11 @@ func TestProtectedConfigsPassAudit(t *testing.T) {
 				prot, rep.EffectiveEntropy, rep.NominalEntropy, len(l.Key))
 		}
 
-		crep, err := audit.Circuit(cfg.Core)
+		prog, err := ir.Compile(cfg.Core)
 		if err != nil {
 			t.Fatalf("%v: %v", prot, err)
 		}
+		crep := audit.AnalyzeProgram(prog, cfg.Core, audit.Options{})
 		if crep.HasErrors() {
 			t.Errorf("%v: netlist audit errors on the protected core:\n%s", prot, crep)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"orap/internal/gf2"
+	"orap/internal/ir"
 	"orap/internal/lfsr"
 	"orap/internal/netlist"
 	"orap/internal/scan"
@@ -77,10 +78,11 @@ func synthesizeModifiedSequential(core *netlist.Circuit, key []bool, realPIs, re
 
 	// evalFF computes the next flip-flop state for the current key state.
 	// The core is compiled once here and reused for every unlock cycle.
-	coreEval, err := sim.NewEvaluator(core)
+	prog, err := ir.Compile(core)
 	if err != nil {
 		return scan.Config{}, err
 	}
+	coreEval := sim.EvaluatorFor(prog)
 	evalFF := func(ff []bool, state gf2.Vec) ([]bool, error) {
 		in := make([]bool, core.NumInputs())
 		copy(in, pins)

@@ -90,9 +90,6 @@ func (r *Stream) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 pseudo-random bits.
-func (r *Stream) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform pseudo-random int in [0, n). It panics if n <= 0.
 func (r *Stream) Intn(n int) int {
 	if n <= 0 {

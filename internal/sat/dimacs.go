@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteDIMACS emits the solver's problem clauses (not learned clauses) in
@@ -46,63 +44,4 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 		fmt.Fprintln(bw, "0")
 	}
 	return bw.Flush()
-}
-
-// ParseDIMACS reads a DIMACS CNF problem into a fresh solver. Comment
-// lines ("c …") and the problem line ("p cnf V C") are handled; variables
-// beyond the declared count are allocated on demand.
-func ParseDIMACS(r io.Reader) (*Solver, error) {
-	s := New()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var clause []Lit
-	lineno := 0
-	ensure := func(v int) Var {
-		for s.NumVars() < v {
-			s.NewVar()
-		}
-		return Var(v - 1)
-	}
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") {
-			continue
-		}
-		if strings.HasPrefix(line, "p") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 || fields[1] != "cnf" {
-				return nil, fmt.Errorf("sat: dimacs:%d: malformed problem line %q", lineno, line)
-			}
-			nv, err := strconv.Atoi(fields[2])
-			if err != nil || nv < 0 {
-				return nil, fmt.Errorf("sat: dimacs:%d: bad variable count", lineno)
-			}
-			ensure(nv)
-			continue
-		}
-		for _, tok := range strings.Fields(line) {
-			n, err := strconv.Atoi(tok)
-			if err != nil {
-				return nil, fmt.Errorf("sat: dimacs:%d: bad literal %q", lineno, tok)
-			}
-			if n == 0 {
-				s.AddClause(clause...)
-				clause = clause[:0]
-				continue
-			}
-			v := n
-			if v < 0 {
-				v = -v
-			}
-			clause = append(clause, MkLit(ensure(v), n < 0))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sat: dimacs read: %w", err)
-	}
-	if len(clause) != 0 {
-		return nil, fmt.Errorf("sat: dimacs: trailing clause without terminating 0")
-	}
-	return s, nil
 }

@@ -1,6 +1,10 @@
 package sat
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +18,7 @@ p cnf 3 3
 2 3 0
 -1 0
 `
-	s, err := ParseDIMACS(strings.NewReader(src))
+	s, err := parseDIMACS(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +34,7 @@ p cnf 3 3
 
 func TestParseDIMACSUNSAT(t *testing.T) {
 	src := "p cnf 1 2\n1 0\n-1 0\n"
-	s, err := ParseDIMACS(strings.NewReader(src))
+	s, err := parseDIMACS(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +49,7 @@ func TestParseDIMACSErrors(t *testing.T) {
 		"bad literal":      "p cnf 2 1\n1 x 0\n",
 		"trailing clause":  "p cnf 2 1\n1 2\n",
 	} {
-		if _, err := ParseDIMACS(strings.NewReader(src)); err == nil {
+		if _, err := parseDIMACS(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -53,7 +57,7 @@ func TestParseDIMACSErrors(t *testing.T) {
 
 func TestParseDIMACSAllocatesBeyondHeader(t *testing.T) {
 	src := "p cnf 1 1\n5 0\n"
-	s, err := ParseDIMACS(strings.NewReader(src))
+	s, err := parseDIMACS(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestDIMACSRoundTripPreservesSatisfiability(t *testing.T) {
 		if err := s1.WriteDIMACS(&b); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := ParseDIMACS(strings.NewReader(b.String()))
+		s2, err := parseDIMACS(strings.NewReader(b.String()))
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, b.String())
 		}
@@ -102,7 +106,7 @@ func TestWriteDIMACSIncludesUnits(t *testing.T) {
 	if err := s.WriteDIMACS(&b); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := ParseDIMACS(strings.NewReader(b.String()))
+	s2, err := parseDIMACS(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,4 +114,63 @@ func TestWriteDIMACSIncludesUnits(t *testing.T) {
 	if !ok || s2.Value(0) != True || s2.Value(1) != True {
 		t.Fatalf("round trip lost unit facts:\n%s", b.String())
 	}
+}
+
+// parseDIMACS reads a DIMACS CNF problem into a fresh solver. Comment
+// lines ("c …") and the problem line ("p cnf V C") are handled; variables
+// beyond the declared count are allocated on demand.
+func parseDIMACS(r io.Reader) (*Solver, error) {
+	s := New()
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	var clause []Lit
+	lineno := 0
+	ensure := func(v int) Var {
+		for s.NumVars() < v {
+			s.NewVar()
+		}
+		return Var(v - 1)
+	}
+	for sc.Scan() {
+		lineno++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "c") {
+			continue
+		}
+		if strings.HasPrefix(line, "p") {
+			fields := strings.Fields(line)
+			if len(fields) != 4 || fields[1] != "cnf" {
+				return nil, fmt.Errorf("sat: dimacs:%d: malformed problem line %q", lineno, line)
+			}
+			nv, err := strconv.Atoi(fields[2])
+			if err != nil || nv < 0 {
+				return nil, fmt.Errorf("sat: dimacs:%d: bad variable count", lineno)
+			}
+			ensure(nv)
+			continue
+		}
+		for _, tok := range strings.Fields(line) {
+			n, err := strconv.Atoi(tok)
+			if err != nil {
+				return nil, fmt.Errorf("sat: dimacs:%d: bad literal %q", lineno, tok)
+			}
+			if n == 0 {
+				s.AddClause(clause...)
+				clause = clause[:0]
+				continue
+			}
+			v := n
+			if v < 0 {
+				v = -v
+			}
+			clause = append(clause, MkLit(ensure(v), n < 0))
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("sat: dimacs read: %w", err)
+	}
+	if len(clause) != 0 {
+		return nil, fmt.Errorf("sat: dimacs: trailing clause without terminating 0")
+	}
+	return s, nil
 }

@@ -102,7 +102,7 @@ func FuzzParseDIMACS(f *testing.F) {
 		if len(src) > 1<<12 || strings.Count(src, "\n") > 256 {
 			return
 		}
-		s, err := ParseDIMACS(strings.NewReader(src))
+		s, err := parseDIMACS(strings.NewReader(src))
 		if err != nil {
 			return
 		}

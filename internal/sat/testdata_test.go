@@ -22,7 +22,7 @@ var corpus = []struct {
 }
 
 // rawClauses parses a DIMACS file with a minimal, solver-independent
-// reader, so model validation does not trust ParseDIMACS.
+// reader, so model validation does not trust parseDIMACS.
 func rawClauses(t *testing.T, path string) [][]int {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -63,7 +63,7 @@ func solveFile(t *testing.T, path string) (*Solver, bool) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s, err := ParseDIMACS(f)
+	s, err := parseDIMACS(f)
 	if err != nil {
 		t.Fatal(err)
 	}

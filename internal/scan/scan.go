@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"orap/internal/gf2"
+	"orap/internal/ir"
 	"orap/internal/lfsr"
 	"orap/internal/netlist"
 	"orap/internal/sim"
@@ -210,10 +211,11 @@ func New(cfg Config) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	core, err := sim.NewEvaluator(cfg.Core)
+	prog, err := ir.Compile(cfg.Core)
 	if err != nil {
 		return nil, err
 	}
+	core := sim.EvaluatorFor(prog)
 	return &Chip{
 		cfg:    cfg,
 		ff:     make([]bool, cfg.NumFFs()),

@@ -7,9 +7,9 @@
 // pseudorandom patterns), the fault simulator, and the attack oracles.
 //
 // All evaluation runs over the compiled circuit IR (internal/ir): an
-// evaluator compiles its circuit once at construction and then walks
-// flat opcode/fanin arrays, and clones share the immutable program, so
-// any number of evaluators may run concurrently with no warm-up.
+// evaluator is built over an ir.Program and walks its flat opcode/fanin
+// arrays, and clones share the immutable program, so any number of
+// evaluators may run concurrently with no warm-up.
 package sim
 
 import (
@@ -25,7 +25,7 @@ import (
 // valsPool recycles value buffers between evaluators. Workers that clone
 // an evaluator per task (the parallel HD and fault-simulation drivers)
 // would otherwise allocate len(Gates)×words words per clone; Release puts
-// the buffer back so the next Clone or NewParallel reuses it.
+// the buffer back so the next Clone or ForProgram reuses it.
 var valsPool sync.Pool
 
 // grabVals returns a zeroed buffer of n words, reusing a pooled one when
@@ -49,16 +49,6 @@ type Parallel struct {
 	prog  *ir.Program
 	words int
 	vals  []uint64 // node-major: vals[id*words : (id+1)*words]
-}
-
-// NewParallel compiles c and builds an evaluator carrying words×64
-// patterns.
-func NewParallel(c *netlist.Circuit, words int) (*Parallel, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return ForProgram(prog, words)
 }
 
 // ForProgram builds an evaluator over an already-compiled program,
@@ -91,7 +81,7 @@ func (p *Parallel) Clone() *Parallel {
 }
 
 // Release returns the evaluator's value buffer to a shared pool for reuse
-// by later NewParallel/Clone calls. The evaluator must not be used
+// by later ForProgram/Clone calls. The evaluator must not be used
 // afterwards.
 func (p *Parallel) Release() {
 	v := p.vals
@@ -166,16 +156,6 @@ type Evaluator struct {
 	vals []bool
 }
 
-// NewEvaluator compiles c and returns a reusable single-pattern
-// evaluator.
-func NewEvaluator(c *netlist.Circuit) (*Evaluator, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return EvaluatorFor(prog), nil
-}
-
 // EvaluatorFor returns a reusable single-pattern evaluator over an
 // already-compiled program.
 func EvaluatorFor(prog *ir.Program) *Evaluator {
@@ -212,22 +192,6 @@ func Eval(c *netlist.Circuit, pi, key []bool) ([]bool, error) {
 		return nil, err
 	}
 	return prog.Eval(pi, key)
-}
-
-// EvalAll evaluates a single pattern and returns the value of every node.
-// It is used by attacks that need internal visibility (e.g. sensitization)
-// and by tests.
-func EvalAll(c *netlist.Circuit, assign []bool) ([]bool, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	if len(assign) != prog.NumNodes() {
-		return nil, fmt.Errorf("sim: EvalAll needs one seed value per node (%d), got %d", prog.NumNodes(), len(assign))
-	}
-	vals := append([]bool(nil), assign...)
-	prog.RunBools(vals)
-	return vals, nil
 }
 
 // PopCount returns the number of set bits across the first n bits of w.

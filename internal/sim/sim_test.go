@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 )
@@ -95,7 +96,7 @@ func TestRippleAdderAddsIntegers(t *testing.T) {
 
 func TestParallelMatchesScalar(t *testing.T) {
 	c := circuits.C17()
-	p, err := NewParallel(c, 2)
+	p, err := ForProgram(ir.MustCompile(c), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestParallelKeyedCircuit(t *testing.T) {
 	g := c.MustAddGate(netlist.Xor, "y", a, k)
 	c.MarkOutput(g)
 
-	p, err := NewParallel(c, 1)
+	p, err := ForProgram(ir.MustCompile(c), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestParallelKeyedCircuit(t *testing.T) {
 
 func TestSetKeyWidthChecked(t *testing.T) {
 	c := circuits.C17()
-	p, _ := NewParallel(c, 1)
+	p, _ := ForProgram(ir.MustCompile(c), 1)
 	if err := p.SetKey([]bool{true}); err == nil {
 		t.Fatal("SetKey accepted wrong width")
 	}
@@ -248,14 +249,14 @@ func TestDiffBits(t *testing.T) {
 }
 
 func TestNewParallelRejectsZeroWords(t *testing.T) {
-	if _, err := NewParallel(circuits.C17(), 0); err == nil {
-		t.Fatal("NewParallel accepted 0 words")
+	if _, err := ForProgram(ir.MustCompile(circuits.C17()), 0); err == nil {
+		t.Fatal("ForProgram accepted 0 words")
 	}
 }
 
 func BenchmarkParallelC17(b *testing.B) {
 	c := circuits.C17()
-	p, _ := NewParallel(c, 16)
+	p, _ := ForProgram(ir.MustCompile(c), 16)
 	r := rng.New(1)
 	p.RandomizeInputs(r)
 	b.ResetTimer()
@@ -266,7 +267,7 @@ func BenchmarkParallelC17(b *testing.B) {
 
 func TestCloneMatchesOriginal(t *testing.T) {
 	c := circuits.RippleAdder(8)
-	p, err := NewParallel(c, 4)
+	p, err := ForProgram(ir.MustCompile(c), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestCloneMatchesOriginal(t *testing.T) {
 
 func TestCloneIsIndependent(t *testing.T) {
 	c := circuits.C17()
-	p, _ := NewParallel(c, 1)
+	p, _ := ForProgram(ir.MustCompile(c), 1)
 	q := p.Clone()
 	p.SetInputConst(c.PIs[0], true)
 	if q.Value(c.PIs[0])[0] != 0 {
@@ -302,13 +303,13 @@ func TestReleaseRecyclesBuffers(t *testing.T) {
 	// the pool actually returns it is up to the runtime; correctness must
 	// hold either way.)
 	c := circuits.C17()
-	p, _ := NewParallel(c, 2)
+	p, _ := ForProgram(ir.MustCompile(c), 2)
 	for _, id := range c.PIs {
 		p.SetInputConst(id, true)
 	}
 	p.Run()
 	p.Release()
-	q, _ := NewParallel(c, 2)
+	q, _ := ForProgram(ir.MustCompile(c), 2)
 	for id := range c.Gates {
 		for _, w := range q.Value(id) {
 			if w != 0 {
@@ -323,7 +324,7 @@ func TestReleaseRecyclesBuffers(t *testing.T) {
 // the value buffer).
 func BenchmarkCloneRelease(b *testing.B) {
 	c := circuits.RippleAdder(64)
-	p, _ := NewParallel(c, 64)
+	p, _ := ForProgram(ir.MustCompile(c), 64)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -332,15 +333,15 @@ func BenchmarkCloneRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkNewParallelNoPool is the no-reuse baseline for
+// BenchmarkForProgramNoPool is the no-reuse baseline for
 // BenchmarkCloneRelease: a fresh evaluator per iteration whose buffer is
 // never returned to the pool.
-func BenchmarkNewParallelNoPool(b *testing.B) {
+func BenchmarkForProgramNoPool(b *testing.B) {
 	c := circuits.RippleAdder(64)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewParallel(c, 64); err != nil {
+		if _, err := ForProgram(ir.MustCompile(c), 64); err != nil {
 			b.Fatal(err)
 		}
 	}

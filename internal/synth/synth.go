@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"orap/internal/aig"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 )
 
@@ -22,10 +23,14 @@ type Metrics struct {
 	Delay int
 }
 
-// Optimize normalizes a circuit and returns its metrics: strash during
+// optimize normalizes a circuit and returns its metrics: strash during
 // AIG construction, then the explicit rewrite pass.
-func Optimize(c *netlist.Circuit) (Metrics, error) {
-	g, err := aig.FromCircuit(c)
+func optimize(c *netlist.Circuit) (Metrics, error) {
+	prog, err := ir.Compile(c)
+	if err != nil {
+		return Metrics{}, err
+	}
+	g, err := aig.FromProgram(prog)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -69,11 +74,11 @@ func (o Overhead) DelayPercent() float64 {
 
 // Compare optimizes both circuits and assembles the overhead report.
 func Compare(original, protected *netlist.Circuit, extraGates int) (Overhead, error) {
-	om, err := Optimize(original)
+	om, err := optimize(original)
 	if err != nil {
 		return Overhead{}, fmt.Errorf("synth: original: %w", err)
 	}
-	pm, err := Optimize(protected)
+	pm, err := optimize(protected)
 	if err != nil {
 		return Overhead{}, fmt.Errorf("synth: protected: %w", err)
 	}

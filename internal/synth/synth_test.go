@@ -9,7 +9,7 @@ import (
 )
 
 func TestOptimizeC17(t *testing.T) {
-	m, err := Optimize(circuits.C17())
+	m, err := optimize(circuits.C17())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,20 +71,20 @@ func TestDelayPercentClampedAtZero(t *testing.T) {
 }
 
 func TestOptimizationRemovesRedundancy(t *testing.T) {
-	// Optimize must see through duplicate logic: the same adder described
+	// optimize must see through duplicate logic: the same adder described
 	// twice and ANDed output-wise is no bigger than described once plus
 	// the combining gates.
 	a := circuits.RippleAdder(4)
-	single, err := Optimize(a)
+	single, err := optimize(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Lock with 0-effect: cloning should not change metrics.
-	clone, err := Optimize(a.Clone())
+	clone, err := optimize(a.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if single != clone {
-		t.Fatal("Optimize is not deterministic across clones")
+		t.Fatal("optimize is not deterministic across clones")
 	}
 }

@@ -62,12 +62,12 @@ func PayloadA(keyBits int) Payload {
 	}
 }
 
-// PayloadB is scenario (b): suppress scan enable at the LFSR's stem and
+// payloadB is scenario (b): suppress scan enable at the LFSR's stem and
 // bypass the register in the scan chains. The countermeasure — placing
 // LFSR cells before normal flip-flops, interleaved when several share a
 // chain — forces one 2-to-1 multiplexer per LFSR cell, which exceeds the
 // cost of scenario (a).
-func PayloadB(keyBits int) Payload {
+func payloadB(keyBits int) Payload {
 	return Payload{
 		Scenario:        "b",
 		Description:     fmt.Sprintf("stem gating + %d bypass muxes (interleaved placement)", keyBits),
@@ -75,10 +75,10 @@ func PayloadB(keyBits int) Payload {
 	}
 }
 
-// PayloadC is scenario (c): a shadow register that stores the key at the
+// payloadC is scenario (c): a shadow register that stores the key at the
 // end of unlock, plus one multiplexer per bit to feed it to the key gates
 // or scan it out.
-func PayloadC(keyBits int) Payload {
+func payloadC(keyBits int) Payload {
 	return Payload{
 		Scenario:        "c",
 		Description:     fmt.Sprintf("%d-bit shadow register + %d muxes", keyBits, keyBits),
@@ -134,12 +134,12 @@ func XorTreeGates(cfg lfsr.Config, sc lfsr.Schedule) (int, error) {
 	return xors, nil
 }
 
-// PayloadE is scenario (e): freeze the normal flip-flops' reset/enable
+// payloadE is scenario (e): freeze the normal flip-flops' reset/enable
 // during unlock to exploit the one correct scanned-out response. Only a
 // few control signals must be gated, so the payload is tiny — which is
 // exactly why the basic scheme alone is insufficient and the modified
 // scheme of Fig. 3 exists.
-func PayloadE() Payload {
+func payloadE() Payload {
 	return Payload{
 		Scenario:        "e",
 		Description:     "gate reset/enable of normal flip-flops during unlock",
@@ -156,10 +156,10 @@ func Payloads(cfg lfsr.Config, sc lfsr.Schedule) ([]Payload, error) {
 	}
 	return []Payload{
 		PayloadA(cfg.N),
-		PayloadB(cfg.N),
-		PayloadC(cfg.N),
+		payloadB(cfg.N),
+		payloadC(cfg.N),
 		d,
-		PayloadE(),
+		payloadE(),
 	}, nil
 }
 
@@ -358,18 +358,4 @@ func scanQuery(ch *scan.Chip, x []bool) ([]bool, error) {
 	}
 	ch.SetScanEnable(false)
 	return append(append([]bool(nil), pinOut...), ffOut...), nil
-}
-
-// PayloadBFromLayout prices scenario (b) for a concrete scan-chain
-// layout: one bypass mux per splice point (see scan.Layout), plus the
-// single stem gate. With the paper's interleaved placement this equals
-// PayloadB; with an attacker-friendly tail placement it collapses to one
-// mux per chain — the quantified value of the placement countermeasure.
-func PayloadBFromLayout(l scan.Layout) Payload {
-	muxes := l.BypassMuxCount()
-	return Payload{
-		Scenario:        "b",
-		Description:     fmt.Sprintf("stem gating + %d bypass muxes (given layout)", muxes),
-		GateEquivalents: 1 + geMux21*float64(muxes),
-	}
 }

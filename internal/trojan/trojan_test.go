@@ -1,6 +1,7 @@
 package trojan
 
 import (
+	"fmt"
 	"testing"
 
 	"orap/internal/circuits"
@@ -192,12 +193,24 @@ func TestPayloadBFromLayoutQuantifiesCountermeasure(t *testing.T) {
 		t.Fatalf("interleaving should multiply the payload: %v vs %v",
 			inter.GateEquivalents, tail.GateEquivalents)
 	}
-	// The generic PayloadB (one mux per cell) matches the interleaved
+	// The generic payloadB (one mux per cell) matches the interleaved
 	// layout's pricing.
-	if inter.GateEquivalents != PayloadB(128).GateEquivalents {
-		t.Fatalf("interleaved pricing %v != generic PayloadB %v",
-			inter.GateEquivalents, PayloadB(128).GateEquivalents)
+	if inter.GateEquivalents != payloadB(128).GateEquivalents {
+		t.Fatalf("interleaved pricing %v != generic payloadB %v",
+			inter.GateEquivalents, payloadB(128).GateEquivalents)
 	}
 }
 
-func trojanLayout(l scan.Layout) Payload { return PayloadBFromLayout(l) }
+// trojanLayout prices scenario (b) for a concrete scan-chain
+// layout: one bypass mux per splice point (see scan.Layout), plus the
+// single stem gate. With the paper's interleaved placement this equals
+// payloadB; with an attacker-friendly tail placement it collapses to one
+// mux per chain — the quantified value of the placement countermeasure.
+func trojanLayout(l scan.Layout) Payload {
+	muxes := l.BypassMuxCount()
+	return Payload{
+		Scenario:        "b",
+		Description:     fmt.Sprintf("stem gating + %d bypass muxes (given layout)", muxes),
+		GateEquivalents: 1 + geMux21*float64(muxes),
+	}
+}

@@ -14,6 +14,9 @@
 //	              defer Release on every path to the function exit
 //	irmutate      no ir.Program field writes outside internal/ir
 //	shortrace     goroutine-spawning tests must not skip under -short
+//	deadexport    no exported internal/ func without a reference from
+//	              outside its package (tests, examples/ and nested
+//	              modules such as perfbench/ count)
 //
 // And the interprocedural secret-flow engine behind nosecret: the
 // module's call graph is built over go/types (direct calls, method
@@ -65,6 +68,13 @@ const (
 	// on testing.Short, because the -race CI leg runs with -short and
 	// would silently skip exactly the tests the race detector is for.
 	RuleShortRace = "shortrace"
+	// RuleDeadExport: an exported package-level func of an internal/
+	// package that another package imports must be referred to from
+	// outside that package — production code, another package's tests,
+	// examples/ or a nested module such as perfbench/. Its own tests do
+	// not count: exported API needs a caller, or it is deleted (or
+	// unexported, when its own package still uses it).
+	RuleDeadExport = "deadexport"
 	// RuleNoSecret: no path in internal/ may carry raw key material to
 	// an output sink — the fmt/log print families, process streams, or
 	// a whole-struct print of a key-holding value. Keys reach logs only
@@ -132,6 +142,7 @@ func Analyze(modRoot, modPath string) ([]Finding, error) {
 	for _, p := range a.loaded() {
 		a.vetPackage(p)
 	}
+	a.ruleDeadExport()
 	a.runTaint()
 	sortFindings(a.findings)
 	return a.findings, firstErr

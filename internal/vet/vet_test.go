@@ -1,6 +1,7 @@
 package vet
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -179,6 +180,39 @@ func TestInterproceduralChains(t *testing.T) {
 
 	want(t, fs, RuleNoSecret, "internal/flow/flow.go", 80, `fmt.Sprint passes raw key bits "Key"`)
 	want(t, fs, RuleNoSecret, "internal/flow/flow.go", 80, `os.Stdout.WriteString receives key material derived from "Key"`)
+}
+
+// TestDeadExport pins the deadexport rule on its own fixture module:
+// lib is imported by cmd/app, so its exported funcs fire unless code
+// outside lib refers to them — another package's production code or
+// tests, examples/ (through an import alias) or the nested perfbench
+// module. lib's own tests, internal and external, do not count;
+// sanitizers, methods and the never-imported orphan package are exempt.
+func TestDeadExport(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", "..", "cmd", "orapvet", "testdata", "deadexport"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Analyze(root, "deadfixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range fs {
+		rel, err := filepath.Rel(root, f.Pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%s:%d: [%s] %s", filepath.ToSlash(rel), f.Pos.Line, f.Rule, f.Msg))
+	}
+	want := []string{
+		"internal/lib/lib.go:18: [deadexport] lib.Dead is exported but no other package refers to it; delete it",
+		"internal/lib/lib.go:22: [deadexport] lib.OwnTestOnly is exported but no other package refers to it; delete it",
+		"internal/lib/lib.go:25: [deadexport] lib.Internal is exported but no other package refers to it; unexport it",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("deadexport findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 // TestRepoIsClean runs the engine over this repository itself: the
