@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet orapvet audit fmt build perfbench test race bench bench-parallel bench-smoke bench-json ci
+.PHONY: all vet orapvet audit fmt build perfbench test race fuzz-smoke bench bench-parallel bench-smoke bench-json ci
 
 all: vet build test
 
@@ -50,6 +50,17 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# Ten seconds of real fuzzing on each loader fuzz target (`go test`
+# alone only replays their seed corpora). Parse no longer validates:
+# FuzzRoundTrip checks that every circuit it accepts compiles, formats
+# and reparses, and FuzzCheckCircuit that the checker never panics on
+# whatever the parser makes of arbitrary text. A crasher lands in the
+# package's testdata/fuzz/ for checking in.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/bench
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckCircuit$$' -fuzztime $(FUZZTIME) ./internal/check
+
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
@@ -78,4 +89,4 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'ScanOracle|SessionCached|SampleDisagreement|AppSAT' \
 		-benchtime $(BENCHTIME) -json ./internal/oracle ./internal/attack > BENCH_oracle.json
 
-ci: vet fmt orapvet audit build perfbench test race bench-smoke bench-json
+ci: vet fmt orapvet audit build perfbench test race fuzz-smoke bench-smoke bench-json

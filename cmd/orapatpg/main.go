@@ -65,10 +65,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	fmt.Printf("circuit: %s", circuit.Summary())
-
 	prog, err := ir.Compile(circuit)
 	fatal(err)
+	fmt.Printf("circuit: %s", prog.Summary())
+
 	sim, err := faultsim.ForProgram(prog)
 	fatal(err)
 	sim.Workers = *workers

@@ -20,6 +20,7 @@ import (
 
 	"orap/internal/bench"
 	"orap/internal/check"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/orap"
 	"orap/internal/rng"
@@ -51,7 +52,9 @@ func main() {
 	}
 	circuit, err := check.LoadFile(*in, warn)
 	fatal(err)
-	fmt.Fprintf(os.Stderr, "parsed %s\n", circuit.Summary())
+	prog, err := ir.Compile(circuit)
+	fatal(err)
+	fmt.Fprintf(os.Stderr, "parsed %s\n", prog.Summary())
 
 	r := rng.New(*seed)
 	var locked *lock.Locked
@@ -107,7 +110,9 @@ func main() {
 	}
 	fatal(bench.Format(w, locked.Circuit))
 
-	fmt.Fprintf(os.Stderr, "locked circuit: %s", locked.Circuit.Summary())
+	lockedProg, err := ir.Compile(locked.Circuit)
+	fatal(err)
+	fmt.Fprintf(os.Stderr, "locked circuit: %s", lockedProg.Summary())
 	fmt.Fprintf(os.Stderr, "correct key:    %s\n", bits(locked.Key))
 	if protection != scan.None {
 		ov := orap.RegisterOverhead(cfg.LFSR)

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/oracle"
 	"orap/internal/orap"
@@ -26,7 +27,7 @@ func main() {
 	//    outputs, its 9 outputs into 1 pin and 8 flip-flop inputs — the
 	//    standard "combinational part" view of a sequential design.
 	design := circuits.RippleAdder(8)
-	fmt.Printf("design:  %s", design.Summary())
+	fmt.Printf("design:  %s", ir.MustCompile(design).Summary())
 
 	// 2. Lock it with weighted logic locking: 12 key bits, 3-input
 	//    control gates in front of each XOR/XNOR key gate, placed at the
@@ -39,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("locked:  %s", locked.Circuit.Summary())
+	fmt.Printf("locked:  %s", ir.MustCompile(locked.Circuit).Summary())
 	fmt.Printf("key:     %s (stays inside the design house)\n", bits(locked.Key))
 
 	// 3. Protect the oracle with the basic OraP scheme: the key register

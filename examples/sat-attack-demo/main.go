@@ -12,6 +12,7 @@ import (
 
 	"orap/internal/attack"
 	"orap/internal/benchgen"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/oracle"
 	"orap/internal/orap"
@@ -31,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("design: %s", design.Summary())
+	fmt.Printf("design: %s", ir.MustCompile(design).Summary())
 
 	locked, err := lock.Weighted(design, lock.WeightedOptions{
 		KeyBits:      14,

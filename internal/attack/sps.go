@@ -82,11 +82,7 @@ func SPS(locked *netlist.Circuit, opts SPSOptions) (*SPSResult, error) {
 	}
 	p.Run()
 
-	keyCone := make([]bool, locked.NumNodes())
-	if len(locked.Keys) > 0 {
-		cone := locked.TransitiveFanout(locked.Keys...)
-		copy(keyCone, cone)
-	}
+	keyCone := prog.TransitiveFanout(locked.Keys...)
 
 	total := opts.Words * 64
 	res := &SPSResult{Candidate: -1}
@@ -125,18 +121,18 @@ func SPS(locked *netlist.Circuit, opts SPSOptions) (*SPSResult, error) {
 
 // spsRemove applies the removal step on a candidate: the skewed signal is
 // replaced by its dominant constant value, and the (now dead) generating
-// logic falls away functionally. It returns a new circuit; the input is
-// unmodified.
-func spsRemove(locked *netlist.Circuit, finding SPSFinding) (*netlist.Circuit, error) {
+// logic falls away functionally. It returns a new circuit with its
+// compiled program; the input is unmodified.
+func spsRemove(locked *netlist.Circuit, finding SPSFinding) (*netlist.Circuit, *ir.Program, error) {
 	if finding.Node < 0 || finding.Node >= locked.NumNodes() {
-		return nil, fmt.Errorf("attack: SPS candidate %d out of range", finding.Node)
+		return nil, nil, fmt.Errorf("attack: SPS candidate %d out of range", finding.Node)
 	}
 	c := locked.Clone()
 	c.Name = locked.Name + "_sps"
 	// Tie the signal to its dominant value.
 	cNode, err := c.AddConst(finding.Probability >= 0.5, "")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Rewire every consumer of the skewed node to the constant.
 	for id := range c.Gates {
@@ -152,10 +148,11 @@ func spsRemove(locked *netlist.Circuit, finding SPSFinding) (*netlist.Circuit, e
 			c.POs[i] = cNode
 		}
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
+	prog, err := ir.Compile(c)
+	if err != nil {
+		return nil, nil, err
 	}
-	return c, nil
+	return c, prog, nil
 }
 
 // SPSCutKeyDead tries the skewed key-dependent findings in skew order and
@@ -168,23 +165,24 @@ func SPSCutKeyDead(locked *netlist.Circuit, res *SPSResult) (*netlist.Circuit, S
 		if !f.KeyDependent {
 			continue
 		}
-		cut, err := spsRemove(locked, f)
+		cut, prog, err := spsRemove(locked, f)
 		if err != nil {
 			continue
 		}
-		if keysDead(cut) {
+		if keysDead(cut, prog) {
 			return cut, f, true
 		}
 	}
 	return nil, SPSFinding{}, false
 }
 
-// keysDead reports whether no key input reaches any primary output.
-func keysDead(c *netlist.Circuit) bool {
+// keysDead reports whether no key input of c, compiled as p, reaches
+// any primary output.
+func keysDead(c *netlist.Circuit, p *ir.Program) bool {
 	if c.NumKeys() == 0 {
 		return true
 	}
-	live := c.TransitiveFanin(c.POs...)
+	live := p.TransitiveFanin(c.POs...)
 	for _, k := range c.Keys {
 		if live[k] {
 			return false

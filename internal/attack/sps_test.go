@@ -36,7 +36,7 @@ func TestSPSFindsAntiSATFlipSignal(t *testing.T) {
 	}
 
 	// Removal: cutting the wire must restore the original function.
-	cut, err := spsRemove(l.Circuit, cand)
+	cut, _, err := spsRemove(l.Circuit, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSPSOptionsValidated(t *testing.T) {
 }
 
 func TestSPSRemoveRangeChecked(t *testing.T) {
-	if _, err := spsRemove(circuits.C17(), SPSFinding{Node: 999}); err == nil {
+	if _, _, err := spsRemove(circuits.C17(), SPSFinding{Node: 999}); err == nil {
 		t.Fatal("out-of-range candidate accepted")
 	}
 }

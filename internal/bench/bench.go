@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 
+	"orap/internal/ir"
 	"orap/internal/netlist"
 )
 
@@ -175,9 +176,6 @@ func Parse(r io.Reader, name string) (*netlist.Circuit, error) {
 		if err := c.MarkOutput(id); err != nil {
 			return nil, parseErrf(name, out.line, ErrStructure, out.name, "%v", err)
 		}
-	}
-	if err := c.Validate(); err != nil {
-		return nil, parseErrf(name, 0, ErrStructure, "", "%v", err)
 	}
 	return c, nil
 }
@@ -382,55 +380,80 @@ func addGate(c *netlist.Circuit, file string, g rawGate) error {
 	return nil
 }
 
-// Format writes the circuit in .bench syntax. Key inputs are emitted before
-// regular inputs only if they were declared first; declaration order is
-// preserved. Unnamed nodes — and nodes whose names would be ambiguous in
-// bench syntax (directive keywords, delimiter characters) — receive
-// synthetic names, applied consistently across declarations and fanins.
+// Format writes the circuit in .bench syntax, gates in the compiled
+// program's topological order; an ill-formed circuit is refused with
+// ir.Compile's error. Key inputs are emitted before regular inputs only
+// if they were declared first; declaration order is preserved. Unnamed
+// nodes — and nodes whose names would be ambiguous in bench syntax
+// (directive keywords, delimiter characters) — receive synthetic names,
+// applied consistently across declarations and fanins.
 func Format(w io.Writer, c *netlist.Circuit) error {
-	bw := bufio.NewWriter(w)
-	nameOf := func(id int) string {
-		if n := c.NameOf(id); validName(n) {
-			return n
-		}
-		return fmt.Sprintf("n%d_", id)
+	prog, err := ir.Compile(c)
+	if err != nil {
+		return err
 	}
+	names := formatNames(c)
+	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s\n", c.Name)
 	fmt.Fprintf(bw, "# %d inputs, %d key inputs, %d outputs, %d gates\n",
 		c.NumInputs(), c.NumKeys(), c.NumOutputs(), c.GateCount())
 	for _, id := range c.PIs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", nameOf(id))
+		fmt.Fprintf(bw, "INPUT(%s)\n", names[id])
 	}
 	for _, id := range c.Keys {
-		fmt.Fprintf(bw, "INPUT(%s)\n", nameOf(id))
+		fmt.Fprintf(bw, "INPUT(%s)\n", names[id])
 	}
 	for _, id := range c.POs {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", nameOf(id))
+		fmt.Fprintf(bw, "OUTPUT(%s)\n", names[id])
 	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		return err
-	}
-	for _, id := range order {
+	for _, id := range prog.Order {
 		g := c.Gates[id]
 		switch g.Type {
 		case netlist.Input:
 			continue
 		case netlist.Const0:
-			fmt.Fprintf(bw, "%s = CONST0()\n", nameOf(id))
+			fmt.Fprintf(bw, "%s = CONST0()\n", names[id])
 			continue
 		case netlist.Const1:
-			fmt.Fprintf(bw, "%s = CONST1()\n", nameOf(id))
+			fmt.Fprintf(bw, "%s = CONST1()\n", names[id])
 			continue
 		}
-		names := make([]string, len(g.Fanin))
+		fanin := make([]string, len(g.Fanin))
 		for i, f := range g.Fanin {
-			names[i] = nameOf(f)
+			fanin[i] = names[f]
 		}
 		op := strings.ToUpper(g.Type.String())
-		fmt.Fprintf(bw, "%s = %s(%s)\n", nameOf(id), op, strings.Join(names, ", "))
+		fmt.Fprintf(bw, "%s = %s(%s)\n", names[id], op, strings.Join(fanin, ", "))
 	}
 	return bw.Flush()
+}
+
+// formatNames returns the name Format writes for every node: its own
+// name when bench syntax can carry it, else "n<id>" for an unnamed node
+// or "n<id>_" for an unusable name, extended with "_" until it matches
+// no named net of the circuit and no fallback issued before it.
+func formatNames(c *netlist.Circuit) []string {
+	names := make([]string, c.NumNodes())
+	issued := make(map[string]bool)
+	for id := range names {
+		name := c.NameOf(id)
+		if id < len(c.NodeNames) && c.NodeNames[id] != "" {
+			if validName(name) {
+				names[id] = name
+				continue
+			}
+			name = fmt.Sprintf("n%d_", id)
+		}
+		for {
+			if _, named := c.NodeByName(name); !named && !issued[name] {
+				break
+			}
+			name += "_"
+		}
+		issued[name] = true
+		names[id] = name
+	}
+	return names
 }
 
 // FormatString renders the circuit to a .bench string.

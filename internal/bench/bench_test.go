@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"orap/internal/ir"
 	"orap/internal/netlist"
 )
 
@@ -34,7 +35,7 @@ func TestParseC17(t *testing.T) {
 	if got := c.GateCount(); got != 6 {
 		t.Fatalf("gate count = %d, want 6", got)
 	}
-	if err := c.Validate(); err != nil {
+	if _, err := ir.Compile(c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,7 +148,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if back.NumInputs() != orig.NumInputs() || back.NumOutputs() != orig.NumOutputs() ||
 		back.GateCount() != orig.GateCount() {
-		t.Fatalf("round trip changed shape: %s vs %s", back.Summary(), orig.Summary())
+		t.Fatalf("round trip changed shape:\n%s", text)
 	}
 }
 
@@ -282,6 +283,42 @@ func TestParseRecordsSourceLines(t *testing.T) {
 		}
 		if got := c.SrcLine(id); got != line {
 			t.Errorf("SrcLine(%s) = %d, want %d", name, got, line)
+		}
+	}
+}
+
+// TestFormatFallbackNamesAvoidClashes round-trips a circuit whose unnamed
+// gate's fallback name "n2" is already a real input's name: Format must
+// pick another name, and the reparsed circuit must compute the same
+// function.
+func TestFormatFallbackNamesAvoidClashes(t *testing.T) {
+	c := netlist.New("clash")
+	a, _ := c.AddInput("a")
+	n2, _ := c.AddInput("n2")
+	g := c.MustAddGate(netlist.And, "", a, n2)
+	y := c.MustAddGate(netlist.Not, "y", g)
+	c.MarkOutput(y)
+	text, err := FormatString(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseString(text, "clash")
+	if err != nil {
+		t.Fatalf("reparse: %v\n%s", err, text)
+	}
+	want, got := ir.MustCompile(c), ir.MustCompile(back)
+	for v := 0; v < 4; v++ {
+		in := []bool{v&1 != 0, v&2 != 0}
+		w, err := want.Eval(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := got.Eval(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w[0] != g[0] {
+			t.Fatalf("pattern %v: reparsed circuit gives %v, want %v\n%s", in, g[0], w[0], text)
 		}
 	}
 }

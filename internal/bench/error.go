@@ -22,8 +22,9 @@ const (
 	ErrUndefined
 	// ErrCycle is a combinational cycle among the gate definitions.
 	ErrCycle
-	// ErrStructure covers netlist-level violations surfaced while
-	// building the circuit (arity rules, validation failures).
+	// ErrStructure covers arity and reference rules surfaced while
+	// building the circuit (a DFF with other than one fanin, a gate
+	// netlist's AddGate refuses).
 	ErrStructure
 	// ErrIO is a read failure from the underlying reader.
 	ErrIO

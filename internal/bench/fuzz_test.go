@@ -3,10 +3,14 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"orap/internal/ir"
 )
 
 // FuzzParse feeds arbitrary text to the .bench parser: it must either
-// return an error or a circuit that validates and round-trips.
+// return an error or a circuit that ir.Compile accepts and that
+// round-trips. Parse itself never validates; the AddGate and MarkOutput
+// calls it makes are what keep an accepted circuit well-formed.
 func FuzzParse(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
 	f.Add(c17)
@@ -19,8 +23,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; crashing is not
 		}
-		if verr := c.Validate(); verr != nil {
-			t.Fatalf("parser accepted an invalid circuit: %v\ninput:\n%s", verr, src)
+		if _, cerr := ir.Compile(c); cerr != nil {
+			t.Fatalf("parser accepted an invalid circuit: %v\ninput:\n%s", cerr, src)
 		}
 		text, err := FormatString(c)
 		if err != nil {
@@ -32,7 +36,7 @@ func FuzzParse(f *testing.F) {
 		}
 		if back.NumInputs() != c.NumInputs() || back.NumOutputs() != c.NumOutputs() ||
 			back.GateCount() != c.GateCount() {
-			t.Fatalf("round trip changed shape:\n%s\nvs\n%s", c.Summary(), back.Summary())
+			t.Fatalf("round trip changed shape:\n%s\nvs\n%s", src, text)
 		}
 	})
 }

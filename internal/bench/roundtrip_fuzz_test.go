@@ -5,6 +5,7 @@ import (
 
 	"orap/internal/bench"
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 )
 
@@ -21,7 +22,7 @@ func seedBench(f *testing.F, c *netlist.Circuit) string {
 
 // FuzzRoundTrip drives the reader/writer pair from the outside (the
 // exported API only), seeded with every shipped benchmark circuit: any
-// accepted input must validate, format, reparse, and reach a textual
+// accepted input must compile, format, reparse, and reach a textual
 // fixpoint — parse(format(c)) formats to the same bytes — with the
 // input/key/output interface preserved exactly.
 func FuzzRoundTrip(f *testing.F) {
@@ -38,8 +39,8 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; crashing or accepting garbage is not
 		}
-		if verr := c.Validate(); verr != nil {
-			t.Fatalf("parser accepted an invalid circuit: %v\ninput:\n%s", verr, src)
+		if _, cerr := ir.Compile(c); cerr != nil {
+			t.Fatalf("parser accepted an invalid circuit: %v\ninput:\n%s", cerr, src)
 		}
 		text, err := bench.FormatString(c)
 		if err != nil {
@@ -52,7 +53,7 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if back.NumInputs() != c.NumInputs() || back.NumKeys() != c.NumKeys() ||
 			back.NumOutputs() != c.NumOutputs() || back.GateCount() != c.GateCount() {
-			t.Fatalf("round trip changed the interface:\n%s\nvs\n%s", c.Summary(), back.Summary())
+			t.Fatalf("round trip changed the interface:\n%s\nvs\n%s", src, text)
 		}
 		again, err := bench.FormatString(back)
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"sort"
 
-	"orap/internal/check"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 )
@@ -225,11 +225,8 @@ func Generate(p Profile, seed uint64) (*netlist.Circuit, error) {
 			return nil, err
 		}
 	}
-	if err := c.Validate(); err != nil {
+	if _, err := ir.Compile(c); err != nil {
 		return nil, fmt.Errorf("benchgen: generated circuit invalid: %w", err)
-	}
-	if rep := check.Structural(c); rep.HasErrors() {
-		return nil, fmt.Errorf("benchgen: %w", rep.Err())
 	}
 	return c, nil
 }

@@ -6,8 +6,8 @@
 //
 //   - Structural soundness (error severity): combinational cycles with
 //     the offending path printed, undriven nets, gate arity violations.
-//     These make a circuit unusable by the simulator, CNF encoder and
-//     ATPG stack; ir.Compile rejects circuits that fail them.
+//     These are the defects ir.Compile refuses a circuit for; check
+//     compiles the circuit and renders each defect as a diagnostic.
 //   - Hygiene (warning/info severity): dangling gates, dead cones
 //     unreachable from any primary output, provably-constant gate
 //     outputs (constant propagation), unused primary inputs. Legal but
@@ -21,11 +21,12 @@
 //
 // Source-level defects that prevent a circuit from being built at all
 // (duplicate definitions, multiply-driven nets, undefined signals,
-// parse-level cycles) are surfaced by Source/File, which map the bench
+// parse-level cycles) are surfaced by File, which maps the bench
 // parser's structured errors into the same diagnostic format.
 package check
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -58,8 +59,8 @@ func (s Severity) String() string {
 	return fmt.Sprintf("Severity(%d)", uint8(s))
 }
 
-// Rule IDs. Circuit-level rules are produced by Circuit/Structural;
-// source-level rules by Source/File (mapped from bench.ParseError).
+// Rule IDs. Circuit-level rules are produced by Circuit; source-level
+// rules by File (mapped from bench.ParseError).
 const (
 	// RuleCycle: combinational cycle; the diagnostic carries the cycle
 	// path in driver order. Error.
@@ -154,9 +155,9 @@ var ruleRank = map[string]int{
 
 // sort orders Diags canonically — rule catalog order, then node ID,
 // then source line — so a report renders identically no matter which
-// order the rules emitted findings. Every constructor (Structural,
-// Circuit, Source) sorts before returning; without this, incidental
-// emission order would leak into the CLI text and -json output.
+// order the rules emitted findings. Every constructor (Circuit, File)
+// sorts before returning; without this, incidental emission order would
+// leak into the CLI text and -json output.
 func (r *Report) sort() {
 	sort.SliceStable(r.Diags, func(i, j int) bool {
 		a, b := r.Diags[i], r.Diags[j]
@@ -245,94 +246,30 @@ func diag(c *netlist.Circuit, rule string, sev Severity, id int, format string, 
 	return d
 }
 
-// Structural runs only the structural-soundness rules (arity, undriven,
-// cycle) and returns their report. A circuit passing Structural can be
-// compiled by ir.Compile and consumed by every evaluation backend.
-func Structural(c *netlist.Circuit) *Report {
-	rep := &Report{Circuit: c.Name}
-	structural(c, rep)
-	rep.sort()
-	return rep
+// defectRule maps ir.Compile's defect kinds onto the structural rules.
+var defectRule = [...]string{
+	ir.DefectArity:    RuleArity,
+	ir.DefectUndriven: RuleUndriven,
+	ir.DefectCycle:    RuleCycle,
 }
 
-// structural appends arity/undriven/cycle diagnostics to rep and
-// reports whether the circuit is sound enough for the graph-walking
-// rules (no out-of-range references, no cycles).
-func structural(c *netlist.Circuit, rep *Report) bool {
-	sound := true
-
-	registered := make(map[int]bool, len(c.PIs)+len(c.Keys))
-	for _, in := range c.AllInputs() {
-		if in < 0 || in >= c.NumNodes() || c.Gates[in].Type != netlist.Input {
-			rep.add(diag(c, RuleArity, Error, in,
-				"input list references node %d, which is not an Input node", in))
-			sound = false
-			continue
-		}
-		registered[in] = true
+// structural compiles c and appends one arity, undriven or cycle
+// diagnostic per compile defect to rep. It returns the program, or nil
+// when c is not sound enough for the graph-walking rules.
+func structural(c *netlist.Circuit, rep *Report) *ir.Program {
+	prog, err := ir.Compile(c)
+	var de *ir.DefectError
+	if !errors.As(err, &de) {
+		return prog
 	}
-
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		switch g.Type {
-		case netlist.Input:
-			if len(g.Fanin) != 0 {
-				rep.add(diag(c, RuleArity, Error, id, "input %q must have no fanin, has %d", c.NameOf(id), len(g.Fanin)))
-				sound = false
-			}
-			if !registered[id] {
-				rep.add(diag(c, RuleUndriven, Error, id,
-					"net %q has no driver: an Input-type node registered as neither primary nor key input", c.NameOf(id)))
-			}
-		case netlist.Const0, netlist.Const1:
-			if len(g.Fanin) != 0 {
-				rep.add(diag(c, RuleArity, Error, id, "constant %q must have no fanin, has %d", c.NameOf(id), len(g.Fanin)))
-				sound = false
-			}
-		case netlist.Buf, netlist.Not:
-			if len(g.Fanin) != 1 {
-				rep.add(diag(c, RuleArity, Error, id, "%v gate %q must have exactly 1 fanin, has %d", g.Type, c.NameOf(id), len(g.Fanin)))
-				sound = false
-			}
-		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor:
-			if len(g.Fanin) < 2 {
-				rep.add(diag(c, RuleArity, Error, id, "%v gate %q must have at least 2 fanins, has %d", g.Type, c.NameOf(id), len(g.Fanin)))
-				sound = false
-			}
-		default:
-			rep.add(diag(c, RuleArity, Error, id, "node %q has unknown gate type %d", c.NameOf(id), uint8(g.Type)))
-			sound = false
+	for _, d := range de.Defects {
+		dg := diag(c, defectRule[d.Kind], Error, d.Node, "%v", d.Err)
+		for _, id := range d.Cycle {
+			dg.Cycle = append(dg.Cycle, c.NameOf(id))
 		}
-		for _, f := range g.Fanin {
-			if f < 0 || f >= c.NumNodes() {
-				rep.add(diag(c, RuleArity, Error, id, "gate %q references out-of-range fanin %d", c.NameOf(id), f))
-				sound = false
-			}
-		}
+		rep.add(dg)
 	}
-	for _, o := range c.POs {
-		if o < 0 || o >= c.NumNodes() {
-			rep.add(Diagnostic{Rule: RuleArity, Sev: Error, Node: -1,
-				Msg: fmt.Sprintf("output list references out-of-range node %d", o)})
-			sound = false
-		}
-	}
-	if !sound {
-		return false
-	}
-
-	if cyc := c.FindCycle(); cyc != nil {
-		names := make([]string, len(cyc))
-		for i, id := range cyc {
-			names[i] = c.NameOf(id)
-		}
-		d := diag(c, RuleCycle, Error, cyc[0],
-			"combinational cycle: %s -> %s", strings.Join(names, " -> "), names[0])
-		d.Cycle = names
-		rep.add(d)
-		return false
-	}
-	return true
+	return nil
 }
 
 // Circuit runs the full rule catalog and returns the report. The
@@ -342,30 +279,21 @@ func structural(c *netlist.Circuit, rep *Report) bool {
 // engine domains, not ad-hoc traversals).
 func Circuit(c *netlist.Circuit) *Report {
 	rep := &Report{Circuit: c.Name}
-	if !structural(c, rep) {
-		rep.sort()
-		return rep
-	}
-	prog, err := ir.Compile(c)
-	if err != nil {
-		// Unreachable for a circuit that passed structural(); compile
-		// validates the same conditions. Return what we have.
+	prog := structural(c, rep)
+	if prog == nil {
 		rep.sort()
 		return rep
 	}
 
-	fanout := c.FanoutLists()
-	reach := dataflow.Run[bool](prog, &poReach{p: prog, isPO: poSet(prog)}, dataflow.Options{Workers: 1})
-	isPO := make(map[int]bool, len(c.POs))
-	for _, o := range c.POs {
-		isPO[o] = true
-	}
+	isPO := poSet(prog)
+	reach := dataflow.Run[bool](prog, &poReach{p: prog, isPO: isPO}, dataflow.Options{Workers: 1})
 
 	// Dangling gates, dead cones and unused inputs.
 	for id := range c.Gates {
 		t := c.Gates[id].Type
+		drives := len(prog.FanoutSpan(id)) > 0
 		if t == netlist.Input {
-			if len(fanout[id]) == 0 && !isPO[id] && !c.IsKeyInput(id) {
+			if !drives && !isPO[id] && !c.IsKeyInput(id) {
 				rep.add(diag(c, RuleUnusedInput, Info, id, "primary input %q drives nothing", c.NameOf(id)))
 			}
 			continue
@@ -373,17 +301,17 @@ func Circuit(c *netlist.Circuit) *Report {
 		if reach[id] {
 			continue
 		}
-		if len(fanout[id]) == 0 && !isPO[id] {
+		if !drives && !isPO[id] {
 			rep.add(diag(c, RuleDangling, Warning, id,
 				"%v gate %q drives nothing and is not an output", t, c.NameOf(id)))
-		} else if len(fanout[id]) > 0 {
+		} else if drives {
 			rep.add(diag(c, RuleDeadCone, Warning, id,
 				"%v gate %q cannot reach any primary output (dead cone)", t, c.NameOf(id)))
 		}
 	}
 
 	constOutputs(c, prog, rep)
-	keyRules(c, rep, fanout, reach)
+	keyRules(c, prog, rep, reach)
 	rep.sort()
 	return rep
 }
@@ -400,8 +328,8 @@ func poSet(p *ir.Program) []bool {
 // poReach is the output-reachability analysis as a backward engine
 // domain: a node is live iff it is a primary output or drives one
 // transitively. The dead-cone and key-unobservable rules read its
-// fixpoint (it computes the same set c.TransitiveFanin(c.POs...) used
-// to, one level sweep instead of a stack walk).
+// fixpoint: the program's TransitiveFanin of the outputs, computed as
+// one level sweep.
 type poReach struct {
 	p    *ir.Program
 	isPO []bool
@@ -445,13 +373,13 @@ func constOutputs(c *netlist.Circuit, prog *ir.Program, rep *Report) {
 
 // keyRules checks the locked-circuit conventions: key observability,
 // key-input naming and key-gate shape. No-ops on unlocked circuits.
-func keyRules(c *netlist.Circuit, rep *Report, fanout [][]int, reach []bool) {
+func keyRules(c *netlist.Circuit, prog *ir.Program, rep *Report, reach []bool) {
 	if c.NumKeys() == 0 {
 		return
 	}
 	for i, id := range c.Keys {
 		switch {
-		case len(fanout[id]) == 0:
+		case len(prog.FanoutSpan(id)) == 0:
 			// A key input driving no gate at all is a scheme artifact —
 			// weighted locking with KeyBits not divisible by the control
 			// width leaves the remainder bits unused — so it warns
@@ -469,7 +397,7 @@ func keyRules(c *netlist.Circuit, rep *Report, fanout [][]int, reach []bool) {
 			rep.add(diag(c, RuleKeyNaming, Warning, id,
 				"key bit %d is named %q; the locked-circuit convention is %q (declaration order)", i, name, want))
 		}
-		if reach[id] && !reachesXorGate(c, fanout, id) {
+		if reach[id] && !reachesXorGate(prog, id) {
 			rep.add(diag(c, RuleKeyGateShape, Info, id,
 				"key input %q never feeds an XOR/XNOR gate; unconventional key-gate shape", c.NameOf(id)))
 		}
@@ -478,9 +406,9 @@ func keyRules(c *netlist.Circuit, rep *Report, fanout [][]int, reach []bool) {
 
 // reachesXorGate reports whether any XOR/XNOR gate lies in the
 // transitive fanout cone of root.
-func reachesXorGate(c *netlist.Circuit, fanout [][]int, root int) bool {
-	seen := make([]bool, c.NumNodes())
-	stack := []int{root}
+func reachesXorGate(p *ir.Program, root int) bool {
+	seen := make([]bool, p.NumNodes())
+	stack := []int32{int32(root)}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -488,10 +416,10 @@ func reachesXorGate(c *netlist.Circuit, fanout [][]int, root int) bool {
 			continue
 		}
 		seen[id] = true
-		if t := c.Gates[id].Type; t == netlist.Xor || t == netlist.Xnor {
+		if op := p.Ops[id]; op == ir.OpXor || op == ir.OpXnor {
 			return true
 		}
-		stack = append(stack, fanout[id]...)
+		stack = append(stack, p.FanoutSpan(int(id))...)
 	}
 	return false
 }

@@ -21,7 +21,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/diagnostics.golden from the current code")
 
 // defectFixtures builds circuits with structural defects the .bench
-// syntax cannot express, each mutated behind the builder's back.
+// syntax cannot express, each mutated behind AddGate's back.
 func defectFixtures() []*netlist.Circuit {
 	// base returns a sound two-input circuit: g = AND(a, b), y = NOT(g).
 	base := func(name string) (c *netlist.Circuit, a, b, g, y int) {

@@ -78,7 +78,7 @@ func TestReportCanonicalOrder(t *testing.T) {
 	}
 }
 
-// Structural reports sort too, even on the early-exit path.
+// Reports sort on the structural early-exit path too.
 func TestStructuralReportSorted(t *testing.T) {
 	c := netlist.New("broken")
 	a, _ := c.AddInput("a")
@@ -86,8 +86,8 @@ func TestStructuralReportSorted(t *testing.T) {
 	c.Gates[g].Fanin = c.Gates[g].Fanin[:1] // arity violation
 	n := c.MustAddGate(netlist.Not, "n", g)
 	c.Gates[n].Fanin = append(c.Gates[n].Fanin, a) // second arity violation
-	rep1 := check.Structural(c)
-	rep2 := check.Structural(c)
+	rep1 := check.Circuit(c)
+	rep2 := check.Circuit(c)
 	if !reflect.DeepEqual(rep1, rep2) {
 		t.Fatal("structural reports differ across runs")
 	}

@@ -4,15 +4,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"orap/internal/ir"
 	"orap/internal/sim"
 )
 
 func TestC17Shape(t *testing.T) {
 	c := C17()
 	if c.NumInputs() != 5 || c.NumOutputs() != 2 || c.GateCount() != 6 {
-		t.Fatalf("c17 shape wrong: %s", c.Summary())
+		t.Fatalf("c17 shape wrong: %d inputs, %d outputs, %d gates", c.NumInputs(), c.NumOutputs(), c.GateCount())
 	}
-	if err := c.Validate(); err != nil {
+	if _, err := ir.Compile(c); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -53,17 +53,21 @@ func (f Fault) String() string {
 // Dominance is not used, so coverage numbers remain exact.
 func CollapseFaults(c *netlist.Circuit) []Fault {
 	var faults []Fault
-	fanout := c.FanoutLists()
-	isPO := make([]bool, c.NumNodes())
+	// A node's output faults count when it drives a gate or an output.
+	observed := make([]bool, c.NumNodes())
+	for _, g := range c.Gates {
+		for _, f := range g.Fanin {
+			observed[f] = true
+		}
+	}
 	for _, o := range c.POs {
-		isPO[o] = true
+		observed[o] = true
 	}
 	for id, g := range c.Gates {
 		if g.Type == netlist.Const0 || g.Type == netlist.Const1 {
 			continue
 		}
-		observed := len(fanout[id]) > 0 || isPO[id]
-		if observed {
+		if observed[id] {
 			faults = append(faults, Fault{Node: id, Pin: -1, SA1: false}, Fault{Node: id, Pin: -1, SA1: true})
 		}
 		switch g.Type {

@@ -208,7 +208,7 @@ func TestRunRandomWorkerCountInvariance(t *testing.T) {
 // output (for nodes with observers or marked as outputs) and two per gate
 // input pin.
 func allFaults(c *netlist.Circuit) []Fault {
-	fanout := c.FanoutLists()
+	prog := ir.MustCompile(c)
 	isPO := make([]bool, c.NumNodes())
 	for _, o := range c.POs {
 		isPO[o] = true
@@ -218,7 +218,7 @@ func allFaults(c *netlist.Circuit) []Fault {
 		if g.Type == netlist.Const0 || g.Type == netlist.Const1 {
 			continue
 		}
-		if len(fanout[id]) > 0 || isPO[id] {
+		if len(prog.FanoutSpan(id)) > 0 || isPO[id] {
 			faults = append(faults, Fault{Node: id, Pin: -1, SA1: false}, Fault{Node: id, Pin: -1, SA1: true})
 		}
 		for pin := range g.Fanin {

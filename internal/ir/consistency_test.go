@@ -39,7 +39,7 @@ func gateCircuit(t *testing.T, gt netlist.GateType, arity int) *netlist.Circuit 
 		po = c.MustAddGate(gt, "g", ins...)
 	}
 	c.MarkOutput(po)
-	if err := c.Validate(); err != nil {
+	if _, err := ir.Compile(c); err != nil {
 		t.Fatal(err)
 	}
 	return c

@@ -1,34 +1,40 @@
 // Package ir compiles gate-level circuits into an immutable, levelized
-// program that every evaluation backend shares.
+// program that every evaluation backend shares, and is the one place
+// that decides whether a circuit is well-formed.
 //
-// A netlist.Circuit is a mutable builder: gates live in a slice of
-// structs with per-gate fanin slices, and consumers used to walk it with
-// their own copies of the gate-evaluation switch. ir.Compile flattens a
-// finished circuit once into a Program — CSR-style fanin and fanout
-// arrays, a compact opcode table, a precomputed topological order with
-// its level schedule, and PI/key/PO index maps — and the simulator,
-// fault simulator, CNF encoder, AIG builder and ATPG all consume that
-// flat view. A Program is never modified after Compile returns, so any
-// number of goroutines can evaluate it concurrently without warm-up or
-// synchronization.
+// A netlist.Circuit is only the mutable form a circuit is built in:
+// gates in a slice of structs with per-gate fanin slices, plus names,
+// source lines and the I/O lists. ir.Compile flattens a finished circuit
+// once into a Program — CSR-style fanin and fanout arrays, a compact
+// opcode table, a precomputed topological order with its level
+// schedule, and PI/key/PO index maps — and the simulator, fault
+// simulator, CNF encoder, AIG conversion, ATPG, the lockers and the
+// checker all ask that flat view their graph questions. A Program is never modified after Compile
+// returns, so any number of goroutines can evaluate it concurrently
+// without warm-up or synchronization.
+//
+// Compile refuses an ill-formed circuit with a *DefectError listing
+// every defect: arity and reference violations, undriven nets and a
+// combinational cycle named by its path. internal/check renders those
+// defects as its structural diagnostics.
 //
 // Invariants established by Compile:
 //
 //   - Order is a topological order: every node appears after all of its
-//     fanins. It is the same order netlist.(*Circuit).TopoOrder returns
-//     (Kahn's algorithm with a FIFO queue seeded in ID order), so CNF
-//     variable numbering and AIG construction are reproducible across
-//     the compiled and uncompiled paths.
+//     fanins. It is Kahn's algorithm with a FIFO queue seeded with the
+//     zero-fanin nodes in ID order, so CNF variable numbering, AIG
+//     construction and bench.Format's gate order are reproducible.
 //   - Order is level-monotone: node levels are non-decreasing along it.
 //     LevelStart records the level boundaries, so Order doubles as a
 //     wavefront schedule (all nodes of one level may be evaluated in
 //     parallel once the previous level is done).
-//   - Fanins preserves pin order; Fanouts mirrors every fanin edge, with
-//     duplicate edges kept (matching netlist.FanoutLists).
+//   - Fanins preserves pin order; Fanouts mirrors every fanin edge in
+//     sink-ID order, with duplicate edges kept.
 package ir
 
 import (
 	"fmt"
+	"strings"
 
 	"orap/internal/netlist"
 )
@@ -101,16 +107,70 @@ type Program struct {
 	Inputs []int32
 }
 
+// DefectKind classifies a structural defect.
+type DefectKind uint8
+
+// Defect kinds, one per structural rule of internal/check.
+const (
+	// DefectArity is a gate arity violation (Buf/Not fanin != 1,
+	// multi-input gates with < 2 fanins, fanin on an Input or constant),
+	// an unknown gate type, an out-of-range fanin or output reference, or
+	// an input-list entry that is not an Input node.
+	DefectArity DefectKind = iota
+	// DefectUndriven is a net with no driver: an Input-type node
+	// registered as neither a primary nor a key input.
+	DefectUndriven
+	// DefectCycle is a combinational cycle.
+	DefectCycle
+)
+
+// Defect is one reason a circuit is not well-formed.
+type Defect struct {
+	Kind DefectKind
+	// Node is the offending node: the gate, the undriven Input node, the
+	// listed input ID (itself possibly out of range), or the first node
+	// of the cycle. It is -1 for an output-list defect.
+	Node int
+	// Cycle lists the nodes of a DefectCycle in driver order: each node
+	// drives the next, and the last drives the first.
+	Cycle []int
+	// Err describes the defect; its text is the message of check's
+	// diagnostic. It is an error, not a string, because Compile also
+	// runs on circuits taken out of key-holding configurations
+	// (scan.New), and orapvet's nosecret rule lets only errors carry
+	// text derived from those.
+	Err error
+}
+
+// DefectError is Compile's error for an ill-formed circuit. Defects
+// lists every arity and undriven defect in node order, input-list
+// entries first and output-list entries last. The cycle search runs
+// only when there is no arity defect, since it needs every reference
+// in range; its one cycle, if any, comes last.
+type DefectError struct {
+	Circuit string
+	Defects []Defect
+}
+
+// Error names the first defect and counts the rest.
+func (e *DefectError) Error() string {
+	msg := fmt.Sprintf("ir: circuit %q: %v", e.Circuit, e.Defects[0].Err)
+	if more := len(e.Defects) - 1; more > 0 {
+		msg += fmt.Sprintf(" (and %d more defects)", more)
+	}
+	return msg
+}
+
 // Compile flattens a finished circuit into an immutable Program. The
 // circuit is only read; later mutations of it are not reflected in the
-// returned program. The structural-soundness conditions (gate arity,
-// undriven nets, in-range references, combinational cycles — the same
-// conditions internal/check's structural rules diagnose with full
-// reports) are validated first and abort the compile, so no downstream
-// backend ever sees an ill-formed program.
+// returned program. An ill-formed circuit is refused with a
+// *DefectError, so no downstream backend ever sees one.
 func Compile(c *netlist.Circuit) (*Program, error) {
-	if err := validate(c); err != nil {
-		return nil, err
+	defects := validate(c)
+	for _, d := range defects {
+		if d.Kind == DefectArity {
+			return nil, &DefectError{Circuit: c.Name, Defects: defects}
+		}
 	}
 	n := len(c.Gates)
 	p := &Program{
@@ -159,8 +219,8 @@ func Compile(c *netlist.Circuit) (*Program, error) {
 		}
 	}
 
-	// Kahn's algorithm with a FIFO queue seeded in ID order — the exact
-	// order netlist.TopoOrder produces, which is also level-monotone.
+	// Kahn's algorithm with a FIFO queue seeded in ID order, which is
+	// also level-monotone.
 	indeg := make([]int32, n)
 	for id := 0; id < n; id++ {
 		indeg[id] = p.FaninStart[id+1] - p.FaninStart[id]
@@ -183,7 +243,10 @@ func Compile(c *netlist.Circuit) (*Program, error) {
 		}
 	}
 	if len(p.Order) != n {
-		return nil, fmt.Errorf("ir: circuit %q contains a combinational cycle (%d of %d nodes ordered)", c.Name, len(p.Order), n)
+		defects = append(defects, cycleDefect(c, p.findCycle()))
+	}
+	if len(defects) > 0 {
+		return nil, &DefectError{Circuit: c.Name, Defects: defects}
 	}
 
 	// Positions, levels and the level schedule over Order.
@@ -225,20 +288,19 @@ func Compile(c *netlist.Circuit) (*Program, error) {
 	return p, nil
 }
 
-// validate enforces the structural preconditions Compile needs: every
-// registered input is an Input node, gate arities are legal, fanin and
-// output references are in range, and no Input-type node floats
-// unregistered (an undriven net). Cycles are caught later by the Kahn
-// pass itself. The conditions mirror internal/check's structural rules;
-// check produces the full diagnostic report, Compile only needs a
-// verdict (and must not import check, which sits above the IR in the
-// analysis stack).
-func validate(c *netlist.Circuit) error {
+// validate returns the arity and undriven defects of c, in the order
+// described on DefectError.
+func validate(c *netlist.Circuit) []Defect {
+	var defects []Defect
+	add := func(kind DefectKind, node int, format string, args ...interface{}) {
+		defects = append(defects, Defect{Kind: kind, Node: node, Err: fmt.Errorf(format, args...)})
+	}
 	n := len(c.Gates)
-	registered := make(map[int]bool, len(c.PIs)+len(c.Keys))
+	registered := make([]bool, n)
 	for _, in := range c.AllInputs() {
 		if in < 0 || in >= n || c.Gates[in].Type != netlist.Input {
-			return fmt.Errorf("ir: circuit %q: input list references node %d, which is not an Input node", c.Name, in)
+			add(DefectArity, in, "input list references node %d, which is not an Input node", in)
+			continue
 		}
 		registered[in] = true
 	}
@@ -247,42 +309,108 @@ func validate(c *netlist.Circuit) error {
 		switch g.Type {
 		case netlist.Input:
 			if len(g.Fanin) != 0 {
-				return fmt.Errorf("ir: circuit %q: input %q must have no fanin, has %d", c.Name, c.NameOf(id), len(g.Fanin))
+				add(DefectArity, id, "input %q must have no fanin, has %d", c.NameOf(id), len(g.Fanin))
 			}
 			if !registered[id] {
-				return fmt.Errorf("ir: circuit %q: net %q has no driver", c.Name, c.NameOf(id))
+				add(DefectUndriven, id, "net %q has no driver: an Input-type node registered as neither primary nor key input", c.NameOf(id))
 			}
 		case netlist.Const0, netlist.Const1:
 			if len(g.Fanin) != 0 {
-				return fmt.Errorf("ir: circuit %q: constant %q must have no fanin, has %d", c.Name, c.NameOf(id), len(g.Fanin))
+				add(DefectArity, id, "constant %q must have no fanin, has %d", c.NameOf(id), len(g.Fanin))
 			}
 		case netlist.Buf, netlist.Not:
 			if len(g.Fanin) != 1 {
-				return fmt.Errorf("ir: circuit %q: %v gate %q must have exactly 1 fanin, has %d", c.Name, g.Type, c.NameOf(id), len(g.Fanin))
+				add(DefectArity, id, "%v gate %q must have exactly 1 fanin, has %d", g.Type, c.NameOf(id), len(g.Fanin))
 			}
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor:
 			if len(g.Fanin) < 2 {
-				return fmt.Errorf("ir: circuit %q: %v gate %q must have at least 2 fanins, has %d", c.Name, g.Type, c.NameOf(id), len(g.Fanin))
+				add(DefectArity, id, "%v gate %q must have at least 2 fanins, has %d", g.Type, c.NameOf(id), len(g.Fanin))
 			}
 		default:
-			return fmt.Errorf("ir: circuit %q: node %q has unknown gate type %d", c.Name, c.NameOf(id), uint8(g.Type))
+			add(DefectArity, id, "node %q has unknown gate type %d", c.NameOf(id), uint8(g.Type))
 		}
 		for _, f := range g.Fanin {
 			if f < 0 || f >= n {
-				return fmt.Errorf("ir: circuit %q: gate %q references out-of-range fanin %d", c.Name, c.NameOf(id), f)
+				add(DefectArity, id, "gate %q references out-of-range fanin %d", c.NameOf(id), f)
 			}
 		}
 	}
 	for _, o := range c.POs {
 		if o < 0 || o >= n {
-			return fmt.Errorf("ir: circuit %q: output list references out-of-range node %d", c.Name, o)
+			add(DefectArity, -1, "output list references out-of-range node %d", o)
+		}
+	}
+	return defects
+}
+
+// findCycle returns the nodes of one combinational cycle in driver
+// order, or nil when the fanin graph is acyclic. It is an iterative DFS
+// over fanin edges in node and pin order; an edge into a node still on
+// the DFS path closes the cycle.
+func (p *Program) findCycle() []int {
+	const (
+		unseen = 0
+		active = 1
+		done   = 2
+	)
+	n := p.NumNodes()
+	state := make([]uint8, n)
+	// pathPos tracks each active node's index on the DFS path so the
+	// cycle can be sliced out of it.
+	path := make([]int, 0, 16)
+	pathPos := make([]int, n)
+	type frame struct{ id, next int }
+	for root := 0; root < n; root++ {
+		if state[root] != unseen {
+			continue
+		}
+		stack := []frame{{root, 0}}
+		state[root] = active
+		pathPos[root] = len(path)
+		path = append(path, root)
+		for len(stack) > 0 {
+			fr := &stack[len(stack)-1]
+			fan := p.FaninSpan(fr.id)
+			if fr.next < len(fan) {
+				f := int(fan[fr.next])
+				fr.next++
+				switch state[f] {
+				case active:
+					// path[pathPos[f]:] runs along fanin edges; reverse
+					// it so it reads driver to sink.
+					cyc := append([]int(nil), path[pathPos[f]:]...)
+					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
+						cyc[i], cyc[j] = cyc[j], cyc[i]
+					}
+					return cyc
+				case unseen:
+					state[f] = active
+					pathPos[f] = len(path)
+					path = append(path, f)
+					stack = append(stack, frame{f, 0})
+				}
+				continue
+			}
+			state[fr.id] = done
+			path = path[:len(path)-1]
+			stack = stack[:len(stack)-1]
 		}
 	}
 	return nil
 }
 
-// MustCompile is Compile that panics on cyclic circuits; intended for
-// trusted, already-validated netlists.
+// cycleDefect describes a cycle found by findCycle as "a -> b -> a".
+func cycleDefect(c *netlist.Circuit, cyc []int) Defect {
+	names := make([]string, len(cyc))
+	for i, id := range cyc {
+		names[i] = c.NameOf(id)
+	}
+	return Defect{Kind: DefectCycle, Node: cyc[0], Cycle: cyc,
+		Err: fmt.Errorf("combinational cycle: %s -> %s", strings.Join(names, " -> "), names[0])}
+}
+
+// MustCompile is Compile that panics on any defect; intended for
+// circuits built by trusted generators and tests.
 func MustCompile(c *netlist.Circuit) *Program {
 	p, err := Compile(c)
 	if err != nil {
@@ -323,6 +451,27 @@ func (p *Program) Depth() int {
 		}
 	}
 	return int(d)
+}
+
+// Summary returns the program's one-line shape, ending in a newline:
+// node count, gate count without inverters and buffers (the paper's
+// area metric), inverters, buffers, inputs, key inputs, outputs and
+// output depth in levels.
+func (p *Program) Summary() string {
+	var gates, inv, buf int
+	for _, op := range p.Ops {
+		switch op {
+		case OpInput, OpConst0, OpConst1:
+		case OpNot:
+			inv++
+		case OpBuf:
+			buf++
+		default:
+			gates++
+		}
+	}
+	return fmt.Sprintf("circuit %q: nodes=%d gates=%d inv=%d buf=%d pi=%d key=%d po=%d depth=%d\n",
+		p.Name, p.NumNodes(), gates, inv, buf, p.NumInputs(), p.NumKeys(), p.NumOutputs(), p.Depth())
 }
 
 // FaninSpan returns the fanin IDs of node id, in pin order. The returned

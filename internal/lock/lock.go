@@ -16,6 +16,7 @@ package lock
 import (
 	"fmt"
 
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 )
@@ -77,33 +78,26 @@ func replaceFanin(c *netlist.Circuit, old, new int, keep map[int]bool) {
 }
 
 // lockableNodes returns candidate nodes for key-gate insertion: every
-// logic gate and primary input that feeds something (constants and key
-// inputs excluded).
-func lockableNodes(c *netlist.Circuit) []int {
-	fanout := c.FanoutLists()
+// logic gate and primary input that feeds something or is a primary
+// output (constants and key inputs excluded), in ID order.
+func lockableNodes(p *ir.Program) []int {
+	isKey := make([]bool, p.NumNodes())
+	for _, k := range p.Keys {
+		isKey[k] = true
+	}
+	isPO := make([]bool, p.NumNodes())
+	for _, o := range p.POs {
+		isPO[o] = true
+	}
 	var nodes []int
-	for id, g := range c.Gates {
-		switch g.Type {
-		case netlist.Const0, netlist.Const1:
+	for id, op := range p.Ops {
+		if op == ir.OpConst0 || op == ir.OpConst1 || isKey[id] {
 			continue
-		case netlist.Input:
-			if c.IsKeyInput(id) {
-				continue
-			}
 		}
-		if len(fanout[id]) == 0 {
-			// Only worth locking if observable: dead nodes skipped, but
-			// primary outputs (no fanout, in POs) are fine.
-			isPO := false
-			for _, o := range c.POs {
-				if o == id {
-					isPO = true
-					break
-				}
-			}
-			if !isPO {
-				continue
-			}
+		// Only worth locking if observable: dead nodes skipped, but
+		// primary outputs (no fanout, in POs) are fine.
+		if len(p.FanoutSpan(id)) == 0 && !isPO[id] {
+			continue
 		}
 		nodes = append(nodes, id)
 	}
@@ -120,7 +114,11 @@ func RandomXOR(c *netlist.Circuit, keyBits int, r *rng.Stream) (*Locked, error) 
 	}
 	lc := c.Clone()
 	lc.Name = c.Name + "_rnd" + fmt.Sprint(keyBits)
-	nodes := lockableNodes(lc)
+	prog, err := ir.Compile(lc)
+	if err != nil {
+		return nil, err
+	}
+	nodes := lockableNodes(prog)
 	if len(nodes) < keyBits {
 		return nil, fmt.Errorf("lock: circuit %q has only %d lockable nodes for %d key bits", c.Name, len(nodes), keyBits)
 	}
@@ -144,7 +142,7 @@ func RandomXOR(c *netlist.Circuit, keyBits int, r *rng.Stream) (*Locked, error) 
 		}
 		replaceFanin(lc, n, kg, map[int]bool{kg: true})
 	}
-	if err := lc.Validate(); err != nil {
+	if _, err := ir.Compile(lc); err != nil {
 		return nil, fmt.Errorf("lock: RandomXOR produced invalid circuit: %w", err)
 	}
 	return &Locked{Circuit: lc, Key: key}, nil

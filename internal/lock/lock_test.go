@@ -6,6 +6,7 @@ import (
 
 	"orap/internal/audit"
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 	"orap/internal/sim"
@@ -322,7 +323,7 @@ func TestAntiSATUnequalHalvesCorrupt(t *testing.T) {
 func TestFaultImpactScoresShape(t *testing.T) {
 	r := rng.New(15)
 	c := circuits.C17()
-	scores, err := faultImpactScores(c, r)
+	scores, err := faultImpactScores(ir.MustCompile(c), r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package lock
 import (
 	"fmt"
 
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 )
@@ -66,7 +67,7 @@ func SARLock(c *netlist.Circuit, keyBits int, r *rng.Stream) (*Locked, error) {
 	target := lc.POs[0]
 	fo := lc.MustAddGate(netlist.Xor, fmt.Sprintf("sar_out%d", base), target, flip)
 	lc.POs[0] = fo
-	if err := lc.Validate(); err != nil {
+	if _, err := ir.Compile(lc); err != nil {
 		return nil, fmt.Errorf("lock: SARLock produced invalid circuit: %w", err)
 	}
 	return &Locked{Circuit: lc, Key: key}, nil
@@ -127,7 +128,7 @@ func AntiSAT(c *netlist.Circuit, keyBits int, r *rng.Stream) (*Locked, error) {
 	target := lc.POs[0]
 	fo := lc.MustAddGate(netlist.Xor, fmt.Sprintf("as_out%d", base), target, flip)
 	lc.POs[0] = fo
-	if err := lc.Validate(); err != nil {
+	if _, err := ir.Compile(lc); err != nil {
 		return nil, fmt.Errorf("lock: AntiSAT produced invalid circuit: %w", err)
 	}
 	return &Locked{Circuit: lc, Key: key}, nil

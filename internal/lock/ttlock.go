@@ -3,6 +3,7 @@ package lock
 import (
 	"fmt"
 
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 )
@@ -66,7 +67,7 @@ func TTLock(c *netlist.Circuit, keyBits int, r *rng.Stream) (*Locked, error) {
 	stripped := lc.MustAddGate(netlist.Xor, fmt.Sprintf("tt_sflip%d", base), target, strip)
 	restored := lc.MustAddGate(netlist.Xor, fmt.Sprintf("tt_out%d", base), stripped, restore)
 	lc.POs[0] = restored
-	if err := lc.Validate(); err != nil {
+	if _, err := ir.Compile(lc); err != nil {
 		return nil, fmt.Errorf("lock: TTLock produced invalid circuit: %w", err)
 	}
 	return &Locked{Circuit: lc, Key: cube}, nil

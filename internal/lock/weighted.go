@@ -63,15 +63,16 @@ func Weighted(c *netlist.Circuit, opts WeightedOptions) (*Locked, error) {
 	// critical path(s) where possible so the delay overhead stays near
 	// zero ("0% delay overhead means that no key gates have been inserted
 	// in a circuit's critical path(s)", Table I discussion).
-	scored, err := faultImpactScores(lc, opts.Rand)
+	prog, err := ir.Compile(lc)
 	if err != nil {
 		return nil, err
 	}
-	critical, err := criticalPathNodes(lc)
+	scored, err := faultImpactScores(prog, opts.Rand)
 	if err != nil {
 		return nil, err
 	}
-	candidates := lockableNodes(lc)
+	critical := criticalPathNodes(prog)
+	candidates := lockableNodes(prog)
 	nonCritical := candidates[:0:0]
 	var criticalOnes []int
 	for _, id := range candidates {
@@ -158,7 +159,7 @@ func Weighted(c *netlist.Circuit, opts WeightedOptions) (*Locked, error) {
 		keep := map[int]bool{kg: true}
 		replaceFanin(lc, n, kg, keep)
 	}
-	if err := lc.Validate(); err != nil {
+	if _, err := ir.Compile(lc); err != nil {
 		return nil, fmt.Errorf("lock: Weighted produced invalid circuit: %w", err)
 	}
 	return &Locked{Circuit: lc, Key: key}, nil
@@ -168,18 +169,14 @@ func Weighted(c *netlist.Circuit, opts WeightedOptions) (*Locked, error) {
 // corruption a stuck fault (or key-gate flip) at the node would cause:
 // the number of (sampled) reachable outputs weighted by the node's
 // switching activity under random patterns.
-func faultImpactScores(c *netlist.Circuit, r *rng.Stream) ([]float64, error) {
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+func faultImpactScores(prog *ir.Program, r *rng.Stream) ([]float64, error) {
 	// Sample up to 64 primary outputs and propagate reachability masks
 	// backwards through the DAG.
-	reach := make([]uint64, c.NumNodes())
-	outs := c.POs
+	reach := make([]uint64, prog.NumNodes())
+	outs := prog.POs
 	if len(outs) > 64 {
 		perm := r.Perm(len(outs))
-		sampled := make([]int, 64)
+		sampled := make([]int32, 64)
 		for i := range sampled {
 			sampled[i] = outs[perm[i]]
 		}
@@ -188,29 +185,25 @@ func faultImpactScores(c *netlist.Circuit, r *rng.Stream) ([]float64, error) {
 	for i, o := range outs {
 		reach[o] |= 1 << uint(i%64)
 	}
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		for _, f := range c.Gates[id].Fanin {
+	for i := len(prog.Order) - 1; i >= 0; i-- {
+		id := prog.Order[i]
+		for _, f := range prog.FaninSpan(int(id)) {
 			reach[f] |= reach[id]
 		}
 	}
 
 	// Switching activity from one word (64 patterns) of random simulation.
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return nil, err
-	}
 	p, err := sim.ForProgram(prog, 1)
 	if err != nil {
 		return nil, err
 	}
 	p.RandomizeInputs(r)
-	for _, id := range c.Keys {
-		p.SetInputConst(id, false)
+	for _, id := range prog.Keys {
+		p.SetInputConst(int(id), false)
 	}
 	p.Run()
 
-	scores := make([]float64, c.NumNodes())
+	scores := make([]float64, prog.NumNodes())
 	for id := range scores {
 		ones := bits.OnesCount64(p.Value(id)[0])
 		prob := float64(ones) / 64
@@ -222,26 +215,13 @@ func faultImpactScores(c *netlist.Circuit, r *rng.Stream) ([]float64, error) {
 
 // criticalPathNodes marks every node lying on some longest input-to-output
 // path: level(n) + downstream(n) equals the circuit depth.
-func criticalPathNodes(c *netlist.Circuit) ([]bool, error) {
-	levels, err := c.Levels()
-	if err != nil {
-		return nil, err
-	}
-	depth, err := c.Depth()
-	if err != nil {
-		return nil, err
-	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+func criticalPathNodes(prog *ir.Program) []bool {
 	// downstream[n]: longest gate count from n to any primary output.
-	down := make([]int, c.NumNodes())
-	fanout := c.FanoutLists()
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		best := 0
-		for _, fo := range fanout[id] {
+	down := make([]int32, prog.NumNodes())
+	for i := len(prog.Order) - 1; i >= 0; i-- {
+		id := prog.Order[i]
+		best := int32(0)
+		for _, fo := range prog.FanoutSpan(int(id)) {
 			if d := down[fo] + 1; d > best {
 				best = d
 			}
@@ -252,9 +232,10 @@ func criticalPathNodes(c *netlist.Circuit) ([]bool, error) {
 	// XOR plus, after decomposition, part of the control tree), so nodes
 	// need that much slack for the circuit depth to stay put.
 	const keyGateDepth = 3
-	crit := make([]bool, c.NumNodes())
+	depth := int32(prog.Depth())
+	crit := make([]bool, prog.NumNodes())
 	for id := range crit {
-		crit[id] = levels[id]+down[id]+keyGateDepth > depth
+		crit[id] = prog.Level[id]+down[id]+keyGateDepth > depth
 	}
-	return crit, nil
+	return crit
 }

@@ -1,15 +1,18 @@
-// Package netlist models gate-level combinational circuits.
+// Package netlist constructs gate-level combinational circuits.
 //
-// A Circuit is a directed acyclic graph of multi-input logic gates. Nodes
-// are identified by dense integer IDs (indices into the gate table), which
-// makes the bit-parallel simulator, CNF encoder, ATPG and fault simulator
-// cheap to index. Primary inputs and key inputs are both Input-type nodes;
-// the circuit tracks which input IDs carry key bits so locking schemes and
-// attacks can treat them specially.
+// A Circuit is a table of multi-input logic gates plus node names, .bench
+// source lines and the input, key and output lists. Nodes are identified
+// by dense integer IDs (indices into the gate table). Primary inputs and
+// key inputs are both Input-type nodes; the circuit tracks which input
+// IDs carry key bits so locking schemes and attacks can treat them
+// specially. AddGate only accepts fanins that already exist, so a
+// circuit built through it alone is acyclic with topological IDs.
 //
-// The package distinguishes "area" in the paper's sense: gate counts exclude
-// inverters and buffers, matching Table I of the OraP paper, while levels
-// (logic depth) provide the delay estimate.
+// The package answers no graph questions. ir.Compile decides whether a
+// finished circuit is well-formed and flattens it into an ir.Program,
+// which owns the topological order, levels, fanout adjacency and cones.
+// GateCount is the paper's area metric (Table I): gates excluding
+// inverters and buffers.
 package netlist
 
 import (
@@ -67,50 +70,6 @@ func (t GateType) Inverting() bool {
 		return true
 	}
 	return false
-}
-
-// Base returns the non-inverting counterpart of t
-// (NAND→AND, NOR→OR, XNOR→XOR, NOT→BUF); other types map to themselves.
-func (t GateType) Base() GateType {
-	switch t {
-	case Nand:
-		return And
-	case Nor:
-		return Or
-	case Xnor:
-		return Xor
-	case Not:
-		return Buf
-	}
-	return t
-}
-
-// Invert returns the inverting counterpart of t (AND→NAND, …, BUF→NOT) or,
-// for already-inverting types, the non-inverting one.
-func (t GateType) Invert() GateType {
-	switch t {
-	case And:
-		return Nand
-	case Nand:
-		return And
-	case Or:
-		return Nor
-	case Nor:
-		return Or
-	case Xor:
-		return Xnor
-	case Xnor:
-		return Xor
-	case Buf:
-		return Not
-	case Not:
-		return Buf
-	case Const0:
-		return Const1
-	case Const1:
-		return Const0
-	}
-	return t
 }
 
 // Gate is a single node of the circuit DAG.
@@ -310,10 +269,14 @@ func (c *Circuit) SrcLine(id int) int {
 	return 0
 }
 
-// Rename assigns a (new) name to node id.
+// Rename assigns a (new) name to node id. A name already taken by
+// another node is refused, and the node keeps its old name.
 func (c *Circuit) Rename(id int, name string) error {
 	if id < 0 || id >= len(c.Gates) {
 		return fmt.Errorf("netlist: rename of unknown node %d", id)
+	}
+	if other, ok := c.byName[name]; ok && other != id {
+		return fmt.Errorf("netlist: duplicate node name %q (nodes %d and %d)", name, other, id)
 	}
 	if old := c.NodeNames[id]; old != "" {
 		delete(c.byName, old)
@@ -361,45 +324,16 @@ func (c *Circuit) IsKeyInput(id int) bool {
 	return false
 }
 
-// Validate checks structural invariants: fanin IDs in range, gate arity
-// rules, acyclicity, and that outputs reference existing nodes. It returns
-// the first violation found.
-func (c *Circuit) Validate() error {
-	for id, g := range c.Gates {
+// GateCount returns the number of logic gates excluding inverters and
+// buffers, the paper's area metric.
+func (c *Circuit) GateCount() int {
+	n := 0
+	for _, g := range c.Gates {
 		switch g.Type {
-		case Input, Const0, Const1:
-			if len(g.Fanin) != 0 {
-				return fmt.Errorf("netlist: node %d (%v) must have no fanin", id, g.Type)
-			}
-		case Buf, Not:
-			if len(g.Fanin) != 1 {
-				return fmt.Errorf("netlist: node %d (%v) must have 1 fanin, has %d", id, g.Type, len(g.Fanin))
-			}
-		case And, Nand, Or, Nor, Xor, Xnor:
-			if len(g.Fanin) < 2 {
-				return fmt.Errorf("netlist: node %d (%v) must have >=2 fanins, has %d", id, g.Type, len(g.Fanin))
-			}
+		case Input, Const0, Const1, Not, Buf:
 		default:
-			return fmt.Errorf("netlist: node %d has unknown type %d", id, g.Type)
-		}
-		for _, f := range g.Fanin {
-			if f < 0 || f >= len(c.Gates) {
-				return fmt.Errorf("netlist: node %d references out-of-range fanin %d", id, f)
-			}
+			n++
 		}
 	}
-	for _, o := range c.POs {
-		if o < 0 || o >= len(c.Gates) {
-			return fmt.Errorf("netlist: output references out-of-range node %d", o)
-		}
-	}
-	for _, in := range c.AllInputs() {
-		if in < 0 || in >= len(c.Gates) || c.Gates[in].Type != Input {
-			return fmt.Errorf("netlist: input list references node %d which is not an Input", in)
-		}
-	}
-	if _, err := c.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return n
 }

@@ -1,14 +1,21 @@
-package netlist
+// Tests of circuit construction. Graph questions about a built circuit
+// (order, levels, fanout, cones, cycles) are answered by its compiled
+// ir.Program, so those tests compile this package's fixtures; this is
+// an external test package because ir imports netlist.
+package netlist_test
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 	"testing"
+
+	"orap/internal/ir"
+	"orap/internal/netlist"
 )
 
-func buildSmall(t *testing.T) *Circuit {
+func buildSmall(t *testing.T) *netlist.Circuit {
 	t.Helper()
-	c := New("small")
+	c := netlist.New("small")
 	a, err := c.AddInput("a")
 	if err != nil {
 		t.Fatal(err)
@@ -21,18 +28,27 @@ func buildSmall(t *testing.T) *Circuit {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1 := c.MustAddGate(And, "g1", a, b)
-	g2 := c.MustAddGate(Xor, "g2", g1, k)
+	g1 := c.MustAddGate(netlist.And, "g1", a, b)
+	g2 := c.MustAddGate(netlist.Xor, "g2", g1, k)
 	if err := c.MarkOutput(g2); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
+func nodeID(t *testing.T, c *netlist.Circuit, name string) int {
+	t.Helper()
+	n, ok := c.NodeByName(name)
+	if !ok {
+		t.Fatalf("no node named %q", name)
+	}
+	return n
+}
+
 func TestBuildAndValidate(t *testing.T) {
 	c := buildSmall(t)
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if _, err := ir.Compile(c); err != nil {
+		t.Fatalf("Compile: %v", err)
 	}
 	if c.NumInputs() != 2 || c.NumKeys() != 1 || c.NumOutputs() != 1 {
 		t.Fatalf("bad shape: %d inputs %d keys %d outputs", c.NumInputs(), c.NumKeys(), c.NumOutputs())
@@ -43,7 +59,7 @@ func TestBuildAndValidate(t *testing.T) {
 }
 
 func TestDuplicateNameRejected(t *testing.T) {
-	c := New("dup")
+	c := netlist.New("dup")
 	if _, err := c.AddInput("x"); err != nil {
 		t.Fatal(err)
 	}
@@ -53,35 +69,28 @@ func TestDuplicateNameRejected(t *testing.T) {
 }
 
 func TestGateArityRules(t *testing.T) {
-	c := New("arity")
+	c := netlist.New("arity")
 	a, _ := c.AddInput("a")
-	if _, err := c.AddGate(Not, "n", a, a); err == nil {
+	if _, err := c.AddGate(netlist.Not, "n", a, a); err == nil {
 		t.Error("NOT with 2 fanins accepted")
 	}
-	if _, err := c.AddGate(And, "x", a); err == nil {
+	if _, err := c.AddGate(netlist.And, "x", a); err == nil {
 		t.Error("AND with 1 fanin accepted")
 	}
-	if _, err := c.AddGate(And, "y", a, 999); err == nil {
+	if _, err := c.AddGate(netlist.And, "y", a, 999); err == nil {
 		t.Error("fanin out of range accepted")
 	}
-	if _, err := c.AddGate(Input, "z"); err == nil {
+	if _, err := c.AddGate(netlist.Input, "z"); err == nil {
 		t.Error("AddGate(Input) accepted")
 	}
 }
 
 func TestTopoOrderRespectsEdges(t *testing.T) {
 	c := buildSmall(t)
-	order, err := c.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := make([]int, c.NumNodes())
-	for i, id := range order {
-		pos[id] = i
-	}
+	p := ir.MustCompile(c)
 	for id, g := range c.Gates {
 		for _, f := range g.Fanin {
-			if pos[f] >= pos[id] {
+			if p.Pos[f] >= p.Pos[id] {
 				t.Fatalf("node %d appears before its fanin %d", id, f)
 			}
 		}
@@ -89,37 +98,27 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 }
 
 func TestCycleDetected(t *testing.T) {
-	c := New("cyc")
+	c := netlist.New("cyc")
 	a, _ := c.AddInput("a")
-	g1 := c.MustAddGate(And, "g1", a, a)
+	g1 := c.MustAddGate(netlist.And, "g1", a, a)
 	// Manually create a cycle g1 <-> g2.
-	g2 := c.MustAddGate(Or, "g2", g1, a)
+	g2 := c.MustAddGate(netlist.Or, "g2", g1, a)
 	c.Gates[g1].Fanin[1] = g2
-	if _, err := c.TopoOrder(); err == nil {
-		t.Fatal("cycle not detected")
-	}
-	if err := c.Validate(); err == nil {
-		t.Fatal("Validate missed the cycle")
+	_, err := ir.Compile(c)
+	var de *ir.DefectError
+	if !errors.As(err, &de) || de.Defects[len(de.Defects)-1].Kind != ir.DefectCycle {
+		t.Fatalf("Compile error %v, want a cycle defect", err)
 	}
 }
 
 func TestLevelsAndDepth(t *testing.T) {
 	c := buildSmall(t)
-	lv, err := c.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := ir.MustCompile(c)
 	// inputs at level 0, g1 at 1, g2 at 2
-	g1, _ := c.NodeByName("g1")
-	g2, _ := c.NodeByName("g2")
-	if lv[g1] != 1 || lv[g2] != 2 {
-		t.Fatalf("levels wrong: g1=%d g2=%d", lv[g1], lv[g2])
+	if lg1, lg2 := p.Level[nodeID(t, c, "g1")], p.Level[nodeID(t, c, "g2")]; lg1 != 1 || lg2 != 2 {
+		t.Fatalf("levels wrong: g1=%d g2=%d", lg1, lg2)
 	}
-	d, err := c.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 2 {
+	if d := p.Depth(); d != 2 {
 		t.Fatalf("depth = %d, want 2", d)
 	}
 }
@@ -147,52 +146,45 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestGateCountExcludesInverters(t *testing.T) {
-	c := New("inv")
+	c := netlist.New("inv")
 	a, _ := c.AddInput("a")
 	b, _ := c.AddInput("b")
-	n := c.MustAddGate(Not, "n", a)
-	bf := c.MustAddGate(Buf, "bf", b)
-	g := c.MustAddGate(Nand, "g", n, bf)
+	n := c.MustAddGate(netlist.Not, "n", a)
+	bf := c.MustAddGate(netlist.Buf, "bf", b)
+	g := c.MustAddGate(netlist.Nand, "g", n, bf)
 	c.MarkOutput(g)
 	if got := c.GateCount(); got != 1 {
 		t.Fatalf("GateCount = %d, want 1 (NOT/BUF excluded)", got)
 	}
-	st, err := c.ComputeStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Inverters != 1 || st.Buffers != 1 || st.Gates != 1 {
-		t.Fatalf("stats wrong: %+v", st)
+	if s := ir.MustCompile(c).Summary(); !strings.Contains(s, "gates=1 inv=1 buf=1") {
+		t.Fatalf("summary wrong: %s", s)
 	}
 }
 
 func TestFanoutLists(t *testing.T) {
 	c := buildSmall(t)
-	fo := c.FanoutLists()
-	a, _ := c.NodeByName("a")
-	g1, _ := c.NodeByName("g1")
-	if len(fo[a]) != 1 || fo[a][0] != g1 {
-		t.Fatalf("fanout of a = %v, want [%d]", fo[a], g1)
+	p := ir.MustCompile(c)
+	g1 := nodeID(t, c, "g1")
+	if fo := p.FanoutSpan(nodeID(t, c, "a")); len(fo) != 1 || int(fo[0]) != g1 {
+		t.Fatalf("fanout of a = %v, want [%d]", fo, g1)
 	}
-	g2, _ := c.NodeByName("g2")
-	if len(fo[g2]) != 0 {
-		t.Fatalf("fanout of output gate should be empty, got %v", fo[g2])
+	if fo := p.FanoutSpan(nodeID(t, c, "g2")); len(fo) != 0 {
+		t.Fatalf("fanout of output gate should be empty, got %v", fo)
 	}
 }
 
 func TestTransitiveCones(t *testing.T) {
 	c := buildSmall(t)
-	g2, _ := c.NodeByName("g2")
-	fanin := c.TransitiveFanin(g2)
+	p := ir.MustCompile(c)
+	g2 := nodeID(t, c, "g2")
+	fanin := p.TransitiveFanin(g2)
 	for id := range c.Gates {
 		if !fanin[id] {
 			t.Fatalf("node %d not in fanin cone of the only output", id)
 		}
 	}
-	a, _ := c.NodeByName("a")
-	fanout := c.TransitiveFanout(a)
-	k, _ := c.NodeByName("keyinput0")
-	if fanout[k] {
+	fanout := p.TransitiveFanout(nodeID(t, c, "a"))
+	if fanout[nodeID(t, c, "keyinput0")] {
 		t.Fatal("key input wrongly in fanout cone of a")
 	}
 	if !fanout[g2] {
@@ -202,26 +194,22 @@ func TestTransitiveCones(t *testing.T) {
 
 func TestGateTypeHelpers(t *testing.T) {
 	cases := []struct {
-		t        GateType
-		base     GateType
-		inverted GateType
-		inv      bool
+		t    netlist.GateType
+		name string
+		inv  bool
 	}{
-		{And, And, Nand, false},
-		{Nand, And, And, true},
-		{Or, Or, Nor, false},
-		{Nor, Or, Or, true},
-		{Xor, Xor, Xnor, false},
-		{Xnor, Xor, Xor, true},
-		{Not, Buf, Buf, true},
-		{Buf, Buf, Not, false},
+		{netlist.And, "AND", false},
+		{netlist.Nand, "NAND", true},
+		{netlist.Or, "OR", false},
+		{netlist.Nor, "NOR", true},
+		{netlist.Xor, "XOR", false},
+		{netlist.Xnor, "XNOR", true},
+		{netlist.Not, "NOT", true},
+		{netlist.Buf, "BUF", false},
 	}
 	for _, tc := range cases {
-		if tc.t.Base() != tc.base {
-			t.Errorf("%v.Base() = %v, want %v", tc.t, tc.t.Base(), tc.base)
-		}
-		if tc.t.Invert() != tc.inverted {
-			t.Errorf("%v.Invert() = %v, want %v", tc.t, tc.t.Invert(), tc.inverted)
+		if tc.t.String() != tc.name {
+			t.Errorf("%v.String() = %q, want %q", tc.t, tc.t.String(), tc.name)
 		}
 		if tc.t.Inverting() != tc.inv {
 			t.Errorf("%v.Inverting() = %v, want %v", tc.t, tc.t.Inverting(), tc.inv)
@@ -244,17 +232,43 @@ func TestRename(t *testing.T) {
 	}
 }
 
-func TestDanglingNodes(t *testing.T) {
+// TestRenameClashKeepsNames checks that a refused rename changes
+// nothing: every name still resolves to its node.
+func TestRenameClashKeepsNames(t *testing.T) {
 	c := buildSmall(t)
-	if d := c.DanglingNodes(); len(d) != 0 {
-		t.Fatalf("unexpected dangling nodes %v", d)
+	b := nodeID(t, c, "b")
+	if err := c.Rename(b, "a"); err == nil {
+		t.Fatal("rename onto an existing name accepted")
 	}
-	a, _ := c.NodeByName("a")
-	b, _ := c.NodeByName("b")
-	c.MustAddGate(Or, "orphan", a, b)
-	d := c.DanglingNodes()
-	if len(d) != 1 {
-		t.Fatalf("expected 1 dangling node, got %v", d)
+	if got := c.NameOf(b); got != "b" {
+		t.Fatalf("NameOf(b) = %q after the failed rename, want b", got)
+	}
+	for i := 0; i < c.NumNodes(); i++ {
+		if got, ok := c.NodeByName(c.NameOf(i)); !ok || got != i {
+			t.Fatalf("name %q resolves to %d (%v), want %d", c.NameOf(i), got, ok, i)
+		}
+	}
+}
+
+func TestDanglingNodes(t *testing.T) {
+	// dangling counts the non-input nodes outside every output's cone.
+	dangling := func(c *netlist.Circuit) int {
+		live := ir.MustCompile(c).TransitiveFanin(c.POs...)
+		n := 0
+		for id, g := range c.Gates {
+			if !live[id] && g.Type != netlist.Input {
+				n++
+			}
+		}
+		return n
+	}
+	c := buildSmall(t)
+	if d := dangling(c); d != 0 {
+		t.Fatalf("unexpected %d dangling nodes", d)
+	}
+	c.MustAddGate(netlist.Or, "orphan", nodeID(t, c, "a"), nodeID(t, c, "b"))
+	if d := dangling(c); d != 1 {
+		t.Fatalf("expected 1 dangling node, got %d", d)
 	}
 }
 
@@ -269,33 +283,8 @@ func TestIsKeyInput(t *testing.T) {
 
 func TestSummaryMentionsName(t *testing.T) {
 	c := buildSmall(t)
-	if s := c.Summary(); !strings.Contains(s, "small") {
+	if s := ir.MustCompile(c).Summary(); !strings.Contains(s, "small") {
 		t.Fatalf("summary %q does not mention circuit name", s)
-	}
-}
-
-func BenchmarkTopoOrder(b *testing.B) {
-	c := New("wide")
-	prev := make([]int, 0, 64)
-	for i := 0; i < 64; i++ {
-		id, _ := c.AddInput(fmt.Sprintf("i%d", i))
-		prev = append(prev, id)
-	}
-	for g := 0; g < 20000; g++ {
-		a := prev[g%len(prev)]
-		bb := prev[(g*7+3)%len(prev)]
-		if a == bb {
-			bb = prev[(g*7+4)%len(prev)]
-		}
-		id := c.MustAddGate(And, "", a, bb)
-		prev[g%len(prev)] = id
-	}
-	c.MarkOutput(prev[0])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.TopoOrder(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -303,48 +292,30 @@ func BenchmarkTopoOrder(b *testing.B) {
 // failure mode: the error must name gates on the cycle so callers can
 // locate it, not just report a count.
 func TestTopoOrderCycleNamesGates(t *testing.T) {
-	c := New("cyclic")
+	c := netlist.New("cyclic")
 	a, _ := c.AddInput("a")
-	g1 := c.MustAddGate(And, "loop1", a, a)
-	g2 := c.MustAddGate(Or, "loop2", g1, a)
-	g3 := c.MustAddGate(And, "loop3", g2, a)
+	g1 := c.MustAddGate(netlist.And, "loop1", a, a)
+	g2 := c.MustAddGate(netlist.Or, "loop2", g1, a)
+	g3 := c.MustAddGate(netlist.And, "loop3", g2, a)
 	c.MarkOutput(g3)
 	// Close the cycle loop1 -> loop2 -> loop3 -> loop1 behind AddGate's back.
 	c.Gates[g1].Fanin[1] = g3
-	if _, err := c.TopoOrder(); err == nil {
-		t.Fatal("TopoOrder accepted a cyclic circuit")
-	} else {
-		msg := err.Error()
-		for _, want := range []string{"loop1", "loop2", "loop3"} {
-			if !strings.Contains(msg, want) {
-				t.Fatalf("cycle error %q does not name gate %s", msg, want)
-			}
-		}
+	_, err := ir.Compile(c)
+	if err == nil {
+		t.Fatal("Compile accepted a cyclic circuit")
 	}
-	cyc := c.FindCycle()
-	if len(cyc) != 3 {
-		t.Fatalf("FindCycle returned %v, want the 3-gate loop", cyc)
-	}
-	for i, id := range cyc {
-		next := cyc[(i+1)%len(cyc)]
-		found := false
-		for _, f := range c.Gates[next].Fanin {
-			if f == id {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("FindCycle %v is not in driver order: %s does not drive %s",
-				cyc, c.NameOf(id), c.NameOf(next))
+	for _, want := range []string{"loop1", "loop2", "loop3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("cycle error %q does not name gate %s", err, want)
 		}
 	}
 }
 
-// TestFindCycleAcyclic confirms FindCycle reports nothing on a DAG.
+// TestFindCycleAcyclic confirms a circuit built through AddGate alone
+// has no cycle to report.
 func TestFindCycleAcyclic(t *testing.T) {
-	c := buildSmall(t)
-	if cyc := c.FindCycle(); cyc != nil {
-		t.Fatalf("FindCycle found %v in an acyclic circuit", cyc)
+	if _, err := ir.Compile(buildSmall(t)); err != nil {
+		t.Fatalf("Compile refused an acyclic circuit: %v", err)
 	}
 }
 

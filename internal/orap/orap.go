@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"orap/internal/gf2"
+	"orap/internal/ir"
 	"orap/internal/lfsr"
 	"orap/internal/netlist"
 	"orap/internal/rng"
@@ -262,7 +263,11 @@ func synthesizeModified(core *netlist.Circuit, key []bool, realPIs, realPOs int,
 	// wrong values into the register. When no such flip-flops exist the
 	// synthesis falls back to a randomized fixpoint search over the
 	// (then key-entangled) response feedback.
-	indepFFs := keyIndependentFFs(core, realPIs, realPOs)
+	prog, err := ir.Compile(core)
+	if err != nil {
+		return scan.Config{}, err
+	}
+	indepFFs := keyIndependentFFs(core, prog, realPIs, realPOs)
 
 	for retry := 0; retry < opts.MaxSynthesisRetries; retry++ {
 		// Pick response taps (which flip-flops feed the odd points).
@@ -362,7 +367,8 @@ func verifyUnlock(cfg scan.Config, key []bool) error {
 // keyIndependentFFs returns the indices of flip-flops whose next-state
 // logic is transitively independent of every key input: the cone of their
 // D input contains no key input and no key-dependent flip-flop output.
-func keyIndependentFFs(core *netlist.Circuit, realPIs, realPOs int) []int {
+// prog is core compiled.
+func keyIndependentFFs(core *netlist.Circuit, prog *ir.Program, realPIs, realPOs int) []int {
 	numFFs := core.NumInputs() - realPIs
 	if numFFs <= 0 {
 		return nil
@@ -383,7 +389,7 @@ func keyIndependentFFs(core *netlist.Circuit, realPIs, realPOs int) []int {
 	directKey := make([]bool, numFFs)
 	deps := make([][]int, numFFs)
 	for j := 0; j < numFFs; j++ {
-		cone := core.TransitiveFanin(core.POs[realPOs+j])
+		cone := prog.TransitiveFanin(core.POs[realPOs+j])
 		for id, in := range cone {
 			if !in {
 				continue
