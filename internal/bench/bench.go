@@ -431,10 +431,9 @@ func Format(w io.Writer, c *netlist.Circuit) error {
 // formatNames returns the name Format writes for every node: its own
 // name when bench syntax can carry it, else "n<id>" for an unnamed node
 // or "n<id>_" for an unusable name, extended with "_" until it matches
-// no named net of the circuit and no fallback issued before it.
+// no named net of the circuit. The id digits keep two fallbacks apart.
 func formatNames(c *netlist.Circuit) []string {
 	names := make([]string, c.NumNodes())
-	issued := make(map[string]bool)
 	for id := range names {
 		name := c.NameOf(id)
 		if id < len(c.NodeNames) && c.NodeNames[id] != "" {
@@ -445,12 +444,11 @@ func formatNames(c *netlist.Circuit) []string {
 			name = fmt.Sprintf("n%d_", id)
 		}
 		for {
-			if _, named := c.NodeByName(name); !named && !issued[name] {
+			if _, named := c.NodeByName(name); !named {
 				break
 			}
 			name += "_"
 		}
-		issued[name] = true
 		names[id] = name
 	}
 	return names

@@ -3,8 +3,8 @@ package benchgen
 import (
 	"testing"
 
+	"orap/internal/check"
 	"orap/internal/ir"
-	"orap/internal/netlist"
 	"orap/internal/rng"
 	"orap/internal/sim"
 )
@@ -105,15 +105,9 @@ func TestGeneratedCircuitHasNoDeadLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := ir.MustCompile(c).TransitiveFanin(c.POs...)
-	dangling := 0
-	for id, g := range c.Gates {
-		if !live[id] && g.Type != netlist.Input {
-			dangling++
-		}
-	}
-	if dangling != 0 {
-		t.Fatalf("%d dangling nodes in generated circuit", dangling)
+	rep := check.Circuit(c)
+	if dead := append(rep.ByRule(check.RuleDangling), rep.ByRule(check.RuleDeadCone)...); len(dead) != 0 {
+		t.Fatalf("%d dangling nodes in generated circuit:\n%s", len(dead), rep)
 	}
 }
 

@@ -460,13 +460,12 @@ func (p *Program) Depth() int {
 func (p *Program) Summary() string {
 	var gates, inv, buf int
 	for _, op := range p.Ops {
-		switch op {
-		case OpInput, OpConst0, OpConst1:
-		case OpNot:
+		switch {
+		case op == OpNot:
 			inv++
-		case OpBuf:
+		case op == OpBuf:
 			buf++
-		default:
+		case op.GateType().CountsAsGate():
 			gates++
 		}
 	}

@@ -72,6 +72,16 @@ func (t GateType) Inverting() bool {
 	return false
 }
 
+// CountsAsGate reports whether a node of this type counts toward the
+// paper's area metric: every logic gate except inverters and buffers.
+func (t GateType) CountsAsGate() bool {
+	switch t {
+	case Input, Const0, Const1, Not, Buf:
+		return false
+	}
+	return true
+}
+
 // Gate is a single node of the circuit DAG.
 type Gate struct {
 	Type  GateType
@@ -329,9 +339,7 @@ func (c *Circuit) IsKeyInput(id int) bool {
 func (c *Circuit) GateCount() int {
 	n := 0
 	for _, g := range c.Gates {
-		switch g.Type {
-		case Input, Const0, Const1, Not, Buf:
-		default:
+		if g.Type.CountsAsGate() {
 			n++
 		}
 	}

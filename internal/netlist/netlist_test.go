@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"orap/internal/check"
 	"orap/internal/ir"
 	"orap/internal/netlist"
 )
@@ -251,16 +252,11 @@ func TestRenameClashKeepsNames(t *testing.T) {
 }
 
 func TestDanglingNodes(t *testing.T) {
-	// dangling counts the non-input nodes outside every output's cone.
+	// dangling counts the non-input nodes outside every output's cone,
+	// which check reports as dangling gates or dead cones.
 	dangling := func(c *netlist.Circuit) int {
-		live := ir.MustCompile(c).TransitiveFanin(c.POs...)
-		n := 0
-		for id, g := range c.Gates {
-			if !live[id] && g.Type != netlist.Input {
-				n++
-			}
-		}
-		return n
+		rep := check.Circuit(c)
+		return len(rep.ByRule(check.RuleDangling)) + len(rep.ByRule(check.RuleDeadCone))
 	}
 	c := buildSmall(t)
 	if d := dangling(c); d != 0 {
