@@ -50,15 +50,18 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Ten seconds of real fuzzing on each loader fuzz target (`go test`
-# alone only replays their seed corpora). Parse runs no validator:
-# FuzzRoundTrip checks that every circuit it accepts compiles, formats
-# and reparses, and FuzzCheckCircuit that the checker never panics on
-# whatever the parser makes of arbitrary text. A crasher lands in the
-# package's testdata/fuzz/ for checking in.
+# Ten seconds of real fuzzing on each loader fuzz target and on the BDD
+# kernel (`go test` alone only replays their seed corpora). Parse runs
+# no validator: FuzzRoundTrip checks that every circuit it accepts
+# compiles, formats and reparses, and FuzzCheckCircuit that the checker
+# never panics on whatever the parser makes of arbitrary text. FuzzITE
+# checks the unique table, the lossy computed cache and the Flip/Exists
+# memos against truth tables. A crasher lands in the package's
+# testdata/fuzz/ for checking in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckCircuit$$' -fuzztime 10s ./internal/check
+	$(GO) test -run '^$$' -fuzz '^FuzzITE$$' -fuzztime 10s ./internal/bdd
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

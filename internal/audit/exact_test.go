@@ -204,6 +204,64 @@ func TestExactMatchesEnumeration(t *testing.T) {
 	}
 }
 
+// TestExactSARLockSignature pins lock.SARLock to its defining property
+// through the exact backend, on a design too wide to enumerate and on a
+// small one. With n key bits compared against the first n of P primary
+// inputs, a wrong key k corrupts only the pattern whose compared bits
+// equal k, and the correct key k* corrupts nothing. Flipping key bit b
+// therefore changes the output for exactly the two keys x and x⊕e_b of
+// every pattern x whose compared bits differ from k*:
+// CorruptCount = 2·(2^n−1)·2^(P−n) and DistInputs = (2^n−1)·2^(P−n),
+// on the one output the flip signal feeds.
+func TestExactSARLockSignature(t *testing.T) {
+	for _, tc := range []struct {
+		profile string
+		scale   float64
+		keyBits int
+	}{
+		{"s38417", 0.02, 10},
+		{"b20", 0.004, 8},
+	} {
+		prof, err := benchgen.ProfileByName(tc.profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig, err := benchgen.Generate(prof.Scale(tc.scale), 2020)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := lock.SARLock(orig, tc.keyBits, rng.New(51))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := ir.Compile(l.Circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{Exact: true}).Exact
+		if len(ex.Bits) != tc.keyBits {
+			t.Fatalf("%s: %d exact bits, want %d", tc.profile, len(ex.Bits), tc.keyBits)
+		}
+		n, pis := uint(tc.keyBits), uint(len(prog.PIs))
+		wantDist := new(big.Int).Lsh(big.NewInt(1<<n-1), pis-n)
+		wantCorrupt := new(big.Int).Lsh(wantDist, 1)
+		for kb, b := range ex.Bits {
+			if !b.OK {
+				t.Fatalf("%s bit %d: budget fallback (%v)", tc.profile, kb, b.Err)
+			}
+			if b.SensPOs != 1 || b.ConePOs != 1 {
+				t.Errorf("%s bit %d: SensPOs %d, ConePOs %d, want 1 and 1", tc.profile, kb, b.SensPOs, b.ConePOs)
+			}
+			if b.CorruptCount.Cmp(wantCorrupt) != 0 {
+				t.Errorf("%s bit %d: CorruptCount %v, want 2·(2^%d−1)·2^%d = %v", tc.profile, kb, b.CorruptCount, n, pis-n, wantCorrupt)
+			}
+			if b.DistInputs.Cmp(wantDist) != 0 {
+				t.Errorf("%s bit %d: DistInputs %v, want (2^%d−1)·2^%d = %v", tc.profile, kb, b.DistInputs, n, pis-n, wantDist)
+			}
+		}
+	}
+}
+
 // TestExactRandomXORDistinguishing pins the acceptance criterion for
 // XOR-splice locking: every key bit of a random-XOR configuration must
 // provably have at least one distinguishing input pattern — otherwise

@@ -11,12 +11,23 @@
 //   - Hash-consed unique table: mk(level, low, high) returns the one
 //     node for that triple, so two equal functions built in the same
 //     Manager are the same node ID and equivalence checking is pointer
-//     comparison. No complement edges — the canonical form is the plain
-//     Bryant reduction (no duplicate triples, no redundant tests),
-//     which keeps every traversal branch-free at the cost of explicit
-//     negation nodes.
+//     comparison. The table is open-addressed (linear probing over node
+//     IDs, the triple read back from the node arena) and lossless. No
+//     complement edges — the canonical form is the plain Bryant
+//     reduction (no duplicate triples, no redundant tests), which keeps
+//     every traversal branch-free at the cost of explicit negation
+//     nodes.
 //   - Memoised ITE: every connective is if-then-else with a shared
-//     operation cache, the standard Brace/Rudell/Bryant kernel.
+//     computed cache, the standard Brace/Rudell/Bryant kernel. The
+//     cache is direct-mapped and lossy (CUDD-style): a colliding entry
+//     overwrites the old one, and a miss recomputes through the
+//     lossless unique table, which hands back the nodes the first
+//     computation made. So evictions cost time, never a different node
+//     ID or an extra node.
+//   - Sizes follow the node count: both tables start at 1024 slots and
+//     double with the unique table, which is kept at least twice the
+//     node count, so a Manager's memory tracks the diagram it built
+//     and never its budget.
 //   - Hard node budget: a Manager refuses to grow past its budget and
 //     unwinds the in-flight operation with a typed ErrBudget, so
 //     callers degrade gracefully to the dataflow approximation instead
@@ -64,12 +75,6 @@ type node struct {
 	low, high Node
 }
 
-// utriple keys the unique table.
-type utriple struct {
-	level     int32
-	low, high Node
-}
-
 // Stats is the Manager's telemetry, shaped like the oracle layer's
 // ChannelStats: enough to see whether the cache is working and how
 // close to the budget a run came.
@@ -79,10 +84,11 @@ type Stats struct {
 	Nodes int
 	// Budget echoes the configured node budget.
 	Budget int
-	// UniqueHits counts mk calls answered by the unique table — the
-	// hash-consing that makes equal functions identical nodes.
-	UniqueHits int64
-	// CacheLookups and CacheHits count ITE operation-cache probes.
+	// CacheLookups and CacheHits count ITE computed-cache probes. The
+	// cache is lossy, so a probe for an operation computed earlier
+	// misses when a colliding operation has overwritten its entry;
+	// the counts depend on the table sizes and the fixed hash, never
+	// on the process.
 	CacheLookups, CacheHits int64
 }
 
@@ -101,7 +107,6 @@ func (s *Stats) Add(o Stats) {
 	if o.Budget > s.Budget {
 		s.Budget = o.Budget
 	}
-	s.UniqueHits += o.UniqueHits
 	s.CacheLookups += o.CacheLookups
 	s.CacheHits += o.CacheHits
 }
@@ -117,9 +122,33 @@ type Manager struct {
 	numVars int
 	budget  int
 	nodes   []node
-	unique  map[utriple]Node
-	ite     map[[3]Node]Node
-	stats   Stats
+	// unique holds the ID of every decision node, open-addressed with
+	// linear probing. Its length is a power of two at least twice the
+	// decision-node count; False marks an empty slot, since terminals
+	// are never stored.
+	unique []Node
+	// ite is the direct-mapped computed cache, as long as unique and
+	// emptied whenever unique grows. An entry with f == False is empty:
+	// a terminal f never reaches the cache.
+	ite   []iteEntry
+	stats Stats
+}
+
+// iteEntry is one computed-cache slot: ITE(f, g, h) = r.
+type iteEntry struct{ f, g, h, r Node }
+
+// initSlots is the starting length of the unique table and the
+// computed cache.
+const initSlots = 1 << 10
+
+// slot hashes a triple into a table of mask+1 slots with a fixed
+// multiplicative mix. There is no per-process seed, so the cache's
+// collisions, and with them Stats.CacheLookups and CacheHits, repeat
+// exactly from run to run.
+func slot(a, b, c int32, mask int) int {
+	h := (uint64(uint32(a))*0x9e3779b97f4a7c15 + uint64(uint32(b))) * 0xc2b2ae3d27d4eb4f
+	h = (h + uint64(uint32(c))) * 0x165667b19e3779f9
+	return int(h>>32) & mask
 }
 
 // New returns a Manager over numVars variables with the given node
@@ -131,9 +160,9 @@ func New(numVars, budget int) *Manager {
 	m := &Manager{
 		numVars: numVars,
 		budget:  budget,
-		nodes:   make([]node, 2, 1024),
-		unique:  make(map[utriple]Node),
-		ite:     make(map[[3]Node]Node),
+		nodes:   make([]node, 2, initSlots),
+		unique:  make([]Node, initSlots),
+		ite:     make([]iteEntry, initSlots),
 	}
 	tl := int32(numVars)
 	m.nodes[False] = node{level: tl, low: False, high: False}
@@ -176,18 +205,39 @@ func (m *Manager) mk(level int32, low, high Node) Node {
 	if low == high {
 		return low
 	}
-	k := utriple{level, low, high}
-	if id, ok := m.unique[k]; ok {
-		m.stats.UniqueHits++
-		return id
+	mask := len(m.unique) - 1
+	i := slot(level, low, high, mask)
+	for ; m.unique[i] != False; i = (i + 1) & mask {
+		if n := m.nodes[m.unique[i]]; n.level == level && n.low == low && n.high == high {
+			return m.unique[i]
+		}
 	}
 	if len(m.nodes)-2 >= m.budget {
 		panic(budgetMark{})
 	}
 	id := Node(len(m.nodes))
 	m.nodes = append(m.nodes, node{level, low, high})
-	m.unique[k] = id
+	m.unique[i] = id
+	if len(m.unique) < 2*(len(m.nodes)-2) {
+		m.grow()
+	}
 	return id
+}
+
+// grow doubles the unique table, reinserting every decision node, and
+// replaces the computed cache with an empty one of the new length.
+func (m *Manager) grow() {
+	m.unique = make([]Node, 2*len(m.unique))
+	mask := len(m.unique) - 1
+	for id := Node(2); id < Node(len(m.nodes)); id++ {
+		n := m.nodes[id]
+		i := slot(n.level, n.low, n.high, mask)
+		for m.unique[i] != False {
+			i = (i + 1) & mask
+		}
+		m.unique[i] = id
+	}
+	m.ite = make([]iteEntry, len(m.unique))
 }
 
 // Var returns the function of variable v (level v tests v: 0 → False,
@@ -248,11 +298,10 @@ func (m *Manager) iteRec(f, g, h Node) Node {
 	if f == h {
 		h = False
 	}
-	key := [3]Node{f, g, h}
 	m.stats.CacheLookups++
-	if r, ok := m.ite[key]; ok {
+	if e := m.ite[slot(f, g, h, len(m.ite)-1)]; e.f == f && e.g == g && e.h == h {
 		m.stats.CacheHits++
-		return r
+		return e.r
 	}
 	top := m.nodes[f].level
 	if l := m.nodes[g].level; l < top {
@@ -265,7 +314,8 @@ func (m *Manager) iteRec(f, g, h Node) Node {
 	g0, g1 := m.cofactors(g, top)
 	h0, h1 := m.cofactors(h, top)
 	r := m.mk(top, m.iteRec(f0, g0, h0), m.iteRec(f1, g1, h1))
-	m.ite[key] = r
+	// The recursion may have grown the tables, so hash again.
+	m.ite[slot(f, g, h, len(m.ite)-1)] = iteEntry{f, g, h, r}
 	return r
 }
 

@@ -123,6 +123,58 @@ func TestSatCountSmall(t *testing.T) {
 	}
 }
 
+// TestUniqueTableGrowth builds parity over 4096 variables bottom-up,
+// about 12k nodes: the unique table doubles five times from its initial
+// 1024 slots, and every growth empties the computed cache. Hash-consing
+// must survive the rehashes, so rebuilding the same function returns
+// the same node without allocating one.
+func TestUniqueTableGrowth(t *testing.T) {
+	const n = 4096
+	m := bdd.New(n, 0)
+	parity := func() bdd.Node {
+		acc, err := m.Var(n - 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := n - 2; v >= 0; v-- {
+			x, err := m.Var(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acc, err = m.Xor(x, acc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return acc
+	}
+	f := parity()
+	nodes := m.Stats().Nodes
+	if nodes < 8*1024 {
+		t.Fatalf("parity over %d variables built only %d nodes; too few to grow the table five times", n, nodes)
+	}
+	if got, want := m.SatCount(f), new(big.Int).Lsh(big.NewInt(1), n-1); got.Cmp(want) != 0 {
+		t.Fatalf("SatCount(parity) = %v, want 2^%d", got, n-1)
+	}
+	r := rng.New(15)
+	assign := make([]bool, n)
+	for i := 0; i < 8; i++ {
+		r.Bits(assign)
+		want := false
+		for _, b := range assign {
+			want = want != b
+		}
+		if got := m.Eval(f, assign); got != want {
+			t.Fatalf("assignment %d: Eval = %v, XOR of the variables = %v", i, got, want)
+		}
+	}
+	if g := parity(); g != f {
+		t.Fatalf("second parity build returned node %d, first %d", g, f)
+	}
+	if got := m.Stats().Nodes; got != nodes {
+		t.Fatalf("second parity build grew the manager from %d to %d nodes", nodes, got)
+	}
+}
+
 // TestSatCountAgainstEnumeration cross-checks SatCount against
 // exhaustive enumeration of every shipped circuit's primary outputs —
 // all are ≤ 14 inputs once locked, so the full truth table is cheap.

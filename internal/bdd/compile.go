@@ -57,10 +57,14 @@ func InputOrder(p *ir.Program) []int32 {
 type Compiler struct {
 	m *Manager
 	p *ir.Program
-	// vals memoises the compiled function per program node; -1 = not
-	// yet compiled. Inputs are seeded by the Bind calls.
+	// vals memoises the compiled function per program node, valid
+	// where done is set. Inputs are seeded by the Bind calls.
 	vals []Node
 	done []bool
+	// seen stamps the nodes the current Compile call has gathered with
+	// that call's epoch, so the cone walk needs no per-call set.
+	seen  []uint32
+	epoch uint32
 }
 
 // NewCompiler returns a compiler for p targeting m.
@@ -70,6 +74,7 @@ func NewCompiler(m *Manager, p *ir.Program) *Compiler {
 		p:    p,
 		vals: make([]Node, p.NumNodes()),
 		done: make([]bool, p.NumNodes()),
+		seen: make([]uint32, p.NumNodes()),
 	}
 	return c
 }
@@ -104,14 +109,14 @@ func (c *Compiler) Compile(out int32) (n Node, err error) {
 	// fanins always come first).
 	var cone []int32
 	stack := []int32{out}
-	seen := make(map[int32]bool)
+	c.epoch++
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] || c.done[id] {
+		if c.seen[id] == c.epoch || c.done[id] {
 			continue
 		}
-		seen[id] = true
+		c.seen[id] = c.epoch
 		cone = append(cone, id)
 		stack = append(stack, c.p.FaninSpan(int(id))...)
 	}

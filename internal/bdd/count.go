@@ -7,13 +7,21 @@ import "math/big"
 // the key variables out of a difference function) and single-variable
 // flip (substitute v ↦ ¬v, which turns F(x, k) into F(x, k⊕e_v)
 // without a second compile).
+//
+// Each operation memoises per call in a slice indexed by node ID and
+// sized to the arena at the call's start: the recursion only visits f
+// and its descendants, which already exist. Exists and Flip mark an
+// empty entry with False, because neither maps a decision node to
+// False: a decision node is satisfiable, and so are its projection and
+// its flip.
 
 // SatCount returns the exact number of satisfying assignments of f
 // over all NumVars variables, as a big integer (counts routinely
 // exceed 2^53, and exactness is the point of this package). Pure read:
 // never allocates nodes, never trips the budget.
 func (m *Manager) SatCount(f Node) *big.Int {
-	memo := make(map[Node]*big.Int)
+	memo := make([]*big.Int, len(m.nodes))
+	memo[False], memo[True] = big.NewInt(0), big.NewInt(1)
 	cnt := m.countRec(f, memo)
 	// countRec counts over the variables at or below f's level; the
 	// levels above the root are free.
@@ -22,14 +30,8 @@ func (m *Manager) SatCount(f Node) *big.Int {
 
 // countRec counts satisfying assignments of the variables with level
 // >= level(f).
-func (m *Manager) countRec(f Node, memo map[Node]*big.Int) *big.Int {
-	if f == False {
-		return big.NewInt(0)
-	}
-	if f == True {
-		return big.NewInt(1)
-	}
-	if c, ok := memo[f]; ok {
+func (m *Manager) countRec(f Node, memo []*big.Int) *big.Int {
+	if c := memo[f]; c != nil {
 		return c
 	}
 	n := m.nodes[f]
@@ -55,15 +57,15 @@ func (m *Manager) SatFraction(f Node) float64 {
 // true wherever some assignment of them satisfied f.
 func (m *Manager) Exists(f Node, quant []bool) (n Node, err error) {
 	defer m.guard(&n, &err)
-	return m.existsRec(f, quant, make(map[Node]Node)), nil
+	return m.existsRec(f, quant, make([]Node, len(m.nodes))), nil
 }
 
-func (m *Manager) existsRec(f Node, quant []bool, memo map[Node]Node) Node {
+func (m *Manager) existsRec(f Node, quant []bool, memo []Node) Node {
 	nd := m.nodes[f]
 	if int(nd.level) >= m.numVars {
 		return f
 	}
-	if r, ok := memo[f]; ok {
+	if r := memo[f]; r != False {
 		return r
 	}
 	lo := m.existsRec(nd.low, quant, memo)
@@ -83,15 +85,15 @@ func (m *Manager) existsRec(f Node, quant []bool, memo map[Node]Node) Node {
 // so the operation is linear in the nodes at or above v's level.
 func (m *Manager) Flip(f Node, v int) (n Node, err error) {
 	defer m.guard(&n, &err)
-	return m.flipRec(f, int32(v), make(map[Node]Node)), nil
+	return m.flipRec(f, int32(v), make([]Node, len(m.nodes))), nil
 }
 
-func (m *Manager) flipRec(f Node, v int32, memo map[Node]Node) Node {
+func (m *Manager) flipRec(f Node, v int32, memo []Node) Node {
 	nd := m.nodes[f]
 	if nd.level > v {
 		return f // terminal or ordered past v: independent of v
 	}
-	if r, ok := memo[f]; ok {
+	if r := memo[f]; r != False {
 		return r
 	}
 	var r Node

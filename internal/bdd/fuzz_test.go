@@ -10,17 +10,19 @@ import (
 )
 
 // FuzzITE decodes the fuzz input into a random expression DAG over at
-// most 6 variables, built twice on one Manager, and checks the
-// canonicity contract against a concrete truth table carried alongside
-// every stack entry: equal truth tables ⇔ identical node IDs, and
-// SatCount must equal the table's popcount. The same convention as
-// internal/sat's FuzzSolver: a checked-in seed corpus replays under
-// plain `go test`, including the -race leg.
+// most 6 variables on one Manager, and checks the canonicity contract
+// against a concrete truth table carried alongside every stack entry:
+// equal truth tables ⇔ identical node IDs, and SatCount must equal the
+// table's popcount. Flip and Exists run through the same tables, so
+// their slice memos and the nodes they make are checked too. The same
+// convention as internal/sat's FuzzSolver: a checked-in seed corpus
+// replays under plain `go test`, including the -race leg.
 func FuzzITE(f *testing.F) {
 	f.Add([]byte{3, 0x00, 0x01, 0x82, 0x02, 0xc1})
 	f.Add([]byte{6, 0x00, 0x01, 0x83, 0x02, 0x03, 0x84, 0x04, 0x05, 0x85, 0xc2})
 	f.Add([]byte{2, 0x00, 0x00, 0x82, 0x01, 0xc0, 0x83})
 	f.Add([]byte{1, 0x00, 0xc0, 0xc0, 0xc0})
+	f.Add([]byte{4, 0x00, 0x01, 0x80, 0xe1, 0x02, 0x81, 0xf0, 0xe3, 0x03, 0x82, 0xf2})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) < 2 || len(prog) > 512 {
 			return
@@ -54,7 +56,9 @@ func FuzzITE(f *testing.F) {
 		}
 		// Each byte is one stack-machine instruction: low 6 bits select
 		// the operand, the top two bits the opcode family — push var,
-		// binary op (and/or/xor by operand%3), unary not, or dup.
+		// binary op (and/or/xor by operand%3), or unary. In the unary
+		// family bit 5 clear is not; set, bit 4 picks flip or exists of
+		// variable (low 4 bits)%nv.
 		for _, b := range prog[1:] {
 			var err error
 			switch b >> 6 {
@@ -82,14 +86,32 @@ func FuzzITE(f *testing.F) {
 					tab = x.tab ^ y.tab
 				}
 				stack = append(stack, entry{n, tab & mask})
-			case 3: // not
+			case 3: // unary
 				if len(stack) < 1 {
 					continue
 				}
 				x := pop()
+				v := int(b&0x0f) % nv
 				var n bdd.Node
-				n, err = m.Not(x.n)
-				stack = append(stack, entry{n, ^x.tab & mask})
+				var tab uint64
+				switch {
+				case b&0x20 == 0:
+					n, err = m.Not(x.n)
+					tab = ^x.tab
+				case b&0x10 == 0:
+					n, err = m.Flip(x.n, v)
+					for minterm := 0; minterm < 1<<uint(nv); minterm++ {
+						tab |= (x.tab >> uint(minterm^1<<v) & 1) << uint(minterm)
+					}
+				default:
+					quant := make([]bool, nv)
+					quant[v] = true
+					n, err = m.Exists(x.n, quant)
+					for minterm := 0; minterm < 1<<uint(nv); minterm++ {
+						tab |= (x.tab>>uint(minterm&^(1<<v)) | x.tab>>uint(minterm|1<<v)) & 1 << uint(minterm)
+					}
+				}
+				stack = append(stack, entry{n, tab & mask})
 			}
 			if err != nil {
 				if errors.Is(err, bdd.ErrBudget) {

@@ -14,12 +14,13 @@
 //     iteration, and the nodes of one level may be transferred in
 //     parallel (internal/par) because they cannot depend on each other.
 //   - Rerun incrementally repairs an existing fixpoint after a seed
-//     node's abstract value changes, driving a worklist along the CSR
-//     fanout arrays in topological-position order (the same frontier
-//     discipline faultsim's event-driven simulator uses). Each dirty
-//     node is transferred exactly once, and propagation stops where the
-//     recomputed value equals the old one — the per-key-bit analyses in
-//     internal/audit touch only the key bit's fanout cone this way.
+//     node's abstract value changes, marking nodes dirty in a bitset
+//     over topological position and scanning it forward along the CSR
+//     fanout arrays (the same frontier discipline faultsim's
+//     event-driven simulator uses). Each dirty node is transferred
+//     exactly once, and propagation stops where the recomputed value
+//     equals the old one — the per-key-bit analyses in internal/audit
+//     touch only the key bit's fanout cone this way.
 //
 // The four shipped domains are the ternary constant lattice (Const),
 // the pair/key-difference domain (Pair), per-net key-taint sets
@@ -30,6 +31,8 @@
 package dataflow
 
 import (
+	"math/bits"
+
 	"orap/internal/ir"
 	"orap/internal/par"
 )
@@ -131,84 +134,49 @@ func Run[V any](p *ir.Program, d Domain[V], opts Options) []V {
 // by Run or Rerun for the same program; on return it is the fixpoint of
 // the reconfigured domain.
 //
-// The worklist pops nodes in topological-position order off a min-heap,
-// so a node is transferred only after every dirty fanin has settled —
-// each visited node is transferred exactly once — and fanouts are
-// enqueued through the CSR fanout arrays only when a value actually
-// changed. The returned slice lists the visited node IDs in processing
-// (topological) order; callers use it to scan exactly the dirty cone
-// and to restore vals afterwards when iterating over many seeds.
+// The worklist is a dirty bitset over topological position, scanned
+// forward one word at a time, lowest set bit first. Fanouts always sit
+// at strictly larger positions than the node that marks them, so a bit
+// behind the scan is never set again: a node is transferred only after
+// every dirty fanin has settled, each visited node is transferred
+// exactly once, and fanouts are marked through the CSR fanout arrays
+// only when a value actually changed. The scan stops once no bit is
+// pending. The returned slice lists the visited node IDs in processing
+// (strictly increasing position) order; callers use it to scan exactly
+// the dirty cone and to restore vals afterwards when iterating over
+// many seeds.
 func Rerun[V any](p *ir.Program, d Domain[V], vals []V, seeds ...int32) []int32 {
-	h := posHeap{pos: p.Pos}
-	queued := make([]bool, p.NumNodes())
-	for _, s := range seeds {
-		if !queued[s] {
-			queued[s] = true
-			h.push(s)
+	dirty := make([]uint64, (p.NumNodes()+63)/64)
+	pending := 0
+	mark := func(id int32) {
+		pos := p.Pos[id]
+		if w, b := pos>>6, uint64(1)<<(pos&63); dirty[w]&b == 0 {
+			dirty[w] |= b
+			pending++
 		}
+	}
+	for _, s := range seeds {
+		mark(s)
 	}
 	get := func(id int) V { return vals[id] }
 	var visited []int32
-	for len(h.heap) > 0 {
-		id := h.pop()
-		visited = append(visited, id)
-		old := vals[id]
-		next := d.Transfer(int(id), get)
-		vals[id] = next
-		if d.Equal(old, next) {
-			continue
-		}
-		for _, fo := range p.FanoutSpan(int(id)) {
-			if !queued[fo] {
-				queued[fo] = true
-				h.push(fo)
+	for w := 0; pending > 0; w++ {
+		for dirty[w] != 0 {
+			b := bits.TrailingZeros64(dirty[w])
+			dirty[w] &^= 1 << b
+			pending--
+			id := p.Order[w<<6|b]
+			visited = append(visited, id)
+			old := vals[id]
+			next := d.Transfer(int(id), get)
+			vals[id] = next
+			if d.Equal(old, next) {
+				continue
+			}
+			for _, fo := range p.FanoutSpan(int(id)) {
+				mark(fo)
 			}
 		}
 	}
 	return visited
-}
-
-// posHeap is a binary min-heap of node IDs keyed by topological
-// position. Fanouts always sit at strictly larger positions than the
-// node that enqueues them, so nothing is ever pushed below the current
-// minimum and pops come out in increasing topological order.
-type posHeap struct {
-	pos  []int32
-	heap []int32
-}
-
-func (h *posHeap) push(id int32) {
-	h.heap = append(h.heap, id)
-	i := len(h.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.pos[h.heap[parent]] <= h.pos[h.heap[i]] {
-			break
-		}
-		h.heap[parent], h.heap[i] = h.heap[i], h.heap[parent]
-		i = parent
-	}
-}
-
-func (h *posHeap) pop() int32 {
-	top := h.heap[0]
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.heap = h.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h.heap) && h.pos[h.heap[l]] < h.pos[h.heap[min]] {
-			min = l
-		}
-		if r < len(h.heap) && h.pos[h.heap[r]] < h.pos[h.heap[min]] {
-			min = r
-		}
-		if min == i {
-			return top
-		}
-		h.heap[i], h.heap[min] = h.heap[min], h.heap[i]
-		i = min
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"orap/internal/benchgen"
 	"orap/internal/circuits"
 	"orap/internal/dataflow"
 	"orap/internal/ir"
@@ -160,9 +161,27 @@ func TestPairSoundness(t *testing.T) {
 // TestRerunMatchesFreshRun pins the incremental solver against the full
 // sweep: starting from the keyless pair fixpoint, a Rerun seeded at the
 // key input must land on exactly the fixpoint a fresh Run computes with
-// the key selected from the start.
+// the key selected from the start. Beside the soundness circuits, each
+// of which fits one 64-position word of Rerun's dirty bitset, it runs a
+// weighted-locked generated design of a few hundred nodes whose key
+// gates carry IDs out of topological order, so the scan crosses word
+// boundaries.
 func TestRerunMatchesFreshRun(t *testing.T) {
-	for name, c := range soundnessCircuits(t) {
+	cases := soundnessCircuits(t)
+	prof, err := benchgen.ProfileByName("s38417")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := benchgen.Generate(prof.Scale(0.02), 2020)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := lock.Weighted(wide, lock.WeightedOptions{KeyBits: 24, ControlWidth: 3, Rand: rng.New(14)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["s38417-weighted"] = l.Circuit
+	for name, c := range cases {
 		if c.NumKeys() == 0 {
 			continue
 		}
