@@ -14,7 +14,8 @@ import (
 // every key-anchored finding with the witness path audit.Explain
 // reconstructs: the chain of nets from the key input to the finding's
 // anchor, annotated with the abstract values the engine proved on each
-// step.
+// step. The witness lines are indented, so dropping them leaves exactly
+// the plain report.
 func printExplained(w io.Writer, prog *ir.Program, c *netlist.Circuit, rep *audit.Report) {
 	for _, f := range rep.Findings {
 		fmt.Fprintf(w, "%s: %s\n", rep.Circuit, f)
@@ -32,6 +33,7 @@ func printExplained(w io.Writer, prog *ir.Program, c *netlist.Circuit, rep *audi
 				s.TaintBits, s.CC0, s.CC1, coStr(s.CO))
 		}
 	}
+	fmt.Fprint(w, rep.Trailer())
 }
 
 // tern renders a ternary abstract value.

@@ -39,3 +39,26 @@ func TestOutputDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// -explain only inserts indented witness-path lines: with them removed
+// the output must equal the plain report, trailer lines included, with
+// and without -exact.
+func TestExplainKeepsPlainOutput(t *testing.T) {
+	paths := []string{"testdata/clean.bench", "testdata/err.bench", "testdata/warn.bench", generatedDesign(t)}
+	for _, path := range paths {
+		for _, mode := range [][]string{{}, {"-exact"}} {
+			_, plain, _ := runCase(t, append(mode, path)...)
+			_, explained, _ := runCase(t, append(mode, "-explain", path)...)
+			var kept []string
+			for _, line := range strings.SplitAfter(explained, "\n") {
+				if !strings.HasPrefix(line, "  ") {
+					kept = append(kept, line)
+				}
+			}
+			if got := strings.Join(kept, ""); got != plain {
+				t.Errorf("%v %s: -explain without witness lines differs from plain output:\n--- explain ---\n%s\n--- plain ---\n%s",
+					mode, path, got, plain)
+			}
+		}
+	}
+}

@@ -266,12 +266,20 @@ func (r *Report) Counts() (errors, warnings, infos int) {
 }
 
 // String renders the report one finding per line, prefixed with the
-// circuit name, followed by the entropy summary when one was computed.
+// circuit name, followed by the Trailer.
 func (r *Report) String() string {
 	var b strings.Builder
 	for _, f := range r.Findings {
 		fmt.Fprintf(&b, "%s: %s\n", r.Circuit, f)
 	}
+	return b.String() + r.Trailer()
+}
+
+// Trailer renders the summary lines String prints after the findings:
+// the entropy summary and the exact backend's telemetry, each when
+// computed.
+func (r *Report) Trailer() string {
+	var b strings.Builder
 	if r.NominalEntropy > 0 {
 		fmt.Fprintf(&b, "%s: effective key entropy %d of %d bits\n",
 			r.Circuit, r.EffectiveEntropy, r.NominalEntropy)
