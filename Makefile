@@ -74,9 +74,9 @@ bench-parallel:
 
 # One-iteration compile-and-run pass over the SAT-engine, dataflow, and
 # vet benchmarks: the legacy-vs-COI miter attack pair, the propagation
-# microbench, the five-domain fixpoint sweep (whose worker-invariance
-# assertion runs before the timer), and a full secret-flow analysis of
-# the orapvet fixture module. Catches benchmark bit-rot in CI without
+# microbench, the five-domain fixpoint sweep (the pair domain once per
+# 64-key slice, as the audit runs it), and a full secret-flow analysis
+# of the orapvet fixture module. Catches benchmark bit-rot in CI without
 # paying for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SATAttack|SolverPropagate|Dataflow|BDDCompile|ExactCorrupt|VetModule' -benchtime 1x ./internal/attack ./internal/sat ./internal/dataflow ./internal/bdd ./internal/audit ./internal/vet

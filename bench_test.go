@@ -177,7 +177,7 @@ func BenchmarkFaultSimSerial(b *testing.B)   { benchmarkFaultSim(b, 1) }
 func BenchmarkFaultSimParallel(b *testing.B) { benchmarkFaultSim(b, 0) }
 
 // BenchmarkAudit measures the full security analyzer (removability
-// constant propagation per key bit, fingerprint classification,
+// constant propagation, 64 key bits per sweep, fingerprint classification,
 // corruptibility cones) on the largest generated circuit, locked the
 // way Table I locks it. Reported metric: findings per run, pinned so a
 // rule regression shows up next to a timing one.

@@ -163,11 +163,10 @@ type keyOnly struct {
 }
 
 func (d *keyOnly) Direction() dataflow.Direction { return dataflow.Forward }
-func (d *keyOnly) Bottom() bool                  { return true }
 func (d *keyOnly) Join(a, b bool) bool           { return a && b }
 func (d *keyOnly) Equal(a, b bool) bool          { return a == b }
 
-func (d *keyOnly) Transfer(id int, get func(int) bool) bool {
+func (d *keyOnly) Transfer(id int, vals []bool) bool {
 	switch d.p.Ops[id] {
 	case ir.OpInput:
 		return d.isKey[id]
@@ -175,7 +174,7 @@ func (d *keyOnly) Transfer(id int, get func(int) bool) bool {
 		return true
 	}
 	for _, f := range d.p.FaninSpan(id) {
-		if !get(int(f)) {
+		if !vals[f] {
 			return false
 		}
 	}
@@ -185,5 +184,5 @@ func (d *keyOnly) Transfer(id int, get func(int) bool) bool {
 // keyOnlyNodes marks the nodes whose value is a function of key inputs
 // (and constants) only, by solving the keyOnly domain.
 func keyOnlyNodes(p *ir.Program, isKeyInput []bool) []bool {
-	return dataflow.Run[bool](p, &keyOnly{p: p, isKey: isKeyInput}, dataflow.Options{Workers: 1})
+	return dataflow.Run[bool](p, &keyOnly{p: p, isKey: isKeyInput})
 }

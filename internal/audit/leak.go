@@ -25,9 +25,9 @@ type engine struct {
 // newEngine solves the shared domains for prog.
 func newEngine(prog *ir.Program) *engine {
 	e := &engine{p: prog}
-	e.taint = dataflow.Run[dataflow.KeySet](prog, dataflow.NewKeyTaint(prog), dataflow.Options{Workers: 1})
-	e.cc = dataflow.Run[dataflow.ControlValue](prog, dataflow.NewControllability(prog), dataflow.Options{Workers: 1})
-	e.co = dataflow.Run[int32](prog, dataflow.NewObservability(prog, e.cc), dataflow.Options{Workers: 1})
+	e.taint = dataflow.Run[dataflow.KeySet](prog, dataflow.NewKeyTaint(prog))
+	e.cc = dataflow.Run[dataflow.ControlValue](prog, dataflow.NewControllability(prog))
+	e.co = dataflow.Run[int32](prog, dataflow.NewObservability(prog, e.cc))
 	return e
 }
 
@@ -153,11 +153,8 @@ func Explain(prog *ir.Program, c *netlist.Circuit, f Finding) []PathStep {
 	}
 	e := newEngine(prog)
 	kid := prog.Keys[f.KeyBit]
-
-	d := dataflow.NewPair(prog)
-	vals := dataflow.Run[dataflow.PairValue](prog, d, dataflow.Options{Workers: 1})
-	d.SetKey(kid)
-	dataflow.Rerun[dataflow.PairValue](prog, d, vals, kid)
+	// A one-key slice: lane 0 is the finding's key bit.
+	vals := dataflow.Run[dataflow.PairPlanes](prog, dataflow.NewPair(prog, prog.Keys[f.KeyBit:f.KeyBit+1]))
 
 	if int32(f.Node) != kid && !e.taint[f.Node].Has(f.KeyBit) {
 		return nil
@@ -177,7 +174,7 @@ func Explain(prog *ir.Program, c *netlist.Circuit, f Finding) []PathStep {
 			if fi != kid && !e.taint[fi].Has(f.KeyBit) {
 				continue
 			}
-			v := vals[fi]
+			v := vals[fi].Lane(0)
 			if next < 0 || rank(v) > rank(nextVal) {
 				next, nextVal = fi, v
 			}
@@ -191,7 +188,7 @@ func Explain(prog *ir.Program, c *netlist.Circuit, f Finding) []PathStep {
 	steps := make([]PathStep, 0, len(rev))
 	for i := len(rev) - 1; i >= 0; i-- {
 		id := int(rev[i])
-		v := vals[id]
+		v := vals[id].Lane(0)
 		steps = append(steps, PathStep{
 			Node: id, Name: c.NameOf(id), Op: prog.Ops[id],
 			V0: v.V0, V1: v.V1, Eq: v.Eq, Anti: v.Anti,

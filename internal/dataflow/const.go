@@ -22,10 +22,6 @@ func NewConst(p *ir.Program) *Const { return &Const{p: p} }
 // Direction implements Domain.
 func (d *Const) Direction() Direction { return Forward }
 
-// Bottom implements Domain. The ternary lattice is flat (0 and 1
-// incomparable below Unknown), so the safe initial value is its top.
-func (d *Const) Bottom() int8 { return Unknown }
-
 // Join implements Domain: equal values join to themselves, anything
 // else to Unknown.
 func (d *Const) Join(a, b int8) int8 {
@@ -39,7 +35,7 @@ func (d *Const) Join(a, b int8) int8 {
 func (d *Const) Equal(a, b int8) bool { return a == b }
 
 // Transfer implements Domain.
-func (d *Const) Transfer(id int, get func(int) int8) int8 {
+func (d *Const) Transfer(id int, vals []int8) int8 {
 	switch d.p.Ops[id] {
 	case ir.OpInput:
 		return Unknown
@@ -48,26 +44,25 @@ func (d *Const) Transfer(id int, get func(int) int8) int8 {
 	case ir.OpConst1:
 		return 1
 	}
-	return foldOp(d.p.Ops[id], d.p.FaninSpan(id), get)
+	return foldOp(d.p.Ops[id], d.p.FaninSpan(id), vals)
 }
 
-// foldOp evaluates one gate over the ternary lattice. It is the single
-// constant folder behind the Const and Pair domains (check's foldGate
-// and audit's foldOp before the engine unified them), including the
+// foldOp evaluates one gate over the ternary lattice, including the
 // degenerate XOR(x, x)/XNOR(x, x) shapes that fold without knowing x.
-func foldOp(op ir.Op, fanins []int32, get func(int) int8) int8 {
+// Pair's transfer is the same fold on 64 lanes at once.
+func foldOp(op ir.Op, fanins []int32, vals []int8) int8 {
 	switch op {
 	case ir.OpBuf:
-		return get(int(fanins[0]))
+		return vals[fanins[0]]
 	case ir.OpNot:
-		if v := get(int(fanins[0])); v != Unknown {
+		if v := vals[fanins[0]]; v != Unknown {
 			return 1 - v
 		}
 		return Unknown
 	case ir.OpAnd, ir.OpNand:
 		out := int8(1)
 		for _, f := range fanins {
-			switch get(int(f)) {
+			switch vals[f] {
 			case 0:
 				out = 0
 			case Unknown:
@@ -86,7 +81,7 @@ func foldOp(op ir.Op, fanins []int32, get func(int) int8) int8 {
 	case ir.OpOr, ir.OpNor:
 		out := int8(0)
 		for _, f := range fanins {
-			switch get(int(f)) {
+			switch vals[f] {
 			case 1:
 				out = 1
 			case Unknown:
@@ -112,7 +107,7 @@ func foldOp(op ir.Op, fanins []int32, get func(int) int8) int8 {
 		}
 		parity := int8(0)
 		for _, f := range fanins {
-			v := get(int(f))
+			v := vals[f]
 			if v == Unknown {
 				return Unknown
 			}

@@ -1,10 +1,8 @@
 package dataflow_test
 
 import (
-	"fmt"
 	"testing"
 
-	"orap/internal/benchgen"
 	"orap/internal/circuits"
 	"orap/internal/dataflow"
 	"orap/internal/ir"
@@ -55,7 +53,22 @@ func soundnessCircuits(t testing.TB) map[string]*netlist.Circuit {
 	} else {
 		out["fulladder-sarlock"] = l.Circuit
 	}
+	out["self-xor"] = selfXor()
 	return out
+}
+
+// selfXor folds key material through the degenerate shapes: XOR(k, k)
+// and XNOR(x, x) are constant whatever their input, so the key bit
+// reaches no output.
+func selfXor() *netlist.Circuit {
+	c := netlist.New("self-xor")
+	a, _ := c.AddInput("a")
+	k, _ := c.AddKeyInput("keyinput0")
+	x := c.MustAddGate(netlist.Xor, "x", a, k)
+	g := c.MustAddGate(netlist.Xor, "g", k, k)
+	h := c.MustAddGate(netlist.Xnor, "h", x, x)
+	c.MarkOutput(c.MustAddGate(netlist.And, "o", g, h, a))
+	return c
 }
 
 // forEachAssignment enumerates every assignment of the program's
@@ -88,7 +101,7 @@ func TestConstSoundness(t *testing.T) {
 	for name, c := range soundnessCircuits(t) {
 		t.Run(name, func(t *testing.T) {
 			p := compile(t, c)
-			vals := dataflow.Run[int8](p, dataflow.NewConst(p), dataflow.Options{Workers: 1})
+			vals := dataflow.Run[int8](p, dataflow.NewConst(p))
 			concrete := make([]bool, p.NumNodes())
 			forEachAssignment(t, p, func(pi, key []bool) {
 				p.EvalInto(concrete, pi, key)
@@ -107,10 +120,11 @@ func TestConstSoundness(t *testing.T) {
 }
 
 // TestPairSoundness checks the pair/key-difference domain against brute
-// force, per key bit: V0/V1 must match the concrete value under the
-// respective key-bit value whenever known, an Eq proof means the node
-// never depends on the bit, and an Anti proof means the node flips with
-// the bit under every assignment of everything else.
+// force, lane by lane: lane kb tracks key bit kb, so V0/V1 must match
+// the concrete value under the respective value of that bit whenever
+// known, an Eq proof means the node never depends on the bit, and an
+// Anti proof means the node flips with the bit under every assignment
+// of everything else.
 func TestPairSoundness(t *testing.T) {
 	for name, c := range soundnessCircuits(t) {
 		if c.NumKeys() == 0 {
@@ -118,15 +132,10 @@ func TestPairSoundness(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			p := compile(t, c)
-			d := dataflow.NewPair(p)
-			base := dataflow.Run[dataflow.PairValue](p, d, dataflow.Options{Workers: 1})
+			planes := dataflow.Run[dataflow.PairPlanes](p, dataflow.NewPair(p, p.Keys))
 			v0 := make([]bool, p.NumNodes())
 			v1 := make([]bool, p.NumNodes())
-			for kb, kid := range p.Keys {
-				vals := make([]dataflow.PairValue, len(base))
-				copy(vals, base)
-				d.SetKey(kid)
-				dataflow.Rerun[dataflow.PairValue](p, d, vals, kid)
+			for kb := range p.Keys {
 				forEachAssignment(t, p, func(pi, key []bool) {
 					if key[kb] {
 						return // the pair tracks both values of bit kb itself
@@ -136,7 +145,8 @@ func TestPairSoundness(t *testing.T) {
 					key[kb] = true
 					p.EvalInto(v1, pi, key)
 					key[kb] = false
-					for id, av := range vals {
+					for id := range planes {
+						av := planes[id].Lane(kb)
 						if av.V0 != dataflow.Unknown && v0[id] != (av.V0 == 1) {
 							t.Fatalf("bit %d node %d (%s): V0=%d, concrete %v", kb, id, c.NameOf(id), av.V0, v0[id])
 						}
@@ -158,62 +168,6 @@ func TestPairSoundness(t *testing.T) {
 	}
 }
 
-// TestRerunMatchesFreshRun pins the incremental solver against the full
-// sweep: starting from the keyless pair fixpoint, a Rerun seeded at the
-// key input must land on exactly the fixpoint a fresh Run computes with
-// the key selected from the start. Beside the soundness circuits, each
-// of which fits one 64-position word of Rerun's dirty bitset, it runs a
-// weighted-locked generated design of a few hundred nodes whose key
-// gates carry IDs out of topological order, so the scan crosses word
-// boundaries.
-func TestRerunMatchesFreshRun(t *testing.T) {
-	cases := soundnessCircuits(t)
-	prof, err := benchgen.ProfileByName("s38417")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := benchgen.Generate(prof.Scale(0.02), 2020)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := lock.Weighted(wide, lock.WeightedOptions{KeyBits: 24, ControlWidth: 3, Rand: rng.New(14)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases["s38417-weighted"] = l.Circuit
-	for name, c := range cases {
-		if c.NumKeys() == 0 {
-			continue
-		}
-		t.Run(name, func(t *testing.T) {
-			p := compile(t, c)
-			d := dataflow.NewPair(p)
-			base := dataflow.Run[dataflow.PairValue](p, d, dataflow.Options{Workers: 1})
-			for _, kid := range p.Keys {
-				inc := make([]dataflow.PairValue, len(base))
-				copy(inc, base)
-				d.SetKey(kid)
-				visited := dataflow.Rerun[dataflow.PairValue](p, d, inc, kid)
-				fresh := dataflow.Run[dataflow.PairValue](p, d, dataflow.Options{Workers: 1})
-				for id := range fresh {
-					if !d.Equal(inc[id], fresh[id]) {
-						t.Fatalf("key node %d, node %d (%s): Rerun %+v, fresh Run %+v",
-							kid, id, c.NameOf(id), inc[id], fresh[id])
-					}
-				}
-				// The visited cone is the key input's transitive fanout,
-				// in topological order.
-				for i := 1; i < len(visited); i++ {
-					if p.Pos[visited[i-1]] >= p.Pos[visited[i]] {
-						t.Fatalf("key node %d: visited out of topological order at %d", kid, i)
-					}
-				}
-				d.SetKey(-1)
-			}
-		})
-	}
-}
-
 // TestTaintMatchesTransitiveFanout pins the key-taint domain against
 // the structural definition it abstracts: node n carries bit kb's taint
 // exactly when n lies in the key input's transitive fanout.
@@ -224,7 +178,7 @@ func TestTaintMatchesTransitiveFanout(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			p := compile(t, c)
-			taint := dataflow.Run[dataflow.KeySet](p, dataflow.NewKeyTaint(p), dataflow.Options{Workers: 1})
+			taint := dataflow.Run[dataflow.KeySet](p, dataflow.NewKeyTaint(p))
 			for kb, kid := range p.Keys {
 				cone := p.TransitiveFanout(int(kid))
 				for id := range taint {
@@ -252,8 +206,8 @@ func TestScoapHandValues(t *testing.T) {
 	}
 	p := compile(t, c)
 
-	cc := dataflow.Run[dataflow.ControlValue](p, dataflow.NewControllability(p), dataflow.Options{Workers: 1})
-	co := dataflow.Run[int32](p, dataflow.NewObservability(p, cc), dataflow.Options{Workers: 1})
+	cc := dataflow.Run[dataflow.ControlValue](p, dataflow.NewControllability(p))
+	co := dataflow.Run[int32](p, dataflow.NewObservability(p, cc))
 
 	if cc[a] != (dataflow.ControlValue{CC0: 1, CC1: 1}) {
 		t.Fatalf("cc[a] = %+v", cc[a])
@@ -285,71 +239,12 @@ func TestScoapConstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := compile(t, c)
-	cc := dataflow.Run[dataflow.ControlValue](p, dataflow.NewControllability(p), dataflow.Options{Workers: 1})
+	cc := dataflow.Run[dataflow.ControlValue](p, dataflow.NewControllability(p))
 	if cc[k].CC0 != 0 || cc[k].CC1 < dataflow.Unreachable {
 		t.Fatalf("cc[const0] = %+v", cc[k])
 	}
 	// OR through a constant-0 side input stays controllable both ways.
 	if cc[g].CC0 != 2 || cc[g].CC1 != 2 {
 		t.Fatalf("cc[g] = %+v", cc[g])
-	}
-}
-
-// workerDomains builds one instance of every shipped domain for p, each
-// wrapped so the invariance and fuzz tests can treat them uniformly.
-type domainCase struct {
-	name string
-	run  func(p *ir.Program, workers int) func(id int) string
-}
-
-// fingerprint renders one node's abstract value to a comparable string,
-// letting heterogeneous value types share the invariance loop.
-func workerCases() []domainCase {
-	return []domainCase{
-		{"const", func(p *ir.Program, w int) func(int) string {
-			vals := dataflow.Run[int8](p, dataflow.NewConst(p), dataflow.Options{Workers: w})
-			return func(id int) string { return fmt.Sprint(vals[id]) }
-		}},
-		{"pair", func(p *ir.Program, w int) func(int) string {
-			d := dataflow.NewPair(p)
-			if p.NumKeys() > 0 {
-				d.SetKey(p.Keys[0])
-			}
-			vals := dataflow.Run[dataflow.PairValue](p, d, dataflow.Options{Workers: w})
-			return func(id int) string { return fmt.Sprintf("%+v", vals[id]) }
-		}},
-		{"taint", func(p *ir.Program, w int) func(int) string {
-			vals := dataflow.Run[dataflow.KeySet](p, dataflow.NewKeyTaint(p), dataflow.Options{Workers: w})
-			return func(id int) string { return fmt.Sprint(vals[id].Bits()) }
-		}},
-		{"scoap", func(p *ir.Program, w int) func(int) string {
-			cc := dataflow.Run[dataflow.ControlValue](p, dataflow.NewControllability(p), dataflow.Options{Workers: w})
-			co := dataflow.Run[int32](p, dataflow.NewObservability(p, cc), dataflow.Options{Workers: w})
-			return func(id int) string { return fmt.Sprintf("%+v/%d", cc[id], co[id]) }
-		}},
-	}
-}
-
-// TestRunWorkerInvariance asserts the fixpoint is bit-identical at any
-// worker count for every shipped domain — the determinism contract the
-// level sweep is built on.
-func TestRunWorkerInvariance(t *testing.T) {
-	l, err := lock.Weighted(circuits.RippleAdder(8), lock.WeightedOptions{
-		KeyBits: 9, ControlWidth: 3, Rand: rng.New(21),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := compile(t, l.Circuit)
-	for _, dc := range workerCases() {
-		t.Run(dc.name, func(t *testing.T) {
-			serial := dc.run(p, 1)
-			parallel := dc.run(p, 8)
-			for id := 0; id < p.NumNodes(); id++ {
-				if s, par := serial(id), parallel(id); s != par {
-					t.Fatalf("node %d: workers=1 %s, workers=8 %s", id, s, par)
-				}
-			}
-		})
 	}
 }

@@ -42,9 +42,6 @@ func NewControllability(p *ir.Program) *Controllability {
 // Direction implements Domain.
 func (d *Controllability) Direction() Direction { return Forward }
 
-// Bottom implements Domain: the zero (free-to-control) score.
-func (d *Controllability) Bottom() ControlValue { return ControlValue{} }
-
 // Join implements Domain: the pessimistic (max) score per polarity.
 func (d *Controllability) Join(a, b ControlValue) ControlValue {
 	return ControlValue{CC0: max32(a.CC0, b.CC0), CC1: max32(a.CC1, b.CC1)}
@@ -54,7 +51,7 @@ func (d *Controllability) Join(a, b ControlValue) ControlValue {
 func (d *Controllability) Equal(a, b ControlValue) bool { return a == b }
 
 // Transfer implements Domain.
-func (d *Controllability) Transfer(id int, get func(int) ControlValue) ControlValue {
+func (d *Controllability) Transfer(id int, vals []ControlValue) ControlValue {
 	p := d.p
 	fi := p.FaninSpan(id)
 	switch p.Ops[id] {
@@ -65,16 +62,16 @@ func (d *Controllability) Transfer(id int, get func(int) ControlValue) ControlVa
 	case ir.OpConst1:
 		return ControlValue{CC0: Unreachable, CC1: 0}
 	case ir.OpBuf:
-		v := get(int(fi[0]))
+		v := vals[fi[0]]
 		return ControlValue{CC0: satAdd(v.CC0, 1), CC1: satAdd(v.CC1, 1)}
 	case ir.OpNot:
-		v := get(int(fi[0]))
+		v := vals[fi[0]]
 		return ControlValue{CC0: satAdd(v.CC1, 1), CC1: satAdd(v.CC0, 1)}
 	case ir.OpAnd, ir.OpNand:
 		// Output 1 needs every input 1; output 0 needs the cheapest 0.
 		one, zero := int32(0), Unreachable
 		for _, f := range fi {
-			v := get(int(f))
+			v := vals[f]
 			one = satAdd(one, v.CC1)
 			zero = min32(zero, v.CC0)
 		}
@@ -86,7 +83,7 @@ func (d *Controllability) Transfer(id int, get func(int) ControlValue) ControlVa
 	case ir.OpOr, ir.OpNor:
 		zero, one := int32(0), Unreachable
 		for _, f := range fi {
-			v := get(int(f))
+			v := vals[f]
 			zero = satAdd(zero, v.CC0)
 			one = min32(one, v.CC1)
 		}
@@ -98,10 +95,10 @@ func (d *Controllability) Transfer(id int, get func(int) ControlValue) ControlVa
 	case ir.OpXor, ir.OpXnor:
 		// Pairwise parity fold: the running pair (c0, c1) is the cost of
 		// an even/odd parity over the fanins consumed so far.
-		v := get(int(fi[0]))
+		v := vals[fi[0]]
 		c0, c1 := v.CC0, v.CC1
 		for _, f := range fi[1:] {
-			fv := get(int(f))
+			fv := vals[f]
 			n0 := min32(satAdd(c0, fv.CC0), satAdd(c1, fv.CC1))
 			n1 := min32(satAdd(c0, fv.CC1), satAdd(c1, fv.CC0))
 			c0, c1 = n0, n1
@@ -140,9 +137,6 @@ func NewObservability(p *ir.Program, cc []ControlValue) *Observability {
 // Direction implements Domain.
 func (d *Observability) Direction() Direction { return Backward }
 
-// Bottom implements Domain: the zero (freely observable) score.
-func (d *Observability) Bottom() int32 { return 0 }
-
 // Join implements Domain: the pessimistic (max) score.
 func (d *Observability) Join(a, b int32) int32 { return max32(a, b) }
 
@@ -150,7 +144,7 @@ func (d *Observability) Join(a, b int32) int32 { return max32(a, b) }
 func (d *Observability) Equal(a, b int32) bool { return a == b }
 
 // Transfer implements Domain.
-func (d *Observability) Transfer(id int, get func(int) int32) int32 {
+func (d *Observability) Transfer(id int, vals []int32) int32 {
 	p := d.p
 	co := Unreachable
 	if d.isPO[id] {
@@ -158,7 +152,7 @@ func (d *Observability) Transfer(id int, get func(int) int32) int32 {
 	}
 	for _, fo := range p.FanoutSpan(id) {
 		g := int(fo)
-		cost := get(g)
+		cost := vals[g]
 		switch p.Ops[g] {
 		case ir.OpBuf, ir.OpNot:
 			// No side inputs.

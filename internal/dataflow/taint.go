@@ -99,9 +99,6 @@ func NewInputTaint(p *ir.Program, inputs []int32) *KeyTaint {
 // Direction implements Domain.
 func (d *KeyTaint) Direction() Direction { return Forward }
 
-// Bottom implements Domain: the empty set.
-func (d *KeyTaint) Bottom() KeySet { return KeySet{} }
-
 // Join implements Domain: set union.
 func (d *KeyTaint) Join(a, b KeySet) KeySet {
 	if len(a.w) == 0 {
@@ -136,7 +133,7 @@ func (d *KeyTaint) Equal(a, b KeySet) bool {
 }
 
 // Transfer implements Domain.
-func (d *KeyTaint) Transfer(id int, get func(int) KeySet) KeySet {
+func (d *KeyTaint) Transfer(id int, vals []KeySet) KeySet {
 	switch d.p.Ops[id] {
 	case ir.OpInput:
 		if kb := d.bitOf[id]; kb >= 0 {
@@ -150,7 +147,7 @@ func (d *KeyTaint) Transfer(id int, get func(int) KeySet) KeySet {
 	}
 	out := KeySet{}
 	for _, f := range d.p.FaninSpan(id) {
-		out = d.Join(out, get(int(f)))
+		out = d.Join(out, vals[f])
 	}
 	return out
 }

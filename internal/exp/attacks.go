@@ -233,7 +233,7 @@ func AttackStudy(opts AttackStudyOptions) ([]AttackRow, error) {
 // linearly separable at an output (key-leak findings). Weighted locking
 // should taint every output and leak nothing.
 func taintSummary(prog *ir.Program, c *netlist.Circuit) string {
-	taint := dataflow.Run[dataflow.KeySet](prog, dataflow.NewKeyTaint(prog), dataflow.Options{Workers: 1})
+	taint := dataflow.Run[dataflow.KeySet](prog, dataflow.NewKeyTaint(prog))
 	tainted := 0
 	for _, o := range prog.POs {
 		if !taint[o].Empty() {
