@@ -3,6 +3,7 @@
 package audit_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -117,6 +118,68 @@ func TestRemovabilityCleanOnLiveKey(t *testing.T) {
 	rep := mustAudit(t, c)
 	if fs := rep.ByRule(audit.RuleKeyRemovable); len(fs) != 0 {
 		t.Fatalf("key-removable fired on a live key bit:\n%s", rep)
+	}
+}
+
+// Every key-removable and key-leak finding must land on its own key
+// bit, whichever 64-bit slice of the pair domain carries the bit. Each
+// of 130 key bits gets one of four shapes, and the expected findings
+// follow from the shape alone.
+func TestRemovabilityAcrossKeySlices(t *testing.T) {
+	c := netlist.New("slices")
+	a := addIn(t, c, "a")
+	b := addIn(t, c, "b")
+	zero, err := c.AddConst(false, "zero")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		rule string
+		sev  check.Severity
+		bit  int
+		node int
+	}
+	want := map[key]bool{}
+	for i := 0; i < 130; i++ {
+		k := addKey(t, c, fmt.Sprintf("keyinput%d", i))
+		gate := func(typ netlist.GateType, prefix string, fanin ...int) int {
+			return c.MustAddGate(typ, fmt.Sprintf("%s%d", prefix, i), fanin...)
+		}
+		switch i % 4 {
+		case 0: // leaks at x; AND with constant 0 absorbs it at h
+			x := gate(netlist.Xor, "x", a, k)
+			h := gate(netlist.And, "h", x, zero)
+			markOut(t, c, x, gate(netlist.Or, "o", h, b))
+			want[key{audit.RuleKeyLeak, check.Warning, i, x}] = true
+			want[key{audit.RuleKeyRemovable, check.Warning, i, h}] = true
+		case 1: // XOR(k, k) absorbs it, so no output depends on it
+			g := gate(netlist.Xor, "g", k, k)
+			markOut(t, c, gate(netlist.And, "o", a, g))
+			want[key{audit.RuleKeyRemovable, check.Warning, i, g}] = true
+			want[key{audit.RuleKeyRemovable, check.Error, i, k}] = true
+		case 2: // dead key material
+			want[key{audit.RuleKeyRemovable, check.Warning, i, k}] = true
+		case 3: // live, without either proof
+			markOut(t, c, gate(netlist.And, "o", a, k))
+		}
+	}
+
+	rep := mustAudit(t, c)
+	got := map[key]bool{}
+	for _, f := range rep.Findings {
+		if f.Rule == audit.RuleKeyRemovable || f.Rule == audit.RuleKeyLeak {
+			got[key{f.Rule, f.Sev, f.KeyBit, f.Node}] = true
+		}
+	}
+	for k := range want {
+		if !got[k] {
+			t.Errorf("missing %s %v on key bit %d at %q", k.rule, k.sev, k.bit, c.NameOf(k.node))
+		}
+	}
+	for k := range got {
+		if !want[k] {
+			t.Errorf("unexpected %s %v on key bit %d at %q", k.rule, k.sev, k.bit, c.NameOf(k.node))
+		}
 	}
 }
 
