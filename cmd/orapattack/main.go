@@ -176,7 +176,7 @@ func main() {
 	fmt.Printf("recovered key: %s\n", bits(res.Key))
 	ok, err := attack.VerifyKey(locked, orig, res.Key)
 	fatal(err)
-	fmt.Printf("key correct:   %v (SAT equivalence check)\n", ok)
+	fmt.Printf("key correct:   %v (strash/SAT equivalence check)\n", ok)
 	if !ok {
 		dis, err := attack.SampleDisagreement(locked, res.Key, mustComb(orig), 512, rng.New(*seed+99))
 		fatal(err)

@@ -314,7 +314,7 @@ func KeyEquivalence(locked, original *netlist.Circuit, key []bool, opts ExactOpt
 	}
 
 	// Shared variable order over the primary inputs, seeded from the
-	// locked program's level schedule; the keys become constants.
+	// locked program's level-monotone order; the keys become constants.
 	piIdx := make(map[int32]int, len(lp.PIs))
 	for i, id := range lp.PIs {
 		piIdx[id] = i

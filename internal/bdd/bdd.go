@@ -34,7 +34,7 @@
 //     of hanging on an exponential cone. A tripped Manager stays
 //     usable for reads and for further (re-failing) operations.
 //   - Variable order comes from the caller; InputOrder seeds it from
-//     the ir.Program level schedule (see compile.go).
+//     the ir.Program's level-monotone order (see compile.go).
 //
 // The package has no dependencies beyond the standard library and
 // internal/ir, and a Manager is single-goroutine by design (callers

@@ -18,7 +18,7 @@ import (
 // declaration order of ir.Program.Inputs) sorted into the BDD variable
 // order: ascending by the earliest topological position of any gate
 // the input drives. The program's Order is level-monotone, so this
-// seeds the variable order from the level schedule — inputs feeding
+// seeds the variable order by logic depth — inputs feeding
 // shallow logic test first, which keeps the intermediate diagrams of a
 // levelized compile narrow. Inputs driving nothing sort last; ties
 // break on declaration order, so the result is deterministic.

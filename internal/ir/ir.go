@@ -6,8 +6,8 @@
 // gates in a slice of structs with per-gate fanin slices, plus names,
 // source lines and the I/O lists. ir.Compile flattens a finished circuit
 // once into a Program — CSR-style fanin and fanout arrays, a compact
-// opcode table, a precomputed topological order with its level
-// schedule, and PI/key/PO index maps — and the simulator, fault
+// opcode table, a precomputed level-monotone topological order with
+// node levels, and PI/key/PO index maps — and the simulator, fault
 // simulator, CNF encoder, AIG conversion, ATPG, the lockers and the
 // checker all ask that flat view their graph questions. A Program is never modified after Compile
 // returns, so any number of goroutines can evaluate it concurrently
@@ -24,10 +24,9 @@
 //     fanins. It is Kahn's algorithm with a FIFO queue seeded with the
 //     zero-fanin nodes in ID order, so CNF variable numbering, AIG
 //     construction and bench.Format's gate order are reproducible.
-//   - Order is level-monotone: node levels are non-decreasing along it.
-//     LevelStart records the level boundaries, so Order doubles as a
-//     wavefront schedule (all nodes of one level may be evaluated in
-//     parallel once the previous level is done).
+//   - Order is level-monotone: node levels are non-decreasing along it,
+//     so a node's position ranks it by depth (bdd.InputOrder relies on
+//     this).
 //   - Fanins preserves pin order; Fanouts mirrors every fanin edge in
 //     sink-ID order, with duplicate edges kept.
 package ir
@@ -93,10 +92,6 @@ type Program struct {
 	// Level is the logic level of every node (inputs and constants 0,
 	// gates 1 + max fanin level).
 	Level []int32
-	// LevelStart indexes Order by level: the nodes of level l are
-	// Order[LevelStart[l]:LevelStart[l+1]]; len(LevelStart) is the
-	// number of levels + 1.
-	LevelStart []int32
 
 	// PIs, Keys and POs hold the primary-input, key-input and
 	// primary-output node IDs in declaration order. Inputs is PIs
@@ -249,8 +244,8 @@ func Compile(c *netlist.Circuit) (*Program, error) {
 		return nil, &DefectError{Circuit: c.Name, Defects: defects}
 	}
 
-	// Positions, levels and the level schedule over Order.
-	maxLevel := int32(0)
+	// Positions and levels over Order, which Kahn's FIFO keeps
+	// level-monotone.
 	for i, id := range p.Order {
 		p.Pos[id] = int32(i)
 		lv := int32(0)
@@ -260,23 +255,9 @@ func Compile(c *netlist.Circuit) (*Program, error) {
 			}
 		}
 		p.Level[id] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	p.LevelStart = make([]int32, maxLevel+2)
-	prev := int32(-1)
-	for i, id := range p.Order {
-		lv := p.Level[id]
-		if lv < prev {
+		if i > 0 && lv < p.Level[p.Order[i-1]] {
 			return nil, fmt.Errorf("ir: internal error: order of %q not level-monotone at position %d", c.Name, i)
 		}
-		for ; prev < lv; prev++ {
-			p.LevelStart[prev+1] = int32(i)
-		}
-	}
-	for ; prev <= maxLevel; prev++ {
-		p.LevelStart[prev+1] = int32(n)
 	}
 
 	p.PIs = toInt32(c.PIs)
@@ -438,9 +419,6 @@ func (p *Program) NumKeys() int { return len(p.Keys) }
 
 // NumOutputs returns the primary output count.
 func (p *Program) NumOutputs() int { return len(p.POs) }
-
-// NumLevels returns the number of logic levels (depth + 1).
-func (p *Program) NumLevels() int { return len(p.LevelStart) - 1 }
 
 // Depth returns the maximum logic level across primary outputs.
 func (p *Program) Depth() int {

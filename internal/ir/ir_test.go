@@ -157,18 +157,13 @@ func toInts(ids []int32) []int {
 	return out
 }
 
-// TestLevelSchedule checks that LevelStart partitions Order into
-// contiguous, level-monotone wavefronts.
-func TestLevelSchedule(t *testing.T) {
+// TestOrderLevelMonotone checks that node levels never decrease along
+// Order, which bdd.InputOrder relies on to rank inputs by depth.
+func TestOrderLevelMonotone(t *testing.T) {
 	p := ir.MustCompile(testCircuit(t))
-	if p.LevelStart[0] != 0 || int(p.LevelStart[p.NumLevels()]) != p.NumNodes() {
-		t.Fatalf("level schedule does not span the order: %v", p.LevelStart)
-	}
-	for l := 0; l < p.NumLevels(); l++ {
-		for _, id := range p.Order[p.LevelStart[l]:p.LevelStart[l+1]] {
-			if int(p.Level[id]) != l {
-				t.Fatalf("node %d scheduled at level %d but has level %d", id, l, p.Level[id])
-			}
+	for i := 1; i < len(p.Order); i++ {
+		if p.Level[p.Order[i]] < p.Level[p.Order[i-1]] {
+			t.Fatalf("level falls from %d to %d at order position %d", p.Level[p.Order[i-1]], p.Level[p.Order[i]], i)
 		}
 	}
 }
