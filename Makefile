@@ -72,15 +72,16 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'Serial|Parallel' -benchtime 3x .
 	$(GO) test -run '^$$' -bench 'CloneRelease|ForProgramNoPool' -benchmem ./internal/sim
 
-# One-iteration compile-and-run pass over the SAT-engine, dataflow, and
-# vet benchmarks: the legacy-vs-COI miter attack pair, the key
+# One-iteration compile-and-run pass over the SAT-engine, ATPG, dataflow,
+# and vet benchmarks: the legacy-vs-COI miter attack pair, the key
 # equivalence check under correct and wrong keys, the propagation
-# microbench, the five-domain fixpoint sweep (the pair domain once per
-# 64-key slice, as the audit runs it), and a full secret-flow analysis
-# of the orapvet fixture module. Catches benchmark bit-rot in CI without
-# paying for stable timings.
+# microbench, the SAT-ATPG campaign on the tables workload's costliest
+# locked designs, the five-domain fixpoint sweep (the pair domain once
+# per 64-key slice, as the audit runs it), and a full secret-flow
+# analysis of the orapvet fixture module. Catches benchmark bit-rot in CI
+# without paying for stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SATAttack|VerifyKey|SolverPropagate|Dataflow|BDDCompile|ExactCorrupt|VetModule' -benchtime 1x ./internal/attack ./internal/sat ./internal/dataflow ./internal/bdd ./internal/audit ./internal/vet
+	$(GO) test -run '^$$' -bench 'SATAttack|VerifyKey|SolverPropagate|ATPG|Dataflow|BDDCompile|ExactCorrupt|VetModule' -benchtime 1x ./internal/attack ./internal/sat ./internal/atpg ./internal/dataflow ./internal/bdd ./internal/audit ./internal/vet
 
 # Machine-readable oracle-channel benchmarks: the serial-vs-batched pairs
 # (scan protocol, disagreement sampling, AppSAT settlement) plus the

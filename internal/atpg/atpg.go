@@ -3,9 +3,12 @@
 //
 // The generator is SAT-based rather than PODEM-based: for every target
 // fault it encodes the good and faulty circuits (restricted to the
-// fault's cone of influence) sharing their inputs, asserts that some
-// reachable output differs, and asks the CDCL solver for a pattern. The
-// classification matches the classic ATPG vocabulary exactly:
+// fault's cone of influence) sharing their inputs, and asserts with a
+// TEGUS-style D-chain (encodeFaultCone) that a difference runs from the
+// fault site along fanouts to some output. Handing CDCL that path
+// structure up front refutes redundant faults, most of what ATPG targets
+// after the random phase, in a few conflicts each. The classification
+// matches the classic ATPG vocabulary exactly:
 //
 //   - SAT        → a test pattern (returned and fault-simulated),
 //   - UNSAT      → the fault is provably redundant,
@@ -18,7 +21,9 @@
 // A campaign reuses the fault simulator's compiled program and encodes
 // every fault cone from the flat IR view;
 // the Tseitin clauses themselves come from cnf.EmitGate, so the ATPG and
-// attack SAT paths share one gate encoding.
+// attack SAT paths share one gate encoding. Each generated pattern is
+// fault-simulated once against every fault still undetected, which
+// drops the faults it also detects.
 package atpg
 
 import (
@@ -103,7 +108,7 @@ func generate(prog *ir.Program, f faultsim.Fault, opts Options) (Outcome, error)
 	}
 	pattern := make([]bool, len(prog.Inputs))
 	for i, id := range prog.Inputs {
-		if v := enc.inputVar[int(id)]; v >= 0 {
+		if v := enc.good[id]; v >= 0 {
 			pattern[i] = s.Value(v) == sat.True
 		}
 		// Inputs outside the cone stay false; any value works.
@@ -114,13 +119,71 @@ func generate(prog *ir.Program, f faultsim.Fault, opts Options) (Outcome, error)
 // coneEncoding carries the variable maps of the restricted good/faulty
 // encoding.
 type coneEncoding struct {
-	inputVar map[int]sat.Var // circuit input node -> shared variable
+	// good and faulty map each node of the cone to its variable in the
+	// good and the faulty copy (-1 outside the cone). The copies share
+	// one variable outside the influenced region.
+	good, faulty []sat.Var
+	// influenced marks the fault node's transitive fanout.
+	influenced []bool
 }
 
-// encodeFaultCone adds CNF for the good and faulty circuit restricted to
-// the union of the fault's output cone and that cone's input support,
-// sharing input variables, and asserts that an observed output differs.
+// encodeFaultCone encodes the fault's good/faulty copies (encodeCopies)
+// and asserts, with a D-chain (TEGUS: Stephan, Brayton and
+// Sangiovanni-Vincentelli, IEEE TCAD 1996), that the fault effect
+// travels from the fault site to an output. Every influenced node n gets
+// a variable d_n with
+//
+//	d_n → good_n ≠ faulty_n,
+//	d_n → d_m for some fanout m of n, unless n is an output,
+//	d_site.
+//
+// The formula is satisfiable exactly when the fault is testable. A test
+// makes some output differ, and a difference enters the faulty copy only
+// at the site, so a path of differing nodes runs from the site to that
+// output; setting d on that path alone satisfies the chain. Conversely a
+// model's chain starts at the site and, the region being acyclic, ends at
+// an output whose copies differ, so its inputs form a test. A fault with
+// no output in its fanout is refuted by unit propagation alone.
 func encodeFaultCone(s *sat.Solver, prog *ir.Program, f faultsim.Fault) (*coneEncoding, error) {
+	enc, err := encodeCopies(s, prog, f)
+	if err != nil {
+		return nil, err
+	}
+	isPO := make([]bool, prog.NumNodes())
+	for _, o := range prog.POs {
+		isPO[o] = true
+	}
+	d := make([]sat.Lit, prog.NumNodes())
+	for id, in := range enc.influenced {
+		if in {
+			d[id] = sat.MkLit(s.NewVar(), false)
+		}
+	}
+	var next []sat.Lit
+	for id, in := range enc.influenced {
+		if !in {
+			continue
+		}
+		g, fv := sat.MkLit(enc.good[id], false), sat.MkLit(enc.faulty[id], false)
+		s.AddClause(d[id].Not(), g, fv)
+		s.AddClause(d[id].Not(), g.Not(), fv.Not())
+		if isPO[id] {
+			continue
+		}
+		next = append(next[:0], d[id].Not())
+		for _, fo := range prog.FanoutSpan(id) {
+			next = append(next, d[fo])
+		}
+		s.AddClause(next...)
+	}
+	s.AddClause(d[f.Node])
+	return enc, nil
+}
+
+// encodeCopies adds CNF for the good and faulty circuit restricted to the
+// union of the fault's output cone and that cone's input support, sharing
+// input variables. It asserts nothing about the outputs.
+func encodeCopies(s *sat.Solver, prog *ir.Program, f faultsim.Fault) (*coneEncoding, error) {
 	if f.Node < 0 || f.Node >= prog.NumNodes() {
 		return nil, fmt.Errorf("atpg: fault node %d out of range", f.Node)
 	}
@@ -152,7 +215,7 @@ func encodeFaultCone(s *sat.Solver, prog *ir.Program, f faultsim.Fault) (*coneEn
 		goodVar[i] = -1
 		faultVar[i] = -1
 	}
-	enc := &coneEncoding{inputVar: make(map[int]sat.Var)}
+	enc := &coneEncoding{good: goodVar, faulty: faultVar, influenced: influenced}
 
 	lits := func(vars []sat.Var, ids []int32) []sat.Lit {
 		ls := make([]sat.Lit, len(ids))
@@ -172,9 +235,7 @@ func encodeFaultCone(s *sat.Solver, prog *ir.Program, f faultsim.Fault) (*coneEn
 		// Good copy.
 		gv := s.NewVar()
 		goodVar[id] = gv
-		if op == ir.OpInput {
-			enc.inputVar[id] = gv
-		} else {
+		if op != ir.OpInput {
 			if err := cnf.EmitGate(s, op, sat.MkLit(gv, false), lits(goodVar, fanin)); err != nil {
 				return nil, err
 			}
@@ -210,23 +271,6 @@ func encodeFaultCone(s *sat.Solver, prog *ir.Program, f faultsim.Fault) (*coneEn
 			}
 		}
 	}
-
-	// Some observed output in the influenced region must differ.
-	var diffs []sat.Lit
-	for _, o := range prog.POs {
-		if !influenced[o] {
-			continue
-		}
-		d := sat.MkLit(s.NewVar(), false)
-		cnf.EmitXor2(s, d, sat.MkLit(goodVar[o], false), sat.MkLit(faultVar[o], false))
-		diffs = append(diffs, d)
-	}
-	if len(diffs) == 0 {
-		// Fault effect cannot reach any output: structurally redundant.
-		s.AddClause() // empty clause: force UNSAT
-		return enc, nil
-	}
-	s.AddClause(diffs...)
 	return enc, nil
 }
 
@@ -258,17 +302,17 @@ func (s Summary) RedundantPlusAborted() int { return s.Redundant + s.Aborted }
 // Run performs the full Table II flow on a circuit: collapse the fault
 // list, drop the easy faults with `randomBlocks` blocks of random-pattern
 // fault simulation (the HOPE step), then target every remaining fault
-// with the SAT generator. Each generated pattern is fault-simulated with
-// dropping so later faults skip generation when already covered. The
-// fault simulator's compiled program is reused for every cone encoding,
-// so the circuit is never recompiled per fault.
+// with the SAT generator. Each generated pattern is fault-simulated once
+// against the whole live list, so faults it also detects skip
+// generation; a pattern that does not detect its own target is an error.
+// The fault simulator's compiled program is reused for every cone
+// encoding, so the circuit is never recompiled per fault.
 func Run(c *netlist.Circuit, fsim *faultsim.Simulator, randomResult faultsim.Result, opts Options) (Summary, error) {
 	prog := fsim.Program()
 	sum := Summary{Total: randomResult.Total, Detected: randomResult.Detected}
 	live := append([]faultsim.Fault(nil), randomResult.Remaining...)
 	for len(live) > 0 {
 		f := live[0]
-		live = live[1:]
 		out, err := generate(prog, f, opts)
 		if err != nil {
 			return sum, err
@@ -277,19 +321,24 @@ func Run(c *netlist.Circuit, fsim *faultsim.Simulator, randomResult faultsim.Res
 		switch out.Class {
 		case Redundant:
 			sum.Redundant++
+			live = live[1:]
 		case Aborted:
 			sum.Aborted++
+			live = live[1:]
 		case Detected:
-			sum.Detected++
 			sum.Patterns = append(sum.Patterns, out.Pattern)
-			// Drop any other live fault the new pattern detects.
+			// The target heads the list; drop every fault the pattern
+			// detects, the target included.
+			hit, err := fsim.DetectsEach(live, out.Pattern)
+			if err != nil {
+				return sum, err
+			}
+			if !hit[0] {
+				return sum, fmt.Errorf("atpg: generated pattern does not detect %v", f)
+			}
 			kept := live[:0]
-			for _, g := range live {
-				hit, err := fsim.DetectsWithPattern(g, out.Pattern)
-				if err != nil {
-					return sum, err
-				}
-				if hit {
+			for i, g := range live {
+				if hit[i] {
 					sum.Detected++
 				} else {
 					kept = append(kept, g)

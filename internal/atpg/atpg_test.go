@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"testing"
 
 	"orap/internal/circuits"
@@ -140,24 +141,63 @@ func TestRunFlowOnLockedCircuitKeyInputsControllable(t *testing.T) {
 	}
 }
 
-func TestAbortedOnTinyBudget(t *testing.T) {
-	// A wide parity cone with a 1-conflict budget should abort at least
-	// one fault (XOR cones admit no easy implications).
-	c := circuits.Parity(24)
-	faults := faultsim.CollapseFaults(c)
-	prog := ir.MustCompile(c)
-	aborted := 0
-	for _, f := range faults[:8] {
-		out, err := generate(prog, f, Options{ConflictBudget: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Class == Aborted {
-			aborted++
-		}
+// reversedParityMiter XORs two n-input parity chains that sum the same
+// inputs in opposite orders. Its output is constant 0, so the output's
+// s-a-0 fault is redundant, but proving it means proving the chains
+// equivalent, which takes the solver conflicts under the D-chain as under
+// the XOR miter.
+func reversedParityMiter(n int) (*netlist.Circuit, faultsim.Fault) {
+	c := netlist.New("parity-miter")
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i], _ = c.AddInput(fmt.Sprintf("x%d", i))
 	}
-	if aborted == 0 {
-		t.Skip("solver resolved all parity faults without conflicts; budget path not exercised")
+	up, down := xs[0], xs[n-1]
+	for i := 1; i < n; i++ {
+		up = c.MustAddGate(netlist.Xor, fmt.Sprintf("u%d", i), up, xs[i])
+		down = c.MustAddGate(netlist.Xor, fmt.Sprintf("d%d", i), down, xs[n-1-i])
+	}
+	y := c.MustAddGate(netlist.Xor, "y", up, down)
+	c.MarkOutput(y)
+	return c, faultsim.Fault{Node: y, Pin: -1, SA1: false}
+}
+
+func TestAbortedOnTinyBudget(t *testing.T) {
+	c, f := reversedParityMiter(8)
+	prog := ir.MustCompile(c)
+	out, err := generate(prog, f, Options{ConflictBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Class != Aborted {
+		t.Fatalf("%v at a 1-conflict budget classified %v, want aborted", f, out.Class)
+	}
+	out, err = generate(prog, f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Class != Redundant || out.Solver.Conflicts <= 1 {
+		t.Fatalf("%v at the default budget: %v after %d conflicts, want redundant after more than one",
+			f, out.Class, out.Solver.Conflicts)
+	}
+
+	// A whole campaign at that budget: every fault is still accounted
+	// for exactly once.
+	sim, err := faultsim.ForProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand := sim.RunRandom(faultsim.CollapseFaults(c), 0, rng.New(1))
+	sum, err := Run(c, sim, rand, Options{ConflictBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Aborted == 0 {
+		t.Fatalf("no fault aborted at a 1-conflict budget: %+v", sum)
+	}
+	if sum.Detected+sum.Redundant+sum.Aborted != sum.Total {
+		t.Fatalf("detected %d + redundant %d + aborted %d != total %d",
+			sum.Detected, sum.Redundant, sum.Aborted, sum.Total)
 	}
 }
 

@@ -344,12 +344,14 @@ func (s *Simulator) RunRandom(faults []Fault, blocks int, r *rng.Stream) Result 
 	return res
 }
 
-// DetectsWithPattern reports whether the given single test pattern
-// (covering primary inputs then key inputs) detects the fault.
-func (s *Simulator) DetectsWithPattern(f Fault, pattern []bool) (bool, error) {
+// DetectsEach fault-simulates one test pattern (covering primary inputs
+// then key inputs) and reports, fault by fault, whether it detects each
+// of the given faults. The good circuit is evaluated once for the whole
+// list.
+func (s *Simulator) DetectsEach(faults []Fault, pattern []bool) ([]bool, error) {
 	ins := s.prog.Inputs
 	if len(pattern) != len(ins) {
-		return false, fmt.Errorf("faultsim: pattern width %d != inputs %d", len(pattern), len(ins))
+		return nil, fmt.Errorf("faultsim: pattern width %d != inputs %d", len(pattern), len(ins))
 	}
 	for i, id := range ins {
 		if pattern[i] {
@@ -359,7 +361,22 @@ func (s *Simulator) DetectsWithPattern(f Fault, pattern []bool) (bool, error) {
 		}
 	}
 	s.par.Run()
-	return s.simulateFault(f), nil
+	hit := make([]bool, len(faults))
+	for i, f := range faults {
+		hit[i] = s.simulateFault(f)
+	}
+	return hit, nil
+}
+
+// DetectsWithPattern reports whether the given single test pattern
+// (covering primary inputs then key inputs) detects the fault: the
+// one-fault case of DetectsEach.
+func (s *Simulator) DetectsWithPattern(f Fault, pattern []bool) (bool, error) {
+	hit, err := s.DetectsEach([]Fault{f}, pattern)
+	if err != nil {
+		return false, err
+	}
+	return hit[0], nil
 }
 
 // posHeap is a small binary min-heap of node IDs keyed by topological
