@@ -73,8 +73,8 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'CloneRelease|ForProgramNoPool' -benchmem ./internal/sim
 
 # One-iteration compile-and-run pass over the SAT-engine, ATPG, dataflow,
-# and vet benchmarks: the legacy-vs-COI miter attack pair, the key
-# equivalence check under correct and wrong keys, the propagation
+# and vet benchmarks: the SAT attack on the cone-of-influence miter, the
+# key equivalence check under correct and wrong keys, the propagation
 # microbench, the SAT-ATPG campaign on the tables workload's costliest
 # locked designs, the five-domain fixpoint sweep (the pair domain once
 # per 64-key slice, as the audit runs it), and a full secret-flow

@@ -3,11 +3,9 @@ package attack
 import (
 	"fmt"
 
-	"orap/internal/cnf"
 	"orap/internal/netlist"
 	"orap/internal/oracle"
 	"orap/internal/rng"
-	"orap/internal/sat"
 	"orap/internal/sim"
 )
 
@@ -45,9 +43,7 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 	if opts.SettleSamples <= 0 {
 		opts.SettleSamples = 64
 	}
-	s := sat.New()
-	s.MaxConflicts = opts.MaxConflicts
-	m, err := cnf.NewMiter(s, locked)
+	m, err := newMiter(locked, o, opts.MaxConflicts)
 	if err != nil {
 		return nil, err
 	}
@@ -59,31 +55,20 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 	}
 	defer ev.Release()
 	res := &Result{}
-	defer res.finish(o, s)
+	defer res.finish(o, m.S)
 	maxIter := opts.iterations(10000)
-
-	currentKey := func() ([]bool, error) {
-		satisfiable, err := s.Solve(m.AssumeNoDiff())
-		if err != nil {
-			return nil, err
-		}
-		if !satisfiable {
-			return nil, fmt.Errorf("attack: observations inconsistent with locked netlist")
-		}
-		return m.ExtractKey1(), nil
-	}
 
 	for {
 		if res.Iterations >= maxIter {
 			return res, ErrIterationBudget
 		}
-		satisfiable, err := s.Solve(m.AssumeDiff())
+		satisfiable, err := m.S.Solve(m.AssumeDiff())
 		if err != nil {
 			return res, err
 		}
 		if !satisfiable {
 			// Exact convergence, as in the plain SAT attack.
-			key, err := currentKey()
+			key, err := consistentKey(m, m.AssumeNoDiff())
 			if err != nil {
 				return res, err
 			}
@@ -106,7 +91,7 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 		}
 		// Settlement: estimate error of the current candidate key on
 		// random queries, reinforcing each disagreement as a constraint.
-		key, err := currentKey()
+		key, err := consistentKey(m, m.AssumeNoDiff())
 		if err != nil {
 			return res, err
 		}

@@ -4,8 +4,9 @@
 //   - the SAT attack of Subramanyan, Ray and Malik (HOST'15),
 //   - Double DIP (Shen & Zhou, GLSVLSI'17), a strengthened DIP search,
 //   - AppSAT (Shamsi et al., HOST'17), approximate deobfuscation,
-//   - the hill-climbing attack (Plaza & Markov, TC'15), and
-//   - key sensitization (Yasin et al., TCAD'16).
+//   - the hill-climbing attack (Plaza & Markov, TC'15),
+//   - key sensitization (Yasin et al., TCAD'16), and
+//   - the bypass attack (Xu et al., CHES'17).
 //
 // Every attack sees the locked netlist plus a black-box oracle.Oracle.
 // Against an unprotected chip (oracle.Comb) they recover the key or an
@@ -19,6 +20,7 @@ import (
 	"math/bits"
 
 	"orap/internal/aig"
+	"orap/internal/cnf"
 	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/oracle"
@@ -86,6 +88,46 @@ func (b Budgets) iterations(def int) int {
 // ErrIterationBudget reports that an attack hit its round limit without
 // converging.
 var ErrIterationBudget = fmt.Errorf("attack: iteration budget exhausted")
+
+// checkOracle rejects an oracle whose input or output width differs from
+// the locked circuit's. Every oracle-guided attack calls it before its
+// first query.
+func checkOracle(locked *netlist.Circuit, o oracle.Oracle) error {
+	if o.NumInputs() != locked.NumInputs() || o.NumOutputs() != locked.NumOutputs() {
+		return fmt.Errorf("attack: oracle shape %d/%d does not match circuit %d/%d",
+			o.NumInputs(), o.NumOutputs(), locked.NumInputs(), locked.NumOutputs())
+	}
+	return nil
+}
+
+// newMiter checks the oracle's shape and encodes the locked circuit's
+// miter on a fresh solver bounded by maxConflicts (0 = unlimited).
+func newMiter(locked *netlist.Circuit, o oracle.Oracle, maxConflicts int64) (*cnf.Miter, error) {
+	if err := checkOracle(locked, o); err != nil {
+		return nil, err
+	}
+	s := sat.New()
+	s.MaxConflicts = maxConflicts
+	return cnf.NewMiter(s, locked)
+}
+
+// consistentKey solves m's solver under assumps, which must disable every
+// disequality, and returns key copy 1: a key that reproduces every
+// recorded observation.
+func consistentKey(m *cnf.Miter, assumps ...sat.Lit) ([]bool, error) {
+	satisfiable, err := m.S.Solve(assumps...)
+	if err != nil {
+		return nil, err
+	}
+	if !satisfiable {
+		// No key satisfies the observations: the "oracle" responses are
+		// inconsistent with the locked netlist's key space. This is the
+		// OraP signature when the protected chip answers queries with a
+		// cleared key register that the netlist models differently.
+		return nil, fmt.Errorf("attack: observations inconsistent with locked netlist (no candidate key)")
+	}
+	return m.ExtractKey1(), nil
+}
 
 // VerifyKey reports whether the locked circuit under the candidate key is
 // functionally equivalent to the reference (original) circuit: true when

@@ -418,3 +418,67 @@ func evalLocked(t *testing.T, l *lock.Locked, x, key []bool) ([]bool, error) {
 func simEval(c *netlist.Circuit, x, key []bool) ([]bool, error) {
 	return sim.Eval(c, x, key)
 }
+
+// TestAttacksRejectOracleShape runs every oracle-guided attack against an
+// oracle with more outputs than the locked circuit and against one with
+// fewer: each must return an error before its first query.
+func TestAttacksRejectOracleShape(t *testing.T) {
+	attacks := []struct {
+		name string
+		run  func(locked *netlist.Circuit, o oracle.Oracle) error
+	}{
+		{"SAT", func(c *netlist.Circuit, o oracle.Oracle) error {
+			_, err := SAT(c, o, Budgets{})
+			return err
+		}},
+		{"DoubleDIP", func(c *netlist.Circuit, o oracle.Oracle) error {
+			_, err := DoubleDIP(c, o, Budgets{})
+			return err
+		}},
+		{"AppSAT", func(c *netlist.Circuit, o oracle.Oracle) error {
+			_, err := AppSAT(c, o, AppSATOptions{Rand: rng.New(1)})
+			return err
+		}},
+		{"HillClimb", func(c *netlist.Circuit, o oracle.Oracle) error {
+			_, err := HillClimb(c, o, HillOptions{Rand: rng.New(1)})
+			return err
+		}},
+		{"Sensitize", func(c *netlist.Circuit, o oracle.Oracle) error {
+			_, err := Sensitize(c, o, SensitizeOptions{Rand: rng.New(1)})
+			return err
+		}},
+		{"Bypass", func(c *netlist.Circuit, o oracle.Oracle) error {
+			_, err := Bypass(c, o, make([]bool, c.NumKeys()), BypassOptions{})
+			return err
+		}},
+	}
+	// c17 and the 2-bit ripple adder both have five inputs; c17 has two
+	// outputs and the adder three.
+	shapes := []struct {
+		name           string
+		locked, oracle *netlist.Circuit
+	}{
+		{"more-outputs", circuits.C17(), circuits.RippleAdder(2)},
+		{"fewer-outputs", circuits.RippleAdder(2), circuits.C17()},
+	}
+	for _, sh := range shapes {
+		l, err := lock.RandomXOR(sh.locked, 3, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range attacks {
+			t.Run(sh.name+"/"+a.name, func(t *testing.T) {
+				o, err := oracle.NewComb(sh.oracle, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := a.run(l.Circuit, o); err == nil {
+					t.Fatal("mismatched oracle accepted")
+				}
+				if q := o.Queries(); q != 0 {
+					t.Fatalf("%d oracle queries before the shape error", q)
+				}
+			})
+		}
+	}
+}

@@ -24,9 +24,11 @@ type BypassOptions struct {
 type BypassResult struct {
 	// Key is the arbitrary (wrong) key the patched circuit applies.
 	Key []bool
-	// Patches maps the differing input patterns to their correct
-	// responses; the attacker realizes them as comparator-plus-mux bypass
-	// hardware around the locked chip.
+	// Patches maps each bypassed pattern of the key-support inputs (the
+	// inputs that reach a key-dependent output, rendered '0'/'1' in
+	// declaration order) to the outputs on which the oracle's answer
+	// differs from the circuit under Key; the attacker realizes them as
+	// comparator-plus-XOR bypass hardware around the locked chip.
 	Patches map[string][]bool
 	// OracleQueries counts oracle accesses.
 	OracleQueries int
@@ -34,6 +36,8 @@ type BypassResult struct {
 	// an oracle.Session; zero otherwise.
 	Channel oracle.ChannelStats
 
+	// support lists the key-support inputs (cnf.Miter.Support).
+	support []int
 	// eval runs the locked circuit on the miter's compiled program.
 	eval *sim.Evaluator
 }
@@ -51,10 +55,13 @@ type BypassResult struct {
 // queries return locked-circuit responses and the patched design remains
 // wrong — the same starvation as every other attack in this package.
 //
-// The enumeration uses a two-key miter: inputs where two independent key
-// copies can disagree over-approximate the inputs where the chosen key
-// can be wrong (for point-function defenses the set is the same, and
-// tight enumeration would need the correct key).
+// The enumeration runs on the SAT attack's cone-of-influence miter:
+// inputs where two independent key copies can disagree over-approximate
+// the inputs where the chosen key can be wrong (for point-function
+// defenses the set is the same, and tight enumeration would need the
+// correct key). Each pattern is blocked and patched on the key-support
+// inputs only, since the other inputs reach no key-dependent output: one
+// patch covers every completion of the pattern.
 func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts BypassOptions) (*BypassResult, error) {
 	if len(chosenKey) != locked.NumKeys() {
 		return nil, fmt.Errorf("attack: chosen key width %d != %d", len(chosenKey), locked.NumKeys())
@@ -62,14 +69,7 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 	if opts.MaxPatches <= 0 {
 		opts.MaxPatches = 64
 	}
-	s := sat.New()
-	s.MaxConflicts = opts.MaxConflicts
-	// The legacy (two-full-copy) miter on purpose: the enumeration blocks
-	// complete input patterns and the patch table is keyed by them, so
-	// every primary input must be constrained by the encoding. The
-	// cone-of-influence miter leaves key-unreachable inputs free and would
-	// re-discover the same disagreement cone once per don't-care pattern.
-	m, err := cnf.NewMiterLegacy(s, locked)
+	m, err := newMiter(locked, o, opts.MaxConflicts)
 	if err != nil {
 		return nil, err
 	}
@@ -77,12 +77,13 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 	// the miter enumerates every input where SOME key disagrees with the
 	// chosen one — a superset of the inputs where the chosen key is
 	// wrong.
-	if err := cnf.ConstrainBits(s, m.Key1, chosenKey); err != nil {
+	if err := cnf.ConstrainBits(m.S, m.Key1, chosenKey); err != nil {
 		return nil, err
 	}
 	res := &BypassResult{
 		Key:     append([]bool(nil), chosenKey...),
 		Patches: make(map[string][]bool),
+		support: m.Support,
 		eval:    sim.EvaluatorFor(m.Prog),
 	}
 	defer func() {
@@ -90,7 +91,7 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 		res.Channel = channelStats(o)
 	}()
 	for {
-		satisfiable, err := s.Solve(m.AssumeDiff())
+		satisfiable, err := m.S.Solve(m.AssumeDiff())
 		if err != nil {
 			return res, err
 		}
@@ -105,40 +106,49 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 		if err != nil {
 			return res, err
 		}
-		res.Patches[patternKey(x)] = y
-		// Block this input pattern and continue enumerating.
-		blocking := make([]sat.Lit, len(m.PIVars))
-		for i, v := range m.PIVars {
-			blocking[i] = sat.MkLit(v, x[i])
+		// The patch flips the outputs on which the oracle disagrees with
+		// the circuit under the chosen key.
+		flip, err := res.eval.Eval(x, res.Key)
+		if err != nil {
+			return res, err
 		}
-		s.AddClause(blocking...)
+		for j := range flip {
+			flip[j] = flip[j] != y[j]
+		}
+		res.Patches[res.patchKey(x)] = flip
+		// Block this pattern of the support inputs and continue enumerating.
+		blocking := make([]sat.Lit, len(m.Support))
+		for i, pi := range m.Support {
+			blocking[i] = sat.MkLit(m.PIVars[pi], x[pi])
+		}
+		m.S.AddClause(blocking...)
 	}
 	return res, nil
 }
 
 // Eval evaluates the patched design: the locked circuit under the chosen
-// key, with the patch table overriding the bypassed inputs. This is the
-// functional view of the attacker's bypass hardware. It runs on the
-// program the attack compiled; not safe for concurrent use.
+// key, with the patch for x's key-support pattern, if any, XORed onto the
+// outputs. This is the functional view of the attacker's bypass hardware.
+// It runs on the program the attack compiled; not safe for concurrent use.
 func (b *BypassResult) Eval(x []bool) ([]bool, error) {
-	if y, ok := b.Patches[patternKey(x)]; ok {
-		return append([]bool(nil), y...), nil
+	y, err := b.eval.Eval(x, b.Key)
+	if err != nil {
+		return nil, err
 	}
-	return b.eval.Eval(x, b.Key)
+	if flip, ok := b.Patches[b.patchKey(x)]; ok {
+		for j := range y {
+			y[j] = y[j] != flip[j]
+		}
+	}
+	return y, nil
 }
 
-// PatchHardwareGE estimates the bypass hardware in NAND2 gate
-// equivalents: per patched pattern, an input comparator (one XNOR per
-// input + AND tree) and one mux per output bit that differs.
-func (b *BypassResult) PatchHardwareGE(inputs, outputs int) float64 {
-	perPattern := 3.0*float64(inputs) + float64(inputs-1) + 3.0*float64(outputs)
-	return perPattern * float64(len(b.Patches))
-}
-
-func patternKey(x []bool) string {
-	out := make([]byte, len(x))
-	for i, b := range x {
-		if b {
+// patchKey renders x's key-support inputs in the '0'/'1' form the patch
+// table is keyed by.
+func (b *BypassResult) patchKey(x []bool) string {
+	out := make([]byte, len(b.support))
+	for i, pi := range b.support {
+		if x[pi] {
 			out[i] = '1'
 		} else {
 			out[i] = '0'

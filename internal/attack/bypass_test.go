@@ -5,6 +5,7 @@ import (
 
 	"orap/internal/circuits"
 	"orap/internal/lock"
+	"orap/internal/netlist"
 	"orap/internal/oracle"
 	"orap/internal/orap"
 	"orap/internal/rng"
@@ -140,10 +141,52 @@ func TestBypassValidatesKeyWidth(t *testing.T) {
 	}
 }
 
-func TestBypassPatchHardwareScalesWithPatches(t *testing.T) {
-	b := &BypassResult{Patches: map[string][]bool{"00000": nil, "00001": nil}}
-	one := &BypassResult{Patches: map[string][]bool{"00000": nil}}
-	if b.PatchHardwareGE(5, 2) != 2*one.PatchHardwareGE(5, 2) {
-		t.Fatal("patch hardware should be linear in patch count")
+// TestBypassPatchesOnlyKeySupport locks one of two disjoint cones with a
+// 2-bit SARLock. The enumeration must block and patch that cone's two
+// inputs only, finding the 2^2 - 1 distinguishing patterns once each
+// instead of once per assignment of the other cone's inputs.
+func TestBypassPatchesOnlyKeySupport(t *testing.T) {
+	orig := netlist.New("twocones")
+	a, _ := orig.AddInput("a")
+	b, _ := orig.AddInput("b")
+	c, _ := orig.AddInput("c")
+	d, _ := orig.AddInput("d")
+	orig.MarkOutput(orig.MustAddGate(netlist.And, "ab", a, b))
+	orig.MarkOutput(orig.MustAddGate(netlist.Or, "cd", c, d))
+	l, err := lock.SARLock(orig, 2, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := oracle.NewComb(orig, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := append([]bool(nil), l.Key...)
+	chosen[0] = !chosen[0]
+	res, err := Bypass(l.Circuit, o, chosen, BypassOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.support) != 2 {
+		t.Fatalf("%d support inputs, want 2 (the SARLocked cone's)", len(res.support))
+	}
+	if len(res.Patches) != 3 || res.OracleQueries != 3 {
+		t.Fatalf("%d patches from %d queries, want 3 and 3", len(res.Patches), res.OracleQueries)
+	}
+	for v := 0; v < 16; v++ {
+		x := make([]bool, 4)
+		for i := range x {
+			x[i] = v>>uint(i)&1 == 1
+		}
+		want, _ := sim.Eval(orig, x, nil)
+		got, err := res.Eval(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if want[j] != got[j] {
+				t.Fatalf("patched design wrong at %04b", v)
+			}
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package attack
 
 import (
-	"fmt"
-
 	"orap/internal/cnf"
 	"orap/internal/netlist"
 	"orap/internal/oracle"
@@ -30,16 +28,12 @@ const doubleDIPSettleSamples = 32
 // a couple of input patterns) after exponentially fewer queries than the
 // plain SAT attack.
 func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, error) {
-	if o.NumInputs() != locked.NumInputs() || o.NumOutputs() != locked.NumOutputs() {
-		return nil, fmt.Errorf("attack: oracle shape mismatch")
-	}
-	s := sat.New()
-	s.MaxConflicts = b.MaxConflicts
 	// Two miters sharing the primary inputs: (k1,k2) and (k3,k4).
-	m1, err := cnf.NewMiter(s, locked)
+	m1, err := newMiter(locked, o, b.MaxConflicts)
 	if err != nil {
 		return nil, err
 	}
+	s := m1.S
 	m2, err := cnf.NewMiterShared(s, m1)
 	if err != nil {
 		return nil, err
@@ -112,14 +106,10 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 		// it) disagrees with the oracle on a large fraction of inputs and is
 		// caught here; each disagreement is reinforced as an IO constraint
 		// and the search resumes. Point-function tails settle clean.
-		satisfiable, err := s.Solve(m1.AssumeNoDiff(), m2.AssumeNoDiff(), sat.MkLit(actPair, true))
+		key, err := consistentKey(m1, m1.AssumeNoDiff(), m2.AssumeNoDiff(), sat.MkLit(actPair, true))
 		if err != nil {
 			return res, err
 		}
-		if !satisfiable {
-			return res, fmt.Errorf("attack: observations inconsistent with locked netlist (no candidate key)")
-		}
-		key := m1.ExtractKey1()
 		bad, err := disagreements(ev, key, o, doubleDIPSettleSamples, settleRand, record)
 		if err != nil {
 			return res, err

@@ -35,6 +35,9 @@ func HillClimb(locked *netlist.Circuit, o oracle.Oracle, opts HillOptions) (*Res
 	if opts.Rand == nil {
 		return nil, fmt.Errorf("attack: HillClimb requires a random stream")
 	}
+	if err := checkOracle(locked, o); err != nil {
+		return nil, err
+	}
 	if opts.Patterns <= 0 {
 		opts.Patterns = 256
 	}

@@ -1,12 +1,8 @@
 package attack
 
 import (
-	"fmt"
-
-	"orap/internal/cnf"
 	"orap/internal/netlist"
 	"orap/internal/oracle"
-	"orap/internal/sat"
 )
 
 // SAT runs the oracle-guided SAT attack: repeatedly solve the miter for a
@@ -17,29 +13,15 @@ import (
 // cone-of-influence form (cnf.NewMiter), which duplicates only
 // key-reachable logic.
 func SAT(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, error) {
-	return satWithMiter(locked, o, b, cnf.NewMiter)
-}
-
-// satWithMiter is the SAT attack parameterized by the miter construction,
-// so the benchmark suite can pit the cone-of-influence encoding against
-// the legacy two-full-copy encoding on identical attack runs.
-func satWithMiter(locked *netlist.Circuit, o oracle.Oracle, b Budgets,
-	newMiter func(*sat.Solver, *netlist.Circuit) (*cnf.Miter, error)) (*Result, error) {
-	if o.NumInputs() != locked.NumInputs() || o.NumOutputs() != locked.NumOutputs() {
-		return nil, fmt.Errorf("attack: oracle shape %d/%d does not match circuit %d/%d",
-			o.NumInputs(), o.NumOutputs(), locked.NumInputs(), locked.NumOutputs())
-	}
-	s := sat.New()
-	s.MaxConflicts = b.MaxConflicts
-	m, err := newMiter(s, locked)
+	m, err := newMiter(locked, o, b.MaxConflicts)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	defer res.finish(o, s)
+	defer res.finish(o, m.S)
 	maxIter := b.iterations(10000)
 	for {
-		satisfiable, err := s.Solve(m.AssumeDiff())
+		satisfiable, err := m.S.Solve(m.AssumeDiff())
 		if err != nil {
 			return res, err
 		}
@@ -60,18 +42,11 @@ func satWithMiter(locked *netlist.Circuit, o oracle.Oracle, b Budgets,
 		res.Iterations++
 	}
 	// Extract a consistent key with the disequality disabled.
-	satisfiable, err := s.Solve(m.AssumeNoDiff())
+	key, err := consistentKey(m, m.AssumeNoDiff())
 	if err != nil {
 		return res, err
 	}
-	if !satisfiable {
-		// No key satisfies the observations: the "oracle" responses are
-		// inconsistent with the locked netlist's key space. This is the
-		// OraP signature when the protected chip answers queries with a
-		// cleared key register that the netlist models differently.
-		return res, fmt.Errorf("attack: observations inconsistent with locked netlist (no candidate key)")
-	}
-	res.Key = m.ExtractKey1()
+	res.Key = key
 	res.Converged = true
 	return res, nil
 }

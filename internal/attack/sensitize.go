@@ -44,6 +44,9 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 	if opts.Rand == nil {
 		return nil, fmt.Errorf("attack: Sensitize requires a random stream")
 	}
+	if err := checkOracle(locked, o); err != nil {
+		return nil, err
+	}
 	if opts.VerifySamples <= 0 {
 		opts.VerifySamples = 16
 	}

@@ -18,8 +18,11 @@ import (
 func solveWithInputs(t *testing.T, c *netlist.Circuit, pattern []bool) []bool {
 	t.Helper()
 	s := sat.New()
-	inst, err := EncodeProgram(s, ir.MustCompile(c), Options{FixedPIs: pattern})
+	inst, err := EncodeProgram(s, ir.MustCompile(c), Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ConstrainBits(s, inst.PIVars, pattern); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := s.Solve()
@@ -123,9 +126,6 @@ func TestEncodeOptionValidation(t *testing.T) {
 	s := sat.New()
 	if _, err := EncodeProgram(s, ir.MustCompile(c), Options{PIVars: make([]sat.Var, 2)}); err == nil {
 		t.Error("wrong PIVars width accepted")
-	}
-	if _, err := EncodeProgram(s, ir.MustCompile(c), Options{FixedPIs: make([]bool, 2)}); err == nil {
-		t.Error("wrong FixedPIs width accepted")
 	}
 	if _, err := EncodeProgram(s, ir.MustCompile(c), Options{KeyVars: make([]sat.Var, 1)}); err == nil {
 		t.Error("wrong KeyVars width accepted")
@@ -257,17 +257,9 @@ func TestEncodeMatchesSimulationRandomCircuits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := sat.New()
-			inst, err := EncodeProgram(s, ir.MustCompile(c), Options{FixedPIs: in})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ok, err := s.Solve()
-			if err != nil || !ok {
-				t.Fatalf("trial %d pattern %d: Solve = %v, %v", trial, pat, ok, err)
-			}
-			for j, v := range inst.POVars {
-				if (s.Value(v) == sat.True) != want[j] {
+			got := solveWithInputs(t, c, in)
+			for j := range want {
+				if got[j] != want[j] {
 					t.Fatalf("trial %d pattern %d output %d: CNF disagrees with simulation", trial, pat, j)
 				}
 			}

@@ -336,3 +336,16 @@ func TestOtherAttacksShape(t *testing.T) {
 		t.Fatalf("SPS should not apply to weighted locking: %+v", r)
 	}
 }
+
+// TestOtherAttacksRejectsZeroKeySeed pins the seed whose 6-bit SARLock
+// key is all zero: the study must refuse it with an error naming the
+// seed, since OraP's cleared key register would then be the correct key.
+func TestOtherAttacksRejectsZeroKeySeed(t *testing.T) {
+	_, err := OtherAttacks(236)
+	if err == nil {
+		t.Fatal("all-zero SARLock key accepted")
+	}
+	if !strings.Contains(err.Error(), "seed 236") {
+		t.Fatalf("error does not name the seed: %v", err)
+	}
+}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"orap/internal/attack"
 	"orap/internal/benchgen"
@@ -11,7 +12,6 @@ import (
 	"orap/internal/orap"
 	"orap/internal/rng"
 	"orap/internal/scan"
-	"orap/internal/sim"
 )
 
 // OtherAttackRow is one line of the "remaining attacks" study covering the
@@ -50,7 +50,11 @@ func OtherAttacks(seed uint64) ([]OtherAttackRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	ensureNonZeroKey(sar)
+	if !slices.Contains(sar.Key, true) {
+		// The OraP chip answers with its key register cleared, which is
+		// the correct key here: the study would show no protection.
+		return nil, fmt.Errorf("exp: seed %d draws the all-zero SARLock key, which OraP cannot protect; use another seed", seed)
+	}
 	for _, prot := range []scan.Protection{scan.None, scan.OraPBasic} {
 		o, err := chipOracle(sar, scaled, prot, seed)
 		if err != nil {
@@ -64,7 +68,9 @@ func OtherAttacks(seed uint64) ([]OtherAttackRow, error) {
 			row.Note = "patch budget exhausted"
 		} else {
 			row.Applies = true
-			row.DesignRecovered = patchedMatches(design, sar, res, seed)
+			if row.DesignRecovered, err = patchedMatches(sar, res, seed); err != nil {
+				return nil, err
+			}
 		}
 		rows = append(rows, row)
 	}
@@ -130,106 +136,31 @@ func OtherAttacks(seed uint64) ([]OtherAttackRow, error) {
 	return rows, nil
 }
 
-// patchedMatches samples whether the bypass-patched design equals the
-// original function. The comparison is word-parallel: one run of the
-// locked circuit under the correct key (the reference function) and one
-// under the attacker's chosen key cover all trials; patched input
-// patterns are then checked against the patch table per lane.
-func patchedMatches(design interface {
-	NumInputs() int
-}, l *lock.Locked, res *attack.BypassResult, seed uint64) bool {
-	const trials = 256
-	r := rng.NewNamed(seed, "other/verify")
+// patchedMatches reports whether the bypass-patched design agrees with
+// the original function, the locked circuit under the correct key, on 256
+// random patterns.
+func patchedMatches(l *lock.Locked, res *attack.BypassResult, seed uint64) (bool, error) {
 	prog, err := ir.Compile(l.Circuit)
 	if err != nil {
-		return false
+		return false, err
 	}
-	p, err := sim.ForProgram(prog, trials/64)
-	if err != nil {
-		return false
-	}
-	defer p.Release()
-
-	x := make([]bool, design.NumInputs())
-	patterns := make([][]bool, trials)
-	for trial := range patterns {
+	r := rng.NewNamed(seed, "other/verify")
+	x := make([]bool, prog.NumInputs())
+	for trial := 0; trial < 256; trial++ {
 		r.Bits(x)
-		patterns[trial] = append([]bool(nil), x...)
-	}
-	for i, id := range l.Circuit.PIs {
-		w := p.Value(id)
-		for trial, pat := range patterns {
-			if pat[i] {
-				w[trial/64] |= 1 << uint(trial%64)
-			}
+		want, err := prog.Eval(x, l.Key)
+		if err != nil {
+			return false, err
+		}
+		got, err := res.Eval(x)
+		if err != nil {
+			return false, err
+		}
+		if !slices.Equal(want, got) {
+			return false, nil
 		}
 	}
-	run := func(key []bool) ([][]uint64, bool) {
-		if err := p.SetKey(key); err != nil {
-			return nil, false
-		}
-		p.Run()
-		out := make([][]uint64, len(l.Circuit.POs))
-		for j, id := range l.Circuit.POs {
-			out[j] = append([]uint64(nil), p.Value(id)...)
-		}
-		return out, true
-	}
-	want, ok := run(l.Key) // correct key = original function
-	if !ok {
-		return false
-	}
-	got, ok := run(res.Key) // attacker's chosen key, pre-patch
-	if !ok {
-		return false
-	}
-	for trial, pat := range patterns {
-		w, b := trial/64, uint(trial)%64
-		if patch, patched := res.Patches[bitString(pat)]; patched {
-			for j := range want {
-				if patch[j] != (want[j][w]>>b&1 == 1) {
-					return false
-				}
-			}
-			continue
-		}
-		for j := range want {
-			if (want[j][w]^got[j][w])>>b&1 == 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// bitString renders a pattern in the '0'/'1' form the bypass patch table
-// is keyed by.
-func bitString(x []bool) string {
-	out := make([]byte, len(x))
-	for i, b := range x {
-		if b {
-			out[i] = '1'
-		} else {
-			out[i] = '0'
-		}
-	}
-	return string(out)
-}
-
-// ensureNonZeroKey flips a bit if the drawn key is all-zero (the one key
-// OraP cannot protect).
-func ensureNonZeroKey(l *lock.Locked) {
-	for _, b := range l.Key {
-		if b {
-			return
-		}
-	}
-	// Flipping a key bit of SARLock means re-wiring an inverter; for the
-	// study it is simpler to flip via the comparator's symmetry: the key
-	// equals the protected pattern, so adjust both representations by
-	// re-locking would be needed. In practice the RNG never draws zero
-	// here; guard for determinism drift.
-	panic("exp: drawn all-zero key; change the study seed")
+	return true, nil
 }
 
 // chipOracle builds an activated chip for the locked design and wraps it

@@ -91,8 +91,11 @@ func engines(t *testing.T, c *netlist.Circuit, pattern []bool) [4]bool {
 	// 4. CNF: Tseitin-encode with the inputs fixed and read the output
 	// variable from the satisfying model.
 	s := sat.New()
-	inst, err := cnf.EncodeProgram(s, prog, cnf.Options{FixedPIs: pattern})
+	inst, err := cnf.EncodeProgram(s, prog, cnf.Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cnf.ConstrainBits(s, inst.PIVars, pattern); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := s.Solve()
