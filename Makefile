@@ -83,10 +83,10 @@ bench-parallel:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SATAttack|VerifyKey|SolverPropagate|ATPG|Dataflow|BDDCompile|ExactCorrupt|VetModule' -benchtime 1x ./internal/attack ./internal/sat ./internal/atpg ./internal/dataflow ./internal/bdd ./internal/audit ./internal/vet
 
-# Machine-readable oracle-channel benchmarks: the serial-vs-batched pairs
-# (scan protocol, disagreement sampling, AppSAT settlement) plus the
-# memoised-session batch, emitted as `go test -json` into BENCH_oracle.json
-# for dashboards and regression diffing. BENCHTIME=3x for stabler numbers;
+# Machine-readable oracle-channel benchmarks: a 64-lane scan-protocol
+# batch, a fully memoised session batch, disagreement sampling and a full
+# AppSAT run, emitted as `go test -json` into BENCH_oracle.json for
+# dashboards and regression diffing. BENCHTIME=3x for stabler numbers;
 # CI runs the 1x default as a smoke pass.
 BENCHTIME ?= 1x
 bench-json:

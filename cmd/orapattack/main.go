@@ -238,8 +238,8 @@ func dimacsVars(vars []sat.Var) string {
 // how many patterns crossed the interface, how many were distinct, how
 // much the transcript cache saved, and the modeled scan-clock bill.
 func printChannel(st oracle.ChannelStats) {
-	fmt.Printf("oracle channel: %d unique patterns, %.1f%% cache hits, %d batch calls\n",
-		st.Unique, 100*st.HitRate(), st.BatchCalls)
+	fmt.Printf("oracle channel: %d unique patterns, %.1f%% cache hits, %d oracle crossings\n",
+		st.Unique, 100*st.HitRate(), st.OracleCalls)
 	if st.ScanCycles > 0 {
 		fmt.Printf("scan cycles:    %d (modeled, 2*chain+1 clocks per admitted query)\n", st.ScanCycles)
 	}

@@ -141,7 +141,7 @@ func main() {
 	}))
 	fmt.Printf("\nattacker: %d scan queries (scan in – capture – scan out)\n", len(pats))
 	for qi, x := range pats {
-		resp, err := o.Query(x)
+		resp, err := oracle.Query(o, x)
 		fatal(err)
 		want := wants[qi]
 		diff := 0

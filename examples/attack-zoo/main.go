@@ -138,7 +138,7 @@ func main() {
 		x := make([]bool, design.NumInputs())
 		for i := 0; i < 256; i++ {
 			rr.Bits(x)
-			want, _ := ref.Query(x)
+			want, _ := oracle.Query(ref, x)
 			got, _ := res.Eval(x)
 			for j := range want {
 				if want[j] != got[j] {

@@ -99,7 +99,7 @@ func main() {
 	//    edge cleared the key register before the first shift.
 	o := oracle.NewScan(chip)
 	x := append(append([]bool(nil), pins...), ffs...)
-	resp, err := o.Query(x)
+	resp, err := oracle.Query(o, x)
 	if err != nil {
 		log.Fatal(err)
 	}

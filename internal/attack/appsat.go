@@ -77,7 +77,7 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 			return res, nil
 		}
 		x := m.ExtractInputs()
-		y, err := o.Query(x)
+		y, err := oracle.Query(o, x)
 		if err != nil {
 			return res, err
 		}

@@ -206,7 +206,7 @@ func disagreements(ev *sim.Parallel, key []bool, o oracle.Oracle, samples int, r
 			r.Bits(x)
 			oracle.PackPattern(in, pat, x)
 		}
-		want, err := oracle.QueryWords(o, in, n)
+		want, err := o.QueryWords(in, n)
 		if err != nil {
 			return bad, err
 		}

@@ -265,7 +265,7 @@ func TestAppSATSettlesOnSARLock(t *testing.T) {
 		for i := range x {
 			x[i] = v>>uint(i)&1 == 1
 		}
-		want, _ := o.Query(x)
+		want, _ := oracle.Query(o, x)
 		got, _ := evalLocked(t, l, x, res.Key)
 		for j := range want {
 			if want[j] != got[j] {

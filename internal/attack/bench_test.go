@@ -85,11 +85,10 @@ func BenchmarkSATAttack(b *testing.B) {
 	}
 }
 
-// The serial/batched pairs below price the word-parallel oracle channel:
-// the serial leg hides the word interface behind oracle.Scalarize, forcing
-// one oracle crossing per pattern; the batched leg queries 64 at a time.
-
-func benchSampleDisagreement(b *testing.B, wrap func(oracle.Oracle) oracle.Oracle) {
+// BenchmarkSampleDisagreement prices the disagreement sampler behind
+// the attack study: 1024 patterns through the oracle channel, 64 per
+// crossing, with the candidate key evaluated word-parallel beside them.
+func BenchmarkSampleDisagreement(b *testing.B) {
 	orig, l := benchLocked(b, 0.008, 10)
 	o, err := oracle.NewComb(orig, nil)
 	if err != nil {
@@ -98,21 +97,14 @@ func benchSampleDisagreement(b *testing.B, wrap func(oracle.Oracle) oracle.Oracl
 	wrong := make([]bool, l.Circuit.NumKeys())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SampleDisagreement(l.Circuit, wrong, wrap(o), 1024, rng.New(7)); err != nil {
+		if _, err := SampleDisagreement(l.Circuit, wrong, o, 1024, rng.New(7)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSampleDisagreementSerial(b *testing.B) {
-	benchSampleDisagreement(b, oracle.Scalarize)
-}
-
-func BenchmarkSampleDisagreementBatched(b *testing.B) {
-	benchSampleDisagreement(b, func(o oracle.Oracle) oracle.Oracle { return o })
-}
-
-func benchAppSAT(b *testing.B, wrap func(oracle.Oracle) oracle.Oracle) {
+// BenchmarkAppSAT prices a full AppSAT run, settlement sampling included.
+func BenchmarkAppSAT(b *testing.B) {
 	orig, l := benchLocked(b, 0.008, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -120,7 +112,7 @@ func benchAppSAT(b *testing.B, wrap func(oracle.Oracle) oracle.Oracle) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := AppSAT(l.Circuit, wrap(o), AppSATOptions{
+		res, err := AppSAT(l.Circuit, o, AppSATOptions{
 			Budgets: Budgets{MaxIterations: 256},
 			Rand:    rng.New(11),
 		})
@@ -131,14 +123,6 @@ func benchAppSAT(b *testing.B, wrap func(oracle.Oracle) oracle.Oracle) {
 			b.Fatal("AppSAT returned no key")
 		}
 	}
-}
-
-func BenchmarkAppSATSerial(b *testing.B) {
-	benchAppSAT(b, oracle.Scalarize)
-}
-
-func BenchmarkAppSATBatched(b *testing.B) {
-	benchAppSAT(b, func(o oracle.Oracle) oracle.Oracle { return o })
 }
 
 // TestSATAttackRecoversBenchmarkKey checks that the attack

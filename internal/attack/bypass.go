@@ -102,7 +102,7 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 			return res, fmt.Errorf("attack: bypass patch budget exhausted (%d patterns; defense is not point-like)", opts.MaxPatches)
 		}
 		x := m.ExtractInputs()
-		y, err := o.Query(x)
+		y, err := oracle.Query(o, x)
 		if err != nil {
 			return res, err
 		}

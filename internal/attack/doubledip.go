@@ -91,7 +91,7 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 				break // no 2-DIP left: settle with a consistent key
 			}
 			x := m1.ExtractInputs()
-			y, err := o.Query(x)
+			y, err := oracle.Query(o, x)
 			if err == nil {
 				err = record(x, y)
 			}

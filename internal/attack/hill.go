@@ -82,7 +82,7 @@ func HillClimb(locked *netlist.Circuit, o oracle.Oracle, opts HillOptions) (*Res
 		for i := range laneIn {
 			laneIn[i] = inputWords[i][w]
 		}
-		y, err := oracle.QueryWords(o, laneIn, 64)
+		y, err := o.QueryWords(laneIn, 64)
 		if err != nil {
 			return res, err
 		}

@@ -32,7 +32,7 @@ func SAT(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, error) {
 			return res, ErrIterationBudget
 		}
 		x := m.ExtractInputs()
-		y, err := o.Query(x)
+		y, err := oracle.Query(o, x)
 		if err != nil {
 			return res, err
 		}

@@ -190,7 +190,7 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 		for pat := 0; pat < n; pat++ {
 			oracle.PackPattern(in, pat, pending[done+pat].x)
 		}
-		y, err := oracle.QueryWords(o, in, n)
+		y, err := o.QueryWords(in, n)
 		if err != nil {
 			return res, err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/rng"
 	"orap/internal/scan"
 )
@@ -24,51 +25,80 @@ func drawBatch(r *rng.Stream, inputs, n int) ([]uint64, [][]bool) {
 	return in, pats
 }
 
-// assertBatchMatchesScalar queries batched against scalar-built twins of
-// the same oracle construction and requires bit-identical responses.
-func assertBatchMatchesScalar(t *testing.T, batched, scalar Oracle, n int, seed uint64) {
+// setUnusedLanes sets every input bit in lanes n..63, so a response
+// that leaks an unused lane shows up as a set bit above lane n.
+func setUnusedLanes(in []uint64, n int) {
+	for i := range in {
+		in[i] |= ^LaneMask(n)
+	}
+}
+
+// assertLanes requires lane p of the batched response out to equal
+// want[p] bit for bit, and every lane at and above len(want) to be zero.
+func assertLanes(t *testing.T, out []uint64, want [][]bool) {
 	t.Helper()
-	in, pats := drawBatch(rng.New(seed), batched.NumInputs(), n)
-	out, err := QueryWords(batched, in, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]bool, batched.NumOutputs())
-	for p := 0; p < n; p++ {
-		want, err := scalar.Query(pats[p])
-		if err != nil {
-			t.Fatal(err)
-		}
+	got := make([]bool, len(out))
+	for p, w := range want {
 		UnpackPattern(out, p, got)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("pattern %d output %d: batched %v, scalar %v", p, j, got[j], want[j])
-			}
+		if !bytes.Equal(boolBytes(got), boolBytes(w)) {
+			t.Fatalf("pattern %d: batched response %v, reference %v", p, got, w)
 		}
 	}
-	// Garbage lanes must be masked off.
-	for j := 0; j < batched.NumOutputs(); j++ {
-		if out[j]&^LaneMask(n) != 0 {
-			t.Fatalf("output %d has bits set above lane %d", j, n)
+	for j, word := range out {
+		if word&^LaneMask(len(want)) != 0 {
+			t.Fatalf("output %d has bits set above lane %d", j, len(want))
 		}
 	}
-	if batched.Queries() != scalar.Queries() {
-		t.Fatalf("batched counted %d queries, scalar %d", batched.Queries(), scalar.Queries())
+}
+
+// scalarScanQuery is the reference scan query: scan in – capture – scan
+// out for one pattern, driven through the chip's scalar protocol. The
+// batched oracle must answer every lane as this does and leave the chip
+// in the state it leaves.
+func scalarScanQuery(ch *scan.Chip, x []bool) ([]bool, error) {
+	cfg := ch.Config()
+	ch.SetScanEnable(true) // rising edge: OraP clears the key register
+	if err := ch.ScanInFFs(x[cfg.RealPIs:]); err != nil {
+		return nil, err
 	}
+	ch.SetScanEnable(false)
+	pinOut, err := ch.CaptureClock(x[:cfg.RealPIs])
+	if err != nil {
+		return nil, err
+	}
+	ch.SetScanEnable(true)
+	ffOut, err := ch.ScanOutFFs()
+	ch.SetScanEnable(false)
+	if err != nil {
+		return nil, err
+	}
+	return append(pinOut, ffOut...), nil
 }
 
 func TestQueryWordsMatchesScalarComb(t *testing.T) {
 	c := circuits.RippleAdder(6)
+	prog := ir.MustCompile(c)
 	for _, n := range []int{1, 7, 64} {
-		a, err := NewComb(c, nil)
+		o, err := NewComb(c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewComb(c, nil)
+		in, pats := drawBatch(rng.New(uint64(n)+10), o.NumInputs(), n)
+		setUnusedLanes(in, n)
+		out, err := o.QueryWords(in, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBatchMatchesScalar(t, a, b, n, uint64(n)+10)
+		want := make([][]bool, n)
+		for p, x := range pats {
+			if want[p], err = prog.Eval(x, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assertLanes(t, out, want)
+		if o.Queries() != n {
+			t.Fatalf("batch of %d counted %d queries", n, o.Queries())
+		}
 	}
 }
 
@@ -81,7 +111,23 @@ func TestQueryWordsMatchesScalarScanAndOraP(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/n=%d", prot, n), func(t *testing.T) {
 				_, _, chA := protectedChip(t, prot, 21)
 				_, _, chB := protectedChip(t, prot, 21)
-				assertBatchMatchesScalar(t, NewScan(chA), NewScan(chB), n, uint64(n))
+				a := NewScan(chA)
+				in, pats := drawBatch(rng.New(uint64(n)), a.NumInputs(), n)
+				setUnusedLanes(in, n)
+				out, err := a.QueryWords(in, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([][]bool, n)
+				for p, x := range pats {
+					if want[p], err = scalarScanQuery(chB, x); err != nil {
+						t.Fatal(err)
+					}
+				}
+				assertLanes(t, out, want)
+				if a.Queries() != n {
+					t.Fatalf("batch of %d counted %d queries", n, a.Queries())
+				}
 				// The chips must also end in identical state: same key
 				// register, same scan-cycle bill, same unlocked flag.
 				if !bytes.Equal(boolBytes(chA.Key()), boolBytes(chB.Key())) {
@@ -99,28 +145,28 @@ func TestQueryWordsMatchesScalarScanAndOraP(t *testing.T) {
 }
 
 func TestScanBatchFollowedByScalarQueriesAgree(t *testing.T) {
-	// Interleaving the two channels must leave the chip in the same state:
-	// a scalar query after a batch answers exactly as on a chip that saw
-	// only scalar queries.
+	// A batch must leave the chip as the same patterns sent one by one
+	// would: a scalar query after it answers exactly as on a chip that
+	// saw only scalar queries.
 	_, _, chA := protectedChip(t, scan.OraPBasic, 33)
 	_, _, chB := protectedChip(t, scan.OraPBasic, 33)
-	a, b := NewScan(chA), NewScan(chB)
+	a := NewScan(chA)
 	in, pats := drawBatch(rng.New(7), a.NumInputs(), 17)
 	if _, err := a.QueryWords(in, 17); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range pats {
-		if _, err := b.Query(x); err != nil {
+		if _, err := scalarScanQuery(chB, x); err != nil {
 			t.Fatal(err)
 		}
 	}
 	x := make([]bool, a.NumInputs())
 	rng.New(8).Bits(x)
-	ya, err := a.Query(x)
+	ya, err := scalarScanQuery(chA, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	yb, err := b.Query(x)
+	yb, err := scalarScanQuery(chB, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,16 +176,6 @@ func TestScanBatchFollowedByScalarQueriesAgree(t *testing.T) {
 	if chA.Cycles() != chB.Cycles() {
 		t.Fatalf("cycles differ after mixed channels: %d vs %d", chA.Cycles(), chB.Cycles())
 	}
-}
-
-func TestQueryWordsScalarFallback(t *testing.T) {
-	// The package-level helper must serve any Oracle: Scalarize hides the
-	// word channel, forcing the scalar fallback, and the responses must
-	// still be bit-identical.
-	c := circuits.RippleAdder(5)
-	a, _ := NewComb(c, nil)
-	b, _ := NewComb(c, nil)
-	assertBatchMatchesScalar(t, Scalarize(a), b, 23, 99)
 }
 
 func TestQueryWordsErrorPaths(t *testing.T) {
@@ -166,73 +202,39 @@ func FuzzQueryWordsMatchesScalar(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
 		n := int(nRaw)%64 + 1
 		c := circuits.RippleAdder(3)
-		batched, err := NewComb(c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar, err := NewComb(c, nil)
+		prog := ir.MustCompile(c)
+		o, err := NewComb(c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ni := c.NumInputs()
 		in := make([]uint64, ni)
-		x := make([]bool, ni)
-		pats := make([][]bool, n)
+		want := make([][]bool, n)
 		for p := 0; p < n; p++ {
+			x := make([]bool, ni)
 			for i := range x {
 				bit := p*ni + i
 				x[i] = bit/8 < len(data) && data[bit/8]>>(uint(bit)%8)&1 == 1
 			}
-			pats[p] = append([]bool(nil), x...)
 			PackPattern(in, p, x)
+			if want[p], err = prog.Eval(x, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-		out, err := batched.QueryWords(in, n)
+		setUnusedLanes(in, n)
+		out, err := o.QueryWords(in, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]bool, c.NumOutputs())
-		for p := 0; p < n; p++ {
-			want, err := scalar.Query(pats[p])
-			if err != nil {
-				t.Fatal(err)
-			}
-			UnpackPattern(out, p, got)
-			if !bytes.Equal(boolBytes(got), boolBytes(want)) {
-				t.Fatalf("pattern %d: batched response differs from scalar", p)
-			}
-		}
+		assertLanes(t, out, want)
 	})
 }
 
-// faultyChip wraps a real chip and fails selected protocol steps, to
-// check the oracle restores scan enable on every error path.
+// faultyChip wraps a real chip and can fail the batched protocol, to
+// check the oracle restores scan enable on the error path.
 type faultyChip struct {
 	*scan.Chip
-	failScanIn  bool
-	failCapture bool
-	failScanOut bool
-	failBatch   bool
-}
-
-func (f *faultyChip) ScanInFFs(v []bool) error {
-	if f.failScanIn {
-		return fmt.Errorf("injected scan-in fault")
-	}
-	return f.Chip.ScanInFFs(v)
-}
-
-func (f *faultyChip) CaptureClock(pins []bool) ([]bool, error) {
-	if f.failCapture {
-		return nil, fmt.Errorf("injected capture fault")
-	}
-	return f.Chip.CaptureClock(pins)
-}
-
-func (f *faultyChip) ScanOutFFs() ([]bool, error) {
-	if f.failScanOut {
-		return nil, fmt.Errorf("injected scan-out fault")
-	}
-	return f.Chip.ScanOutFFs()
+	failBatch bool
 }
 
 func (f *faultyChip) ScanBatch(in []uint64, n int) ([]uint64, error) {
@@ -244,44 +246,25 @@ func (f *faultyChip) ScanBatch(in []uint64, n int) ([]uint64, error) {
 }
 
 func TestScanOracleRestoresScanEnableOnError(t *testing.T) {
-	// Regression: a failed ScanInFFs/ScanOutFFs used to return with scan
-	// enable still asserted, so the next query's SetScanEnable(true) saw
-	// no rising edge — on an OraP chip that skips the key-register clear.
-	cases := []struct {
-		name  string
-		arm   func(f *faultyChip)
-		batch bool
-	}{
-		{"scan-in", func(f *faultyChip) { f.failScanIn = true }, false},
-		{"scan-out", func(f *faultyChip) { f.failScanOut = true }, false},
-		{"capture", func(f *faultyChip) { f.failCapture = true }, false},
-		{"batch", func(f *faultyChip) { f.failBatch = true }, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, ch := protectedChip(t, scan.OraPBasic, 44)
-			f := &faultyChip{Chip: ch}
-			o := &Scan{chip: f}
-			tc.arm(f)
-			var err error
-			if tc.batch {
-				_, err = o.QueryWords(make([]uint64, o.NumInputs()), 4)
-			} else {
-				_, err = o.Query(make([]bool, o.NumInputs()))
-			}
-			if err == nil {
-				t.Fatal("injected fault did not surface")
-			}
-			if f.ScanEnable() {
-				t.Fatal("scan enable left asserted after a failed query")
-			}
-			// The channel must be usable again right away.
-			f.failScanIn, f.failCapture, f.failScanOut, f.failBatch = false, false, false, false
-			if _, err := o.Query(make([]bool, o.NumInputs())); err != nil {
-				t.Fatalf("query after recovered fault failed: %v", err)
-			}
-		})
-	}
+	// Regression: a failed query used to return with scan enable still
+	// asserted, so the next query's SetScanEnable(true) saw no rising
+	// edge — on an OraP chip that skips the key-register clear.
+	t.Run("batch", func(t *testing.T) {
+		_, _, ch := protectedChip(t, scan.OraPBasic, 44)
+		f := &faultyChip{Chip: ch, failBatch: true}
+		o := &Scan{chip: f}
+		if _, err := o.QueryWords(make([]uint64, o.NumInputs()), 4); err == nil {
+			t.Fatal("injected fault did not surface")
+		}
+		if f.ScanEnable() {
+			t.Fatal("scan enable left asserted after a failed query")
+		}
+		// The channel must be usable again right away.
+		f.failBatch = false
+		if _, err := Query(o, make([]bool, o.NumInputs())); err != nil {
+			t.Fatalf("query after recovered fault failed: %v", err)
+		}
+	})
 }
 
 func boolBytes(bs []bool) []byte {

@@ -7,24 +7,9 @@ import (
 	"orap/internal/scan"
 )
 
-// The serial/batched pair measures the word-parallel channel against 64
-// scalar queries of the same patterns on an identical OraP chip.
-
-func BenchmarkScanOracleSerial64(b *testing.B) {
-	_, _, ch := protectedChip(b, scan.OraPBasic, 99)
-	o := NewScan(ch)
-	_, pats := drawBatch(rng.New(17), o.NumInputs(), 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, x := range pats {
-			if _, err := o.Query(x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkScanOracleBatched64(b *testing.B) {
+// BenchmarkScanOracle64 prices one 64-lane batch through the scan
+// protocol of an OraP chip.
+func BenchmarkScanOracle64(b *testing.B) {
 	_, _, ch := protectedChip(b, scan.OraPBasic, 99)
 	o := NewScan(ch)
 	in, _ := drawBatch(rng.New(17), o.NumInputs(), 64)

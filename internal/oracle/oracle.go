@@ -9,12 +9,13 @@
 // computed with a cleared key register — the central difference the
 // experiments measure.
 //
-// The channel is word-parallel: oracles that implement WordOracle carry
-// up to 64 patterns per interface crossing, bit-sliced one uint64 lane
-// word per input, matching the layout of the sim/ir evaluation kernel.
-// Session wraps any oracle with transcript memoisation, a query budget
-// and channel telemetry (total/unique patterns, cache hits, modeled
-// scan-cycle cost), making the access channel itself measurable.
+// The channel has one method: QueryWords carries up to 64 patterns per
+// interface crossing, bit-sliced one uint64 lane word per input, matching
+// the layout of the sim/ir evaluation kernel. A single pattern crosses as
+// lane 0 of a one-pattern batch through the Query helper. Session wraps
+// any oracle with transcript memoisation, a query budget and channel
+// telemetry (total/unique patterns, cache hits, modeled scan-cycle cost),
+// making the access channel itself measurable.
 package oracle
 
 import (
@@ -31,22 +32,33 @@ type Oracle interface {
 	NumInputs() int
 	// NumOutputs returns the width of responses.
 	NumOutputs() int
-	// Query applies one input pattern and returns the chip's response.
-	Query(x []bool) ([]bool, error)
+	// QueryWords applies up to 64 patterns at once; n is the number of
+	// valid lanes (1..64). Patterns are bit-sliced: in[i] holds input bit
+	// i across the batch, with bit p of in[i] being pattern p's value of
+	// input i. The response uses the same layout over outputs, and lanes
+	// at and above n are zero. A batch of n patterns advances Queries()
+	// by n; a rejected batch advances it by nothing.
+	QueryWords(in []uint64, n int) ([]uint64, error)
 	// Queries returns how many patterns have been queried.
 	Queries() int
 }
 
-// WordOracle is the batched oracle channel: one call carries up to 64
-// patterns. Patterns are bit-sliced: in[i] holds input bit i across the
-// batch, with bit p of in[i] being pattern p's value of input i. The
-// response uses the same layout over outputs. Lanes at and above n are
-// zero in the response. A batch of n patterns advances Queries() by n.
-type WordOracle interface {
-	Oracle
-	// QueryWords applies up to 64 patterns at once; n is the number of
-	// valid lanes (1..64).
-	QueryWords(in []uint64, n int) ([]uint64, error)
+// WordOracle is kept only because perfbench names it.
+type WordOracle = Oracle
+
+// Query sends the single pattern x through o as lane 0 of a one-pattern
+// batch and returns the response. A pattern of the wrong width is
+// rejected by o's batch check.
+func Query(o Oracle, x []bool) ([]bool, error) {
+	in := make([]uint64, len(x))
+	PackPattern(in, 0, x)
+	out, err := o.QueryWords(in, 1)
+	if err != nil {
+		return nil, err
+	}
+	y := make([]bool, len(out))
+	UnpackPattern(out, 0, y)
+	return y, nil
 }
 
 // ChannelCost is implemented by oracles whose access channel has a
@@ -99,53 +111,13 @@ func checkBatch(o Oracle, in []uint64, n int) error {
 	return nil
 }
 
-// QueryWords sends an n-pattern batch through o's word channel when it
-// has one, and falls back to n scalar queries otherwise. Either way the
-// responses are bit-identical and lanes at and above n are zero; attacks
-// call this helper so they run batched against any Oracle.
-func QueryWords(o Oracle, in []uint64, n int) ([]uint64, error) {
-	if w, ok := o.(WordOracle); ok {
-		return w.QueryWords(in, n)
-	}
-	if err := checkBatch(o, in, n); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, o.NumOutputs())
-	x := make([]bool, o.NumInputs())
-	for p := 0; p < n; p++ {
-		UnpackPattern(in, p, x)
-		y, err := o.Query(x)
-		if err != nil {
-			return nil, err
-		}
-		PackPattern(out, p, y)
-	}
-	return out, nil
-}
-
-// Scalarize hides any word-level channel o may have, leaving only the
-// scalar Query path. It exists for regression baselines and serial-vs-
-// batched benchmark pairs: an attack run against Scalarize(o) crosses
-// the oracle interface once per pattern.
-func Scalarize(o Oracle) Oracle { return scalarOnly{o} }
-
-type scalarOnly struct{ o Oracle }
-
-func (s scalarOnly) NumInputs() int                 { return s.o.NumInputs() }
-func (s scalarOnly) NumOutputs() int                { return s.o.NumOutputs() }
-func (s scalarOnly) Query(x []bool) ([]bool, error) { return s.o.Query(x) }
-func (s scalarOnly) Queries() int                   { return s.o.Queries() }
-
 // Comb is the ideal oracle: direct combinational evaluation of a circuit
 // with the correct key applied. It models unrestricted scan access to an
 // unprotected activated chip. The circuit is compiled once at
-// construction; queries reuse the evaluator's buffer, and batched
-// queries run 64-way word-parallel over the same compiled program.
+// construction, and every batch runs 64-way word-parallel over the
+// compiled program.
 type Comb struct {
-	c       *netlist.Circuit
-	eval    *sim.Evaluator
-	par     *sim.Parallel // lazily built one-word batch evaluator
-	key     []bool
+	par     *sim.Parallel // one-word evaluator, key inputs set
 	queries int
 }
 
@@ -159,37 +131,27 @@ func NewComb(c *netlist.Circuit, key []bool) (*Comb, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev := sim.EvaluatorFor(prog)
-	return &Comb{c: c, eval: ev, key: append([]bool(nil), key...)}, nil
+	par, err := sim.ForProgram(prog, 1)
+	if err != nil {
+		return nil, err
+	}
+	if err := par.SetKey(key); err != nil {
+		return nil, err
+	}
+	return &Comb{par: par}, nil
 }
 
 // NumInputs implements Oracle.
-func (o *Comb) NumInputs() int { return o.c.NumInputs() }
+func (o *Comb) NumInputs() int { return o.par.Program().NumInputs() }
 
 // NumOutputs implements Oracle.
-func (o *Comb) NumOutputs() int { return o.c.NumOutputs() }
+func (o *Comb) NumOutputs() int { return o.par.Program().NumOutputs() }
 
-// Query implements Oracle.
-func (o *Comb) Query(x []bool) ([]bool, error) {
-	o.queries++
-	return o.eval.Eval(x, o.key)
-}
-
-// QueryWords implements WordOracle: all lanes evaluate in one pass over
-// the compiled program.
+// QueryWords implements Oracle: all lanes evaluate in one pass over the
+// compiled program.
 func (o *Comb) QueryWords(in []uint64, n int) ([]uint64, error) {
 	if err := checkBatch(o, in, n); err != nil {
 		return nil, err
-	}
-	if o.par == nil {
-		p, err := sim.ForProgram(o.eval.Program(), 1)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.SetKey(o.key); err != nil {
-			return nil, err
-		}
-		o.par = p
 	}
 	prog := o.par.Program()
 	for i, id := range prog.PIs {

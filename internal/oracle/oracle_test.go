@@ -23,7 +23,7 @@ func TestCombOracleMatchesSimulation(t *testing.T) {
 		for i := range x {
 			x[i] = v>>uint(i)&1 == 1
 		}
-		got, err := o.Query(x)
+		got, err := Query(o, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestScanOracleUnprotectedGivesCorrectResponses(t *testing.T) {
 	x := make([]bool, o.NumInputs())
 	for trial := 0; trial < 25; trial++ {
 		r.Bits(x)
-		got, err := o.Query(x)
+		got, err := Query(o, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestScanOracleOraPGivesLockedResponses(t *testing.T) {
 		sawCorruption := false
 		for trial := 0; trial < 25; trial++ {
 			r.Bits(x)
-			got, err := o.Query(x)
+			got, err := Query(o, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func TestScanOracleChipStaysProtectedAfterManyQueries(t *testing.T) {
 	o := NewScan(ch)
 	x := make([]bool, o.NumInputs())
 	for i := 0; i < 10; i++ {
-		if _, err := o.Query(x); err != nil {
+		if _, err := Query(o, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,40 @@ func TestScanOracleChipStaysProtectedAfterManyQueries(t *testing.T) {
 func TestScanOracleQueryWidthChecked(t *testing.T) {
 	_, _, ch := protectedChip(t, scan.None, 6)
 	o := NewScan(ch)
-	if _, err := o.Query(make([]bool, 3)); err == nil {
+	if _, err := Query(o, make([]bool, 3)); err == nil {
 		t.Fatal("wrong query width accepted")
+	}
+}
+
+func TestQueryRejectsWrongWidth(t *testing.T) {
+	// A pattern too short or too long for the oracle is an error, never a
+	// panic, and is not counted as a query.
+	comb := func() *Comb {
+		o, err := NewComb(circuits.C17(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	_, _, ch := protectedChip(t, scan.OraPBasic, 7)
+	for _, tc := range []struct {
+		name string
+		o    Oracle
+	}{
+		{"comb", comb()},
+		{"scan", NewScan(ch)},
+		{"session", NewSession(comb(), 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ni := tc.o.NumInputs()
+			for _, width := range []int{0, ni - 1, ni + 1} {
+				if _, err := Query(tc.o, make([]bool, width)); err == nil {
+					t.Fatalf("%d-bit pattern accepted by a %d-input oracle", width, ni)
+				}
+			}
+			if got := tc.o.Queries(); got != 0 {
+				t.Fatalf("rejected patterns advanced Queries() to %d", got)
+			}
+		})
 	}
 }

@@ -1,24 +1,16 @@
 package oracle
 
-import (
-	"fmt"
-
-	"orap/internal/scan"
-)
+import "orap/internal/scan"
 
 // chipPort is the slice of the scan.Chip surface the oracle drives. The
-// seam exists so tests can inject shift/capture failures and assert the
-// oracle restores the chip to a consistent state (scan enable low) on
-// every error path.
+// seam exists so tests can inject batch failures and assert the oracle
+// restores the chip to a consistent state (scan enable low) on every
+// error path.
 type chipPort interface {
 	Config() scan.Config
-	ScanEnable() bool
 	SetScanEnable(v bool)
-	ScanInFFs(v []bool) error
-	CaptureClock(pins []bool) ([]bool, error)
-	ScanOutFFs() ([]bool, error)
 	ScanBatch(in []uint64, n int) ([]uint64, error)
-	ChainLength() int
+	CyclesPerQuery() int64
 }
 
 var _ chipPort = (*scan.Chip)(nil)
@@ -34,11 +26,11 @@ var _ chipPort = (*scan.Chip)(nil)
 // key register before the first shift, so every response belongs to the
 // locked circuit.
 //
-// Scan implements WordOracle: a batched query carries up to 64 patterns
-// through scan.Chip.ScanBatch, which replays the per-pattern scan-enable
-// protocol (self-clear included) and evaluates all captures in one
-// word-parallel pass. It also implements ChannelCost with the paper's
-// cost model, 2·chain-length+1 test clocks per query.
+// A batch carries up to 64 patterns through scan.Chip.ScanBatch, which
+// replays the per-pattern scan-enable protocol (self-clear included) and
+// evaluates all captures in one word-parallel pass. Scan also implements
+// ChannelCost with the paper's cost model, 2·chain-length+1 test clocks
+// per query.
 type Scan struct {
 	chip    chipPort
 	queries int
@@ -59,63 +51,25 @@ func (o *Scan) NumInputs() int { return o.chip.Config().Core.NumInputs() }
 // outputs first then the captured flip-flop values scanned back out.
 func (o *Scan) NumOutputs() int { return o.chip.Config().Core.NumOutputs() }
 
-// Query implements Oracle via the scan in – capture – scan out protocol.
-// On any protocol error the oracle drops scan enable before returning,
-// so a failed query leaves the chip ready for the next one instead of
-// parked in scan mode.
-func (o *Scan) Query(x []bool) ([]bool, error) {
-	cfg := o.chip.Config()
-	if len(x) != cfg.Core.NumInputs() {
-		return nil, fmt.Errorf("oracle: query width %d != core inputs %d", len(x), cfg.Core.NumInputs())
-	}
-	o.queries++
-	pins := x[:cfg.RealPIs]
-	ffPart := x[cfg.RealPIs:]
-
-	o.chip.SetScanEnable(true) // rising edge: OraP clears the key register
-	if err := o.chip.ScanInFFs(ffPart); err != nil {
-		o.chip.SetScanEnable(false)
-		return nil, err
-	}
-	o.chip.SetScanEnable(false)
-	pinOut, err := o.chip.CaptureClock(pins)
-	if err != nil {
-		return nil, err
-	}
-	o.chip.SetScanEnable(true)
-	ffOut, err := o.chip.ScanOutFFs()
-	if err != nil {
-		o.chip.SetScanEnable(false)
-		return nil, err
-	}
-	o.chip.SetScanEnable(false)
-	resp := make([]bool, 0, len(pinOut)+len(ffOut))
-	resp = append(resp, pinOut...)
-	resp = append(resp, ffOut...)
-	return resp, nil
-}
-
-// QueryWords implements WordOracle: up to 64 patterns per interface
-// crossing, delegated to the chip's batched scan protocol.
+// QueryWords implements Oracle via the chip's batched scan protocol. On
+// a protocol error the oracle drops scan enable before returning, so a
+// failed batch leaves the chip ready for the next one instead of parked
+// in scan mode.
 func (o *Scan) QueryWords(in []uint64, n int) ([]uint64, error) {
 	if err := checkBatch(o, in, n); err != nil {
 		return nil, err
 	}
 	out, err := o.chip.ScanBatch(in, n)
 	if err != nil {
-		if o.chip.ScanEnable() {
-			o.chip.SetScanEnable(false)
-		}
+		o.chip.SetScanEnable(false)
 		return nil, err
 	}
 	o.queries += n
 	return out, nil
 }
 
-// QueryCycles implements ChannelCost: one scan-protocol query costs
-// chain-length clocks to shift in, one capture clock, and chain-length
-// clocks to shift out.
-func (o *Scan) QueryCycles() int64 { return 2*int64(o.chip.ChainLength()) + 1 }
+// QueryCycles implements ChannelCost with the chip's own per-query cost.
+func (o *Scan) QueryCycles() int64 { return o.chip.CyclesPerQuery() }
 
 // Queries implements Oracle.
 func (o *Scan) Queries() int { return o.queries }

@@ -1,7 +1,5 @@
 package oracle
 
-import "fmt"
-
 // ChannelStats quantifies an attack's use of the oracle access channel —
 // the scan in – capture – scan out interface the paper argues is the
 // asset to protect. A Session maintains these counters; experiment
@@ -11,16 +9,15 @@ type ChannelStats struct {
 	// including patterns answered from the transcript cache.
 	Queries int
 	// Unique is the number of distinct patterns ever admitted to the
-	// underlying oracle.
+	// underlying oracle; the session's query budget bounds it.
 	Unique int
 	// CacheHits counts patterns answered from the transcript without
 	// touching the chip (repeated DIP confirmations, resampled rounds).
 	CacheHits int
 	// OracleCalls counts interface crossings that reached the wrapped
-	// oracle; BatchCalls counts how many of those were word-level
-	// (up-to-64-pattern) crossings.
+	// oracle, each carrying one batch of up to 64 patterns.
 	OracleCalls int
-	BatchCalls  int
+	BatchCalls  int // equals OracleCalls; kept only because perfbench reads it
 	// ScanCycles is the modeled test-clock cost of the admitted queries:
 	// 2·chain-length+1 clocks per query on a scan-protocol oracle, one
 	// capture clock on the ideal direct oracle, zero when the wrapped
@@ -41,32 +38,23 @@ func (s ChannelStats) HitRate() float64 {
 // channel. It memoises the query transcript (SAT-family attacks
 // re-confirm DIPs and AppSAT re-samples across rounds, so repeated
 // patterns are common), enforces a centralized query budget counting
-// only the queries it admits, and keeps ChannelStats telemetry. Session
-// itself implements WordOracle, so it drops in front of any attack; when
-// the wrapped oracle has a word channel, cache misses are forwarded in
-// compacted batches.
+// only the patterns it admits, and keeps ChannelStats telemetry. Session
+// itself implements Oracle, so it drops in front of any attack; cache
+// misses are forwarded to the wrapped oracle in one compacted batch.
 type Session struct {
 	o    Oracle
-	w    WordOracle // non-nil when o exposes the word-level channel
-	cost int64      // modeled cycles per admitted query (0 = unmodeled)
-
-	max      int // admitted-query budget (0 = unlimited)
-	admitted int
+	cost int64 // modeled cycles per admitted query (0 = unmodeled)
+	max  int   // admitted-query budget (0 = unlimited)
 
 	cache map[string][]bool
 	stats ChannelStats
 }
-
-var _ WordOracle = (*Session)(nil)
 
 // NewSession opens a session over o. maxQueries bounds the queries the
 // session admits to the underlying oracle (0 = unlimited); transcript
 // cache hits are free — they need no chip access.
 func NewSession(o Oracle, maxQueries int) *Session {
 	s := &Session{o: o, max: maxQueries, cache: make(map[string][]bool)}
-	if w, ok := o.(WordOracle); ok {
-		s.w = w
-	}
 	if c, ok := o.(ChannelCost); ok {
 		s.cost = c.QueryCycles()
 	}
@@ -84,11 +72,11 @@ func (s *Session) NumOutputs() int { return s.o.NumOutputs() }
 // count, independent of memoisation.
 func (s *Session) Queries() int { return s.stats.Queries }
 
-// Admitted returns how many queries reached the underlying oracle.
-func (s *Session) Admitted() int { return s.admitted }
-
 // Stats returns a snapshot of the session's channel telemetry.
 func (s *Session) Stats() ChannelStats { return s.stats }
+
+// Query is kept only because perfbench calls it.
+func (s *Session) Query(x []bool) ([]bool, error) { return Query(s, x) }
 
 // transcriptKey packs a pattern into a compact map key.
 func transcriptKey(x []bool) string {
@@ -101,37 +89,9 @@ func transcriptKey(x []bool) string {
 	return string(b)
 }
 
-// Query implements Oracle with transcript memoisation and budgeting.
-func (s *Session) Query(x []bool) ([]bool, error) {
-	if len(x) != s.o.NumInputs() {
-		return nil, fmt.Errorf("oracle: query width %d != oracle inputs %d", len(x), s.o.NumInputs())
-	}
-	k := transcriptKey(x)
-	if y, ok := s.cache[k]; ok {
-		s.stats.Queries++
-		s.stats.CacheHits++
-		return append([]bool(nil), y...), nil
-	}
-	if s.max > 0 && s.admitted >= s.max {
-		return nil, ErrBudget
-	}
-	y, err := s.o.Query(x)
-	if err != nil {
-		return nil, err
-	}
-	s.admitted++
-	s.stats.Queries++
-	s.stats.Unique++
-	s.stats.OracleCalls++
-	s.stats.ScanCycles += s.cost
-	s.cache[k] = append([]bool(nil), y...)
-	return y, nil
-}
-
-// QueryWords implements WordOracle. Lanes found in the transcript (or
+// QueryWords implements Oracle. Lanes found in the transcript (or
 // repeated within the batch) are served from cache; the remaining misses
-// are compacted into one sub-batch and forwarded — through the wrapped
-// oracle's word channel when it has one, as scalar queries otherwise.
+// are compacted into one sub-batch and forwarded to the wrapped oracle.
 // The budget is checked against the whole miss set before any lane is
 // admitted, so a rejected batch leaves the session unchanged.
 func (s *Session) QueryWords(in []uint64, n int) ([]uint64, error) {
@@ -169,22 +129,16 @@ func (s *Session) QueryWords(in []uint64, n int) ([]uint64, error) {
 
 	var missOut []uint64
 	if misses > 0 {
-		if s.max > 0 && s.admitted+misses > s.max {
+		if s.max > 0 && s.stats.Unique+misses > s.max {
 			return nil, ErrBudget
 		}
 		var err error
-		if s.w != nil {
-			missOut, err = s.w.QueryWords(missIn, misses)
-			s.stats.BatchCalls++
-			s.stats.OracleCalls++
-		} else {
-			missOut, err = QueryWords(scalarOnly{s.o}, missIn, misses)
-			s.stats.OracleCalls += misses
-		}
+		missOut, err = s.o.QueryWords(missIn, misses)
+		s.stats.OracleCalls++
+		s.stats.BatchCalls++
 		if err != nil {
 			return nil, err
 		}
-		s.admitted += misses
 		s.stats.Unique += misses
 		s.stats.ScanCycles += int64(misses) * s.cost
 		y := make([]bool, no)

@@ -18,6 +18,7 @@ import (
 
 	"orap/internal/gf2"
 	"orap/internal/lfsr"
+	"orap/internal/oracle"
 	"orap/internal/scan"
 	"orap/internal/sim"
 )
@@ -192,7 +193,7 @@ func SimulateSuppressReset(cfg scan.Config, trueKey []bool, x []bool) (AttackOut
 	if err := ch.Unlock(nil); err != nil {
 		return AttackOutcome{}, err
 	}
-	resp, err := scanQuery(ch, x)
+	resp, err := oracle.Query(oracle.NewScan(ch), x)
 	if err != nil {
 		return AttackOutcome{}, err
 	}
@@ -334,28 +335,4 @@ func boolsEqual(a, b []bool) bool {
 		}
 	}
 	return true
-}
-
-// scanQuery performs one scan in – capture – scan out query, mirroring
-// oracle.Scan but usable on a chip the caller already holds.
-func scanQuery(ch *scan.Chip, x []bool) ([]bool, error) {
-	cfg := ch.Config()
-	pins := x[:cfg.RealPIs]
-	ffPart := x[cfg.RealPIs:]
-	ch.SetScanEnable(true)
-	if err := ch.ScanInFFs(ffPart); err != nil {
-		return nil, err
-	}
-	ch.SetScanEnable(false)
-	pinOut, err := ch.CaptureClock(pins)
-	if err != nil {
-		return nil, err
-	}
-	ch.SetScanEnable(true)
-	ffOut, err := ch.ScanOutFFs()
-	if err != nil {
-		return nil, err
-	}
-	ch.SetScanEnable(false)
-	return append(append([]bool(nil), pinOut...), ffOut...), nil
 }

@@ -55,6 +55,25 @@ func TestScenarioASuppressResetYieldsCorrectOracle(t *testing.T) {
 	}
 }
 
+func TestSimulateSuppressResetChecksPatternWidth(t *testing.T) {
+	// A pattern of the wrong width is an error, never a panic: shorter
+	// than the pins, between the pins and the core inputs, or longer than
+	// the core inputs. TestScenarioASuppressResetYieldsCorrectOracle
+	// covers the correct width.
+	cfg, l := buildChipConfig(t, scan.OraPBasic, 1)
+	pins, inputs := cfg.RealPIs, cfg.Core.NumInputs()
+	if !(2 < pins && pins+1 < inputs) {
+		t.Fatalf("fixture has %d pins and %d inputs; the widths below need 2 < pins < inputs-1", pins, inputs)
+	}
+	for _, width := range []int{2, pins + 1, inputs + 1} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			if _, err := SimulateSuppressReset(cfg, l.Key, somePattern(width)); err == nil {
+				t.Fatalf("%d-bit pattern accepted by a core with %d inputs", width, inputs)
+			}
+		})
+	}
+}
+
 func TestScenarioCShadowRegisterLeaksKey(t *testing.T) {
 	for _, prot := range []scan.Protection{scan.OraPBasic, scan.OraPModified} {
 		cfg, l := buildChipConfig(t, prot, 2)
