@@ -10,8 +10,8 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own invariants (no math/rand or wall-clock reads in
-# internal/, Clone/Release pairing, ir.Program immutability, race-leg
-# test hygiene) plus the interprocedural secret-flow engine behind the
+# internal/, ir.Program immutability, race-leg test hygiene, no dead
+# exports) plus the interprocedural secret-flow engine behind the
 # nosecret rule; see cmd/orapvet and DESIGN.md "Static analysis". The
 # binary is built once so CI can rerun it with -report for the
 # machine-readable artifact without a second compile.
@@ -70,7 +70,6 @@ bench:
 # and EXPERIMENTS.md.
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'Serial|Parallel' -benchtime 3x .
-	$(GO) test -run '^$$' -bench 'CloneRelease|ForProgramNoPool' -benchmem ./internal/sim
 
 # One-iteration compile-and-run pass over the SAT-engine, ATPG, dataflow,
 # and vet benchmarks: the SAT attack on the cone-of-influence miter, the

@@ -2,10 +2,10 @@
 // the properties the compiler cannot check but the experiments and the
 // threat model depend on. It is a thin driver over internal/vet, which
 // typechecks ./internal/... and ./cmd/... once and runs two rule
-// layers: the syntactic rules (norand, nowalltime, clonerelease,
-// irmutate, shortrace, deadexport) and the interprocedural secret-flow
-// engine behind nosecret, whose findings carry a witness chain from the
-// key material's source through every call to the sink.
+// layers: the syntactic rules (norand, nowalltime, irmutate, shortrace,
+// deadexport) and the interprocedural secret-flow engine behind
+// nosecret, whose findings carry a witness chain from the key
+// material's source through every call to the sink.
 //
 // Usage:
 //

@@ -32,7 +32,7 @@ func TestFixtureModuleExitsOne(t *testing.T) {
 	if code != exitErrors {
 		t.Fatalf("exit = %d, want %d", code, exitErrors)
 	}
-	if !strings.Contains(out, "[nosecret]") || !strings.Contains(out, "[clonerelease]") {
+	if !strings.Contains(out, "[nosecret]") || !strings.Contains(out, "[irmutate]") {
 		t.Errorf("stdout missing expected rule tags:\n%s", out)
 	}
 	// Witness chains render indented under their finding.

@@ -1,22 +1,15 @@
 // Command demo shows what the cmd/ layer may do that internal/ may
-// not: wall-clock reads and math/rand are allowed here, while the
-// clonerelease pairing still applies.
+// not: wall-clock reads and math/rand are allowed here.
 package main
 
 import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"vetfixture/internal/sim"
 )
 
 func main() {
 	start := time.Now()
 	fmt.Println(rand.Int())
-	p := &sim.Parallel{}
-	c := p.Clone()
-	defer c.Release()
-	c.Run()
 	fmt.Println(time.Since(start))
 }

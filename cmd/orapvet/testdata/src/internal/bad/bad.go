@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vetfixture/internal/ir"
-	"vetfixture/internal/sim"
 )
 
 func Sample() int { return rand.Int() }
@@ -15,10 +14,6 @@ func Sample() int { return rand.Int() }
 func Stamp() int64 { return time.Now().UnixNano() }
 
 func Elapsed(t0 time.Time) time.Duration { return time.Since(t0) }
-
-func LeakClone(p *sim.Parallel) *sim.Parallel {
-	return p.Clone()
-}
 
 func Rename(prog *ir.Program) {
 	prog.Name = "hacked"

@@ -1,7 +1,6 @@
-// Package good exercises the idioms each rule must accept: cloning
-// inside a closure with the release in the same enclosing function,
-// reading (not writing) a Program, and time.Duration values without
-// wall-clock reads.
+// Package good exercises the idioms each rule must accept: reading (not
+// writing) a Program, time.Duration values without wall-clock reads, and
+// key handling that never reaches an output.
 package good
 
 import (
@@ -11,19 +10,7 @@ import (
 
 	"vetfixture/internal/gf2"
 	"vetfixture/internal/ir"
-	"vetfixture/internal/sim"
 )
-
-func UseClone(p *sim.Parallel) {
-	done := make(chan struct{})
-	go func() {
-		c := p.Clone()
-		defer c.Release()
-		c.Run()
-		close(done)
-	}()
-	<-done
-}
 
 func ReadProgram(p *ir.Program) int { return p.NumNodes() }
 

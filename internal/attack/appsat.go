@@ -53,7 +53,6 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	defer ev.Release()
 	res := &Result{}
 	defer res.finish(o, m.S)
 	maxIter := opts.iterations(10000)

@@ -173,7 +173,6 @@ func SampleDisagreement(locked *netlist.Circuit, key []bool, o oracle.Oracle, sa
 	if err != nil {
 		return 0, err
 	}
-	defer ev.Release()
 	bad, err := disagreements(ev, key, o, samples, r, nil)
 	if err != nil {
 		return 0, err

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"orap/internal/cnf"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/oracle"
 	"orap/internal/sat"
-	"orap/internal/sim"
 )
 
 // BypassOptions tunes the bypass attack.
@@ -38,8 +38,8 @@ type BypassResult struct {
 
 	// support lists the key-support inputs (cnf.Miter.Support).
 	support []int
-	// eval runs the locked circuit on the miter's compiled program.
-	eval *sim.Evaluator
+	// prog is the locked circuit as the miter compiled it.
+	prog *ir.Program
 }
 
 // Bypass runs the bypass attack of Xu et al. (CHES'17): instead of
@@ -84,7 +84,7 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 		Key:     append([]bool(nil), chosenKey...),
 		Patches: make(map[string][]bool),
 		support: m.Support,
-		eval:    sim.EvaluatorFor(m.Prog),
+		prog:    m.Prog,
 	}
 	defer func() {
 		res.OracleQueries = o.Queries()
@@ -108,7 +108,7 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 		}
 		// The patch flips the outputs on which the oracle disagrees with
 		// the circuit under the chosen key.
-		flip, err := res.eval.Eval(x, res.Key)
+		flip, err := res.prog.Eval(x, res.Key)
 		if err != nil {
 			return res, err
 		}
@@ -129,9 +129,9 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 // Eval evaluates the patched design: the locked circuit under the chosen
 // key, with the patch for x's key-support pattern, if any, XORed onto the
 // outputs. This is the functional view of the attacker's bypass hardware.
-// It runs on the program the attack compiled; not safe for concurrent use.
+// It runs on the program the attack compiled.
 func (b *BypassResult) Eval(x []bool) ([]bool, error) {
-	y, err := b.eval.Eval(x, b.Key)
+	y, err := b.prog.Eval(x, b.Key)
 	if err != nil {
 		return nil, err
 	}

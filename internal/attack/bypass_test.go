@@ -1,6 +1,9 @@
 package attack
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"orap/internal/circuits"
@@ -187,6 +190,65 @@ func TestBypassPatchesOnlyKeySupport(t *testing.T) {
 			if want[j] != got[j] {
 				t.Fatalf("patched design wrong at %04b", v)
 			}
+		}
+	}
+}
+
+// TestBypassEvalConcurrent checks that the patched design can be
+// evaluated from several goroutines at once (run under -race): every
+// goroutine's answers match the serial ones.
+func TestBypassEvalConcurrent(t *testing.T) {
+	orig := circuits.C17()
+	l, err := lock.SARLock(orig, 0, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := oracle.NewComb(orig, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := append([]bool(nil), l.Key...)
+	chosen[0] = !chosen[0]
+	res, err := Bypass(l.Circuit, o, chosen, BypassOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := make([][]bool, 32)
+	serial := make([][]bool, len(patterns))
+	for v := range patterns {
+		x := make([]bool, 5)
+		for i := range x {
+			x[i] = v>>uint(i)&1 == 1
+		}
+		patterns[v] = x
+		if serial[v], err = res.Eval(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 4
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for v, x := range patterns {
+				got, err := res.Eval(x)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if !slices.Equal(got, serial[v]) {
+					errs[g] = fmt.Errorf("pattern %05b: got %v, serial %v", v, got, serial[v])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
 		}
 	}
 }

@@ -74,7 +74,6 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	defer ev.Release()
 	settleRand := rng.NewNamed(0x2d1b, "attack/doubledip-settle")
 	settleRounds := 0
 	for {

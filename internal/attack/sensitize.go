@@ -9,7 +9,6 @@ import (
 	"orap/internal/oracle"
 	"orap/internal/rng"
 	"orap/internal/sat"
-	"orap/internal/sim"
 )
 
 // SensitizeOptions tunes the key-sensitization attack.
@@ -60,7 +59,6 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 	if err != nil {
 		return nil, err
 	}
-	ev := sim.EvaluatorFor(prog)
 	res := &SensitizeResult{}
 	res.Key = make([]bool, nk)
 	res.Determined = make([]bool, nk)
@@ -142,11 +140,11 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 			copy(key1, otherKey)
 			key0[bit] = false
 			key1[bit] = true
-			o0, err := ev.Eval(x, key0)
+			o0, err := prog.Eval(x, key0)
 			if err != nil {
 				return res, err
 			}
-			o1, err := ev.Eval(x, key1)
+			o1, err := prog.Eval(x, key1)
 			if err != nil {
 				return res, err
 			}

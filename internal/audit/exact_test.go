@@ -84,7 +84,6 @@ func enumerate(t *testing.T, c *netlist.Circuit) []enumBit {
 	if nIn > 14 {
 		t.Fatalf("%d inputs, harness expects ≤ 14", nIn)
 	}
-	ev := sim.EvaluatorFor(prog)
 	// One output table over the whole space, then every bit's counts
 	// come from table lookups instead of re-simulation.
 	nPO := len(prog.POs)
@@ -94,7 +93,7 @@ func enumerate(t *testing.T, c *netlist.Circuit) []enumBit {
 		for i := range buf {
 			buf[i] = v>>uint(i)&1 == 1
 		}
-		out, err := ev.Eval(buf[:nPI], buf[nPI:])
+		out, err := prog.Eval(buf[:nPI], buf[nPI:])
 		if err != nil {
 			t.Fatal(err)
 		}

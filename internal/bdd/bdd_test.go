@@ -11,7 +11,6 @@ import (
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/rng"
-	"orap/internal/sim"
 )
 
 func compile(t *testing.T, c *netlist.Circuit) *ir.Program {
@@ -201,7 +200,6 @@ func TestSatCountAgainstEnumeration(t *testing.T) {
 		}
 		m, outs, varOf := compileOutputs(t, p, 0)
 		want := make([]int64, len(outs))
-		ev := sim.EvaluatorFor(p)
 		nPI := len(p.PIs)
 		vars := make([]bool, nin)
 		for v := 0; v < 1<<nin; v++ {
@@ -209,7 +207,7 @@ func TestSatCountAgainstEnumeration(t *testing.T) {
 			for i := range p.Inputs {
 				full = append(full, v>>uint(i)&1 == 1)
 			}
-			outBits, err := ev.Eval(full[:nPI], full[nPI:])
+			outBits, err := p.Eval(full[:nPI], full[nPI:])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -177,7 +177,7 @@ func AttackStudy(opts AttackStudyOptions) ([]AttackRow, error) {
 	rows := make([]AttackRow, len(cells))
 	err = par.ForEach(opts.Workers, len(cells), func(i int) error {
 		prot, a := cells[i].prot, cells[i].a
-		o, err := newScanOracle(l, scaled, prot, opts.Seed)
+		o, err := newScanOracle(l, scaled, prot, opts.Seed, "attacks/orap")
 		if err != nil {
 			return err
 		}
@@ -295,10 +295,11 @@ func auditSummary(cfg scan.Config) (string, error) {
 
 // newScanOracle builds a fresh activated chip for the locked circuit and
 // wraps it in the scan-protocol oracle behind a channel session
-// (batching, transcript memoisation, telemetry).
-func newScanOracle(l *lock.Locked, prof benchgen.Profile, prot scan.Protection, seed uint64) (*oracle.Session, error) {
+// (batching, transcript memoisation, telemetry). label names the rng
+// stream the OraP synthesis draws from.
+func newScanOracle(l *lock.Locked, prof benchgen.Profile, prot scan.Protection, seed uint64, label string) (*oracle.Session, error) {
 	cfg, err := orap.Protect(l.Circuit, l.Key, prof.Pins, prof.PinOuts, prot, orap.Options{
-		Rand: rng.NewNamed(seed, "attacks/orap"),
+		Rand: rng.NewNamed(seed, label),
 	})
 	if err != nil {
 		return nil, err

@@ -8,8 +8,6 @@ import (
 	"orap/internal/benchgen"
 	"orap/internal/ir"
 	"orap/internal/lock"
-	"orap/internal/oracle"
-	"orap/internal/orap"
 	"orap/internal/rng"
 	"orap/internal/scan"
 )
@@ -56,7 +54,7 @@ func OtherAttacks(seed uint64) ([]OtherAttackRow, error) {
 		return nil, fmt.Errorf("exp: seed %d draws the all-zero SARLock key, which OraP cannot protect; use another seed", seed)
 	}
 	for _, prot := range []scan.Protection{scan.None, scan.OraPBasic} {
-		o, err := chipOracle(sar, scaled, prot, seed)
+		o, err := newScanOracle(sar, scaled, prot, seed, "other/protect")
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +78,7 @@ func OtherAttacks(seed uint64) ([]OtherAttackRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	oWll, err := chipOracle(wll, scaled, scan.None, seed)
+	oWll, err := newScanOracle(wll, scaled, scan.None, seed, "other/protect")
 	if err != nil {
 		return nil, err
 	}
@@ -161,25 +159,6 @@ func patchedMatches(l *lock.Locked, res *attack.BypassResult, seed uint64) (bool
 		}
 	}
 	return true, nil
-}
-
-// chipOracle builds an activated chip for the locked design and wraps it
-// in the scan-protocol oracle behind a channel session.
-func chipOracle(l *lock.Locked, prof benchgen.Profile, prot scan.Protection, seed uint64) (oracle.Oracle, error) {
-	cfg, err := orap.Protect(l.Circuit, l.Key, prof.Pins, prof.PinOuts, prot, orap.Options{
-		Rand: rng.NewNamed(seed, "other/protect"),
-	})
-	if err != nil {
-		return nil, err
-	}
-	ch, err := scan.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := ch.Unlock(nil); err != nil {
-		return nil, err
-	}
-	return oracle.NewSession(oracle.NewScan(ch), 0), nil
 }
 
 // FormatOtherAttacks renders the study.

@@ -57,10 +57,9 @@ func TrojanStudy(opts TrojanStudyOptions) ([]TrojanRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The simulated chips use a moderate key width (the payload table
-	// below uses the full requested width); wide keys on a small carrier
-	// entangle every flip-flop cone and the modified-scheme synthesis
-	// would fall back to its randomized search.
+	// The simulated chips use a moderate key width: at most 24 bits, and
+	// at most one key bit per eight gates of the small carrier. The
+	// payload table below uses the full requested width.
 	simKeyBits := opts.KeyBits
 	if simKeyBits > 24 {
 		simKeyBits = 24
@@ -87,17 +86,11 @@ func TrojanStudy(opts TrojanStudyOptions) ([]TrojanRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var modCfg scan.Config
-	for attempt := 0; ; attempt++ {
-		modCfg, err = orap.Protect(l.Circuit, l.Key, scaled.Pins, scaled.PinOuts, scan.OraPModified, orap.Options{
-			Rand: rng.NewNamed(opts.Seed+uint64(attempt), "trojan/mod"),
-		})
-		if err == nil {
-			break
-		}
-		if attempt >= 4 {
-			return nil, err
-		}
+	modCfg, err := orap.Protect(l.Circuit, l.Key, scaled.Pins, scaled.PinOuts, scan.OraPModified, orap.Options{
+		Rand: rng.NewNamed(opts.Seed, "trojan/mod"),
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Payload costs use the requested (paper-scale) key width and the

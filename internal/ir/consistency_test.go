@@ -74,7 +74,6 @@ func engines(t *testing.T, c *netlist.Circuit, pattern []bool) [4]bool {
 	}
 	p.Run()
 	out[1] = p.Value(c.POs[0])[0]&1 == 1
-	p.Release()
 
 	// 3. Fault simulator: a stuck-at-0 fault on the output is detected by
 	// a pattern exactly when the good output value is 1 on that pattern.

@@ -4,7 +4,7 @@ import "fmt"
 
 // This file is the shared gate-evaluation kernel. Every engine that
 // computes circuit values — the 64-way bit-parallel simulator, the
-// single-pattern evaluators behind oracles and attacks, and the fault
+// single-pattern Eval behind the scan chip and attacks, and the fault
 // simulator's faulty-value propagation — reduces to one of the three
 // entry points here, so the gate semantics live in exactly one place.
 
@@ -234,8 +234,7 @@ func (p *Program) RunBools(vals []bool) {
 // Eval evaluates one pattern given as primary-input and key bit slices
 // and returns the primary-output bits in declaration order. It allocates
 // a fresh value buffer per call and is therefore safe to call from any
-// number of goroutines; loops should prefer a reusable evaluator (such
-// as sim.Evaluator) that amortizes the buffer.
+// number of goroutines.
 func (p *Program) Eval(pi, key []bool) ([]bool, error) {
 	if len(pi) != len(p.PIs) {
 		return nil, fmt.Errorf("ir: got %d primary input bits, program has %d", len(pi), len(p.PIs))

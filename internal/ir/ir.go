@@ -65,7 +65,7 @@ func (o Op) GateType() netlist.GateType { return netlist.GateType(o) }
 
 // Program is an immutable compiled circuit. All slice fields are
 // read-only after Compile returns; they may be shared freely across
-// goroutines and across evaluator clones.
+// goroutines and evaluators.
 type Program struct {
 	// Name echoes the source circuit's name.
 	Name string

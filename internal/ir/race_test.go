@@ -72,7 +72,6 @@ func TestConcurrentEvalNoWarmup(t *testing.T) {
 					for i, id := range c.POs {
 						got[i] = p.Value(id)[0]&1 == 1
 					}
-					p.Release()
 				}
 				if err != nil {
 					errs[g] = err

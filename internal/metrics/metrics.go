@@ -94,13 +94,9 @@ func HammingDistance(locked *netlist.Circuit, correctKey []bool, opts HDOptions)
 	if locked.NumKeys() == 0 {
 		return HDResult{}, fmt.Errorf("metrics: circuit %q has no key inputs", locked.Name)
 	}
-	// The circuit compiles once for the prototype evaluator; clones share
-	// the immutable program, so worker goroutines need no warm-up.
+	// The circuit compiles once; every worker's evaluator shares the
+	// immutable program and owns only its value buffer.
 	prog, err := ir.Compile(locked)
-	if err != nil {
-		return HDResult{}, err
-	}
-	proto, err := sim.ForProgram(prog, opts.BlockWords)
 	if err != nil {
 		return HDResult{}, err
 	}
@@ -134,10 +130,11 @@ func HammingDistance(locked *netlist.Circuit, correctKey []bool, opts HDOptions)
 	err = par.ForEachWorker(workers, blocks, func(w, b int) error {
 		s := scratch[w]
 		if s == nil {
-			s = &hdWorker{eval: proto}
-			if w > 0 {
-				s.eval = proto.Clone()
+			eval, err := sim.ForProgram(prog, opts.BlockWords)
+			if err != nil {
+				return err
 			}
+			s = &hdWorker{eval: eval}
 			s.good = make([][]uint64, locked.NumOutputs())
 			for i := range s.good {
 				s.good[i] = make([]uint64, opts.BlockWords)
@@ -165,12 +162,6 @@ func HammingDistance(locked *netlist.Circuit, correctKey []bool, opts HDOptions)
 		blockDiff[b] = diff
 		return nil
 	})
-	for w := 1; w < len(scratch); w++ {
-		if scratch[w] != nil {
-			scratch[w].eval.Release()
-		}
-	}
-	proto.Release()
 	if err != nil {
 		return HDResult{}, err
 	}

@@ -8,14 +8,15 @@ import (
 	"orap/internal/lfsr"
 	"orap/internal/netlist"
 	"orap/internal/scan"
-	"orap/internal/sim"
 )
 
-// synthesizeModifiedSequential is the exact synthesis for the modified
-// scheme when the reseeding points cover every cell (InjectSpacing == 1)
-// and seeds are fed back to back (no free-run cycles).
+// synthesizeModified builds the Fig. 3 scheme: reseeding points alternate
+// between memory-driven (even cells) and response-driven (odd cells), as
+// the paper prescribes. It needs a reseeding point on every cell
+// (InjectSpacing == 1) and an even tap spacing, and feeds the seeds back
+// to back (no free-run cycles).
 //
-// It exploits two facts:
+// The synthesis is exact and exploits two facts:
 //
 //  1. The response word injected at cycle t is a function of the
 //     flip-flop state at cycle t, which is fully determined before seed t
@@ -30,16 +31,19 @@ import (
 //
 // The construction works for every circuit, independent of how entangled
 // the responses are with the key inputs.
-func synthesizeModifiedSequential(core *netlist.Circuit, key []bool, realPIs, realPOs int, opts Options) (scan.Config, error) {
+func synthesizeModified(core *netlist.Circuit, key []bool, realPIs, realPOs int, opts Options) (scan.Config, error) {
 	n := core.NumKeys()
+	if opts.InjectSpacing != 1 {
+		return scan.Config{}, fmt.Errorf("orap: the modified scheme needs a reseeding point on every cell (inject spacing 1), got %d", opts.InjectSpacing)
+	}
 	if opts.TapSpacing%2 != 0 {
-		return scan.Config{}, fmt.Errorf("orap: sequential synthesis needs an even tap spacing, got %d", opts.TapSpacing)
+		return scan.Config{}, fmt.Errorf("orap: the modified scheme needs an even tap spacing, got %d", opts.TapSpacing)
 	}
-	cfg := lfsr.Config{
-		N:      n,
-		Taps:   lfsr.StandardTaps(n, opts.TapSpacing),
-		Inject: lfsr.AllInject(n),
+	numFFs := core.NumInputs() - realPIs
+	if numFFs <= 0 {
+		return scan.Config{}, fmt.Errorf("orap: modified scheme needs flip-flops for response feedback (core has none)")
 	}
+	cfg := lfsrConfig(n, opts)
 	var memInject, respInject []int
 	for i := 0; i < n; i++ {
 		if i%2 == 0 {
@@ -49,11 +53,7 @@ func synthesizeModifiedSequential(core *netlist.Circuit, key []bool, realPIs, re
 		}
 	}
 	if len(respInject) == 0 {
-		return scan.Config{}, fmt.Errorf("orap: key register too small to split reseeding points (n=%d)", n)
-	}
-	numFFs := core.NumInputs() - realPIs
-	if numFFs <= 0 {
-		return scan.Config{}, fmt.Errorf("orap: modified scheme needs flip-flops for response feedback")
+		return scan.Config{}, fmt.Errorf("orap: too few reseeding points to split (have %d)", n)
 	}
 	respTaps := make([]int, len(respInject))
 	perm := opts.Rand.Perm(numFFs)
@@ -82,12 +82,11 @@ func synthesizeModifiedSequential(core *netlist.Circuit, key []bool, realPIs, re
 	if err != nil {
 		return scan.Config{}, err
 	}
-	coreEval := sim.EvaluatorFor(prog)
 	evalFF := func(ff []bool, state gf2.Vec) ([]bool, error) {
 		in := make([]bool, core.NumInputs())
 		copy(in, pins)
 		copy(in[realPIs:], ff)
-		out, err := coreEval.Eval(in, state.Bools())
+		out, err := prog.Eval(in, state.Bools())
 		if err != nil {
 			return nil, err
 		}

@@ -16,17 +16,14 @@
 // responses drive half the reseeding points, an exact sequential
 // construction (exact.go) positions the register cycle by cycle — it
 // works for any circuit because each cycle's response is determined
-// before that cycle's seed is chosen. Sparse injection layouts fall back
-// to a linear solve over key-independent response taps, or to a
-// randomized fixpoint when the whole state is key-entangled. Every
-// synthesized sequence is verified by simulating the unlock.
+// before that cycle's seed is chosen. Every synthesized sequence is
+// verified by simulating the unlock.
 package orap
 
 import (
 	"fmt"
 
 	"orap/internal/gf2"
-	"orap/internal/ir"
 	"orap/internal/lfsr"
 	"orap/internal/netlist"
 	"orap/internal/rng"
@@ -36,21 +33,21 @@ import (
 // Options tunes the OraP construction.
 type Options struct {
 	// TapSpacing is the characteristic-polynomial tap spacing (paper: a
-	// new tap after every eight cells). Default 8.
+	// new tap after every eight cells). Default 8. The modified scheme
+	// needs it even.
 	TapSpacing int
 	// InjectSpacing places a reseeding point every k-th cell. Default 1
-	// (every cell, the most general case of Fig. 1).
+	// (every cell, the most general case of Fig. 1). The modified scheme
+	// needs 1.
 	InjectSpacing int
 	// Seeds is the number of seeded cycles in the unlock schedule.
-	// Default: grown automatically until the memory-driven transfer
-	// matrix reaches full rank.
+	// Default for the basic scheme: grown automatically until the
+	// memory-driven transfer matrix reaches full rank. The modified
+	// scheme feeds max(Seeds, 4) seeds back to back.
 	Seeds int
 	// FreeRun is the number of free-run cycles after each seed.
-	// Default 1.
+	// Default 1. The modified scheme ignores it.
 	FreeRun int
-	// MaxSynthesisRetries bounds re-attempts (with fresh response taps /
-	// randomization) for the modified scheme. Default 8.
-	MaxSynthesisRetries int
 	// Rand drives tap selection and synthesis randomization; required.
 	Rand *rng.Stream
 }
@@ -70,9 +67,6 @@ func (o *Options) fill() error {
 	}
 	if o.FreeRun == 0 {
 		o.FreeRun = 1
-	}
-	if o.MaxSynthesisRetries <= 0 {
-		o.MaxSynthesisRetries = 8
 	}
 	return nil
 }
@@ -213,218 +207,19 @@ func synthesizeBasic(core *netlist.Circuit, key []bool, realPIs, realPOs int, op
 	return chipCfg, nil
 }
 
-// synthesizeModified builds the Fig. 3 scheme: reseeding points alternate
-// between memory-driven and response-driven (interleaved, as the paper
-// prescribes), and the seeds are found by a fixpoint iteration over
-// concrete unlock simulations.
-func synthesizeModified(core *netlist.Circuit, key []bool, realPIs, realPOs int, opts Options) (scan.Config, error) {
-	// With reseeding points on every cell, the sequential construction
-	// (exact.go) synthesizes the key sequence deterministically for any
-	// circuit; the randomized fixpoint below remains for sparse
-	// injection layouts.
-	if opts.InjectSpacing == 1 && opts.TapSpacing%2 == 0 {
-		cfg, err := synthesizeModifiedSequential(core, key, realPIs, realPOs, opts)
-		if err == nil {
-			return cfg, nil
-		}
-	}
-	n := core.NumKeys()
-	cfg := lfsrConfig(n, opts)
-	numFFs := core.NumInputs() - realPIs
-	if numFFs <= 0 {
-		return scan.Config{}, fmt.Errorf("orap: modified scheme needs flip-flops for response feedback (core has none)")
-	}
-	// Interleave: even inject positions from memory, odd from responses.
-	var memInject, respInject []int
-	for i := range cfg.Inject {
-		if i%2 == 0 {
-			memInject = append(memInject, i)
-		} else {
-			respInject = append(respInject, i)
-		}
-	}
-	if len(respInject) == 0 {
-		return scan.Config{}, fmt.Errorf("orap: too few reseeding points to split (have %d)", len(cfg.Inject))
-	}
-
-	sc, m, err := growSchedule(cfg, memInject, n, opts)
-	if err != nil {
-		return scan.Config{}, err
-	}
-	target := gf2.FromBools(key)
-	width := len(memInject)
-
-	// Prefer response taps whose flip-flops are key-independent (their
-	// next-state cones contain no key inputs, transitively): the response
-	// sequence is then a known constant of the design, key-sequence
-	// synthesis reduces to one exact linear solve, and the designer gets
-	// the "better control on the LFSR values" the paper asks for. The
-	// scenario-(e) defense is unaffected — frozen flip-flops still feed
-	// wrong values into the register. When no such flip-flops exist the
-	// synthesis falls back to a randomized fixpoint search over the
-	// (then key-entangled) response feedback.
-	prog, err := ir.Compile(core)
-	if err != nil {
-		return scan.Config{}, err
-	}
-	indepFFs := keyIndependentFFs(core, prog, realPIs, realPOs)
-
-	for retry := 0; retry < opts.MaxSynthesisRetries; retry++ {
-		// Pick response taps (which flip-flops feed the odd points).
-		respTaps := make([]int, len(respInject))
-		if len(indepFFs) > 0 && retry == 0 {
-			perm := opts.Rand.Perm(len(indepFFs))
-			for i := range respTaps {
-				respTaps[i] = indepFFs[perm[i%len(indepFFs)]]
-			}
-		} else {
-			perm := opts.Rand.Perm(numFFs)
-			for i := range respTaps {
-				respTaps[i] = perm[i%numFFs]
-			}
-		}
-		chipCfg := scan.Config{
-			Core:       core,
-			RealPIs:    realPIs,
-			RealPOs:    realPOs,
-			Protection: scan.OraPModified,
-			LFSR:       cfg,
-			Schedule:   sc,
-			Seeds:      splitSeeds(gf2.NewVec(width*sc.NumSeeds()), sc.NumSeeds(), width),
-			MemInject:  memInject,
-			RespInject: respInject,
-			RespTaps:   respTaps,
-		}
-		stacked := gf2.NewVec(width * sc.NumSeeds())
-		seen := map[string]bool{}
-		converged := false
-		for iter := 0; iter < 32; iter++ {
-			chipCfg.Seeds = splitSeeds(stacked, sc.NumSeeds(), width)
-			final, err := simulateFinalKey(chipCfg)
-			if err != nil {
-				return scan.Config{}, err
-			}
-			if final.Equal(target) {
-				converged = true
-				break
-			}
-			// Newton-style correction treating the response contribution
-			// as locally constant: M·δ = final ⊕ target.
-			delta := final.Clone()
-			delta.Xor(target)
-			dSeed, ok := m.Solve(delta)
-			if !ok {
-				return scan.Config{}, fmt.Errorf("orap: correction solve failed on full-rank matrix")
-			}
-			stacked.Xor(dSeed)
-			sig := stacked.String()
-			if seen[sig] {
-				// Fixpoint cycle: restart from a fresh random point; the
-				// search then behaves like rejection sampling over the
-				// response-feedback images.
-				for b := 0; b < stacked.Len(); b++ {
-					stacked.SetBit(b, opts.Rand.Bool())
-				}
-			}
-			seen[sig] = true
-		}
-		if converged {
-			if err := verifyUnlock(chipCfg, key); err != nil {
-				return scan.Config{}, err
-			}
-			return chipCfg, nil
-		}
-	}
-	return scan.Config{}, fmt.Errorf("orap: modified-scheme synthesis did not converge after %d retries", opts.MaxSynthesisRetries)
-}
-
-// simulateFinalKey runs a pristine chip's unlock and returns the key
-// register's final contents.
-func simulateFinalKey(cfg scan.Config) (gf2.Vec, error) {
-	ch, err := scan.New(cfg)
-	if err != nil {
-		return gf2.Vec{}, err
-	}
-	if err := ch.Unlock(nil); err != nil {
-		return gf2.Vec{}, err
-	}
-	return gf2.FromBools(ch.Key()), nil
-}
-
 // verifyUnlock checks by simulation that a pristine chip built from cfg
 // unlocks to exactly the expected key.
 func verifyUnlock(cfg scan.Config, key []bool) error {
-	final, err := simulateFinalKey(cfg)
+	ch, err := scan.New(cfg)
 	if err != nil {
 		return err
 	}
-	if !final.Equal(gf2.FromBools(key)) {
-		return fmt.Errorf("orap: synthesized key sequence unlocks to %v, want %v", final, gf2.FromBools(key))
+	if err := ch.Unlock(nil); err != nil {
+		return err
+	}
+	final, want := gf2.FromBools(ch.Key()), gf2.FromBools(key)
+	if !final.Equal(want) {
+		return fmt.Errorf("orap: synthesized key sequence unlocks to %v, want %v", final, want)
 	}
 	return nil
-}
-
-// keyIndependentFFs returns the indices of flip-flops whose next-state
-// logic is transitively independent of every key input: the cone of their
-// D input contains no key input and no key-dependent flip-flop output.
-// prog is core compiled.
-func keyIndependentFFs(core *netlist.Circuit, prog *ir.Program, realPIs, realPOs int) []int {
-	numFFs := core.NumInputs() - realPIs
-	if numFFs <= 0 {
-		return nil
-	}
-	isKey := make([]bool, core.NumNodes())
-	for _, k := range core.Keys {
-		isKey[k] = true
-	}
-	// ffOfInput maps a core input node ID to its flip-flop index (-1 for
-	// package pins).
-	ffOfInput := make(map[int]int)
-	for i, id := range core.PIs[realPIs:] {
-		ffOfInput[id] = i
-	}
-
-	// cones[j] lists, for flip-flop j's D input, the key flag and the
-	// flip-flop outputs in its transitive fanin.
-	directKey := make([]bool, numFFs)
-	deps := make([][]int, numFFs)
-	for j := 0; j < numFFs; j++ {
-		cone := prog.TransitiveFanin(core.POs[realPOs+j])
-		for id, in := range cone {
-			if !in {
-				continue
-			}
-			if isKey[id] {
-				directKey[j] = true
-			}
-			if ff, ok := ffOfInput[id]; ok {
-				deps[j] = append(deps[j], ff)
-			}
-		}
-	}
-	// Fixpoint: a flip-flop is key-dependent if its cone has a key input
-	// or a key-dependent flip-flop.
-	keyDep := append([]bool(nil), directKey...)
-	for changed := true; changed; {
-		changed = false
-		for j := 0; j < numFFs; j++ {
-			if keyDep[j] {
-				continue
-			}
-			for _, d := range deps[j] {
-				if keyDep[d] {
-					keyDep[j] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	var indep []int
-	for j := 0; j < numFFs; j++ {
-		if !keyDep[j] {
-			indep = append(indep, j)
-		}
-	}
-	return indep
 }

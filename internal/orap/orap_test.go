@@ -1,6 +1,7 @@
 package orap
 
 import (
+	"strings"
 	"testing"
 
 	"orap/internal/circuits"
@@ -188,6 +189,35 @@ func TestProtectSparseInjection(t *testing.T) {
 	ch.Unlock(nil)
 	if !boolsEq(ch.Key(), l.Key) {
 		t.Fatal("sparse-injection scheme did not unlock correctly")
+	}
+}
+
+func TestProtectModifiedRejectsUnsupportedLayouts(t *testing.T) {
+	// The modified scheme's synthesis needs a reseeding point on every
+	// cell and polynomial taps on even cells only; other layouts are
+	// refused rather than searched for.
+	_, l := lockedAdder(t, 16, 12)
+	for name, opts := range map[string]Options{
+		"inject spacing 3": {InjectSpacing: 3, Rand: rng.New(17)},
+		"tap spacing 7":    {TapSpacing: 7, Rand: rng.New(17)},
+	} {
+		if _, err := Protect(l.Circuit, l.Key, 5, 1, scan.OraPModified, opts); err == nil {
+			t.Errorf("%s: modified scheme accepted", name)
+		}
+	}
+	// A core without flip-flops has no responses to feed back, and a
+	// 1-bit register has no odd cell to take them.
+	noFFs := l.Circuit.NumInputs()
+	if _, err := Protect(l.Circuit, l.Key, noFFs, l.Circuit.NumOutputs(), scan.OraPModified, Options{Rand: rng.New(18)}); err == nil || !strings.Contains(err.Error(), "(core has none)") {
+		t.Errorf("core without flip-flops: err = %v", err)
+	}
+	one, err := lock.RandomXOR(circuits.RippleAdder(4), 1, rng.New(19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Key[0] = true // any nonzero key; synthesis must refuse before using it
+	if _, err := Protect(one.Circuit, one.Key, 5, 1, scan.OraPModified, Options{Rand: rng.New(20)}); err == nil || !strings.Contains(err.Error(), "too few reseeding points to split (have 1)") {
+		t.Errorf("1-bit key: err = %v", err)
 	}
 }
 

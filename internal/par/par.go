@@ -36,7 +36,7 @@ func ForEach(workers, n int, fn func(i int) error) error {
 }
 
 // ForEachWorker is ForEach for callers that keep per-worker scratch state
-// (a simulator clone, a value buffer): fn additionally receives the worker
+// (an evaluator, a value buffer): fn additionally receives the worker
 // slot in [0, workers) that is running the item. Slot w is only ever used
 // by one goroutine at a time, so scratch indexed by it needs no locking.
 // Work is handed out dynamically, so the mapping of items to slots varies

@@ -32,13 +32,13 @@ func (ch *Chip) ScanBatch(in []uint64, n int) ([]uint64, error) {
 		return nil, fmt.Errorf("scan: batch width %d != core inputs %d", len(in), ch.cfg.Core.NumInputs())
 	}
 	if ch.batch == nil {
-		p, err := sim.ForProgram(ch.core.Program(), 1)
+		p, err := sim.ForProgram(ch.core, 1)
 		if err != nil {
 			return nil, err
 		}
 		ch.batch = p
 	}
-	prog := ch.batch.Program()
+	prog := ch.core
 
 	// Replay the scan-enable protocol per pattern and snapshot the key
 	// register each capture clock sees. The flip-flop scan-in fully

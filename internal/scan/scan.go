@@ -187,12 +187,12 @@ type Chip struct {
 	se       bool    // scan enable level
 	unlocked bool    // whether the unlock sequence has been run since the last key clear
 
-	// core is the reusable evaluator over the compiled combinational
-	// core; every capture clock goes through it.
-	core *sim.Evaluator
+	// core is the compiled combinational core; every capture clock
+	// evaluates it.
+	core *ir.Program
 
 	// batch is the lazily built word-parallel evaluator behind ScanBatch
-	// (batch.go); it shares core's compiled program.
+	// (batch.go) over core.
 	batch *sim.Parallel
 
 	// cycles counts test-clock cycles spent on the scan interface:
@@ -211,11 +211,10 @@ func New(cfg Config) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	prog, err := ir.Compile(cfg.Core)
+	core, err := ir.Compile(cfg.Core)
 	if err != nil {
 		return nil, err
 	}
-	core := sim.EvaluatorFor(prog)
 	return &Chip{
 		cfg:    cfg,
 		ff:     make([]bool, cfg.NumFFs()),

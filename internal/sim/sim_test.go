@@ -224,19 +224,6 @@ func TestMultiInputGates(t *testing.T) {
 	}
 }
 
-func TestPopCountPartialWord(t *testing.T) {
-	w := []uint64{^uint64(0), ^uint64(0)}
-	if got := PopCount(w, 70); got != 70 {
-		t.Fatalf("PopCount over 70 bits = %d", got)
-	}
-	if got := PopCount(w, 128); got != 128 {
-		t.Fatalf("PopCount over 128 bits = %d", got)
-	}
-	if got := PopCount(w, 0); got != 0 {
-		t.Fatalf("PopCount over 0 bits = %d", got)
-	}
-}
-
 func TestDiffBits(t *testing.T) {
 	a := []uint64{0xff, 0x1}
 	b := []uint64{0x0f, 0x0}
@@ -265,84 +252,48 @@ func BenchmarkParallelC17(b *testing.B) {
 	}
 }
 
+// TestCloneMatchesOriginal pins what concurrent workers (the
+// Hamming-distance blocks) rely on: a second evaluator built on the first
+// one's compiled program computes the same values from the same inputs.
 func TestCloneMatchesOriginal(t *testing.T) {
 	c := circuits.RippleAdder(8)
 	p, err := ForProgram(ir.MustCompile(c), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := p.Clone()
-	r1, r2 := rng.New(55), rng.New(55)
-	p.RandomizeInputs(r1)
-	q.RandomizeInputs(r2)
+	q, err := ForProgram(p.Program(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RandomizeInputs(rng.New(55))
+	q.RandomizeInputs(rng.New(55))
 	p.Run()
 	q.Run()
 	for _, id := range c.POs {
 		pv, qv := p.Value(id), q.Value(id)
 		for w := range pv {
 			if pv[w] != qv[w] {
-				t.Fatalf("clone diverged on node %d word %d: %x vs %x", id, w, pv[w], qv[w])
+				t.Fatalf("evaluators diverged on node %d word %d: %x vs %x", id, w, pv[w], qv[w])
 			}
 		}
 	}
 }
 
+// TestCloneIsIndependent checks that two evaluators over one compiled
+// program keep private value buffers: writing one's inputs never shows
+// through the other.
 func TestCloneIsIndependent(t *testing.T) {
 	c := circuits.C17()
-	p, _ := ForProgram(ir.MustCompile(c), 1)
-	q := p.Clone()
+	p, err := ForProgram(ir.MustCompile(c), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ForProgram(p.Program(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.SetInputConst(c.PIs[0], true)
 	if q.Value(c.PIs[0])[0] != 0 {
-		t.Fatal("writing the original's inputs leaked into the clone")
-	}
-}
-
-func TestReleaseRecyclesBuffers(t *testing.T) {
-	// A released buffer must come back zeroed through the pool, so a
-	// fresh evaluator cannot observe a previous user's values. (Whether
-	// the pool actually returns it is up to the runtime; correctness must
-	// hold either way.)
-	c := circuits.C17()
-	p, _ := ForProgram(ir.MustCompile(c), 2)
-	for _, id := range c.PIs {
-		p.SetInputConst(id, true)
-	}
-	p.Run()
-	p.Release()
-	q, _ := ForProgram(ir.MustCompile(c), 2)
-	for id := range c.Gates {
-		for _, w := range q.Value(id) {
-			if w != 0 {
-				t.Fatalf("fresh evaluator saw stale value %x on node %d", w, id)
-			}
-		}
-	}
-}
-
-// BenchmarkCloneRelease measures the per-worker evaluator setup cost with
-// buffer pooling (run with -benchmem: steady state allocates nothing for
-// the value buffer).
-func BenchmarkCloneRelease(b *testing.B) {
-	c := circuits.RippleAdder(64)
-	p, _ := ForProgram(ir.MustCompile(c), 64)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q := p.Clone()
-		q.Release()
-	}
-}
-
-// BenchmarkForProgramNoPool is the no-reuse baseline for
-// BenchmarkCloneRelease: a fresh evaluator per iteration whose buffer is
-// never returned to the pool.
-func BenchmarkForProgramNoPool(b *testing.B) {
-	c := circuits.RippleAdder(64)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ForProgram(ir.MustCompile(c), 64); err != nil {
-			b.Fatal(err)
-		}
+		t.Fatal("writing one evaluator's inputs leaked into the other")
 	}
 }

@@ -16,7 +16,6 @@ func (a *analyzer) vetPackage(p *vetPkg) {
 			a.ruleNoRand(f)
 			a.ruleNoWallTime(p, f)
 		}
-		a.ruleCloneRelease(p, f)
 		a.ruleIRMutate(p, f)
 	}
 	for _, f := range p.testFiles {
@@ -138,4 +137,18 @@ func (a *analyzer) ruleShortRace(f *ast.File) {
 				"%s spawns goroutines but gates on testing.Short; the -race -short CI leg would skip it", fd.Name.Name)
 		}
 	}
+}
+
+// callFullName resolves a call's target to its types.Func full name
+// ("" when the target is not a resolved function).
+func callFullName(p *vetPkg, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := p.info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return ""
+	}
+	return fn.FullName()
 }

@@ -10,8 +10,6 @@
 //
 //	norand        no math/rand in internal/ (use internal/rng)
 //	nowalltime    no time.Now / time.Since in internal/
-//	clonerelease  every sim.Parallel.Clone dominated by a Release or
-//	              defer Release on every path to the function exit
 //	irmutate      no ir.Program field writes outside internal/ir
 //	shortrace     goroutine-spawning tests must not skip under -short
 //	deadexport    no exported internal/ func without a reference from
@@ -57,10 +55,6 @@ const (
 	// RuleNoWallTime: internal/ packages must not read the wall clock
 	// (time.Now, time.Since); timing belongs to the cmd/ layer.
 	RuleNoWallTime = "nowalltime"
-	// RuleCloneRelease: a sim.Parallel.Clone must be followed by a
-	// Release (or covered by a defer Release) on every path to the
-	// function exit, or the pooled value buffers leak.
-	RuleCloneRelease = "clonerelease"
 	// RuleIRMutate: ir.Program is immutable after Compile; no package
 	// outside internal/ir may write its fields or their elements.
 	RuleIRMutate = "irmutate"

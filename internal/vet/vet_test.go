@@ -76,8 +76,8 @@ func hopAt(t *testing.T, f Finding, i int, kind, descPart string, line int) {
 
 func TestFixtureTotals(t *testing.T) {
 	fs := fixtureFindings(t)
-	if len(fs) != 21 {
-		t.Fatalf("fixture findings = %d, want 21\n%s", len(fs), dump(fs))
+	if len(fs) != 19 {
+		t.Fatalf("fixture findings = %d, want 19\n%s", len(fs), dump(fs))
 	}
 	counts := map[string]int{}
 	for _, f := range fs {
@@ -87,8 +87,8 @@ func TestFixtureTotals(t *testing.T) {
 			t.Errorf("finding outside internal/{bad,flow}: %s: %s", base(f), f.Msg)
 		}
 	}
-	if counts["internal/bad"] != 13 || counts["internal/flow"] != 8 {
-		t.Fatalf("split = bad:%d flow:%d, want bad:13 flow:8\n%s",
+	if counts["internal/bad"] != 11 || counts["internal/flow"] != 8 {
+		t.Fatalf("split = bad:%d flow:%d, want bad:11 flow:8\n%s",
 			counts["internal/bad"], counts["internal/flow"], dump(fs))
 	}
 }
@@ -98,23 +98,14 @@ func TestFixtureTotals(t *testing.T) {
 func TestSyntacticRules(t *testing.T) {
 	fs := fixtureFindings(t)
 	want(t, fs, RuleNoRand, "internal/bad/bad.go", 6, "import of math/rand in internal/; use internal/rng")
-	want(t, fs, RuleNoWallTime, "internal/bad/bad.go", 15, "time.Now in internal/")
-	want(t, fs, RuleNoWallTime, "internal/bad/bad.go", 17, "time.Since in internal/")
-	want(t, fs, RuleCloneRelease, "internal/bad/bad.go", 20, "LeakClone calls sim.Parallel.Clone without a Release in the same function")
-	want(t, fs, RuleIRMutate, "internal/bad/bad.go", 24, "field Name")
-	want(t, fs, RuleIRMutate, "internal/bad/bad.go", 28, "field Ops")
+	want(t, fs, RuleNoWallTime, "internal/bad/bad.go", 14, "time.Now in internal/")
+	want(t, fs, RuleNoWallTime, "internal/bad/bad.go", 16, "time.Since in internal/")
+	want(t, fs, RuleIRMutate, "internal/bad/bad.go", 19, "field Name")
+	want(t, fs, RuleIRMutate, "internal/bad/bad.go", 23, "field Ops")
 	f := want(t, fs, RuleShortRace, "internal/bad/bad_test.go", 5, "TestSpawnSkipsShort spawns goroutines but gates on testing.Short")
 	if f.Sev != SevWarning {
 		t.Errorf("shortrace severity = %v, want warning", f.Sev)
 	}
-}
-
-// TestClonePathAware pins the path-sensitive clonerelease upgrade: a
-// Release that is skipped on one branch names the escaping path.
-func TestClonePathAware(t *testing.T) {
-	fs := fixtureFindings(t)
-	want(t, fs, RuleCloneRelease, "internal/bad/clonepath.go", 14,
-		"releases its sim.Parallel.Clone only on some paths; the path exiting at line 16 skips Release")
 }
 
 // TestIntraproceduralSecrets pins the original nosecret findings — the
