@@ -55,9 +55,9 @@ race:
 # no validator: FuzzRoundTrip checks that every circuit it accepts
 # compiles, formats and reparses, and FuzzCheckCircuit that the checker
 # never panics on whatever the parser makes of arbitrary text. FuzzITE
-# checks the unique table, the lossy computed cache and the Flip/Exists
-# memos against truth tables. A crasher lands in the package's
-# testdata/fuzz/ for checking in.
+# checks the unique table, the lossy computed cache, the Flip/Exists
+# memos and Mark/Rollback/Reset against truth tables. A crasher lands in
+# the package's testdata/fuzz/ for checking in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckCircuit$$' -fuzztime 10s ./internal/check
@@ -72,13 +72,14 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'Serial|Parallel' -benchtime 3x .
 
 # One-iteration compile-and-run pass over the SAT-engine, ATPG, dataflow,
-# and vet benchmarks: the SAT attack on the cone-of-influence miter, the
-# key equivalence check under correct and wrong keys, the propagation
+# BDD and vet benchmarks: the SAT attack on the cone-of-influence miter,
+# the key equivalence check under correct and wrong keys, the propagation
 # microbench, the SAT-ATPG campaign on the tables workload's costliest
 # locked designs, the five-domain fixpoint sweep (the pair domain once
-# per 64-key slice, as the audit runs it), and a full secret-flow
-# analysis of the orapvet fixture module. Catches benchmark bit-rot in CI
-# without paying for stable timings.
+# per 64-key slice, as the audit runs it), a BDD cone compile and the
+# exact audit (one compile per cone group, fallbacks must stay 0), and a
+# full secret-flow analysis of the orapvet fixture module. Catches
+# benchmark bit-rot in CI without paying for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SATAttack|VerifyKey|SolverPropagate|ATPG|Dataflow|BDDCompile|ExactCorrupt|VetModule' -benchtime 1x ./internal/attack ./internal/sat ./internal/atpg ./internal/dataflow ./internal/bdd ./internal/audit ./internal/vet
 

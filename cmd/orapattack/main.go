@@ -13,6 +13,11 @@
 //
 //	orapattack -locked c432_locked.bench -orig c432.bench -attack sat -oracle scan -protect basic
 //
+// By default every interface bit of the simulated chip is a package
+// pin. -pins and -pinouts mark only that many leading inputs and outputs
+// as pins, as in oraplock and orapsim; the rest connect to flip-flops,
+// which -protect modified needs for its response feedback.
+//
 // With -dimacs <path> the command instead writes the SAT-attack miter for
 // the locked netlist as a DIMACS CNF file (input/key variable indices in
 // the header comments) for cross-checking against external solvers, and
@@ -47,6 +52,8 @@ func main() {
 		oracleKind = flag.String("oracle", "comb", "oracle: comb (direct) or scan (through the chip's scan protocol)")
 		prot       = flag.String("protect", "none", "chip protection for -oracle scan: none, basic, modified")
 		key        = flag.String("key", "", "correct key as a 0/1 string (required for -oracle scan)")
+		pins       = flag.Int("pins", -1, "for -oracle scan: number of leading inputs that are package pins; the rest feed from flip-flops (-1 = all inputs are pins)")
+		pinOuts    = flag.Int("pinouts", -1, "for -oracle scan: number of leading outputs that are package pins (-1 = all outputs are pins)")
 		maxIter    = flag.Int("maxiter", 4096, "attack iteration budget")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		wall       = flag.Bool("Wall", false, "print warning- and info-level netlist diagnostics")
@@ -99,10 +106,17 @@ func main() {
 		default:
 			fatal(fmt.Errorf("unknown protection %q", *prot))
 		}
-		// All interface bits are treated as package pins for the simulated
-		// chip; the protection mechanics (key-register clearing) are
-		// independent of the pin/flip-flop split.
-		cfg, err := orap.Protect(locked, kb, locked.NumInputs(), locked.NumOutputs(), protection, orap.Options{Rand: rng.New(*seed + 7)})
+		realPIs, realPOs := *pins, *pinOuts
+		if realPIs < 0 {
+			realPIs = locked.NumInputs()
+		}
+		if realPOs < 0 {
+			realPOs = locked.NumOutputs()
+		}
+		if protection == scan.OraPModified && locked.NumInputs()-realPIs == 0 {
+			fatal(fmt.Errorf("the modified scheme needs flip-flops: pass -pins/-pinouts to mark part of the interface as flip-flop connections"))
+		}
+		cfg, err := orap.Protect(locked, kb, realPIs, realPOs, protection, orap.Options{Rand: rng.New(*seed + 7)})
 		fatal(err)
 		ch, err := scan.New(cfg)
 		fatal(err)

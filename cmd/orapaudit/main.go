@@ -13,10 +13,11 @@
 //	orapaudit -sweep                 # built-in clean-sweep regression gate
 //
 // -exact swaps the structural corruptibility and key-leak bounds for
-// exact symbolic verdicts: per key bit the analyzer compiles the bit's
-// corruption cone to a ROBDD and model-counts corrupting (input, key)
-// pairs and distinguishing inputs. A cone exceeding the node budget
-// (-bdd-budget, default 2^19 nodes) degrades that bit back to the
+// exact symbolic verdicts: the analyzer compiles each key bit's
+// corruption cone to a ROBDD, once for all bits sharing the cone, and
+// model-counts corrupting (input, key) pairs and distinguishing inputs
+// per bit. A bit whose cone and own operations exceed the node budget
+// (-bdd-budget, default 2^19 nodes per key bit) degrades back to the
 // dataflow bound; the report's telemetry line counts such fallbacks.
 //
 // Exit codes (documented in README, asserted in tests, consumed by the

@@ -3,6 +3,7 @@ package audit
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"orap/internal/bdd"
@@ -28,20 +29,26 @@ import (
 //     provably inert even when two-valued constant propagation cannot
 //     see it.
 //
-// Per key bit the analysis builds a fresh Manager restricted to the
-// bit's cone — the primary outputs its taint reaches and the inputs in
-// their union support — so one exponential cone only sinks its own bit:
-// a bdd.ErrBudget trip degrades that bit to the dataflow bound (OK =
-// false, Fallbacks counted in the telemetry) and every other bit stays
-// exact. Counts over the restricted support scale to the full
+// Each key bit is analyzed over its cone — the primary outputs its
+// taint reaches — with BDD variables for just the inputs in the cone's
+// union support. Bits with the same cone share one compile: one
+// Manager serves the whole analysis, Reset per cone group, and each
+// bit's operations run on top of a Mark of the compiled cone and are
+// rolled back after the bit. Hash-consing makes the nodes a
+// computation creates independent of what ran before it, so every bit
+// gets the node count and budget verdict of a fresh Manager holding
+// its cone and its own work: one exponential cone only sinks its own
+// bits. A bdd.ErrBudget trip degrades a bit to the dataflow bound (OK
+// = false, Fallbacks counted in the telemetry) and every other bit
+// stays exact. Counts over the restricted support scale to the full
 // (input, key) space by shifting: every input outside the support
 // doubles both the model count and the space, so rates are unchanged
 // and counts shift left by the number of free inputs.
 
 // ExactOptions tunes the symbolic backend.
 type ExactOptions struct {
-	// NodeBudget is the per-key-bit BDD node budget; 0 selects
-	// bdd.DefaultBudget.
+	// NodeBudget is the per-key-bit BDD node budget, covering the bit's
+	// cone compile and its own operations; 0 selects bdd.DefaultBudget.
 	NodeBudget int
 }
 
@@ -81,11 +88,13 @@ type ExactKeyBit struct {
 	LeakPOs []int32
 }
 
-// ExactStats aggregates the per-bit Managers' telemetry for the audit
-// report, the same way ChannelStats surfaces oracle-channel counters.
+// ExactStats aggregates the BDD telemetry for the audit report, the
+// same way ChannelStats surfaces oracle-channel counters. Nodes sums
+// each key bit's node count: its cone's compile plus its own
+// operations, what a fresh Manager per bit would hold.
 type ExactStats struct {
 	bdd.Stats
-	// PeakNodes is the largest single per-bit Manager.
+	// PeakNodes is the largest node count of a single key bit.
 	PeakNodes int
 	// Fallbacks counts key bits that exceeded the budget and degraded
 	// to the dataflow bound.
@@ -135,47 +144,57 @@ func exactAnalyze(prog *ir.Program, opts ExactOptions) *ExactResult {
 		NumKeys: prog.NumKeys(),
 	}
 	res.Stats.Budget = budget
+
+	// Group the key bits by cone, the POs their taint reaches, in order
+	// of each group's first bit. The support is a function of the cone.
+	var groups []coneGroup
+	byCone := make(map[string]int)
 	for kb := range prog.Keys {
-		bit, st := exactBit(prog, support, rank, kb, budget)
-		res.Bits[kb] = bit
-		res.Stats.Add(st)
-		res.Stats.Budget = budget
-		if st.Nodes > res.Stats.PeakNodes {
-			res.Stats.PeakNodes = st.Nodes
+		idx := len(prog.PIs) + kb // the bit's tracked-input index
+		var cone []int32
+		for _, o := range prog.POs {
+			if support[o].Has(idx) {
+				cone = append(cone, o)
+			}
 		}
-		if !bit.OK {
-			res.Stats.Fallbacks++
+		if len(cone) == 0 {
+			// Structurally inert: the exact counts are trivially zero and
+			// no BDD is needed.
+			res.Bits[kb] = ExactKeyBit{Bit: kb, OK: true, CorruptCount: new(big.Int), DistInputs: new(big.Int)}
+			continue
 		}
+		key := fmt.Sprint(cone)
+		g, ok := byCone[key]
+		if !ok {
+			g = len(groups)
+			byCone[key] = g
+			groups = append(groups, coneGroup{cone: cone})
+		}
+		groups[g].bits = append(groups[g].bits, kb)
+	}
+	m := bdd.New(0, budget)
+	for _, g := range groups {
+		exactGroup(m, prog, support, rank, g, res)
 	}
 	return res
 }
 
-// exactBit analyzes one key bit on a fresh Manager restricted to the
-// bit's cone, returning the verdict and the Manager's telemetry.
-func exactBit(p *ir.Program, support []dataflow.KeySet, rank map[int32]int, kb, budget int) (ExactKeyBit, bdd.Stats) {
-	out := ExactKeyBit{Bit: kb}
-	idx := len(p.PIs) + kb // the bit's tracked-input index
-	var cone []int32
-	for _, o := range p.POs {
-		if support[o].Has(idx) {
-			cone = append(cone, o)
-		}
-	}
-	out.ConePOs = len(cone)
-	if len(cone) == 0 {
-		// Structurally inert: the exact counts are trivially zero and
-		// no Manager is needed.
-		out.OK = true
-		out.CorruptCount = new(big.Int)
-		out.DistInputs = new(big.Int)
-		return out, bdd.Stats{}
-	}
+// coneGroup is the key bits whose taint reaches the same primary
+// outputs.
+type coneGroup struct {
+	cone []int32 // the outputs, in declaration order
+	bits []int
+}
 
+// exactGroup analyzes one cone group on m: it compiles every cone
+// output once, marks the diagram, and runs each bit's operations on
+// top, rolling back after the bit.
+func exactGroup(m *bdd.Manager, p *ir.Program, support []dataflow.KeySet, rank map[int32]int, g coneGroup, res *ExactResult) {
 	// Union the cone's input support and order it by the global
-	// level-schedule ranking, so the restricted variable order is the
-	// global one with the absent inputs deleted.
+	// ranking, so the restricted variable order is the global one with
+	// the absent inputs deleted.
 	inSup := make([]bool, len(p.Inputs))
-	for _, o := range cone {
+	for _, o := range g.cone {
 		for _, i := range support[o].Bits() {
 			inSup[i] = true
 		}
@@ -187,82 +206,107 @@ func exactBit(p *ir.Program, support []dataflow.KeySet, rank map[int32]int, kb, 
 		}
 	}
 	sort.Slice(sup, func(a, b int) bool { return rank[p.Inputs[sup[a]]] < rank[p.Inputs[sup[b]]] })
-	out.SupportVars = len(sup)
-
-	m := bdd.New(len(sup), budget)
-	cp := bdd.NewCompiler(m, p)
-	kbVar := -1
 	keyVars := make([]bool, len(sup)) // levels bound to key inputs
 	piInSup := 0
+	for v, i := range sup {
+		keyVars[v] = i >= len(p.PIs)
+		if !keyVars[v] {
+			piInSup++
+		}
+	}
+
+	m.Reset(len(sup))
+	cp := bdd.NewCompiler(m, p)
+	fs := make([]bdd.Node, len(g.cone))
 	err := func() error {
 		for v, i := range sup {
 			if err := cp.BindVar(p.Inputs[i], v); err != nil {
 				return err
 			}
-			if i >= len(p.PIs) {
-				keyVars[v] = true
-				if i == idx {
-					kbVar = v
-				}
-			} else {
-				piInSup++
-			}
 		}
-		diff := bdd.False
-		for _, o := range cone {
-			f, err := cp.Compile(o)
-			if err != nil {
-				return err
-			}
-			fl, err := m.Flip(f, kbVar)
-			if err != nil {
-				return err
-			}
-			d, err := m.Xor(f, fl)
-			if err != nil {
-				return err
-			}
-			if d != bdd.False {
-				out.SensPOs++
-			}
-			if d == bdd.True {
-				out.LeakPOs = append(out.LeakPOs, o)
-			}
-			if diff, err = m.Or(diff, d); err != nil {
+		for j, o := range g.cone {
+			var err error
+			if fs[j], err = cp.Compile(o); err != nil {
 				return err
 			}
 		}
-		// Scale from the support space to the full (input, key) space:
-		// each of the inputs outside the support doubles count and
-		// space alike, so the rate carries over unshifted.
-		freeAll := uint(len(p.Inputs) - len(sup))
-		out.CorruptCount = new(big.Int).Lsh(m.SatCount(diff), freeAll)
-		out.Rate = m.SatFraction(diff)
-		// Distinguishing inputs: quantify the key variables out of the
-		// diff, then count over the PI variables only. SatCount still
-		// treats the quantified levels as free, so divide them back out
-		// (exact — the function no longer depends on them) and scale up
-		// by the PIs outside the support.
-		ex, err := m.Exists(diff, keyVars)
+		return nil
+	}()
+	mark := m.Mark()
+	var nodes int
+	for _, kb := range g.bits {
+		b := ExactKeyBit{Bit: kb, Err: err, ConePOs: len(g.cone), SupportVars: len(sup)}
+		if err == nil {
+			// Count into a copy, so a trip midway leaves no partial
+			// counts behind.
+			counted := b
+			kbVar := slices.Index(sup, len(p.PIs)+kb)
+			if b.Err = bitCounts(m, p, &counted, g.cone, fs, kbVar, keyVars, piInSup); b.Err == nil {
+				b = counted
+				b.OK = true
+			}
+		}
+		if !b.OK {
+			// A budget trip (or any symbolic failure) in the cone compile,
+			// which is part of every bit's work, or in the bit's own
+			// operations: the bit degrades to the dataflow bound.
+			res.Stats.Fallbacks++
+		}
+		res.Bits[kb] = b
+		n := m.Stats().Nodes // before the Rollback deletes the bit's work
+		nodes += n
+		res.Stats.PeakNodes = max(res.Stats.PeakNodes, n)
+		m.Rollback(mark)
+	}
+	st := m.Stats() // the group's cache counters
+	st.Nodes = nodes
+	res.Stats.Add(st)
+}
+
+// bitCounts computes the exact counts of the key bit at level kbVar
+// into b, from its cone's compiled outputs fs. keyVars marks the key
+// levels; piInSup of the support's inputs are primary inputs.
+func bitCounts(m *bdd.Manager, p *ir.Program, b *ExactKeyBit, cone []int32, fs []bdd.Node, kbVar int, keyVars []bool, piInSup int) error {
+	diff := bdd.False
+	for j, f := range fs {
+		fl, err := m.Flip(f, kbVar)
 		if err != nil {
 			return err
 		}
-		di := new(big.Int).Rsh(m.SatCount(ex), uint(len(sup)-piInSup))
-		out.DistInputs = di.Lsh(di, uint(len(p.PIs)-piInSup))
-		return nil
-	}()
-	if err != nil {
-		// Budget trip (or any symbolic failure): degrade this bit to
-		// the dataflow bound and discard the partial exact state.
-		out.Err = err
-		out.SensPOs = 0
-		out.LeakPOs = nil
-		out.CorruptCount, out.DistInputs = nil, nil
-		out.Rate = 0
-		return out, m.Stats()
+		d, err := m.Xor(f, fl)
+		if err != nil {
+			return err
+		}
+		if d != bdd.False {
+			b.SensPOs++
+		}
+		if d == bdd.True {
+			b.LeakPOs = append(b.LeakPOs, cone[j])
+		}
+		if diff, err = m.Or(diff, d); err != nil {
+			return err
+		}
 	}
-	out.OK = true
-	return out, m.Stats()
+	// Scale from the support space to the full (input, key) space: each
+	// of the inputs outside the support doubles count and space alike,
+	// so the rate is the count over the support space.
+	nv := m.NumVars()
+	cnt := m.SatCount(diff)
+	b.CorruptCount = new(big.Int).Lsh(cnt, uint(len(p.Inputs)-nv))
+	space := new(big.Float).SetMantExp(big.NewFloat(1), nv)
+	b.Rate, _ = new(big.Float).Quo(new(big.Float).SetInt(cnt), space).Float64()
+	// Distinguishing inputs: quantify the key variables out of the diff,
+	// then count over the PI variables only. SatCount still treats the
+	// quantified levels as free, so divide them back out (exact — the
+	// function no longer depends on them) and scale up by the PIs
+	// outside the support.
+	ex, err := m.Exists(diff, keyVars)
+	if err != nil {
+		return err
+	}
+	di := new(big.Int).Rsh(m.SatCount(ex), uint(nv-piInSup))
+	b.DistInputs = di.Lsh(di, uint(len(p.PIs)-piInSup))
+	return nil
 }
 
 // exactRemovability emits the key-removable errors only the exact

@@ -418,12 +418,12 @@ func wrongKeyMismatchPOs(t *testing.T, orig, locked *netlist.Circuit, key []bool
 	return out
 }
 
-// BenchmarkExactCorrupt measures the full exact audit — per-key-bit
-// cone compilation, corruption model counting, distinguishing-input
-// quantification — on the same weighted-locked b20 slice
-// BenchmarkBDDCompile compiles. Runs in the bench-smoke CI leg; the
-// fallbacks metric must stay 0 at this scale, so a budget regression
-// fails loudly.
+// BenchmarkExactCorrupt measures the full exact audit — cone
+// compilation once per cone group, per-bit corruption model counting
+// and distinguishing-input quantification — on the same weighted-locked
+// b20 slice BenchmarkBDDCompile compiles. Runs in the bench-smoke CI
+// leg; the fallbacks metric must stay 0 at this scale, so a budget
+// regression fails loudly.
 func BenchmarkExactCorrupt(b *testing.B) {
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {

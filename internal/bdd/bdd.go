@@ -26,8 +26,14 @@
 //     ID or an extra node.
 //   - Sizes follow the node count: both tables start at 1024 slots and
 //     double with the unique table, which is kept at least twice the
-//     node count, so a Manager's memory tracks the diagram it built
-//     and never its budget.
+//     node count, so a Manager's memory tracks the largest diagram it
+//     built and never its budget.
+//   - Mark and Rollback: nodes are never garbage-collected one by one,
+//     but Rollback deletes everything created since a Mark, and Reset
+//     empties the Manager for a new variable count while keeping its
+//     tables. Both take time proportional to the nodes they delete, so
+//     one Manager can serve many small computations in turn (the exact
+//     audit runs each key bit on top of its cone this way).
 //   - Hard node budget: a Manager refuses to grow past its budget and
 //     unwinds the in-flight operation with a typed ErrBudget, so
 //     callers degrade gracefully to the dataflow approximation instead
@@ -100,8 +106,8 @@ func (s Stats) HitRate() float64 {
 	return float64(s.CacheHits) / float64(s.CacheLookups)
 }
 
-// Add accumulates another Manager's counters (per-key-bit managers
-// aggregate into one audit telemetry line).
+// Add accumulates another run's counters (the exact audit sums its
+// cone groups into one telemetry line).
 func (s *Stats) Add(o Stats) {
 	s.Nodes += o.Nodes
 	if o.Budget > s.Budget {
@@ -128,14 +134,24 @@ type Manager struct {
 	// are never stored.
 	unique []Node
 	// ite is the direct-mapped computed cache, as long as unique and
-	// emptied whenever unique grows. An entry with f == False is empty:
-	// a terminal f never reaches the cache.
+	// emptied whenever unique grows. An entry counts only while its gen
+	// equals the Manager's: Rollback and Reset move gen on, because a
+	// deleted node's ID is handed out again. An entry with f == False is
+	// empty: a terminal f never reaches the cache.
 	ite   []iteEntry
+	gen   uint32
 	stats Stats
 }
 
-// iteEntry is one computed-cache slot: ITE(f, g, h) = r.
-type iteEntry struct{ f, g, h, r Node }
+// iteEntry is one computed-cache slot: ITE(f, g, h) = r, made in
+// cache generation gen.
+type iteEntry struct {
+	f, g, h, r Node
+	gen        uint32
+}
+
+// Checkpoint is a diagram state that Rollback returns to.
+type Checkpoint struct{ nodes int }
 
 // initSlots is the starting length of the unique table and the
 // computed cache.
@@ -172,6 +188,50 @@ func New(numVars, budget int) *Manager {
 
 // NumVars returns the variable count the Manager was built for.
 func (m *Manager) NumVars() int { return m.numVars }
+
+// Mark returns a checkpoint of the current diagram for Rollback.
+func (m *Manager) Mark() Checkpoint { return Checkpoint{len(m.nodes)} }
+
+// Rollback deletes every node created since c was marked. Nodes made
+// before the mark keep their IDs; later ones must not be used again,
+// as their IDs are handed out anew. Node IDs follow creation order and
+// grow reinserts in ID order, so a node's probe chain in the unique
+// table crosses only older nodes. Every deleted node is newer than
+// every survivor, so emptying their slots, newest first, leaves the
+// survivors' chains intact, even when the table grew after the mark.
+// The time is proportional to the nodes deleted, never to the table.
+func (m *Manager) Rollback(c Checkpoint) {
+	if c.nodes < 2 || c.nodes > len(m.nodes) {
+		panic("bdd: Rollback to a checkpoint the diagram does not contain")
+	}
+	mask := len(m.unique) - 1
+	for id := Node(len(m.nodes) - 1); id >= Node(c.nodes); id-- {
+		n := m.nodes[id]
+		i := slot(n.level, n.low, n.high, mask)
+		for m.unique[i] != id {
+			i = (i + 1) & mask
+		}
+		m.unique[i] = False
+	}
+	m.nodes = m.nodes[:c.nodes]
+	// Cached results may name deleted IDs. A new generation retires
+	// every entry at once; only a wrapped counter could revive one.
+	if m.gen++; m.gen == 0 {
+		clear(m.ite)
+	}
+}
+
+// Reset empties the Manager for reuse over numVars variables: it then
+// behaves like New(numVars, budget) with zeroed Stats, but keeps the
+// tables at the size its largest diagram needed. Like Rollback it
+// takes time proportional to the nodes it deletes.
+func (m *Manager) Reset(numVars int) {
+	m.Rollback(Checkpoint{2})
+	m.numVars = numVars
+	m.nodes[False].level = int32(numVars)
+	m.nodes[True].level = int32(numVars)
+	m.stats = Stats{}
+}
 
 // Stats returns a snapshot of the Manager's telemetry.
 func (m *Manager) Stats() Stats {
@@ -299,7 +359,7 @@ func (m *Manager) iteRec(f, g, h Node) Node {
 		h = False
 	}
 	m.stats.CacheLookups++
-	if e := m.ite[slot(f, g, h, len(m.ite)-1)]; e.f == f && e.g == g && e.h == h {
+	if e := m.ite[slot(f, g, h, len(m.ite)-1)]; e.f == f && e.g == g && e.h == h && e.gen == m.gen {
 		m.stats.CacheHits++
 		return e.r
 	}
@@ -315,7 +375,7 @@ func (m *Manager) iteRec(f, g, h Node) Node {
 	h0, h1 := m.cofactors(h, top)
 	r := m.mk(top, m.iteRec(f0, g0, h0), m.iteRec(f1, g1, h1))
 	// The recursion may have grown the tables, so hash again.
-	m.ite[slot(f, g, h, len(m.ite)-1)] = iteEntry{f, g, h, r}
+	m.ite[slot(f, g, h, len(m.ite)-1)] = iteEntry{f, g, h, r, m.gen}
 	return r
 }
 

@@ -117,25 +117,26 @@ func TestSatCountSmall(t *testing.T) {
 	if got := m.SatCount(bdd.False); got.Sign() != 0 {
 		t.Fatalf("SatCount(False) = %v, want 0", got)
 	}
-	if got := m.SatFraction(f); got != 12.0/16.0 {
-		t.Fatalf("SatFraction = %v, want 0.75", got)
-	}
 }
 
 // TestUniqueTableGrowth builds parity over 4096 variables bottom-up,
 // about 12k nodes: the unique table doubles five times from its initial
 // 1024 slots, and every growth empties the computed cache. Hash-consing
 // must survive the rehashes, so rebuilding the same function returns
-// the same node without allocating one.
+// the same node without allocating one. The parity of the upper half
+// is built first and marked, so the full build grows the table past
+// the mark; rolling back must leave the probe chains of the surviving
+// nodes intact, and the rebuild must be the first build again.
 func TestUniqueTableGrowth(t *testing.T) {
 	const n = 4096
 	m := bdd.New(n, 0)
-	parity := func() bdd.Node {
+	// parity returns the XOR of the variables lo..n-1.
+	parity := func(lo int) bdd.Node {
 		acc, err := m.Var(n - 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := n - 2; v >= 0; v-- {
+		for v := n - 2; v >= lo; v-- {
 			x, err := m.Var(v)
 			if err != nil {
 				t.Fatal(err)
@@ -146,10 +147,12 @@ func TestUniqueTableGrowth(t *testing.T) {
 		}
 		return acc
 	}
-	f := parity()
+	half := parity(n / 2)
+	mark, halfNodes := m.Mark(), m.Stats().Nodes
+	f := parity(0)
 	nodes := m.Stats().Nodes
-	if nodes < 8*1024 {
-		t.Fatalf("parity over %d variables built only %d nodes; too few to grow the table five times", n, nodes)
+	if nodes < 8*1024 || 2*halfNodes > nodes {
+		t.Fatalf("parity built %d nodes, its upper half %d; too few to grow the table five times, twice after the mark", nodes, halfNodes)
 	}
 	if got, want := m.SatCount(f), new(big.Int).Lsh(big.NewInt(1), n-1); got.Cmp(want) != 0 {
 		t.Fatalf("SatCount(parity) = %v, want 2^%d", got, n-1)
@@ -166,11 +169,113 @@ func TestUniqueTableGrowth(t *testing.T) {
 			t.Fatalf("assignment %d: Eval = %v, XOR of the variables = %v", i, got, want)
 		}
 	}
-	if g := parity(); g != f {
+	if g := parity(0); g != f {
 		t.Fatalf("second parity build returned node %d, first %d", g, f)
 	}
 	if got := m.Stats().Nodes; got != nodes {
 		t.Fatalf("second parity build grew the manager from %d to %d nodes", nodes, got)
+	}
+
+	m.Rollback(mark)
+	if got := m.Stats().Nodes; got != halfNodes {
+		t.Fatalf("after Rollback the manager holds %d nodes, %d at the mark", got, halfNodes)
+	}
+	if g := parity(n / 2); g != half || m.Stats().Nodes != halfNodes {
+		t.Fatalf("rebuilding the marked half gave node %d (was %d) and %d nodes (was %d)",
+			g, half, m.Stats().Nodes, halfNodes)
+	}
+	if g := parity(0); g != f || m.Stats().Nodes != nodes {
+		t.Fatalf("rebuild after Rollback gave node %d (was %d) and %d nodes (was %d)", g, f, m.Stats().Nodes, nodes)
+	}
+	if g := parity(0); g != f || m.Stats().Nodes != nodes {
+		t.Fatalf("second rebuild after Rollback gave node %d (was %d) and %d nodes", g, f, m.Stats().Nodes)
+	}
+}
+
+// TestMarkRollback pins the checkpoint contract on a small diagram:
+// Rollback returns to the mark's node count, a function built before
+// the mark rebuilds to the same node without a new one, and a cached
+// result naming a deleted node is never handed back once its ID is
+// reused.
+func TestMarkRollback(t *testing.T) {
+	m := bdd.New(4, 0)
+	v := make([]bdd.Node, 4)
+	for i := range v {
+		var err error
+		if v[i], err = m.Var(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ab, _ := m.And(v[0], v[1])
+	mark, before := m.Mark(), m.Stats().Nodes
+	abc, _ := m.Or(ab, v[2])
+	if _, err := m.Xor(abc, v[3]); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().Nodes <= before {
+		t.Fatal("the operations after the mark made no node")
+	}
+	m.Rollback(mark)
+	if got := m.Stats().Nodes; got != before {
+		t.Fatalf("after Rollback: %d nodes, %d at the mark", got, before)
+	}
+	if again, _ := m.And(v[0], v[1]); again != ab || m.Stats().Nodes != before {
+		t.Fatalf("rebuilding a·b gave node %d (was %d) and %d nodes (was %d)", again, ab, m.Stats().Nodes, before)
+	}
+	// Refill the deleted IDs with other functions, then repeat the
+	// computation the cache saw before the Rollback.
+	for _, w := range []bdd.Node{v[2], v[3]} {
+		if _, err := m.Xor(w, v[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, _ := m.Or(ab, v[2])
+	assign := make([]bool, 4)
+	for x := 0; x < 16; x++ {
+		for i := range assign {
+			assign[i] = x>>uint(i)&1 == 1
+		}
+		if want := assign[0] && assign[1] || assign[2]; m.Eval(f, assign) != want {
+			t.Fatalf("a·b + c after Rollback is wrong at assignment %04b", x)
+		}
+	}
+}
+
+// TestResetMatchesFresh reuses one manager for circuits of different
+// widths: after Reset it must build every function exactly as a fresh
+// manager does — same node IDs and counts, the same SatCount over the
+// new variable count — with its telemetry zeroed.
+func TestResetMatchesFresh(t *testing.T) {
+	m := bdd.New(16, 0)
+	for _, c := range []*netlist.Circuit{circuits.RippleAdder(6), circuits.C17(), circuits.Comparator4(), circuits.RippleAdder(4)} {
+		p := compile(t, c)
+		order := bdd.InputOrder(p)
+		m.Reset(len(order))
+		if st := m.Stats(); st.Nodes != 0 || st.CacheLookups != 0 || st.CacheHits != 0 || m.NumVars() != len(order) {
+			t.Fatalf("%s: after Reset(%d): %d vars, stats %+v", c.Name, len(order), m.NumVars(), st)
+		}
+		fresh, want, _ := compileOutputs(t, p, 0)
+		cp := bdd.NewCompiler(m, p)
+		for v, id := range order {
+			if err := cp.BindVar(id, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j, o := range p.POs {
+			f, err := cp.Compile(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f != want[j] {
+				t.Errorf("%s PO %d: node %d after Reset, %d fresh", c.Name, j, f, want[j])
+			}
+			if got, exp := m.SatCount(f), fresh.SatCount(want[j]); got.Cmp(exp) != 0 {
+				t.Errorf("%s PO %d: SatCount %v after Reset, %v fresh", c.Name, j, got, exp)
+			}
+		}
+		if got, exp := m.Stats().Nodes, fresh.Stats().Nodes; got != exp {
+			t.Errorf("%s: %d nodes after Reset, %d fresh", c.Name, got, exp)
+		}
 	}
 }
 

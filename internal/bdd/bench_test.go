@@ -11,9 +11,10 @@ import (
 )
 
 // BenchmarkBDDCompile measures symbolic compilation of every primary
-// output of a weighted-locked b20 slice — the same shape the exact
-// audit compiles per key bit. Runs in the bench-smoke CI leg, so a
-// budget regression (compile suddenly blowing up) fails loudly.
+// output of a weighted-locked b20 slice on a fresh Manager — the same
+// shape the exact audit compiles once per cone group. Runs in the
+// bench-smoke CI leg, so a budget regression (compile suddenly blowing
+// up) fails loudly.
 func BenchmarkBDDCompile(b *testing.B) {
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {

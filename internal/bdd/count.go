@@ -43,15 +43,6 @@ func (m *Manager) countRec(f Node, memo []*big.Int) *big.Int {
 	return c
 }
 
-// SatFraction returns SatCount(f) / 2^NumVars as a float64 — the
-// probability a uniformly random assignment satisfies f.
-func (m *Manager) SatFraction(f Node) float64 {
-	cnt := new(big.Float).SetInt(m.SatCount(f))
-	space := new(big.Float).SetMantExp(big.NewFloat(1), m.numVars)
-	out, _ := new(big.Float).Quo(cnt, space).Float64()
-	return out
-}
-
 // Exists existentially quantifies the variables whose levels are set
 // in quant (indexed by level): the result is independent of them and
 // true wherever some assignment of them satisfied f.

@@ -71,6 +71,18 @@ func selfXor() *netlist.Circuit {
 	return c
 }
 
+// evalInto evaluates one pattern into vals (len NumNodes), leaving
+// every node's concrete value readable.
+func evalInto(p *ir.Program, vals, pi, key []bool) {
+	for i, id := range p.PIs {
+		vals[id] = pi[i]
+	}
+	for i, id := range p.Keys {
+		vals[id] = key[i]
+	}
+	p.RunBools(vals)
+}
+
 // forEachAssignment enumerates every assignment of the program's
 // primary inputs and key bits. It skips (and reports) programs too wide
 // to enumerate so a fixture change cannot silently turn the exhaustive
@@ -104,7 +116,7 @@ func TestConstSoundness(t *testing.T) {
 			vals := dataflow.Run[int8](p, dataflow.NewConst(p))
 			concrete := make([]bool, p.NumNodes())
 			forEachAssignment(t, p, func(pi, key []bool) {
-				p.EvalInto(concrete, pi, key)
+				evalInto(p, concrete, pi, key)
 				for id, av := range vals {
 					if av == dataflow.Unknown {
 						continue
@@ -141,9 +153,9 @@ func TestPairSoundness(t *testing.T) {
 						return // the pair tracks both values of bit kb itself
 					}
 					key[kb] = false
-					p.EvalInto(v0, pi, key)
+					evalInto(p, v0, pi, key)
 					key[kb] = true
-					p.EvalInto(v1, pi, key)
+					evalInto(p, v1, pi, key)
 					key[kb] = false
 					for id := range planes {
 						av := planes[id].Lane(kb)

@@ -243,18 +243,6 @@ func (p *Program) Eval(pi, key []bool) ([]bool, error) {
 		return nil, fmt.Errorf("ir: got %d key bits, program has %d", len(key), len(p.Keys))
 	}
 	vals := make([]bool, p.NumNodes())
-	p.EvalInto(vals, pi, key)
-	out := make([]bool, len(p.POs))
-	for i, id := range p.POs {
-		out[i] = vals[id]
-	}
-	return out, nil
-}
-
-// EvalInto evaluates one pattern into the caller's value buffer
-// (len NumNodes), leaving every node's value readable. Widths must have
-// been checked by the caller.
-func (p *Program) EvalInto(vals []bool, pi, key []bool) {
 	for i, id := range p.PIs {
 		vals[id] = pi[i]
 	}
@@ -262,6 +250,11 @@ func (p *Program) EvalInto(vals []bool, pi, key []bool) {
 		vals[id] = key[i]
 	}
 	p.RunBools(vals)
+	out := make([]bool, len(p.POs))
+	for i, id := range p.POs {
+		out[i] = vals[id]
+	}
+	return out, nil
 }
 
 // EvalWord computes one 64-pattern word for a gate of type op with n
