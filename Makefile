@@ -50,18 +50,22 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Ten seconds of real fuzzing on each loader fuzz target and on the BDD
-# kernel (`go test` alone only replays their seed corpora). Parse runs
-# no validator: FuzzRoundTrip checks that every circuit it accepts
-# compiles, formats and reparses, and FuzzCheckCircuit that the checker
-# never panics on whatever the parser makes of arbitrary text. FuzzITE
-# checks the unique table, the lossy computed cache, the Flip/Exists
-# memos and Mark/Rollback/Reset against truth tables. A crasher lands in
-# the package's testdata/fuzz/ for checking in.
+# Ten seconds of real fuzzing on each loader fuzz target, the BDD kernel
+# and the SAT solver (`go test` alone only replays their seed corpora).
+# Parse runs no validator: FuzzRoundTrip checks that every circuit it
+# accepts compiles, formats and reparses, and FuzzCheckCircuit that the
+# checker never panics on whatever the parser makes of arbitrary text.
+# FuzzITE checks the unique table, the lossy computed cache, the
+# Flip/Exists memos and Mark/Rollback/Reset against truth tables.
+# FuzzSolver checks models, determinism and, with derived variables,
+# that every variable is assigned and that the verdict matches a twin
+# solver where those variables are ordinary. A crasher lands in the
+# package's testdata/fuzz/ for checking in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckCircuit$$' -fuzztime 10s ./internal/check
 	$(GO) test -run '^$$' -fuzz '^FuzzITE$$' -fuzztime 10s ./internal/bdd
+	$(GO) test -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime 10s ./internal/sat
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -72,8 +76,9 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'Serial|Parallel' -benchtime 3x .
 
 # One-iteration compile-and-run pass over the SAT-engine, ATPG, dataflow,
-# BDD and vet benchmarks: the SAT attack on the cone-of-influence miter,
-# the key equivalence check under correct and wrong keys, the propagation
+# BDD and vet benchmarks: the SAT attack on the cone-of-influence miter
+# (a 10-bit weighted lock's few hard solves, and an 8-bit SARLock's 255
+# easy incremental ones), the key equivalence check under correct and wrong keys, the propagation
 # microbench, the SAT-ATPG campaign on the tables workload's costliest
 # locked designs, the five-domain fixpoint sweep (the pair domain once
 # per 64-key slice, as the audit runs it), a BDD cone compile and the

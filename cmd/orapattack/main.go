@@ -91,10 +91,8 @@ func main() {
 		if len(*key) != locked.NumKeys() {
 			fatal(fmt.Errorf("-oracle scan needs -key with %d bits", locked.NumKeys()))
 		}
-		kb := make([]bool, len(*key))
-		for i := range kb {
-			kb[i] = (*key)[i] == '1'
-		}
+		kb, err := parseBits("key", *key)
+		fatal(err)
 		var protection scan.Protection
 		switch *prot {
 		case "none":
@@ -269,6 +267,22 @@ func mustComb(c *netlist.Circuit) oracle.Oracle {
 	o, err := oracle.NewComb(c, nil)
 	fatal(err)
 	return o
+}
+
+// parseBits reads the 0/1 string s given to flag -name. Any other
+// character is an error naming the flag and the bit's position.
+func parseBits(name, s string) ([]bool, error) {
+	out := make([]bool, len(s))
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '0':
+		case '1':
+			out[i] = true
+		default:
+			return nil, fmt.Errorf("-%s: bit %d is %q, want 0 or 1", name, i, s[i])
+		}
+	}
+	return out, nil
 }
 
 func bits(bs []bool) string {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -95,5 +96,24 @@ func TestModifiedScanOracle(t *testing.T) {
 	code, out, errOut = orapattack(t, args...)
 	if code != 1 || !strings.Contains(errOut, "the modified scheme needs flip-flops: pass -pins/-pinouts") {
 		t.Fatalf("without -pins: exit %d, want 1 with the flip-flop message\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+}
+
+// TestMalformedKey passes -key strings of the right length with one
+// character that is not 0 or 1. The command must refuse them, naming
+// the flag and the bit, instead of reading the character as 0 and
+// attacking a chip unlocked with a wrong key.
+func TestMalformedKey(t *testing.T) {
+	orig, locked, key := writeLockedB20(t, t.TempDir())
+	for _, c := range []struct {
+		pos int
+		ch  byte
+	}{{0, 'x'}, {7, '2'}, {len(key) - 1, ' '}} {
+		bad := key[:c.pos] + string(c.ch) + key[c.pos+1:]
+		code, out, errOut := orapattack(t, "-locked", locked, "-orig", orig, "-oracle", "scan", "-key", bad)
+		want := fmt.Sprintf("-key: bit %d is %q, want 0 or 1", c.pos, c.ch)
+		if code != 1 || !strings.Contains(errOut, want) {
+			t.Errorf("-key %q: exit %d, want 1 with %q\nstdout:\n%s\nstderr:\n%s", bad, code, want, out, errOut)
+		}
 	}
 }

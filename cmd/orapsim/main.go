@@ -68,10 +68,8 @@ func main() {
 	if len(*key) != locked.NumKeys() {
 		fatal(fmt.Errorf("key must have %d bits, got %d", locked.NumKeys(), len(*key)))
 	}
-	kb := make([]bool, len(*key))
-	for i := range kb {
-		kb[i] = (*key)[i] == '1'
-	}
+	kb, err := parseBits("key", *key)
+	fatal(err)
 
 	var protection scan.Protection
 	switch *prot {
@@ -168,10 +166,8 @@ func patterns(qs queryList, c *netlist.Circuit, seed uint64) [][]bool {
 		if len(q) != c.NumInputs() {
 			fatal(fmt.Errorf("query %q must have %d bits", q, c.NumInputs()))
 		}
-		x := make([]bool, len(q))
-		for i := range x {
-			x[i] = q[i] == '1'
-		}
+		x, err := parseBits("query", q)
+		fatal(err)
 		out = append(out, x)
 	}
 	if len(out) == 0 {
@@ -183,6 +179,22 @@ func patterns(qs queryList, c *netlist.Circuit, seed uint64) [][]bool {
 		}
 	}
 	return out
+}
+
+// parseBits reads the 0/1 string s given to flag -name. Any other
+// character is an error naming the flag and the bit's position.
+func parseBits(name, s string) ([]bool, error) {
+	out := make([]bool, len(s))
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '0':
+		case '1':
+			out[i] = true
+		default:
+			return nil, fmt.Errorf("-%s: bit %d is %q, want 0 or 1", name, i, s[i])
+		}
+	}
+	return out, nil
 }
 
 func bits(bs []bool) string {

@@ -75,8 +75,8 @@ func TestSATAttackRecoversWeightedKey(t *testing.T) {
 }
 
 func TestSATAttackSARLockNeedsManyIterations(t *testing.T) {
-	// SARLock on 5 inputs forces ~2^5 - something DIPs; verify the
-	// iteration count is near the key space and far above random XOR's.
+	// SARLock on C17's 5 inputs forces exactly 2^5 − 1 DIPs, whichever
+	// DIPs the search finds: each one rules out a single wrong key.
 	r := rng.New(3)
 	orig := circuits.C17()
 	l, err := lock.SARLock(orig, 0, r)
@@ -91,8 +91,8 @@ func TestSATAttackSARLockNeedsManyIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations < 20 {
-		t.Fatalf("SARLock defeated in %d iterations; expected near 2^5", res.Iterations)
+	if res.Iterations != 31 {
+		t.Fatalf("SARLock defeated in %d iterations, want 2^5 − 1 = 31", res.Iterations)
 	}
 	ok, err := VerifyKey(l.Circuit, orig, res.Key)
 	if err != nil {

@@ -41,7 +41,7 @@ func benchLocked(tb testing.TB, scale float64, keyBits int) (*netlist.Circuit, *
 // control inputs match; the SARLock flip corrupts on a single pattern of
 // the compared inputs.
 func BenchmarkVerifyKey(b *testing.B) {
-	for _, d := range verifyDesigns(b, 0.012, 1) {
+	for _, d := range verifyDesigns(b, verifySchemes, 0.012, 1) {
 		switch d.scheme {
 		case "weighted", "sarlock", "ttlock":
 			b.Run(d.scheme, func(b *testing.B) { benchVerifyKey(b, d, d.l.Key, true) })
@@ -83,6 +83,36 @@ func BenchmarkSATAttack(b *testing.B) {
 			b.Fatal("SAT attack did not converge")
 		}
 	}
+}
+
+// BenchmarkSATAttackSARLock prices the many-DIP path that
+// BenchmarkSATAttack's few hard solves leave out: the SAT attack on the
+// attack workload's 8-bit SARLock (b20@0.012, seed 1) through an ideal
+// oracle, 2^8 − 1 easy incremental solves on a growing miter.
+func BenchmarkSATAttackSARLock(b *testing.B) {
+	var d verifyDesign
+	for _, vd := range verifyDesigns(b, verifySchemes, 0.012, 1) {
+		if vd.scheme == "sarlock" {
+			d = vd
+		}
+	}
+	b.ResetTimer()
+	iters := 0
+	for i := 0; i < b.N; i++ {
+		o, err := oracle.NewComb(d.orig, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := SAT(d.l.Circuit, o, Budgets{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatal("SAT attack did not converge")
+		}
+		iters += res.Iterations
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iterations/op")
 }
 
 // BenchmarkSampleDisagreement prices the disagreement sampler behind

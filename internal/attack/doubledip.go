@@ -51,7 +51,7 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 		diff := make([]sat.Lit, 0, len(pair[0])+1)
 		diff = append(diff, sat.MkLit(actPair, true))
 		for i := range pair[0] {
-			d := sat.MkLit(s.NewVar(), false)
+			d := sat.MkLit(s.NewDerivedVar(), false)
 			cnf.EmitXor2(s, d, sat.MkLit(pair[0][i], false), sat.MkLit(pair[1][i], false))
 			diff = append(diff, d)
 		}

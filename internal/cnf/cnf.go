@@ -10,6 +10,12 @@
 // those encodings are provided here so the attack packages stay free of
 // clause-level detail.
 //
+// Every gate output and disequality bit the miter encodes is a derived
+// solver variable (sat.Solver.NewDerivedVar): its clauses fix it once
+// the primary inputs, key copies and activation literal are assigned,
+// so the search branches only on those. EmitGate's own auxiliary XOR
+// variables stay ordinary, because the ATPG encoder shares EmitGate.
+//
 // Encoding runs over the compiled circuit IR (internal/ir): a Miter
 // compiles its circuit once and every per-query copy re-walks the same
 // flat program, so clause emission order — and hence variable numbering —

@@ -192,7 +192,7 @@ func (m *Miter) encodeShared() error {
 		if !info.needed[id] || info.cone[id] || prog.Ops[id] == ir.OpInput {
 			continue
 		}
-		v := m.S.NewVar()
+		v := m.S.NewDerivedVar()
 		m.sharedVar[id] = v
 		fan = fan[:0]
 		for _, f := range prog.FaninSpan(id) {
@@ -226,7 +226,7 @@ func (m *Miter) encodeCone(keyVars []sat.Var, shared func(f int32) sat.Lit) ([]s
 		if !info.needed[id] || !info.cone[id] || prog.Ops[id] == ir.OpInput {
 			continue
 		}
-		v := m.S.NewVar()
+		v := m.S.NewDerivedVar()
 		copyVar[id] = v
 		fan = fan[:0]
 		for _, f := range prog.FaninSpan(id) {
@@ -264,7 +264,7 @@ func (m *Miter) addConePair() error {
 	diffs := make([]sat.Lit, 0, len(o1)+1)
 	diffs = append(diffs, sat.MkLit(m.Act, true))
 	for i := range o1 {
-		d := sat.MkLit(m.S.NewVar(), false)
+		d := sat.MkLit(m.S.NewDerivedVar(), false)
 		EmitXor2(m.S, d, sat.MkLit(o1[i], false), sat.MkLit(o2[i], false))
 		diffs = append(diffs, d)
 	}

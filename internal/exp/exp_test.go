@@ -228,7 +228,6 @@ func TestSATScalingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SARLock iterations must grow roughly 2^n; random XOR stays small.
 	iters := map[string]map[int]int{}
 	for _, r := range rows {
 		if iters[r.Defense] == nil {
@@ -236,8 +235,16 @@ func TestSATScalingShape(t *testing.T) {
 		}
 		iters[r.Defense][r.KeyBits] = r.Iterations
 	}
-	if iters["sarlock"][6] <= iters["sarlock"][4] {
-		t.Fatalf("SARLock iterations did not grow with key width: %v", iters["sarlock"])
+	// A point function fixes the DIP count whichever DIPs the search
+	// finds: SARLock needs 2^n − 1, Anti-SAT with two n/2-bit halves
+	// 2^(n/2). Random XOR stays small.
+	for _, n := range []int{4, 6} {
+		if got, want := iters["sarlock"][n], 1<<n-1; got != want {
+			t.Errorf("SARLock at %d key bits: %d iterations, want %d", n, got, want)
+		}
+		if got, want := iters["antisat"][n], 1<<(n/2); got != want {
+			t.Errorf("Anti-SAT at %d key bits: %d iterations, want %d", n, got, want)
+		}
 	}
 	if iters["random-xor"][6] >= iters["sarlock"][6] {
 		t.Fatalf("random XOR (%d) should need fewer iterations than SARLock (%d)",

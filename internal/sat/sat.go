@@ -12,7 +12,10 @@
 // sequence produces the same models, conflicts and Stats on every run.
 package sat
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Var is a 0-based propositional variable index.
 type Var int32
@@ -144,8 +147,25 @@ func (s *Solver) Stats() Stats { return s.stats }
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
-// NewVar allocates a fresh variable.
+// NewVar allocates a fresh variable that the search may branch on.
 func (s *Solver) NewVar() Var {
+	v := s.addVar()
+	s.heap.insert(v)
+	return v
+}
+
+// NewDerivedVar allocates a fresh variable that unit propagation fixes
+// once every variable from NewVar is assigned, such as a Tseitin gate
+// output whose defining clauses are all added. The search never branches
+// on it, so it never enters the VSIDS heap. Solve panics when a model
+// leaves a derived variable unassigned.
+func (s *Solver) NewDerivedVar() Var {
+	v := s.addVar()
+	s.heap.exclude(v)
+	return v
+}
+
+func (s *Solver) addVar() Var {
 	v := Var(len(s.assigns))
 	s.assigns = append(s.assigns, Undef)
 	s.level = append(s.level, 0)
@@ -156,7 +176,6 @@ func (s *Solver) NewVar() Var {
 	s.watches = append(s.watches, nil, nil)
 	s.binWatches = append(s.binWatches, nil, nil)
 	s.levelMark = append(s.levelMark, 0)
-	s.heap.insert(v)
 	return v
 }
 
@@ -501,7 +520,7 @@ func (s *Solver) backtrackTo(level int) {
 		s.polarity[v] = s.assigns[v] == False // phase saving
 		s.assigns[v] = Undef
 		s.reason[v] = nil
-		s.heap.insertMaybe(v)
+		s.heap.insert(v) // a no-op for derived variables
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
@@ -642,7 +661,9 @@ func (s *Solver) recordLearnt(lits []Lit, lbd int32) {
 // Solve searches for a satisfying assignment under the given assumption
 // literals. It returns (true, nil) when satisfiable (the model is then
 // available via Value), (false, nil) when unsatisfiable under the
-// assumptions, and (false, ErrBudget) if MaxConflicts was exceeded.
+// assumptions, and (false, ErrBudget) if MaxConflicts was exceeded. It
+// panics, naming the variable, when a model leaves a derived variable
+// unassigned: that variable lacks the clauses NewDerivedVar requires.
 func (s *Solver) Solve(assumptions ...Lit) (bool, error) {
 	if !s.ok {
 		return false, nil
@@ -664,7 +685,10 @@ func (s *Solver) Solve(assumptions ...Lit) (bool, error) {
 		}
 		if status != Undef {
 			if status == True {
-				s.model = append([]LBool(nil), s.assigns...)
+				if v := slices.Index(s.assigns, Undef); v >= 0 {
+					panic(fmt.Sprintf("sat: derived variable v%d is unassigned in the model", v))
+				}
+				s.model = append(s.model[:0], s.assigns...)
 				return true, nil
 			}
 			return false, nil
@@ -756,8 +780,15 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 type varHeap struct {
 	s    *Solver
 	heap []Var
-	pos  []int32 // per var: index in heap, -1 when absent
+	pos  []int32 // per var: index in heap, posAbsent or posDerived
 }
+
+// Heap positions that are not an index: posAbsent marks a variable that
+// insert may add, posDerived one that it never adds (NewDerivedVar).
+const (
+	posAbsent  int32 = -1
+	posDerived int32 = -2
+)
 
 func (h *varHeap) less(a, b Var) bool {
 	return h.s.activity[a] > h.s.activity[b]
@@ -767,21 +798,25 @@ func (h *varHeap) empty() bool { return len(h.heap) == 0 }
 
 func (h *varHeap) ensure(v Var) {
 	for int(v) >= len(h.pos) {
-		h.pos = append(h.pos, -1)
+		h.pos = append(h.pos, posAbsent)
 	}
+}
+
+// exclude keeps v out of the heap for good.
+func (h *varHeap) exclude(v Var) {
+	h.ensure(v)
+	h.pos[v] = posDerived
 }
 
 func (h *varHeap) insert(v Var) {
 	h.ensure(v)
-	if h.pos[v] >= 0 {
+	if h.pos[v] != posAbsent {
 		return
 	}
 	h.heap = append(h.heap, v)
 	h.pos[v] = int32(len(h.heap) - 1)
 	h.up(len(h.heap) - 1)
 }
-
-func (h *varHeap) insertMaybe(v Var) { h.insert(v) }
 
 func (h *varHeap) update(v Var) {
 	h.ensure(v)
@@ -794,7 +829,7 @@ func (h *varHeap) pop() Var {
 	v := h.heap[0]
 	last := h.heap[len(h.heap)-1]
 	h.heap = h.heap[:len(h.heap)-1]
-	h.pos[v] = -1
+	h.pos[v] = posAbsent
 	if len(h.heap) > 0 {
 		h.heap[0] = last
 		h.pos[last] = 0

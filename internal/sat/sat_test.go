@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"strings"
 	"testing"
 
 	"orap/internal/rng"
@@ -264,6 +265,25 @@ func TestIncrementalAddBetweenSolves(t *testing.T) {
 	s.AddClause(MkLit(v[1], true))
 	if ok, _ := s.Solve(); ok {
 		t.Fatal("phase 2 should be UNSAT")
+	}
+}
+
+// TestUndefinedDerivedVarPanics declares a derived variable that no
+// clause fixes: the search never branches on it, so the model would
+// leave it unassigned, and Solve must panic naming it.
+func TestUndefinedDerivedVarPanics(t *testing.T) {
+	s := New()
+	a := s.NewVar()
+	d := s.NewDerivedVar()
+	s.AddClause(MkLit(a, false))
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, _ = s.Solve()
+	}()
+	msg, _ := got.(string)
+	if want := "derived variable " + MkLit(d, false).String() + " is unassigned"; !strings.Contains(msg, want) {
+		t.Fatalf("Solve panicked with %v, want a message containing %q", got, want)
 	}
 }
 
