@@ -59,13 +59,16 @@ race:
 # Flip/Exists memos and Mark/Rollback/Reset against truth tables.
 # FuzzSolver checks models, determinism and, with derived variables,
 # that every variable is assigned and that the verdict matches a twin
-# solver where those variables are ordinary. A crasher lands in the
-# package's testdata/fuzz/ for checking in.
+# solver where those variables are ordinary. FuzzMarkRollback checks
+# that a solver rolled back to a mark answers like one that never saw
+# what the mark added. A crasher lands in the package's testdata/fuzz/
+# for checking in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckCircuit$$' -fuzztime 10s ./internal/check
 	$(GO) test -run '^$$' -fuzz '^FuzzITE$$' -fuzztime 10s ./internal/bdd
 	$(GO) test -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime 10s ./internal/sat
+	$(GO) test -run '^$$' -fuzz '^FuzzMarkRollback$$' -fuzztime 10s ./internal/sat
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

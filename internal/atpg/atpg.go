@@ -2,13 +2,13 @@
 // plays in the paper's Table II flow.
 //
 // The generator is SAT-based rather than PODEM-based: for every target
-// fault it encodes the good and faulty circuits (restricted to the
-// fault's cone of influence) sharing their inputs, and asserts with a
-// TEGUS-style D-chain (encodeFaultCone) that a difference runs from the
-// fault site along fanouts to some output. Handing CDCL that path
-// structure up front refutes redundant faults, most of what ATPG targets
-// after the random phase, in a few conflicts each. The classification
-// matches the classic ATPG vocabulary exactly:
+// fault it encodes the faulty circuit over the fault's cone of influence,
+// reading the good circuit outside it, and asserts with a TEGUS-style
+// D-chain (campaign.target) that a difference runs from the fault site
+// along fanouts to some output. Handing CDCL that path structure up
+// front refutes redundant faults, most of what ATPG targets after the
+// random phase, in a few conflicts each. The classification matches the
+// classic ATPG vocabulary exactly:
 //
 //   - SAT        → a test pattern (returned and fault-simulated),
 //   - UNSAT      → the fault is provably redundant,
@@ -18,16 +18,20 @@
 // OraP the key register is wired into the scan chains, so "the tool was
 // allowed to set any value to the key inputs" (Table II's setup).
 //
-// A campaign reuses the fault simulator's compiled program and encodes
-// every fault cone from the flat IR view;
-// the Tseitin clauses themselves come from cnf.EmitGate, so the ATPG and
-// attack SAT paths share one gate encoding. Each generated pattern is
+// One solver serves a whole campaign. The good circuit is encoded once,
+// lazily as faults need it, and stays; each fault's faulty cone and
+// D-chain are added on a solver mark and rolled back after its solve.
+// The campaign reuses the fault simulator's compiled program, and the
+// Tseitin clauses come from cnf.EmitGate, so the ATPG and attack SAT
+// paths share one gate encoding. Each generated pattern is
 // fault-simulated once against every fault still undetected, which
 // drops the faults it also detects.
 package atpg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"orap/internal/cnf"
 	"orap/internal/faultsim"
@@ -81,197 +85,193 @@ type Outcome struct {
 	Fault   faultsim.Fault
 	Class   Class
 	Pattern []bool // inputs then keys; nil unless Detected by this call
-	// Solver carries the per-fault SAT effort (conflicts, propagations,
-	// learned-clause figures).
-	Solver sat.Stats
 }
 
-// generate targets one fault of a compiled circuit and returns its
-// outcome.
-func generate(prog *ir.Program, f faultsim.Fault, opts Options) (Outcome, error) {
-	s := sat.New()
-	s.MaxConflicts = opts.budget()
-
-	enc, err := encodeFaultCone(s, prog, f)
-	if err != nil {
-		return Outcome{}, err
-	}
-	ok, err := s.Solve()
-	if err == sat.ErrBudget {
-		return Outcome{Fault: f, Class: Aborted, Solver: s.Stats()}, nil
-	}
-	if err != nil {
-		return Outcome{}, err
-	}
-	if !ok {
-		return Outcome{Fault: f, Class: Redundant, Solver: s.Stats()}, nil
-	}
-	pattern := make([]bool, len(prog.Inputs))
-	for i, id := range prog.Inputs {
-		if v := enc.good[id]; v >= 0 {
-			pattern[i] = s.Value(v) == sat.True
-		}
-		// Inputs outside the cone stay false; any value works.
-	}
-	return Outcome{Fault: f, Class: Detected, Pattern: pattern, Solver: s.Stats()}, nil
-}
-
-// coneEncoding carries the variable maps of the restricted good/faulty
-// encoding.
-type coneEncoding struct {
-	// good and faulty map each node of the cone to its variable in the
-	// good and the faulty copy (-1 outside the cone). The copies share
-	// one variable outside the influenced region.
+// campaign is the one solver behind a Run. The good circuit is encoded
+// lazily, each node once, and persists. Each fault's faulty copy and
+// D-chain are encoded on a solver mark, solved and rolled back, so the
+// solver holds the good circuit plus one fault at a time.
+type campaign struct {
+	prog   *ir.Program
+	s      *sat.Solver
+	budget int64
+	isPO   []bool
+	// good maps each node to its good-copy variable, -1 until encoded.
+	// faulty maps the current fault's influenced nodes to their faulty
+	// copy and is -1 elsewhere; d holds their D-chain literals.
 	good, faulty []sat.Var
-	// influenced marks the fault node's transitive fanout.
-	influenced []bool
+	d            []sat.Lit
+	// Buffers reused across faults: the influenced region, the good
+	// nodes to encode and a gate's fanin literals.
+	region, todo []int32
+	fan          []sat.Lit
 }
 
-// encodeFaultCone encodes the fault's good/faulty copies (encodeCopies)
-// and asserts, with a D-chain (TEGUS: Stephan, Brayton and
-// Sangiovanni-Vincentelli, IEEE TCAD 1996), that the fault effect
-// travels from the fault site to an output. Every influenced node n gets
-// a variable d_n with
+func newCampaign(prog *ir.Program, opts Options) *campaign {
+	n := prog.NumNodes()
+	c := &campaign{prog: prog, s: sat.New(), budget: opts.budget(), isPO: make([]bool, n),
+		good: make([]sat.Var, n), faulty: make([]sat.Var, n), d: make([]sat.Lit, n)}
+	for i := range c.good {
+		c.good[i], c.faulty[i] = -1, -1
+	}
+	for _, o := range prog.POs {
+		c.isPO[o] = true
+	}
+	return c
+}
+
+// target classifies one fault. It first encodes the part of the fault's
+// need region, the transitive fanin of its influenced region (the fault
+// site's transitive fanout), that no earlier fault encoded, in
+// topological order: inputs as ordinary variables, gate outputs as
+// derived ones. That good circuit stays. Then, on a mark, it encodes the
+// faulty copy of the influenced region, which reads the good copy
+// outside it and has the fault site as a constant, and a D-chain (TEGUS:
+// Stephan, Brayton and Sangiovanni-Vincentelli, IEEE TCAD 1996) asking
+// that the fault effect travel from the site to an output. Every
+// influenced node n gets an ordinary variable d_n with
 //
 //	d_n → good_n ≠ faulty_n,
 //	d_n → d_m for some fanout m of n, unless n is an output,
-//	d_site.
 //
-// The formula is satisfiable exactly when the fault is testable. A test
-// makes some output differ, and a difference enters the faulty copy only
-// at the site, so a path of differing nodes runs from the site to that
-// output; setting d on that path alone satisfies the chain. Conversely a
-// model's chain starts at the site and, the region being acyclic, ends at
-// an output whose copies differ, so its inputs form a test. A fault with
-// no output in its fanout is refuted by unit propagation alone.
-func encodeFaultCone(s *sat.Solver, prog *ir.Program, f faultsim.Fault) (*coneEncoding, error) {
-	enc, err := encodeCopies(s, prog, f)
-	if err != nil {
-		return nil, err
+// and the solver runs under the assumption d_site. That is satisfiable
+// exactly when the fault is testable. A test makes some output differ,
+// and a difference enters the faulty copy only at the site, so a path of
+// differing nodes runs from the site to that output; setting d on that
+// path alone satisfies the chain. Conversely a model's chain starts at
+// the site and, the region being acyclic, ends at an output whose copies
+// differ, so its inputs form a test. Good-circuit definitions outside
+// the need region constrain nothing the fault reads, so the class is the
+// one a fresh solver with the fault's cone alone would give; only the
+// model, and with it the pattern, may differ. The mark is rolled back
+// before target returns.
+func (c *campaign) target(f faultsim.Fault) (Outcome, error) {
+	prog, s := c.prog, c.s
+	if f.Node < 0 || f.Node >= prog.NumNodes() || f.Pin >= len(prog.FaninSpan(f.Node)) {
+		return Outcome{}, fmt.Errorf("atpg: fault %v is not in the circuit", f)
 	}
-	isPO := make([]bool, prog.NumNodes())
-	for _, o := range prog.POs {
-		isPO[o] = true
-	}
-	d := make([]sat.Lit, prog.NumNodes())
-	for id, in := range enc.influenced {
-		if in {
-			d[id] = sat.MkLit(s.NewVar(), false)
+	byPos := func(a, b int32) int { return cmp.Compare(prog.Pos[a], prog.Pos[b]) }
+	// -2 marks a node collected but not yet given a variable.
+	region := append(c.region[:0], int32(f.Node))
+	c.faulty[f.Node] = -2
+	for i := 0; i < len(region); i++ {
+		for _, fo := range prog.FanoutSpan(int(region[i])) {
+			if c.faulty[fo] == -1 {
+				c.faulty[fo] = -2
+				region = append(region, fo)
+			}
 		}
 	}
-	var next []sat.Lit
-	for id, in := range enc.influenced {
-		if !in {
+	slices.SortFunc(region, byPos)
+	todo := c.todo[:0]
+	for _, id := range region {
+		if c.good[id] == -1 {
+			c.good[id] = -2
+			todo = append(todo, id)
+		}
+	}
+	for i := 0; i < len(todo); i++ {
+		for _, fi := range prog.FaninSpan(int(todo[i])) {
+			if c.good[fi] == -1 {
+				c.good[fi] = -2
+				todo = append(todo, fi)
+			}
+		}
+	}
+	slices.SortFunc(todo, byPos)
+	c.region, c.todo = region, todo
+	for _, id := range todo {
+		if prog.Ops[id] == ir.OpInput {
+			c.good[id] = s.NewVar()
 			continue
 		}
-		g, fv := sat.MkLit(enc.good[id], false), sat.MkLit(enc.faulty[id], false)
-		s.AddClause(d[id].Not(), g, fv)
-		s.AddClause(d[id].Not(), g.Not(), fv.Not())
-		if isPO[id] {
+		c.good[id] = s.NewDerivedVar()
+		if err := cnf.EmitGate(s, prog.Ops[id], sat.MkLit(c.good[id], false), c.fanin(id)); err != nil {
+			return Outcome{}, err
+		}
+	}
+
+	mark := s.Mark()
+	defer func() {
+		s.Rollback(mark)
+		for _, id := range region {
+			c.faulty[id] = -1
+		}
+	}()
+	for _, id := range region {
+		fv := s.NewDerivedVar()
+		c.faulty[id] = fv
+		if int(id) == f.Node && f.Pin < 0 {
+			s.AddClause(sat.MkLit(fv, !f.SA1))
 			continue
 		}
-		next = append(next[:0], d[id].Not())
-		for _, fo := range prog.FanoutSpan(id) {
-			next = append(next, d[fo])
+		// Only the site can be an input, which has no fanin to read and
+		// no pin to fault, so every other influenced node is a gate.
+		fan := c.fanin(id)
+		if int(id) == f.Node {
+			cv := s.NewDerivedVar()
+			s.AddClause(sat.MkLit(cv, !f.SA1))
+			fan[f.Pin] = sat.MkLit(cv, false)
 		}
-		s.AddClause(next...)
+		if err := cnf.EmitGate(s, prog.Ops[id], sat.MkLit(fv, false), fan); err != nil {
+			return Outcome{}, err
+		}
 	}
-	s.AddClause(d[f.Node])
-	return enc, nil
+	for _, id := range region {
+		c.d[id] = sat.MkLit(s.NewVar(), false)
+	}
+	for _, id := range region {
+		d, g, fv := c.d[id], sat.MkLit(c.good[id], false), sat.MkLit(c.faulty[id], false)
+		s.AddClause(d.Not(), g, fv)
+		s.AddClause(d.Not(), g.Not(), fv.Not())
+		if c.isPO[id] {
+			continue
+		}
+		c.fan = append(c.fan[:0], d.Not())
+		for _, fo := range prog.FanoutSpan(int(id)) {
+			c.fan = append(c.fan, c.d[fo])
+		}
+		s.AddClause(c.fan...)
+	}
+
+	// MaxConflicts bounds the solver's lifetime, so the fault's budget
+	// starts from the conflicts spent so far.
+	s.MaxConflicts = s.Stats().Conflicts + c.budget
+	out := Outcome{Fault: f}
+	switch ok, err := s.Solve(c.d[f.Node]); {
+	case err == sat.ErrBudget:
+		out.Class = Aborted
+	case err != nil:
+		return Outcome{}, err
+	case !ok:
+		out.Class = Redundant
+	default:
+		out.Class = Detected
+		out.Pattern = make([]bool, len(prog.Inputs))
+		for i, id := range prog.Inputs {
+			// Inputs no fault has needed yet stay false; any value works.
+			if v := c.good[id]; v >= 0 {
+				out.Pattern[i] = s.Value(v) == sat.True
+			}
+		}
+	}
+	return out, nil
 }
 
-// encodeCopies adds CNF for the good and faulty circuit restricted to the
-// union of the fault's output cone and that cone's input support, sharing
-// input variables. It asserts nothing about the outputs.
-func encodeCopies(s *sat.Solver, prog *ir.Program, f faultsim.Fault) (*coneEncoding, error) {
-	if f.Node < 0 || f.Node >= prog.NumNodes() {
-		return nil, fmt.Errorf("atpg: fault node %d out of range", f.Node)
+// fanin returns node id's fanin literals, read from the faulty copy
+// inside the current influenced region and from the good copy outside
+// it; before the faulty copy is encoded, all from the good copy. The
+// slice is reused by the next call.
+func (c *campaign) fanin(id int32) []sat.Lit {
+	c.fan = c.fan[:0]
+	for _, fi := range c.prog.FaninSpan(int(id)) {
+		v := c.good[fi]
+		if c.faulty[fi] >= 0 {
+			v = c.faulty[fi]
+		}
+		c.fan = append(c.fan, sat.MkLit(v, false))
 	}
-	// Influence region: transitive fanout of the fault node; support:
-	// transitive fanin of that region.
-	influenced := prog.TransitiveFanout(f.Node)
-	need := make([]bool, prog.NumNodes())
-	stack := []int{}
-	for id := range influenced {
-		if influenced[id] {
-			need[id] = true
-			stack = append(stack, id)
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, fi := range prog.FaninSpan(id) {
-			if !need[fi] {
-				need[fi] = true
-				stack = append(stack, int(fi))
-			}
-		}
-	}
-
-	goodVar := make([]sat.Var, prog.NumNodes())
-	faultVar := make([]sat.Var, prog.NumNodes())
-	for i := range goodVar {
-		goodVar[i] = -1
-		faultVar[i] = -1
-	}
-	enc := &coneEncoding{good: goodVar, faulty: faultVar, influenced: influenced}
-
-	lits := func(vars []sat.Var, ids []int32) []sat.Lit {
-		ls := make([]sat.Lit, len(ids))
-		for i, id := range ids {
-			ls[i] = sat.MkLit(vars[id], false)
-		}
-		return ls
-	}
-
-	for _, id32 := range prog.Order {
-		id := int(id32)
-		if !need[id] {
-			continue
-		}
-		op := prog.Ops[id]
-		fanin := prog.FaninSpan(id)
-		// Good copy.
-		gv := s.NewVar()
-		goodVar[id] = gv
-		if op != ir.OpInput {
-			if err := cnf.EmitGate(s, op, sat.MkLit(gv, false), lits(goodVar, fanin)); err != nil {
-				return nil, err
-			}
-		}
-		// Faulty copy: nodes outside the influenced region share the
-		// good variable; influenced nodes get their own, with the fault
-		// injected at the fault site.
-		if !influenced[id] {
-			faultVar[id] = gv
-			continue
-		}
-		fv := s.NewVar()
-		faultVar[id] = fv
-		switch {
-		case id == f.Node && f.Pin < 0:
-			// Output fault: the node is a constant.
-			s.AddClause(sat.MkLit(fv, !f.SA1))
-		case op == ir.OpInput:
-			// An influenced input can only be the fault node itself
-			// (inputs have no fanin); constrain equal to good.
-			s.AddClause(sat.MkLit(fv, true), sat.MkLit(gv, false))
-			s.AddClause(sat.MkLit(fv, false), sat.MkLit(gv, true))
-		default:
-			fan := lits(faultVar, fanin)
-			if id == f.Node && f.Pin >= 0 {
-				// Input-pin fault: replace that pin with a constant.
-				cv := s.NewVar()
-				s.AddClause(sat.MkLit(cv, !f.SA1))
-				fan[f.Pin] = sat.MkLit(cv, false)
-			}
-			if err := cnf.EmitGate(s, op, sat.MkLit(fv, false), fan); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return enc, nil
+	return c.fan
 }
 
 // Summary aggregates a full ATPG campaign.
@@ -283,7 +283,7 @@ type Summary struct {
 	// Patterns holds the generated test patterns (deduplicated runs may
 	// hold fewer than Detected).
 	Patterns [][]bool
-	// Solver aggregates the SAT effort across every targeted fault.
+	// Solver is the campaign solver's effort across every targeted fault.
 	Solver sat.Stats
 }
 
@@ -305,19 +305,20 @@ func (s Summary) RedundantPlusAborted() int { return s.Redundant + s.Aborted }
 // with the SAT generator. Each generated pattern is fault-simulated once
 // against the whole live list, so faults it also detects skip
 // generation; a pattern that does not detect its own target is an error.
-// The fault simulator's compiled program is reused for every cone
-// encoding, so the circuit is never recompiled per fault.
+// One solver serves the whole campaign (see campaign), and the fault
+// simulator's compiled program is reused for every encoding, so the
+// circuit is never recompiled per fault.
 func Run(c *netlist.Circuit, fsim *faultsim.Simulator, randomResult faultsim.Result, opts Options) (Summary, error) {
-	prog := fsim.Program()
+	cam := newCampaign(fsim.Program(), opts)
 	sum := Summary{Total: randomResult.Total, Detected: randomResult.Detected}
 	live := append([]faultsim.Fault(nil), randomResult.Remaining...)
 	for len(live) > 0 {
 		f := live[0]
-		out, err := generate(prog, f, opts)
+		out, err := cam.target(f)
+		sum.Solver = cam.s.Stats()
 		if err != nil {
 			return sum, err
 		}
-		sum.Solver.Add(out.Solver)
 		switch out.Class {
 		case Redundant:
 			sum.Redundant++

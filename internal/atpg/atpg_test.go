@@ -22,8 +22,9 @@ func TestGenerateDetectsTestableFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cam := newCampaign(prog, Options{})
 	for _, f := range faultsim.CollapseFaults(c) {
-		out, err := generate(prog, f, Options{})
+		out, err := cam.target(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,8 +49,8 @@ func TestGenerateProvesRedundancy(t *testing.T) {
 	and := c.MustAddGate(netlist.And, "and", a, b)
 	y := c.MustAddGate(netlist.Or, "y", a, and)
 	c.MarkOutput(y)
-	prog := ir.MustCompile(c)
-	out, err := generate(prog, faultsim.Fault{Node: and, Pin: -1, SA1: false}, Options{})
+	cam := newCampaign(ir.MustCompile(c), Options{})
+	out, err := cam.target(faultsim.Fault{Node: and, Pin: -1, SA1: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestGenerateProvesRedundancy(t *testing.T) {
 		t.Fatalf("absorbed fault classified %v, want redundant", out.Class)
 	}
 	// The same gate's s-a-1 is testable (a=0, b arbitrary → y flips).
-	out, err = generate(prog, faultsim.Fault{Node: and, Pin: -1, SA1: true}, Options{})
+	out, err = cam.target(faultsim.Fault{Node: and, Pin: -1, SA1: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestGenerateUnobservableFault(t *testing.T) {
 	dead := c.MustAddGate(netlist.And, "dead", a, b)
 	y := c.MustAddGate(netlist.Or, "y", a, b)
 	c.MarkOutput(y)
-	out, err := generate(ir.MustCompile(c), faultsim.Fault{Node: dead, Pin: -1, SA1: true}, Options{})
+	out, err := newCampaign(ir.MustCompile(c), Options{}).target(faultsim.Fault{Node: dead, Pin: -1, SA1: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,20 +166,21 @@ func reversedParityMiter(n int) (*netlist.Circuit, faultsim.Fault) {
 func TestAbortedOnTinyBudget(t *testing.T) {
 	c, f := reversedParityMiter(8)
 	prog := ir.MustCompile(c)
-	out, err := generate(prog, f, Options{ConflictBudget: 1})
+	out, err := newCampaign(prog, Options{ConflictBudget: 1}).target(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Class != Aborted {
 		t.Fatalf("%v at a 1-conflict budget classified %v, want aborted", f, out.Class)
 	}
-	out, err = generate(prog, f, Options{})
+	cam := newCampaign(prog, Options{})
+	out, err = cam.target(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Class != Redundant || out.Solver.Conflicts <= 1 {
+	if conflicts := cam.s.Stats().Conflicts; out.Class != Redundant || conflicts <= 1 {
 		t.Fatalf("%v at the default budget: %v after %d conflicts, want redundant after more than one",
-			f, out.Class, out.Solver.Conflicts)
+			f, out.Class, conflicts)
 	}
 
 	// A whole campaign at that budget: every fault is still accounted
@@ -198,6 +200,27 @@ func TestAbortedOnTinyBudget(t *testing.T) {
 	if sum.Detected+sum.Redundant+sum.Aborted != sum.Total {
 		t.Fatalf("detected %d + redundant %d + aborted %d != total %d",
 			sum.Detected, sum.Redundant, sum.Aborted, sum.Total)
+	}
+}
+
+// TestConflictBudgetPerFault targets the parity miter's redundant fault
+// three times on one campaign whose budget covers one proof (about 260
+// conflicts) but not two. The solver's MaxConflicts bounds its lifetime,
+// so the campaign must move it on per fault, or the later proofs abort.
+func TestConflictBudgetPerFault(t *testing.T) {
+	c, f := reversedParityMiter(8)
+	cam := newCampaign(ir.MustCompile(c), Options{ConflictBudget: 300})
+	for i := 0; i < 3; i++ {
+		out, err := cam.target(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Class != Redundant {
+			t.Fatalf("target %d of %v: %v after %d conflicts in all, want redundant", i, f, out.Class, cam.s.Stats().Conflicts)
+		}
+	}
+	if n := cam.s.Stats().Conflicts; n <= 2*300 {
+		t.Fatalf("three proofs took %d conflicts, not past two budgets; the test proves nothing", n)
 	}
 }
 

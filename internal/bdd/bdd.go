@@ -138,9 +138,12 @@ type Manager struct {
 	// equals the Manager's: Rollback and Reset move gen on, because a
 	// deleted node's ID is handed out again. An entry with f == False is
 	// empty: a terminal f never reaches the cache.
-	ite   []iteEntry
-	gen   uint32
-	stats Stats
+	ite []iteEntry
+	gen uint32
+	// memo serves SatCount, Exists and Flip (count.go).
+	memo    []memoEntry
+	memoGen uint32
+	stats   Stats
 }
 
 // iteEntry is one computed-cache slot: ITE(f, g, h) = r, made in

@@ -14,7 +14,8 @@
 // solver variable (sat.Solver.NewDerivedVar): its clauses fix it once
 // the primary inputs, key copies and activation literal are assigned,
 // so the search branches only on those. EmitGate's own auxiliary XOR
-// variables stay ordinary, because the ATPG encoder shares EmitGate.
+// variables stay ordinary: making them derived would move the attacks'
+// DIP sequences.
 //
 // Encoding runs over the compiled circuit IR (internal/ir): a Miter
 // compiles its circuit once and every per-query copy re-walks the same

@@ -35,6 +35,7 @@ type Miter struct {
 	sharedVar []sat.Var // per node: shared support variable, -1 if not encoded
 	constTrue sat.Var   // lazily allocated const-true var for query folding
 	evalBuf   []bool    // per-node evaluation buffer for query folding
+	copyVar   []sat.Var // per node: encodeCone's variables, reused by every copy
 }
 
 // AssumeDiff returns the assumption literal enabling the disequality.
@@ -210,13 +211,16 @@ func (m *Miter) encodeShared() error {
 // encodeCone emits one copy of the needed key-cone gates, with key inputs
 // bound to keyVars and each fanin outside the cone read as the literal
 // shared returns for it. It returns the variables of the key-reachable
-// outputs, in keyPOIdx order.
+// outputs, in keyPOIdx order. Every copy reuses the miter's copyVar
+// without clearing it: a copy reads only the entries it wrote itself,
+// the key inputs' and those of needed cone nodes earlier in topological
+// order.
 func (m *Miter) encodeCone(keyVars []sat.Var, shared func(f int32) sat.Lit) ([]sat.Var, error) {
 	prog, info := m.Prog, m.coi
-	copyVar := make([]sat.Var, prog.NumNodes())
-	for i := range copyVar {
-		copyVar[i] = -1
+	if m.copyVar == nil {
+		m.copyVar = make([]sat.Var, prog.NumNodes())
 	}
+	copyVar := m.copyVar
 	for i, id := range prog.Keys {
 		copyVar[id] = keyVars[i]
 	}

@@ -1,6 +1,8 @@
 package sat
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -149,6 +151,132 @@ func FuzzSolver(f *testing.F) {
 		}
 		if s.Stats() != s2.Stats() {
 			t.Fatalf("stats differ across identical runs:\n%+v\n%+v", s.Stats(), s2.Stats())
+		}
+	})
+}
+
+// FuzzMarkRollback decodes base clauses over at most 12 variables and
+// marks the solver, with a solve of the base first when bit 0x80 of the
+// first byte is set, so the mark keeps learned clauses and level-0
+// assignments. Each round of extra bytes, rounds split at 0xff, then
+// works on the mark: its first byte adds 0–7 variables, each ordinary or
+// (per bit of the second byte) a derived AND of two earlier ones with
+// its Tseitin clauses; the remaining bytes are clauses over all
+// variables. The solver state must then be consistent, the round's
+// solves with and without assumptions must match a fresh solver given
+// the base and the round, and the round rolls back. After every rollback the solver must match a twin that
+// only ever saw the base clauses: NumVars is back at the mark's value,
+// the watch lists, trail and heap are consistent, and under each
+// assumption set the verdicts agree and every model satisfies every base
+// clause.
+func FuzzMarkRollback(f *testing.F) {
+	f.Add([]byte{3, 0x01, 0x02, 0, 0x81, 0x03}, []byte{2, 0, 0x04, 0x05, 0, 0x84, 0x85}, []byte{0x01, 0x02, 0, 0x83})
+	f.Add([]byte{0x85, 0x01, 0x82, 0x03, 0, 0x81, 0x02, 0, 0x83, 0x04}, []byte{7, 0x55, 0x06, 0x87, 0, 0x08, 0x8a, 0xff, 3, 0, 0x81, 0x86}, []byte{0x81, 0x82})
+	f.Add([]byte{11, 0x01, 0x02, 0x03, 0, 0x84, 0x85, 0, 0x86, 0x07}, []byte{0xff, 5, 0xff, 1, 1, 0x8c}, []byte{0x0b, 0, 0x8b, 0, 0x03})
+	f.Add([]byte{2, 0x01, 0x02}, []byte{0, 0, 0x01, 0, 0x81}, []byte{}) // the round makes the solver UNSAT
+	f.Fuzz(func(t *testing.T, base, extra, assume []byte) {
+		if len(base) < 1 || len(base) > 64 || len(extra) > 128 || len(assume) > 16 {
+			return
+		}
+		nv := 1 + int(base[0]&0x7f)%12
+		// A literal byte's low bits pick the variable and its top bit the
+		// sign; a zero byte ends the current clause or assumption set.
+		decode := func(bs []byte, n int) [][]Lit {
+			var out [][]Lit
+			var cur []Lit
+			for _, b := range append(bs, 0) {
+				if b != 0 {
+					cur = append(cur, MkLit(Var(int(b&0x7f)%n), b&0x80 != 0))
+				} else if len(cur) > 0 {
+					out, cur = append(out, cur), nil
+				}
+			}
+			return out
+		}
+		baseClauses := decode(base[1:], nv)
+		assumeSets := decode(assume, nv)
+		build := func() *Solver {
+			s := New()
+			mkVars(s, nv)
+			for _, cl := range baseClauses {
+				s.AddClause(cl...)
+			}
+			if base[0]&0x80 != 0 {
+				s.MaxConflicts = 2000
+				_, _ = s.Solve()
+			}
+			return s
+		}
+		solve := func(s *Solver, assumps ...Lit) (bool, error) {
+			s.MaxConflicts = s.Stats().Conflicts + 2000
+			return s.Solve(assumps...)
+		}
+		s, twin := build(), build()
+		cp := s.Mark()
+		for _, round := range bytes.Split(extra, []byte{0xff}) {
+			round = append(round, 0, 0)
+			addRound := func(s *Solver) {
+				for i := 0; i < int(round[0]&7); i++ {
+					n := s.NumVars()
+					if round[1]>>i&1 == 0 {
+						s.NewVar()
+						continue
+					}
+					y := MkLit(s.NewDerivedVar(), false)
+					a, b := MkLit(Var(i%n), false), MkLit(Var((i+int(round[0]>>3))%n), true)
+					s.AddClause(y.Not(), a)
+					s.AddClause(y.Not(), b)
+					s.AddClause(y, a.Not(), b.Not())
+				}
+				for _, cl := range decode(round[2:], s.NumVars()) {
+					s.AddClause(cl...)
+				}
+			}
+			fresh := build()
+			addRound(s)
+			addRound(fresh)
+			checkState(t, s)
+			var assumps []Lit
+			for _, set := range assumeSets[:min(len(assumeSets), 1)] {
+				for _, l := range set {
+					assumps = append(assumps, MkLit(Var((int(l.Var())+len(round))%s.NumVars()), l.Neg()))
+				}
+			}
+			for _, a := range [][]Lit{nil, assumps} {
+				ok, err := solve(s, a...)
+				freshOK, freshErr := solve(fresh, a...)
+				if err == nil && freshErr == nil && ok != freshOK {
+					t.Fatalf("verdict %v under %v on the mark, %v for a fresh solver with the same clauses", ok, a, freshOK)
+				}
+			}
+			s.Rollback(cp)
+			if s.NumVars() != nv {
+				t.Fatalf("NumVars %d after Rollback, want the mark's %d", s.NumVars(), nv)
+			}
+			checkState(t, s)
+			for _, assumps := range append(assumeSets, nil) {
+				ok, err := solve(s, assumps...)
+				twinOK, twinErr := solve(twin, assumps...)
+				if err != nil || twinErr != nil {
+					continue // budget exhausted: no verdict to compare
+				}
+				if ok != twinOK {
+					t.Fatalf("verdict %v under %v after Rollback, %v for a solver that saw only the base", ok, assumps, twinOK)
+				}
+				if !ok {
+					continue
+				}
+				for ci, cl := range baseClauses {
+					if !slices.ContainsFunc(cl, func(l Lit) bool { return s.ValueLit(l) == True }) {
+						t.Fatalf("model after Rollback violates base clause %d %v", ci, cl)
+					}
+				}
+				for _, l := range assumps {
+					if s.ValueLit(l) != True {
+						t.Fatalf("model after Rollback violates assumption %v", l)
+					}
+				}
+			}
 		}
 	})
 }

@@ -3,7 +3,9 @@
 // blocking literals, a specialized binary-clause watch representation,
 // first-UIP conflict analysis with on-the-fly clause minimization, VSIDS
 // variable activity, phase saving, Luby restarts and LBD-tiered
-// learned-clause reduction.
+// learned-clause reduction. Mark and Rollback let one solver serve a
+// sequence of related problems: everything added or learned since a mark
+// is deleted again, in time proportional to what is deleted.
 //
 // It is the engine behind the oracle-guided SAT attack of Subramanyan et
 // al. that the OraP paper defends against, and the solver is deliberately
@@ -72,8 +74,11 @@ func (b LBool) Not() LBool { return -b }
 type clause struct {
 	lits     []Lit
 	activity float64
-	lbd      int32
-	learnt   bool
+	// serial is Stats.Learnt when a learned clause was stored, so
+	// Rollback can tell the clauses learned since its mark.
+	serial int64
+	lbd    int32
+	learnt bool
 }
 
 // watcher is the long-clause (≥3 literals) watch entry. The blocking
@@ -131,6 +136,13 @@ type Solver struct {
 	stats Stats
 }
 
+// Checkpoint is a solver state that Rollback returns to.
+type Checkpoint struct {
+	vars, clauses, trail int
+	learnt               int64
+	ok                   bool
+}
+
 // ErrBudget is returned by Solve when MaxConflicts is exhausted.
 var ErrBudget = fmt.Errorf("sat: conflict budget exhausted")
 
@@ -173,10 +185,20 @@ func (s *Solver) addVar() Var {
 	s.polarity = append(s.polarity, true) // default phase: false (neg lit)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
-	s.binWatches = append(s.binWatches, nil, nil)
+	s.watches = growWatches(s.watches)
+	s.binWatches = growWatches(s.binWatches)
 	s.levelMark = append(s.levelMark, 0)
 	return v
+}
+
+// growWatches appends the two empty watch lists of a new variable. Past
+// a Rollback, which empties the deleted variables' lists, it reuses
+// their storage.
+func growWatches[W any](ws [][]W) [][]W {
+	if n := len(ws); cap(ws) >= n+2 {
+		return ws[:n+2]
+	}
+	return append(ws, nil, nil)
 }
 
 func (s *Solver) valueLit(l Lit) LBool {
@@ -204,6 +226,77 @@ func (s *Solver) ValueLit(l Lit) LBool {
 	return v
 }
 
+// atRoot panics unless the solver is at decision level 0, i.e. outside
+// Solve.
+func (s *Solver) atRoot(op string) {
+	if len(s.trailLim) != 0 {
+		panic("sat: " + op + " called during search")
+	}
+}
+
+// Mark returns a checkpoint of the clause database for Rollback. Like
+// AddClause it must be called outside Solve.
+func (s *Solver) Mark() Checkpoint {
+	s.atRoot("Mark")
+	return Checkpoint{s.NumVars(), len(s.clauses), len(s.trail), s.stats.Learnt, s.ok}
+}
+
+// Rollback returns the clause database to its state at c. It deletes
+// every variable created, problem clause added and clause learned since
+// the mark, detaching each deleted clause from its two watch lists, and
+// undoes the level-0 assignments made since. A clause learned before the
+// mark and evicted since stays evicted, which is sound. Activities, saved
+// phases and Stats carry over. The time is proportional to what it
+// deletes: the per-variable arrays are truncated and keep their capacity.
+// It must be called outside Solve, and it invalidates every mark made
+// after c.
+func (s *Solver) Rollback(c Checkpoint) {
+	s.atRoot("Rollback")
+	if c.vars > s.NumVars() || c.clauses > len(s.clauses) || c.trail > len(s.trail) {
+		panic("sat: Rollback to a checkpoint the solver does not contain")
+	}
+	for _, l := range s.trail[c.trail:] {
+		v := l.Var()
+		s.assigns[v] = Undef
+		s.reason[v] = nil
+		if int(v) < c.vars {
+			s.heap.insert(v)
+		}
+	}
+	s.trail = s.trail[:c.trail]
+	s.qhead = c.trail
+	// Newest first, so each deleted clause's watchers sit near the end
+	// of their lists, where unwatch starts. The learned clauses since the
+	// mark are a suffix of learnts, which reduceDB keeps in order.
+	n := len(s.learnts)
+	for n > 0 && s.learnts[n-1].serial > c.learnt {
+		n--
+		s.detach(s.learnts[n])
+	}
+	clear(s.learnts[n:])
+	s.learnts = s.learnts[:n]
+	for i := len(s.clauses) - 1; i >= c.clauses; i-- {
+		s.detach(s.clauses[i])
+	}
+	clear(s.clauses[c.clauses:])
+	s.clauses = s.clauses[:c.clauses]
+	for v := c.vars; v < s.NumVars(); v++ {
+		s.heap.remove(Var(v))
+	}
+	s.assigns = s.assigns[:c.vars]
+	s.level = s.level[:c.vars]
+	s.reason = s.reason[:c.vars]
+	s.polarity = s.polarity[:c.vars]
+	s.activity = s.activity[:c.vars]
+	s.seen = s.seen[:c.vars]
+	s.heap.pos = s.heap.pos[:c.vars]
+	s.watches = s.watches[:2*c.vars]
+	s.binWatches = s.binWatches[:2*c.vars]
+	s.levelMark = s.levelMark[:min(len(s.levelMark), c.vars+1)]
+	s.model = s.model[:min(len(s.model), c.vars)]
+	s.ok = c.ok
+}
+
 // AddClause adds a clause over the given literals. It returns false if the
 // solver is already in an unsatisfiable state (e.g. after adding an empty
 // or immediately conflicting clause).
@@ -211,9 +304,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
 	}
-	if len(s.trailLim) != 0 {
-		panic("sat: AddClause called during search")
-	}
+	s.atRoot("AddClause")
 	// Normalize: sort-unique, drop false lits, detect tautology.
 	norm := make([]Lit, 0, len(lits))
 	for _, l := range lits {
@@ -265,30 +356,26 @@ func (s *Solver) attach(c *clause) {
 	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
 }
 
+// detach removes c from its two watch lists.
 func (s *Solver) detach(c *clause) {
-	if len(c.lits) == 2 {
-		for _, l := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-			ws := s.binWatches[l]
-			for i := range ws {
-				if ws[i].c == c {
-					ws[i] = ws[len(ws)-1]
-					s.binWatches[l] = ws[:len(ws)-1]
-					break
-				}
-			}
-		}
-		return
-	}
 	for _, l := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		ws := s.watches[l]
-		for i := range ws {
-			if ws[i].c == c {
-				ws[i] = ws[len(ws)-1]
-				s.watches[l] = ws[:len(ws)-1]
-				break
-			}
+		if len(c.lits) == 2 {
+			s.binWatches[l] = unwatch(s.binWatches[l], func(w binWatch) bool { return w.c == c })
+		} else {
+			s.watches[l] = unwatch(s.watches[l], func(w watcher) bool { return w.c == c })
 		}
 	}
+}
+
+// unwatch removes the one entry of ws that is watching reports, searching
+// from the newest end, and moves the last entry into its place.
+func unwatch[W any](ws []W, watching func(W) bool) []W {
+	i := len(ws) - 1
+	for !watching(ws[i]) {
+		i--
+	}
+	ws[i] = ws[len(ws)-1]
+	return ws[:len(ws)-1]
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
@@ -730,7 +817,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 					s.uncheckedEnqueue(learnt[0], nil)
 				}
 			} else {
-				c := &clause{lits: learnt, learnt: true, activity: 1, lbd: lbd}
+				c := &clause{lits: learnt, learnt: true, activity: 1, lbd: lbd, serial: s.stats.Learnt}
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				if s.valueLit(learnt[0]) == Undef {
@@ -827,15 +914,25 @@ func (h *varHeap) update(v Var) {
 
 func (h *varHeap) pop() Var {
 	v := h.heap[0]
+	h.remove(v)
+	return v
+}
+
+// remove takes v out of the heap if it is there.
+func (h *varHeap) remove(v Var) {
+	i := h.pos[v]
+	if i < 0 {
+		return
+	}
+	h.pos[v] = posAbsent
 	last := h.heap[len(h.heap)-1]
 	h.heap = h.heap[:len(h.heap)-1]
-	h.pos[v] = posAbsent
-	if len(h.heap) > 0 {
-		h.heap[0] = last
-		h.pos[last] = 0
-		h.down(0)
+	if int(i) < len(h.heap) {
+		h.heap[i] = last
+		h.pos[last] = i
+		h.down(int(i))
+		h.up(int(h.pos[last]))
 	}
-	return v
 }
 
 func (h *varHeap) up(i int) {

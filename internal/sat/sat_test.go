@@ -287,6 +287,119 @@ func TestUndefinedDerivedVarPanics(t *testing.T) {
 	}
 }
 
+// TestMarkRollback learns, on a mark, a unit and a binary clause over
+// the base variables that cut off base models. After the rollback both
+// must be gone: the base models are reachable again, and the solver is
+// back at the mark's variables, clauses and watch lists.
+func TestMarkRollback(t *testing.T) {
+	s := New()
+	v := mkVars(s, 3)
+	a, b, c := MkLit(v[0], false), MkLit(v[1], false), MkLit(v[2], false)
+	s.AddClause(a, b, c)
+	cp := s.Mark()
+
+	// ¬a ∨ ¬b ∨ x and ¬a ∨ ¬b ∨ ¬x resolve to ¬a ∨ ¬b, which the solver
+	// learns refuting the assumptions a, b.
+	x := MkLit(s.NewVar(), false)
+	s.AddClause(a.Not(), b.Not(), x)
+	s.AddClause(a.Not(), b.Not(), x.Not())
+	if ok, err := s.Solve(a, b); ok || err != nil {
+		t.Fatalf("Solve(a, b) on the mark = %v, %v; want UNSAT", ok, err)
+	}
+	if len(s.learnts) != 1 || len(s.learnts[0].lits) != 2 {
+		t.Fatalf("learned %d clauses on the mark, want the binary ¬a ∨ ¬b", len(s.learnts))
+	}
+	// c ∨ y and c ∨ ¬y make the solver learn the unit c at level 0.
+	y := MkLit(s.NewVar(), false)
+	s.AddClause(c, y)
+	s.AddClause(c, y.Not())
+	if ok, err := s.Solve(c.Not()); ok || err != nil {
+		t.Fatalf("Solve(¬c) on the mark = %v, %v; want UNSAT", ok, err)
+	}
+	if s.Mark().trail == cp.trail {
+		t.Fatal("no level-0 assignment made on the mark")
+	}
+
+	s.Rollback(cp)
+	if s.NumVars() != 3 || len(s.clauses) != 1 || len(s.learnts) != 0 || len(s.trail) != 0 {
+		t.Fatalf("after Rollback: %d vars, %d clauses, %d learned, %d assigned; want 3, 1, 0, 0",
+			s.NumVars(), len(s.clauses), len(s.learnts), len(s.trail))
+	}
+	checkState(t, s)
+	for _, assume := range [][]Lit{{a, b}, {c.Not()}, {a, b, c.Not()}} {
+		if ok, err := s.Solve(assume...); !ok || err != nil {
+			t.Fatalf("Solve(%v) after Rollback = %v, %v; want the base model back", assume, ok, err)
+		}
+		for _, l := range assume {
+			if s.ValueLit(l) != True {
+				t.Fatalf("model after Rollback violates assumption %v", l)
+			}
+		}
+	}
+}
+
+// checkState fails unless the solver's internal structures agree at
+// decision level 0: every live clause is watched exactly once on each of
+// its two watched literals and no deleted clause is watched, the trail
+// holds exactly the assigned variables, and every unassigned ordinary
+// variable is in the VSIDS heap.
+func checkState(t *testing.T, s *Solver) {
+	t.Helper()
+	seen := map[*clause]int{}
+	for _, c := range s.clauses {
+		seen[c] = 0
+	}
+	for _, c := range s.learnts {
+		seen[c] = 0
+	}
+	watch := func(l Lit, c *clause) {
+		n, ok := seen[c]
+		if !ok {
+			t.Fatalf("watch list of %v holds a clause that is not live", l.Not())
+		}
+		if c.lits[0].Not() != l && c.lits[1].Not() != l {
+			t.Fatalf("watch list of %v holds a clause watching %v and %v", l.Not(), c.lits[0], c.lits[1])
+		}
+		seen[c] = n + 1
+	}
+	if len(s.watches) != 2*s.NumVars() || len(s.binWatches) != 2*s.NumVars() {
+		t.Fatalf("%d/%d watch lists for %d variables", len(s.watches), len(s.binWatches), s.NumVars())
+	}
+	for l := range s.watches {
+		for _, w := range s.watches[l] {
+			watch(Lit(l), w.c)
+		}
+		for _, w := range s.binWatches[l] {
+			watch(Lit(l), w.c)
+		}
+	}
+	for c, n := range seen {
+		if n != 2 {
+			t.Fatalf("clause %v is watched %d times, want 2", c.lits, n)
+		}
+	}
+	assigned := 0
+	for v, a := range s.assigns {
+		switch {
+		case a != Undef:
+			assigned++
+		case s.heap.pos[v] == posAbsent:
+			t.Fatalf("unassigned variable v%d is missing from the heap", v)
+		case s.heap.pos[v] >= 0 && s.heap.heap[s.heap.pos[v]] != Var(v):
+			t.Fatalf("heap position of v%d is stale", v)
+		}
+	}
+	if assigned != len(s.trail) || s.qhead != len(s.trail) || len(s.heap.pos) != s.NumVars() {
+		t.Fatalf("%d assigned, trail %d, qhead %d, heap positions %d for %d variables",
+			assigned, len(s.trail), s.qhead, len(s.heap.pos), s.NumVars())
+	}
+	for _, v := range s.heap.heap {
+		if int(v) >= s.NumVars() {
+			t.Fatalf("heap holds deleted variable v%d", v)
+		}
+	}
+}
+
 func TestConflictBudget(t *testing.T) {
 	s := New()
 	pigeonhole(s, 8) // hard enough to exceed a tiny budget
