@@ -10,9 +10,11 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own invariants (no math/rand or wall-clock reads in
-# internal/, ir.Program immutability, race-leg test hygiene, no dead
-# exports) plus the interprocedural secret-flow engine behind the
-# nosecret rule; see cmd/orapvet and DESIGN.md "Static analysis". The
+# internal/, ir.Program immutability, race-leg test hygiene, no exported
+# func or method without a caller outside its package, resolved over the
+# typechecked tests, examples/ and perfbench/ too) plus the
+# interprocedural secret-flow engine behind the nosecret rule; see
+# cmd/orapvet and DESIGN.md "Static analysis". The
 # binary is built once so CI can rerun it with -report for the
 # machine-readable artifact without a second compile.
 orapvet:

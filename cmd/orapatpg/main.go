@@ -37,6 +37,10 @@ func main() {
 		wall         = flag.Bool("Wall", false, "print warning- and info-level netlist diagnostics")
 	)
 	flag.Parse()
+	if *randomBlocks < 0 {
+		fmt.Fprintf(os.Stderr, "orapatpg: -randblocks must not be negative, got %d\n", *randomBlocks)
+		os.Exit(2)
+	}
 
 	var warn io.Writer
 	if *wall {

@@ -1,0 +1,53 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// runAsCommand is set in the environment of a re-executed test binary,
+// which then runs main with its arguments instead of the tests.
+const runAsCommand = "ORAPATPG_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runAsCommand) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// orapatpg runs the command on args and returns its exit code and both
+// streams.
+func orapatpg(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runAsCommand+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
+}
+
+// A negative -randblocks is a usage error; 0 skips the random phase.
+func TestRandBlocks(t *testing.T) {
+	code, out, errOut := orapatpg(t, "-gen", "b20", "-scale", "0.01", "-randblocks", "-5")
+	if code != 2 || out != "" || !strings.Contains(errOut, "-randblocks") {
+		t.Fatalf("-randblocks -5: exit %d, stdout %q, stderr %q; want exit 2 naming the flag", code, out, errOut)
+	}
+	code, out, errOut = orapatpg(t, "-gen", "b20", "-scale", "0.01", "-randblocks", "0")
+	if code != 0 {
+		t.Fatalf("-randblocks 0: exit %d; stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "random phase: 0/") || !strings.Contains(out, "fault coverage:") {
+		t.Errorf("-randblocks 0: stdout lacks an empty random phase and a coverage line:\n%s", out)
+	}
+}

@@ -29,15 +29,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"orap/internal/exp"
 )
 
+// tables lists the valid -table names.
+var tables = []string{"1", "2", "attacks", "trojan", "scaling", "xortree", "ctrl", "keysize", "others", "all"}
+
 func main() {
 	var (
-		table    = flag.String("table", "all", "which table to regenerate: 1, 2, attacks, trojan, scaling, xortree, ctrl, keysize, others, all")
+		table    = flag.String("table", "all", "which table to regenerate: "+strings.Join(tables, ", "))
 		scale    = flag.Float64("scale", 0.05, "benchmark circuit scale factor (1 = paper scale)")
 		seed     = flag.Uint64("seed", 2020, "experiment seed")
 		patterns = flag.Int("patterns", 0, "HD pattern count (0 = default, a few hundred thousand)")
@@ -47,6 +51,10 @@ func main() {
 		doAudit  = flag.Bool("audit", false, "like -check, plus the security audit of the Table I lock + OraP pairing")
 	)
 	flag.Parse()
+	if !slices.Contains(tables, *table) {
+		fmt.Fprintf(os.Stderr, "orapbench: unknown table %q; valid tables: %s\n", *table, strings.Join(tables, ", "))
+		os.Exit(2)
+	}
 	scaleExplicit := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "scale" {

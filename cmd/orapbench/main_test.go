@@ -1,0 +1,53 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// runAsCommand is set in the environment of a re-executed test binary,
+// which then runs main with its arguments instead of the tests.
+const runAsCommand = "ORAPBENCH_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runAsCommand) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// orapbench runs the command on args and returns its exit code and both
+// streams.
+func orapbench(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runAsCommand+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
+}
+
+// An unknown -table name is a usage error that names the valid tables,
+// not a silent run of nothing.
+func TestUnknownTable(t *testing.T) {
+	code, out, errOut := orapbench(t, "-table", "bogus")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, errOut)
+	}
+	if out != "" {
+		t.Errorf("stdout = %q, want nothing", out)
+	}
+	if !strings.Contains(errOut, `"bogus"`) || !strings.Contains(errOut, strings.Join(tables, ", ")) {
+		t.Errorf("stderr = %q, want the bad name and the valid tables", errOut)
+	}
+}

@@ -5,7 +5,10 @@
 // layers: the syntactic rules (norand, nowalltime, irmutate, shortrace,
 // deadexport) and the interprocedural secret-flow engine behind
 // nosecret, whose findings carry a witness chain from the key
-// material's source through every call to the sink.
+// material's source through every call to the sink. The rest of the
+// module's Go files (tests, examples/, nested modules such as
+// perfbench/) are typechecked too, as the references deadexport counts;
+// a type error in any of them is an internal failure.
 //
 // Usage:
 //

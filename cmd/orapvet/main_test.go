@@ -98,6 +98,19 @@ func TestNoModuleExitsTwo(t *testing.T) {
 	}
 }
 
+// TestTypeErrorExitsTwo: a test file that fails to typecheck is an
+// internal failure naming the file, not a file whose references are
+// silently dropped.
+func TestTypeErrorExitsTwo(t *testing.T) {
+	code, _, errOut := runCase(t, "-C", filepath.Join("testdata", "typeerr"))
+	if code != exitInternal {
+		t.Fatalf("exit = %d, want %d; stderr: %s", code, exitInternal, errOut)
+	}
+	if !strings.Contains(errOut, filepath.Join("internal", "user", "user_test.go")) {
+		t.Errorf("stderr = %q, want the failing test file named", errOut)
+	}
+}
+
 func TestReportFileArtifact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vet.json")
 	code, out, _ := runCase(t, "-C", filepath.Join("testdata", "warnonly"), "-report", path)

@@ -6,5 +6,5 @@ import (
 )
 
 func main() {
-	println(lib.Used(), other.Answer())
+	println(lib.Used(), other.Answer(), lib.T{}.ForApp(), lib.Run(lib.Incr{}, 1))
 }

@@ -3,5 +3,5 @@ package main
 import mylib "deadfixture/internal/lib"
 
 func main() {
-	println(mylib.UsedByExample())
+	println(mylib.UsedByExample(), mylib.T{}.ForExample())
 }

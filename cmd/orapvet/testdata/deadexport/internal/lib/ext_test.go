@@ -7,7 +7,7 @@ import (
 )
 
 func TestOwnExternal(t *testing.T) {
-	if lib.OwnTestOnly() != 5 {
+	if lib.OwnTestOnly() != 5 || (lib.T{}).TestedOnly() != 12 {
 		t.Fatal("OwnTestOnly")
 	}
 }

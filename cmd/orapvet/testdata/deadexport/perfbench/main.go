@@ -3,5 +3,5 @@ package main
 import "deadfixture/internal/lib"
 
 func main() {
-	println(lib.UsedByBench())
+	println(lib.UsedByBench(), lib.T{}.ForBench())
 }

@@ -31,14 +31,14 @@ func mkLit(node int, compl bool) Lit {
 	return l
 }
 
-// Node returns the literal's node index.
-func (l Lit) Node() int { return int(l >> 1) }
+// node returns the literal's node index.
+func (l Lit) node() int { return int(l >> 1) }
 
-// Compl reports whether the literal is complemented.
-func (l Lit) Compl() bool { return l&1 == 1 }
+// compl reports whether the literal is complemented.
+func (l Lit) compl() bool { return l&1 == 1 }
 
-// Not returns the complemented literal.
-func (l Lit) Not() Lit { return l ^ 1 }
+// not returns the complemented literal.
+func (l Lit) not() Lit { return l ^ 1 }
 
 // node is an AND2 node (or a PI / constant placeholder).
 type node struct {
@@ -63,29 +63,20 @@ func newAIG() *AIG {
 	return g
 }
 
-// NumANDs returns the number of AND nodes — the area metric.
-func (g *AIG) NumANDs() int { return len(g.nodes) - 1 - len(g.pis) }
-
-// NumPIs returns the number of primary inputs.
-func (g *AIG) NumPIs() int { return len(g.pis) }
-
-// NumPOs returns the number of primary outputs.
-func (g *AIG) NumPOs() int { return len(g.pos) }
-
-// AddPI appends a primary input and returns its literal.
-func (g *AIG) AddPI() Lit {
+// addPI appends a primary input and returns its literal.
+func (g *AIG) addPI() Lit {
 	id := len(g.nodes)
 	g.nodes = append(g.nodes, node{isPI: true})
 	g.pis = append(g.pis, id)
 	return mkLit(id, false)
 }
 
-// AddPO marks a literal as a primary output.
-func (g *AIG) AddPO(l Lit) { g.pos = append(g.pos, l) }
+// addPO marks a literal as a primary output.
+func (g *AIG) addPO(l Lit) { g.pos = append(g.pos, l) }
 
-// And returns a literal for a ∧ b, building a node only when no
+// and returns a literal for a ∧ b, building a node only when no
 // simplification or structural match applies.
-func (g *AIG) And(a, b Lit) Lit {
+func (g *AIG) and(a, b Lit) Lit {
 	// Normalize order.
 	if a > b {
 		a, b = b, a
@@ -100,7 +91,7 @@ func (g *AIG) And(a, b Lit) Lit {
 		return a
 	case a == b:
 		return a
-	case a == b.Not():
+	case a == b.not():
 		return ConstFalse
 	}
 	// One-level containment rules: a ∧ (a ∧ x) = a ∧ x, a ∧ (¬a ∧ x) = 0.
@@ -124,37 +115,29 @@ func (g *AIG) And(a, b Lit) Lit {
 // containment simplifies a ∧ b when b is an uncomplemented AND node that
 // already contains a or ¬a as a direct fanin.
 func (g *AIG) containment(a, b Lit) (Lit, bool) {
-	if b.Compl() {
+	if b.compl() {
 		return 0, false
 	}
-	n := &g.nodes[b.Node()]
-	if n.isPI || b.Node() == 0 {
+	n := &g.nodes[b.node()]
+	if n.isPI || b.node() == 0 {
 		return 0, false
 	}
 	if n.f0 == a || n.f1 == a {
 		return b, true // absorption
 	}
-	if n.f0 == a.Not() || n.f1 == a.Not() {
+	if n.f0 == a.not() || n.f1 == a.not() {
 		return ConstFalse, true // contradiction
 	}
 	return 0, false
 }
 
-// Or builds a ∨ b via De Morgan.
-func (g *AIG) Or(a, b Lit) Lit { return g.And(a.Not(), b.Not()).Not() }
-
-// Xor builds a ⊕ b (three AND nodes in the worst case).
-func (g *AIG) Xor(a, b Lit) Lit {
-	return g.And(g.And(a, b.Not()).Not(), g.And(a.Not(), b).Not()).Not()
-}
-
-// Mux builds s ? t : e.
-func (g *AIG) Mux(s, t, e Lit) Lit {
-	return g.And(g.And(s, t).Not(), g.And(s.Not(), e).Not()).Not()
+// xor builds a ⊕ b (three AND nodes in the worst case).
+func (g *AIG) xor(a, b Lit) Lit {
+	return g.and(g.and(a, b.not()).not(), g.and(a.not(), b).not()).not()
 }
 
 func (g *AIG) levelOf(l Lit) int32 {
-	return g.nodes[l.Node()].level
+	return g.nodes[l.node()].level
 }
 
 func max32(a, b int32) int32 {
@@ -164,9 +147,9 @@ func max32(a, b int32) int32 {
 	return b
 }
 
-// Levels returns the maximum AND level over the primary outputs — the
+// levels returns the maximum AND level over the primary outputs — the
 // delay metric.
-func (g *AIG) Levels() int {
+func (g *AIG) levels() int {
 	lv := int32(0)
 	for _, o := range g.pos {
 		if l := g.levelOf(o); l > lv {
@@ -182,7 +165,7 @@ func (g *AIG) CountUsed() (ands, levels int) {
 	used := make([]bool, len(g.nodes))
 	var walk func(l Lit)
 	walk = func(l Lit) {
-		id := l.Node()
+		id := l.node()
 		if used[id] {
 			return
 		}
@@ -202,7 +185,7 @@ func (g *AIG) CountUsed() (ands, levels int) {
 			ands++
 		}
 	}
-	return ands, g.Levels()
+	return ands, g.levels()
 }
 
 // FromProgram strashes a compiled circuit into a fresh AIG. Key inputs
@@ -215,14 +198,14 @@ func FromProgram(prog *ir.Program) (*AIG, error) {
 	g := newAIG()
 	in := make([]Lit, len(prog.Inputs))
 	for i := range in {
-		in[i] = g.AddPI()
+		in[i] = g.addPI()
 	}
 	lit, err := g.addProgram(prog, in)
 	if err != nil {
 		return nil, err
 	}
 	for _, o := range prog.POs {
-		g.AddPO(lit[o])
+		g.addPO(lit[o])
 	}
 	return g, nil
 }
@@ -250,27 +233,27 @@ func (g *AIG) addProgram(prog *ir.Program, in []Lit) ([]Lit, error) {
 		case ir.OpBuf:
 			lit[id] = lit[fanin[0]]
 		case ir.OpNot:
-			lit[id] = lit[fanin[0]].Not()
+			lit[id] = lit[fanin[0]].not()
 		case ir.OpAnd, ir.OpNand, ir.OpOr, ir.OpNor:
 			fan := make([]Lit, len(fanin))
 			for i, f := range fanin {
 				fan[i] = lit[f]
 				if op == ir.OpOr || op == ir.OpNor {
-					fan[i] = fan[i].Not()
+					fan[i] = fan[i].not()
 				}
 			}
 			v := g.balancedAnd(fan)
 			if op == ir.OpNand || op == ir.OpOr {
-				v = v.Not()
+				v = v.not()
 			}
 			lit[id] = v
 		case ir.OpXor, ir.OpXnor:
 			v := lit[fanin[0]]
 			for _, f := range fanin[1:] {
-				v = g.Xor(v, lit[f])
+				v = g.xor(v, lit[f])
 			}
 			if op == ir.OpXnor {
-				v = v.Not()
+				v = v.not()
 			}
 			lit[id] = v
 		default:
@@ -293,7 +276,7 @@ func (g *AIG) balancedAnd(fan []Lit) Lit {
 		a, b := work[ai], work[bi]
 		// Remove bi first (bi > ai by construction).
 		work = append(work[:bi], work[bi+1:]...)
-		work[ai] = g.And(a, b)
+		work[ai] = g.and(a, b)
 	}
 	return work[0]
 }

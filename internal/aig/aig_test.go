@@ -13,64 +13,67 @@ import (
 
 func TestLitHelpers(t *testing.T) {
 	l := mkLit(5, true)
-	if l.Node() != 5 || !l.Compl() {
+	if l.node() != 5 || !l.compl() {
 		t.Fatalf("mkLit broken: %v", l)
 	}
-	if l.Not().Compl() || l.Not().Node() != 5 {
+	if l.not().compl() || l.not().node() != 5 {
 		t.Fatal("Not broken")
 	}
-	if ConstTrue.Not() != ConstFalse {
+	if ConstTrue.not() != ConstFalse {
 		t.Fatal("constant complement broken")
 	}
 }
 
+// numANDs is the number of AND nodes, dangling ones included.
+func numANDs(g *AIG) int { return len(g.nodes) - 1 - len(g.pis) }
+
 func TestAndSimplifications(t *testing.T) {
 	g := newAIG()
-	a := g.AddPI()
-	b := g.AddPI()
-	if g.And(a, ConstFalse) != ConstFalse {
+	a := g.addPI()
+	b := g.addPI()
+	if g.and(a, ConstFalse) != ConstFalse {
 		t.Error("a ∧ 0 != 0")
 	}
-	if g.And(a, ConstTrue) != a {
+	if g.and(a, ConstTrue) != a {
 		t.Error("a ∧ 1 != a")
 	}
-	if g.And(a, a) != a {
+	if g.and(a, a) != a {
 		t.Error("a ∧ a != a")
 	}
-	if g.And(a, a.Not()) != ConstFalse {
+	if g.and(a, a.not()) != ConstFalse {
 		t.Error("a ∧ ¬a != 0")
 	}
-	ab := g.And(a, b)
-	if g.And(a, ab) != ab {
+	ab := g.and(a, b)
+	if g.and(a, ab) != ab {
 		t.Error("absorption a ∧ (a∧b) != a∧b")
 	}
-	if g.And(a.Not(), ab) != ConstFalse {
+	if g.and(a.not(), ab) != ConstFalse {
 		t.Error("contradiction ¬a ∧ (a∧b) != 0")
 	}
-	if g.NumANDs() != 1 {
-		t.Fatalf("simplifiable ANDs created nodes: %d", g.NumANDs())
+	if n := numANDs(g); n != 1 {
+		t.Fatalf("simplifiable ANDs created nodes: %d", n)
 	}
 }
 
 func TestStructuralHashing(t *testing.T) {
 	g := newAIG()
-	a := g.AddPI()
-	b := g.AddPI()
-	x := g.And(a, b)
-	y := g.And(b, a) // commuted: must hash to the same node
+	a := g.addPI()
+	b := g.addPI()
+	x := g.and(a, b)
+	y := g.and(b, a) // commuted: must hash to the same node
 	if x != y {
 		t.Fatal("strash missed commuted AND")
 	}
-	if g.NumANDs() != 1 {
-		t.Fatalf("ANDs = %d, want 1", g.NumANDs())
+	if n := numANDs(g); n != 1 {
+		t.Fatalf("ANDs = %d, want 1", n)
 	}
 }
 
 // evalAIGvsCircuit cross-checks FromProgram against the gate-level
 // simulator on random patterns by re-simulating through the AIG.
 func evalLit(g *AIG, l Lit, vals []bool) bool {
-	v := evalNode(g, l.Node(), vals)
-	if l.Compl() {
+	v := evalNode(g, l.node(), vals)
+	if l.compl() {
 		return !v
 	}
 	return v
@@ -94,7 +97,7 @@ func TestFromCircuitPreservesFunction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.NumPIs() != c.NumInputs()+c.NumKeys() {
+		if len(g.pis) != c.NumInputs()+c.NumKeys() {
 			t.Fatalf("%s: PI count mismatch", c.Name)
 		}
 		n := c.NumInputs()
@@ -161,29 +164,30 @@ func TestBalancedAndReducesDepth(t *testing.T) {
 
 func TestXorCost(t *testing.T) {
 	g := newAIG()
-	a := g.AddPI()
-	b := g.AddPI()
-	g.AddPO(g.Xor(a, b))
+	a := g.addPI()
+	b := g.addPI()
+	g.addPO(g.xor(a, b))
 	ands, _ := g.CountUsed()
 	if ands != 3 {
 		t.Fatalf("XOR2 = %d ANDs, want 3", ands)
 	}
 }
 
+// TestMux checks s ? a : b built from ANDs and complements.
 func TestMux(t *testing.T) {
 	g := newAIG()
-	s := g.AddPI()
-	a := g.AddPI()
-	b := g.AddPI()
-	m := g.Mux(s, a, b)
+	s := g.addPI()
+	a := g.addPI()
+	b := g.addPI()
+	m := g.and(g.and(s, a).not(), g.and(s.not(), b).not()).not()
 	for v := 0; v < 8; v++ {
 		vals := make([]bool, len(g.nodes))
-		vals[s.Node()] = v&1 == 1
-		vals[a.Node()] = v>>1&1 == 1
-		vals[b.Node()] = v>>2&1 == 1
-		want := vals[b.Node()]
-		if vals[s.Node()] {
-			want = vals[a.Node()]
+		vals[s.node()] = v&1 == 1
+		vals[a.node()] = v>>1&1 == 1
+		vals[b.node()] = v>>2&1 == 1
+		want := vals[b.node()]
+		if vals[s.node()] {
+			want = vals[a.node()]
 		}
 		if got := evalLit(g, m, vals); got != want {
 			t.Fatalf("mux wrong at %03b", v)
@@ -193,16 +197,16 @@ func TestMux(t *testing.T) {
 
 func TestCountUsedIgnoresDangling(t *testing.T) {
 	g := newAIG()
-	a := g.AddPI()
-	b := g.AddPI()
-	g.And(a, b) // dangling
-	g.AddPO(g.And(a, b.Not()))
+	a := g.addPI()
+	b := g.addPI()
+	g.and(a, b) // dangling
+	g.addPO(g.and(a, b.not()))
 	ands, _ := g.CountUsed()
 	if ands != 1 {
 		t.Fatalf("used ANDs = %d, want 1", ands)
 	}
-	if g.NumANDs() != 2 {
-		t.Fatalf("total ANDs = %d, want 2", g.NumANDs())
+	if n := numANDs(g); n != 2 {
+		t.Fatalf("total ANDs = %d, want 2", n)
 	}
 }
 

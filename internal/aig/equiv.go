@@ -35,7 +35,7 @@ func equivalent(locked *ir.Program, key []bool, ref *ir.Program) (bool, stage, e
 	g := newAIG()
 	in := make([]Lit, len(locked.Inputs))
 	for i := range locked.PIs {
-		in[i] = g.AddPI()
+		in[i] = g.addPI()
 	}
 	for i, bit := range key {
 		in[len(locked.PIs)+i] = ConstFalse
@@ -72,24 +72,24 @@ func equivalent(locked *ir.Program, key []bool, ref *ir.Program) (bool, stage, e
 
 // encode adds the Tseitin clauses of the cones of roots to s, three per
 // AND node, and returns each root's solver literal. pi holds the solver
-// variable of each primary input in AddPI order, so two graphs encoded
+// variable of each primary input in addPI order, so two graphs encoded
 // with the same slice share their inputs.
 func (g *AIG) encode(s *sat.Solver, pi []sat.Var, roots []Lit) []sat.Lit {
 	// Fanins precede their node, so one descending pass marks the cones.
 	cone := make([]bool, len(g.nodes))
 	for _, r := range roots {
-		cone[r.Node()] = true
+		cone[r.node()] = true
 	}
 	for id := len(g.nodes) - 1; id > 0; id-- {
 		if n := &g.nodes[id]; cone[id] && !n.isPI {
-			cone[n.f0.Node()], cone[n.f1.Node()] = true, true
+			cone[n.f0.node()], cone[n.f1.node()] = true, true
 		}
 	}
 	vars := make([]sat.Var, len(g.nodes))
 	for i, id := range g.pis {
 		vars[id] = pi[i]
 	}
-	lit := func(l Lit) sat.Lit { return sat.MkLit(vars[l.Node()], l.Compl()) }
+	lit := func(l Lit) sat.Lit { return sat.MkLit(vars[l.node()], l.compl()) }
 	for id, n := range g.nodes {
 		if !cone[id] || n.isPI {
 			continue

@@ -21,12 +21,12 @@ func (g *AIG) Rewrite() *AIG {
 	mapped := make([]Lit, len(g.nodes))
 	mapped[0] = ConstTrue
 	for _, pi := range g.pis {
-		mapped[pi] = out.AddPI()
+		mapped[pi] = out.addPI()
 	}
 	remap := func(l Lit) Lit {
-		m := mapped[l.Node()]
-		if l.Compl() {
-			m = m.Not()
+		m := mapped[l.node()]
+		if l.compl() {
+			m = m.not()
 		}
 		return m
 	}
@@ -40,7 +40,7 @@ func (g *AIG) Rewrite() *AIG {
 		mapped[id] = out.andRewrite(a, b)
 	}
 	for _, o := range g.pos {
-		out.AddPO(remap(o))
+		out.addPO(remap(o))
 	}
 	return out
 }
@@ -52,20 +52,20 @@ func (g *AIG) andRewrite(a, b Lit) Lit {
 	// shared; the interesting two-level cases:
 	//   (¬(x∧y)) ∧ (¬(x∧¬y)) = ¬x        (both products of x die)
 	//   (x∧y) ∧ z where z complements one factor — handled by And().
-	if a.Compl() && b.Compl() {
-		an, bn := a.Node(), b.Node()
+	if a.compl() && b.compl() {
+		an, bn := a.node(), b.node()
 		if an != 0 && bn != 0 && !g.nodes[an].isPI && !g.nodes[bn].isPI &&
 			an < len(g.nodes) && bn < len(g.nodes) {
 			af0, af1 := g.fanins(an)
 			bf0, bf1 := g.fanins(bn)
-			if shared, other1, other2, ok := sharedFactor(af0, af1, bf0, bf1); ok && other1 == other2.Not() {
+			if shared, other1, other2, ok := sharedFactor(af0, af1, bf0, bf1); ok && other1 == other2.not() {
 				// ¬(s∧o) ∧ ¬(s∧¬o) = ¬s
 				_ = other1
-				return shared.Not()
+				return shared.not()
 			}
 		}
 	}
-	return g.And(a, b)
+	return g.and(a, b)
 }
 
 // fanins returns the fanin literals of an AND node in this graph.

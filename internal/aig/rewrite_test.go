@@ -18,11 +18,11 @@ import (
 // the products were built first.
 func resolutionGraph() *AIG {
 	g := newAIG()
-	x := g.AddPI()
-	y := g.AddPI()
-	p := g.And(x, y).Not()
-	q := g.And(x, y.Not()).Not()
-	g.AddPO(g.And(p, q))
+	x := g.addPI()
+	y := g.addPI()
+	p := g.and(x, y).not()
+	q := g.and(x, y.not()).not()
+	g.addPO(g.and(p, q))
 	return g
 }
 
@@ -46,11 +46,11 @@ func TestRewritePreservesFunction(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := g.Rewrite()
-		if r.NumPIs() != g.NumPIs() || r.NumPOs() != g.NumPOs() {
+		if len(r.pis) != len(g.pis) || len(r.pos) != len(g.pos) {
 			t.Fatal("Rewrite changed the interface")
 		}
 		// Exhaustive comparison up to 2^11.
-		n := g.NumPIs()
+		n := len(g.pis)
 		if n > 11 {
 			t.Fatalf("test circuit too wide: %d PIs", n)
 		}
@@ -149,12 +149,12 @@ func TestRewriteRandomCrossCheck(t *testing.T) {
 
 // rewriteDiffers encodes g and r apart over shared PI variables and
 // reports whether the SAT miter finds an input on which some output pair
-// differs. Strashing r back into g would reuse And's rules on both sides
+// differs. Strashing r back into g would reuse and's rules on both sides
 // and merge every output trivially, so the two graphs stay separate.
 func rewriteDiffers(t *testing.T, g, r *AIG) bool {
 	t.Helper()
 	s := sat.New()
-	pi := make([]sat.Var, g.NumPIs())
+	pi := make([]sat.Var, len(g.pis))
 	for i := range pi {
 		pi[i] = s.NewVar()
 	}
@@ -202,7 +202,7 @@ func TestRewriteProvenEquivalent(t *testing.T) {
 		if rewriteDiffers(t, n.g, r) {
 			t.Fatalf("%s: Rewrite changed the function", n.name)
 		}
-		r.pos[0] = r.pos[0].Not()
+		r.pos[0] = r.pos[0].not()
 		if !rewriteDiffers(t, n.g, r) {
 			t.Fatalf("%s: the miter missed a flipped output", n.name)
 		}

@@ -18,18 +18,14 @@ type AppSATOptions struct {
 	// SettleSamples is the number of random queries per settlement check
 	// (default 64).
 	SettleSamples int
-	// ErrorThreshold is the disagreement fraction below which the attack
-	// settles and reports an approximate key (default 0, i.e. exact on
-	// the sampled set).
-	ErrorThreshold float64
 	// Rand drives the random settlement queries; required.
 	Rand *rng.Stream
 }
 
 // AppSAT runs the approximate SAT attack of Shamsi et al.: ordinary DIP
 // rounds interleaved with random-query settlement checks. When the
-// observed disagreement over a random sample drops to the threshold, the
-// attack stops early and reports the current candidate key, which for
+// current candidate key agrees with the oracle on a whole random sample,
+// the attack stops early and reports that key, which for
 // point-function defenses (SARLock-style) is an approximate key that is
 // wrong on only a vanishing fraction of inputs. Random queries that
 // disagree are added as constraints, reinforcing convergence.
@@ -98,7 +94,7 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 		if err != nil {
 			return res, err
 		}
-		if frac := float64(bad) / float64(opts.SettleSamples); frac <= opts.ErrorThreshold {
+		if bad == 0 {
 			res.Key = key
 			res.Converged = true
 			return res, nil

@@ -10,6 +10,9 @@ import (
 	"orap/internal/sim"
 )
 
+// hillMaxPasses bounds the full key-bit sweeps per restart.
+const hillMaxPasses = 64
+
 // HillOptions tunes the hill-climbing attack.
 type HillOptions struct {
 	// Patterns is the number of oracle-labelled patterns in the working
@@ -17,8 +20,6 @@ type HillOptions struct {
 	Patterns int
 	// Restarts is the number of random restarts (default 8).
 	Restarts int
-	// MaxPasses bounds full key-bit sweeps per restart (default 64).
-	MaxPasses int
 	// Rand drives pattern generation and restarts; required.
 	Rand *rng.Stream
 }
@@ -43,9 +44,6 @@ func HillClimb(locked *netlist.Circuit, o oracle.Oracle, opts HillOptions) (*Res
 	}
 	if opts.Restarts <= 0 {
 		opts.Restarts = 8
-	}
-	if opts.MaxPasses <= 0 {
-		opts.MaxPasses = 64
 	}
 	nk := locked.NumKeys()
 	if nk == 0 {
@@ -114,7 +112,7 @@ func HillClimb(locked *netlist.Circuit, o oracle.Oracle, opts HillOptions) (*Res
 		opts.Rand.Bits(key)
 		cur := cost(key)
 		stalled := 0
-		for pass := 0; pass < opts.MaxPasses && cur > 0; pass++ {
+		for pass := 0; pass < hillMaxPasses && cur > 0; pass++ {
 			improved := false
 			for i := 0; i < nk; i++ {
 				key[i] = !key[i]

@@ -11,12 +11,13 @@ import (
 	"orap/internal/sat"
 )
 
+// sensitizeVerifySamples is the number of random other-key assignments
+// used to confirm that a candidate pattern propagates the target bit
+// regardless of the other key bits.
+const sensitizeVerifySamples = 16
+
 // SensitizeOptions tunes the key-sensitization attack.
 type SensitizeOptions struct {
-	// VerifySamples is the number of random other-key assignments used to
-	// confirm that a candidate pattern propagates the target bit
-	// regardless of the other key bits (default 16).
-	VerifySamples int
 	// MaxConflicts bounds SAT effort per key bit (0 = unlimited).
 	MaxConflicts int64
 	// Rand drives verification sampling; required.
@@ -45,9 +46,6 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 	}
 	if err := checkOracle(locked, o); err != nil {
 		return nil, err
-	}
-	if opts.VerifySamples <= 0 {
-		opts.VerifySamples = 16
 	}
 	nk := locked.NumKeys()
 	if nk == 0 {
@@ -134,7 +132,7 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 		for j := range stable {
 			stable[j] = true
 		}
-		for s := 0; s < opts.VerifySamples; s++ {
+		for s := 0; s < sensitizeVerifySamples; s++ {
 			opts.Rand.Bits(otherKey)
 			copy(key0, otherKey)
 			copy(key1, otherKey)

@@ -12,15 +12,16 @@ import (
 	"orap/internal/sim"
 )
 
+// spsSkewThreshold flags signals whose estimated probability deviates
+// from 1/2 by at least this much: p ≤ 0.05 or p ≥ 0.95, the "highly
+// skewed" signals of the SPS paper.
+const spsSkewThreshold = 0.45
+
 // SPSOptions tunes the signal-probability-skew attack.
 type SPSOptions struct {
 	// Words is the number of 64-pattern words used to estimate signal
 	// probabilities (default 64, i.e. 4096 random patterns).
 	Words int
-	// SkewThreshold flags signals whose estimated probability deviates
-	// from 1/2 by at least this much (default 0.45, i.e. p ≤ 0.05 or
-	// p ≥ 0.95 — the "highly skewed" signals of the SPS paper).
-	SkewThreshold float64
 	// Rand drives the random patterns; required.
 	Rand *rng.Stream
 }
@@ -64,9 +65,6 @@ func SPS(locked *netlist.Circuit, opts SPSOptions) (*SPSResult, error) {
 	if opts.Words <= 0 {
 		opts.Words = 64
 	}
-	if opts.SkewThreshold <= 0 {
-		opts.SkewThreshold = 0.45
-	}
 	prog, err := ir.Compile(locked)
 	if err != nil {
 		return nil, err
@@ -96,7 +94,7 @@ func SPS(locked *netlist.Circuit, opts SPSOptions) (*SPSResult, error) {
 			ones += bits.OnesCount64(w)
 		}
 		prob := float64(ones) / float64(total)
-		if math.Abs(prob-0.5) < opts.SkewThreshold {
+		if math.Abs(prob-0.5) < spsSkewThreshold {
 			continue
 		}
 		res.Findings = append(res.Findings, SPSFinding{

@@ -225,10 +225,10 @@ func (r *Report) HasErrors() bool {
 }
 
 // Errors returns the error-severity findings.
-func (r *Report) Errors() []Finding { return r.AtLeast(check.Error) }
+func (r *Report) Errors() []Finding { return r.atLeast(check.Error) }
 
-// AtLeast returns the findings with severity >= min.
-func (r *Report) AtLeast(min check.Severity) []Finding {
+// atLeast returns the findings with severity >= min.
+func (r *Report) atLeast(min check.Severity) []Finding {
 	var out []Finding
 	for _, f := range r.Findings {
 		if f.Sev >= min {
@@ -285,23 +285,9 @@ func (r *Report) Trailer() string {
 			r.Circuit, r.EffectiveEntropy, r.NominalEntropy)
 	}
 	if r.Exact != nil {
-		fmt.Fprintf(&b, "%s: %s\n", r.Circuit, r.Exact.Telemetry())
+		fmt.Fprintf(&b, "%s: %s\n", r.Circuit, r.Exact.telemetry())
 	}
 	return b.String()
-}
-
-// Err converts the report's error-severity findings into a single
-// error, or nil when there are none.
-func (r *Report) Err() error {
-	errs := r.Errors()
-	if len(errs) == 0 {
-		return nil
-	}
-	first := errs[0]
-	if len(errs) == 1 {
-		return fmt.Errorf("audit: circuit %q: %s", r.Circuit, first)
-	}
-	return fmt.Errorf("audit: circuit %q: %s (and %d more errors)", r.Circuit, first, len(errs)-1)
 }
 
 // Options tunes the netlist analyses.

@@ -349,7 +349,7 @@ func TestUnlockedCircuitEmptyReport(t *testing.T) {
 	if len(rep.Findings) != 0 {
 		t.Fatalf("findings on an unlocked circuit:\n%s", rep)
 	}
-	if rep.HasErrors() || rep.Err() != nil {
+	if rep.HasErrors() {
 		t.Fatal("empty report reports errors")
 	}
 }
@@ -366,15 +366,10 @@ func TestReportHelpers(t *testing.T) {
 	if !rep.HasErrors() {
 		t.Fatalf("expected errors:\n%s", rep)
 	}
-	if rep.Err() == nil {
-		t.Fatal("Err() returned nil with error findings present")
-	}
 	errs, warns, _ := rep.Counts()
-	if errs == 0 || warns == 0 {
-		t.Fatalf("Counts() = %d errors, %d warnings; want both nonzero", errs, warns)
-	}
-	if len(rep.AtLeast(check.Warning)) < len(rep.Errors()) {
-		t.Fatal("AtLeast(Warning) smaller than Errors()")
+	if errs == 0 || warns == 0 || errs != len(rep.Errors()) {
+		t.Fatalf("Counts() = %d errors, %d warnings, Errors() %d; want both nonzero and the errors agreeing",
+			errs, warns, len(rep.Errors()))
 	}
 	s := rep.String()
 	if !strings.Contains(s, "[key-removable]") || !strings.Contains(s, "ref:") {

@@ -112,14 +112,14 @@ type ExactResult struct {
 	Stats           ExactStats
 }
 
-// PISpace returns 2^NumPIs, the input-pattern space DistInputs counts
+// piSpace returns 2^NumPIs, the input-pattern space DistInputs counts
 // against.
-func (r *ExactResult) PISpace() *big.Int {
+func (r *ExactResult) piSpace() *big.Int {
 	return new(big.Int).Lsh(big.NewInt(1), uint(r.NumPIs))
 }
 
-// Telemetry renders the one-line BDD summary printed with the report.
-func (r *ExactResult) Telemetry() string {
+// telemetry renders the one-line BDD summary printed with the report.
+func (r *ExactResult) telemetry() string {
 	return fmt.Sprintf("exact: %d/%d key bits symbolic (%d budget fallbacks); bdd %d nodes total, peak %d of %d budget, ite cache %.1f%% hits",
 		len(r.Bits)-r.Stats.Fallbacks, len(r.Bits), r.Stats.Fallbacks,
 		r.Stats.Nodes, r.Stats.PeakNodes, r.Stats.Budget, 100*r.Stats.HitRate())

@@ -448,7 +448,7 @@ func BenchmarkExactCorrupt(b *testing.B) {
 		}
 		rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{Exact: true})
 		if rep.Exact.Stats.Fallbacks > 0 {
-			b.Fatalf("budget fallbacks at benchmark scale: %s", rep.Exact.Telemetry())
+			b.Fatalf("budget fallbacks at benchmark scale: %s", rep.Trailer())
 		}
 		b.ReportMetric(float64(rep.Exact.Stats.Nodes), "nodes")
 	}

@@ -54,7 +54,7 @@ func keyLeaks(e *engine, c *netlist.Circuit, rep *Report, ex *ExactResult) {
 			for _, o := range b.LeakPOs {
 				rep.add(finding(c, RuleKeyLeak, check.Warning, kb, int(o), RefOraP,
 					"key bit %d (%q) is linearly separable at primary output %q: exact symbolic proof that the output flips with the bit for every (input, key) pair, so one scan capture of the activated chip reveals it (%v of %v input patterns distinguish the bit)",
-					kb, c.NameOf(int(kid)), c.NameOf(int(o)), b.DistInputs, ex.PISpace()))
+					kb, c.NameOf(int(kid)), c.NameOf(int(o)), b.DistInputs, ex.piSpace()))
 			}
 			continue
 		}

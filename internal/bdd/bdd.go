@@ -303,10 +303,10 @@ func (m *Manager) grow() {
 	m.ite = make([]iteEntry, len(m.unique))
 }
 
-// Var returns the function of variable v (level v tests v: 0 → False,
+// variable returns the function of variable v (level v tests v: 0 → False,
 // 1 → True). v must be in [0, NumVars). The results must be named so
 // guard's recover can overwrite them on a budget trip.
-func (m *Manager) Var(v int) (n Node, err error) {
+func (m *Manager) variable(v int) (n Node, err error) {
 	if v < 0 || v >= m.numVars {
 		return False, fmt.Errorf("bdd: variable %d out of range [0,%d)", v, m.numVars)
 	}
@@ -315,21 +315,13 @@ func (m *Manager) Var(v int) (n Node, err error) {
 	return n, nil
 }
 
-// Const returns the terminal for a constant.
-func (m *Manager) Const(v bool) Node {
+// constant returns the terminal for a constant.
+func (m *Manager) constant(v bool) Node {
 	if v {
 		return True
 	}
 	return False
 }
-
-// Level returns the variable a node tests (NumVars for terminals).
-func (m *Manager) Level(f Node) int { return int(m.nodes[f].level) }
-
-// Low and High return a node's cofactors; for terminals they return
-// the node itself.
-func (m *Manager) Low(f Node) Node  { return m.nodes[f].low }
-func (m *Manager) High(f Node) Node { return m.nodes[f].high }
 
 // cofactors splits f by variable lv: if f tests lv its children,
 // otherwise (f is independent of lv, sitting deeper) f itself twice.
@@ -382,24 +374,6 @@ func (m *Manager) iteRec(f, g, h Node) Node {
 	return r
 }
 
-// ITE returns if-then-else(f, g, h) = f·g + ¬f·h.
-func (m *Manager) ITE(f, g, h Node) (n Node, err error) {
-	defer m.guard(&n, &err)
-	return m.iteRec(f, g, h), nil
-}
-
-// Not returns ¬f.
-func (m *Manager) Not(f Node) (n Node, err error) {
-	defer m.guard(&n, &err)
-	return m.iteRec(f, False, True), nil
-}
-
-// And returns f·g.
-func (m *Manager) And(f, g Node) (n Node, err error) {
-	defer m.guard(&n, &err)
-	return m.iteRec(f, g, False), nil
-}
-
 // Or returns f+g.
 func (m *Manager) Or(f, g Node) (n Node, err error) {
 	defer m.guard(&n, &err)
@@ -410,18 +384,4 @@ func (m *Manager) Or(f, g Node) (n Node, err error) {
 func (m *Manager) Xor(f, g Node) (n Node, err error) {
 	defer m.guard(&n, &err)
 	return m.iteRec(f, m.iteRec(g, False, True), g), nil
-}
-
-// Eval evaluates f under a complete assignment (indexed by variable
-// level).
-func (m *Manager) Eval(f Node, assign []bool) bool {
-	for f != True && f != False {
-		n := m.nodes[f]
-		if assign[n.level] {
-			f = n.high
-		} else {
-			f = n.low
-		}
-	}
-	return f == True
 }

@@ -1,17 +1,46 @@
-package bdd_test
+package bdd
 
 import (
 	"errors"
 	"math/big"
 	"testing"
 
-	"orap/internal/bdd"
 	"orap/internal/circuits"
 	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/rng"
 )
+
+// and, not and eval are test-only operations: production code builds
+// its functions through Compiler, Or and Xor. eval is the reference
+// these tests and FuzzITE check every node against.
+
+// and returns f·g.
+func (m *Manager) and(f, g Node) (n Node, err error) {
+	defer m.guard(&n, &err)
+	return m.iteRec(f, g, False), nil
+}
+
+// not returns ¬f.
+func (m *Manager) not(f Node) (n Node, err error) {
+	defer m.guard(&n, &err)
+	return m.iteRec(f, False, True), nil
+}
+
+// eval evaluates f under a complete assignment (indexed by variable
+// level).
+func (m *Manager) eval(f Node, assign []bool) bool {
+	for f != True && f != False {
+		n := m.nodes[f]
+		if assign[n.level] {
+			f = n.high
+		} else {
+			f = n.low
+		}
+	}
+	return f == True
+}
 
 func compile(t *testing.T, c *netlist.Circuit) *ir.Program {
 	t.Helper()
@@ -24,11 +53,11 @@ func compile(t *testing.T, c *netlist.Circuit) *ir.Program {
 
 // compileOutputs builds a manager over every circuit input (variable
 // order from InputOrder) and compiles all primary outputs.
-func compileOutputs(t *testing.T, p *ir.Program, budget int) (*bdd.Manager, []bdd.Node, map[int32]int) {
+func compileOutputs(t *testing.T, p *ir.Program, budget int) (*Manager, []Node, map[int32]int) {
 	t.Helper()
-	order := bdd.InputOrder(p)
-	m := bdd.New(len(order), budget)
-	cp := bdd.NewCompiler(m, p)
+	order := InputOrder(p)
+	m := New(len(order), budget)
+	cp := NewCompiler(m, p)
 	varOf := make(map[int32]int, len(order))
 	for v, id := range order {
 		varOf[id] = v
@@ -36,7 +65,7 @@ func compileOutputs(t *testing.T, p *ir.Program, budget int) (*bdd.Manager, []bd
 			t.Fatal(err)
 		}
 	}
-	outs := make([]bdd.Node, len(p.POs))
+	outs := make([]Node, len(p.POs))
 	for i, o := range p.POs {
 		f, err := cp.Compile(o)
 		if err != nil {
@@ -48,16 +77,16 @@ func compileOutputs(t *testing.T, p *ir.Program, budget int) (*bdd.Manager, []bd
 }
 
 func TestConnectiveTruthTables(t *testing.T) {
-	m := bdd.New(2, 0)
-	a, _ := m.Var(0)
-	b, _ := m.Var(1)
-	and, _ := m.And(a, b)
+	m := New(2, 0)
+	a, _ := m.variable(0)
+	b, _ := m.variable(1)
+	and, _ := m.and(a, b)
 	or, _ := m.Or(a, b)
 	xor, _ := m.Xor(a, b)
-	na, _ := m.Not(a)
+	na, _ := m.not(a)
 	for _, tc := range []struct {
 		name string
-		f    bdd.Node
+		f    Node
 		want [4]bool // (a,b) = 00, 01, 10, 11
 	}{
 		{"and", and, [4]bool{false, false, false, true}},
@@ -66,7 +95,7 @@ func TestConnectiveTruthTables(t *testing.T) {
 		{"nota", na, [4]bool{true, true, false, false}},
 	} {
 		for i, want := range tc.want {
-			got := m.Eval(tc.f, []bool{i&2 != 0, i&1 != 0})
+			got := m.eval(tc.f, []bool{i&2 != 0, i&1 != 0})
 			if got != want {
 				t.Errorf("%s(%d,%d) = %v, want %v", tc.name, i>>1, i&1, got, want)
 			}
@@ -78,43 +107,43 @@ func TestConnectiveTruthTables(t *testing.T) {
 // different operation sequences are the same node when and only when
 // they are the same function.
 func TestCanonicity(t *testing.T) {
-	m := bdd.New(3, 0)
-	a, _ := m.Var(0)
-	b, _ := m.Var(1)
-	c, _ := m.Var(2)
+	m := New(3, 0)
+	a, _ := m.variable(0)
+	b, _ := m.variable(1)
+	c, _ := m.variable(2)
 
-	ab, _ := m.And(a, b)
+	ab, _ := m.and(a, b)
 	left, _ := m.Or(ab, c)    // ab + c
 	ac, _ := m.Or(a, c)       // a + c
 	bc, _ := m.Or(b, c)       // b + c
-	right, _ := m.And(ac, bc) // (a+c)(b+c) = ab + c
+	right, _ := m.and(ac, bc) // (a+c)(b+c) = ab + c
 	if left != right {
 		t.Fatalf("ab+c and (a+c)(b+c) built different nodes %d, %d", left, right)
 	}
 
 	xx, _ := m.Xor(a, a)
-	if xx != bdd.False {
+	if xx != False {
 		t.Fatalf("a xor a = node %d, want False", xx)
 	}
-	dn, _ := m.Not(a)
-	dnn, _ := m.Not(dn)
+	dn, _ := m.not(a)
+	dnn, _ := m.not(dn)
 	if dnn != a {
 		t.Fatalf("double negation of a = node %d, want %d", dnn, a)
 	}
 }
 
 func TestSatCountSmall(t *testing.T) {
-	m := bdd.New(4, 0)
-	a, _ := m.Var(0)
-	d, _ := m.Var(3)
+	m := New(4, 0)
+	a, _ := m.variable(0)
+	d, _ := m.variable(3)
 	f, _ := m.Or(a, d) // 2^4 - 4 = 12 models
 	if got := m.SatCount(f); got.Cmp(big.NewInt(12)) != 0 {
 		t.Fatalf("SatCount(a+d) = %v, want 12", got)
 	}
-	if got := m.SatCount(bdd.True); got.Cmp(big.NewInt(16)) != 0 {
+	if got := m.SatCount(True); got.Cmp(big.NewInt(16)) != 0 {
 		t.Fatalf("SatCount(True) = %v, want 16", got)
 	}
-	if got := m.SatCount(bdd.False); got.Sign() != 0 {
+	if got := m.SatCount(False); got.Sign() != 0 {
 		t.Fatalf("SatCount(False) = %v, want 0", got)
 	}
 }
@@ -129,15 +158,15 @@ func TestSatCountSmall(t *testing.T) {
 // nodes intact, and the rebuild must be the first build again.
 func TestUniqueTableGrowth(t *testing.T) {
 	const n = 4096
-	m := bdd.New(n, 0)
+	m := New(n, 0)
 	// parity returns the XOR of the variables lo..n-1.
-	parity := func(lo int) bdd.Node {
-		acc, err := m.Var(n - 1)
+	parity := func(lo int) Node {
+		acc, err := m.variable(n - 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for v := n - 2; v >= lo; v-- {
-			x, err := m.Var(v)
+			x, err := m.variable(v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,8 +194,8 @@ func TestUniqueTableGrowth(t *testing.T) {
 		for _, b := range assign {
 			want = want != b
 		}
-		if got := m.Eval(f, assign); got != want {
-			t.Fatalf("assignment %d: Eval = %v, XOR of the variables = %v", i, got, want)
+		if got := m.eval(f, assign); got != want {
+			t.Fatalf("assignment %d: eval = %v, XOR of the variables = %v", i, got, want)
 		}
 	}
 	if g := parity(0); g != f {
@@ -198,15 +227,15 @@ func TestUniqueTableGrowth(t *testing.T) {
 // result naming a deleted node is never handed back once its ID is
 // reused.
 func TestMarkRollback(t *testing.T) {
-	m := bdd.New(4, 0)
-	v := make([]bdd.Node, 4)
+	m := New(4, 0)
+	v := make([]Node, 4)
 	for i := range v {
 		var err error
-		if v[i], err = m.Var(i); err != nil {
+		if v[i], err = m.variable(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ab, _ := m.And(v[0], v[1])
+	ab, _ := m.and(v[0], v[1])
 	mark, before := m.Mark(), m.Stats().Nodes
 	abc, _ := m.Or(ab, v[2])
 	if _, err := m.Xor(abc, v[3]); err != nil {
@@ -219,12 +248,12 @@ func TestMarkRollback(t *testing.T) {
 	if got := m.Stats().Nodes; got != before {
 		t.Fatalf("after Rollback: %d nodes, %d at the mark", got, before)
 	}
-	if again, _ := m.And(v[0], v[1]); again != ab || m.Stats().Nodes != before {
+	if again, _ := m.and(v[0], v[1]); again != ab || m.Stats().Nodes != before {
 		t.Fatalf("rebuilding a·b gave node %d (was %d) and %d nodes (was %d)", again, ab, m.Stats().Nodes, before)
 	}
 	// Refill the deleted IDs with other functions, then repeat the
 	// computation the cache saw before the Rollback.
-	for _, w := range []bdd.Node{v[2], v[3]} {
+	for _, w := range []Node{v[2], v[3]} {
 		if _, err := m.Xor(w, v[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +264,7 @@ func TestMarkRollback(t *testing.T) {
 		for i := range assign {
 			assign[i] = x>>uint(i)&1 == 1
 		}
-		if want := assign[0] && assign[1] || assign[2]; m.Eval(f, assign) != want {
+		if want := assign[0] && assign[1] || assign[2]; m.eval(f, assign) != want {
 			t.Fatalf("a·b + c after Rollback is wrong at assignment %04b", x)
 		}
 	}
@@ -246,16 +275,16 @@ func TestMarkRollback(t *testing.T) {
 // manager does — same node IDs and counts, the same SatCount over the
 // new variable count — with its telemetry zeroed.
 func TestResetMatchesFresh(t *testing.T) {
-	m := bdd.New(16, 0)
+	m := New(16, 0)
 	for _, c := range []*netlist.Circuit{circuits.RippleAdder(6), circuits.C17(), circuits.Comparator4(), circuits.RippleAdder(4)} {
 		p := compile(t, c)
-		order := bdd.InputOrder(p)
+		order := InputOrder(p)
 		m.Reset(len(order))
 		if st := m.Stats(); st.Nodes != 0 || st.CacheLookups != 0 || st.CacheHits != 0 || m.NumVars() != len(order) {
 			t.Fatalf("%s: after Reset(%d): %d vars, stats %+v", c.Name, len(order), m.NumVars(), st)
 		}
 		fresh, want, _ := compileOutputs(t, p, 0)
-		cp := bdd.NewCompiler(m, p)
+		cp := NewCompiler(m, p)
 		for v, id := range order {
 			if err := cp.BindVar(id, v); err != nil {
 				t.Fatal(err)
@@ -327,7 +356,7 @@ func TestSatCountAgainstEnumeration(t *testing.T) {
 				vars[varOf[id]] = full[i]
 			}
 			for j, f := range outs {
-				if m.Eval(f, vars) != outBits[j] {
+				if m.eval(f, vars) != outBits[j] {
 					t.Fatalf("%s: input %b PO %d: BDD and simulator disagree", name, v, j)
 				}
 			}
@@ -361,9 +390,9 @@ func TestFlipMatchesRecompile(t *testing.T) {
 			for i := range vars {
 				vars[i] = trial>>uint(i)&1 == 1
 			}
-			a := m.Eval(flipped, vars)
+			a := m.eval(flipped, vars)
 			vars[v] = !vars[v]
-			b := m.Eval(f, vars)
+			b := m.eval(f, vars)
 			vars[v] = !vars[v]
 			if a != b {
 				t.Fatalf("Flip(%d): disagreement at assignment %b", v, trial)
@@ -373,19 +402,19 @@ func TestFlipMatchesRecompile(t *testing.T) {
 }
 
 func TestExistsQuantifiesOut(t *testing.T) {
-	m := bdd.New(3, 0)
-	a, _ := m.Var(0)
-	b, _ := m.Var(1)
-	c, _ := m.Var(2)
-	abc, _ := m.And(a, b)
-	abc, _ = m.And(abc, c)
+	m := New(3, 0)
+	a, _ := m.variable(0)
+	b, _ := m.variable(1)
+	c, _ := m.variable(2)
+	abc, _ := m.and(a, b)
+	abc, _ = m.and(abc, c)
 	quant := []bool{false, true, false}
 	e, err := m.Exists(abc, quant)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ∃b. abc = ac.
-	ac, _ := m.And(a, c)
+	ac, _ := m.and(a, c)
 	if e != ac {
 		t.Fatalf("∃b.abc = node %d, want ac = %d", e, ac)
 	}
@@ -398,11 +427,11 @@ func TestExistsQuantifiesOut(t *testing.T) {
 }
 
 func TestAnySat(t *testing.T) {
-	m := bdd.New(3, 0)
-	a, _ := m.Var(0)
-	c, _ := m.Var(2)
-	na, _ := m.Not(a)
-	f, _ := m.And(na, c)
+	m := New(3, 0)
+	a, _ := m.variable(0)
+	c, _ := m.variable(2)
+	na, _ := m.not(a)
+	f, _ := m.and(na, c)
 	w := m.AnySat(f)
 	if w == nil {
 		t.Fatal("AnySat returned nil for a satisfiable function")
@@ -411,10 +440,10 @@ func TestAnySat(t *testing.T) {
 	for i, v := range w {
 		assign[i] = v == 1
 	}
-	if !m.Eval(f, assign) {
+	if !m.eval(f, assign) {
 		t.Fatalf("AnySat witness %v does not satisfy f", w)
 	}
-	if m.AnySat(bdd.False) != nil {
+	if m.AnySat(False) != nil {
 		t.Fatal("AnySat(False) must be nil")
 	}
 }
@@ -424,13 +453,13 @@ func TestAnySat(t *testing.T) {
 // manager usable, and never panics out of the package.
 func TestBudgetTyped(t *testing.T) {
 	p := compile(t, circuits.RippleAdder(8))
-	order := bdd.InputOrder(p)
-	m := bdd.New(len(order), 8) // absurdly small
-	cp := bdd.NewCompiler(m, p)
+	order := InputOrder(p)
+	m := New(len(order), 8) // absurdly small
+	cp := NewCompiler(m, p)
 	budgetHit := false
 	for v, id := range order {
 		if err := cp.BindVar(id, v); err != nil {
-			if !errors.Is(err, bdd.ErrBudget) {
+			if !errors.Is(err, ErrBudget) {
 				t.Fatal(err)
 			}
 			budgetHit = true
@@ -439,11 +468,11 @@ func TestBudgetTyped(t *testing.T) {
 	// Var itself must report the trip through the typed error, never a
 	// silent (False, nil) — regression for the unnamed-results bug that
 	// let a starved Manager "prove" cones constant.
-	tiny := bdd.New(4, 1)
-	if _, err := tiny.Var(0); err != nil {
+	tiny := New(4, 1)
+	if _, err := tiny.variable(0); err != nil {
 		t.Fatalf("first Var within budget: %v", err)
 	}
-	if _, err := tiny.Var(1); !errors.Is(err, bdd.ErrBudget) {
+	if _, err := tiny.variable(1); !errors.Is(err, ErrBudget) {
 		t.Fatalf("Var over budget: err = %v, want ErrBudget", err)
 	}
 	for _, o := range p.POs {
@@ -451,7 +480,7 @@ func TestBudgetTyped(t *testing.T) {
 			// Inputs past the tripped bind are unbound, so Compile may
 			// report either the budget or the unbound cone input; both
 			// are the degradation path, neither is a panic.
-			if errors.Is(err, bdd.ErrBudget) {
+			if errors.Is(err, ErrBudget) {
 				budgetHit = true
 			}
 		}
@@ -460,7 +489,7 @@ func TestBudgetTyped(t *testing.T) {
 		t.Fatal("an 8-node budget compiled an 8-bit adder; budget guard inert")
 	}
 	// The manager stays usable for reads and small operations.
-	a, err := m.Var(0)
+	a, err := m.variable(0)
 	if err != nil {
 		t.Fatalf("Var after budget trip: %v", err)
 	}
@@ -483,8 +512,8 @@ func TestInputOrderDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := compile(t, l.Circuit)
-	a := bdd.InputOrder(p)
-	b := bdd.InputOrder(p)
+	a := InputOrder(p)
+	b := InputOrder(p)
 	if len(a) != len(p.Inputs) {
 		t.Fatalf("order has %d entries, want %d", len(a), len(p.Inputs))
 	}

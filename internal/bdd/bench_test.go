@@ -1,9 +1,8 @@
-package bdd_test
+package bdd
 
 import (
 	"testing"
 
-	"orap/internal/bdd"
 	"orap/internal/benchgen"
 	"orap/internal/ir"
 	"orap/internal/lock"
@@ -35,13 +34,13 @@ func BenchmarkBDDCompile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	order := bdd.InputOrder(p)
+	order := InputOrder(p)
 
 	var nodes int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := bdd.New(len(order), 0)
-		cp := bdd.NewCompiler(m, p)
+		m := New(len(order), 0)
+		cp := NewCompiler(m, p)
 		for v, id := range order {
 			if err := cp.BindVar(id, v); err != nil {
 				b.Fatal(err)

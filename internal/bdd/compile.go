@@ -81,7 +81,7 @@ func NewCompiler(m *Manager, p *ir.Program) *Compiler {
 
 // BindVar maps input node id to BDD variable level v.
 func (c *Compiler) BindVar(id int32, v int) error {
-	n, err := c.m.Var(v)
+	n, err := c.m.variable(v)
 	if err != nil {
 		return err
 	}
@@ -93,7 +93,7 @@ func (c *Compiler) BindVar(id int32, v int) error {
 // BindConst fixes input node id to a constant (how KeyEquivalence
 // locks the key inputs to the provided key).
 func (c *Compiler) BindConst(id int32, v bool) {
-	c.vals[id] = c.m.Const(v)
+	c.vals[id] = c.m.constant(v)
 	c.done[id] = true
 }
 

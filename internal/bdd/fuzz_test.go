@@ -1,12 +1,10 @@
-package bdd_test
+package bdd
 
 import (
 	"errors"
 	"math/big"
 	"math/bits"
 	"testing"
-
-	"orap/internal/bdd"
 )
 
 // FuzzITE decodes the fuzz input into a random expression DAG over at
@@ -34,7 +32,7 @@ func FuzzITE(f *testing.F) {
 			return
 		}
 		nv := 1 + int(prog[0]%6)
-		m := bdd.New(nv, 1<<12)
+		m := New(nv, 1<<12)
 		var mask uint64
 		var varTab []uint64
 		setVars := func(n int) {
@@ -59,18 +57,18 @@ func FuzzITE(f *testing.F) {
 		// made numbers the pushes, so a Rollback can drop every entry
 		// pushed after its mark.
 		type entry struct {
-			n    bdd.Node
+			n    Node
 			tab  uint64
 			made int
 		}
 		type mark struct {
-			cp   bdd.Checkpoint
+			cp   Checkpoint
 			made int
 		}
 		var stack []entry
 		var marks []mark
 		pushes := 0
-		push := func(n bdd.Node, tab uint64) {
+		push := func(n Node, tab uint64) {
 			stack = append(stack, entry{n, tab, pushes})
 			pushes++
 		}
@@ -91,8 +89,8 @@ func FuzzITE(f *testing.F) {
 			switch b >> 6 {
 			case 0: // push variable
 				v := int(b&0x3f) % nv
-				var n bdd.Node
-				n, err = m.Var(v)
+				var n Node
+				n, err = m.variable(v)
 				push(n, varTab[v])
 			case 1: // control
 				switch b >> 4 & 3 {
@@ -118,8 +116,8 @@ func FuzzITE(f *testing.F) {
 					stack, marks = nil, nil
 				default:
 					v := int(b&0x0f) % nv
-					var n bdd.Node
-					n, err = m.Var(v)
+					var n Node
+					n, err = m.variable(v)
 					push(n, varTab[v])
 				}
 			case 2: // binary
@@ -127,11 +125,11 @@ func FuzzITE(f *testing.F) {
 					continue
 				}
 				x, y := pop(), pop()
-				var n bdd.Node
+				var n Node
 				var tab uint64
 				switch b % 3 {
 				case 0:
-					n, err = m.And(x.n, y.n)
+					n, err = m.and(x.n, y.n)
 					tab = x.tab & y.tab
 				case 1:
 					n, err = m.Or(x.n, y.n)
@@ -147,11 +145,11 @@ func FuzzITE(f *testing.F) {
 				}
 				x := pop()
 				v := int(b&0x0f) % nv
-				var n bdd.Node
+				var n Node
 				var tab uint64
 				switch {
 				case b&0x20 == 0:
-					n, err = m.Not(x.n)
+					n, err = m.not(x.n)
 					tab = ^x.tab
 				case b&0x10 == 0:
 					n, err = m.Flip(x.n, v)
@@ -169,7 +167,7 @@ func FuzzITE(f *testing.F) {
 				push(n, tab&mask)
 			}
 			if err != nil {
-				if errors.Is(err, bdd.ErrBudget) {
+				if errors.Is(err, ErrBudget) {
 					return // budget trip is a legal outcome, not a bug
 				}
 				t.Fatal(err)
@@ -183,7 +181,7 @@ func FuzzITE(f *testing.F) {
 				for v := 0; v < nv; v++ {
 					assign[v] = minterm>>uint(v)&1 == 1
 				}
-				if m.Eval(e.n, assign) != (e.tab>>uint(minterm)&1 == 1) {
+				if m.eval(e.n, assign) != (e.tab>>uint(minterm)&1 == 1) {
 					t.Fatalf("entry %d: BDD disagrees with table at minterm %d", i, minterm)
 				}
 			}

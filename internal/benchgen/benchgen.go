@@ -38,11 +38,11 @@ type Profile struct {
 	CtrlInputs int
 }
 
-// Inputs returns the combinational input count (pins + FF outputs).
-func (p Profile) Inputs() int { return p.Pins + p.FFs }
+// inputs returns the combinational input count (pins + FF outputs).
+func (p Profile) inputs() int { return p.Pins + p.FFs }
 
-// Outputs returns the combinational output count (pin outputs + FF inputs).
-func (p Profile) Outputs() int { return p.PinOuts + p.FFs }
+// outputs returns the combinational output count (pin outputs + FF inputs).
+func (p Profile) outputs() int { return p.PinOuts + p.FFs }
 
 // Profiles lists the paper's Table I benchmarks with their published
 // interfaces (PI/FF/PO counts from the ISCAS'89 / ITC'99 documentation,
@@ -100,13 +100,13 @@ func (p Profile) Scale(factor float64) Profile {
 // Generate builds the synthetic circuit for a profile. The construction
 // is fully deterministic in (profile, seed).
 func Generate(p Profile, seed uint64) (*netlist.Circuit, error) {
-	if p.Inputs() < 2 || p.Outputs() < 1 || p.Gates < p.Outputs() {
+	if p.inputs() < 2 || p.outputs() < 1 || p.Gates < p.outputs() {
 		return nil, fmt.Errorf("benchgen: degenerate profile %+v", p)
 	}
 	r := rng.NewNamed(seed, p.Name)
 	c := netlist.New(p.Name)
 
-	inputs := make([]int, p.Inputs())
+	inputs := make([]int, p.inputs())
 	for i := range inputs {
 		id, err := c.AddInput(fmt.Sprintf("I%d", i))
 		if err != nil {
@@ -127,7 +127,7 @@ func Generate(p Profile, seed uint64) (*netlist.Circuit, error) {
 		case 3, 4: // an input
 			return inputs[r.Intn(len(inputs))]
 		default: // recent window
-			w := 4 * p.Outputs()
+			w := 4 * p.outputs()
 			if w > n {
 				w = n
 			}
@@ -187,7 +187,7 @@ func Generate(p Profile, seed uint64) (*netlist.Circuit, error) {
 		}
 	}
 	sort.Ints(sinks)
-	want := p.Outputs()
+	want := p.outputs()
 	if len(sinks) > want {
 		// Too many sinks: absorb the surplus into reducer gates.
 		for len(sinks) > want {

@@ -17,7 +17,7 @@ func TestProfilesMatchTableI(t *testing.T) {
 		"b19": 6672, "b20": 512, "b21": 512, "b22": 757,
 	}
 	for _, p := range Profiles {
-		if got := p.Outputs(); got != want[p.Name] {
+		if got := p.outputs(); got != want[p.Name] {
 			t.Errorf("%s outputs = %d, want %d", p.Name, got, want[p.Name])
 		}
 	}
@@ -34,17 +34,17 @@ func TestGenerateSmallProfilesShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.NumInputs() != p.Inputs() {
-			t.Errorf("%s: inputs %d, want %d", p.Name, c.NumInputs(), p.Inputs())
+		if c.NumInputs() != p.inputs() {
+			t.Errorf("%s: inputs %d, want %d", p.Name, c.NumInputs(), p.inputs())
 		}
-		if c.NumOutputs() != p.Outputs() {
-			t.Errorf("%s: outputs %d, want %d", p.Name, c.NumOutputs(), p.Outputs())
+		if c.NumOutputs() != p.outputs() {
+			t.Errorf("%s: outputs %d, want %d", p.Name, c.NumOutputs(), p.outputs())
 		}
 		gc := c.GateCount()
 		// Reducer gates that absorb surplus sinks add a few percent on
 		// top of the profile target.
-		if gc < p.Gates || gc > p.Gates+p.Gates/8+p.Outputs() {
-			t.Errorf("%s: gate count %d outside [%d, %d]", p.Name, gc, p.Gates, p.Gates+p.Gates/8+p.Outputs())
+		if gc < p.Gates || gc > p.Gates+p.Gates/8+p.outputs() {
+			t.Errorf("%s: gate count %d outside [%d, %d]", p.Name, gc, p.Gates, p.Gates+p.Gates/8+p.outputs())
 		}
 		if _, err := ir.Compile(c); err != nil {
 			t.Errorf("%s: invalid: %v", p.Name, err)

@@ -182,10 +182,10 @@ func (r *Report) HasErrors() bool {
 }
 
 // Errors returns the error-severity diagnostics.
-func (r *Report) Errors() []Diagnostic { return r.AtLeast(Error) }
+func (r *Report) Errors() []Diagnostic { return r.atLeast(Error) }
 
-// AtLeast returns the diagnostics with severity >= min.
-func (r *Report) AtLeast(min Severity) []Diagnostic {
+// atLeast returns the diagnostics with severity >= min.
+func (r *Report) atLeast(min Severity) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range r.Diags {
 		if d.Sev >= min {

@@ -249,7 +249,7 @@ func TestConstPropagation(t *testing.T) {
 	}
 }
 
-// TestReportHelpers covers Err, AtLeast and String plumbing.
+// TestReportHelpers covers Err, atLeast and String plumbing.
 func TestReportHelpers(t *testing.T) {
 	_, rep, err := File(filepath.Join("testdata", "key_unobservable.bench"))
 	if err != nil {
@@ -258,8 +258,8 @@ func TestReportHelpers(t *testing.T) {
 	if rep.Err() == nil {
 		t.Fatal("Err() returned nil for a report with errors")
 	}
-	if n := len(rep.AtLeast(Warning)); n < 2 { // key-unobservable + dangling kg
-		t.Fatalf("AtLeast(Warning) returned %d diagnostics, want >= 2:\n%s", n, rep)
+	if n := len(rep.atLeast(Warning)); n < 2 { // key-unobservable + dangling kg
+		t.Fatalf("atLeast(Warning) returned %d diagnostics, want >= 2:\n%s", n, rep)
 	}
 	s := rep.String()
 	if !strings.Contains(s, "key-unobservable") || !strings.Contains(s, "error") {

@@ -82,8 +82,8 @@ func (v Vec) Weight() int {
 	return t
 }
 
-// Dot returns the GF(2) inner product of v and u.
-func (v Vec) Dot(u Vec) bool {
+// dot returns the GF(2) inner product of v and u.
+func (v Vec) dot(u Vec) bool {
 	if v.n != u.n {
 		panic(fmt.Sprintf("gf2: Dot length mismatch %d vs %d", v.n, u.n))
 	}
@@ -105,19 +105,6 @@ func (v Vec) Equal(u Vec) bool {
 		}
 	}
 	return true
-}
-
-// Ones returns the indices of all set bits in ascending order.
-func (v Vec) Ones() []int {
-	var idx []int
-	for wi, w := range v.w {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			idx = append(idx, wi*64+b)
-			w &= w - 1
-		}
-	}
-	return idx
 }
 
 // String renders the vector as a bit string, LSB (index 0) first.
@@ -169,21 +156,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return m
 }
 
-// identity returns the n×n identity matrix.
-func identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, true)
-	}
-	return m
-}
-
-// At returns element (r, c).
-func (m *Matrix) At(r, c int) bool { return m.row[r].Bit(c) }
-
-// Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, b bool) { m.row[r].SetBit(c, b) }
-
 // Row returns row r; the returned Vec shares storage with the matrix.
 func (m *Matrix) Row(r int) Vec { return m.row[r] }
 
@@ -195,8 +167,8 @@ func (m *Matrix) SetRow(r int, v Vec) {
 	m.row[r] = v.Clone()
 }
 
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
+// clone returns a deep copy of the matrix.
+func (m *Matrix) clone() *Matrix {
 	n := &Matrix{Rows: m.Rows, Cols: m.Cols, row: make([]Vec, m.Rows)}
 	for i := range m.row {
 		n.row[i] = m.row[i].Clone()
@@ -211,24 +183,8 @@ func (m *Matrix) MulVec(v Vec) Vec {
 	}
 	out := NewVec(m.Rows)
 	for r := 0; r < m.Rows; r++ {
-		if m.row[r].Dot(v) {
+		if m.row[r].dot(v) {
 			out.SetBit(r, true)
-		}
-	}
-	return out
-}
-
-// Mul returns the matrix product m · o.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("gf2: Mul dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	out := NewMatrix(m.Rows, o.Cols)
-	for r := 0; r < m.Rows; r++ {
-		dst := out.row[r]
-		src := m.row[r]
-		for _, k := range src.Ones() {
-			dst.Xor(o.row[k])
 		}
 	}
 	return out
@@ -236,7 +192,7 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 
 // Rank returns the rank of the matrix. The matrix is not modified.
 func (m *Matrix) Rank() int {
-	e := m.Clone()
+	e := m.clone()
 	rank := 0
 	for c := 0; c < e.Cols && rank < e.Rows; c++ {
 		pivot := -1
@@ -267,7 +223,7 @@ func (m *Matrix) Solve(b Vec) (Vec, bool) {
 		panic(fmt.Sprintf("gf2: Solve rhs length %d != rows %d", b.Len(), m.Rows))
 	}
 	// Augmented elimination: carry the RHS alongside each row.
-	e := m.Clone()
+	e := m.clone()
 	rhs := b.Clone()
 	pivotCol := make([]int, 0, e.Rows)
 	rank := 0
@@ -316,49 +272,4 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Invert returns the inverse of a square matrix, or ok=false when the
-// matrix is singular. The receiver is not modified.
-func (m *Matrix) Invert() (*Matrix, bool) {
-	if m.Rows != m.Cols {
-		return nil, false
-	}
-	n := m.Rows
-	e := m.Clone()
-	inv := identity(n)
-	row := 0
-	for c := 0; c < n; c++ {
-		pivot := -1
-		for r := row; r < n; r++ {
-			if e.row[r].Bit(c) {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			return nil, false
-		}
-		e.row[row], e.row[pivot] = e.row[pivot], e.row[row]
-		inv.row[row], inv.row[pivot] = inv.row[pivot], inv.row[row]
-		for r := 0; r < n; r++ {
-			if r != row && e.row[r].Bit(c) {
-				e.row[r].Xor(e.row[row])
-				inv.row[r].Xor(inv.row[row])
-			}
-		}
-		row++
-	}
-	return inv, true
-}
-
-// Transpose returns the transposed matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for _, c := range m.row[r].Ones() {
-			t.Set(c, r, true)
-		}
-	}
-	return t
 }

@@ -60,8 +60,8 @@ const (
 // String returns the conventional gate name.
 func (o Op) String() string { return netlist.GateType(o).String() }
 
-// GateType returns the netlist gate type the opcode mirrors.
-func (o Op) GateType() netlist.GateType { return netlist.GateType(o) }
+// gateType returns the netlist gate type the opcode mirrors.
+func (o Op) gateType() netlist.GateType { return netlist.GateType(o) }
 
 // Program is an immutable compiled circuit. All slice fields are
 // read-only after Compile returns; they may be shared freely across
@@ -443,7 +443,7 @@ func (p *Program) Summary() string {
 			inv++
 		case op == OpBuf:
 			buf++
-		case op.GateType().CountsAsGate():
+		case op.gateType().CountsAsGate():
 			gates++
 		}
 	}

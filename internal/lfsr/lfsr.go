@@ -131,15 +131,6 @@ func New(cfg Config) (*LFSR, error) {
 	return l, nil
 }
 
-// Config returns the wiring description.
-func (l *LFSR) Config() Config { return l.cfg }
-
-// Reset clears the register to all zeros, modelling the per-cell
-// pulse-generator reset on a scan-enable rising edge.
-func (l *LFSR) Reset() {
-	l.state = gf2.NewVec(l.cfg.N)
-}
-
 // State returns a copy of the current register contents.
 func (l *LFSR) State() gf2.Vec { return l.state.Clone() }
 
@@ -179,11 +170,4 @@ func (l *LFSR) Step(seed gf2.Vec) error {
 	}
 	l.state = next
 	return nil
-}
-
-// FreeRun advances the register n clocks with no injection.
-func (l *LFSR) FreeRun(n int) {
-	for i := 0; i < n; i++ {
-		l.Step(gf2.Vec{})
-	}
 }

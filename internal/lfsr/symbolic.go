@@ -51,16 +51,10 @@ func newSymbolic(cfg Config, nvars int) (*Symbolic, error) {
 	return s, nil
 }
 
-// NumVars returns the number of symbolic variables.
-func (s *Symbolic) NumVars() int { return s.nvars }
-
-// Cell returns a copy of cell i's linear expression.
-func (s *Symbolic) Cell(i int) gf2.Vec { return s.cells[i].Clone() }
-
-// StepVars advances one clock, injecting variable seedVars[j] at injection
+// stepVars advances one clock, injecting variable seedVars[j] at injection
 // point j. A negative entry means "no variable" (constant zero) at that
-// point; a nil slice is a free-run cycle. Variable indices must be < NumVars.
-func (s *Symbolic) StepVars(seedVars []int) error {
+// point; a nil slice is a free-run cycle. Variable indices must be < nvars.
+func (s *Symbolic) stepVars(seedVars []int) error {
 	if seedVars != nil && len(seedVars) != s.cfg.SeedWidth() {
 		return fmt.Errorf("lfsr: seedVars width %d != %d", len(seedVars), s.cfg.SeedWidth())
 	}
@@ -91,45 +85,16 @@ func (s *Symbolic) StepVars(seedVars []int) error {
 	return nil
 }
 
-// StepExprs advances one clock, XOR-injecting an arbitrary linear
-// expression at each injection point (nil entries inject nothing). This
-// models the modified OraP scheme's response-driven points when the
-// responses happen to be linear, and is used by tests.
-func (s *Symbolic) StepExprs(exprs []gf2.Vec) error {
-	if exprs != nil && len(exprs) != s.cfg.SeedWidth() {
-		return fmt.Errorf("lfsr: exprs width %d != %d", len(exprs), s.cfg.SeedWidth())
-	}
-	next := make([]gf2.Vec, s.cfg.N)
-	fb := s.cells[s.cfg.N-1]
-	for i := 0; i < s.cfg.N; i++ {
-		var e gf2.Vec
-		if i == 0 {
-			e = fb.Clone()
-		} else {
-			e = s.cells[i-1].Clone()
-			if s.isTap[i] {
-				e.Xor(fb)
-			}
-		}
-		if j := s.injIdx[i]; j >= 0 && exprs != nil && exprs[j].Len() != 0 {
-			e.Xor(exprs[j])
-		}
-		next[i] = e
-	}
-	s.cells = next
-	return nil
-}
-
-// FreeRun advances n clocks with no injection.
-func (s *Symbolic) FreeRun(n int) {
+// freeRun advances n clocks with no injection.
+func (s *Symbolic) freeRun(n int) {
 	for i := 0; i < n; i++ {
-		s.StepVars(nil)
+		s.stepVars(nil)
 	}
 }
 
-// Matrix returns the N×NumVars matrix M with state = M · vars for the
+// matrix returns the N×nvars matrix M with state = M · vars for the
 // schedule stepped so far.
-func (s *Symbolic) Matrix() *gf2.Matrix {
+func (s *Symbolic) matrix() *gf2.Matrix {
 	m := gf2.NewMatrix(s.cfg.N, s.nvars)
 	for i, c := range s.cells {
 		m.SetRow(i, c)
@@ -184,12 +149,12 @@ func TransferMatrix(cfg Config, sc Schedule) (*gf2.Matrix, error) {
 		for j := range vars {
 			vars[j] = i*w + j
 		}
-		if err := sym.StepVars(vars); err != nil {
+		if err := sym.stepVars(vars); err != nil {
 			return nil, err
 		}
-		sym.FreeRun(fr)
+		sym.freeRun(fr)
 	}
-	return sym.Matrix(), nil
+	return sym.matrix(), nil
 }
 
 // MemTransferMatrix computes the linear map from memory-seed bits to the
@@ -217,10 +182,10 @@ func MemTransferMatrix(cfg Config, sc Schedule, memInject []int) (*gf2.Matrix, e
 			}
 			full[pos] = i*w + j
 		}
-		if err := sym.StepVars(full); err != nil {
+		if err := sym.stepVars(full); err != nil {
 			return nil, err
 		}
-		sym.FreeRun(fr)
+		sym.freeRun(fr)
 	}
-	return sym.Matrix(), nil
+	return sym.matrix(), nil
 }

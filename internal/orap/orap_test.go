@@ -236,8 +236,8 @@ func TestRegisterOverheadAccounting(t *testing.T) {
 	if ov.Gates() != 256+256+31 {
 		t.Fatalf("Gates() = %d", ov.Gates())
 	}
-	if ov.GatesWithInverters() != ov.Gates()+768 {
-		t.Fatalf("GatesWithInverters() = %d", ov.GatesWithInverters())
+	if ov.PulseGenInverters != 768 {
+		t.Fatalf("pulse-generator inverters = %d, want 768", ov.PulseGenInverters)
 	}
 }
 

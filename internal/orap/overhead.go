@@ -34,9 +34,3 @@ func RegisterOverhead(cfg lfsr.Config) Overhead {
 func (o Overhead) Gates() int {
 	return o.PulseGenNANDs + o.ReseedXORs + o.TapXORs
 }
-
-// GatesWithInverters returns the added gate count including the pulse
-// generators' inverter chains.
-func (o Overhead) GatesWithInverters() int {
-	return o.Gates() + o.PulseGenInverters
-}

@@ -67,14 +67,6 @@ func (r *Stream) Split(n int) []*Stream {
 	return out
 }
 
-// SubStream consumes one draw from r and returns an independent substream
-// bound to the given label, mixing exactly like NewNamed. Two SubStream
-// calls at the same parent state with different labels give independent
-// streams; the same label gives the same stream.
-func (r *Stream) SubStream(label string) *Stream {
-	return NewNamed(r.Uint64(), label)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 pseudo-random bits.
@@ -108,11 +100,6 @@ func (r *Stream) Intn(n int) int {
 
 // Bool returns a pseudo-random boolean.
 func (r *Stream) Bool() bool { return r.Uint64()&1 == 1 }
-
-// Float64 returns a uniform pseudo-random float64 in [0, 1).
-func (r *Stream) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Stream) Perm(n int) []int {

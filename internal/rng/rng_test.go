@@ -2,7 +2,6 @@ package rng
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -83,16 +82,6 @@ func TestIntnRoughlyUniform(t *testing.T) {
 		if c < draws/n*8/10 || c > draws/n*12/10 {
 			t.Fatalf("bucket %d has %d draws, expected about %d", b, c, draws/n)
 		}
-	}
-}
-
-func TestFloat64Range(t *testing.T) {
-	r := New(3)
-	if err := quick.Check(func(_ int) bool {
-		f := r.Float64()
-		return f >= 0 && f < 1
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -186,19 +175,6 @@ func TestSplitSubstreamsDisjoint(t *testing.T) {
 			}
 			seen[v] = int8(si)
 		}
-	}
-}
-
-func TestSubStreamLabelling(t *testing.T) {
-	a := New(7).SubStream("hd")
-	b := New(7).SubStream("faults")
-	c := New(7).SubStream("hd")
-	av, bv, cv := a.Uint64(), b.Uint64(), c.Uint64()
-	if av == bv {
-		t.Fatalf("differently labelled substreams matched: %x", av)
-	}
-	if av != cv {
-		t.Fatalf("same-labelled substreams diverged: %x vs %x", av, cv)
 	}
 }
 

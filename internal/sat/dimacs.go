@@ -15,7 +15,7 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 	// Level-0 assignments become unit clauses.
 	var units []Lit
 	for _, l := range s.trail {
-		if s.level[l.Var()] == 0 {
+		if s.level[l.variable()] == 0 {
 			units = append(units, l)
 		}
 	}
@@ -26,8 +26,8 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 	fmt.Fprintf(bw, "p cnf %d %d\n", s.NumVars(), nclauses)
 	emit := func(lits []Lit) {
 		for _, l := range lits {
-			v := int(l.Var()) + 1
-			if l.Neg() {
+			v := int(l.variable()) + 1
+			if l.neg() {
 				v = -v
 			}
 			fmt.Fprintf(bw, "%d ", v)

@@ -81,7 +81,7 @@ func FuzzSolver(f *testing.F) {
 					add(y, a.Not(), b)
 					add(y, a, b.Not())
 				}
-				vars = append(vars, y.Var())
+				vars = append(vars, y.variable())
 			}
 			var cur []Lit
 			for _, b := range lits {
@@ -122,7 +122,7 @@ func FuzzSolver(f *testing.F) {
 			for ci, cl := range clauses {
 				holds := false
 				for _, l := range cl {
-					if s.ValueLit(l) == True {
+					if s.modelLit(l) == True {
 						holds = true
 						break
 					}
@@ -132,7 +132,7 @@ func FuzzSolver(f *testing.F) {
 				}
 			}
 			for _, a := range assumps {
-				if s.ValueLit(a) != True {
+				if s.modelLit(a) != True {
 					t.Fatalf("model violates assumption %v", a)
 				}
 			}
@@ -239,7 +239,7 @@ func FuzzMarkRollback(f *testing.F) {
 			var assumps []Lit
 			for _, set := range assumeSets[:min(len(assumeSets), 1)] {
 				for _, l := range set {
-					assumps = append(assumps, MkLit(Var((int(l.Var())+len(round))%s.NumVars()), l.Neg()))
+					assumps = append(assumps, MkLit(Var((int(l.variable())+len(round))%s.NumVars()), l.neg()))
 				}
 			}
 			for _, a := range [][]Lit{nil, assumps} {
@@ -267,12 +267,12 @@ func FuzzMarkRollback(f *testing.F) {
 					continue
 				}
 				for ci, cl := range baseClauses {
-					if !slices.ContainsFunc(cl, func(l Lit) bool { return s.ValueLit(l) == True }) {
+					if !slices.ContainsFunc(cl, func(l Lit) bool { return s.modelLit(l) == True }) {
 						t.Fatalf("model after Rollback violates base clause %d %v", ci, cl)
 					}
 				}
 				for _, l := range assumps {
-					if s.ValueLit(l) != True {
+					if s.modelLit(l) != True {
 						t.Fatalf("model after Rollback violates assumption %v", l)
 					}
 				}

@@ -34,21 +34,21 @@ func MkLit(v Var, neg bool) Lit {
 	return l
 }
 
-// Var returns the literal's variable.
-func (l Lit) Var() Var { return Var(l >> 1) }
+// variable returns the literal's variable.
+func (l Lit) variable() Var { return Var(l >> 1) }
 
-// Neg reports whether the literal is negated.
-func (l Lit) Neg() bool { return l&1 == 1 }
+// neg reports whether the literal is negated.
+func (l Lit) neg() bool { return l&1 == 1 }
 
 // Not returns the complement literal.
 func (l Lit) Not() Lit { return l ^ 1 }
 
 // String renders the literal as v<n> or ¬v<n>.
 func (l Lit) String() string {
-	if l.Neg() {
-		return fmt.Sprintf("~v%d", l.Var())
+	if l.neg() {
+		return fmt.Sprintf("~v%d", l.variable())
 	}
-	return fmt.Sprintf("v%d", l.Var())
+	return fmt.Sprintf("v%d", l.variable())
 }
 
 // LBool is a three-valued boolean.
@@ -68,8 +68,8 @@ func boolToLBool(b bool) LBool {
 	return False
 }
 
-// Not returns the logical complement (Undef maps to itself).
-func (b LBool) Not() LBool { return -b }
+// not returns the logical complement (Undef maps to itself).
+func (b LBool) not() LBool { return -b }
 
 type clause struct {
 	lits     []Lit
@@ -202,9 +202,9 @@ func growWatches[W any](ws [][]W) [][]W {
 }
 
 func (s *Solver) valueLit(l Lit) LBool {
-	v := s.assigns[l.Var()]
-	if l.Neg() {
-		return v.Not()
+	v := s.assigns[l.variable()]
+	if l.neg() {
+		return v.not()
 	}
 	return v
 }
@@ -215,15 +215,6 @@ func (s *Solver) Value(v Var) LBool {
 		return s.model[v]
 	}
 	return Undef
-}
-
-// ValueLit returns the value of literal l in the most recent model.
-func (s *Solver) ValueLit(l Lit) LBool {
-	v := s.Value(l.Var())
-	if l.Neg() {
-		return v.Not()
-	}
-	return v
 }
 
 // atRoot panics unless the solver is at decision level 0, i.e. outside
@@ -256,7 +247,7 @@ func (s *Solver) Rollback(c Checkpoint) {
 		panic("sat: Rollback to a checkpoint the solver does not contain")
 	}
 	for _, l := range s.trail[c.trail:] {
-		v := l.Var()
+		v := l.variable()
 		s.assigns[v] = Undef
 		s.reason[v] = nil
 		if int(v) < c.vars {
@@ -308,8 +299,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// Normalize: sort-unique, drop false lits, detect tautology.
 	norm := make([]Lit, 0, len(lits))
 	for _, l := range lits {
-		if int(l.Var()) >= s.NumVars() {
-			panic(fmt.Sprintf("sat: clause uses unallocated variable %d", l.Var()))
+		if int(l.variable()) >= s.NumVars() {
+			panic(fmt.Sprintf("sat: clause uses unallocated variable %d", l.variable()))
 		}
 		switch s.valueLit(l) {
 		case True:
@@ -379,8 +370,8 @@ func unwatch[W any](ws []W, watching func(W) bool) []W {
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
-	v := l.Var()
-	s.assigns[v] = boolToLBool(!l.Neg())
+	v := l.variable()
+	s.assigns[v] = boolToLBool(!l.neg())
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -483,7 +474,7 @@ func (s *Solver) computeLBD(lits []Lit) int32 {
 	s.lbdStamp++
 	var lbd int32
 	for _, l := range lits {
-		lv := s.level[l.Var()]
+		lv := s.level[l.variable()]
 		if lv > 0 && s.levelMark[lv] != s.lbdStamp {
 			s.levelMark[lv] = s.lbdStamp
 			lbd++
@@ -511,10 +502,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 			// positional skip of lits[0] is not valid for binary reasons
 			// reached through binWatches, whose literal order is fixed at
 			// attach time.
-			if p != -1 && q.Var() == p.Var() {
+			if p != -1 && q.variable() == p.variable() {
 				continue
 			}
-			v := q.Var()
+			v := q.variable()
 			if !s.seen[v] && s.level[v] > 0 {
 				s.seen[v] = true
 				s.varBump(v)
@@ -526,12 +517,12 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 			}
 		}
 		// Pick next literal on the trail that is marked.
-		for !s.seen[s.trail[idx].Var()] {
+		for !s.seen[s.trail[idx].variable()] {
 			idx--
 		}
 		p = s.trail[idx]
 		idx--
-		v := p.Var()
+		v := p.variable()
 		s.seen[v] = false
 		counter--
 		if counter == 0 {
@@ -548,7 +539,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 	out := learnt[:1]
 	for _, l := range learnt[1:] {
 		if s.redundant(l) {
-			s.seen[l.Var()] = false
+			s.seen[l.variable()] = false
 		} else {
 			out = append(out, l)
 		}
@@ -561,16 +552,16 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 	if len(learnt) > 1 {
 		maxI := 1
 		for i := 2; i < len(learnt); i++ {
-			if s.level[learnt[i].Var()] > s.level[learnt[maxI].Var()] {
+			if s.level[learnt[i].variable()] > s.level[learnt[maxI].variable()] {
 				maxI = i
 			}
 		}
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		btLevel = int(s.level[learnt[1].Var()])
+		btLevel = int(s.level[learnt[1].variable()])
 	}
 	lbd := s.computeLBD(learnt)
 	for _, l := range learnt {
-		s.seen[l.Var()] = false
+		s.seen[l.variable()] = false
 	}
 	s.analyzeBuf = learnt
 	res := make([]Lit, len(learnt))
@@ -582,15 +573,15 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 // reason clause whose other literals are all already in the clause or at
 // level 0 (one-step minimization).
 func (s *Solver) redundant(l Lit) bool {
-	r := s.reason[l.Var()]
+	r := s.reason[l.variable()]
 	if r == nil {
 		return false
 	}
 	for _, q := range r.lits {
-		if q.Var() == l.Var() {
+		if q.variable() == l.variable() {
 			continue
 		}
-		if s.level[q.Var()] != 0 && !s.seen[q.Var()] {
+		if s.level[q.variable()] != 0 && !s.seen[q.variable()] {
 			return false
 		}
 	}
@@ -603,7 +594,7 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
+		v := s.trail[i].variable()
 		s.polarity[v] = s.assigns[v] == False // phase saving
 		s.assigns[v] = Undef
 		s.reason[v] = nil
@@ -655,7 +646,7 @@ func (s *Solver) reduceDB() {
 		return
 	}
 	locked := func(c *clause) bool {
-		v := c.lits[0].Var()
+		v := c.lits[0].variable()
 		return s.assigns[v] != Undef && s.reason[v] == c
 	}
 	evictable := func(c *clause) bool {

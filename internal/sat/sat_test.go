@@ -7,6 +7,15 @@ import (
 	"orap/internal/rng"
 )
 
+// modelLit returns the value of literal l in the most recent model.
+func (s *Solver) modelLit(l Lit) LBool {
+	v := s.Value(l.variable())
+	if l.neg() {
+		return v.not()
+	}
+	return v
+}
+
 // mkVars allocates n variables and returns them.
 func mkVars(s *Solver, n int) []Var {
 	vs := make([]Var, n)
@@ -156,8 +165,8 @@ func bruteForce(nv int, clauses [][]Lit) bool {
 		for _, cl := range clauses {
 			sat := false
 			for _, l := range cl {
-				val := m>>uint(l.Var())&1 == 1
-				if val != l.Neg() {
+				val := m>>uint(l.variable())&1 == 1
+				if val != l.neg() {
 					sat = true
 					break
 				}
@@ -209,7 +218,7 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 			for ci, cl := range clauses {
 				sat := false
 				for _, l := range cl {
-					if s.ValueLit(l) == True {
+					if s.modelLit(l) == True {
 						sat = true
 						break
 					}
@@ -331,7 +340,7 @@ func TestMarkRollback(t *testing.T) {
 			t.Fatalf("Solve(%v) after Rollback = %v, %v; want the base model back", assume, ok, err)
 		}
 		for _, l := range assume {
-			if s.ValueLit(l) != True {
+			if s.modelLit(l) != True {
 				t.Fatalf("model after Rollback violates assumption %v", l)
 			}
 		}
@@ -422,10 +431,10 @@ func TestDuplicateLiteralsInClause(t *testing.T) {
 
 func TestLitHelpers(t *testing.T) {
 	l := MkLit(7, true)
-	if l.Var() != 7 || !l.Neg() {
+	if l.variable() != 7 || !l.neg() {
 		t.Fatalf("MkLit broken: %v", l)
 	}
-	if l.Not().Neg() || l.Not().Var() != 7 {
+	if l.Not().neg() || l.Not().variable() != 7 {
 		t.Fatalf("Not broken: %v", l.Not())
 	}
 	if l.String() != "~v7" || l.Not().String() != "v7" {

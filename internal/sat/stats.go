@@ -36,24 +36,6 @@ type Stats struct {
 	RemovedClauses int64
 }
 
-// Add merges the counters of o into s.
-func (s *Stats) Add(o Stats) {
-	s.Decisions += o.Decisions
-	s.Propagations += o.Propagations
-	s.BinPropagations += o.BinPropagations
-	s.Conflicts += o.Conflicts
-	s.Restarts += o.Restarts
-	s.Learnt += o.Learnt
-	s.LearntLits += o.LearntLits
-	s.MinimizedLits += o.MinimizedLits
-	s.LBDSum += o.LBDSum
-	for i := range s.LBDHist {
-		s.LBDHist[i] += o.LBDHist[i]
-	}
-	s.Reductions += o.Reductions
-	s.RemovedClauses += o.RemovedClauses
-}
-
 // GlueClauses returns the number of learned clauses with LBD ≤ 2 — the
 // "glue" tier that clause-database reduction never evicts.
 func (s Stats) GlueClauses() int64 { return s.LBDHist[0] + s.LBDHist[1] }

@@ -200,10 +200,6 @@ type Chip struct {
 	// cycle. Unlock is the activation procedure, not attacker channel
 	// use, and is not counted.
 	cycles int64
-
-	// layout, when attached via SetLayout, enables the cycle-accurate
-	// shift interface (shift.go).
-	layout *Layout
 }
 
 // New builds a powered-on chip (all state cleared, locked).
@@ -234,21 +230,10 @@ func (ch *Chip) ArmTrojans(t Trojans) { ch.trojans = t }
 // ScanEnable returns the current scan-enable level.
 func (ch *Chip) ScanEnable() bool { return ch.se }
 
-// ChainLength returns the length of the longest scan chain in shift
-// cycles. With a layout attached this is the longest configured chain;
-// otherwise the model assumes a single chain threading every flip-flop
-// plus, on a protected chip, every key-register cell (the cells sit in
-// the chains by design).
+// ChainLength returns the scan-chain length in shift cycles. The model
+// assumes a single chain threading every flip-flop plus, on a protected
+// chip, every key-register cell (the cells sit in the chains by design).
 func (ch *Chip) ChainLength() int {
-	if ch.layout != nil {
-		m := 0
-		for _, chain := range ch.layout.Chains {
-			if len(chain) > m {
-				m = len(chain)
-			}
-		}
-		return m
-	}
 	n := len(ch.ff)
 	if ch.cfg.Protection != None {
 		n += ch.keyReg.Len()
@@ -298,25 +283,6 @@ func (ch *Chip) ScanInFFs(v []bool) error {
 		return fmt.Errorf("scan: %d bits for %d flip-flops", len(v), len(ch.ff))
 	}
 	copy(ch.ff, v)
-	ch.cycles += int64(ch.ChainLength())
-	return nil
-}
-
-// ScanInKey shifts values into the key-register cells, which sit in the
-// scan chains by design (Section II of the paper: this both blocks the
-// local scan-enable-suppression Trojan and improves testability).
-func (ch *Chip) ScanInKey(v []bool) error {
-	if !ch.se {
-		return fmt.Errorf("scan: ScanInKey outside scan mode")
-	}
-	if ch.cfg.Protection == None {
-		return fmt.Errorf("scan: conventional key register is not scannable")
-	}
-	if len(v) != ch.keyReg.Len() {
-		return fmt.Errorf("scan: %d bits for %d key cells", len(v), ch.keyReg.Len())
-	}
-	ch.keyReg = gf2.FromBools(v)
-	ch.unlocked = false
 	ch.cycles += int64(ch.ChainLength())
 	return nil
 }

@@ -2,25 +2,19 @@ package vet
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	pathpkg "path"
-	"path/filepath"
-	"strconv"
-	"strings"
+	"go/types"
 )
 
-// ruleDeadExport flags exported package-level funcs of internal/
-// packages that nothing outside their package refers to. A package is
-// checked only when some other loaded package imports it, so a library
-// nobody uses yet (or a fixture) is left alone. References are collected
-// syntactically from every Go file of the module tree outside the
-// package's own directory — other packages' production and test files,
-// examples/, and nested modules such as perfbench/ that ./... never
-// loads — so a func kept alive only by its own tests is still dead.
-// Sanitizers are exempt: they are the sanctioned key formatters and
-// exist to be available.
+// ruleDeadExport flags the exported package-level funcs, and the
+// exported methods of exported types, of internal/ packages that nothing
+// outside their package refers to. A package is checked only when some
+// other loaded package imports it, so a library nobody uses yet (or a
+// fixture) is left alone. Every reference is decided by the typed
+// reference index (see refIndex), so a func kept alive only by its own
+// tests is still dead, and a method is not kept alive by an unrelated
+// selector of the same name. A method that implements an interface seen
+// anywhere in the module counts as used. Sanitizers are exempt: they are
+// the sanctioned key formatters and exist to be available.
 func (a *analyzer) ruleDeadExport() {
 	imported := map[string]bool{}
 	for _, p := range a.loaded() {
@@ -30,95 +24,161 @@ func (a *analyzer) ruleDeadExport() {
 			}
 		}
 	}
-	refs := a.externalRefs()
 	for _, p := range a.loaded() {
 		if !p.inInternal() || !imported[p.path] {
 			continue
 		}
-		usedInside := map[string]bool{}
-		for _, obj := range p.info.Uses {
-			if obj.Pkg() == p.pkg && obj.Parent() == p.pkg.Scope() {
-				usedInside[obj.Name()] = true
-			}
-		}
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil || !fd.Name.IsExported() || isSanitizer(p, fd) {
+				if !ok || !fd.Name.IsExported() || isSanitizer(p, fd) {
 					continue
 				}
-				if refs[p.path+"."+fd.Name.Name] {
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				name := p.pkg.Name() + "." + fd.Name.Name
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					named := receiverNamed(recv.Type())
+					if named == nil || !named.Obj().Exported() || a.refs.implements(named, fn) {
+						continue
+					}
+					name = p.pkg.Name() + "." + named.Obj().Name() + "." + fd.Name.Name
+				}
+				if a.refs.outside[fn] {
 					continue
 				}
 				fix := "delete it"
-				if usedInside[fd.Name.Name] {
+				if a.refs.inside[fn] {
 					fix = "unexport it"
 				}
 				a.report(fd.Name.Pos(), RuleDeadExport,
-					"%s.%s is exported but no other package refers to it; %s", p.pkg.Name(), fd.Name.Name, fix)
+					"%s is exported but no other package refers to it; %s", name, fix)
 			}
 		}
 	}
 }
 
-// externalRefs returns the set of "importpath.Name" selectors used by
-// every Go file under the module root, excluding references a package's
-// own directory makes to itself. Hidden and testdata directories are
-// skipped. Files are parsed without type information, so a selector
-// counts when its left side names an import of the file; dot imports
-// are not resolved.
-func (a *analyzer) externalRefs() map[string]bool {
-	refs := map[string]bool{}
-	fset := token.NewFileSet()
-	filepath.WalkDir(a.modRoot, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return nil
+// receiverNamed is the named type behind a method receiver (T or *T).
+func receiverNamed(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// refIndex is deadexport's evidence, gathered from every typechecked file
+// of the module: the production packages, each package's in-package and
+// external tests, examples/, the root's test-only package and nested
+// modules such as perfbench/. A func or method is referenced when an
+// identifier resolves to it in types.Info.Uses, which records the method
+// a selector picks as well as every qualified name; generic code is
+// mapped back to its declaration with Origin.
+type refIndex struct {
+	outside map[*types.Func]bool // referenced from outside its package's directory
+	inside  map[*types.Func]bool // referenced by its own package's production code
+	// ifaces holds every interface type seen, under each of its method
+	// names.
+	ifaces map[string][]*types.Interface
+	seen   map[types.Type]bool
+}
+
+func newRefIndex() *refIndex {
+	x := &refIndex{
+		outside: map[*types.Func]bool{},
+		inside:  map[*types.Func]bool{},
+		ifaces:  map[string][]*types.Interface{},
+		seen:    map[types.Type]bool{},
+	}
+	// error and fmt.Stringer (interface{ String() string }) count even
+	// unmentioned: fmt calls their methods by reflection.
+	x.collect(types.Universe.Lookup("error").Type())
+	str := types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(0, nil, "", types.Typ[types.String])), false)
+	x.collect(types.NewInterfaceType([]*types.Func{types.NewFunc(0, nil, "String", str)}, nil).Complete())
+	return x
+}
+
+// add indexes the references of one typechecked set of files, all in
+// the directory of import path home. prod marks a production package,
+// whose references to itself are its own uses.
+func (x *refIndex) add(home string, info *types.Info, prod bool) {
+	for _, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil {
+			continue
 		}
-		if d.IsDir() {
-			if path != a.modRoot && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return fs.SkipDir
-			}
-			return nil
+		fn = fn.Origin()
+		if fn.Pkg().Path() != home {
+			x.outside[fn] = true
+		} else if prod {
+			x.inside[fn] = true
 		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
+	}
+	for _, tv := range info.Types {
+		x.collect(tv.Type)
+	}
+}
+
+// collect records the interface types inside t, looking through
+// composite types and the parameters of signatures, so that the
+// instantiated interface a generic call converts its argument to is seen.
+func (x *refIndex) collect(t types.Type) {
+	if t == nil || x.seen[t] {
+		return
+	}
+	x.seen[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			x.addIface(it)
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			x.collect(t.TypeArgs().At(i))
 		}
-		rel, _ := filepath.Rel(a.modRoot, filepath.Dir(path))
-		self := pathpkg.Join(a.modPath, filepath.ToSlash(rel))
-		names := map[string]string{}
-		for _, imp := range f.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			if ip == self {
-				continue
-			}
-			names[a.importName(imp, ip)] = ip
+	case *types.Interface:
+		x.addIface(t)
+	case *types.Signature:
+		x.collect(t.Params())
+		x.collect(t.Results())
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			x.collect(t.At(i).Type())
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok && names[id.Name] != "" {
-					refs[names[id.Name]+"."+sel.Sel.Name] = true
-				}
-			}
+	case *types.Pointer:
+		x.collect(t.Elem())
+	case *types.Slice:
+		x.collect(t.Elem())
+	case *types.Array:
+		x.collect(t.Elem())
+	case *types.Map:
+		x.collect(t.Key())
+		x.collect(t.Elem())
+	case *types.Chan:
+		x.collect(t.Elem())
+	}
+}
+
+func (x *refIndex) addIface(it *types.Interface) {
+	if !it.IsMethodSet() {
+		return
+	}
+	for i := 0; i < it.NumMethods(); i++ {
+		name := it.Method(i).Name()
+		x.ifaces[name] = append(x.ifaces[name], it)
+	}
+}
+
+// implements reports whether method fn of named type t implements a
+// method of some interface type the index has seen.
+func (x *refIndex) implements(t *types.Named, fn *types.Func) bool {
+	if t.TypeParams().Len() > 0 {
+		return false
+	}
+	ptr := types.NewPointer(t)
+	for _, it := range x.ifaces[fn.Name()] {
+		if types.Implements(ptr, it) {
 			return true
-		})
-		return nil
-	})
-	return refs
-}
-
-// importName is the identifier an import binds in its file: the
-// explicit alias, else the loaded package's declared name, else the
-// last path element.
-func (a *analyzer) importName(imp *ast.ImportSpec, path string) string {
-	if imp.Name != nil {
-		return imp.Name.Name
+		}
 	}
-	if p, ok := a.pkgs[path]; ok && p.pkg != nil {
-		return p.pkg.Name()
-	}
-	return path[strings.LastIndex(path, "/")+1:]
+	return false
 }

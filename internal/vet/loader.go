@@ -17,9 +17,11 @@ import (
 // analyzer parses and typechecks the module's packages on demand and
 // accumulates findings. Module packages are resolved from the source
 // tree; standard-library imports are delegated to the go/importer
-// source importer. Test files are parsed but never typechecked
-// (external _test packages would need the full go test harness); the
-// only test-file rule is syntactic.
+// source importer. The rules run over the production files of
+// ./internal/... and ./cmd/...; everything else the module holds (test
+// files, examples/, the root's test-only package, nested modules such
+// as perfbench/) is typechecked only to feed deadexport's reference
+// index.
 type analyzer struct {
 	fset     *token.FileSet
 	modRoot  string
@@ -27,6 +29,7 @@ type analyzer struct {
 	stdlib   types.Importer
 	pkgs     map[string]*vetPkg
 	order    []string // load order of module package paths
+	refs     *refIndex
 	findings []Finding
 
 	// Secret-flow engine state; see taint.go.
@@ -55,24 +58,35 @@ func newAnalyzer(modRoot, modPath string) *analyzer {
 		modRoot: modRoot,
 		modPath: modPath,
 		pkgs:    map[string]*vetPkg{},
+		refs:    newRefIndex(),
 		funcs:   map[*types.Func]*funcNode{},
 	}
 	a.stdlib = importer.ForCompiler(a.fset, "source", nil)
 	return a
 }
 
-// loadAll loads every package under ./internal/... and ./cmd/...,
-// returning the first load error (nil when everything typechecks).
+// loadAll loads every package under ./internal/... and ./cmd/... for
+// the rules, then typechecks the rest of the module's Go files for the
+// reference index. It returns the first load error (nil when everything
+// typechecks).
 func (a *analyzer) loadAll() error {
-	var paths []string
-	for _, sub := range []string{"internal", "cmd"} {
-		paths = append(paths, a.packagesUnder(sub)...)
-	}
+	dirs := a.moduleDirs()
 	var firstErr error
-	for _, path := range paths {
-		if _, err := a.load(path); err != nil && firstErr == nil {
+	note := func(err error) {
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
+	}
+	for _, top := range []string{"internal/", "cmd/"} {
+		for _, dir := range dirs {
+			if strings.HasPrefix(dir+"/", top) {
+				_, err := a.load(a.importPath(dir))
+				note(err)
+			}
+		}
+	}
+	for _, dir := range dirs {
+		note(a.loadRefs(dir))
 	}
 	return firstErr
 }
@@ -88,18 +102,18 @@ func (a *analyzer) loaded() []*vetPkg {
 	return out
 }
 
-// packagesUnder lists the import paths of the Go packages below a
-// module subdirectory, skipping testdata trees.
-func (a *analyzer) packagesUnder(sub string) []string {
+// moduleDirs lists, sorted, the slash-separated directories below the
+// module root ("." for the root itself) that hold Go files, skipping
+// testdata and hidden trees. Nested modules are included.
+func (a *analyzer) moduleDirs() []string {
 	seen := map[string]bool{}
-	var paths []string
-	root := filepath.Join(a.modRoot, sub)
-	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	var dirs []string
+	filepath.WalkDir(a.modRoot, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return nil
 		}
 		if d.IsDir() {
-			if d.Name() == "testdata" {
+			if path != a.modRoot && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 				return fs.SkipDir
 			}
 			return nil
@@ -108,18 +122,22 @@ func (a *analyzer) packagesUnder(sub string) []string {
 			return nil
 		}
 		rel, err := filepath.Rel(a.modRoot, filepath.Dir(path))
-		if err != nil {
-			return nil
-		}
-		ip := a.modPath + "/" + filepath.ToSlash(rel)
-		if !seen[ip] {
-			seen[ip] = true
-			paths = append(paths, ip)
+		if dir := filepath.ToSlash(rel); err == nil && !seen[dir] {
+			seen[dir] = true
+			dirs = append(dirs, dir)
 		}
 		return nil
 	})
-	sort.Strings(paths)
-	return paths
+	sort.Strings(dirs)
+	return dirs
+}
+
+// importPath is the import path of a module directory.
+func (a *analyzer) importPath(dir string) string {
+	if dir == "." {
+		return a.modPath
+	}
+	return a.modPath + "/" + dir
 }
 
 // Import resolves an import path for the typechecker: module-local
@@ -145,26 +163,9 @@ func (a *analyzer) load(path string) (*vetPkg, error) {
 	p := &vetPkg{path: path}
 	a.pkgs[path] = p
 	a.order = append(a.order, path)
-	dir := filepath.Join(a.modRoot, filepath.FromSlash(strings.TrimPrefix(path, a.modPath+"/")))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		p.err = fmt.Errorf("orapvet: %s: %w", path, err)
+	p.files, p.testFiles, p.err = a.parseDir(strings.TrimPrefix(path, a.modPath+"/"))
+	if p.err != nil {
 		return p, p.err
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		file, err := parser.ParseFile(a.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			p.err = err
-			return p, p.err
-		}
-		if strings.HasSuffix(e.Name(), "_test.go") {
-			p.testFiles = append(p.testFiles, file)
-		} else {
-			p.files = append(p.files, file)
-		}
 	}
 	if len(p.files) == 0 {
 		p.err = fmt.Errorf("orapvet: %s: no Go files", path)
@@ -177,12 +178,90 @@ func (a *analyzer) load(path string) (*vetPkg, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: a}
-	p.pkg, err = conf.Check(path, a.fset, p.files, p.info)
-	if err != nil {
-		p.err = err
+	if p.pkg, p.err = conf.Check(path, a.fset, p.files, p.info); p.err != nil {
 		return p, p.err
 	}
+	a.refs.add(path, p.info, true)
 	return p, nil
+}
+
+// parseDir parses the Go files of one module directory, splitting
+// production from test files.
+func (a *analyzer) parseDir(dir string) (files, testFiles []*ast.File, err error) {
+	abs := filepath.Join(a.modRoot, filepath.FromSlash(dir))
+	entries, err := os.ReadDir(abs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("orapvet: %s: %w", a.importPath(dir), err)
+	}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		file, err := parser.ParseFile(a.fset, filepath.Join(abs, e.Name()), nil, parser.ParseComments)
+		if err != nil {
+			return nil, nil, err
+		}
+		if strings.HasSuffix(e.Name(), "_test.go") {
+			testFiles = append(testFiles, file)
+		} else {
+			files = append(files, file)
+		}
+	}
+	return files, testFiles, nil
+}
+
+// loadRefs typechecks, for the reference index only, the files of one
+// module directory that the rules do not load: the in-package tests
+// (checked together with the production files) and the external _test
+// package of a loaded package, or every file of a directory outside
+// internal/ and cmd/. Type errors do not stop the check, so every
+// reference that still resolves is indexed; the first one is returned.
+func (a *analyzer) loadRefs(dir string) error {
+	path := a.importPath(dir)
+	var files, tests []*ast.File
+	p, loaded := a.pkgs[path]
+	if loaded {
+		if p.err != nil {
+			return nil // reported by load
+		}
+		files, tests = p.files, p.testFiles
+	} else {
+		var err error
+		if files, tests, err = a.parseDir(dir); err != nil {
+			return err
+		}
+	}
+	var inPkg, external []*ast.File
+	for _, f := range tests {
+		if len(files) > 0 && f.Name.Name == files[0].Name.Name {
+			inPkg = append(inPkg, f)
+		} else {
+			external = append(external, f)
+		}
+	}
+	var firstErr error
+	check := func(pkgPath string, group []*ast.File) {
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		conf := types.Config{Importer: a, Error: func(err error) {
+			if firstErr == nil {
+				firstErr = err
+			}
+		}}
+		conf.Check(pkgPath, a.fset, group, info) // errors reach conf.Error
+		a.refs.add(path, info, false)
+	}
+	// A loaded package's production files are indexed already; with
+	// in-package tests they are checked again, as one package.
+	if len(inPkg) > 0 || (!loaded && len(files) > 0) {
+		check(path, append(files[:len(files):len(files)], inPkg...))
+	}
+	if len(external) > 0 {
+		check(path+"_test", external)
+	}
+	return firstErr
 }
 
 func (a *analyzer) report(pos token.Pos, rule, format string, args ...interface{}) {

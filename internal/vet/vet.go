@@ -4,7 +4,9 @@
 // driver over this package.
 //
 // Two layers of rules run over one shared load of the module
-// (./internal/... and ./cmd/..., parsed and typechecked with go/types):
+// (./internal/... and ./cmd/..., parsed and typechecked with go/types;
+// the module's other Go files, test files included, are typechecked
+// only as the reference index deadexport reads):
 //
 // Syntactic and type-resolved rules, one function or file at a time:
 //
@@ -12,9 +14,10 @@
 //	nowalltime    no time.Now / time.Since in internal/
 //	irmutate      no ir.Program field writes outside internal/ir
 //	shortrace     goroutine-spawning tests must not skip under -short
-//	deadexport    no exported internal/ func without a reference from
-//	              outside its package (tests, examples/ and nested
-//	              modules such as perfbench/ count)
+//	deadexport    no exported internal/ func, or exported method of an
+//	              exported type, without a typed reference from outside
+//	              its package (tests, examples/ and nested modules such
+//	              as perfbench/ count; implementing an interface counts)
 //
 // And the interprocedural secret-flow engine behind nosecret: the
 // module's call graph is built over go/types (direct calls, method
@@ -62,12 +65,15 @@ const (
 	// on testing.Short, because the -race CI leg runs with -short and
 	// would silently skip exactly the tests the race detector is for.
 	RuleShortRace = "shortrace"
-	// RuleDeadExport: an exported package-level func of an internal/
-	// package that another package imports must be referred to from
-	// outside that package — production code, another package's tests,
-	// examples/ or a nested module such as perfbench/. Its own tests do
-	// not count: exported API needs a caller, or it is deleted (or
-	// unexported, when its own package still uses it).
+	// RuleDeadExport: an exported package-level func, or an exported
+	// method of an exported type, of an internal/ package that another
+	// package imports must be referred to from outside that package —
+	// production code, another package's tests, examples/ or a nested
+	// module such as perfbench/ — or, for a method, implement an
+	// interface seen in the module. References are resolved by go/types,
+	// never by name. Its own tests do not count: exported API needs a
+	// caller, or it is deleted (or unexported, when its own package still
+	// uses it).
 	RuleDeadExport = "deadexport"
 	// RuleNoSecret: no path in internal/ may carry raw key material to
 	// an output sink — the fmt/log print families, process streams, or
@@ -128,7 +134,8 @@ func (f Finding) String() string {
 
 // Analyze loads the module rooted at modRoot (with module path modPath)
 // and runs every rule, returning the sorted findings. The error reports
-// the first parse or typecheck failure; rules still run over the
+// the first parse or typecheck failure, in a production package or in a
+// file typechecked only for its references; rules still run over the
 // packages that loaded.
 func Analyze(modRoot, modPath string) ([]Finding, error) {
 	a := newAnalyzer(modRoot, modPath)

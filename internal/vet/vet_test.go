@@ -174,11 +174,14 @@ func TestInterproceduralChains(t *testing.T) {
 }
 
 // TestDeadExport pins the deadexport rule on its own fixture module:
-// lib is imported by cmd/app, so its exported funcs fire unless code
-// outside lib refers to them — another package's production code or
-// tests, examples/ (through an import alias) or the nested perfbench
-// module. lib's own tests, internal and external, do not count;
-// sanitizers, methods and the never-imported orphan package are exempt.
+// lib is imported by cmd/app, so its exported funcs and the exported
+// methods of its exported types fire unless code outside lib refers to
+// them — another package's production code or tests, examples/ (through
+// an import alias) or the nested perfbench module. A method that
+// implements an interface seen in the module (a generic interface
+// instantiated in cmd/app, or fmt.Stringer) counts as used. lib's own
+// tests, internal and external, do not count; sanitizers and the
+// never-imported orphan package are exempt.
 func TestDeadExport(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", "..", "cmd", "orapvet", "testdata", "deadexport"))
 	if err != nil {
@@ -197,12 +200,33 @@ func TestDeadExport(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s:%d: [%s] %s", filepath.ToSlash(rel), f.Pos.Line, f.Rule, f.Msg))
 	}
 	want := []string{
-		"internal/lib/lib.go:18: [deadexport] lib.Dead is exported but no other package refers to it; delete it",
-		"internal/lib/lib.go:22: [deadexport] lib.OwnTestOnly is exported but no other package refers to it; delete it",
-		"internal/lib/lib.go:25: [deadexport] lib.Internal is exported but no other package refers to it; unexport it",
+		"internal/lib/lib.go:19: [deadexport] lib.Dead is exported but no other package refers to it; delete it",
+		"internal/lib/lib.go:23: [deadexport] lib.OwnTestOnly is exported but no other package refers to it; delete it",
+		"internal/lib/lib.go:26: [deadexport] lib.Internal is exported but no other package refers to it; unexport it",
+		"internal/lib/lib.go:39: [deadexport] lib.T.Method is exported but no other package refers to it; delete it",
+		"internal/lib/lib.go:54: [deadexport] lib.T.TestedOnly is exported but no other package refers to it; delete it",
+		"internal/lib/lib.go:57: [deadexport] lib.T.InsideOnly is exported but no other package refers to it; unexport it",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("deadexport findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestTypeErrorKeepsReferences checks that a test file which fails to
+// typecheck is a load error naming the file, and that the references
+// still resolving in it keep counting: lib.T.Probe, called only there,
+// must not turn into a deadexport finding.
+func TestTypeErrorKeepsReferences(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", "..", "cmd", "orapvet", "testdata", "typeerr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Analyze(root, "typeerrfixture")
+	if err == nil || !strings.Contains(err.Error(), filepath.Join("internal", "user", "user_test.go")) {
+		t.Fatalf("Analyze error = %v, want a type error naming internal/user/user_test.go", err)
+	}
+	if len(fs) != 0 {
+		t.Fatalf("findings = %d, want 0:\n%s", len(fs), dump(fs))
 	}
 }
 
