@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,13 +45,20 @@ import (
 	"orap/internal/scan"
 )
 
+// The valid -attack, -oracle and -protect names.
+var (
+	attacks     = []string{"sat", "doubledip", "appsat", "hill", "sensitize"}
+	oracles     = []string{"comb", "scan"}
+	protections = []string{"none", "basic", "modified"}
+)
+
 func main() {
 	var (
 		lockedPath = flag.String("locked", "", "locked .bench netlist (required)")
 		origPath   = flag.String("orig", "", "original .bench netlist, used as the oracle and for verification (required)")
-		attackName = flag.String("attack", "sat", "attack: sat, doubledip, appsat, hill, sensitize")
+		attackName = flag.String("attack", "sat", "attack: "+strings.Join(attacks, ", "))
 		oracleKind = flag.String("oracle", "comb", "oracle: comb (direct) or scan (through the chip's scan protocol)")
-		prot       = flag.String("protect", "none", "chip protection for -oracle scan: none, basic, modified")
+		prot       = flag.String("protect", "none", "chip protection for -oracle scan: "+strings.Join(protections, ", "))
 		key        = flag.String("key", "", "correct key as a 0/1 string (required for -oracle scan)")
 		pins       = flag.Int("pins", -1, "for -oracle scan: number of leading inputs that are package pins; the rest feed from flip-flops (-1 = all inputs are pins)")
 		pinOuts    = flag.Int("pinouts", -1, "for -oracle scan: number of leading outputs that are package pins (-1 = all outputs are pins)")
@@ -65,6 +73,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	checkName("attack", *attackName, attacks)
+	checkName("oracle", *oracleKind, oracles)
+	checkName("protect", *prot, protections)
 	var warn io.Writer
 	if *wall {
 		warn = os.Stderr
@@ -101,8 +112,6 @@ func main() {
 			protection = scan.OraPBasic
 		case "modified":
 			protection = scan.OraPModified
-		default:
-			fatal(fmt.Errorf("unknown protection %q", *prot))
 		}
 		realPIs, realPOs := *pins, *pinOuts
 		if realPIs < 0 {
@@ -120,8 +129,6 @@ func main() {
 		fatal(err)
 		fatal(ch.Unlock(nil))
 		inner = oracle.NewScan(ch)
-	default:
-		fatal(fmt.Errorf("unknown oracle kind %q", *oracleKind))
 	}
 	// Every attack runs through a channel session: batched word queries,
 	// transcript memoisation, and the telemetry printed below.
@@ -145,7 +152,7 @@ func main() {
 		res, err = attack.HillClimb(locked, o, attack.HillOptions{Rand: r})
 	case "sensitize":
 		var sres *attack.SensitizeResult
-		sres, err = attack.Sensitize(locked, o, attack.SensitizeOptions{Rand: r})
+		sres, err = attack.Sensitize(locked, o, r)
 		if sres != nil {
 			res = &sres.Result
 			determined := 0
@@ -156,8 +163,6 @@ func main() {
 			}
 			fmt.Printf("determined key bits: %d/%d\n", determined, locked.NumKeys())
 		}
-	default:
-		fatal(fmt.Errorf("unknown attack %q", *attackName))
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
 	if err != nil {
@@ -295,6 +300,15 @@ func bits(bs []bool) string {
 		}
 	}
 	return string(out)
+}
+
+// checkName exits with a usage error unless value, given to flag -name,
+// is one of valid; stderr names the value and the valid names.
+func checkName(name, value string, valid []string) {
+	if !slices.Contains(valid, value) {
+		fmt.Fprintf(os.Stderr, "orapattack: unknown -%s %q; valid names: %s\n", name, value, strings.Join(valid, ", "))
+		os.Exit(2)
+	}
 }
 
 func fatal(err error) {

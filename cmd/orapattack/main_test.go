@@ -117,3 +117,21 @@ func TestMalformedKey(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownNames passes a name that -attack, -oracle or -protect does
+// not know. The command must refuse it as a usage error before it reads
+// a netlist or prints anything: exit 2, nothing on stdout, and the bad
+// value and the valid names on stderr.
+func TestUnknownNames(t *testing.T) {
+	orig, locked, key := writeLockedB20(t, t.TempDir())
+	for _, c := range []struct{ flag, valid string }{
+		{"attack", "sat, doubledip, appsat, hill, sensitize"},
+		{"oracle", "comb, scan"},
+		{"protect", "none, basic, modified"},
+	} {
+		code, out, errOut := orapattack(t, "-locked", locked, "-orig", orig, "-oracle", "scan", "-key", key, "-"+c.flag, "bogus")
+		if code != 2 || out != "" || !strings.Contains(errOut, `"bogus"`) || !strings.Contains(errOut, c.valid) {
+			t.Errorf("-%s bogus: exit %d, want 2 with empty stdout and %q on stderr\nstdout:\n%s\nstderr:\n%s", c.flag, code, c.valid, out, errOut)
+		}
+	}
+}

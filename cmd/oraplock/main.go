@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"orap/internal/bench"
 	"orap/internal/check"
@@ -27,14 +29,20 @@ import (
 	"orap/internal/scan"
 )
 
+// The valid -lock and -protect names.
+var (
+	schemes     = []string{"weighted", "random", "sarlock", "antisat", "ttlock"}
+	protections = []string{"basic", "modified", "none"}
+)
+
 func main() {
 	var (
 		in      = flag.String("in", "", "input .bench file (required)")
 		out     = flag.String("out", "", "output .bench file for the locked netlist (default: stdout)")
 		keyBits = flag.Int("keybits", 64, "key (LFSR) size")
 		ctrl    = flag.Int("ctrl", 3, "weighted-locking control gate width (1 = plain XOR/XNOR)")
-		scheme  = flag.String("lock", "weighted", "locking technique: weighted, random, sarlock, antisat, ttlock")
-		prot    = flag.String("protect", "basic", "OraP variant: basic, modified, none")
+		scheme  = flag.String("lock", "weighted", "locking technique: "+strings.Join(schemes, ", "))
+		prot    = flag.String("protect", "basic", "OraP variant: "+strings.Join(protections, ", "))
 		pins    = flag.Int("pins", -1, "number of leading inputs that are package pins; the rest feed from flip-flops (-1 = all inputs are pins)")
 		pinOuts = flag.Int("pinouts", -1, "number of leading outputs that are package pins (-1 = all outputs are pins)")
 		seed    = flag.Uint64("seed", 1, "random seed")
@@ -46,6 +54,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	checkName("lock", *scheme, schemes)
+	checkName("protect", *prot, protections)
 	var warn io.Writer
 	if *wall {
 		warn = os.Stderr
@@ -73,8 +83,6 @@ func main() {
 		locked, err = lock.AntiSAT(circuit, *keyBits/2, r)
 	case "ttlock":
 		locked, err = lock.TTLock(circuit, *keyBits, r)
-	default:
-		err = fmt.Errorf("unknown locking technique %q", *scheme)
 	}
 	fatal(err)
 
@@ -86,8 +94,6 @@ func main() {
 		protection = scan.OraPModified
 	case "none":
 		protection = scan.None
-	default:
-		fatal(fmt.Errorf("unknown protection %q", *prot))
 	}
 	realPIs, realPOs := *pins, *pinOuts
 	if realPIs < 0 {
@@ -138,6 +144,15 @@ func bits(bs []bool) string {
 		}
 	}
 	return string(out)
+}
+
+// checkName exits with a usage error unless value, given to flag -name,
+// is one of valid; stderr names the value and the valid names.
+func checkName(name, value string, valid []string) {
+	if !slices.Contains(valid, value) {
+		fmt.Fprintf(os.Stderr, "oraplock: unknown -%s %q; valid names: %s\n", name, value, strings.Join(valid, ", "))
+		os.Exit(2)
+	}
 }
 
 func fatal(err error) {

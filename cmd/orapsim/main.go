@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"orap/internal/check"
 	"orap/internal/ir"
@@ -39,13 +41,19 @@ func (q *queryList) Set(s string) error {
 	return nil
 }
 
+// The valid -protect and -trojan names.
+var (
+	protections = []string{"none", "basic", "modified"}
+	trojans     = []string{"suppress", "shadow", "freeze"}
+)
+
 func main() {
 	var queries queryList
 	var (
 		lockedPath = flag.String("locked", "", "locked .bench netlist (required)")
 		key        = flag.String("key", "", "correct key as a 0/1 string (required)")
-		prot       = flag.String("protect", "basic", "protection: none, basic, modified")
-		trojanName = flag.String("trojan", "", "arm a Trojan: suppress, shadow, freeze")
+		prot       = flag.String("protect", "basic", "protection: "+strings.Join(protections, ", "))
+		trojanName = flag.String("trojan", "", "arm a Trojan: "+strings.Join(trojans, ", "))
 		pins       = flag.Int("pins", -1, "package-pin inputs (-1 = all)")
 		pinOuts    = flag.Int("pinouts", -1, "package-pin outputs (-1 = all)")
 		seed       = flag.Uint64("seed", 1, "random seed for the scheme synthesis")
@@ -58,6 +66,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "orapsim: -locked and -key are required")
 		flag.Usage()
 		os.Exit(2)
+	}
+	checkName("protect", *prot, protections)
+	if *trojanName != "" {
+		checkName("trojan", *trojanName, trojans)
 	}
 	var warn io.Writer
 	if *wall {
@@ -79,8 +91,6 @@ func main() {
 		protection = scan.OraPBasic
 	case "modified":
 		protection = scan.OraPModified
-	default:
-		fatal(fmt.Errorf("unknown protection %q", *prot))
 	}
 	realPIs, realPOs := *pins, *pinOuts
 	if realPIs < 0 {
@@ -111,8 +121,6 @@ func main() {
 	case "freeze":
 		chip.ArmTrojans(scan.Trojans{FreezeFFs: true})
 		fmt.Println("trojan: flip-flops frozen during unlock (scenario e)")
-	default:
-		fatal(fmt.Errorf("unknown trojan %q", *trojanName))
 	}
 
 	fmt.Println("owner: running the unlock sequence…")
@@ -207,6 +215,15 @@ func bits(bs []bool) string {
 		}
 	}
 	return string(out)
+}
+
+// checkName exits with a usage error unless value, given to flag -name,
+// is one of valid; stderr names the value and the valid names.
+func checkName(name, value string, valid []string) {
+	if !slices.Contains(valid, value) {
+		fmt.Fprintf(os.Stderr, "orapsim: unknown -%s %q; valid names: %s\n", name, value, strings.Join(valid, ", "))
+		os.Exit(2)
+	}
 }
 
 func fatal(err error) {

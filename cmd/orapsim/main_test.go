@@ -87,3 +87,31 @@ func TestMalformedBits(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownNames passes a name that -protect or -trojan does not
+// know. The command must refuse it as a usage error before it reads the
+// netlist or prints the chip line: exit 2, nothing on stdout, and the
+// bad value and the valid names on stderr.
+func TestUnknownNames(t *testing.T) {
+	l, err := lock.RandomXOR(circuits.C17(), 4, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := bench.FormatString(l.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c17-locked.bench")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ flag, valid string }{
+		{"protect", "none, basic, modified"},
+		{"trojan", "suppress, shadow, freeze"},
+	} {
+		code, out, errOut := orapsim(t, "-locked", path, "-key", bits(l.Key), "-"+c.flag, "bogus")
+		if code != 2 || out != "" || !strings.Contains(errOut, `"bogus"`) || !strings.Contains(errOut, c.valid) {
+			t.Errorf("-%s bogus: exit %d, want 2 with empty stdout and %q on stderr\nstdout:\n%s\nstderr:\n%s", c.flag, code, c.valid, out, errOut)
+		}
+	}
+}

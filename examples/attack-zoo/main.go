@@ -111,7 +111,7 @@ func main() {
 		return keyOf(res), queriesOf(res, o), err
 	})
 	run("Sensitize", func(o oracle.Oracle, s uint64) ([]bool, int, error) {
-		res, err := attack.Sensitize(l.Circuit, o, attack.SensitizeOptions{Rand: rng.New(s + 3)})
+		res, err := attack.Sensitize(l.Circuit, o, rng.New(s+3))
 		if res == nil {
 			return nil, 0, err
 		}
@@ -126,7 +126,7 @@ func main() {
 	})
 	run("Bypass", func(o oracle.Oracle, s uint64) ([]bool, int, error) {
 		chosen := make([]bool, l.Circuit.NumKeys())
-		res, err := attack.Bypass(l.Circuit, o, chosen, attack.BypassOptions{MaxPatches: 128})
+		res, err := attack.Bypass(l.Circuit, o, chosen, 128)
 		if err != nil {
 			return nil, res.OracleQueries, err
 		}
@@ -156,7 +156,7 @@ func main() {
 	// SPS is oracle-less: it inspects the netlist alone. Against this
 	// compound defense it nominates SARLock's skewed flip wire; the paper
 	// notes OraP itself exposes no such signal (see internal/attack tests).
-	sps, err := attack.SPS(l.Circuit, attack.SPSOptions{Rand: rng.New(seed + 6)})
+	sps, err := attack.SPS(l.Circuit, rng.New(seed+6))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,15 +9,16 @@ import (
 	"orap/internal/sim"
 )
 
+// appSATRoundsPerSettle is the number of DIP rounds between settlement
+// checks, and appSATSettleSamples the number of random queries per check.
+const (
+	appSATRoundsPerSettle = 8
+	appSATSettleSamples   = 64
+)
+
 // AppSATOptions tunes the approximate SAT attack.
 type AppSATOptions struct {
 	Budgets
-	// RoundsPerSettle is the number of DIP rounds between settlement
-	// checks (default 8).
-	RoundsPerSettle int
-	// SettleSamples is the number of random queries per settlement check
-	// (default 64).
-	SettleSamples int
 	// Rand drives the random settlement queries; required.
 	Rand *rng.Stream
 }
@@ -33,13 +34,7 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 	if opts.Rand == nil {
 		return nil, fmt.Errorf("attack: AppSAT requires a random stream")
 	}
-	if opts.RoundsPerSettle <= 0 {
-		opts.RoundsPerSettle = 8
-	}
-	if opts.SettleSamples <= 0 {
-		opts.SettleSamples = 64
-	}
-	m, err := newMiter(locked, o, opts.MaxConflicts)
+	m, err := newMiter(locked, o)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +76,7 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 		}
 		res.Iterations++
 
-		if res.Iterations%opts.RoundsPerSettle != 0 {
+		if res.Iterations%appSATRoundsPerSettle != 0 {
 			continue
 		}
 		// Settlement: estimate error of the current candidate key on
@@ -90,7 +85,7 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 		if err != nil {
 			return res, err
 		}
-		bad, err := disagreements(ev, key, o, opts.SettleSamples, opts.Rand, m.AddIOConstraint)
+		bad, err := disagreements(ev, key, o, appSATSettleSamples, opts.Rand, m.AddIOConstraint)
 		if err != nil {
 			return res, err
 		}

@@ -38,10 +38,6 @@ type Result struct {
 	Iterations int
 	// OracleQueries counts oracle accesses consumed by the attack.
 	OracleQueries int
-	// Channel holds oracle-channel telemetry (unique patterns, cache
-	// hits, scan cycles) when the attack ran against an oracle.Session;
-	// zero otherwise.
-	Channel oracle.ChannelStats
 	// SolverStats aggregates SAT effort, when a solver was involved.
 	SolverStats sat.Stats
 	// Converged reports whether the attack terminated by its own
@@ -49,33 +45,22 @@ type Result struct {
 	Converged bool
 }
 
-// channelStats extracts channel telemetry from oracles that keep it
-// (oracle.Session, or anything exposing Stats()).
-func channelStats(o oracle.Oracle) oracle.ChannelStats {
-	if s, ok := o.(interface{ Stats() oracle.ChannelStats }); ok {
-		return s.Stats()
-	}
-	return oracle.ChannelStats{}
-}
-
 // finish stamps the oracle and solver telemetry of a result. Attacks
 // defer it once, so every exit — budget, error or convergence — reports
 // what it spent; s is nil for attacks that run no solver.
 func (res *Result) finish(o oracle.Oracle, s *sat.Solver) {
 	res.OracleQueries = o.Queries()
-	res.Channel = channelStats(o)
 	if s != nil {
 		res.SolverStats = s.Stats()
 	}
 }
 
 // Budgets bounds attack effort so experiments terminate even when a
-// defense makes an attack diverge.
+// defense makes an attack diverge. The bound counts rounds; each
+// round's SAT solves run to completion.
 type Budgets struct {
 	// MaxIterations bounds attack rounds (0 = default).
 	MaxIterations int
-	// MaxConflicts bounds total SAT conflicts (0 = unlimited).
-	MaxConflicts int64
 }
 
 func (b Budgets) iterations(def int) int {
@@ -101,14 +86,12 @@ func checkOracle(locked *netlist.Circuit, o oracle.Oracle) error {
 }
 
 // newMiter checks the oracle's shape and encodes the locked circuit's
-// miter on a fresh solver bounded by maxConflicts (0 = unlimited).
-func newMiter(locked *netlist.Circuit, o oracle.Oracle, maxConflicts int64) (*cnf.Miter, error) {
+// miter on a fresh solver.
+func newMiter(locked *netlist.Circuit, o oracle.Oracle) (*cnf.Miter, error) {
 	if err := checkOracle(locked, o); err != nil {
 		return nil, err
 	}
-	s := sat.New()
-	s.MaxConflicts = maxConflicts
-	return cnf.NewMiter(s, locked)
+	return cnf.NewMiter(sat.New(), locked)
 }
 
 // consistentKey solves m's solver under assumps, which must disable every

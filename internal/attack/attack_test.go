@@ -138,9 +138,8 @@ func TestBudgetExhaustedAttackReportsOracleTelemetry(t *testing.T) {
 	if sess.Queries() != 3 {
 		t.Fatalf("session saw %d queries, want 3", sess.Queries())
 	}
-	if res.OracleQueries != sess.Queries() || res.Channel != sess.Stats() {
-		t.Fatalf("result reports %d queries, channel %+v; session has %d, %+v",
-			res.OracleQueries, res.Channel, sess.Queries(), sess.Stats())
+	if res.OracleQueries != sess.Queries() {
+		t.Fatalf("result reports %d queries; session has %d", res.OracleQueries, sess.Queries())
 	}
 	if res.SolverStats.Propagations == 0 {
 		t.Fatal("solver stats missing on the budget exit")
@@ -247,10 +246,8 @@ func TestAppSATSettlesOnSARLock(t *testing.T) {
 	}
 	o, _ := oracle.NewComb(orig, nil)
 	res, err := AppSAT(l.Circuit, o, AppSATOptions{
-		Budgets:         Budgets{MaxIterations: 64},
-		RoundsPerSettle: 4,
-		SettleSamples:   32,
-		Rand:            rng.New(11),
+		Budgets: Budgets{MaxIterations: 64},
+		Rand:    rng.New(11),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +331,7 @@ func TestSensitizeRecoversIsolatedKeyBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sensitize(locked, o, SensitizeOptions{Rand: rng.New(15)})
+	res, err := Sensitize(locked, o, rng.New(15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +349,7 @@ func TestSensitizeCorrectBitsOnRandomLocking(t *testing.T) {
 	// On entangled random locking the attack may determine only some (or
 	// no) bits, but every bit it does determine must be correct.
 	orig, l, o := lockedRandom(t, 14, 3)
-	res, err := Sensitize(l.Circuit, o, SensitizeOptions{Rand: rng.New(16)})
+	res, err := Sensitize(l.Circuit, o, rng.New(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,11 +441,11 @@ func TestAttacksRejectOracleShape(t *testing.T) {
 			return err
 		}},
 		{"Sensitize", func(c *netlist.Circuit, o oracle.Oracle) error {
-			_, err := Sensitize(c, o, SensitizeOptions{Rand: rng.New(1)})
+			_, err := Sensitize(c, o, rng.New(1))
 			return err
 		}},
 		{"Bypass", func(c *netlist.Circuit, o oracle.Oracle) error {
-			_, err := Bypass(c, o, make([]bool, c.NumKeys()), BypassOptions{})
+			_, err := Bypass(c, o, make([]bool, c.NumKeys()), 64)
 			return err
 		}},
 	}

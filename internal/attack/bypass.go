@@ -10,16 +10,6 @@ import (
 	"orap/internal/sat"
 )
 
-// BypassOptions tunes the bypass attack.
-type BypassOptions struct {
-	// MaxPatches bounds the number of corrected input patterns; the
-	// attack reports failure beyond it (bypass is only economical against
-	// low-corruption defenses where few inputs differ). Default 64.
-	MaxPatches int
-	// MaxConflicts bounds SAT effort (0 = unlimited).
-	MaxConflicts int64
-}
-
 // BypassResult reports the bypass attack's outcome.
 type BypassResult struct {
 	// Key is the arbitrary (wrong) key the patched circuit applies.
@@ -32,9 +22,6 @@ type BypassResult struct {
 	Patches map[string][]bool
 	// OracleQueries counts oracle accesses.
 	OracleQueries int
-	// Channel holds oracle-channel telemetry when the attack ran against
-	// an oracle.Session; zero otherwise.
-	Channel oracle.ChannelStats
 
 	// support lists the key-support inputs (cnf.Miter.Support).
 	support []int
@@ -62,14 +49,18 @@ type BypassResult struct {
 // correct key). Each pattern is blocked and patched on the key-support
 // inputs only, since the other inputs reach no key-dependent output: one
 // patch covers every completion of the pattern.
-func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts BypassOptions) (*BypassResult, error) {
+//
+// maxPatches bounds the number of corrected input patterns; the attack
+// reports failure beyond it (bypass is only economical against
+// low-corruption defenses where few inputs differ).
+func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, maxPatches int) (*BypassResult, error) {
 	if len(chosenKey) != locked.NumKeys() {
 		return nil, fmt.Errorf("attack: chosen key width %d != %d", len(chosenKey), locked.NumKeys())
 	}
-	if opts.MaxPatches <= 0 {
-		opts.MaxPatches = 64
+	if maxPatches <= 0 {
+		return nil, fmt.Errorf("attack: non-positive bypass patch bound %d", maxPatches)
 	}
-	m, err := newMiter(locked, o, opts.MaxConflicts)
+	m, err := newMiter(locked, o)
 	if err != nil {
 		return nil, err
 	}
@@ -86,10 +77,7 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 		support: m.Support,
 		prog:    m.Prog,
 	}
-	defer func() {
-		res.OracleQueries = o.Queries()
-		res.Channel = channelStats(o)
-	}()
+	defer func() { res.OracleQueries = o.Queries() }()
 	for {
 		satisfiable, err := m.S.Solve(m.AssumeDiff())
 		if err != nil {
@@ -98,8 +86,8 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 		if !satisfiable {
 			break
 		}
-		if len(res.Patches) >= opts.MaxPatches {
-			return res, fmt.Errorf("attack: bypass patch budget exhausted (%d patterns; defense is not point-like)", opts.MaxPatches)
+		if len(res.Patches) >= maxPatches {
+			return res, fmt.Errorf("attack: bypass patch budget exhausted (%d patterns; defense is not point-like)", maxPatches)
 		}
 		x := m.ExtractInputs()
 		y, err := oracle.Query(o, x)

@@ -29,7 +29,7 @@ func TestBypassDefeatsSARLock(t *testing.T) {
 	// Any wrong key works; flip one bit of the truth.
 	chosen := append([]bool(nil), l.Key...)
 	chosen[0] = !chosen[0]
-	res, err := Bypass(l.Circuit, o, chosen, BypassOptions{})
+	res, err := Bypass(l.Circuit, o, chosen, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestBypassBudgetOnHighCorruptionLocking(t *testing.T) {
 	}
 	o, _ := oracle.NewComb(orig, nil)
 	chosen := make([]bool, 9)
-	if _, err := Bypass(l.Circuit, o, chosen, BypassOptions{MaxPatches: 16}); err == nil {
+	if _, err := Bypass(l.Circuit, o, chosen, 16); err == nil {
 		t.Fatal("bypass should exhaust its budget against high-corruption locking")
 	}
 }
@@ -108,7 +108,7 @@ func TestBypassStarvedByOraP(t *testing.T) {
 
 	chosen := append([]bool(nil), l.Key...)
 	chosen[0] = !chosen[0]
-	res, err := Bypass(l.Circuit, o, chosen, BypassOptions{})
+	res, err := Bypass(l.Circuit, o, chosen, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,11 @@ func TestBypassValidatesKeyWidth(t *testing.T) {
 	orig := circuits.C17()
 	l, _ := lock.SARLock(orig, 0, rng.New(5))
 	o, _ := oracle.NewComb(orig, nil)
-	if _, err := Bypass(l.Circuit, o, []bool{true}, BypassOptions{}); err == nil {
+	if _, err := Bypass(l.Circuit, o, []bool{true}, 64); err == nil {
 		t.Fatal("wrong key width accepted")
+	}
+	if _, err := Bypass(l.Circuit, o, make([]bool, l.Circuit.NumKeys()), 0); err == nil {
+		t.Fatal("non-positive patch bound accepted")
 	}
 }
 
@@ -166,7 +169,7 @@ func TestBypassPatchesOnlyKeySupport(t *testing.T) {
 	}
 	chosen := append([]bool(nil), l.Key...)
 	chosen[0] = !chosen[0]
-	res, err := Bypass(l.Circuit, o, chosen, BypassOptions{})
+	res, err := Bypass(l.Circuit, o, chosen, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +212,7 @@ func TestBypassEvalConcurrent(t *testing.T) {
 	}
 	chosen := append([]bool(nil), l.Key...)
 	chosen[0] = !chosen[0]
-	res, err := Bypass(l.Circuit, o, chosen, BypassOptions{})
+	res, err := Bypass(l.Circuit, o, chosen, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

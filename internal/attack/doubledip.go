@@ -29,7 +29,7 @@ const doubleDIPSettleSamples = 32
 // plain SAT attack.
 func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, error) {
 	// Two miters sharing the primary inputs: (k1,k2) and (k3,k4).
-	m1, err := newMiter(locked, o, b.MaxConflicts)
+	m1, err := newMiter(locked, o)
 	if err != nil {
 		return nil, err
 	}

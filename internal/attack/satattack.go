@@ -13,7 +13,7 @@ import (
 // cone-of-influence form (cnf.NewMiter), which duplicates only
 // key-reachable logic.
 func SAT(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, error) {
-	m, err := newMiter(locked, o, b.MaxConflicts)
+	m, err := newMiter(locked, o)
 	if err != nil {
 		return nil, err
 	}

@@ -16,14 +16,6 @@ import (
 // regardless of the other key bits.
 const sensitizeVerifySamples = 16
 
-// SensitizeOptions tunes the key-sensitization attack.
-type SensitizeOptions struct {
-	// MaxConflicts bounds SAT effort per key bit (0 = unlimited).
-	MaxConflicts int64
-	// Rand drives verification sampling; required.
-	Rand *rng.Stream
-}
-
 // SensitizeResult extends Result with per-bit resolution status.
 type SensitizeResult struct {
 	Result
@@ -39,9 +31,10 @@ type SensitizeResult struct {
 // bit from a single oracle response. Key bits whose gates interfere
 // pairwise (strong logic locking, or weighted locking's control gates)
 // stay undetermined — reproducing why the attack pushed the field toward
-// interference-aware insertion.
-func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) (*SensitizeResult, error) {
-	if opts.Rand == nil {
+// interference-aware insertion. r drives the verification sampling and
+// is required.
+func Sensitize(locked *netlist.Circuit, o oracle.Oracle, r *rng.Stream) (*SensitizeResult, error) {
+	if r == nil {
 		return nil, fmt.Errorf("attack: Sensitize requires a random stream")
 	}
 	if err := checkOracle(locked, o); err != nil {
@@ -113,7 +106,7 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 		if len(candidates) > 8 {
 			candidates = candidates[:8]
 		}
-		x, ok, err := findGoldenPattern(prog, bit, candidates, opts.MaxConflicts)
+		x, ok, err := findGoldenPattern(prog, bit, candidates)
 		if err != nil {
 			return res, err
 		}
@@ -133,7 +126,7 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 			stable[j] = true
 		}
 		for s := 0; s < sensitizeVerifySamples; s++ {
-			opts.Rand.Bits(otherKey)
+			r.Bits(otherKey)
 			copy(key0, otherKey)
 			copy(key1, otherKey)
 			key0[bit] = false
@@ -211,12 +204,11 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 // findGoldenPattern searches for an input pattern on which flipping key
 // bit `bit` flips one of the candidate primary outputs for at least one
 // assignment of the remaining key bits.
-func findGoldenPattern(prog *ir.Program, bit int, outputs []int, maxConflicts int64) ([]bool, bool, error) {
+func findGoldenPattern(prog *ir.Program, bit int, outputs []int) ([]bool, bool, error) {
 	if len(outputs) == 0 {
 		return nil, false, nil // bit reaches no output: never sensitizable
 	}
 	s := sat.New()
-	s.MaxConflicts = maxConflicts
 	a, err := cnf.EncodeProgram(s, prog, cnf.Options{})
 	if err != nil {
 		return nil, false, err

@@ -17,14 +17,9 @@ import (
 // skewed" signals of the SPS paper.
 const spsSkewThreshold = 0.45
 
-// SPSOptions tunes the signal-probability-skew attack.
-type SPSOptions struct {
-	// Words is the number of 64-pattern words used to estimate signal
-	// probabilities (default 64, i.e. 4096 random patterns).
-	Words int
-	// Rand drives the random patterns; required.
-	Rand *rng.Stream
-}
+// spsWords is the number of 64-pattern words used to estimate signal
+// probabilities: 4096 random patterns.
+const spsWords = 64
 
 // SPSFinding is one suspicious signal located by the attack.
 type SPSFinding struct {
@@ -57,32 +52,30 @@ type SPSResult struct {
 // skewed signal — exactly the paper's claim that "the proposed scheme
 // neither has signals with high probability skew, nor by removing the
 // LFSR and/or the key gates … the circuit will unlock". The caller
-// interprets Candidate == -1 as "attack not applicable".
-func SPS(locked *netlist.Circuit, opts SPSOptions) (*SPSResult, error) {
-	if opts.Rand == nil {
+// interprets Candidate == -1 as "attack not applicable". r drives the
+// random patterns and is required.
+func SPS(locked *netlist.Circuit, r *rng.Stream) (*SPSResult, error) {
+	if r == nil {
 		return nil, fmt.Errorf("attack: SPS requires a random stream")
-	}
-	if opts.Words <= 0 {
-		opts.Words = 64
 	}
 	prog, err := ir.Compile(locked)
 	if err != nil {
 		return nil, err
 	}
-	p, err := sim.ForProgram(prog, opts.Words)
+	p, err := sim.ForProgram(prog, spsWords)
 	if err != nil {
 		return nil, err
 	}
 	// Random inputs AND random key bits (per pattern): skew that
 	// survives key randomization is structural.
 	for _, id := range locked.AllInputs() {
-		opts.Rand.Words(p.Value(id))
+		r.Words(p.Value(id))
 	}
 	p.Run()
 
 	keyCone := prog.TransitiveFanout(locked.Keys...)
 
-	total := opts.Words * 64
+	total := spsWords * 64
 	res := &SPSResult{Candidate: -1}
 	for id, g := range locked.Gates {
 		switch g.Type {

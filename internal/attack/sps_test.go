@@ -16,7 +16,7 @@ func TestSPSFindsAntiSATFlipSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SPS(l.Circuit, SPSOptions{Rand: rng.New(2)})
+	res, err := SPS(l.Circuit, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSPSNotApplicableToWeightedLocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SPS(l.Circuit, SPSOptions{Rand: rng.New(4)})
+	res, err := SPS(l.Circuit, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSPSIgnoresKeyFreeSkew(t *testing.T) {
 	and := c.MustAddGate(netlist.And, "wideand", ins...)
 	out := c.MustAddGate(netlist.Xor, "out", and, k)
 	c.MarkOutput(out)
-	res, err := SPS(c, SPSOptions{Rand: rng.New(5)})
+	res, err := SPS(c, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func TestSPSIgnoresKeyFreeSkew(t *testing.T) {
 }
 
 func TestSPSOptionsValidated(t *testing.T) {
-	if _, err := SPS(circuits.C17(), SPSOptions{}); err == nil {
-		t.Fatal("missing Rand accepted")
+	if _, err := SPS(circuits.C17(), nil); err == nil {
+		t.Fatal("nil random stream accepted")
 	}
 }
 

@@ -37,8 +37,8 @@
 //     input pattern, so a single scan capture of the activated chip
 //     reveals the bit. Warning.
 //   - testability-bound: a gate whose SCOAP stuck-at detect difficulty
-//     exceeds a threshold; random patterns are unlikely to cover it,
-//     and point-function locking hides exactly there. Info.
+//     reaches 50; random patterns are unlikely to cover it, and
+//     point-function locking hides exactly there. Info.
 //
 // The netlist rules all run on one shared abstract-interpretation
 // engine (internal/dataflow): the pair/key-difference domain drives
@@ -298,9 +298,6 @@ type Options struct {
 	// of a multi-output circuit is flagged, single-output circuits
 	// never are.
 	MinCorruptPOs int
-	// TestabilityThreshold is the SCOAP detect-difficulty level at
-	// which testability-bound fires. 0 selects the default (50).
-	TestabilityThreshold int
 	// Exact enables the symbolic backend: per-key-bit ROBDD model
 	// counts replace the structural bounds in low-corruptibility and
 	// key-leak, and a bit whose exact corruption count is zero is
@@ -335,7 +332,7 @@ func AnalyzeProgram(prog *ir.Program, c *netlist.Circuit, opts Options) *Report 
 	fingerprints(prog, c, rep)
 	corruptibility(e, c, rep, opts, inert, ex)
 	keyLeaks(e, c, rep, ex)
-	testabilityBound(e, c, rep, opts)
+	testabilityBound(e, c, rep)
 	rep.sort()
 	return rep
 }

@@ -66,12 +66,12 @@ func keyLeaks(e *engine, c *netlist.Circuit, rep *Report, ex *ExactResult) {
 	}
 }
 
-// defaultTestabilityThreshold is the SCOAP detect-difficulty level at
-// which testability-bound speaks up when Options leaves the knob at 0.
-// SCOAP grows by at least 1 per logic level, so the default only fires
-// on structures markedly harder than the shipped reference circuits
-// (wide point-function comparators, deep reconvergent cones).
-const defaultTestabilityThreshold = 50
+// testabilityThreshold is the SCOAP detect-difficulty level at which
+// testability-bound speaks up. SCOAP grows by at least 1 per logic
+// level, so it only fires on structures markedly harder than the shipped
+// reference circuits (wide point-function comparators, deep reconvergent
+// cones).
+const testabilityThreshold = 50
 
 // testabilityBound emits the testability-bound findings: gates where
 // the SCOAP difficulty of detecting a stuck-at fault — controllability
@@ -80,11 +80,7 @@ const defaultTestabilityThreshold = 50
 // covers such sites, which is both a test-quality problem and a place
 // for SAT-resistant point functions to hide; the faultsim cross-check
 // test pins the correlation.
-func testabilityBound(e *engine, c *netlist.Circuit, rep *Report, opts Options) {
-	thr := int32(opts.TestabilityThreshold)
-	if thr <= 0 {
-		thr = defaultTestabilityThreshold
-	}
+func testabilityBound(e *engine, c *netlist.Circuit, rep *Report) {
 	p := e.p
 	for _, id32 := range p.Order {
 		id := int(id32)
@@ -105,12 +101,12 @@ func testabilityBound(e *engine, c *netlist.Circuit, rep *Report, opts Options) 
 		if d1 > d0 {
 			worst, stuck = d1, "stuck-at-0"
 		}
-		if worst < thr {
+		if worst < testabilityThreshold {
 			continue
 		}
 		rep.add(finding(c, RuleTestabilityBound, check.Info, -1, id, RefOraP,
 			"%v gate %q has SCOAP detect difficulty %d for %s (CC0/CC1=%d/%d, CO=%d, threshold %d); random patterns are unlikely to test it",
-			p.Ops[id], c.NameOf(id), worst, stuck, e.cc[id].CC0, e.cc[id].CC1, co, thr))
+			p.Ops[id], c.NameOf(id), worst, stuck, e.cc[id].CC0, e.cc[id].CC1, co, testabilityThreshold))
 	}
 }
 

@@ -4,6 +4,7 @@
 package audit_test
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -119,14 +120,14 @@ func wideAnd(c *netlist.Circuit, name string, in []int) int {
 }
 
 // buildTestabilityFixture is a circuit with one provably hard site (a
-// 16-input AND point function — its output goes 1 on a single pattern)
-// next to easy shallow logic, the shape the testability-bound rule
-// exists to flag.
-func buildTestabilityFixture(t *testing.T) *netlist.Circuit {
+// width-input AND point function — its output goes 1 on a single
+// pattern) next to easy shallow logic, the shape the testability-bound
+// rule exists to flag.
+func buildTestabilityFixture(t *testing.T, width int) *netlist.Circuit {
 	c := netlist.New("hard-sites")
 	var ins []int
-	for i := 0; i < 16; i++ {
-		ins = append(ins, addIn(t, c, "x"+string(rune('a'+i))))
+	for i := 0; i < width; i++ {
+		ins = append(ins, addIn(t, c, fmt.Sprintf("x%d", i)))
 	}
 	k := addKey(t, c, "keyinput0")
 	hard := wideAnd(c, "hard", ins)
@@ -136,19 +137,16 @@ func buildTestabilityFixture(t *testing.T) *netlist.Circuit {
 	return c
 }
 
-// The fixture's point-function root needs all 16 inputs at 1 (SCOAP
-// CC1 ≈ 20), so with a low threshold testability-bound must flag the
-// deep AND layers as info findings and leave the shallow OR alone.
+// A 32-input point function's root needs all 32 inputs at 1, and every
+// gate of its AND tree needs them to be observed (SCOAP detect
+// difficulty about 65), so testability-bound must flag the AND layers
+// as info findings and leave the shallow OR alone. The 16-input fixture
+// (about 33) stays under the threshold.
 func TestTestabilityBoundFires(t *testing.T) {
-	c := buildTestabilityFixture(t)
-	prog, err := ir.Compile(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := audit.AnalyzeProgram(prog, c, audit.Options{TestabilityThreshold: 15})
+	rep := mustAudit(t, buildTestabilityFixture(t, 32))
 	tb := rep.ByRule(audit.RuleTestabilityBound)
 	if len(tb) == 0 {
-		t.Fatalf("testability-bound must fire on the 16-input point function:\n%s", rep)
+		t.Fatalf("testability-bound must fire on the 32-input point function:\n%s", rep)
 	}
 	for _, f := range tb {
 		if f.Sev != check.Info {
@@ -158,10 +156,9 @@ func TestTestabilityBoundFires(t *testing.T) {
 			t.Fatalf("testability-bound flagged the shallow OR gate:\n%s", rep)
 		}
 	}
-	// At the default threshold the same fixture is quiet.
-	repDefault := mustAudit(t, c)
-	if tb := repDefault.ByRule(audit.RuleTestabilityBound); len(tb) != 0 {
-		t.Fatalf("default threshold must not fire on a 16-input cone:\n%s", repDefault)
+	quiet := mustAudit(t, buildTestabilityFixture(t, 16))
+	if tb := quiet.ByRule(audit.RuleTestabilityBound); len(tb) != 0 {
+		t.Fatalf("testability-bound must not fire on a 16-input cone:\n%s", quiet)
 	}
 }
 
@@ -169,12 +166,12 @@ func TestTestabilityBoundFires(t *testing.T) {
 // faults at the flagged gates survive a random campaign that covers
 // everything the rule left unflagged.
 func TestTestabilityBoundMatchesFaultsim(t *testing.T) {
-	c := buildTestabilityFixture(t)
+	c := buildTestabilityFixture(t, 32)
 	prog, err := ir.Compile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := audit.AnalyzeProgram(prog, c, audit.Options{TestabilityThreshold: 15})
+	rep := audit.AnalyzeProgram(prog, c, audit.Options{})
 	flagged := map[int]bool{}
 	for _, f := range rep.ByRule(audit.RuleTestabilityBound) {
 		flagged[f.Node] = true

@@ -63,16 +63,15 @@ type AttackRow struct {
 	Note string
 }
 
+// attackStudyScale shrinks the b20 profile the attack study locks to a
+// small slice: SAT attacks on full-size circuits with hundreds of key
+// bits do not terminate by design.
+const attackStudyScale = 0.004
+
 // AttackStudyOptions configures the attack comparison.
 type AttackStudyOptions struct {
-	// Scale shrinks the circuit (1.0 = the paper-scale b20 profile; the
-	// study defaults to a small slice because SAT attacks on full-size
-	// circuits with hundreds of key bits do not terminate by design).
-	Scale float64
 	// KeyBits for the weighted locking layer (default 16).
 	KeyBits int
-	// Budgets bounds each attack.
-	Budgets attack.Budgets
 	// Workers bounds the worker pool running attack×oracle cells
 	// concurrently (0 = all cores, 1 = serial). Each cell builds its own
 	// chip and derives its own streams, so the rows do not depend on it.
@@ -89,20 +88,15 @@ type AttackStudyOptions struct {
 // correct key through the unprotected scan chain and fails (converges to
 // a locked-circuit key with high disagreement) against OraP.
 func AttackStudy(opts AttackStudyOptions) ([]AttackRow, error) {
-	if opts.Scale <= 0 || opts.Scale > 1 {
-		opts.Scale = 0.004
-	}
 	if opts.KeyBits <= 0 {
 		opts.KeyBits = 16
 	}
-	if opts.Budgets.MaxIterations == 0 {
-		opts.Budgets.MaxIterations = 2000
-	}
+	budgets := attack.Budgets{MaxIterations: 2000}
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {
 		return nil, err
 	}
-	scaled := prof.Scale(opts.Scale)
+	scaled := prof.Scale(attackStudyScale)
 	circuit, err := benchgen.Generate(scaled, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -123,14 +117,14 @@ func AttackStudy(opts AttackStudyOptions) ([]AttackRow, error) {
 	}
 	attacks := []attackFn{
 		{"SAT", func(o oracle.Oracle, seed uint64) (*attack.Result, error) {
-			return attack.SAT(l.Circuit, o, opts.Budgets)
+			return attack.SAT(l.Circuit, o, budgets)
 		}},
 		{"DoubleDIP", func(o oracle.Oracle, seed uint64) (*attack.Result, error) {
-			return attack.DoubleDIP(l.Circuit, o, opts.Budgets)
+			return attack.DoubleDIP(l.Circuit, o, budgets)
 		}},
 		{"AppSAT", func(o oracle.Oracle, seed uint64) (*attack.Result, error) {
 			return attack.AppSAT(l.Circuit, o, attack.AppSATOptions{
-				Budgets: opts.Budgets,
+				Budgets: budgets,
 				Rand:    rng.NewNamed(seed, "attacks/appsat"),
 			})
 		}},

@@ -116,7 +116,6 @@ func TestTableIISmallScale(t *testing.T) {
 
 func TestAttackStudyShape(t *testing.T) {
 	rows, err := AttackStudy(AttackStudyOptions{
-		Scale:   0.004,
 		KeyBits: 10,
 		Seed:    4,
 	})

@@ -61,7 +61,7 @@ func OtherAttacks(seed uint64) ([]OtherAttackRow, error) {
 		chosen := append([]bool(nil), sar.Key...)
 		chosen[0] = !chosen[0]
 		row := OtherAttackRow{Attack: "bypass", Defense: "sarlock", Oracle: prot.String()}
-		res, err := attack.Bypass(sar.Circuit, o, chosen, attack.BypassOptions{MaxPatches: 256})
+		res, err := attack.Bypass(sar.Circuit, o, chosen, 256)
 		if err != nil {
 			row.Note = "patch budget exhausted"
 		} else {
@@ -83,7 +83,7 @@ func OtherAttacks(seed uint64) ([]OtherAttackRow, error) {
 		return nil, err
 	}
 	rowW := OtherAttackRow{Attack: "bypass", Defense: "weighted", Oracle: "none"}
-	if _, err := attack.Bypass(wll.Circuit, oWll, make([]bool, 12), attack.BypassOptions{MaxPatches: 64}); err != nil {
+	if _, err := attack.Bypass(wll.Circuit, oWll, make([]bool, 12), 64); err != nil {
 		rowW.Note = "patch budget exhausted (high corruption)"
 	} else {
 		rowW.Applies = true
@@ -95,7 +95,7 @@ func OtherAttacks(seed uint64) ([]OtherAttackRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	spsAnti, err := attack.SPS(anti.Circuit, attack.SPSOptions{Rand: rng.NewNamed(seed, "other/sps1")})
+	spsAnti, err := attack.SPS(anti.Circuit, rng.NewNamed(seed, "other/sps1"))
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func OtherAttacks(seed uint64) ([]OtherAttackRow, error) {
 	}
 	rows = append(rows, rowA)
 
-	spsWll, err := attack.SPS(wll.Circuit, attack.SPSOptions{Rand: rng.NewNamed(seed, "other/sps2")})
+	spsWll, err := attack.SPS(wll.Circuit, rng.NewNamed(seed, "other/sps2"))
 	if err != nil {
 		return nil, err
 	}

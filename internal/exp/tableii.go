@@ -33,8 +33,6 @@ type TableIIOptions struct {
 	// RandomBlocks is the number of 64-pattern random fault-simulation
 	// blocks before deterministic ATPG (the HOPE prefilter; default 32).
 	RandomBlocks int
-	// ConflictBudget bounds per-fault ATPG effort (0 = high effort).
-	ConflictBudget int64
 	// Circuits selects a subset by name (default: all eight).
 	Circuits []string
 	// Workers bounds the worker pool running circuit rows concurrently
@@ -125,7 +123,7 @@ func testability(c *netlist.Circuit, opts TableIIOptions, stream string) (atpg.S
 	sim.Workers = opts.Workers
 	faults := faultsim.CollapseFaults(c)
 	rand := sim.RunRandom(faults, opts.RandomBlocks, rng.NewNamed(opts.Seed, "tableII/"+stream))
-	return atpg.Run(c, sim, rand, atpg.Options{ConflictBudget: opts.ConflictBudget})
+	return atpg.Run(c, sim, rand, atpg.Options{})
 }
 
 // FormatTableII renders Table II in the paper's column layout.

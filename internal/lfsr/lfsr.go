@@ -59,15 +59,6 @@ func AllInject(n int) []int {
 	return pts
 }
 
-// EveryKthInject returns injection points at cells 0, k, 2k, ….
-func EveryKthInject(n, k int) []int {
-	var pts []int
-	for i := 0; i < n; i += k {
-		pts = append(pts, i)
-	}
-	return pts
-}
-
 // Validate checks the configuration for out-of-range or duplicate indices.
 func (c Config) Validate() error {
 	if c.N <= 0 {

@@ -93,7 +93,7 @@ func TestStepIsLinear(t *testing.T) {
 }
 
 func TestSymbolicMatchesConcrete(t *testing.T) {
-	cfg := Config{N: 24, Taps: StandardTaps(24, 8), Inject: EveryKthInject(24, 2)}
+	cfg := Config{N: 24, Taps: StandardTaps(24, 8), Inject: []int{0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22}}
 	sc := Schedule{FreeRunAfter: []int{0, 3, 1, 5}}
 	w := cfg.SeedWidth()
 
@@ -141,7 +141,7 @@ func TestTransferMatrixFullRankWithEnoughSeeds(t *testing.T) {
 func TestTransferMatrixSparseInjectionNeedsMoreSeeds(t *testing.T) {
 	// With injection every 4 cells (width 4), one seed cannot reach all
 	// 16-bit states, but enough seeded cycles with mixing can.
-	cfg := Config{N: 16, Taps: StandardTaps(16, 8), Inject: EveryKthInject(16, 4)}
+	cfg := Config{N: 16, Taps: StandardTaps(16, 8), Inject: []int{0, 4, 8, 12}}
 	m1, err := TransferMatrix(cfg, UniformSchedule(1, 0))
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"orap/internal/gf2"
 )
 
-// Symbolic simulates the LFSR with GF(2)-linear expressions instead of
+// symbolic simulates the LFSR with GF(2)-linear expressions instead of
 // bits: every cell holds a linear combination of "variables" (the seed
 // bits injected so far). This is exactly the symbolic simulation the paper
 // describes in attack scenario (d), and it doubles as the defender's tool
@@ -15,7 +15,7 @@ import (
 //	state = M · vars
 //
 // for the matrix M accumulated over the stepped schedule.
-type Symbolic struct {
+type symbolic struct {
 	cfg    Config
 	nvars  int
 	cells  []gf2.Vec // cells[i] = linear expression of cell i over vars
@@ -25,11 +25,11 @@ type Symbolic struct {
 
 // newSymbolic returns a symbolic LFSR over nvars variables, starting from
 // the all-zero (reset) state.
-func newSymbolic(cfg Config, nvars int) (*Symbolic, error) {
+func newSymbolic(cfg Config, nvars int) (*symbolic, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Symbolic{
+	s := &symbolic{
 		cfg:    cfg,
 		nvars:  nvars,
 		cells:  make([]gf2.Vec, cfg.N),
@@ -54,7 +54,7 @@ func newSymbolic(cfg Config, nvars int) (*Symbolic, error) {
 // stepVars advances one clock, injecting variable seedVars[j] at injection
 // point j. A negative entry means "no variable" (constant zero) at that
 // point; a nil slice is a free-run cycle. Variable indices must be < nvars.
-func (s *Symbolic) stepVars(seedVars []int) error {
+func (s *symbolic) stepVars(seedVars []int) error {
 	if seedVars != nil && len(seedVars) != s.cfg.SeedWidth() {
 		return fmt.Errorf("lfsr: seedVars width %d != %d", len(seedVars), s.cfg.SeedWidth())
 	}
@@ -86,7 +86,7 @@ func (s *Symbolic) stepVars(seedVars []int) error {
 }
 
 // freeRun advances n clocks with no injection.
-func (s *Symbolic) freeRun(n int) {
+func (s *symbolic) freeRun(n int) {
 	for i := 0; i < n; i++ {
 		s.stepVars(nil)
 	}
@@ -94,7 +94,7 @@ func (s *Symbolic) freeRun(n int) {
 
 // matrix returns the N×nvars matrix M with state = M · vars for the
 // schedule stepped so far.
-func (s *Symbolic) matrix() *gf2.Matrix {
+func (s *symbolic) matrix() *gf2.Matrix {
 	m := gf2.NewMatrix(s.cfg.N, s.nvars)
 	for i, c := range s.cells {
 		m.SetRow(i, c)

@@ -12,9 +12,9 @@ import (
 
 // synthesizeModified builds the Fig. 3 scheme: reseeding points alternate
 // between memory-driven (even cells) and response-driven (odd cells), as
-// the paper prescribes. It needs a reseeding point on every cell
-// (InjectSpacing == 1) and an even tap spacing, and feeds the seeds back
-// to back (no free-run cycles).
+// the paper prescribes. It relies on lfsrConfig's wiring (a reseeding
+// point on every cell, an even tap spacing) and feeds the seeds back to
+// back (no free-run cycles).
 //
 // The synthesis is exact and exploits two facts:
 //
@@ -22,7 +22,7 @@ import (
 //     flip-flop state at cycle t, which is fully determined before seed t
 //     is chosen — the construction is triangular, never circular.
 //  2. With memory seeds on the even cells, responses on the odd cells,
-//     and polynomial taps only at even positions (any even tap spacing),
+//     and polynomial taps only at even positions (the tap spacing is even),
 //     the register shift maps the even half of a state onto the odd half
 //     of the next state. The final state's odd half is therefore set one
 //     cycle early through the even half of the penultimate state (whose
@@ -33,17 +33,11 @@ import (
 // the responses are with the key inputs.
 func synthesizeModified(core *netlist.Circuit, key []bool, realPIs, realPOs int, opts Options) (scan.Config, error) {
 	n := core.NumKeys()
-	if opts.InjectSpacing != 1 {
-		return scan.Config{}, fmt.Errorf("orap: the modified scheme needs a reseeding point on every cell (inject spacing 1), got %d", opts.InjectSpacing)
-	}
-	if opts.TapSpacing%2 != 0 {
-		return scan.Config{}, fmt.Errorf("orap: the modified scheme needs an even tap spacing, got %d", opts.TapSpacing)
-	}
 	numFFs := core.NumInputs() - realPIs
 	if numFFs <= 0 {
 		return scan.Config{}, fmt.Errorf("orap: modified scheme needs flip-flops for response feedback (core has none)")
 	}
-	cfg := lfsrConfig(n, opts)
+	cfg := lfsrConfig(n)
 	var memInject, respInject []int
 	for i := 0; i < n; i++ {
 		if i%2 == 0 {

@@ -30,20 +30,17 @@ import (
 	"orap/internal/scan"
 )
 
+// tapSpacing is the characteristic-polynomial tap spacing: the paper
+// puts a new tap after every eight cells. The modified scheme's
+// synthesis needs it even.
+const tapSpacing = 8
+
 // Options tunes the OraP construction.
 type Options struct {
-	// TapSpacing is the characteristic-polynomial tap spacing (paper: a
-	// new tap after every eight cells). Default 8. The modified scheme
-	// needs it even.
-	TapSpacing int
-	// InjectSpacing places a reseeding point every k-th cell. Default 1
-	// (every cell, the most general case of Fig. 1). The modified scheme
-	// needs 1.
-	InjectSpacing int
 	// Seeds is the number of seeded cycles in the unlock schedule.
-	// Default for the basic scheme: grown automatically until the
-	// memory-driven transfer matrix reaches full rank. The modified
-	// scheme feeds max(Seeds, 4) seeds back to back.
+	// Default for the basic scheme: 1, since every cell is a reseeding
+	// point and one seed already reaches every key. The modified scheme
+	// feeds max(Seeds, 4) seeds back to back.
 	Seeds int
 	// FreeRun is the number of free-run cycles after each seed.
 	// Default 1. The modified scheme ignores it.
@@ -55,12 +52,6 @@ type Options struct {
 func (o *Options) fill() error {
 	if o.Rand == nil {
 		return fmt.Errorf("orap: Options.Rand is required")
-	}
-	if o.TapSpacing <= 0 {
-		o.TapSpacing = 8
-	}
-	if o.InjectSpacing <= 0 {
-		o.InjectSpacing = 1
 	}
 	if o.FreeRun < 0 {
 		return fmt.Errorf("orap: negative FreeRun")
@@ -119,44 +110,15 @@ func Protect(core *netlist.Circuit, key []bool, realPIs, realPOs int, protection
 	return scan.Config{}, fmt.Errorf("orap: unknown protection %v", protection)
 }
 
-// lfsrConfig builds the register wiring for an n-bit key.
-func lfsrConfig(n int, opts Options) lfsr.Config {
+// lfsrConfig builds the register wiring for an n-bit key: a tap every
+// tapSpacing cells and a reseeding point on every cell, the most general
+// case of Fig. 1.
+func lfsrConfig(n int) lfsr.Config {
 	return lfsr.Config{
 		N:      n,
-		Taps:   lfsr.StandardTaps(n, opts.TapSpacing),
-		Inject: lfsr.EveryKthInject(n, opts.InjectSpacing),
+		Taps:   lfsr.StandardTaps(n, tapSpacing),
+		Inject: lfsr.AllInject(n),
 	}
-}
-
-// growSchedule finds a schedule whose memory transfer matrix has full
-// rank n, starting from opts.Seeds (or the minimum implied by widths).
-// When the requested free-run count aliases with the injection spacing
-// (seed bits then only ever reach a subset of the cells), nearby free-run
-// counts are tried as well — the paper leaves both knobs to the designer.
-func growSchedule(cfg lfsr.Config, memInject []int, n int, opts Options) (lfsr.Schedule, *gf2.Matrix, error) {
-	w := len(memInject)
-	minSeeds := opts.Seeds
-	if minSeeds <= 0 {
-		minSeeds = (n + w - 1) / w
-	}
-	var lastErr error
-	for _, freeRun := range []int{opts.FreeRun, opts.FreeRun + 1, opts.FreeRun + 2} {
-		for seeds := minSeeds; seeds <= 8*((n+w-1)/w)+8; seeds++ {
-			sc := lfsr.UniformSchedule(seeds, freeRun)
-			m, err := lfsr.MemTransferMatrix(cfg, sc, memInject)
-			if err != nil {
-				return lfsr.Schedule{}, nil, err
-			}
-			if m.Rank() == n {
-				return sc, m, nil
-			}
-			lastErr = fmt.Errorf("orap: transfer matrix rank %d < %d (%d seeds, %d free-run)", m.Rank(), n, seeds, freeRun)
-			if opts.Seeds > 0 {
-				break // seed count pinned by the caller: only vary free-run
-			}
-		}
-	}
-	return lfsr.Schedule{}, nil, fmt.Errorf("orap: could not reach a full-rank transfer matrix: %w", lastErr)
 }
 
 // splitSeeds unpacks a stacked seed vector into per-cycle seeds.
@@ -178,14 +140,18 @@ func splitSeeds(stacked gf2.Vec, seeds, width int) []gf2.Vec {
 // memory-driven and the key sequence is a single linear solve.
 func synthesizeBasic(core *netlist.Circuit, key []bool, realPIs, realPOs int, opts Options) (scan.Config, error) {
 	n := core.NumKeys()
-	cfg := lfsrConfig(n, opts)
-	memInject := make([]int, len(cfg.Inject))
-	for i := range memInject {
-		memInject[i] = i
-	}
-	sc, m, err := growSchedule(cfg, memInject, n, opts)
+	cfg := lfsrConfig(n)
+	memInject := lfsr.AllInject(n) // every reseeding point is memory-driven
+	sc := lfsr.UniformSchedule(max(opts.Seeds, 1), opts.FreeRun)
+	m, err := lfsr.MemTransferMatrix(cfg, sc, memInject)
 	if err != nil {
 		return scan.Config{}, err
+	}
+	// Every cell is a reseeding point and the register step is
+	// invertible, so the last seed alone reaches every state: the matrix
+	// always has full rank n.
+	if m.Rank() != n {
+		return scan.Config{}, fmt.Errorf("orap: transfer matrix rank %d < %d (%d seeds, %d free-run)", m.Rank(), n, sc.NumSeeds(), opts.FreeRun)
 	}
 	stacked, ok := m.Solve(gf2.FromBools(key))
 	if !ok {

@@ -168,45 +168,11 @@ func TestProtectValidation(t *testing.T) {
 	}
 }
 
-func TestProtectSparseInjection(t *testing.T) {
-	// Fewer reseeding points ("the designer may choose fewer such
-	// points") must still synthesize, with more seeded cycles.
-	_, l := lockedAdder(t, 14, 12)
-	cfg, err := Protect(l.Circuit, l.Key, 5, 1, scan.OraPBasic, Options{
-		InjectSpacing: 3,
-		Rand:          rng.New(15),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.LFSR.Inject) != 4 {
-		t.Fatalf("inject points = %d, want 4", len(cfg.LFSR.Inject))
-	}
-	if cfg.Schedule.NumSeeds() < 3 {
-		t.Fatalf("sparse injection should need ≥3 seeds, got %d", cfg.Schedule.NumSeeds())
-	}
-	ch, _ := scan.New(cfg)
-	ch.Unlock(nil)
-	if !boolsEq(ch.Key(), l.Key) {
-		t.Fatal("sparse-injection scheme did not unlock correctly")
-	}
-}
-
 func TestProtectModifiedRejectsUnsupportedLayouts(t *testing.T) {
-	// The modified scheme's synthesis needs a reseeding point on every
-	// cell and polynomial taps on even cells only; other layouts are
-	// refused rather than searched for.
-	_, l := lockedAdder(t, 16, 12)
-	for name, opts := range map[string]Options{
-		"inject spacing 3": {InjectSpacing: 3, Rand: rng.New(17)},
-		"tap spacing 7":    {TapSpacing: 7, Rand: rng.New(17)},
-	} {
-		if _, err := Protect(l.Circuit, l.Key, 5, 1, scan.OraPModified, opts); err == nil {
-			t.Errorf("%s: modified scheme accepted", name)
-		}
-	}
 	// A core without flip-flops has no responses to feed back, and a
-	// 1-bit register has no odd cell to take them.
+	// 1-bit register has no odd cell to take them: the modified scheme
+	// refuses both rather than searching for another layout.
+	_, l := lockedAdder(t, 16, 12)
 	noFFs := l.Circuit.NumInputs()
 	if _, err := Protect(l.Circuit, l.Key, noFFs, l.Circuit.NumOutputs(), scan.OraPModified, Options{Rand: rng.New(18)}); err == nil || !strings.Contains(err.Error(), "(core has none)") {
 		t.Errorf("core without flip-flops: err = %v", err)
@@ -222,7 +188,7 @@ func TestProtectModifiedRejectsUnsupportedLayouts(t *testing.T) {
 }
 
 func TestRegisterOverheadAccounting(t *testing.T) {
-	cfg := lfsrConfig(256, Options{TapSpacing: 8, InjectSpacing: 1})
+	cfg := lfsrConfig(256)
 	ov := RegisterOverhead(cfg)
 	if ov.PulseGenNANDs != 256 || ov.PulseGenInverters != 768 {
 		t.Fatalf("pulse generator accounting wrong: %+v", ov)
