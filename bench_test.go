@@ -141,7 +141,7 @@ func BenchmarkEvalIR(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog.RunWords(vals, 1)
+		prog.RunWords(vals, 1, prog.Order)
 	}
 }
 

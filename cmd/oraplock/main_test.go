@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"orap/internal/bench"
@@ -65,6 +66,32 @@ func TestUnknownNames(t *testing.T) {
 		want := `oraplock: unknown -` + c.flag + ` "bogus"; valid names: ` + c.valid + "\n"
 		if code != 2 || out != "" || errOut != want {
 			t.Errorf("-%s bogus: exit %d, want 2 with empty stdout and stderr %q\nstdout:\n%s\nstderr:\n%s", c.flag, code, want, out, errOut)
+		}
+	}
+}
+
+// TestBadPinSplit passes -pins/-pinouts splits that the netlist cannot
+// have. Both OraP schemes must refuse them as a bad configuration, exit
+// 1 with the split named on stderr, rather than crash in synthesis.
+func TestBadPinSplit(t *testing.T) {
+	text, err := bench.FormatString(circuits.C17()) // 5 inputs, 2 outputs
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c17.bench")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, protect := range []string{"basic", "modified"} {
+		for _, c := range []struct{ pins, pinOuts, want string }{
+			{"3", "1", "oraplock: scan: 2 FF outputs vs 1 FF inputs\n"},
+			{"3", "7", "oraplock: scan: RealPOs 7 out of range\n"},
+			{"9", "1", "oraplock: scan: RealPIs 9 out of range\n"},
+		} {
+			code, _, errOut := oraplock(t, "-in", path, "-keybits", "6", "-protect", protect, "-pins", c.pins, "-pinouts", c.pinOuts)
+			if code != 1 || !strings.HasSuffix(errOut, c.want) {
+				t.Errorf("-protect %s -pins %s -pinouts %s: exit %d, want 1 with stderr ending %q\nstderr:\n%s", protect, c.pins, c.pinOuts, code, c.want, errOut)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package audit
 
 import (
 	"orap/internal/check"
-	"orap/internal/dataflow"
 	"orap/internal/ir"
 	"orap/internal/netlist"
 )
@@ -41,7 +40,7 @@ func fingerprints(p *ir.Program, c *netlist.Circuit, rep *Report) {
 	for _, k := range p.Keys {
 		isKeyInput[k] = true
 	}
-	keyOnly := keyOnlyNodes(p, isKeyInput)
+	keyOnly := p.KeyOnly()
 
 	for kb, kid := range p.Keys {
 		fos := uniqueFanouts(p, int(kid))
@@ -150,39 +149,4 @@ func uniqueFanouts(p *ir.Program, id int) []int {
 		}
 	}
 	return out
-}
-
-// keyOnly is the control-cone analysis as an engine domain: a node is
-// key-only when its value is a function of key inputs and constants
-// alone — the candidate control-cone gates. The lattice is the booleans
-// under conjunction (key-only is the precise fact, losing it is the
-// join direction).
-type keyOnly struct {
-	p     *ir.Program
-	isKey []bool
-}
-
-func (d *keyOnly) Direction() dataflow.Direction { return dataflow.Forward }
-func (d *keyOnly) Join(a, b bool) bool           { return a && b }
-func (d *keyOnly) Equal(a, b bool) bool          { return a == b }
-
-func (d *keyOnly) Transfer(id int, vals []bool) bool {
-	switch d.p.Ops[id] {
-	case ir.OpInput:
-		return d.isKey[id]
-	case ir.OpConst0, ir.OpConst1:
-		return true
-	}
-	for _, f := range d.p.FaninSpan(id) {
-		if !vals[f] {
-			return false
-		}
-	}
-	return true
-}
-
-// keyOnlyNodes marks the nodes whose value is a function of key inputs
-// (and constants) only, by solving the keyOnly domain.
-func keyOnlyNodes(p *ir.Program, isKeyInput []bool) []bool {
-	return dataflow.Run[bool](p, &keyOnly{p: p, isKey: isKeyInput})
 }

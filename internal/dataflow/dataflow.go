@@ -15,8 +15,9 @@
 // Run), per-net key-taint sets (KeyTaint) and SCOAP-style testability
 // scores (Controllability / Observability). Callers are free to define
 // their own domains against the same interface; internal/check's
-// output-reachability pass and internal/audit's control-cone pass do
-// exactly that.
+// output-reachability pass does exactly that. The audit's control cone
+// is not a domain: it is ir.Program.KeyOnly, the key-only partition the
+// Hamming-distance kernel shares.
 package dataflow
 
 import "orap/internal/ir"

@@ -108,11 +108,46 @@ func engines(t *testing.T, c *netlist.Circuit, pattern []bool) [4]bool {
 	return out
 }
 
+// wideWords is the block width of wideTable: more than one word, so the
+// wide kernel runs rather than its single-word form.
+const wideWords = 2
+
+// wideTable evaluates the single output of c over its whole truth table
+// in one bit-parallel run of wideWords words: lane l carries pattern
+// l mod 2^arity, whose bit i drives primary input i. It returns the
+// output bit of every lane.
+func wideTable(t *testing.T, c *netlist.Circuit, arity int) []bool {
+	t.Helper()
+	p, err := sim.ForProgram(ir.MustCompile(c), wideWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := make([]bool, 64*wideWords)
+	for i, id := range c.PIs {
+		w := make([]uint64, wideWords)
+		for l := range lanes {
+			if (l%(1<<arity))&(1<<i) != 0 {
+				w[l/64] |= 1 << (l % 64)
+			}
+		}
+		p.SetInput(id, w)
+	}
+	p.Run()
+	out := p.Value(c.POs[0])
+	for l := range lanes {
+		lanes[l] = out[l/64]>>(l%64)&1 == 1
+	}
+	return lanes
+}
+
 // TestCrossEngineConsistency checks, for every gate type, that the IR
 // scalar kernel, the bit-parallel simulator, the fault simulator's
 // good-value evaluation and the CNF encoding agree on the full truth
-// table. Any divergence between the engines — all of which now reduce to
-// the shared IR kernel or its clause-level mirror — fails here first.
+// table, and that a wide bit-parallel run with the table spread across
+// its lanes agrees in every lane. Arities 2, 3 and 4 reach the wide
+// kernel's fused two- and three-input forms and its n-ary loop. Any
+// divergence between the engines — all of which now reduce to the
+// shared IR kernel or its clause-level mirror — fails here first.
 func TestCrossEngineConsistency(t *testing.T) {
 	cases := []struct {
 		gt      netlist.GateType
@@ -123,18 +158,19 @@ func TestCrossEngineConsistency(t *testing.T) {
 		{netlist.Const1, []int{0}},
 		{netlist.Buf, []int{1}},
 		{netlist.Not, []int{1}},
-		{netlist.And, []int{2, 3}},
-		{netlist.Nand, []int{2, 3}},
-		{netlist.Or, []int{2, 3}},
-		{netlist.Nor, []int{2, 3}},
-		{netlist.Xor, []int{2, 3}}, // arity 3 exercises the CNF XOR chain
-		{netlist.Xnor, []int{2, 3}},
+		{netlist.And, []int{2, 3, 4}},
+		{netlist.Nand, []int{2, 3, 4}},
+		{netlist.Or, []int{2, 3, 4}},
+		{netlist.Nor, []int{2, 3, 4}},
+		{netlist.Xor, []int{2, 3, 4}}, // arity 3 exercises the CNF XOR chain
+		{netlist.Xnor, []int{2, 3, 4}},
 	}
 	engineName := [4]string{"ir.Eval", "sim.Parallel", "faultsim", "cnf+sat"}
 	for _, tc := range cases {
 		for _, arity := range tc.arities {
 			t.Run(fmt.Sprintf("%v/%d", tc.gt, arity), func(t *testing.T) {
 				c := gateCircuit(t, tc.gt, arity)
+				wide := wideTable(t, c, arity)
 				pattern := make([]bool, arity)
 				for bits := 0; bits < 1<<arity; bits++ {
 					for i := range pattern {
@@ -145,6 +181,12 @@ func TestCrossEngineConsistency(t *testing.T) {
 						if got[e] != got[0] {
 							t.Fatalf("%v on %v: %s says %v but %s says %v",
 								tc.gt, pattern, engineName[0], got[0], engineName[e], got[e])
+						}
+					}
+					for l := bits; l < len(wide); l += 1 << arity {
+						if wide[l] != got[0] {
+							t.Fatalf("%v on %v: %s says %v but %d-word sim.Parallel lane %d says %v",
+								tc.gt, pattern, engineName[0], got[0], wideWords, l, wide[l])
 						}
 					}
 				}

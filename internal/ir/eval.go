@@ -8,21 +8,24 @@ import "fmt"
 // simulator's faulty-value propagation — reduces to one of the three
 // entry points here, so the gate semantics live in exactly one place.
 
-// RunWords evaluates every non-input node over the node-major value
-// buffer vals, which holds `words` 64-pattern words per node
-// (vals[id*words:(id+1)*words]). Input node words must be set by the
-// caller beforehand; all other node words are overwritten. The program
-// is only read, so concurrent calls with distinct buffers are safe.
-func (p *Program) RunWords(vals []uint64, words int) {
+// RunWords evaluates the given nodes, in the order listed, over the
+// node-major value buffer vals, which holds `words` 64-pattern words per
+// node (vals[id*words:(id+1)*words]). nodes must be topologically
+// ordered, and every fanin of a listed node must either be listed
+// earlier or already hold its words; p.Order evaluates the whole
+// program. Input nodes in the list are skipped: their words are the
+// caller's. The program is only read, so concurrent calls with distinct
+// buffers are safe.
+func (p *Program) RunWords(vals []uint64, words int, nodes []int32) {
 	if words == 1 {
 		// One word per node: direct scalar-word ops, skipping the
 		// per-node subslice machinery that pays off only for wide blocks.
 		// This is the fault simulator's good-value path.
-		p.runWords1(vals)
+		p.runWords1(vals, nodes)
 		return
 	}
 	W := words
-	for _, id32 := range p.Order {
+	for _, id32 := range nodes {
 		id := int(id32)
 		op := p.Ops[id]
 		if op == OpInput {
@@ -30,108 +33,106 @@ func (p *Program) RunWords(vals []uint64, words int) {
 		}
 		dst := vals[id*W : id*W+W]
 		fan := p.Fanins[p.FaninStart[id]:p.FaninStart[id+1]]
-		switch op {
-		case OpConst0:
+		switch {
+		case op == OpConst0 || op == OpConst1:
+			var w uint64
+			if op == OpConst1 {
+				w = ^uint64(0)
+			}
 			for i := range dst {
-				dst[i] = 0
+				dst[i] = w
 			}
-		case OpConst1:
+		case op == OpBuf:
+			copy(dst, vals[int(fan[0])*W:int(fan[0])*W+W])
+		case op == OpNot:
+			a := vals[int(fan[0])*W : int(fan[0])*W+W][:len(dst)]
 			for i := range dst {
-				dst[i] = ^uint64(0)
+				dst[i] = ^a[i]
 			}
-		case OpBuf:
-			src := vals[int(fan[0])*W : int(fan[0])*W+W]
-			copy(dst, src)
-		case OpNot:
-			src := vals[int(fan[0])*W : int(fan[0])*W+W]
-			src = src[:len(dst)]
-			for i := range dst {
-				dst[i] = ^src[i]
-			}
-		case OpAnd, OpNand:
-			a := vals[int(fan[0])*W : int(fan[0])*W+W]
-			if len(fan) == 2 {
-				// Fused two-input form: one pass instead of copy+combine.
-				b := vals[int(fan[1])*W : int(fan[1])*W+W]
-				a, b = a[:len(dst)], b[:len(dst)]
-				if op == OpNand {
-					for i := range dst {
-						dst[i] = ^(a[i] & b[i])
-					}
-				} else {
-					for i := range dst {
-						dst[i] = a[i] & b[i]
-					}
+		case len(fan) == 2:
+			// Fused two-input forms: one pass instead of copy+combine.
+			a := vals[int(fan[0])*W : int(fan[0])*W+W][:len(dst)]
+			b := vals[int(fan[1])*W : int(fan[1])*W+W][:len(dst)]
+			switch op {
+			case OpAnd:
+				for i := range dst {
+					dst[i] = a[i] & b[i]
 				}
-				continue
+			case OpNand:
+				for i := range dst {
+					dst[i] = ^(a[i] & b[i])
+				}
+			case OpOr:
+				for i := range dst {
+					dst[i] = a[i] | b[i]
+				}
+			case OpNor:
+				for i := range dst {
+					dst[i] = ^(a[i] | b[i])
+				}
+			case OpXor:
+				for i := range dst {
+					dst[i] = a[i] ^ b[i]
+				}
+			case OpXnor:
+				for i := range dst {
+					dst[i] = ^(a[i] ^ b[i])
+				}
 			}
-			copy(dst, a)
+		case len(fan) == 3:
+			// Fused three-input forms, the widest gates benchgen emits:
+			// one pass instead of a copy, two combining passes and an
+			// inversion pass.
+			a := vals[int(fan[0])*W : int(fan[0])*W+W][:len(dst)]
+			b := vals[int(fan[1])*W : int(fan[1])*W+W][:len(dst)]
+			c := vals[int(fan[2])*W : int(fan[2])*W+W][:len(dst)]
+			switch op {
+			case OpAnd:
+				for i := range dst {
+					dst[i] = a[i] & b[i] & c[i]
+				}
+			case OpNand:
+				for i := range dst {
+					dst[i] = ^(a[i] & b[i] & c[i])
+				}
+			case OpOr:
+				for i := range dst {
+					dst[i] = a[i] | b[i] | c[i]
+				}
+			case OpNor:
+				for i := range dst {
+					dst[i] = ^(a[i] | b[i] | c[i])
+				}
+			case OpXor:
+				for i := range dst {
+					dst[i] = a[i] ^ b[i] ^ c[i]
+				}
+			case OpXnor:
+				for i := range dst {
+					dst[i] = ^(a[i] ^ b[i] ^ c[i])
+				}
+			}
+		default:
+			// Four or more fanins, which only parsed netlists carry.
+			copy(dst, vals[int(fan[0])*W:int(fan[0])*W+W])
 			for _, f := range fan[1:] {
-				src := vals[int(f)*W : int(f)*W+W]
-				src = src[:len(dst)]
-				for i := range dst {
-					dst[i] &= src[i]
-				}
-			}
-			if op == OpNand {
-				for i := range dst {
-					dst[i] = ^dst[i]
-				}
-			}
-		case OpOr, OpNor:
-			a := vals[int(fan[0])*W : int(fan[0])*W+W]
-			if len(fan) == 2 {
-				b := vals[int(fan[1])*W : int(fan[1])*W+W]
-				a, b = a[:len(dst)], b[:len(dst)]
-				if op == OpNor {
+				src := vals[int(f)*W : int(f)*W+W][:len(dst)]
+				switch op {
+				case OpAnd, OpNand:
 					for i := range dst {
-						dst[i] = ^(a[i] | b[i])
+						dst[i] &= src[i]
 					}
-				} else {
+				case OpOr, OpNor:
 					for i := range dst {
-						dst[i] = a[i] | b[i]
+						dst[i] |= src[i]
+					}
+				case OpXor, OpXnor:
+					for i := range dst {
+						dst[i] ^= src[i]
 					}
 				}
-				continue
 			}
-			copy(dst, a)
-			for _, f := range fan[1:] {
-				src := vals[int(f)*W : int(f)*W+W]
-				src = src[:len(dst)]
-				for i := range dst {
-					dst[i] |= src[i]
-				}
-			}
-			if op == OpNor {
-				for i := range dst {
-					dst[i] = ^dst[i]
-				}
-			}
-		case OpXor, OpXnor:
-			a := vals[int(fan[0])*W : int(fan[0])*W+W]
-			if len(fan) == 2 {
-				b := vals[int(fan[1])*W : int(fan[1])*W+W]
-				a, b = a[:len(dst)], b[:len(dst)]
-				if op == OpXnor {
-					for i := range dst {
-						dst[i] = ^(a[i] ^ b[i])
-					}
-				} else {
-					for i := range dst {
-						dst[i] = a[i] ^ b[i]
-					}
-				}
-				continue
-			}
-			copy(dst, a)
-			for _, f := range fan[1:] {
-				src := vals[int(f)*W : int(f)*W+W]
-				src = src[:len(dst)]
-				for i := range dst {
-					dst[i] ^= src[i]
-				}
-			}
-			if op == OpXnor {
+			if op == OpNand || op == OpNor || op == OpXnor {
 				for i := range dst {
 					dst[i] = ^dst[i]
 				}
@@ -142,8 +143,8 @@ func (p *Program) RunWords(vals []uint64, words int) {
 
 // runWords1 is RunWords for the single-word layout (vals[id] is node id's
 // only word).
-func (p *Program) runWords1(vals []uint64) {
-	for _, id32 := range p.Order {
+func (p *Program) runWords1(vals []uint64, nodes []int32) {
+	for _, id32 := range nodes {
 		id := int(id32)
 		op := p.Ops[id]
 		if op == OpInput {

@@ -502,3 +502,29 @@ func (p *Program) TransitiveFanin(roots ...int) []bool {
 	}
 	return in
 }
+
+// KeyOnly marks the key-only nodes: key inputs, constants, and every
+// gate whose fanins are all key-only. Their values are functions of the
+// key alone, so they are constant under a fixed key; they form the
+// locking scheme's control cone. It is computed on demand in one pass
+// over Order rather than stored, since most programs never ask.
+func (p *Program) KeyOnly() []bool {
+	ko := make([]bool, p.NumNodes())
+	for _, k := range p.Keys {
+		ko[k] = true
+	}
+	for _, id := range p.Order {
+		if p.Ops[id] == OpInput {
+			continue
+		}
+		all := true // also for constants, which have no fanins
+		for _, f := range p.FaninSpan(int(id)) {
+			if !ko[f] {
+				all = false
+				break
+			}
+		}
+		ko[id] = all
+	}
+	return ko
+}

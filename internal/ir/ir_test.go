@@ -202,7 +202,7 @@ func TestEvalAgainstTruth(t *testing.T) {
 			}
 			words[id] = w
 		}
-		p.RunWords(words, 1)
+		p.RunWords(words, 1, p.Order)
 		for i, want := range []bool{w5, w8} {
 			got := words[p.POs[i]]
 			var exp uint64
@@ -324,6 +324,45 @@ func TestTransitiveCones(t *testing.T) {
 			}
 			if !reflect.DeepEqual(p.TransitiveFanin(id), refCone(c, id, fanins)) {
 				t.Fatalf("%s: TransitiveFanin(%d) differs", c.Name, id)
+			}
+		}
+	}
+}
+
+// TestKeyOnly checks the key-only partition against its definition, a
+// node with no primary input in its transitive fanin, on a hand-built
+// control cone over a constant and on the locked designs.
+func TestKeyOnly(t *testing.T) {
+	c := netlist.New("keyonly")
+	a, _ := c.AddInput("a")
+	k0, _ := c.AddKeyInput("keyinput0")
+	k1, _ := c.AddKeyInput("keyinput1")
+	one, _ := c.AddConst(true, "one")
+	inv := c.MustAddGate(netlist.Not, "inv", k0)
+	ctrl := c.MustAddGate(netlist.Nand, "ctrl", inv, k1, one)
+	kg := c.MustAddGate(netlist.Xor, "kg", a, ctrl)
+	mix := c.MustAddGate(netlist.And, "mix", a, one)
+	c.MarkOutput(kg)
+	c.MarkOutput(ctrl)
+	c.MarkOutput(mix)
+	ko := ir.MustCompile(c).KeyOnly()
+	want := map[int]bool{a: false, k0: true, k1: true, one: true, inv: true, ctrl: true, kg: false, mix: false}
+	for id, w := range want {
+		if ko[id] != w {
+			t.Errorf("KeyOnly[%s] = %v, want %v", c.NameOf(id), ko[id], w)
+		}
+	}
+	for _, c := range append([]*netlist.Circuit{testCircuit(t)}, lockedDesigns(t)...) {
+		ko := ir.MustCompile(c).KeyOnly()
+		fanins := func(id int) []int { return c.Gates[id].Fanin }
+		for id := range ko {
+			cone := refCone(c, id, fanins)
+			want := true
+			for _, pi := range c.PIs {
+				want = want && !cone[pi]
+			}
+			if ko[id] != want {
+				t.Fatalf("%s: KeyOnly[%s] = %v, want %v", c.Name, c.NameOf(id), ko[id], want)
 			}
 		}
 	}

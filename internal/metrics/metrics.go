@@ -10,6 +10,15 @@
 // pool; each block draws its patterns from its own deterministic
 // substream of the seed, so the result is bit-identical at any worker
 // count.
+//
+// The kernel splits the locked program by ir.Program.KeyOnly. Key-only
+// nodes (the key inputs and the control cone over them) are constant
+// under a key, so each key evaluates them once per call on one word.
+// Each block then broadcasts the few key-only words that the rest of
+// the circuit reads, runs the correct key over every input-dependent
+// gate, and re-runs each wrong key over the keys' transitive fanout
+// only: the other gates see the same inputs and keep their values. The
+// result is bit-identical to a full evaluation per key.
 package metrics
 
 import (
@@ -22,17 +31,19 @@ import (
 	"orap/internal/sim"
 )
 
+// blockWords is the number of 64-pattern words simulated at once (4096
+// patterns per block). The kernel pays a fixed cost per node visit, so
+// narrower blocks run slower.
+const blockWords = 64
+
 // HDOptions tunes the Hamming-distance measurement.
 type HDOptions struct {
 	// Patterns is the number of pseudorandom input patterns (default
 	// 262144, "a few hundreds of thousands" as in the paper; rounded up
-	// to a multiple of the block size).
+	// to a multiple of the 4096-pattern block).
 	Patterns int
 	// WrongKeys is the number of random wrong keys averaged (default 8).
 	WrongKeys int
-	// BlockWords is the number of 64-pattern words simulated at once
-	// (default 64, i.e. 4096 patterns per block).
-	BlockWords int
 	// Workers bounds the worker pool simulating blocks (0 = all cores,
 	// 1 = serial). The result does not depend on it.
 	Workers int
@@ -50,9 +61,6 @@ func (o *HDOptions) fill() error {
 	if o.WrongKeys <= 0 {
 		o.WrongKeys = 8
 	}
-	if o.BlockWords <= 0 {
-		o.BlockWords = 64
-	}
 	return nil
 }
 
@@ -69,11 +77,113 @@ type HDResult struct {
 	AvgFlippedOutputs float64
 }
 
-// hdWorker is the per-worker scratch of the block fan-out: a private
-// evaluator plus the good-output buffer it compares wrong keys against.
+// hdPlan is the key-only partition of a locked program that every
+// block of one measurement runs over.
+type hdPlan struct {
+	// broadcast lists the key-only nodes that an input-dependent gate
+	// reads or that are primary outputs: the only key-only words a
+	// block needs.
+	broadcast []int32
+	// keyWords[k][i] is broadcast[i]'s word under key k, the correct
+	// key first, then the wrong keys. Each is all zeros or all ones.
+	keyWords [][]uint64
+	// fixed lists, in topological order, the input-dependent gates that
+	// no key input reaches: they take the same values under every key.
+	fixed []int32
+	// fanout lists, in topological order, the input-dependent gates in
+	// the key inputs' transitive fanout, which every key re-runs. No
+	// gate of fixed reads one of them.
+	fanout []int32
+	// outs lists the primary outputs a key input reaches, duplicates
+	// kept; the others cannot differ between keys.
+	outs []int32
+}
+
+// newHDPlan partitions prog and evaluates the key-only nodes once per
+// key on a single word.
+func newHDPlan(prog *ir.Program, keys [][]bool) *hdPlan {
+	n := prog.NumNodes()
+	keyOnly := prog.KeyOnly()
+	reached, read := make([]bool, n), make([]bool, n)
+	for _, k := range prog.Keys {
+		reached[k] = true
+	}
+	for _, po := range prog.POs {
+		read[po] = keyOnly[po]
+	}
+	var cones, fixed, fanout int
+	for _, id := range prog.Order {
+		for _, f := range prog.FaninSpan(int(id)) {
+			reached[id] = reached[id] || reached[f]
+			read[f] = read[f] || keyOnly[f] && !keyOnly[id]
+		}
+		switch {
+		case keyOnly[id]:
+			cones++
+		case prog.Ops[id] == ir.OpInput:
+		case reached[id]:
+			fanout++
+		default:
+			fixed++
+		}
+	}
+	pl := &hdPlan{fixed: make([]int32, 0, fixed), fanout: make([]int32, 0, fanout)}
+	cone := make([]int32, 0, cones)
+	for _, id := range prog.Order {
+		switch {
+		case keyOnly[id]:
+			cone = append(cone, id)
+			if read[id] {
+				pl.broadcast = append(pl.broadcast, id)
+			}
+		case prog.Ops[id] == ir.OpInput:
+		case reached[id]:
+			pl.fanout = append(pl.fanout, id)
+		default:
+			pl.fixed = append(pl.fixed, id)
+		}
+	}
+	for _, po := range prog.POs {
+		if reached[po] {
+			pl.outs = append(pl.outs, po)
+		}
+	}
+
+	one := make([]uint64, n)
+	pl.keyWords = make([][]uint64, len(keys))
+	for k, key := range keys {
+		for i, id := range prog.Keys {
+			one[id] = 0
+			if key[i] {
+				one[id] = ^uint64(0)
+			}
+		}
+		prog.RunWords(one, 1, cone)
+		w := make([]uint64, len(pl.broadcast))
+		for i, id := range pl.broadcast {
+			w[i] = one[id]
+		}
+		pl.keyWords[k] = w
+	}
+	return pl
+}
+
+// setKey writes key k's broadcast words into the block buffer vals.
+func (pl *hdPlan) setKey(vals []uint64, k int) {
+	for i, id := range pl.broadcast {
+		w := pl.keyWords[k][i]
+		dst := vals[int(id)*blockWords : int(id)*blockWords+blockWords]
+		for j := range dst {
+			dst[j] = w
+		}
+	}
+}
+
+// hdWorker is the per-worker scratch of the block fan-out: a node-major
+// block buffer and the correct-key words of pl.outs.
 type hdWorker struct {
-	eval *sim.Parallel
-	good [][]uint64
+	vals []uint64
+	good []uint64
 }
 
 // HammingDistance measures output corruptibility of a locked circuit:
@@ -94,8 +204,8 @@ func HammingDistance(locked *netlist.Circuit, correctKey []bool, opts HDOptions)
 	if locked.NumKeys() == 0 {
 		return HDResult{}, fmt.Errorf("metrics: circuit %q has no key inputs", locked.Name)
 	}
-	// The circuit compiles once; every worker's evaluator shares the
-	// immutable program and owns only its value buffer.
+	// The circuit compiles once; every worker shares the immutable
+	// program and plan and owns only its buffers.
 	prog, err := ir.Compile(locked)
 	if err != nil {
 		return HDResult{}, err
@@ -103,8 +213,9 @@ func HammingDistance(locked *netlist.Circuit, correctKey []bool, opts HDOptions)
 
 	// Draw the wrong keys up front (skipping accidental hits on the
 	// correct key).
-	wrong := make([][]bool, 0, opts.WrongKeys)
-	for len(wrong) < opts.WrongKeys {
+	keys := make([][]bool, 1, 1+opts.WrongKeys)
+	keys[0] = correctKey
+	for len(keys) < 1+opts.WrongKeys {
 		k := make([]bool, len(correctKey))
 		opts.Rand.Bits(k)
 		same := true
@@ -115,11 +226,12 @@ func HammingDistance(locked *netlist.Circuit, correctKey []bool, opts HDOptions)
 			}
 		}
 		if !same {
-			wrong = append(wrong, k)
+			keys = append(keys, k)
 		}
 	}
+	pl := newHDPlan(prog, keys)
 
-	blockPatterns := opts.BlockWords * 64
+	const W, blockPatterns = blockWords, blockWords * 64
 	blocks := (opts.Patterns + blockPatterns - 1) / blockPatterns
 	totalPatterns := blocks * blockPatterns
 	blockRand := opts.Rand.Split(blocks)
@@ -130,33 +242,27 @@ func HammingDistance(locked *netlist.Circuit, correctKey []bool, opts HDOptions)
 	err = par.ForEachWorker(workers, blocks, func(w, b int) error {
 		s := scratch[w]
 		if s == nil {
-			eval, err := sim.ForProgram(prog, opts.BlockWords)
-			if err != nil {
-				return err
-			}
-			s = &hdWorker{eval: eval}
-			s.good = make([][]uint64, locked.NumOutputs())
-			for i := range s.good {
-				s.good[i] = make([]uint64, opts.BlockWords)
+			s = &hdWorker{
+				vals: make([]uint64, prog.NumNodes()*W),
+				good: make([]uint64, len(pl.outs)*W),
 			}
 			scratch[w] = s
 		}
-		s.eval.RandomizeInputs(blockRand[b])
-		if err := s.eval.SetKey(correctKey); err != nil {
-			return err
+		for _, id := range prog.PIs {
+			blockRand[b].Words(s.vals[int(id)*W : int(id)*W+W])
 		}
-		s.eval.Run()
-		for i, id := range locked.POs {
-			copy(s.good[i], s.eval.Value(id))
+		pl.setKey(s.vals, 0)
+		prog.RunWords(s.vals, W, pl.fixed)
+		prog.RunWords(s.vals, W, pl.fanout)
+		for i, id := range pl.outs {
+			copy(s.good[i*W:i*W+W], s.vals[int(id)*W:int(id)*W+W])
 		}
 		var diff int64
-		for _, k := range wrong {
-			if err := s.eval.SetKey(k); err != nil {
-				return err
-			}
-			s.eval.Run()
-			for i, id := range locked.POs {
-				diff += int64(sim.DiffBits(s.eval.Value(id), s.good[i], blockPatterns))
+		for k := 1; k < len(keys); k++ {
+			pl.setKey(s.vals, k)
+			prog.RunWords(s.vals, W, pl.fanout)
+			for i, id := range pl.outs {
+				diff += int64(sim.DiffBits(s.vals[int(id)*W:int(id)*W+W], s.good[i*W:i*W+W], blockPatterns))
 			}
 		}
 		blockDiff[b] = diff
@@ -170,12 +276,12 @@ func HammingDistance(locked *netlist.Circuit, correctKey []bool, opts HDOptions)
 	for _, d := range blockDiff {
 		diffBits += d
 	}
-	totalBits := int64(totalPatterns) * int64(len(wrong)) * int64(locked.NumOutputs())
+	totalBits := int64(totalPatterns) * int64(opts.WrongKeys) * int64(locked.NumOutputs())
 	hd := 100 * float64(diffBits) / float64(totalBits)
 	return HDResult{
 		HDPercent:         hd,
 		Patterns:          totalPatterns,
-		WrongKeys:         len(wrong),
+		WrongKeys:         opts.WrongKeys,
 		AvgFlippedOutputs: hd / 100 * float64(locked.NumOutputs()),
 	}, nil
 }

@@ -1,13 +1,16 @@
 package metrics
 
 import (
+	"fmt"
 	"testing"
 
 	"orap/internal/benchgen"
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/rng"
+	"orap/internal/sim"
 )
 
 func TestHDZeroWhenWrongKeysCannotCorrupt(t *testing.T) {
@@ -117,12 +120,12 @@ func TestHDDeterministic(t *testing.T) {
 func TestHDPatternRounding(t *testing.T) {
 	orig := circuits.RippleAdder(4)
 	l, _ := lock.RandomXOR(orig, 5, rng.New(9))
-	res, err := HammingDistance(l.Circuit, l.Key, HDOptions{Patterns: 100, BlockWords: 2, WrongKeys: 1, Rand: rng.New(10)})
+	res, err := HammingDistance(l.Circuit, l.Key, HDOptions{Patterns: 100, WrongKeys: 1, Rand: rng.New(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Patterns != 128 {
-		t.Fatalf("patterns = %d, want rounded-up 128", res.Patterns)
+	if res.Patterns != 4096 {
+		t.Fatalf("patterns = %d, want rounded-up 4096", res.Patterns)
 	}
 }
 
@@ -146,6 +149,34 @@ func BenchmarkHammingDistanceB20Slice(b *testing.B) {
 	}
 }
 
+// BenchmarkHammingDistanceTableI times the heaviest HD measurement of
+// the perfbench tables workload: the Table I weighted lock of
+// s38417@0.1 at the default 2^18 patterns and 8 wrong keys, on one
+// worker as Table I's rows run it.
+func BenchmarkHammingDistanceTableI(b *testing.B) {
+	prof, err := benchgen.ProfileByName("s38417")
+	if err != nil {
+		b.Fatal(err)
+	}
+	scaled := prof.Scale(0.1)
+	circuit, err := benchgen.Generate(scaled, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := lock.Weighted(circuit, lock.WeightedOptions{
+		KeyBits: scaled.LFSRSize, ControlWidth: scaled.CtrlInputs, Rand: rng.New(2),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := HammingDistance(l.Circuit, l.Key, HDOptions{Workers: 1, Rand: rng.New(3)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestHDWorkerCountInvariance(t *testing.T) {
 	// The tentpole regression guard: the measurement must be bit-identical
 	// at any worker count, because every block draws from its own
@@ -157,7 +188,7 @@ func TestHDWorkerCountInvariance(t *testing.T) {
 	}
 	run := func(workers int) HDResult {
 		res, err := HammingDistance(l.Circuit, l.Key, HDOptions{
-			Patterns: 1 << 12, WrongKeys: 4, BlockWords: 4,
+			Patterns: 1 << 15, WrongKeys: 4,
 			Workers: workers, Rand: rng.New(32),
 		})
 		if err != nil {
@@ -170,5 +201,177 @@ func TestHDWorkerCountInvariance(t *testing.T) {
 		if got := run(w); got != serial {
 			t.Fatalf("Workers=%d result %+v differs from serial %+v", w, got, serial)
 		}
+	}
+}
+
+// referenceHD is the measurement without the key-only partition: for
+// every block, SetKey and a full Run of the whole program under the
+// correct key and under each wrong key. It draws the wrong keys and
+// splits the pattern substreams exactly as HammingDistance does, and
+// runs the blocks serially.
+func referenceHD(locked *netlist.Circuit, correctKey []bool, opts HDOptions) (HDResult, error) {
+	if err := opts.fill(); err != nil {
+		return HDResult{}, err
+	}
+	prog, err := ir.Compile(locked)
+	if err != nil {
+		return HDResult{}, err
+	}
+	var wrong [][]bool
+	for len(wrong) < opts.WrongKeys {
+		k := make([]bool, len(correctKey))
+		opts.Rand.Bits(k)
+		for i := range k {
+			if k[i] != correctKey[i] {
+				wrong = append(wrong, k)
+				break
+			}
+		}
+	}
+	const blockPatterns = blockWords * 64
+	blocks := (opts.Patterns + blockPatterns - 1) / blockPatterns
+	blockRand := opts.Rand.Split(blocks)
+	eval, err := sim.ForProgram(prog, blockWords)
+	if err != nil {
+		return HDResult{}, err
+	}
+	good := make([][]uint64, locked.NumOutputs())
+	var diff int64
+	for b := 0; b < blocks; b++ {
+		eval.RandomizeInputs(blockRand[b])
+		if err := eval.SetKey(correctKey); err != nil {
+			return HDResult{}, err
+		}
+		eval.Run()
+		for i, id := range locked.POs {
+			good[i] = append(good[i][:0], eval.Value(id)...)
+		}
+		for _, k := range wrong {
+			if err := eval.SetKey(k); err != nil {
+				return HDResult{}, err
+			}
+			eval.Run()
+			for i, id := range locked.POs {
+				diff += int64(sim.DiffBits(eval.Value(id), good[i], blockPatterns))
+			}
+		}
+	}
+	total := int64(blocks*blockPatterns) * int64(len(wrong)) * int64(locked.NumOutputs())
+	hd := 100 * float64(diff) / float64(total)
+	return HDResult{
+		HDPercent:         hd,
+		Patterns:          blocks * blockPatterns,
+		WrongKeys:         len(wrong),
+		AvgFlippedOutputs: hd / 100 * float64(locked.NumOutputs()),
+	}, nil
+}
+
+// hdCase is one locked circuit of the reference comparison.
+type hdCase struct {
+	name string
+	c    *netlist.Circuit
+	key  []bool
+}
+
+// hdEdgeCases builds small two-key-bit circuits whose key-only partition
+// has an unusual shape.
+func hdEdgeCases() []hdCase {
+	var cases []hdCase
+	build := func(name string, body func(c *netlist.Circuit, a, b, k0, k1 int)) {
+		c := netlist.New(name)
+		a, _ := c.AddInput("a")
+		b, _ := c.AddInput("b")
+		k0, _ := c.AddKeyInput("keyinput0")
+		k1, _ := c.AddKeyInput("keyinput1")
+		body(c, a, b, k0, k1)
+		cases = append(cases, hdCase{name, c, []bool{true, false}})
+	}
+	build("key-to-output", func(c *netlist.Circuit, a, b, k0, k1 int) {
+		c.MarkOutput(k0)
+		c.MarkOutput(c.MustAddGate(netlist.Xor, "y", a, k1))
+		c.MarkOutput(c.MustAddGate(netlist.And, "z", a, b))
+	})
+	build("key-only-output", func(c *netlist.Circuit, a, b, k0, k1 int) {
+		ctrl := c.MustAddGate(netlist.Nand, "ctrl", k0, k1)
+		c.MarkOutput(ctrl)
+		c.MarkOutput(c.MustAddGate(netlist.Xnor, "y", a, ctrl))
+		c.MarkOutput(c.MustAddGate(netlist.Or, "z", b, ctrl))
+		c.MarkOutput(ctrl)
+	})
+	build("const-in-key-cone", func(c *netlist.Circuit, a, b, k0, k1 int) {
+		one, _ := c.AddConst(true, "one")
+		zero, _ := c.AddConst(false, "zero")
+		ctrl := c.MustAddGate(netlist.And, "ctrl", k0, one, k1)
+		dead := c.MustAddGate(netlist.Or, "dead", k0, zero)
+		c.MarkOutput(c.MustAddGate(netlist.Xor, "y", a, ctrl))
+		c.MarkOutput(c.MustAddGate(netlist.Nor, "z", b, dead, zero))
+		c.MarkOutput(one)
+	})
+	build("wide-gate-in-fanout", func(c *netlist.Circuit, a, b, k0, k1 int) {
+		d, _ := c.AddInput("d")
+		kg := c.MustAddGate(netlist.Xor, "kg", d, k0)
+		w := c.MustAddGate(netlist.Nand, "w", a, b, kg, k1)
+		c.MarkOutput(c.MustAddGate(netlist.Xnor, "y", w, a, b, d))
+		c.MarkOutput(c.MustAddGate(netlist.Nor, "z", kg, a, b, d, k1))
+	})
+	build("input-to-output", func(c *netlist.Circuit, a, b, k0, k1 int) {
+		c.MarkOutput(a)
+		c.MarkOutput(c.MustAddGate(netlist.Xor, "y", b, c.MustAddGate(netlist.Or, "ctrl", k0, k1)))
+		c.MarkOutput(a)
+	})
+	return cases
+}
+
+// TestHDMatchesReference checks the key-only kernel against the full
+// evaluation per key, field for field, at one and two workers, on the
+// five locking schemes (weighted at control widths 1, 3 and 5) and on
+// hand-built partition shapes.
+func TestHDMatchesReference(t *testing.T) {
+	prof, err := benchgen.ProfileByName("b20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := benchgen.Generate(prof.Scale(0.01), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []hdCase
+	add := func(name string, l *lock.Locked, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cases = append(cases, hdCase{name, l.Circuit, l.Key})
+	}
+	for _, w := range []int{1, 3, 5} {
+		l, err := lock.Weighted(base, lock.WeightedOptions{KeyBits: 15, ControlWidth: w, Rand: rng.New(uint64(w))})
+		add(fmt.Sprintf("weighted-w%d", w), l, err)
+	}
+	l, err := lock.RandomXOR(base, 12, rng.New(6))
+	add("randomxor", l, err)
+	l, err = lock.SARLock(base, 6, rng.New(7))
+	add("sarlock", l, err)
+	l, err = lock.AntiSAT(base, 4, rng.New(8))
+	add("antisat", l, err)
+	l, err = lock.TTLock(base, 6, rng.New(9))
+	add("ttlock", l, err)
+	for _, tc := range append(cases, hdEdgeCases()...) {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := func(workers int) HDOptions {
+				return HDOptions{Patterns: 3 * blockWords * 64, WrongKeys: 5, Workers: workers, Rand: rng.New(11)}
+			}
+			want, err := referenceHD(tc.c, tc.key, opts(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				got, err := HammingDistance(tc.c, tc.key, opts(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("Workers=%d: %+v, reference %+v", workers, got, want)
+				}
+			}
+		})
 	}
 }

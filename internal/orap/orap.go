@@ -79,6 +79,18 @@ func Protect(core *netlist.Circuit, key []bool, realPIs, realPOs int, protection
 	if len(key) != n {
 		return scan.Config{}, fmt.Errorf("orap: key width %d != core %d", len(key), n)
 	}
+	// The unprotected chip of the same core checks the pin split before
+	// either synthesis indexes flip-flops by it.
+	plain := scan.Config{
+		Core:       core,
+		RealPIs:    realPIs,
+		RealPOs:    realPOs,
+		Protection: scan.None,
+		Key:        append([]bool(nil), key...),
+	}
+	if err := plain.Validate(); err != nil {
+		return scan.Config{}, err
+	}
 	if protection != scan.None {
 		// A cleared key register presents the all-zero key to the core;
 		// if that were the correct key, the chip would answer correctly
@@ -99,13 +111,7 @@ func Protect(core *netlist.Circuit, key []bool, realPIs, realPOs int, protection
 	case scan.OraPModified:
 		return synthesizeModified(core, key, realPIs, realPOs, opts)
 	case scan.None:
-		return scan.Config{
-			Core:       core,
-			RealPIs:    realPIs,
-			RealPOs:    realPOs,
-			Protection: scan.None,
-			Key:        append([]bool(nil), key...),
-		}, nil
+		return plain, nil
 	}
 	return scan.Config{}, fmt.Errorf("orap: unknown protection %v", protection)
 }

@@ -187,6 +187,31 @@ func TestProtectModifiedRejectsUnsupportedLayouts(t *testing.T) {
 	}
 }
 
+// TestProtectRejectsBadPinSplit checks that both schemes name a pin
+// split the core cannot have, as the unprotected chip does, before
+// their synthesis indexes flip-flops by it.
+func TestProtectRejectsBadPinSplit(t *testing.T) {
+	_, l := lockedAdder(t, 17, 12) // 9 inputs, 5 outputs
+	cases := []struct {
+		pins, pinOuts int
+		want          string
+	}{
+		{5, 2, "scan: 4 FF outputs vs 3 FF inputs"},
+		{5, 0, "scan: 4 FF outputs vs 5 FF inputs"},
+		{5, 9, "scan: RealPOs 9 out of range"},
+		{12, 1, "scan: RealPIs 12 out of range"},
+		{-1, 1, "scan: RealPIs -1 out of range"},
+	}
+	for _, prot := range []scan.Protection{scan.OraPBasic, scan.OraPModified, scan.None} {
+		for _, tc := range cases {
+			_, err := Protect(l.Circuit, l.Key, tc.pins, tc.pinOuts, prot, Options{Rand: rng.New(18)})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%v with %d pins, %d pin outputs: err = %v, want %q", prot, tc.pins, tc.pinOuts, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestRegisterOverheadAccounting(t *testing.T) {
 	cfg := lfsrConfig(256)
 	ov := RegisterOverhead(cfg)

@@ -2,9 +2,10 @@
 //
 // The workhorse is the 64-way bit-parallel simulator: every node carries a
 // vector of 64-bit words, so one pass over the netlist evaluates 64 input
-// patterns per word. This is the engine behind the Hamming-distance
-// corruptibility measurements of Table I (hundreds of thousands of
-// pseudorandom patterns), the fault simulator, and the attack oracles.
+// patterns per word. This is the engine behind the fault simulator and
+// the attack oracles. The Hamming-distance measurement of Table I runs
+// the same ir kernel on its own buffer, over a subset of the nodes per
+// key (internal/metrics), and counts differences with DiffBits.
 //
 // All evaluation runs over the compiled circuit IR (internal/ir): an
 // evaluator is built over an ir.Program and walks its flat opcode/fanin
@@ -74,7 +75,7 @@ func (p *Parallel) SetInputConst(id int, v bool) {
 // Run evaluates every gate in topological order. Input node values must
 // have been set beforehand; values of non-input nodes are overwritten.
 func (p *Parallel) Run() {
-	p.prog.RunWords(p.vals, p.words)
+	p.prog.RunWords(p.vals, p.words, p.prog.Order)
 }
 
 // RandomizeInputs fills every primary input with pseudo-random patterns
