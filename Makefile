@@ -81,18 +81,21 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'Serial|Parallel' -benchtime 3x .
 
 # One-iteration compile-and-run pass over the SAT-engine, ATPG, dataflow,
-# BDD, Hamming-distance and vet benchmarks: the SAT attack on the cone-of-influence miter
+# BDD, audit, Hamming-distance and vet benchmarks: the SAT attack on the cone-of-influence miter
 # (a 10-bit weighted lock's few hard solves, and an 8-bit SARLock's 255
 # easy incremental ones), the key equivalence check under correct and wrong keys, the propagation
 # microbench, the SAT-ATPG campaign on the tables workload's costliest
-# locked designs, the five-domain fixpoint sweep (the pair domain once
+# locked designs, the four-domain fixpoint sweep (the pair domain once
 # per 64-key slice, as the audit runs it), a BDD cone compile and the
 # exact audit (one compile per cone group, fallbacks must stay 0), the
+# structural audit of the weighted-locked b19@0.05 (its 8,914 findings
+# pinned, the one large report sort), the
 # Hamming-distance kernel on Table I's s38417@0.1 lock, and a full
 # secret-flow analysis of the orapvet fixture module. Catches benchmark
 # bit-rot in CI without paying for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SATAttack|VerifyKey|SolverPropagate|ATPG|Dataflow|BDDCompile|ExactCorrupt|HammingDistanceTableI|VetModule' -benchtime 1x ./internal/attack ./internal/sat ./internal/atpg ./internal/dataflow ./internal/bdd ./internal/audit ./internal/metrics ./internal/vet
+	$(GO) test -run '^$$' -bench '^BenchmarkAudit$$' -benchtime 1x .
 
 # Machine-readable oracle-channel benchmarks: a 64-lane scan-protocol
 # batch, a fully memoised session batch, disagreement sampling and a full

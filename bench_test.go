@@ -176,11 +176,17 @@ func benchmarkFaultSim(b *testing.B, workers int) {
 func BenchmarkFaultSimSerial(b *testing.B)   { benchmarkFaultSim(b, 1) }
 func BenchmarkFaultSimParallel(b *testing.B) { benchmarkFaultSim(b, 0) }
 
+// auditFindings is BenchmarkAudit's finding count on b19@0.05: 8,706 of
+// them are testability-bound infos, so the benchmark is also the one
+// that sorts a large report.
+const auditFindings = 8914
+
 // BenchmarkAudit measures the full security analyzer (removability
 // constant propagation, 64 key bits per sweep, fingerprint classification,
-// corruptibility cones) on the largest generated circuit, locked the
-// way Table I locks it. Reported metric: findings per run, pinned so a
-// rule regression shows up next to a timing one.
+// corruptibility cones, the canonical report sort) on the largest
+// generated circuit, locked the way Table I locks it. Reported metric:
+// findings per run, pinned to auditFindings so a rule regression fails
+// the benchmark next to a timing one.
 func BenchmarkAudit(b *testing.B) {
 	prof, err := benchgen.ProfileByName("b19")
 	if err != nil {
@@ -208,6 +214,9 @@ func BenchmarkAudit(b *testing.B) {
 		rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{})
 		if rep.HasErrors() {
 			b.Fatalf("audit errors on the weighted-locked benchmark:\n%s", rep)
+		}
+		if n := len(rep.Findings); n != auditFindings {
+			b.Fatalf("%d findings on the weighted-locked benchmark, want %d", n, auditFindings)
 		}
 		b.ReportMetric(float64(len(rep.Findings)), "findings")
 	}

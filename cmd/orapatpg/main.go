@@ -37,6 +37,10 @@ func main() {
 		wall         = flag.Bool("Wall", false, "print warning- and info-level netlist diagnostics")
 	)
 	flag.Parse()
+	if !(*scale > 0 && *scale <= 1) {
+		fmt.Fprintf(os.Stderr, "orapatpg: -scale must be in (0, 1], got %v\n", *scale)
+		os.Exit(2)
+	}
 	if *randomBlocks < 0 {
 		fmt.Fprintf(os.Stderr, "orapatpg: -randblocks must not be negative, got %d\n", *randomBlocks)
 		os.Exit(2)

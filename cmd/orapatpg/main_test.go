@@ -51,3 +51,14 @@ func TestRandBlocks(t *testing.T) {
 		t.Errorf("-randblocks 0: stdout lacks an empty random phase and a coverage line:\n%s", out)
 	}
 }
+
+// A -scale outside (0, 1] is a usage error naming the flag and the
+// range, not a generated profile at another scale.
+func TestScaleRange(t *testing.T) {
+	for _, v := range []string{"0", "-1", "2"} {
+		code, out, errOut := orapatpg(t, "-gen", "b20", "-scale", v)
+		if code != 2 || out != "" || !strings.Contains(errOut, "-scale") || !strings.Contains(errOut, "(0, 1]") {
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want exit 2 naming the flag and its range", v, code, out, errOut)
+		}
+	}
+}

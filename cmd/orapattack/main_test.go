@@ -135,3 +135,17 @@ func TestUnknownNames(t *testing.T) {
 		}
 	}
 }
+
+// TestNumericFlags passes an iteration budget below 1 and pin counts
+// below -1. The command must refuse them as usage errors naming the
+// flag, instead of attacking with the 10,000-round default or with
+// every input and output a pin.
+func TestNumericFlags(t *testing.T) {
+	orig, locked, key := writeLockedB20(t, t.TempDir())
+	for _, c := range [][2]string{{"maxiter", "0"}, {"maxiter", "-3"}, {"pins", "-2"}, {"pinouts", "-5"}} {
+		code, out, errOut := orapattack(t, "-locked", locked, "-orig", orig, "-oracle", "scan", "-key", key, "-"+c[0], c[1])
+		if code != 2 || out != "" || !strings.Contains(errOut, "-"+c[0]+" must") {
+			t.Errorf("-%s %s: exit %d, want 2 with empty stdout and the flag named on stderr\nstdout:\n%s\nstderr:\n%s", c[0], c[1], code, out, errOut)
+		}
+	}
+}

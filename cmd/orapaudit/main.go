@@ -171,6 +171,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return exitInternal
 	}
+	if *minCorrupt < 0 {
+		fmt.Fprintf(stderr, "orapaudit: -min-corrupt must not be negative, got %d\n", *minCorrupt)
+		return exitInternal
+	}
+	if *bddBudget < 0 {
+		fmt.Fprintf(stderr, "orapaudit: -bdd-budget must not be negative, got %d\n", *bddBudget)
+		return exitInternal
+	}
 	if *sweep {
 		return runSweep(stdout, stderr)
 	}

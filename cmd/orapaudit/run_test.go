@@ -120,6 +120,18 @@ func TestMinCorruptFlag(t *testing.T) {
 	}
 }
 
+// A negative -min-corrupt or -bdd-budget is a usage error naming the
+// flag, not a silent fall back to the default.
+func TestNegativeFlags(t *testing.T) {
+	for _, flag := range []string{"-min-corrupt", "-bdd-budget"} {
+		code, out, errOut := runCase(t, "-exact", flag, "-1", "testdata/warn.bench")
+		if code != exitInternal || out != "" || !strings.Contains(errOut, flag) {
+			t.Errorf("%s -1: exit %d, stdout %q, stderr %q; want exit %d naming the flag",
+				flag, code, out, errOut, exitInternal)
+		}
+	}
+}
+
 // -exact swaps the structural bounds for model-counted verdicts:
 // warn.bench's single key bit feeds an output XOR, so the exact
 // backend proves the leak as a tautology, counts the corrupting

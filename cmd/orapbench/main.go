@@ -55,6 +55,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "orapbench: unknown table %q; valid tables: %s\n", *table, strings.Join(tables, ", "))
 		os.Exit(2)
 	}
+	if !(*scale > 0 && *scale <= 1) {
+		fmt.Fprintf(os.Stderr, "orapbench: -scale must be in (0, 1], got %v\n", *scale)
+		os.Exit(2)
+	}
 	scaleExplicit := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "scale" {

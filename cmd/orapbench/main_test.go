@@ -51,3 +51,20 @@ func TestUnknownTable(t *testing.T) {
 		t.Errorf("stderr = %q, want the bad name and the valid tables", errOut)
 	}
 }
+
+// A -scale outside (0, 1] is a usage error naming the flag and the
+// range, for the tables and the preflight alike; Table I and II would
+// otherwise run at paper scale.
+func TestScaleRange(t *testing.T) {
+	for _, args := range [][]string{
+		{"-table", "1", "-circuits", "s38417", "-scale", "0"},
+		{"-table", "2", "-circuits", "s38417", "-scale", "-1"},
+		{"-table", "1", "-circuits", "s38417", "-scale", "2"},
+		{"-check", "-circuits", "b20", "-scale", "0"},
+	} {
+		code, out, errOut := orapbench(t, args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, "-scale") || !strings.Contains(errOut, "(0, 1]") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming the flag and its range", args, code, out, errOut)
+		}
+	}
+}

@@ -59,11 +59,11 @@ func preflight(names []string, scale float64, seed uint64, doAudit bool, stdout,
 		rep := check.Circuit(c)
 		fmt.Fprint(stdout, rep.String())
 		fmt.Fprintf(stdout, "%-8s %d diagnostics, %d errors\n",
-			name, len(rep.Diags), len(rep.Errors()))
+			name, len(rep.Findings), len(rep.Errors()))
 		switch {
 		case rep.HasErrors():
 			raise(exitErrors)
-		case len(rep.Diags) > 0:
+		case len(rep.Findings) > 0:
 			raise(exitWarnings)
 		}
 		if !doAudit || rep.HasErrors() {

@@ -106,7 +106,7 @@ func (g *AIG) and(a, b Lit) Lit {
 		return mkLit(id, false)
 	}
 	id := len(g.nodes)
-	lv := max32(g.levelOf(a), g.levelOf(b)) + 1
+	lv := max(g.levelOf(a), g.levelOf(b)) + 1
 	g.nodes = append(g.nodes, node{f0: a, f1: b, level: lv})
 	g.strash[key] = id
 	return mkLit(id, false)
@@ -138,13 +138,6 @@ func (g *AIG) xor(a, b Lit) Lit {
 
 func (g *AIG) levelOf(l Lit) int32 {
 	return g.nodes[l.node()].level
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // levels returns the maximum AND level over the primary outputs — the

@@ -71,7 +71,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"orap/internal/check"
@@ -133,46 +132,20 @@ const (
 	RefOraP = "OraP DATE'20"
 )
 
-// Finding is one audit result: the rule that fired, its severity, the
-// key bit and/or node it is anchored to, and the attack-literature
-// reference explaining who exploits the weakness.
-type Finding struct {
-	Rule string
-	Sev  check.Severity
-	// KeyBit is the key-bit index the finding concerns, -1 when the
-	// finding is not tied to a specific key bit.
-	KeyBit int
-	// Node is the offending node ID, -1 when not tied to a node.
-	Node int
-	// Name and Line locate Node in the source netlist when known.
-	Name string
-	Line int
-	Msg  string
-	// Ref cites the attack paper or scheme section that exploits the
-	// flagged weakness.
-	Ref string
+// catalog lists the netlist rules in catalog order, the primary key of
+// the canonical report sort. Oracle-path rules never mix with netlist
+// findings in one report, and Oracle does not sort, so they need no
+// place.
+var catalog = []string{
+	RuleKeyRemovable, RuleKeyFingerprint, RuleLowCorruptibility,
+	RuleKeyLeak, RuleTestabilityBound, RuleKeyEquivalence,
 }
 
-// String renders the finding as "line 12: error[key-removable]: message
-// (ref: arXiv:2301.04400)".
-func (f Finding) String() string {
-	var b strings.Builder
-	if f.Line > 0 {
-		fmt.Fprintf(&b, "line %d: ", f.Line)
-	}
-	fmt.Fprintf(&b, "%s[%s]: %s", f.Sev, f.Rule, f.Msg)
-	if f.Ref != "" {
-		fmt.Fprintf(&b, " (ref: %s)", f.Ref)
-	}
-	return b.String()
-}
-
-// Report is the outcome of auditing one design or chip configuration.
+// Report is the outcome of auditing one design or chip configuration:
+// check's findings core (the circuit name, the findings in canonical
+// order and the helpers over them) plus the audit's summaries.
 type Report struct {
-	// Circuit is the audited circuit's name.
-	Circuit string
-	// Findings holds every finding, grouped by rule in catalog order.
-	Findings []Finding
+	check.Report
 	// NominalEntropy and EffectiveEntropy are the LFSR width and the
 	// GF(2) rank of its memory-seed transfer matrix; both zero for
 	// netlist-only audits and for unprotected configurations.
@@ -184,96 +157,9 @@ type Report struct {
 	Exact *ExactResult
 }
 
-func (r *Report) add(f Finding) { r.Findings = append(r.Findings, f) }
-
-// ruleRank orders the netlist rules in catalog order for the canonical
-// report sort. Oracle-path rules never mix with netlist findings in one
-// report, so they need no rank.
-var ruleRank = map[string]int{
-	RuleKeyRemovable:      0,
-	RuleKeyFingerprint:    1,
-	RuleLowCorruptibility: 2,
-	RuleKeyLeak:           3,
-	RuleTestabilityBound:  4,
-	RuleKeyEquivalence:    5,
-}
-
-// sort puts the findings in the canonical order: rule in catalog order,
-// then node ID, then key bit. The stable sort keeps the per-rule
-// emission order for findings sharing all three keys.
-func (r *Report) sort() {
-	sort.SliceStable(r.Findings, func(i, j int) bool {
-		a, b := r.Findings[i], r.Findings[j]
-		if ra, rb := ruleRank[a.Rule], ruleRank[b.Rule]; ra != rb {
-			return ra < rb
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.KeyBit < b.KeyBit
-	})
-}
-
-// HasErrors reports whether any finding has error severity.
-func (r *Report) HasErrors() bool {
-	for _, f := range r.Findings {
-		if f.Sev == check.Error {
-			return true
-		}
-	}
-	return false
-}
-
-// Errors returns the error-severity findings.
-func (r *Report) Errors() []Finding { return r.atLeast(check.Error) }
-
-// atLeast returns the findings with severity >= min.
-func (r *Report) atLeast(min check.Severity) []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Sev >= min {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// ByRule returns the findings produced by the given rule.
-func (r *Report) ByRule(rule string) []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Rule == rule {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Counts returns the number of error-, warning- and info-severity
-// findings.
-func (r *Report) Counts() (errors, warnings, infos int) {
-	for _, f := range r.Findings {
-		switch f.Sev {
-		case check.Error:
-			errors++
-		case check.Warning:
-			warnings++
-		default:
-			infos++
-		}
-	}
-	return
-}
-
 // String renders the report one finding per line, prefixed with the
 // circuit name, followed by the Trailer.
-func (r *Report) String() string {
-	var b strings.Builder
-	for _, f := range r.Findings {
-		fmt.Fprintf(&b, "%s: %s\n", r.Circuit, f)
-	}
-	return b.String() + r.Trailer()
-}
+func (r *Report) String() string { return r.Report.String() + r.Trailer() }
 
 // Trailer renders the summary lines String prints after the findings:
 // the entropy summary and the exact backend's telemetry, each when
@@ -317,7 +203,7 @@ type Options struct {
 // structural rules, so a structurally unsound circuit never reaches the
 // audit. Unlocked circuits (no key inputs) produce an empty report.
 func AnalyzeProgram(prog *ir.Program, c *netlist.Circuit, opts Options) *Report {
-	rep := &Report{Circuit: c.Name}
+	rep := &Report{Report: check.Report{Circuit: c.Name}}
 	if prog.NumKeys() == 0 {
 		return rep
 	}
@@ -333,23 +219,6 @@ func AnalyzeProgram(prog *ir.Program, c *netlist.Circuit, opts Options) *Report 
 	corruptibility(e, c, rep, opts, inert, ex)
 	keyLeaks(e, c, rep, ex)
 	testabilityBound(e, c, rep)
-	rep.sort()
+	rep.Sort(catalog)
 	return rep
-}
-
-// finding builds a node-anchored finding, resolving name and line.
-func finding(c *netlist.Circuit, rule string, sev check.Severity, keyBit, id int, ref, format string, args ...interface{}) Finding {
-	f := Finding{
-		Rule:   rule,
-		Sev:    sev,
-		KeyBit: keyBit,
-		Node:   id,
-		Msg:    fmt.Sprintf(format, args...),
-		Ref:    ref,
-	}
-	if id >= 0 && id < c.NumNodes() {
-		f.Name = c.NameOf(id)
-		f.Line = c.SrcLine(id)
-	}
-	return f
 }

@@ -53,16 +53,16 @@ func corruptibility(e *engine, c *netlist.Circuit, rep *Report, opts Options, in
 			if b.SensPOs >= thr {
 				continue
 			}
-			rep.add(finding(c, RuleLowCorruptibility, check.Warning, kb, int(kid), RefOraP,
+			rep.Add(c, RuleLowCorruptibility, check.Warning, kb, int(kid), RefOraP,
 				"key bit %d (%q) corrupts exactly %d of %d primary outputs (structural cone bound %d, threshold %d); a wrong guess flips some output for %.3g%% of (input, key) pairs — low output corruptibility is what approximate attacks exploit",
-				kb, c.NameOf(int(kid)), b.SensPOs, nPO, covered, thr, 100*b.Rate))
+				kb, c.NameOf(int(kid)), b.SensPOs, nPO, covered, thr, 100*b.Rate)
 			continue
 		}
 		if covered >= thr {
 			continue
 		}
-		rep.add(finding(c, RuleLowCorruptibility, check.Warning, kb, int(kid), RefOraP,
+		rep.Add(c, RuleLowCorruptibility, check.Warning, kb, int(kid), RefOraP,
 			"key bit %d (%q) can corrupt at most %d of %d primary outputs (threshold %d); low output corruptibility is what approximate attacks exploit",
-			kb, c.NameOf(int(kid)), covered, nPO, thr))
+			kb, c.NameOf(int(kid)), covered, nPO, thr)
 	}
 }

@@ -321,9 +321,9 @@ func exactRemovability(p *ir.Program, c *netlist.Circuit, rep *Report, ex *Exact
 			continue
 		}
 		inert[kb] = true
-		rep.add(finding(c, RuleKeyRemovable, check.Error, kb, int(kid), RefResynthesis,
+		rep.Add(c, RuleKeyRemovable, check.Error, kb, int(kid), RefResynthesis,
 			"exact model count: no (input, key) pair flips any primary output when key bit %d (%q) flips; the bit's key logic is removable even though constant propagation cannot prove it",
-			kb, c.NameOf(int(kid))))
+			kb, c.NameOf(int(kid)))
 	}
 }
 
@@ -386,7 +386,7 @@ func KeyEquivalence(locked, original *netlist.Circuit, key []bool, opts ExactOpt
 		cpl.BindConst(kid, key[kb])
 	}
 
-	rep := &Report{Circuit: locked.Name}
+	rep := &Report{Report: check.Report{Circuit: locked.Name}}
 	for j := range lp.POs {
 		fl, err := cpl.Compile(lp.POs[j])
 		if err != nil {
@@ -418,10 +418,10 @@ func KeyEquivalence(locked, original *netlist.Circuit, key []bool, opts ExactOpt
 				pat[i] = '-'
 			}
 		}
-		rep.add(finding(locked, RuleKeyEquivalence, check.Error, -1, int(lp.POs[j]), RefOraP,
+		rep.Add(locked, RuleKeyEquivalence, check.Error, -1, int(lp.POs[j]), RefOraP,
 			"primary output %q disagrees with the original for %v of %v input patterns under the stored key (witness %s over the PIs in declaration order); the lock transform corrupted the design",
-			locked.NameOf(int(lp.POs[j])), cnt, new(big.Int).Lsh(big.NewInt(1), uint(len(lp.PIs))), pat))
+			locked.NameOf(int(lp.POs[j])), cnt, new(big.Int).Lsh(big.NewInt(1), uint(len(lp.PIs))), pat)
 	}
-	rep.sort()
+	rep.Sort(catalog)
 	return rep, nil
 }

@@ -82,20 +82,20 @@ func fingerprints(p *ir.Program, c *netlist.Circuit, rep *Report) {
 
 		switch {
 		case pointfuncAt >= 0:
-			rep.add(finding(c, RuleKeyFingerprint, check.Warning, kb, pointfuncAt, RefTopology,
+			rep.Add(c, RuleKeyFingerprint, check.Warning, kb, pointfuncAt, RefTopology,
 				"key input %q feeds a %v comparator against primary input %q (point-function shape, SARLock/Anti-SAT/TTLock lineage); the unit is bypassable once located — anonymity set: %d of %d gates share its shape",
 				c.NameOf(int(kid)), p.Ops[pointfuncAt], c.NameOf(pointfuncPI),
-				shapes[shapeOf(p, pointfuncAt)], total))
+				shapes[shapeOf(p, pointfuncAt)], total)
 		case allXor:
 			g := fos[0]
-			rep.add(finding(c, RuleKeyFingerprint, check.Warning, kb, g, RefTopology,
+			rep.Add(c, RuleKeyFingerprint, check.Warning, kb, g, RefTopology,
 				"key input %q splices %d %v key gate(s) directly into the netlist (EPIC-style); topology-guided attacks locate and strip it — anonymity set: %d of %d gates share its shape",
-				c.NameOf(int(kid)), len(fos), p.Ops[g], shapes[shapeOf(p, g)], total))
+				c.NameOf(int(kid)), len(fos), p.Ops[g], shapes[shapeOf(p, g)], total)
 		case allCtrl:
 			g := fos[0]
-			rep.add(finding(c, RuleKeyFingerprint, check.Info, kb, g, RefTopology,
+			rep.Add(c, RuleKeyFingerprint, check.Info, kb, g, RefTopology,
 				"key input %q enters a weighted-locking control cone (%v over key material only); diffuse fingerprint — anonymity set: %d of %d gates share the entry gate's shape",
-				c.NameOf(int(kid)), p.Ops[g], shapes[shapeOf(p, g)], total))
+				c.NameOf(int(kid)), p.Ops[g], shapes[shapeOf(p, g)], total)
 		}
 	}
 }

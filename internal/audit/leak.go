@@ -52,16 +52,16 @@ func keyLeaks(e *engine, c *netlist.Circuit, rep *Report, ex *ExactResult) {
 		if ex != nil && ex.Bits[kb].OK {
 			b := &ex.Bits[kb]
 			for _, o := range b.LeakPOs {
-				rep.add(finding(c, RuleKeyLeak, check.Warning, kb, int(o), RefOraP,
+				rep.Add(c, RuleKeyLeak, check.Warning, kb, int(o), RefOraP,
 					"key bit %d (%q) is linearly separable at primary output %q: exact symbolic proof that the output flips with the bit for every (input, key) pair, so one scan capture of the activated chip reveals it (%v of %v input patterns distinguish the bit)",
-					kb, c.NameOf(int(kid)), c.NameOf(int(o)), b.DistInputs, ex.piSpace()))
+					kb, c.NameOf(int(kid)), c.NameOf(int(o)), b.DistInputs, ex.piSpace())
 			}
 			continue
 		}
 		for _, o := range e.leaks[kb] {
-			rep.add(finding(c, RuleKeyLeak, check.Warning, kb, int(o), RefOraP,
+			rep.Add(c, RuleKeyLeak, check.Warning, kb, int(o), RefOraP,
 				"key bit %d (%q) is linearly separable at primary output %q: the output provably flips with the bit for every input pattern, so one scan capture of the activated chip reveals it (output controllability CC0/CC1 = %d/%d)",
-				kb, c.NameOf(int(kid)), c.NameOf(int(o)), e.cc[o].CC0, e.cc[o].CC1))
+				kb, c.NameOf(int(kid)), c.NameOf(int(o)), e.cc[o].CC0, e.cc[o].CC1)
 		}
 	}
 }
@@ -104,9 +104,9 @@ func testabilityBound(e *engine, c *netlist.Circuit, rep *Report) {
 		if worst < testabilityThreshold {
 			continue
 		}
-		rep.add(finding(c, RuleTestabilityBound, check.Info, -1, id, RefOraP,
+		rep.Add(c, RuleTestabilityBound, check.Info, -1, id, RefOraP,
 			"%v gate %q has SCOAP detect difficulty %d for %s (CC0/CC1=%d/%d, CO=%d, threshold %d); random patterns are unlikely to test it",
-			p.Ops[id], c.NameOf(id), worst, stuck, e.cc[id].CC0, e.cc[id].CC1, co, testabilityThreshold))
+			p.Ops[id], c.NameOf(id), worst, stuck, e.cc[id].CC0, e.cc[id].CC1, co, testabilityThreshold)
 	}
 }
 
@@ -143,7 +143,7 @@ type PathStep struct {
 // difference propagation when one exists). Findings without both a key
 // bit and a node — or whose node the key bit cannot reach — return nil.
 // prog and c must be the pair the finding was produced from.
-func Explain(prog *ir.Program, c *netlist.Circuit, f Finding) []PathStep {
+func Explain(prog *ir.Program, c *netlist.Circuit, f check.Finding) []PathStep {
 	if f.KeyBit < 0 || f.KeyBit >= prog.NumKeys() || f.Node < 0 || f.Node >= prog.NumNodes() {
 		return nil
 	}

@@ -294,11 +294,11 @@ func TestExplainUnreachableReturnsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fake := audit.Finding{Rule: audit.RuleKeyLeak, KeyBit: 0, Node: lone}
+	fake := check.Finding{Rule: audit.RuleKeyLeak, KeyBit: 0, Node: lone}
 	if steps := audit.Explain(prog, c, fake); steps != nil {
 		t.Fatalf("Explain fabricated a path to an unreachable anchor: %+v", steps)
 	}
-	if steps := audit.Explain(prog, c, audit.Finding{KeyBit: -1, Node: g}); steps != nil {
+	if steps := audit.Explain(prog, c, check.Finding{KeyBit: -1, Node: g}); steps != nil {
 		t.Fatalf("Explain must return nil without a key bit, got %+v", steps)
 	}
 }

@@ -1,8 +1,6 @@
 package audit
 
 import (
-	"fmt"
-
 	"orap/internal/check"
 	"orap/internal/gf2"
 	"orap/internal/lfsr"
@@ -21,12 +19,10 @@ func Oracle(cfg scan.Config, lay *scan.Layout) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rep := &Report{Circuit: cfg.Core.Name}
+	rep := &Report{Report: check.Report{Circuit: cfg.Core.Name}}
 	if cfg.Protection == scan.None {
-		rep.add(Finding{
-			Rule: RuleOracleUnprotected, Sev: check.Error, KeyBit: -1, Node: -1, Ref: RefOraP,
-			Msg: "conventional scan configuration: the key register survives test mode, so scan in - capture - scan out observes the unlocked core and the whole oracle-guided attack class applies",
-		})
+		rep.Add(nil, RuleOracleUnprotected, check.Error, -1, -1, RefOraP,
+			"conventional scan configuration: the key register survives test mode, so scan in - capture - scan out observes the unlocked core and the whole oracle-guided attack class applies")
 		return rep, nil
 	}
 
@@ -39,10 +35,8 @@ func Oracle(cfg scan.Config, lay *scan.Layout) (*Report, error) {
 	rank := m.Rank()
 	rep.EffectiveEntropy = rank
 	if rank < n {
-		rep.add(Finding{
-			Rule: RuleKeyEntropy, Sev: check.Error, KeyBit: -1, Node: -1, Ref: RefOraP,
-			Msg: fmt.Sprintf("memory-seed transfer matrix has GF(2) rank %d < %d: only 2^%d of the 2^%d key-register states are reachable from tamper-proof memory, and the scenario-(d) symbolic attack searches the smaller space", rank, n, rank, n),
-		})
+		rep.Add(nil, RuleKeyEntropy, check.Error, -1, -1, RefOraP,
+			"memory-seed transfer matrix has GF(2) rank %d < %d: only 2^%d of the 2^%d key-register states are reachable from tamper-proof memory, and the scenario-(d) symbolic attack searches the smaller space", rank, n, rank, n)
 	}
 
 	if cfg.Protection == scan.OraPBasic && len(cfg.Seeds) > 0 {
@@ -59,10 +53,8 @@ func Oracle(cfg scan.Config, lay *scan.Layout) (*Report, error) {
 			}
 		}
 		if m.MulVec(stacked).Weight() == 0 {
-			rep.add(Finding{
-				Rule: RuleZeroKey, Sev: check.Error, KeyBit: -1, Node: -1, Ref: RefOraP,
-				Msg: "the stored key sequence unlocks to the all-zero key register — indistinguishable from the cleared state, so the chip answers correctly in test mode and the protection is void",
-			})
+			rep.Add(nil, RuleZeroKey, check.Error, -1, -1, RefOraP,
+				"the stored key sequence unlocks to the all-zero key register — indistinguishable from the cleared state, so the chip answers correctly in test mode and the protection is void")
 		}
 	}
 
@@ -73,10 +65,8 @@ func Oracle(cfg scan.Config, lay *scan.Layout) (*Report, error) {
 		}
 		for _, t := range sortedKeys(byTap) {
 			if pts := byTap[t]; len(pts) > 1 {
-				rep.add(Finding{
-					Rule: RuleRespTaps, Sev: check.Warning, KeyBit: -1, Node: -1, Ref: RefOraP,
-					Msg: fmt.Sprintf("response reseeding points %v all tap flip-flop %d; correlated injections shrink the space a scenario-(e) attacker must search", pts, t),
-				})
+				rep.Add(nil, RuleRespTaps, check.Warning, -1, -1, RefOraP,
+					"response reseeding points %v all tap flip-flop %d; correlated injections shrink the space a scenario-(e) attacker must search", pts, t)
 			}
 		}
 	}
@@ -104,10 +94,8 @@ func layoutRules(lay *scan.Layout, keyCells int, rep *Report) {
 			maxRun = r
 		}
 	}
-	rep.add(Finding{
-		Rule: RuleScanLayout, Sev: check.Warning, KeyBit: -1, Node: -1, Ref: RefOraP,
-		Msg: fmt.Sprintf("scan layout bunches key cells (longest run %d): a scenario-(b) bypass Trojan splices them out with %d multiplexers; full interleaving forces %d", maxRun, muxes, keyCells),
-	})
+	rep.Add(nil, RuleScanLayout, check.Warning, -1, -1, RefOraP,
+		"scan layout bunches key cells (longest run %d): a scenario-(b) bypass Trojan splices them out with %d multiplexers; full interleaving forces %d", maxRun, muxes, keyCells)
 }
 
 // sortedKeys returns the map's keys in increasing order, for

@@ -17,7 +17,7 @@ import (
 // dependence — both are exactly what a resynthesis pass deletes.
 //
 // The domain is bit-sliced, so one Run solves 64 key bits and the
-// findings are read lane by lane; Report.sort puts them in canonical
+// findings are read lane by lane; Report.Sort puts them in canonical
 // order afterwards. Along the way the pass also harvests the Anti
 // proofs at the primary outputs — the key-leak rule's evidence — so the
 // leak scan costs nothing extra.
@@ -47,9 +47,9 @@ func removability(e *engine, c *netlist.Circuit, rep *Report) []bool {
 			for m := constant & fed; m != 0; m &= m - 1 {
 				j := bits.TrailingZeros64(m)
 				kb := lo + j
-				rep.add(finding(c, RuleKeyRemovable, check.Warning, kb, id, RefResynthesis,
+				rep.Add(c, RuleKeyRemovable, check.Warning, kb, id, RefResynthesis,
 					"%v gate %q is constant %d under both values of key bit %d (%q); the key dependence entering it is absorbed and resynthesis strips the key logic",
-					p.Ops[id], c.NameOf(id), v.Lane(j).V0, kb, c.NameOf(int(keys[j]))))
+					p.Ops[id], c.NameOf(id), v.Lane(j).V0, kb, c.NameOf(int(keys[j])))
 			}
 		}
 
@@ -69,11 +69,11 @@ func removability(e *engine, c *netlist.Circuit, rep *Report) []bool {
 				// Scheme artifact (weighted locking's remainder bits):
 				// dead key material, same policy as check's key-unobservable
 				// warning tier.
-				rep.add(finding(c, RuleKeyRemovable, check.Warning, kb, int(kid), RefResynthesis,
-					"key input %q (bit %d) drives no gate; dead key material a resynthesis pass drops", c.NameOf(int(kid)), kb))
+				rep.Add(c, RuleKeyRemovable, check.Warning, kb, int(kid), RefResynthesis,
+					"key input %q (bit %d) drives no gate; dead key material a resynthesis pass drops", c.NameOf(int(kid)), kb)
 			} else {
-				rep.add(finding(c, RuleKeyRemovable, check.Error, kb, int(kid), RefResynthesis,
-					"no primary output depends on key bit %d (%q) under two-valued constant propagation; its key logic is removable", kb, c.NameOf(int(kid))))
+				rep.Add(c, RuleKeyRemovable, check.Error, kb, int(kid), RefResynthesis,
+					"no primary output depends on key bit %d (%q) under two-valued constant propagation; its key logic is removable", kb, c.NameOf(int(kid)))
 			}
 		}
 	}

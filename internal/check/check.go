@@ -1,5 +1,5 @@
 // Package check is the structural netlist analyzer: a catalog of lint
-// rules over gate-level circuits producing typed diagnostics with rule
+// rules over gate-level circuits producing typed findings with rule
 // IDs, severities, node names and .bench source lines.
 //
 // The rules split into three groups:
@@ -7,7 +7,7 @@
 //   - Structural soundness (error severity): combinational cycles with
 //     the offending path printed, undriven nets, gate arity violations.
 //     These are the defects ir.Compile refuses a circuit for; check
-//     compiles the circuit and renders each defect as a diagnostic.
+//     compiles the circuit and renders each defect as a finding.
 //   - Hygiene (warning/info severity): dangling gates, dead cones
 //     unreachable from any primary output, provably-constant gate
 //     outputs (constant propagation), unused primary inputs. Legal but
@@ -22,13 +22,19 @@
 // Source-level defects that prevent a circuit from being built at all
 // (duplicate definitions, multiply-driven nets, undefined signals,
 // parse-level cycles) are surfaced by File, which maps the bench
-// parser's structured errors into the same diagnostic format.
+// parser's structured errors into the same finding format.
+//
+// check also owns the findings core that internal/audit reports
+// through: one Finding type, one Report with its helpers, and one
+// canonical sort keyed by each analyzer's rule catalog, an ordered
+// slice of rule IDs.
 package check
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"orap/internal/dataflow"
@@ -36,7 +42,7 @@ import (
 	"orap/internal/netlist"
 )
 
-// Severity ranks a diagnostic.
+// Severity ranks a finding.
 type Severity uint8
 
 // Severities, in increasing order.
@@ -62,8 +68,8 @@ func (s Severity) String() string {
 // Rule IDs. Circuit-level rules are produced by Circuit; source-level
 // rules by File (mapped from bench.ParseError).
 const (
-	// RuleCycle: combinational cycle; the diagnostic carries the cycle
-	// path in driver order. Error.
+	// RuleCycle: combinational cycle; the message prints the cycle path
+	// in driver order. Error.
 	RuleCycle = "cycle"
 	// RuleUndriven: a net with no driver — an Input-type node that is
 	// registered as neither a primary nor a key input. Error.
@@ -108,115 +114,148 @@ const (
 	RuleIO = "io"
 )
 
-// Diagnostic is one finding: the rule that fired, its severity, the
-// offending node (ID, name and .bench source line when known) and a
-// human-readable message. Cycle carries the node names along a
-// combinational cycle in driver order, for RuleCycle only.
-type Diagnostic struct {
-	Rule  string
-	Sev   Severity
-	Node  int // node ID, -1 when not tied to a node
-	Name  string
-	Line  int // 1-based .bench line, 0 when unknown
-	Msg   string
-	Cycle []string
+// catalog lists the rule IDs in catalog order, the primary sort key of
+// a report's findings.
+var catalog = []string{
+	RuleCycle, RuleUndriven, RuleArity,
+	RuleDangling, RuleDeadCone, RuleUnusedInput, RuleConstOut,
+	RuleKeyUnobservable, RuleKeyNaming, RuleKeyGateShape,
+	RuleSyntax, RuleUnknownOp, RuleDupDef, RuleMultiDriven, RuleUndefined, RuleIO,
 }
 
-// String renders the diagnostic as "line 12: error[cycle]: message".
-func (d Diagnostic) String() string {
+// Finding is one result of check or of internal/audit: the rule that
+// fired, its severity, the key bit and node it is anchored to, a
+// human-readable message and the attack-literature reference, if any.
+type Finding struct {
+	Rule string
+	Sev  Severity
+	// KeyBit is the key-bit index the finding concerns, -1 when it is
+	// not tied to a key bit (every check finding).
+	KeyBit int
+	// Node is the offending node ID, -1 when not tied to a node.
+	Node int
+	// Name and Line locate Node in the source netlist when known; Line
+	// is 1-based, 0 when unknown.
+	Name string
+	Line int
+	Msg  string
+	// Ref cites the attack paper or scheme section that exploits the
+	// flagged weakness; check's rules leave it empty.
+	Ref string
+}
+
+// String renders the finding as "line 12: error[cycle]: message",
+// followed by " (ref: …)" when Ref is set.
+func (f Finding) String() string {
 	var b strings.Builder
-	if d.Line > 0 {
-		fmt.Fprintf(&b, "line %d: ", d.Line)
+	if f.Line > 0 {
+		fmt.Fprintf(&b, "line %d: ", f.Line)
 	}
-	fmt.Fprintf(&b, "%s[%s]: %s", d.Sev, d.Rule, d.Msg)
+	fmt.Fprintf(&b, "%s[%s]: %s", f.Sev, f.Rule, f.Msg)
+	if f.Ref != "" {
+		fmt.Fprintf(&b, " (ref: %s)", f.Ref)
+	}
 	return b.String()
 }
 
-// Report is the outcome of checking one circuit.
+// Report is the outcome of checking or auditing one circuit.
 type Report struct {
-	// Circuit is the checked circuit's name.
+	// Circuit is the analyzed circuit's name.
 	Circuit string
-	// Diags holds every diagnostic, grouped by rule in catalog order
-	// and by node ID within a rule.
-	Diags []Diagnostic
+	// Findings holds every finding in canonical order (see Sort).
+	Findings []Finding
 }
 
-func (r *Report) add(d Diagnostic) { r.Diags = append(r.Diags, d) }
-
-// ruleRank is the catalog order of the rule IDs, the primary sort key
-// of a report's diagnostics.
-var ruleRank = map[string]int{
-	RuleCycle: 0, RuleUndriven: 1, RuleArity: 2,
-	RuleDangling: 3, RuleDeadCone: 4, RuleUnusedInput: 5, RuleConstOut: 6,
-	RuleKeyUnobservable: 7, RuleKeyNaming: 8, RuleKeyGateShape: 9,
-	RuleSyntax: 10, RuleUnknownOp: 11, RuleDupDef: 12,
-	RuleMultiDriven: 13, RuleUndefined: 14, RuleIO: 15,
+// Add appends a finding anchored to key bit keyBit and node id of c,
+// resolving the node's name and source line; c may be nil when id is
+// -1. ref is the finding's literature reference, empty for check's
+// rules.
+func (r *Report) Add(c *netlist.Circuit, rule string, sev Severity, keyBit, id int, ref, format string, args ...any) {
+	f := Finding{Rule: rule, Sev: sev, KeyBit: keyBit, Node: id, Msg: fmt.Sprintf(format, args...), Ref: ref}
+	if id >= 0 && id < c.NumNodes() {
+		f.Name = c.NameOf(id)
+		f.Line = c.SrcLine(id)
+	}
+	r.Findings = append(r.Findings, f)
 }
 
-// sort orders Diags canonically — rule catalog order, then node ID,
-// then source line — so a report renders identically no matter which
-// order the rules emitted findings. Every constructor (Circuit, File)
-// sorts before returning; without this, incidental emission order would
-// leak into the CLI text and -json output.
-func (r *Report) sort() {
-	sort.SliceStable(r.Diags, func(i, j int) bool {
-		a, b := r.Diags[i], r.Diags[j]
-		if ra, rb := ruleRank[a.Rule], ruleRank[b.Rule]; ra != rb {
-			return ra < rb
+// Sort puts the findings in canonical order: rule in the order of
+// rules (the analyzer's catalog), then node ID, then key bit, then
+// source line. The stable sort keeps the emission order of findings
+// that tie on all four, so a report renders identically no matter
+// which order the rules emitted them in; without it, incidental
+// emission order would leak into the CLI text and -json output.
+func (r *Report) Sort(rules []string) {
+	slices.SortStableFunc(r.Findings, func(a, b Finding) int {
+		if a.Rule != b.Rule {
+			if c := cmp.Compare(slices.Index(rules, a.Rule), slices.Index(rules, b.Rule)); c != 0 {
+				return c
+			}
 		}
 		if a.Node != b.Node {
-			return a.Node < b.Node
+			return cmp.Compare(a.Node, b.Node)
 		}
-		return a.Line < b.Line
+		if a.KeyBit != b.KeyBit {
+			return cmp.Compare(a.KeyBit, b.KeyBit)
+		}
+		return cmp.Compare(a.Line, b.Line)
 	})
 }
 
-// HasErrors reports whether any diagnostic has error severity.
+// HasErrors reports whether any finding has error severity.
 func (r *Report) HasErrors() bool {
-	for _, d := range r.Diags {
-		if d.Sev == Error {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(r.Findings, func(f Finding) bool { return f.Sev == Error })
 }
 
-// Errors returns the error-severity diagnostics.
-func (r *Report) Errors() []Diagnostic { return r.atLeast(Error) }
-
-// atLeast returns the diagnostics with severity >= min.
-func (r *Report) atLeast(min Severity) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diags {
-		if d.Sev >= min {
-			out = append(out, d)
+// Errors returns the error-severity findings.
+func (r *Report) Errors() []Finding {
+	var out []Finding
+	for _, f := range r.Findings {
+		if f.Sev == Error {
+			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// ByRule returns the diagnostics produced by the given rule.
-func (r *Report) ByRule(rule string) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diags {
-		if d.Rule == rule {
-			out = append(out, d)
+// ByRule returns the findings produced by the given rule.
+func (r *Report) ByRule(rule string) []Finding {
+	var out []Finding
+	for _, f := range r.Findings {
+		if f.Rule == rule {
+			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// String renders the report one diagnostic per line, prefixed with the
+// Counts returns the number of error-, warning- and info-severity
+// findings.
+func (r *Report) Counts() (errors, warnings, infos int) {
+	for _, f := range r.Findings {
+		switch f.Sev {
+		case Error:
+			errors++
+		case Warning:
+			warnings++
+		default:
+			infos++
+		}
+	}
+	return
+}
+
+// String renders the report one finding per line, prefixed with the
 // circuit name.
 func (r *Report) String() string {
 	var b strings.Builder
-	for _, d := range r.Diags {
-		fmt.Fprintf(&b, "%s: %s\n", r.Circuit, d)
+	for _, f := range r.Findings {
+		fmt.Fprintf(&b, "%s: %s\n", r.Circuit, f)
 	}
 	return b.String()
 }
 
-// Err converts the report's error-severity diagnostics into a single
+// Err converts the report's error-severity findings into a single
 // error, or nil when there are none. Multiple errors are summarized
 // with the first message and a count.
 func (r *Report) Err() error {
@@ -231,21 +270,6 @@ func (r *Report) Err() error {
 	return fmt.Errorf("check: circuit %q: %s (and %d more errors)", r.Circuit, first, len(errs)-1)
 }
 
-// diag builds a node-anchored diagnostic, resolving name and line.
-func diag(c *netlist.Circuit, rule string, sev Severity, id int, format string, args ...interface{}) Diagnostic {
-	d := Diagnostic{
-		Rule: rule,
-		Sev:  sev,
-		Node: id,
-		Msg:  fmt.Sprintf(format, args...),
-	}
-	if id >= 0 && id < c.NumNodes() {
-		d.Name = c.NameOf(id)
-		d.Line = c.SrcLine(id)
-	}
-	return d
-}
-
 // defectRule maps ir.Compile's defect kinds onto the structural rules.
 var defectRule = [...]string{
 	ir.DefectArity:    RuleArity,
@@ -254,7 +278,7 @@ var defectRule = [...]string{
 }
 
 // structural compiles c and appends one arity, undriven or cycle
-// diagnostic per compile defect to rep. It returns the program, or nil
+// finding per compile defect to rep. It returns the program, or nil
 // when c is not sound enough for the graph-walking rules.
 func structural(c *netlist.Circuit, rep *Report) *ir.Program {
 	prog, err := ir.Compile(c)
@@ -263,119 +287,86 @@ func structural(c *netlist.Circuit, rep *Report) *ir.Program {
 		return prog
 	}
 	for _, d := range de.Defects {
-		dg := diag(c, defectRule[d.Kind], Error, d.Node, "%v", d.Err)
-		for _, id := range d.Cycle {
-			dg.Cycle = append(dg.Cycle, c.NameOf(id))
-		}
-		rep.add(dg)
+		rep.Add(c, defectRule[d.Kind], Error, -1, d.Node, "", "%v", d.Err)
 	}
 	return nil
 }
 
 // Circuit runs the full rule catalog and returns the report. The
 // hygiene and key rules only run when the structural rules pass, since
-// they need a sound DAG to walk; they run over the compiled IR through
-// the shared dataflow engine (reachability and constant propagation are
-// engine domains, not ad-hoc traversals).
+// they need a sound DAG to walk; they read reachability from the
+// compiled IR and constants from the shared dataflow engine.
 func Circuit(c *netlist.Circuit) *Report {
 	rep := &Report{Circuit: c.Name}
 	prog := structural(c, rep)
 	if prog == nil {
-		rep.sort()
+		rep.Sort(catalog)
 		return rep
 	}
 
-	isPO := poSet(prog)
-	reach := dataflow.Run[bool](prog, &poReach{p: prog, isPO: isPO})
-
-	// Dangling gates, dead cones and unused inputs.
+	// Unused inputs, dangling gates and dead cones: the nodes outside
+	// the outputs' transitive fanin. An output is in its own fanin, so a
+	// node outside it that drives nothing is not an output.
+	live := prog.TransitiveFanin(c.POs...)
 	for id := range c.Gates {
+		if live[id] {
+			continue
+		}
 		t := c.Gates[id].Type
 		drives := len(prog.FanoutSpan(id)) > 0
-		if t == netlist.Input {
-			if !drives && !isPO[id] && !c.IsKeyInput(id) {
-				rep.add(diag(c, RuleUnusedInput, Info, id, "primary input %q drives nothing", c.NameOf(id)))
+		switch {
+		case t == netlist.Input:
+			if !drives && !c.IsKeyInput(id) {
+				rep.Add(c, RuleUnusedInput, Info, -1, id, "", "primary input %q drives nothing", c.NameOf(id))
 			}
-			continue
-		}
-		if reach[id] {
-			continue
-		}
-		if !drives && !isPO[id] {
-			rep.add(diag(c, RuleDangling, Warning, id,
-				"%v gate %q drives nothing and is not an output", t, c.NameOf(id)))
-		} else if drives {
-			rep.add(diag(c, RuleDeadCone, Warning, id,
-				"%v gate %q cannot reach any primary output (dead cone)", t, c.NameOf(id)))
+		case !drives:
+			rep.Add(c, RuleDangling, Warning, -1, id, "",
+				"%v gate %q drives nothing and is not an output", t, c.NameOf(id))
+		default:
+			rep.Add(c, RuleDeadCone, Warning, -1, id, "",
+				"%v gate %q cannot reach any primary output (dead cone)", t, c.NameOf(id))
 		}
 	}
 
 	constOutputs(c, prog, rep)
-	keyRules(c, prog, rep, reach)
-	rep.sort()
+	keyRules(c, prog, rep, live)
+	rep.Sort(catalog)
 	return rep
 }
 
-// poSet marks the primary-output nodes of a program.
-func poSet(p *ir.Program) []bool {
-	out := make([]bool, p.NumNodes())
-	for _, o := range p.POs {
-		out[o] = true
-	}
-	return out
-}
-
-// poReach is the output-reachability analysis as a backward engine
-// domain: a node is live iff it is a primary output or drives one
-// transitively. The dead-cone and key-unobservable rules read its
-// fixpoint: the program's TransitiveFanin of the outputs, computed in
-// one sweep.
-type poReach struct {
-	p    *ir.Program
-	isPO []bool
-}
-
-func (d *poReach) Direction() dataflow.Direction { return dataflow.Backward }
-func (d *poReach) Join(a, b bool) bool           { return a || b }
-func (d *poReach) Equal(a, b bool) bool          { return a == b }
-
-func (d *poReach) Transfer(id int, vals []bool) bool {
-	if d.isPO[id] {
-		return true
-	}
-	for _, fo := range d.p.FanoutSpan(id) {
-		if vals[fo] {
-			return true
-		}
-	}
-	return false
-}
-
-// constOutputs reports gates whose output the engine's ternary
-// constant domain proves stuck: constants seed known values, AND/OR
-// families fold through absorbing inputs, and two-input XOR/XNOR of the
-// same signal folds regardless of the signal's value.
+// constOutputs reports gates whose output ternary constant propagation
+// proves stuck: constants seed known values, AND/OR families fold
+// through absorbing inputs, and two-input XOR/XNOR of the same signal
+// folds regardless of the signal's value. The pair domain tracking no
+// key computes exactly that lattice, in every lane's V0.
 func constOutputs(c *netlist.Circuit, prog *ir.Program, rep *Report) {
-	val := dataflow.Run[int8](prog, dataflow.NewConst(prog))
-	for _, id32 := range prog.Order {
-		id := int(id32)
+	vals := dataflow.Run(prog, dataflow.NewPair(prog, nil))
+	for id := range vals {
 		switch prog.Ops[id] {
 		case ir.OpInput, ir.OpConst0, ir.OpConst1:
 			continue
 		}
-		if v := val[id]; v != dataflow.Unknown {
-			rep.add(diag(c, RuleConstOut, Warning, id,
-				"output of %v gate %q is provably constant %d", prog.Ops[id], c.NameOf(id), v))
+		if v := vals[id].Lane(0).V0; v != dataflow.Unknown {
+			rep.Add(c, RuleConstOut, Warning, -1, id, "",
+				"output of %v gate %q is provably constant %d", prog.Ops[id], c.NameOf(id), v)
 		}
 	}
 }
 
 // keyRules checks the locked-circuit conventions: key observability,
-// key-input naming and key-gate shape. No-ops on unlocked circuits.
-func keyRules(c *netlist.Circuit, prog *ir.Program, rep *Report, reach []bool) {
+// key-input naming and key-gate shape. live marks the outputs'
+// transitive fanin. No-ops on unlocked circuits.
+func keyRules(c *netlist.Circuit, prog *ir.Program, rep *Report, live []bool) {
 	if c.NumKeys() == 0 {
 		return
 	}
+	var xors []int
+	for id, op := range prog.Ops {
+		if op == ir.OpXor || op == ir.OpXnor {
+			xors = append(xors, id)
+		}
+	}
+	feedsXor := prog.TransitiveFanin(xors...)
 	for i, id := range c.Keys {
 		switch {
 		case len(prog.FanoutSpan(id)) == 0:
@@ -384,41 +375,23 @@ func keyRules(c *netlist.Circuit, prog *ir.Program, rep *Report, reach []bool) {
 			// width leaves the remainder bits unused — so it warns
 			// rather than fails: the circuit still evaluates correctly,
 			// the bit is just dead key material.
-			rep.add(diag(c, RuleKeyUnobservable, Warning, id,
-				"key input %q (bit %d) drives no gate; the key bit is dead key material", c.NameOf(id), i))
-		case !reach[id]:
-			rep.add(diag(c, RuleKeyUnobservable, Error, id,
-				"key input %q (bit %d) has no structural path to any primary output; its key gate is a no-op", c.NameOf(id), i))
+			rep.Add(c, RuleKeyUnobservable, Warning, -1, id, "",
+				"key input %q (bit %d) drives no gate; the key bit is dead key material", c.NameOf(id), i)
+		case !live[id]:
+			rep.Add(c, RuleKeyUnobservable, Error, -1, id, "",
+				"key input %q (bit %d) has no structural path to any primary output; its key gate is a no-op", c.NameOf(id), i)
 		}
 		name := c.NameOf(id)
 		want := fmt.Sprintf("keyinput%d", i)
 		if !strings.EqualFold(name, want) {
-			rep.add(diag(c, RuleKeyNaming, Warning, id,
-				"key bit %d is named %q; the locked-circuit convention is %q (declaration order)", i, name, want))
+			rep.Add(c, RuleKeyNaming, Warning, -1, id, "",
+				"key bit %d is named %q; the locked-circuit convention is %q (declaration order)", i, name, want)
 		}
-		if reach[id] && !reachesXorGate(prog, id) {
-			rep.add(diag(c, RuleKeyGateShape, Info, id,
-				"key input %q never feeds an XOR/XNOR gate; unconventional key-gate shape", c.NameOf(id)))
+		// An XOR/XNOR anywhere in the key's fanout cone counts, also
+		// one in a dead cone.
+		if live[id] && !feedsXor[id] {
+			rep.Add(c, RuleKeyGateShape, Info, -1, id, "",
+				"key input %q never feeds an XOR/XNOR gate; unconventional key-gate shape", c.NameOf(id))
 		}
 	}
-}
-
-// reachesXorGate reports whether any XOR/XNOR gate lies in the
-// transitive fanout cone of root.
-func reachesXorGate(p *ir.Program, root int) bool {
-	seen := make([]bool, p.NumNodes())
-	stack := []int32{int32(root)}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		if op := p.Ops[id]; op == ir.OpXor || op == ir.OpXnor {
-			return true
-		}
-		stack = append(stack, p.FanoutSpan(int(id))...)
-	}
-	return false
 }

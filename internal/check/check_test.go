@@ -43,7 +43,7 @@ func TestCorpus(t *testing.T) {
 		}
 		want, seeded := corpus[name]
 		if !seeded {
-			if len(rep.Diags) != 0 {
+			if len(rep.Findings) != 0 {
 				t.Errorf("%s: clean corpus file produced diagnostics:\n%s", name, rep)
 			}
 			continue
@@ -148,8 +148,8 @@ func TestCycleDiagnosticPath(t *testing.T) {
 	if len(diags) != 1 {
 		t.Fatalf("cycle rule fired %d times, want 1:\n%s", len(diags), rep)
 	}
-	if len(diags[0].Cycle) != 2 {
-		t.Fatalf("cycle path %v, want the g1/g2 loop", diags[0].Cycle)
+	if want := "combinational cycle: g2 -> g1 -> g2"; diags[0].Msg != want {
+		t.Fatalf("cycle message %q, want the g1/g2 loop %q", diags[0].Msg, want)
 	}
 	if !rep.HasErrors() {
 		t.Fatal("cyclic circuit reported no errors")
@@ -217,8 +217,51 @@ func TestStructuralSubset(t *testing.T) {
 		t.Fatalf("dangling corpus file has errors:\n%s", srep)
 	}
 	got := &Report{Circuit: c.Name}
-	if structural(c, got) == nil || len(got.Diags) != 0 {
+	if structural(c, got) == nil || len(got.Findings) != 0 {
 		t.Fatalf("structural refused a sound circuit or fired hygiene rules:\n%s", got)
+	}
+}
+
+// TestKeyGateShape pins the key-gate-shape rule on a live key: it
+// fires only when no XOR/XNOR lies anywhere in the key's fanout cone,
+// however deep, and an XOR in a dead cone counts too.
+func TestKeyGateShape(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(c *netlist.Circuit, a, k int) (out int)
+		fires bool
+	}{
+		{"and-to-output", func(c *netlist.Circuit, a, k int) int {
+			return c.MustAddGate(netlist.And, "g", a, k)
+		}, true},
+		{"xor-behind-and", func(c *netlist.Circuit, a, k int) int {
+			g := c.MustAddGate(netlist.And, "g", a, k)
+			return c.MustAddGate(netlist.Xor, "x", g, a)
+		}, false},
+		{"xor-in-dead-cone", func(c *netlist.Circuit, a, k int) int {
+			x := c.MustAddGate(netlist.Xor, "x", a, k)
+			c.MustAddGate(netlist.Not, "nx", x) // drives nothing: x is a dead cone
+			return c.MustAddGate(netlist.And, "g", a, k)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := netlist.New(tc.name)
+			a, _ := c.AddInput("a")
+			k, err := c.AddKeyInput("keyinput0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.MarkOutput(tc.build(c, a, k)); err != nil {
+				t.Fatal(err)
+			}
+			rep := Circuit(c)
+			if rep.HasErrors() || len(rep.ByRule(RuleKeyUnobservable)) != 0 {
+				t.Fatalf("the key must be live:\n%s", rep)
+			}
+			if fired := len(rep.ByRule(RuleKeyGateShape)) != 0; fired != tc.fires {
+				t.Fatalf("key-gate-shape fired = %v, want %v:\n%s", fired, tc.fires, rep)
+			}
+		})
 	}
 }
 
@@ -249,7 +292,7 @@ func TestConstPropagation(t *testing.T) {
 	}
 }
 
-// TestReportHelpers covers Err, atLeast and String plumbing.
+// TestReportHelpers covers Err, Counts and String plumbing.
 func TestReportHelpers(t *testing.T) {
 	_, rep, err := File(filepath.Join("testdata", "key_unobservable.bench"))
 	if err != nil {
@@ -258,8 +301,8 @@ func TestReportHelpers(t *testing.T) {
 	if rep.Err() == nil {
 		t.Fatal("Err() returned nil for a report with errors")
 	}
-	if n := len(rep.atLeast(Warning)); n < 2 { // key-unobservable + dangling kg
-		t.Fatalf("atLeast(Warning) returned %d diagnostics, want >= 2:\n%s", n, rep)
+	if errs, warns, _ := rep.Counts(); errs+warns < 2 { // key-unobservable + dangling kg
+		t.Fatalf("Counts() found %d errors and %d warnings, want >= 2 together:\n%s", errs, warns, rep)
 	}
 	s := rep.String()
 	if !strings.Contains(s, "key-unobservable") || !strings.Contains(s, "error") {

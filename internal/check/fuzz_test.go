@@ -21,12 +21,12 @@ func FuzzCheckCircuit(f *testing.F) {
 		if rep == nil {
 			t.Fatal("source returned a nil report")
 		}
-		if c == nil && len(rep.Diags) == 0 {
+		if c == nil && len(rep.Findings) == 0 {
 			t.Fatal("parse failed but the report is empty")
 		}
 		// Diagnostics must render without panicking either.
 		_ = rep.String()
-		for _, d := range rep.Diags {
+		for _, d := range rep.Findings {
 			_ = d.String()
 		}
 	})

@@ -48,7 +48,7 @@ func TestReportCanonicalOrder(t *testing.T) {
 		t.Fatalf("two checks of the same circuit differ:\n%s\nvs\n%s", rep1, rep2)
 	}
 	rules := map[string]bool{}
-	for _, d := range rep1.Diags {
+	for _, d := range rep1.Findings {
 		rules[d.Rule] = true
 	}
 	for _, want := range []string{check.RuleDangling, check.RuleDeadCone, check.RuleUnusedInput,
@@ -63,8 +63,8 @@ func TestReportCanonicalOrder(t *testing.T) {
 		check.RuleConstOut: 6, check.RuleKeyUnobservable: 7, check.RuleKeyNaming: 8,
 		check.RuleKeyGateShape: 9,
 	}
-	ordered := sort.SliceIsSorted(rep1.Diags, func(i, j int) bool {
-		a, b := rep1.Diags[i], rep1.Diags[j]
+	ordered := sort.SliceIsSorted(rep1.Findings, func(i, j int) bool {
+		a, b := rep1.Findings[i], rep1.Findings[j]
 		if rank[a.Rule] != rank[b.Rule] {
 			return rank[a.Rule] < rank[b.Rule]
 		}
@@ -91,8 +91,8 @@ func TestStructuralReportSorted(t *testing.T) {
 	if !reflect.DeepEqual(rep1, rep2) {
 		t.Fatal("structural reports differ across runs")
 	}
-	for i := 1; i < len(rep1.Diags); i++ {
-		if rep1.Diags[i-1].Node > rep1.Diags[i].Node {
+	for i := 1; i < len(rep1.Findings); i++ {
+		if rep1.Findings[i-1].Node > rep1.Findings[i].Node {
 			t.Fatalf("structural diagnostics out of node order:\n%s", rep1)
 		}
 	}

@@ -21,35 +21,27 @@ var parseRule = map[bench.ErrCode]string{
 	bench.ErrIO:          RuleIO,
 }
 
-// fromParseError converts a bench parse failure into a diagnostic.
-// Non-ParseError values map onto a generic syntax diagnostic.
-func fromParseError(err error) Diagnostic {
-	pe, ok := err.(*bench.ParseError)
-	if !ok {
-		return Diagnostic{Rule: RuleSyntax, Sev: Error, Node: -1, Msg: err.Error()}
+// fromParseError converts a bench parse failure into a finding.
+// Non-ParseError values map onto a generic syntax finding.
+func fromParseError(err error) Finding {
+	f := Finding{Rule: RuleSyntax, Sev: Error, KeyBit: -1, Node: -1, Msg: err.Error()}
+	if pe, ok := err.(*bench.ParseError); ok {
+		if rule, ok := parseRule[pe.Code]; ok {
+			f.Rule = rule
+		}
+		f.Name, f.Line, f.Msg = pe.Token, pe.Line, pe.Msg
 	}
-	rule, ok := parseRule[pe.Code]
-	if !ok {
-		rule = RuleSyntax
-	}
-	return Diagnostic{
-		Rule: rule,
-		Sev:  Error,
-		Node: -1,
-		Name: pe.Token,
-		Line: pe.Line,
-		Msg:  pe.Msg,
-	}
+	return f
 }
 
 // source parses a .bench description and checks it. Parse failures come
-// back as a report with a single source-level diagnostic and a nil
+// back as a report with a single source-level finding and a nil
 // circuit; successful parses return the circuit and the full Circuit
 // report.
 func source(r io.Reader, name string) (*netlist.Circuit, *Report) {
 	c, err := bench.Parse(r, name)
 	if err != nil {
-		return nil, &Report{Circuit: name, Diags: []Diagnostic{fromParseError(err)}}
+		return nil, &Report{Circuit: name, Findings: []Finding{fromParseError(err)}}
 	}
 	return c, Circuit(c)
 }
@@ -69,17 +61,15 @@ func File(path string) (*netlist.Circuit, *Report, error) {
 
 // LoadFile is the command-line loading discipline shared by the cmd/*
 // tools: parse path, run the full rule set, fail on any error-severity
-// diagnostic, and — when warn is non-nil (the -Wall flag) — print the
-// surviving warning- and info-level diagnostics to it.
+// finding, and — when warn is non-nil (the -Wall flag) — print the
+// surviving warning- and info-level findings to it.
 func LoadFile(path string, warn io.Writer) (*netlist.Circuit, error) {
 	c, rep, err := File(path)
 	if err != nil {
 		return nil, err
 	}
 	if warn != nil {
-		for _, d := range rep.Diags {
-			fmt.Fprintf(warn, "%s: %s\n", rep.Circuit, d)
-		}
+		fmt.Fprint(warn, rep.String())
 	}
 	if err := rep.Err(); err != nil {
 		return nil, err

@@ -10,8 +10,8 @@ import (
 	"orap/internal/rng"
 )
 
-// BenchmarkDataflow measures a full four-domain engine pass (ternary
-// constants, pair/key-difference, key taint, SCOAP controllability +
+// BenchmarkDataflow measures a full four-domain engine pass
+// (pair/key-difference, key taint, SCOAP controllability +
 // observability) over the scaled b19 benchmark locked the way Table I
 // locks it — the workload internal/audit runs per analysis. Each domain
 // reaches fixpoint in a single sweep; the pair domain runs once per
@@ -41,7 +41,6 @@ func BenchmarkDataflow(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dataflow.Run[int8](p, dataflow.NewConst(p))
 		for lo := 0; lo < p.NumKeys(); lo += 64 {
 			dataflow.Run[dataflow.PairPlanes](p, dataflow.NewPair(p, p.Keys[lo:min(lo+64, p.NumKeys())]))
 		}

@@ -10,14 +10,16 @@
 // (fanins for forward domains, fanouts for backward ones) come earlier
 // in that sweep, so a single sweep IS the fixpoint, with no iteration.
 //
-// The four shipped domains are the ternary constant lattice (Const),
-// the pair/key-difference domain (Pair, bit-sliced over 64 key bits per
-// Run), per-net key-taint sets (KeyTaint) and SCOAP-style testability
-// scores (Controllability / Observability). Callers are free to define
-// their own domains against the same interface; internal/check's
-// output-reachability pass does exactly that. The audit's control cone
-// is not a domain: it is ir.Program.KeyOnly, the key-only partition the
-// Hamming-distance kernel shares.
+// The four shipped domains are the pair/key-difference domain (Pair,
+// bit-sliced over 64 key bits per Run), per-net key-taint sets
+// (KeyTaint) and the two SCOAP-style testability scores
+// (Controllability, Observability). Pair run with no tracked key is the
+// ternary constant lattice {Unknown, 0, 1}, which internal/check's
+// const-out rule reads.
+// Plain reachability is not a domain: it is ir.Program's
+// TransitiveFanin and TransitiveFanout, and the audit's control cone is
+// ir.Program.KeyOnly, the key-only partition the Hamming-distance
+// kernel shares.
 package dataflow
 
 import "orap/internal/ir"

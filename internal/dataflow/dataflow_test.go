@@ -106,18 +106,24 @@ func forEachAssignment(t *testing.T, p *ir.Program, fn func(pi, key []bool)) {
 	}
 }
 
-// TestConstSoundness checks the ternary constant domain against brute
-// force: a node the domain calls constant must evaluate to that
-// constant under every input and key assignment.
+// TestConstSoundness checks ternary constant propagation, the pair
+// domain's lane that tracks no key, against brute force: a node the
+// lane calls constant must evaluate to that constant under every input
+// and key assignment, and its two values must agree.
 func TestConstSoundness(t *testing.T) {
 	for name, c := range soundnessCircuits(t) {
 		t.Run(name, func(t *testing.T) {
 			p := compile(t, c)
-			vals := dataflow.Run[int8](p, dataflow.NewConst(p))
+			vals := dataflow.Run[dataflow.PairPlanes](p, dataflow.NewPair(p, nil))
 			concrete := make([]bool, p.NumNodes())
 			forEachAssignment(t, p, func(pi, key []bool) {
 				evalInto(p, concrete, pi, key)
-				for id, av := range vals {
+				for id := range vals {
+					lane := vals[id].Lane(0)
+					av := lane.V0
+					if lane.V1 != av || !lane.Eq {
+						t.Fatalf("node %d (%s): no-key lane %+v, want equal values and Eq", id, c.NameOf(id), lane)
+					}
 					if av == dataflow.Unknown {
 						continue
 					}

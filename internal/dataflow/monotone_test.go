@@ -71,11 +71,6 @@ func randomTernary(r *rng.Stream) int8 {
 	return dataflow.Unknown
 }
 
-func TestConstMonotone(t *testing.T) {
-	p := monotoneProgram(t)
-	checkMonotone[int8](t, p, dataflow.NewConst(p), randomTernary)
-}
-
 // randomPair draws a consistent pair value: when both ternary halves
 // are known the proofs are forced by the values; otherwise Eq and Anti
 // are free but mutually exclusive, and a half-known pair carries

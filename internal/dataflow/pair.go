@@ -2,6 +2,10 @@ package dataflow
 
 import "orap/internal/ir"
 
+// Unknown is the top element of the ternary constant lattice
+// {Unknown, 0, 1}: the node's value is not provably constant.
+const Unknown = int8(-1)
+
 // PairValue is the pair/key-difference abstract value of one node for
 // one key bit: the ternary constant-propagation results under both
 // values of the bit, tracked jointly. Tracking the pair matters:
@@ -67,7 +71,11 @@ func (v *PairPlanes) negate() {
 // and key-leak rules. Lane j tracks keys[j] under both of its values
 // with every other input Unknown-but-Eq, exactly as if keys[j] were the
 // only key bit analysed; one Run solves 64 key bits. Lanes past
-// len(keys) track no key and hold Eq everywhere.
+// len(keys) track no key and hold Eq everywhere; their V0 (= V1) is
+// plain ternary constant propagation, behind check's const-out rule.
+// Constants seed known values, the AND/OR families fold through
+// absorbing inputs, and the degenerate two-input XOR/XNOR of one
+// signal against itself folds regardless of the signal's value.
 type Pair struct {
 	p    *ir.Program
 	keys []int32

@@ -44,7 +44,7 @@ func (d *Controllability) Direction() Direction { return Forward }
 
 // Join implements Domain: the pessimistic (max) score per polarity.
 func (d *Controllability) Join(a, b ControlValue) ControlValue {
-	return ControlValue{CC0: max32(a.CC0, b.CC0), CC1: max32(a.CC1, b.CC1)}
+	return ControlValue{CC0: max(a.CC0, b.CC0), CC1: max(a.CC1, b.CC1)}
 }
 
 // Equal implements Domain.
@@ -73,7 +73,7 @@ func (d *Controllability) Transfer(id int, vals []ControlValue) ControlValue {
 		for _, f := range fi {
 			v := vals[f]
 			one = satAdd(one, v.CC1)
-			zero = min32(zero, v.CC0)
+			zero = min(zero, v.CC0)
 		}
 		cc0, cc1 := satAdd(zero, 1), satAdd(one, 1)
 		if p.Ops[id] == ir.OpNand {
@@ -85,7 +85,7 @@ func (d *Controllability) Transfer(id int, vals []ControlValue) ControlValue {
 		for _, f := range fi {
 			v := vals[f]
 			zero = satAdd(zero, v.CC0)
-			one = min32(one, v.CC1)
+			one = min(one, v.CC1)
 		}
 		cc0, cc1 := satAdd(zero, 1), satAdd(one, 1)
 		if p.Ops[id] == ir.OpNor {
@@ -99,8 +99,8 @@ func (d *Controllability) Transfer(id int, vals []ControlValue) ControlValue {
 		c0, c1 := v.CC0, v.CC1
 		for _, f := range fi[1:] {
 			fv := vals[f]
-			n0 := min32(satAdd(c0, fv.CC0), satAdd(c1, fv.CC1))
-			n1 := min32(satAdd(c0, fv.CC1), satAdd(c1, fv.CC0))
+			n0 := min(satAdd(c0, fv.CC0), satAdd(c1, fv.CC1))
+			n1 := min(satAdd(c0, fv.CC1), satAdd(c1, fv.CC0))
 			c0, c1 = n0, n1
 		}
 		cc0, cc1 := satAdd(c0, 1), satAdd(c1, 1)
@@ -138,7 +138,7 @@ func NewObservability(p *ir.Program, cc []ControlValue) *Observability {
 func (d *Observability) Direction() Direction { return Backward }
 
 // Join implements Domain: the pessimistic (max) score.
-func (d *Observability) Join(a, b int32) int32 { return max32(a, b) }
+func (d *Observability) Join(a, b int32) int32 { return max(a, b) }
 
 // Equal implements Domain.
 func (d *Observability) Equal(a, b int32) bool { return a == b }
@@ -171,27 +171,13 @@ func (d *Observability) Transfer(id int, vals []int32) int32 {
 		case ir.OpXor, ir.OpXnor:
 			for _, f := range p.FaninSpan(g) {
 				if int(f) != id {
-					cost = satAdd(cost, min32(d.cc[f].CC0, d.cc[f].CC1))
+					cost = satAdd(cost, min(d.cc[f].CC0, d.cc[f].CC1))
 				}
 			}
 		default:
 			cost = Unreachable
 		}
-		co = min32(co, satAdd(cost, 1))
+		co = min(co, satAdd(cost, 1))
 	}
 	return co
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }

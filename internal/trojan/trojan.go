@@ -15,6 +15,7 @@ package trojan
 
 import (
 	"fmt"
+	"slices"
 
 	"orap/internal/gf2"
 	"orap/internal/lfsr"
@@ -211,7 +212,7 @@ func SimulateSuppressReset(cfg scan.Config, trueKey []bool, x []bool) (AttackOut
 	}
 	return AttackOutcome{
 		Scenario:        "a/b",
-		CorrectResponse: boolsEqual(resp, want),
+		CorrectResponse: slices.Equal(resp, want),
 		RecoveredKey:    leaked,
 	}, nil
 }
@@ -233,7 +234,7 @@ func SimulateShadowKey(cfg scan.Config, trueKey []bool) (AttackOutcome, error) {
 	}
 	return AttackOutcome{
 		Scenario:        "c",
-		CorrectResponse: boolsEqual(leaked, trueKey),
+		CorrectResponse: slices.Equal(leaked, trueKey),
 		RecoveredKey:    leaked,
 	}, nil
 }
@@ -321,18 +322,6 @@ func SimulateFreezeFFs(cfg scan.Config, trueKey []bool, x []bool) (AttackOutcome
 	}
 	return AttackOutcome{
 		Scenario:        "e",
-		CorrectResponse: boolsEqual(resp, want),
+		CorrectResponse: slices.Equal(resp, want),
 	}, nil
-}
-
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
