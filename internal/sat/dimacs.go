@@ -38,7 +38,7 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 		emit([]Lit{u})
 	}
 	for _, c := range s.clauses {
-		emit(c.lits)
+		emit(s.clauseLits(c))
 	}
 	if !s.ok {
 		fmt.Fprintln(bw, "0")

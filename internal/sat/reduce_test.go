@@ -7,10 +7,11 @@ import (
 	"orap/internal/rng"
 )
 
-// mkLearnt installs a fake learned clause with the given LBD directly, so
-// reduceDB policy is testable in isolation.
-func mkLearnt(s *Solver, lbd int32, lits ...Lit) *clause {
-	c := &clause{lits: lits, learnt: true, lbd: lbd}
+// mkLearnt installs a fake learned clause with the given LBD and
+// activity 0 directly, so reduceDB policy is testable in isolation.
+func mkLearnt(s *Solver, lbd int32, lits ...Lit) cref {
+	c := s.newClause(lits, true, lbd)
+	s.meta(c)[1] = 0
 	s.learnts = append(s.learnts, c)
 	s.attach(c)
 	return c

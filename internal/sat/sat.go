@@ -7,6 +7,13 @@
 // sequence of related problems: everything added or learned since a mark
 // is deleted again, in time proportional to what is deleted.
 //
+// Clauses live in one arena, each a header word followed by its
+// literals, and are referred to by offset, so watch lists, reasons and
+// clause lists hold no pointer for the garbage collector to trace and a
+// clause costs no allocation of its own. Values are kept per literal, so
+// reading one is a single load. The arena is compacted in creation order
+// once evicted learned clauses fill half of it.
+//
 // It is the engine behind the oracle-guided SAT attack of Subramanyan et
 // al. that the OraP paper defends against, and the solver is deliberately
 // self-contained (stdlib only) so the whole attack stack reproduces
@@ -71,31 +78,38 @@ func boolToLBool(b bool) LBool {
 // not returns the logical complement (Undef maps to itself).
 func (b LBool) not() LBool { return -b }
 
-type clause struct {
-	lits     []Lit
-	activity float64
-	// serial is Stats.Learnt when a learned clause was stored, so
-	// Rollback can tell the clauses learned since its mark.
-	serial int64
-	lbd    int32
-	learnt bool
-}
+// cref refers to a clause by the offset of its header in the solver's
+// arena, one []Lit that holds every clause: a header word, size<<1 |
+// learned, then the literals, and for a learned clause learntMeta more
+// words (see meta), among them its serial, Stats.Learnt when it was
+// stored, so Rollback can tell the clauses learned since its mark.
+// Watchers, reasons and the clause lists hold offsets, so nothing the
+// solver keeps per clause is a pointer.
+type cref uint32
+
+// noReason is the reason of a decision, an assumption, a unit and an
+// unassigned variable.
+const noReason cref = ^cref(0)
+
+// learntMeta is the number of words a learned clause keeps after its
+// literals.
+const learntMeta = 4
 
 // watcher is the long-clause (≥3 literals) watch entry. The blocking
 // literal lets propagation skip the clause without touching its memory
 // whenever the blocker is already satisfied.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
 // binWatch is the specialized binary-clause watch entry: when the watched
 // literal is falsified the only possible consequence is `other`, so
-// binary propagation reads nothing but the watcher itself. The clause
-// pointer is carried only as the reason for conflict analysis.
+// binary propagation reads nothing but the watcher itself. The clause's
+// offset is carried only as the reason for conflict analysis.
 type binWatch struct {
 	other Lit
-	c     *clause
+	c     cref
 }
 
 // glueLBD is the LBD at or below which a learned clause is "glue":
@@ -104,14 +118,17 @@ const glueLBD = 2
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses    []*clause
-	learnts    []*clause
+	arena      []Lit        // every clause, in creation order; see cref
+	wasted     int          // arena words held by evicted clauses
+	clauses    []cref       // problem clauses, by ascending offset
+	learnts    []cref       // learned clauses, by ascending offset
 	watches    [][]watcher  // indexed by Lit; long clauses only
 	binWatches [][]binWatch // indexed by Lit; binary clauses only
+	addBuf     []Lit        // AddClause's normalized literals
 
-	assigns  []LBool // per var
+	vals     []LBool // per literal: its value under the current assignment
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	polarity []bool // saved phase per var
 	activity []float64
 	varInc   float64
@@ -127,7 +144,7 @@ type Solver struct {
 	lbdStamp   int64
 
 	ok    bool
-	model []LBool
+	model []LBool // per literal, like vals
 
 	// MaxConflicts, when positive, bounds the total conflicts across the
 	// solver's lifetime; Solve returns ErrBudget once exceeded.
@@ -157,7 +174,7 @@ func New() *Solver {
 func (s *Solver) Stats() Stats { return s.stats }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NewVar allocates a fresh variable that the search may branch on.
 func (s *Solver) NewVar() Var {
@@ -178,18 +195,35 @@ func (s *Solver) NewDerivedVar() Var {
 }
 
 func (s *Solver) addVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, Undef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
-	s.polarity = append(s.polarity, true) // default phase: false (neg lit)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
+	v := Var(s.NumVars())
+	s.vals = push(s.vals, Undef, Undef)
+	s.level = push(s.level, 0)
+	s.reason = push(s.reason, noReason)
+	s.polarity = push(s.polarity, true) // default phase: false (neg lit)
+	s.activity = push(s.activity, 0)
+	s.seen = push(s.seen, false)
 	s.watches = growWatches(s.watches)
 	s.binWatches = growWatches(s.binWatches)
-	s.levelMark = append(s.levelMark, 0)
+	s.levelMark = push(s.levelMark, 0)
+	s.trail = reserve(s.trail, s.NumVars()) // it holds each variable at most once
 	return v
 }
+
+// reserve returns a with room for n elements, doubling its capacity
+// when it is short. append grows a large slice by about 1.25×, so an
+// array grown one variable or clause at a time would be copied about
+// five times its final size over its life.
+func reserve[T any](a []T, n int) []T {
+	if n > cap(a) {
+		b := make([]T, len(a), max(2*cap(a), n, 16))
+		copy(b, a)
+		return b
+	}
+	return a
+}
+
+// push appends xs to a, growing it as reserve does.
+func push[T any](a []T, xs ...T) []T { return append(reserve(a, len(a)+len(xs)), xs...) }
 
 // growWatches appends the two empty watch lists of a new variable. Past
 // a Rollback, which empties the deleted variables' lists, it reuses
@@ -198,23 +232,72 @@ func growWatches[W any](ws [][]W) [][]W {
 	if n := len(ws); cap(ws) >= n+2 {
 		return ws[:n+2]
 	}
-	return append(ws, nil, nil)
+	return push(ws, nil, nil)
 }
 
-func (s *Solver) valueLit(l Lit) LBool {
-	v := s.assigns[l.variable()]
-	if l.neg() {
-		return v.not()
-	}
-	return v
-}
+func (s *Solver) valueLit(l Lit) LBool { return s.vals[l] }
 
 // Value returns the value of v in the most recent satisfying model.
 func (s *Solver) Value(v Var) LBool {
-	if int(v) < len(s.model) {
-		return s.model[v]
+	if l := int(MkLit(v, false)); l < len(s.model) {
+		return s.model[l]
 	}
 	return Undef
+}
+
+// clauseLits returns the literals of clause c, aliasing the arena.
+func (s *Solver) clauseLits(c cref) []Lit {
+	return s.arena[c+1 : c+1+cref(s.arena[c]>>1)]
+}
+
+// learnt reports whether c is a learned clause.
+func (s *Solver) learnt(c cref) bool { return s.arena[c]&1 == 1 }
+
+// meta returns the learntMeta words of the learned clause c, each a bit
+// pattern: the LBD, the activity (a uint32 count of conflicts it took
+// part in) and the serial's low and high halves.
+func (s *Solver) meta(c cref) []Lit {
+	end := c + 1 + cref(s.arena[c]>>1)
+	return s.arena[end : end+learntMeta]
+}
+
+func (s *Solver) lbd(c cref) int32 { return int32(s.meta(c)[0]) }
+
+func (s *Solver) serial(c cref) int64 {
+	m := s.meta(c)
+	return int64(uint32(m[2])) | int64(uint32(m[3]))<<32
+}
+
+func (s *Solver) clauseLen(c cref) int { return clauseWords(s.arena[c]) }
+
+// clauseWords returns the arena words of the clause with header h.
+func clauseWords(h Lit) int {
+	n := 1 + int(h>>1)
+	if h&1 == 1 {
+		n += learntMeta
+	}
+	return n
+}
+
+// newClause stores a clause over lits in the arena and returns its
+// offset; a learned clause starts with activity 1 and the current
+// Stats.Learnt as its serial.
+func (s *Solver) newClause(lits []Lit, learnt bool, lbd int32) cref {
+	c := cref(len(s.arena))
+	h := Lit(len(lits)) << 1
+	if learnt {
+		h |= 1
+	}
+	n := len(s.arena) + clauseWords(h)
+	s.arena = reserve(s.arena, n)[:n]
+	s.arena[c] = h
+	copy(s.arena[c+1:], lits)
+	if learnt {
+		m := s.meta(c)
+		m[0], m[1] = Lit(lbd), 1
+		m[2], m[3] = Lit(uint32(s.stats.Learnt)), Lit(uint32(s.stats.Learnt>>32))
+	}
+	return c
 }
 
 // atRoot panics unless the solver is at decision level 0, i.e. outside
@@ -235,12 +318,13 @@ func (s *Solver) Mark() Checkpoint {
 // Rollback returns the clause database to its state at c. It deletes
 // every variable created, problem clause added and clause learned since
 // the mark, detaching each deleted clause from its two watch lists, and
-// undoes the level-0 assignments made since. A clause learned before the
-// mark and evicted since stays evicted, which is sound. Activities, saved
-// phases and Stats carry over. The time is proportional to what it
-// deletes: the per-variable arrays are truncated and keep their capacity.
-// It must be called outside Solve, and it invalidates every mark made
-// after c.
+// undoes the level-0 assignments made since. The arena keeps clauses in
+// creation order, also across a compaction, so it is truncated at the
+// first deleted clause. A clause learned before the mark and evicted
+// since stays evicted, which is sound. Activities, saved phases and
+// Stats carry over. The time is proportional to what it deletes: the
+// per-variable arrays are truncated and keep their capacity. It must be
+// called outside Solve, and it invalidates every mark made after c.
 func (s *Solver) Rollback(c Checkpoint) {
 	s.atRoot("Rollback")
 	if c.vars > s.NumVars() || c.clauses > len(s.clauses) || c.trail > len(s.trail) {
@@ -248,8 +332,8 @@ func (s *Solver) Rollback(c Checkpoint) {
 	}
 	for _, l := range s.trail[c.trail:] {
 		v := l.variable()
-		s.assigns[v] = Undef
-		s.reason[v] = nil
+		s.vals[l], s.vals[l.Not()] = Undef, Undef
+		s.reason[v] = noReason
 		if int(v) < c.vars {
 			s.heap.insert(v)
 		}
@@ -259,22 +343,27 @@ func (s *Solver) Rollback(c Checkpoint) {
 	// Newest first, so each deleted clause's watchers sit near the end
 	// of their lists, where unwatch starts. The learned clauses since the
 	// mark are a suffix of learnts, which reduceDB keeps in order.
+	cut, live := len(s.arena), 0
 	n := len(s.learnts)
-	for n > 0 && s.learnts[n-1].serial > c.learnt {
+	for n > 0 && s.serial(s.learnts[n-1]) > c.learnt {
 		n--
 		s.detach(s.learnts[n])
+		cut, live = int(s.learnts[n]), live+s.clauseLen(s.learnts[n])
 	}
-	clear(s.learnts[n:])
 	s.learnts = s.learnts[:n]
 	for i := len(s.clauses) - 1; i >= c.clauses; i-- {
 		s.detach(s.clauses[i])
+		cut, live = min(cut, int(s.clauses[i])), live+s.clauseLen(s.clauses[i])
 	}
-	clear(s.clauses[c.clauses:])
 	s.clauses = s.clauses[:c.clauses]
+	// Everything past the first deleted clause was created after it; what
+	// the deleted clauses do not fill is evicted garbage.
+	s.wasted -= len(s.arena) - cut - live
+	s.arena = s.arena[:cut]
 	for v := c.vars; v < s.NumVars(); v++ {
 		s.heap.remove(Var(v))
 	}
-	s.assigns = s.assigns[:c.vars]
+	s.vals = s.vals[:2*c.vars]
 	s.level = s.level[:c.vars]
 	s.reason = s.reason[:c.vars]
 	s.polarity = s.polarity[:c.vars]
@@ -284,7 +373,7 @@ func (s *Solver) Rollback(c Checkpoint) {
 	s.watches = s.watches[:2*c.vars]
 	s.binWatches = s.binWatches[:2*c.vars]
 	s.levelMark = s.levelMark[:min(len(s.levelMark), c.vars+1)]
-	s.model = s.model[:min(len(s.model), c.vars)]
+	s.model = s.model[:min(len(s.model), 2*c.vars)]
 	s.ok = c.ok
 }
 
@@ -297,7 +386,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	s.atRoot("AddClause")
 	// Normalize: sort-unique, drop false lits, detect tautology.
-	norm := make([]Lit, 0, len(lits))
+	norm := s.addBuf[:0]
 	for _, l := range lits {
 		if int(l.variable()) >= s.NumVars() {
 			panic(fmt.Sprintf("sat: clause uses unallocated variable %d", l.variable()))
@@ -322,35 +411,38 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			norm = append(norm, l)
 		}
 	}
+	s.addBuf = norm
 	switch len(norm) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(norm[0], nil)
-		s.ok = s.propagate() == nil
+		s.uncheckedEnqueue(norm[0], noReason)
+		s.ok = s.propagate() == noReason
 		return s.ok
 	}
-	c := &clause{lits: norm}
-	s.clauses = append(s.clauses, c)
+	c := s.newClause(norm, false, 0)
+	s.clauses = push(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	if len(c.lits) == 2 {
-		s.binWatches[c.lits[0].Not()] = append(s.binWatches[c.lits[0].Not()], binWatch{c.lits[1], c})
-		s.binWatches[c.lits[1].Not()] = append(s.binWatches[c.lits[1].Not()], binWatch{c.lits[0], c})
+func (s *Solver) attach(c cref) {
+	lits := s.clauseLits(c)
+	if len(lits) == 2 {
+		s.binWatches[lits[0].Not()] = append(s.binWatches[lits[0].Not()], binWatch{lits[1], c})
+		s.binWatches[lits[1].Not()] = append(s.binWatches[lits[1].Not()], binWatch{lits[0], c})
 		return
 	}
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
 }
 
 // detach removes c from its two watch lists.
-func (s *Solver) detach(c *clause) {
-	for _, l := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		if len(c.lits) == 2 {
+func (s *Solver) detach(c cref) {
+	lits := s.clauseLits(c)
+	for _, l := range []Lit{lits[0].Not(), lits[1].Not()} {
+		if len(lits) == 2 {
 			s.binWatches[l] = unwatch(s.binWatches[l], func(w binWatch) bool { return w.c == c })
 		} else {
 			s.watches[l] = unwatch(s.watches[l], func(w watcher) bool { return w.c == c })
@@ -369,9 +461,9 @@ func unwatch[W any](ws []W, watching func(W) bool) []W {
 	return ws[:len(ws)-1]
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.variable()
-	s.assigns[v] = boolToLBool(!l.neg())
+	s.vals[l], s.vals[l.Not()] = True, False
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -380,16 +472,17 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // propagate performs unit propagation and returns the conflicting clause,
-// or nil when no conflict arises.
-func (s *Solver) propagate() *clause {
+// or noReason when no conflict arises.
+func (s *Solver) propagate() cref {
+	vals, arena := s.vals, s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
 		// Binary watchers first: the implied literal lives in the watch
-		// entry, so this pass never dereferences clause memory.
+		// entry, so this pass never reads the arena.
 		for _, w := range s.binWatches[p] {
-			switch s.valueLit(w.other) {
+			switch vals[w.other] {
 			case False:
 				s.qhead = len(s.trail)
 				return w.c
@@ -400,39 +493,38 @@ func (s *Solver) propagate() *clause {
 		}
 		ws := s.watches[p]
 		j := 0
-		var confl *clause
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.valueLit(w.blocker) == True {
+			if vals[w.blocker] == True {
 				ws[j] = w
 				j++
 				continue
 			}
 			c := w.c
+			lits := arena[c+1 : c+1+cref(arena[c]>>1)]
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.valueLit(first) == True {
+			first := lits[0]
+			if first != w.blocker && vals[first] == True {
 				ws[j] = watcher{c, first}
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != False {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					continue nextWatcher
 				}
 			}
 			// Clause is unit or conflicting.
 			ws[j] = watcher{c, first}
 			j++
-			if s.valueLit(first) == False {
-				confl = c
+			if vals[first] == False {
 				// Copy remaining watchers and stop.
 				for i++; i < len(ws); i++ {
 					ws[j] = ws[i]
@@ -440,13 +532,15 @@ func (s *Solver) propagate() *clause {
 				}
 				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
-				return confl
+				return c
 			}
 			s.uncheckedEnqueue(first, c)
 		}
-		s.watches[p] = ws[:j]
+		if j < len(ws) {
+			s.watches[p] = ws[:j]
+		}
 	}
-	return nil
+	return noReason
 }
 
 func (s *Solver) varBump(v Var) {
@@ -462,8 +556,8 @@ func (s *Solver) varBump(v Var) {
 
 func (s *Solver) varDecay() { s.varInc /= 0.95 }
 
-func (s *Solver) claBump(c *clause) {
-	c.activity++
+func (s *Solver) claBump(c cref) {
+	s.meta(c)[1]++
 }
 
 // computeLBD returns the literal block distance of the clause: the number
@@ -485,8 +579,8 @@ func (s *Solver) computeLBD(lits []Lit) int32 {
 
 // analyze performs first-UIP conflict analysis and returns the learned
 // clause (with the asserting literal first), the backtrack level and the
-// clause's LBD.
-func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
+// clause's LBD. The clause aliases analyzeBuf until the next conflict.
+func (s *Solver) analyze(confl cref) ([]Lit, int, int32) {
 	learnt := s.analyzeBuf[:0]
 	learnt = append(learnt, 0) // placeholder for asserting literal
 	counter := 0
@@ -494,10 +588,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 	idx := len(s.trail) - 1
 
 	for {
-		if confl.learnt {
+		if s.learnt(confl) {
 			s.claBump(confl)
 		}
-		for _, q := range confl.lits {
+		for _, q := range s.clauseLits(confl) {
 			// Skip the asserted literal when walking a reason clause. The
 			// positional skip of lits[0] is not valid for binary reasons
 			// reached through binWatches, whose literal order is fixed at
@@ -564,9 +658,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 		s.seen[l.variable()] = false
 	}
 	s.analyzeBuf = learnt
-	res := make([]Lit, len(learnt))
-	copy(res, learnt)
-	return res, btLevel, lbd
+	return learnt, btLevel, lbd
 }
 
 // redundant reports whether literal l in a learned clause is implied by a
@@ -574,10 +666,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 // level 0 (one-step minimization).
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.variable()]
-	if r == nil {
+	if r == noReason {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, q := range s.clauseLits(r) {
 		if q.variable() == l.variable() {
 			continue
 		}
@@ -594,10 +686,11 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].variable()
-		s.polarity[v] = s.assigns[v] == False // phase saving
-		s.assigns[v] = Undef
-		s.reason[v] = nil
+		l := s.trail[i]
+		v := l.variable()
+		s.polarity[v] = l.neg() // phase saving
+		s.vals[l], s.vals[l.Not()] = Undef, Undef
+		s.reason[v] = noReason
 		s.heap.insert(v) // a no-op for derived variables
 	}
 	s.trail = s.trail[:bound]
@@ -608,7 +701,7 @@ func (s *Solver) backtrackTo(level int) {
 func (s *Solver) pickBranchVar() Var {
 	for !s.heap.empty() {
 		v := s.heap.pop()
-		if s.assigns[v] == Undef {
+		if s.vals[MkLit(v, false)] == Undef {
 			return v
 		}
 	}
@@ -636,7 +729,9 @@ func luby(i int64) int64 {
 // policy is LBD-tiered, Glucose-style: binary clauses, glue clauses
 // (LBD ≤ 2) and clauses locked as reasons on the current trail are never
 // evicted; the rest are ranked by LBD (ties broken toward keeping the
-// more active clause) and the worse half is detached.
+// more active clause) and the worse half is detached. An evicted
+// clause's words become garbage, and the arena is compacted once the
+// garbage exceeds half of it.
 //
 // Learned-clause sets smaller than four are left alone: median-selecting
 // on a near-empty candidate slice is meaningless and the clauses are
@@ -645,18 +740,19 @@ func (s *Solver) reduceDB() {
 	if len(s.learnts) < 4 {
 		return
 	}
-	locked := func(c *clause) bool {
-		v := c.lits[0].variable()
-		return s.assigns[v] != Undef && s.reason[v] == c
+	locked := func(c cref) bool {
+		l := s.clauseLits(c)[0]
+		return s.vals[l] != Undef && s.reason[l.variable()] == c
 	}
-	evictable := func(c *clause) bool {
-		return len(c.lits) > 2 && c.lbd > glueLBD && !locked(c)
+	evictable := func(c cref) bool {
+		return s.arena[c]>>1 > 2 && s.lbd(c) > glueLBD && !locked(c)
 	}
 	// Composite rank: LBD dominates, clause activity breaks ties (higher
 	// score = better eviction candidate). Activities are conflict counts,
 	// far below the tier width, so tiers never interleave.
-	score := func(c *clause) float64 {
-		return float64(c.lbd)*1e12 - c.activity
+	score := func(c cref) float64 {
+		m := s.meta(c)
+		return float64(int32(m[0]))*1e12 - float64(uint32(m[1]))
 	}
 	scores := make([]float64, 0, len(s.learnts))
 	for _, c := range s.learnts {
@@ -675,6 +771,7 @@ func (s *Solver) reduceDB() {
 			kept = append(kept, c)
 		} else {
 			s.detach(c)
+			s.wasted += s.clauseLen(c)
 			removed++
 		}
 	}
@@ -683,6 +780,50 @@ func (s *Solver) reduceDB() {
 		s.stats.Reductions++
 		s.stats.RemovedClauses += int64(removed)
 	}
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses, in arena order, into a fresh arena
+// and relocates the clause lists, the watchers and the reasons. Each
+// moved clause's old header holds its new offset while the references
+// are rewritten.
+func (s *Solver) compact() {
+	from := s.arena
+	to := make([]Lit, 0, cap(from))
+	move := func(c cref) cref {
+		n := clauseWords(from[c])
+		to = append(to, from[c:int(c)+n]...)
+		from[c] = Lit(len(to) - n)
+		return cref(from[c])
+	}
+	// Both lists ascend by offset, so merging them visits the arena in
+	// order and keeps creation order, which Rollback relies on.
+	i, j := 0, 0
+	for i < len(s.clauses) || j < len(s.learnts) {
+		if j == len(s.learnts) || i < len(s.clauses) && s.clauses[i] < s.learnts[j] {
+			s.clauses[i] = move(s.clauses[i])
+			i++
+		} else {
+			s.learnts[j] = move(s.learnts[j])
+			j++
+		}
+	}
+	for l := range s.watches {
+		for k := range s.watches[l] {
+			s.watches[l][k].c = cref(from[s.watches[l][k].c])
+		}
+		for k := range s.binWatches[l] {
+			s.binWatches[l][k].c = cref(from[s.binWatches[l][k].c])
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.variable()]; r != noReason {
+			s.reason[l.variable()] = cref(from[r])
+		}
+	}
+	s.arena, s.wasted = to, 0
 }
 
 // quickSelectMedian returns the median element of a (by value, not
@@ -750,7 +891,7 @@ func (s *Solver) Solve(assumptions ...Lit) (bool, error) {
 	// the level count is bounded by numVars+len(assumptions), not numVars;
 	// levelMark must cover the whole range for computeLBD.
 	for len(s.levelMark) <= s.NumVars()+len(assumptions) {
-		s.levelMark = append(s.levelMark, 0)
+		s.levelMark = push(s.levelMark, 0)
 	}
 	defer s.backtrackTo(0)
 
@@ -763,10 +904,12 @@ func (s *Solver) Solve(assumptions ...Lit) (bool, error) {
 		}
 		if status != Undef {
 			if status == True {
-				if v := slices.Index(s.assigns, Undef); v >= 0 {
-					panic(fmt.Sprintf("sat: derived variable v%d is unassigned in the model", v))
+				// The trail holds each assigned variable once.
+				if len(s.trail) < s.NumVars() {
+					l := slices.Index(s.vals, Undef)
+					panic(fmt.Sprintf("sat: derived variable v%d is unassigned in the model", l/2))
 				}
-				s.model = append(s.model[:0], s.assigns...)
+				s.model = append(s.model[:0], s.vals...)
 				return true, nil
 			}
 			return false, nil
@@ -785,7 +928,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 	conflicts := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noReason {
 			s.stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -805,11 +948,11 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 					return False, nil
 				}
 				if s.valueLit(learnt[0]) == Undef {
-					s.uncheckedEnqueue(learnt[0], nil)
+					s.uncheckedEnqueue(learnt[0], noReason)
 				}
 			} else {
-				c := &clause{lits: learnt, learnt: true, activity: 1, lbd: lbd, serial: s.stats.Learnt}
-				s.learnts = append(s.learnts, c)
+				c := s.newClause(learnt, true, lbd)
+				s.learnts = push(s.learnts, c)
 				s.attach(c)
 				if s.valueLit(learnt[0]) == Undef {
 					s.uncheckedEnqueue(learnt[0], c)
@@ -841,7 +984,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 				return False, nil
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.uncheckedEnqueue(a, nil)
+			s.uncheckedEnqueue(a, noReason)
 			continue
 		}
 		v := s.pickBranchVar()
@@ -850,7 +993,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 		}
 		s.stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(MkLit(v, s.polarity[v]), nil)
+		s.uncheckedEnqueue(MkLit(v, s.polarity[v]), noReason)
 	}
 }
 
@@ -876,7 +1019,7 @@ func (h *varHeap) empty() bool { return len(h.heap) == 0 }
 
 func (h *varHeap) ensure(v Var) {
 	for int(v) >= len(h.pos) {
-		h.pos = append(h.pos, posAbsent)
+		h.pos = push(h.pos, posAbsent)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -315,7 +316,7 @@ func TestMarkRollback(t *testing.T) {
 	if ok, err := s.Solve(a, b); ok || err != nil {
 		t.Fatalf("Solve(a, b) on the mark = %v, %v; want UNSAT", ok, err)
 	}
-	if len(s.learnts) != 1 || len(s.learnts[0].lits) != 2 {
+	if len(s.learnts) != 1 || len(s.clauseLits(s.learnts[0])) != 2 {
 		t.Fatalf("learned %d clauses on the mark, want the binary ¬a ∨ ¬b", len(s.learnts))
 	}
 	// c ∨ y and c ∨ ¬y make the solver learn the unit c at level 0.
@@ -354,20 +355,20 @@ func TestMarkRollback(t *testing.T) {
 // variable is in the VSIDS heap.
 func checkState(t *testing.T, s *Solver) {
 	t.Helper()
-	seen := map[*clause]int{}
+	seen := map[cref]int{}
 	for _, c := range s.clauses {
 		seen[c] = 0
 	}
 	for _, c := range s.learnts {
 		seen[c] = 0
 	}
-	watch := func(l Lit, c *clause) {
+	watch := func(l Lit, c cref) {
 		n, ok := seen[c]
 		if !ok {
 			t.Fatalf("watch list of %v holds a clause that is not live", l.Not())
 		}
-		if c.lits[0].Not() != l && c.lits[1].Not() != l {
-			t.Fatalf("watch list of %v holds a clause watching %v and %v", l.Not(), c.lits[0], c.lits[1])
+		if lits := s.clauseLits(c); lits[0].Not() != l && lits[1].Not() != l {
+			t.Fatalf("watch list of %v holds a clause watching %v and %v", l.Not(), lits[0], lits[1])
 		}
 		seen[c] = n + 1
 	}
@@ -384,12 +385,14 @@ func checkState(t *testing.T, s *Solver) {
 	}
 	for c, n := range seen {
 		if n != 2 {
-			t.Fatalf("clause %v is watched %d times, want 2", c.lits, n)
+			t.Fatalf("clause %v is watched %d times, want 2", s.clauseLits(c), n)
 		}
 	}
 	assigned := 0
-	for v, a := range s.assigns {
-		switch {
+	for v := range s.NumVars() {
+		switch a := s.vals[MkLit(Var(v), false)]; {
+		case a != s.vals[MkLit(Var(v), true)].not():
+			t.Fatalf("the two literals of v%d hold %v and %v", v, a, s.vals[MkLit(Var(v), true)])
 		case a != Undef:
 			assigned++
 		case s.heap.pos[v] == posAbsent:
@@ -405,6 +408,114 @@ func checkState(t *testing.T, s *Solver) {
 	for _, v := range s.heap.heap {
 		if int(v) >= s.NumVars() {
 			t.Fatalf("heap holds deleted variable v%d", v)
+		}
+	}
+	words := s.wasted
+	for _, list := range [][]cref{s.clauses, s.learnts} {
+		for i, c := range list {
+			if i > 0 && c <= list[i-1] {
+				t.Fatalf("clause list out of arena order at %d: offset %d after %d", i, c, list[i-1])
+			}
+			words += s.clauseLen(c)
+		}
+	}
+	if words != len(s.arena) {
+		t.Fatalf("live clauses and %d garbage words fill %d arena words, arena holds %d", s.wasted, words, len(s.arena))
+	}
+}
+
+// TestRollbackAfterReduceAndCompact learns clauses before and after a
+// mark, adds problem clauses after it, then evicts learned clauses and
+// compacts the arena between the mark and its Rollback, so the deleted
+// clauses have moved and evicted garbage lies on both sides of the
+// mark. The rolled-back solver must be consistent, keep no clause
+// learned since the mark, and answer like a twin that only saw the base.
+func TestRollbackAfterReduceAndCompact(t *testing.T) {
+	r := rng.New(5)
+	const nv = 60
+	var base [][]Lit
+	for i := 0; i < 255; i++ {
+		base = append(base, []Lit{MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool())})
+	}
+	build := func() *Solver {
+		s := New()
+		mkVars(s, nv)
+		for _, cl := range base {
+			s.AddClause(cl...)
+		}
+		if ok, err := s.Solve(); !ok || err != nil {
+			t.Fatalf("base Solve = %v, %v; want SAT", ok, err)
+		}
+		return s
+	}
+	s, twin := build(), build()
+	if len(s.learnts) == 0 {
+		t.Fatal("the base solve learned nothing, so no evictable clause precedes the mark")
+	}
+	cp := s.Mark()
+	all := mkVars(s, 12)
+	for v := range nv {
+		all = append(all, Var(v))
+	}
+	var assumps [][]Lit
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 3; i++ {
+			s.AddClause(MkLit(all[r.Intn(len(all))], r.Bool()), MkLit(all[r.Intn(len(all))], r.Bool()), MkLit(all[r.Intn(len(all))], r.Bool()))
+		}
+		a := []Lit{MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool())}
+		assumps = append(assumps, a)
+		s.MaxConflicts = s.Stats().Conflicts + 200
+		if _, err := s.Solve(a...); err != nil && err != ErrBudget {
+			t.Fatal(err)
+		}
+		if !s.ok {
+			break
+		}
+	}
+	learnt := len(s.learnts)
+	s.reduceDB()
+	if s.stats.Reductions == 0 || len(s.learnts) >= learnt {
+		t.Fatalf("reduceDB evicted nothing from %d learned clauses", learnt)
+	}
+	arena := len(s.arena)
+	s.compact()
+	if s.wasted != 0 || len(s.arena) >= arena {
+		t.Fatalf("compaction left %d garbage words, arena %d → %d", s.wasted, arena, len(s.arena))
+	}
+	checkState(t, s)
+	// Clauses added and learned after the compaction sit behind the moved
+	// ones and go too.
+	s.AddClause(MkLit(all[0], false), MkLit(all[1], true), MkLit(all[2], false))
+	s.MaxConflicts = s.Stats().Conflicts + 200
+	_, _ = s.Solve(assumps[0]...)
+
+	s.Rollback(cp)
+	if s.NumVars() != nv || len(s.clauses) != cp.clauses {
+		t.Fatalf("after Rollback: %d vars, %d clauses; want %d, %d", s.NumVars(), len(s.clauses), nv, cp.clauses)
+	}
+	for _, c := range s.learnts {
+		if s.serial(c) > cp.learnt {
+			t.Fatalf("clause learned since the mark (serial %d > %d) survived Rollback", s.serial(c), cp.learnt)
+		}
+	}
+	checkState(t, s)
+	s.MaxConflicts, twin.MaxConflicts = 0, 0
+	for _, a := range append(assumps, nil) {
+		ok, err := s.Solve(a...)
+		twinOK, twinErr := twin.Solve(a...)
+		if err != nil || twinErr != nil {
+			t.Fatalf("Solve(%v) errored: %v, twin %v", a, err, twinErr)
+		}
+		if ok != twinOK {
+			t.Fatalf("Solve(%v) = %v after Rollback, %v for a solver that saw only the base", a, ok, twinOK)
+		}
+		if !ok {
+			continue
+		}
+		for ci, cl := range base {
+			if !slices.ContainsFunc(cl, func(l Lit) bool { return s.modelLit(l) == True }) {
+				t.Fatalf("model after Rollback violates base clause %d %v", ci, cl)
+			}
 		}
 	}
 }
