@@ -11,7 +11,8 @@ import (
 // Miter is the SAT-attack formulation: two copies of a locked circuit that
 // share primary inputs but have independent keys K1 and K2, with a
 // constraint that at least one output differs. Only the key inputs' cone
-// of influence is duplicated per copy (see NewMiter).
+// of influence is duplicated per copy (see NewMiter), and the key-only
+// part of that cone only per key vector (see AddIOConstraint).
 type Miter struct {
 	S *sat.Solver
 	// Prog is the compiled locked circuit; every per-query copy is
@@ -33,9 +34,14 @@ type Miter struct {
 
 	coi       *coiInfo
 	sharedVar []sat.Var // per node: shared support variable, -1 if not encoded
-	constTrue sat.Var   // lazily allocated const-true var for query folding
-	evalBuf   []bool    // per-node evaluation buffer for query folding
-	copyVar   []sat.Var // per node: encodeCone's variables, reused by every copy
+	// keyOnly1 and keyOnly2 are the variables addConePair gave the
+	// key-only gates of the cone under Key1 and Key2, indexed like
+	// coi.gates, -1 for the other gates. Every IO copy under that key
+	// vector reads them instead of encoding those gates again.
+	keyOnly1, keyOnly2 []sat.Var
+	constTrue          sat.Var   // lazily allocated const-true var for query folding
+	evalBuf            []bool    // per-node evaluation buffer for query folding
+	copyVar            []sat.Var // per node: encodeCone's variables, reused by every copy
 }
 
 // AssumeDiff returns the assumption literal enabling the disequality.
@@ -61,8 +67,9 @@ func extract(s *sat.Solver, vars []sat.Var) []bool {
 
 // coiInfo captures the key-dependence structure of a compiled program for
 // cone-of-influence miter encoding: which nodes can depend on the key
-// (cone), which nodes feed a key-reachable output at all (needed), and
-// which primary outputs are key-reachable (keyPOIdx).
+// (cone), which nodes feed a key-reachable output at all (needed), which
+// primary outputs are key-reachable (keyPOIdx), and which gates each
+// cone copy encodes (gates), the key-only ones among them marked.
 type coiInfo struct {
 	// cone marks nodes in the transitive fanout of any key input.
 	cone []bool
@@ -72,6 +79,11 @@ type coiInfo struct {
 	// keyPOIdx lists the indices (into Prog.POs) of the key-reachable
 	// primary outputs, in declaration order.
 	keyPOIdx []int
+	// gates lists the needed cone nodes other than the key inputs, in
+	// topological order; keyOnly marks, per entry, the gates that are
+	// functions of the key alone (ir.Program.KeyOnly).
+	gates   []int32
+	keyOnly []bool
 }
 
 func newCOIInfo(prog *ir.Program) *coiInfo {
@@ -91,6 +103,13 @@ func newCOIInfo(prog *ir.Program) *coiInfo {
 		info.needed = make([]bool, prog.NumNodes())
 	} else {
 		info.needed = prog.TransitiveFanin(keyPOs...)
+	}
+	keyOnly := prog.KeyOnly()
+	for _, id := range prog.Order {
+		if info.needed[id] && info.cone[id] && prog.Ops[id] != ir.OpInput {
+			info.gates = append(info.gates, id)
+			info.keyOnly = append(info.keyOnly, keyOnly[id])
+		}
 	}
 	return info
 }
@@ -210,12 +229,15 @@ func (m *Miter) encodeShared() error {
 
 // encodeCone emits one copy of the needed key-cone gates, with key inputs
 // bound to keyVars and each fanin outside the cone read as the literal
-// shared returns for it. It returns the variables of the key-reachable
-// outputs, in keyPOIdx order. Every copy reuses the miter's copyVar
-// without clearing it: a copy reads only the entries it wrote itself,
-// the key inputs' and those of needed cone nodes earlier in topological
-// order.
-func (m *Miter) encodeCone(keyVars []sat.Var, shared func(f int32) sat.Lit) ([]sat.Var, error) {
+// shared returns for it. A key-only gate whose entry in keyOnly is set
+// reads that variable and emits nothing; otherwise its new variable is
+// stored there, so the first copy under a key vector defines the
+// key-only gates and every later one shares them. It returns the
+// variables of the key-reachable outputs, in keyPOIdx order. Every copy
+// reuses the miter's copyVar without clearing it: a copy reads only the
+// entries it wrote itself, the key inputs' and those of needed cone
+// nodes earlier in topological order.
+func (m *Miter) encodeCone(keyVars, keyOnly []sat.Var, shared func(f int32) sat.Lit) ([]sat.Var, error) {
 	prog, info := m.Prog, m.coi
 	if m.copyVar == nil {
 		m.copyVar = make([]sat.Var, prog.NumNodes())
@@ -225,15 +247,18 @@ func (m *Miter) encodeCone(keyVars []sat.Var, shared func(f int32) sat.Lit) ([]s
 		copyVar[id] = keyVars[i]
 	}
 	var fan []sat.Lit
-	for _, id32 := range prog.Order {
-		id := int(id32)
-		if !info.needed[id] || !info.cone[id] || prog.Ops[id] == ir.OpInput {
+	for i, id := range info.gates {
+		if keyOnly[i] >= 0 {
+			copyVar[id] = keyOnly[i]
 			continue
 		}
 		v := m.S.NewDerivedVar()
 		copyVar[id] = v
+		if info.keyOnly[i] {
+			keyOnly[i] = v
+		}
 		fan = fan[:0]
-		for _, f := range prog.FaninSpan(id) {
+		for _, f := range prog.FaninSpan(int(id)) {
 			if info.cone[f] {
 				fan = append(fan, sat.MkLit(copyVar[f], false))
 			} else {
@@ -252,15 +277,17 @@ func (m *Miter) encodeCone(keyVars []sat.Var, shared func(f int32) sat.Lit) ([]s
 }
 
 // addConePair encodes the two key-cone copies of m over the shared
-// support encoding and asserts the activation-guarded disequality over
-// the key-reachable outputs.
+// support encoding, defining the key-only gates of each key vector, and
+// asserts the activation-guarded disequality over the key-reachable
+// outputs.
 func (m *Miter) addConePair() error {
 	shared := func(f int32) sat.Lit { return sat.MkLit(m.sharedVar[f], false) }
-	o1, err := m.encodeCone(m.Key1, shared)
+	m.keyOnly1, m.keyOnly2 = noVars(len(m.coi.gates)), noVars(len(m.coi.gates))
+	o1, err := m.encodeCone(m.Key1, m.keyOnly1, shared)
 	if err != nil {
 		return err
 	}
-	o2, err := m.encodeCone(m.Key2, shared)
+	o2, err := m.encodeCone(m.Key2, m.keyOnly2, shared)
 	if err != nil {
 		return err
 	}
@@ -279,14 +306,29 @@ func (m *Miter) addConePair() error {
 	return nil
 }
 
+// noVars returns n variables set to -1.
+func noVars(n int) []sat.Var {
+	vs := make([]sat.Var, n)
+	for i := range vs {
+		vs[i] = -1
+	}
+	return vs
+}
+
 // AddIOConstraint records an oracle observation: for input pattern x with
 // oracle response y, both key copies must reproduce y on x. The
 // key-independent logic is not re-encoded: one concrete evaluation of the
 // program under x fixes every shared node, the two per-key cone copies
 // are emitted with those constants folded in, and only the key-reachable
-// outputs are constrained to the oracle response. A response bit that
-// contradicts the circuit on a key-independent output makes the formula
-// unsatisfiable, exactly as a full two-copy encoding's unit clauses would.
+// outputs are constrained to the oracle response. Nor is the key-only
+// logic, such as a point function's comparator against its hidden
+// constant or a weighted lock's control gates: under one key vector it
+// takes the same value in every copy, so each copy reads the variables
+// addConePair defined for it. The formula stays equisatisfiable, each
+// shared variable being defined by the same key literals in every copy.
+// A response bit that contradicts the circuit on a key-independent
+// output makes the formula unsatisfiable, exactly as a full two-copy
+// encoding's unit clauses would.
 func (m *Miter) AddIOConstraint(x, y []bool) error {
 	prog, info := m.Prog, m.coi
 	if len(x) != prog.NumInputs() {
@@ -323,8 +365,8 @@ func (m *Miter) AddIOConstraint(x, y []bool) error {
 	// Constant fold: the solver's level-0 clause simplification drops
 	// false literals and discards satisfied clauses.
 	folded := func(f int32) sat.Lit { return sat.MkLit(m.constTrue, !vals[f]) }
-	for _, keys := range [][]sat.Var{m.Key1, m.Key2} {
-		outs, err := m.encodeCone(keys, folded)
+	for _, k := range [][2][]sat.Var{{m.Key1, m.keyOnly1}, {m.Key2, m.keyOnly2}} {
+		outs, err := m.encodeCone(k[0], k[1], folded)
 		if err != nil {
 			return err
 		}
