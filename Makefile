@@ -82,8 +82,8 @@ bench-parallel:
 
 # One-iteration compile-and-run pass over the SAT-engine, ATPG, dataflow,
 # BDD, audit, Hamming-distance and vet benchmarks: the SAT attack on the cone-of-influence miter
-# (a 10-bit weighted lock's few hard solves, and an 8-bit SARLock's 255
-# easy incremental ones), the key equivalence check under correct and wrong keys, the propagation
+# (a 10-bit weighted lock's few hard solves, and an 8-bit SARLock's
+# easy incremental ones, which must number exactly 255 DIPs), the key equivalence check under correct and wrong keys, the propagation
 # microbench, the SAT-ATPG campaign on the tables workload's costliest
 # locked designs, the four-domain fixpoint sweep (the pair domain once
 # per 64-key slice, as the audit runs it), a BDD cone compile and the

@@ -59,6 +59,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "orapbench: -scale must be in (0, 1], got %v\n", *scale)
 		os.Exit(2)
 	}
+	for _, f := range []struct {
+		name  string
+		value int
+		zero  string
+	}{{"patterns", *patterns, "the default count"}, {"workers", *workers, "all cores"}} {
+		if f.value < 0 {
+			fmt.Fprintf(os.Stderr, "orapbench: -%s must be 0 (%s) or positive, got %d\n", f.name, f.zero, f.value)
+			os.Exit(2)
+		}
+	}
 	scaleExplicit := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "scale" {

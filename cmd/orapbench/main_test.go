@@ -68,3 +68,16 @@ func TestScaleRange(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeFlags passes a negative -patterns or -workers. The command
+// must refuse it as a usage error right after flag parsing, exit 2 with
+// empty stdout and the flag named on stderr, rather than run the default
+// pattern count or all cores.
+func TestNegativeFlags(t *testing.T) {
+	for _, c := range [][2]string{{"patterns", "-5"}, {"workers", "-1"}} {
+		code, out, errOut := orapbench(t, "-table", "1", "-circuits", "s38417", "-scale", "0.01", "-"+c[0], c[1])
+		if code != 2 || out != "" || !strings.Contains(errOut, "-"+c[0]+" must") {
+			t.Errorf("-%s %s: exit %d, want 2 with empty stdout and the flag named on stderr\nstdout:\n%s\nstderr:\n%s", c[0], c[1], code, out, errOut)
+		}
+	}
+}

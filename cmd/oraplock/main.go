@@ -54,6 +54,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	switch {
+	case *pins < -1:
+		usage("-pins must be -1 (all inputs) or at least 0, got %d", *pins)
+	case *pinOuts < -1:
+		usage("-pinouts must be -1 (all outputs) or at least 0, got %d", *pinOuts)
+	}
 	checkName("lock", *scheme, schemes)
 	checkName("protect", *prot, protections)
 	var warn io.Writer
@@ -150,9 +156,14 @@ func bits(bs []bool) string {
 // is one of valid; stderr names the value and the valid names.
 func checkName(name, value string, valid []string) {
 	if !slices.Contains(valid, value) {
-		fmt.Fprintf(os.Stderr, "oraplock: unknown -%s %q; valid names: %s\n", name, value, strings.Join(valid, ", "))
-		os.Exit(2)
+		usage("unknown -%s %q; valid names: %s", name, value, strings.Join(valid, ", "))
 	}
+}
+
+// usage reports a usage error on stderr and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "oraplock: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

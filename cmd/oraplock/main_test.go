@@ -95,3 +95,23 @@ func TestBadPinSplit(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeFlags passes -pins or -pinouts below -1. The command must
+// refuse it as a usage error right after flag parsing, exit 2 with empty
+// stdout and the flag named on stderr, rather than read it as -1.
+func TestNegativeFlags(t *testing.T) {
+	text, err := bench.FormatString(circuits.C17())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c17.bench")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]string{{"pins", "-2"}, {"pinouts", "-5"}} {
+		code, out, errOut := oraplock(t, "-in", path, "-keybits", "4", "-"+c[0], c[1])
+		if code != 2 || out != "" || !strings.Contains(errOut, "-"+c[0]+" must") {
+			t.Errorf("-%s %s: exit %d, want 2 with empty stdout and the flag named on stderr\nstdout:\n%s\nstderr:\n%s", c[0], c[1], code, out, errOut)
+		}
+	}
+}

@@ -115,3 +115,28 @@ func TestUnknownNames(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeFlags passes -pins or -pinouts below -1, or a negative
+// -workers. The command must refuse it as a usage error right after
+// flag parsing, exit 2 with empty stdout and the flag named on stderr,
+// rather than read it as -1 or as all cores.
+func TestNegativeFlags(t *testing.T) {
+	l, err := lock.RandomXOR(circuits.C17(), 4, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := bench.FormatString(l.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c17-locked.bench")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]string{{"pins", "-7"}, {"pinouts", "-2"}, {"workers", "-1"}} {
+		code, out, errOut := orapsim(t, "-locked", path, "-key", bits(l.Key), "-"+c[0], c[1])
+		if code != 2 || out != "" || !strings.Contains(errOut, "-"+c[0]+" must") {
+			t.Errorf("-%s %s: exit %d, want 2 with empty stdout and the flag named on stderr\nstdout:\n%s\nstderr:\n%s", c[0], c[1], code, out, errOut)
+		}
+	}
+}

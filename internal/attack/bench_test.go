@@ -88,7 +88,9 @@ func BenchmarkSATAttack(b *testing.B) {
 // BenchmarkSATAttackSARLock prices the many-DIP path that
 // BenchmarkSATAttack's few hard solves leave out: the SAT attack on the
 // attack workload's 8-bit SARLock (b20@0.012, seed 1) through an ideal
-// oracle, 2^8 − 1 easy incremental solves on a growing miter.
+// oracle, 2^8 − 1 easy incremental solves on a growing miter. Every run
+// must take exactly 2^8 − 1 DIPs, so a solver or miter change that
+// breaks the count fails the benchmark next to a timing one.
 func BenchmarkSATAttackSARLock(b *testing.B) {
 	var d verifyDesign
 	for _, vd := range verifyDesigns(b, verifySchemes, 0.012, 1) {
@@ -109,6 +111,9 @@ func BenchmarkSATAttackSARLock(b *testing.B) {
 		}
 		if !res.Converged {
 			b.Fatal("SAT attack did not converge")
+		}
+		if res.Iterations != 1<<8-1 {
+			b.Fatalf("SAT attack took %d DIPs, want 2^8 - 1 = 255", res.Iterations)
 		}
 		iters += res.Iterations
 	}

@@ -466,39 +466,37 @@ func (p *Program) FanoutSpan(id int) []int32 {
 // TransitiveFanout marks every node in the transitive fanout cone of the
 // given roots (roots included).
 func (p *Program) TransitiveFanout(roots ...int) []bool {
-	out := make([]bool, p.NumNodes())
-	stack := make([]int32, 0, len(roots))
-	for _, r := range roots {
-		stack = append(stack, int32(r))
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if id < 0 || int(id) >= len(out) || out[id] {
-			continue
-		}
-		out[id] = true
-		stack = append(stack, p.FanoutSpan(int(id))...)
-	}
-	return out
+	return p.closure(roots, p.FanoutStart, p.Fanouts)
 }
 
 // TransitiveFanin marks every node in the transitive fanin cone of the
 // given roots (roots included).
 func (p *Program) TransitiveFanin(roots ...int) []bool {
+	return p.closure(roots, p.FaninStart, p.Fanins)
+}
+
+// closure marks the roots and every node reachable from them over the
+// edge lists start/edges (node id's edges are edges[start[id]:start[id+1]]).
+// A node is marked when it is pushed, so the stack holds each node at
+// most once. Roots outside the program are ignored.
+func (p *Program) closure(roots []int, start, edges []int32) []bool {
 	in := make([]bool, p.NumNodes())
 	stack := make([]int32, 0, len(roots))
 	for _, r := range roots {
-		stack = append(stack, int32(r))
+		if r >= 0 && r < len(in) && !in[r] {
+			in[r] = true
+			stack = append(stack, int32(r))
+		}
 	}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if id < 0 || int(id) >= len(in) || in[id] {
-			continue
+		for _, f := range edges[start[id]:start[id+1]] {
+			if !in[f] {
+				in[f] = true
+				stack = append(stack, f)
+			}
 		}
-		in[id] = true
-		stack = append(stack, p.FaninSpan(int(id))...)
 	}
 	return in
 }

@@ -313,7 +313,7 @@ func TestCompileListsEveryDefect(t *testing.T) {
 // TestTransitiveCones compares the CSR cone walks against the reference
 // walker over the netlist's gate table.
 func TestTransitiveCones(t *testing.T) {
-	for _, c := range append([]*netlist.Circuit{testCircuit(t)}, lockedDesigns(t)[:1]...) {
+	for _, c := range append([]*netlist.Circuit{testCircuit(t)}, lockedDesigns(t)...) {
 		p := ir.MustCompile(c)
 		fanout := refFanoutLists(c)
 		fanins := func(id int) []int { return c.Gates[id].Fanin }
@@ -324,6 +324,37 @@ func TestTransitiveCones(t *testing.T) {
 			}
 			if !reflect.DeepEqual(p.TransitiveFanin(id), refCone(c, id, fanins)) {
 				t.Fatalf("%s: TransitiveFanin(%d) differs", c.Name, id)
+			}
+		}
+		// Several roots, as the miter and the checker pass them: the
+		// union of the single-root cones. Repeated and out-of-range roots
+		// add nothing.
+		union := func(roots []int, next func(int) []int) []bool {
+			u := make([]bool, c.NumNodes())
+			for _, r := range roots {
+				for id, in := range refCone(c, r, next) {
+					u[id] = u[id] || in
+				}
+			}
+			return u
+		}
+		keys, pos := make([]int, 0, len(p.Keys)), make([]int, 0, len(p.POs))
+		for _, k := range p.Keys {
+			keys = append(keys, int(k))
+		}
+		for _, o := range p.POs {
+			pos = append(pos, int(o))
+		}
+		if !reflect.DeepEqual(p.TransitiveFanout(keys...), union(keys, fanouts)) {
+			t.Fatalf("%s: TransitiveFanout of the key inputs differs", c.Name)
+		}
+		if !reflect.DeepEqual(p.TransitiveFanin(pos...), union(pos, fanins)) {
+			t.Fatalf("%s: TransitiveFanin of the outputs differs", c.Name)
+		}
+		if len(pos) > 1 {
+			roots := append([]int{pos[1], -1, pos[0], p.NumNodes()}, pos[:2]...)
+			if !reflect.DeepEqual(p.TransitiveFanin(roots...), union(pos[:2], fanins)) {
+				t.Fatalf("%s: TransitiveFanin with repeated and out-of-range roots differs", c.Name)
 			}
 		}
 	}
