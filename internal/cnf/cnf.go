@@ -6,9 +6,12 @@
 // key-free logic and the primary inputs, plus a disequality constraint
 // over the key-reachable outputs. Each oracle query then adds two more
 // cone copies with the key-free logic folded to constants under the
-// query's inputs and the outputs fixed to the oracle's response. All of
-// those encodings are provided here so the attack packages stay free of
-// clause-level detail.
+// query's inputs and the outputs fixed to the oracle's response. The
+// key-only part of the cone, a function of the key alone, is encoded
+// once per key vector: every query's copy under that key reads the
+// variables of the miter's own copy. All of those encodings are
+// provided here so the attack packages stay free of clause-level
+// detail.
 //
 // Every gate output and disequality bit the miter encodes is a derived
 // solver variable (sat.Solver.NewDerivedVar): its clauses fix it once
@@ -65,10 +68,7 @@ func EncodeProgram(s *sat.Solver, prog *ir.Program, opts Options) (*Instance, er
 		return nil, fmt.Errorf("cnf: %d shared key vars for %d key inputs", len(opts.KeyVars), prog.NumKeys())
 	}
 
-	inst := &Instance{NodeVar: make([]sat.Var, prog.NumNodes())}
-	for i := range inst.NodeVar {
-		inst.NodeVar[i] = -1
-	}
+	inst := &Instance{NodeVar: noVars(prog.NumNodes())}
 	// Assign input variables first (shared or fresh).
 	for i, id := range prog.PIs {
 		if opts.PIVars != nil {

@@ -199,10 +199,7 @@ func NewMiterShared(s *sat.Solver, base *Miter) (*Miter, error) {
 // node outside the key cone gets a single variable reused by all copies.
 func (m *Miter) encodeShared() error {
 	prog, info := m.Prog, m.coi
-	m.sharedVar = make([]sat.Var, prog.NumNodes())
-	for i := range m.sharedVar {
-		m.sharedVar[i] = -1
-	}
+	m.sharedVar = noVars(prog.NumNodes())
 	for i, id := range prog.PIs {
 		m.sharedVar[id] = m.PIVars[i]
 	}

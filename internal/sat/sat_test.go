@@ -425,11 +425,13 @@ func checkState(t *testing.T, s *Solver) {
 }
 
 // TestRollbackAfterReduceAndCompact learns clauses before and after a
-// mark, adds problem clauses after it, then evicts learned clauses and
-// compacts the arena between the mark and its Rollback, so the deleted
-// clauses have moved and evicted garbage lies on both sides of the
-// mark. The rolled-back solver must be consistent, keep no clause
-// learned since the mark, and answer like a twin that only saw the base.
+// mark, the first clause after it a learned one, and adds problem
+// clauses after it. Between the mark and its Rollback it evicts learned
+// clauses from both sides of the mark, compacts the arena, so the
+// deleted clauses have moved, then learns and evicts again without
+// compacting, so garbage lies in the part Rollback truncates. The
+// rolled-back solver must be consistent, keep no clause learned since
+// the mark, and answer like a twin that only saw the base.
 func TestRollbackAfterReduceAndCompact(t *testing.T) {
 	r := rng.New(5)
 	const nv = 60
@@ -458,36 +460,53 @@ func TestRollbackAfterReduceAndCompact(t *testing.T) {
 		all = append(all, Var(v))
 	}
 	var assumps [][]Lit
-	for round := 0; round < 40; round++ {
-		for i := 0; i < 3; i++ {
-			s.AddClause(MkLit(all[r.Intn(len(all))], r.Bool()), MkLit(all[r.Intn(len(all))], r.Bool()), MkLit(all[r.Intn(len(all))], r.Bool()))
-		}
+	solve := func() {
 		a := []Lit{MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool())}
 		assumps = append(assumps, a)
 		s.MaxConflicts = s.Stats().Conflicts + 200
 		if _, err := s.Solve(a...); err != nil && err != ErrBudget {
 			t.Fatal(err)
 		}
-		if !s.ok {
-			break
+	}
+	rounds := func(n int) {
+		for round := 0; round < n && s.ok; round++ {
+			solve()
+			for i := 0; i < 3; i++ {
+				s.AddClause(MkLit(all[r.Intn(len(all))], r.Bool()), MkLit(all[r.Intn(len(all))], r.Bool()), MkLit(all[r.Intn(len(all))], r.Bool()))
+			}
 		}
 	}
-	learnt := len(s.learnts)
-	s.reduceDB()
-	if s.stats.Reductions == 0 || len(s.learnts) >= learnt {
-		t.Fatalf("reduceDB evicted nothing from %d learned clauses", learnt)
+	learntSince := func() bool { return len(s.learnts) > 0 && s.serial(s.learnts[len(s.learnts)-1]) > cp.learnt }
+	for tries := 0; !learntSince(); tries++ {
+		if tries == 100 {
+			t.Fatal("no clause learned under 100 assumption sets")
+		}
+		solve()
 	}
+	reduce := func() {
+		t.Helper()
+		learnt, reductions := len(s.learnts), s.stats.Reductions
+		s.reduceDB()
+		if s.stats.Reductions == reductions || len(s.learnts) >= learnt {
+			t.Fatalf("reduceDB evicted nothing from %d learned clauses", learnt)
+		}
+		checkState(t, s)
+	}
+	rounds(40)
+	reduce()
 	arena := len(s.arena)
 	s.compact()
 	if s.wasted != 0 || len(s.arena) >= arena {
 		t.Fatalf("compaction left %d garbage words, arena %d → %d", s.wasted, arena, len(s.arena))
 	}
 	checkState(t, s)
-	// Clauses added and learned after the compaction sit behind the moved
-	// ones and go too.
-	s.AddClause(MkLit(all[0], false), MkLit(all[1], true), MkLit(all[2], false))
-	s.MaxConflicts = s.Stats().Conflicts + 200
-	_, _ = s.Solve(assumps[0]...)
+	// Clauses added, learned and evicted after the compaction sit behind
+	// the moved ones and go too.
+	rounds(20)
+	reduce()
+	if s.wasted == 0 || 2*s.wasted > len(s.arena) {
+		t.Fatalf("%d garbage words in an arena of %d, want some but not enough to compact", s.wasted, len(s.arena))
+	}
 
 	s.Rollback(cp)
 	if s.NumVars() != nv || len(s.clauses) != cp.clauses {
