@@ -41,9 +41,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "orapatpg: -scale must be in (0, 1], got %v\n", *scale)
 		os.Exit(2)
 	}
-	if *randomBlocks < 0 {
-		fmt.Fprintf(os.Stderr, "orapatpg: -randblocks must not be negative, got %d\n", *randomBlocks)
-		os.Exit(2)
+	for _, f := range []struct {
+		name  string
+		value int64
+	}{{"randblocks", int64(*randomBlocks)}, {"conflicts", *budget}, {"workers", int64(*workers)}} {
+		if f.value < 0 {
+			fmt.Fprintf(os.Stderr, "orapatpg: -%s must not be negative, got %d\n", f.name, f.value)
+			os.Exit(2)
+		}
 	}
 
 	var warn io.Writer

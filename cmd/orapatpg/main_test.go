@@ -37,6 +37,17 @@ func orapatpg(t *testing.T, args ...string) (int, string, string) {
 	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
 }
 
+// A negative -conflicts or -workers is a usage error, rather than the
+// high-effort default or all cores.
+func TestNegativeFlags(t *testing.T) {
+	for _, c := range [][2]string{{"conflicts", "-5"}, {"workers", "-1"}} {
+		code, out, errOut := orapatpg(t, "-gen", "b20", "-scale", "0.01", "-"+c[0], c[1])
+		if code != 2 || out != "" || !strings.Contains(errOut, "-"+c[0]+" must not be negative") {
+			t.Errorf("-%s %s: exit %d, stdout %q, stderr %q; want exit 2 naming the flag", c[0], c[1], code, out, errOut)
+		}
+	}
+}
+
 // A negative -randblocks is a usage error; 0 skips the random phase.
 func TestRandBlocks(t *testing.T) {
 	code, out, errOut := orapatpg(t, "-gen", "b20", "-scale", "0.01", "-randblocks", "-5")
