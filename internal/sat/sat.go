@@ -68,13 +68,6 @@ const (
 	True  LBool = 1
 )
 
-func boolToLBool(b bool) LBool {
-	if b {
-		return True
-	}
-	return False
-}
-
 // not returns the logical complement (Undef maps to itself).
 func (b LBool) not() LBool { return -b }
 
