@@ -63,8 +63,10 @@ race:
 # that every variable is assigned and that the verdict matches a twin
 # solver where those variables are ordinary. FuzzMarkRollback checks
 # that a solver rolled back to a mark answers like one that never saw
-# what the mark added. A crasher lands in the package's testdata/fuzz/
-# for checking in.
+# what the mark added; its rounds can call reduceDB, which on its
+# 60-variable random 3-SAT bases evicts learned clauses from both sides
+# of the mark and compacts the arena before the rollback. A crasher
+# lands in the package's testdata/fuzz/ for checking in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckCircuit$$' -fuzztime 10s ./internal/check

@@ -279,7 +279,7 @@ func BenchmarkSectionIIA(b *testing.B) {
 // scenario-(d) payload in gate equivalents for a 128-bit register.
 func BenchmarkSectionIII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.TrojanStudy(exp.TrojanStudyOptions{KeyBits: 128, Seed: benchSeed})
+		rows, err := exp.TrojanStudy(benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func BenchmarkSectionIII(b *testing.B) {
 // widest swept key (expected ≈ 2^keybits).
 func BenchmarkSATScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.SATScaling(exp.SATScalingOptions{KeyWidths: []int{4, 6, 8}, Seed: benchSeed})
+		rows, err := exp.SATScaling(exp.SATScalingOptions{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func BenchmarkSATScaling(b *testing.B) {
 // design point.
 func BenchmarkXorTreeSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.XorTreeSweep(128)
+		rows, err := exp.XorTreeSweep()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func BenchmarkXorTreeSweep(b *testing.B) {
 // (Table I's standard choice).
 func BenchmarkCtrlWidthSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.CtrlWidthSweep(benchSeed, []int{1, 2, 3, 5}, 0)
+		rows, err := exp.CtrlWidthSweep(benchSeed, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func BenchmarkOtherAttacks(b *testing.B) {
 // metric: HD at the largest swept key size (expected just under 50%).
 func BenchmarkKeySizeSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.KeySizeSweep(benchSeed, []int{12, 48, 96}, 0)
+		rows, err := exp.KeySizeSweep(benchSeed, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -147,7 +147,7 @@ func main() {
 	}
 	if want("trojan") {
 		run("Section III — Trojan scenarios: payloads and simulated outcomes", func() error {
-			rows, err := exp.TrojanStudy(exp.TrojanStudyOptions{Seed: *seed})
+			rows, err := exp.TrojanStudy(*seed)
 			if err != nil {
 				return err
 			}
@@ -167,7 +167,7 @@ func main() {
 	}
 	if want("xortree") {
 		run("Ablation — attack-(d) XOR-tree cost vs LFSR design space", func() error {
-			rows, err := exp.XorTreeSweep(128)
+			rows, err := exp.XorTreeSweep()
 			if err != nil {
 				return err
 			}
@@ -187,7 +187,7 @@ func main() {
 	}
 	if want("keysize") {
 		run("Ablation — HD saturation vs key size (the paper's stopping rule)", func() error {
-			rows, err := exp.KeySizeSweep(*seed, nil, *workers)
+			rows, err := exp.KeySizeSweep(*seed, *workers)
 			if err != nil {
 				return err
 			}
@@ -197,7 +197,7 @@ func main() {
 	}
 	if want("ctrl") {
 		run("Ablation — HD vs weighted-locking control-gate width", func() error {
-			rows, err := exp.CtrlWidthSweep(*seed, nil, *workers)
+			rows, err := exp.CtrlWidthSweep(*seed, *workers)
 			if err != nil {
 				return err
 			}

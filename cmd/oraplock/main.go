@@ -39,7 +39,7 @@ func main() {
 	var (
 		in      = flag.String("in", "", "input .bench file (required)")
 		out     = flag.String("out", "", "output .bench file for the locked netlist (default: stdout)")
-		keyBits = flag.Int("keybits", 64, "key (LFSR) size")
+		keyBits = flag.Int("keybits", 64, "key (LFSR) size, at least 1 and even for -lock antisat; a size above what the circuit can take is clamped")
 		ctrl    = flag.Int("ctrl", 3, "weighted-locking control gate width (1 = plain XOR/XNOR)")
 		scheme  = flag.String("lock", "weighted", "locking technique: "+strings.Join(schemes, ", "))
 		prot    = flag.String("protect", "basic", "OraP variant: "+strings.Join(protections, ", "))
@@ -54,7 +54,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// The lockers read a non-positive width as "every input", and
+	// Anti-SAT splits the key into two equal halves, so both would
+	// silently change the key size asked for.
 	switch {
+	case *keyBits < 1:
+		usage("-keybits must be at least 1, got %d", *keyBits)
+	case *scheme == "antisat" && *keyBits%2 != 0:
+		usage("-keybits must be even for -lock antisat (two equal halves), got %d", *keyBits)
 	case *pins < -1:
 		usage("-pins must be -1 (all inputs) or at least 0, got %d", *pins)
 	case *pinOuts < -1:

@@ -96,9 +96,11 @@ func TestBadPinSplit(t *testing.T) {
 	}
 }
 
-// TestNegativeFlags passes -pins or -pinouts below -1. The command must
-// refuse it as a usage error right after flag parsing, exit 2 with empty
-// stdout and the flag named on stderr, rather than read it as -1.
+// TestNegativeFlags passes -pins or -pinouts below -1, a -keybits below
+// 1, or an odd -keybits under -lock antisat. The command must refuse it
+// as a usage error right after flag parsing, exit 2 with empty stdout
+// and the flag named on stderr, rather than read it as -1, as every
+// input, or as one bit fewer.
 func TestNegativeFlags(t *testing.T) {
 	text, err := bench.FormatString(circuits.C17())
 	if err != nil {
@@ -108,10 +110,23 @@ func TestNegativeFlags(t *testing.T) {
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range [][2]string{{"pins", "-2"}, {"pinouts", "-5"}} {
-		code, out, errOut := oraplock(t, "-in", path, "-keybits", "4", "-"+c[0], c[1])
-		if code != 2 || out != "" || !strings.Contains(errOut, "-"+c[0]+" must") {
-			t.Errorf("-%s %s: exit %d, want 2 with empty stdout and the flag named on stderr\nstdout:\n%s\nstderr:\n%s", c[0], c[1], code, out, errOut)
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"pins", []string{"-keybits", "4", "-pins", "-2"}},
+		{"pinouts", []string{"-keybits", "4", "-pinouts", "-5"}},
+		// The lockers would lock every input for a non-positive width,
+		// and Anti-SAT would drop the odd bit.
+		{"keybits", []string{"-lock", "sarlock", "-keybits", "-3"}},
+		{"keybits", []string{"-lock", "ttlock", "-keybits", "0"}},
+		{"keybits", []string{"-keybits", "-1"}},
+		{"keybits", []string{"-lock", "antisat", "-keybits", "1"}},
+		{"keybits", []string{"-lock", "antisat", "-keybits", "3"}},
+	} {
+		code, out, errOut := oraplock(t, append([]string{"-in", path}, c.args...)...)
+		if code != 2 || out != "" || !strings.Contains(errOut, "-"+c.flag+" must") {
+			t.Errorf("%v: exit %d, want 2 with empty stdout and the flag named on stderr\nstdout:\n%s\nstderr:\n%s", c.args, code, out, errOut)
 		}
 	}
 }

@@ -23,7 +23,7 @@ func main() {
 	fmt.Println("payload.")
 	fmt.Println()
 
-	rows, err := exp.TrojanStudy(exp.TrojanStudyOptions{KeyBits: 128, Seed: 3})
+	rows, err := exp.TrojanStudy(3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 
 	// The designer's lever against scenario (d): sweep the LFSR design
 	// space and show how the XOR-tree payload grows with mixing.
-	sweep, err := exp.XorTreeSweep(128)
+	sweep, err := exp.XorTreeSweep()
 	if err != nil {
 		log.Fatal(err)
 	}

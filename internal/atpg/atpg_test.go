@@ -31,11 +31,11 @@ func TestGenerateDetectsTestableFault(t *testing.T) {
 		if out.Class != Detected {
 			t.Fatalf("fault %v classified %v; c17 has no redundant faults", f, out.Class)
 		}
-		hit, err := sim.DetectsWithPattern(f, out.Pattern)
+		hit, err := sim.DetectsEach([]faultsim.Fault{f}, out.Pattern)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hit {
+		if !hit[0] {
 			t.Fatalf("generated pattern %v does not detect %v", out.Pattern, f)
 		}
 	}

@@ -310,11 +310,11 @@ func TestDChainMatchesXORMiter(t *testing.T) {
 				if p == nil {
 					continue
 				}
-				hit, err := sim.DetectsWithPattern(f, p)
+				hit, err := sim.DetectsEach([]faultsim.Fault{f}, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !hit {
+				if !hit[0] {
 					t.Fatalf("%s %v: pattern %v does not detect the fault", d.name, f, p)
 				}
 			}
@@ -355,7 +355,7 @@ func TestCampaignMatchesPerFault(t *testing.T) {
 			if got.Class != Detected {
 				continue
 			}
-			if hit, err := sim.DetectsWithPattern(f, got.Pattern); err != nil || !hit {
+			if hit, err := sim.DetectsEach([]faultsim.Fault{f}, got.Pattern); err != nil || !hit[0] {
 				t.Fatalf("%s %v: campaign pattern %v does not detect the fault (%v)", d.name, f, got.Pattern, err)
 			}
 		}
@@ -422,7 +422,7 @@ func TestRedundantMatchesExhaustive(t *testing.T) {
 					redundant++
 				}
 				if out.Class == Detected {
-					if hit, err := sim.DetectsWithPattern(f, out.Pattern); err != nil || !hit {
+					if hit, err := sim.DetectsEach([]faultsim.Fault{f}, out.Pattern); err != nil || !hit[0] {
 						t.Errorf("%s %v: pattern %v does not detect the fault (%v)", d.name, f, out.Pattern, err)
 					}
 				}

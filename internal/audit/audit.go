@@ -40,12 +40,11 @@
 //     reaches 50; random patterns are unlikely to cover it, and
 //     point-function locking hides exactly there. Info.
 //
-// The netlist rules all run on one shared abstract-interpretation
-// engine (internal/dataflow): the pair/key-difference domain drives
-// key-removable and key-leak, the key-taint domain drives
-// low-corruptibility, and the SCOAP controllability/observability
-// domains drive testability-bound. Explain reconstructs per-finding
-// witness paths from the same fixpoints.
+// The netlist rules read the analyses of internal/dataflow, each solved
+// once per audit: dataflow.Pair drives key-removable and key-leak,
+// KeyTaint drives low-corruptibility, and the SCOAP Controllability
+// and Observability scores drive testability-bound. Explain
+// reconstructs per-finding witness paths from the same results.
 //
 // Oracle-path rules (Oracle):
 //

@@ -133,7 +133,7 @@ func exactAnalyze(prog *ir.Program, opts ExactOptions) *ExactResult {
 	}
 	// One all-inputs taint sweep gives every node's exact structural
 	// support: PI bits first, key bits after (the p.Inputs layout).
-	support := dataflow.Run[dataflow.KeySet](prog, dataflow.NewInputTaint(prog, prog.Inputs))
+	support := dataflow.InputTaint(prog, prog.Inputs)
 	rank := make(map[int32]int, len(prog.Inputs))
 	for r, id := range bdd.InputOrder(prog) {
 		rank[id] = r

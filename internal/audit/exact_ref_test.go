@@ -21,7 +21,7 @@ func exactAnalyzeRef(prog *ir.Program, budget int) *ExactResult {
 	if budget <= 0 {
 		budget = bdd.DefaultBudget
 	}
-	support := dataflow.Run[dataflow.KeySet](prog, dataflow.NewInputTaint(prog, prog.Inputs))
+	support := dataflow.InputTaint(prog, prog.Inputs)
 	rank := make(map[int32]int, len(prog.Inputs))
 	for r, id := range bdd.InputOrder(prog) {
 		rank[id] = r
@@ -251,7 +251,7 @@ func TestGroupedExactMatchesPerBit(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		for _, scheme := range []string{"weighted", "sarlock", "antisat", "ttlock", "randomxor"} {
 			p := lockB20(t, scheme, seed)
-			support := dataflow.Run[dataflow.KeySet](p, dataflow.NewInputTaint(p, p.Inputs))
+			support := dataflow.InputTaint(p, p.Inputs)
 			rank := make(map[int32]int, len(p.Inputs))
 			for r, id := range bdd.InputOrder(p) {
 				rank[id] = r

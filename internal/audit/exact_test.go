@@ -325,11 +325,11 @@ func TestExactRateMatchesFaultsim(t *testing.T) {
 		r.Bits(pattern)
 		for kb, kid := range prog.Keys {
 			for _, sa1 := range []bool{false, true} {
-				det, err := s.DetectsWithPattern(faultsim.Fault{Node: int(kid), Pin: -1, SA1: sa1}, pattern)
+				det, err := s.DetectsEach([]faultsim.Fault{{Node: int(kid), Pin: -1, SA1: sa1}}, pattern)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if det {
+				if det[0] {
 					hits[kb]++
 				}
 			}

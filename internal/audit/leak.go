@@ -7,8 +7,8 @@ import (
 	"orap/internal/netlist"
 )
 
-// engine bundles the dataflow fixpoints the audit rules share, so each
-// domain is solved once per analysis: the key-taint sets (corruptibility
+// engine bundles the dataflow results the audit rules share, so each
+// analysis is solved once per audit: the key-taint sets (corruptibility
 // coverage, witness paths), the SCOAP testability scores (key-leak
 // detail, testability-bound) and the per-key-bit Anti witnesses the
 // removability pass harvests for key-leak.
@@ -22,12 +22,12 @@ type engine struct {
 	leaks [][]int32
 }
 
-// newEngine solves the shared domains for prog.
+// newEngine solves the shared analyses for prog.
 func newEngine(prog *ir.Program) *engine {
 	e := &engine{p: prog}
-	e.taint = dataflow.Run[dataflow.KeySet](prog, dataflow.NewKeyTaint(prog))
-	e.cc = dataflow.Run[dataflow.ControlValue](prog, dataflow.NewControllability(prog))
-	e.co = dataflow.Run[int32](prog, dataflow.NewObservability(prog, e.cc))
+	e.taint = dataflow.KeyTaint(prog)
+	e.cc = dataflow.Controllability(prog)
+	e.co = dataflow.Observability(prog, e.cc)
 	return e
 }
 
@@ -150,7 +150,7 @@ func Explain(prog *ir.Program, c *netlist.Circuit, f check.Finding) []PathStep {
 	e := newEngine(prog)
 	kid := prog.Keys[f.KeyBit]
 	// A one-key slice: lane 0 is the finding's key bit.
-	vals := dataflow.Run[dataflow.PairPlanes](prog, dataflow.NewPair(prog, prog.Keys[f.KeyBit:f.KeyBit+1]))
+	vals := dataflow.Pair(prog, prog.Keys[f.KeyBit:f.KeyBit+1])
 
 	if int32(f.Node) != kid && !e.taint[f.Node].Has(f.KeyBit) {
 		return nil

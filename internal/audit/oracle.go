@@ -28,7 +28,7 @@ func Oracle(cfg scan.Config, lay *scan.Layout) (*Report, error) {
 
 	n := cfg.LFSR.N
 	rep.NominalEntropy = n
-	m, err := lfsr.MemTransferMatrix(cfg.LFSR, cfg.Schedule, cfg.MemInject)
+	m, err := lfsr.TransferMatrix(cfg.LFSR, cfg.Schedule, cfg.MemInject)
 	if err != nil {
 		return nil, err
 	}

@@ -8,17 +8,17 @@ import (
 	"orap/internal/netlist"
 )
 
-// The removability analysis runs the engine's pair/key-difference
-// domain: constant propagation under both values of one key bit, all
+// The removability analysis runs dataflow.Pair, the pair/key-difference
+// analysis: constant propagation under both values of one key bit, all
 // other inputs unknown, tracked jointly (see dataflow.PairValue for why
 // a naive two-pass diff is unsound). A key bit with the Eq proof at
 // every primary output is provably inert; a gate that is constant under
 // both key values while a non-Eq signal feeds it absorbs the key
 // dependence — both are exactly what a resynthesis pass deletes.
 //
-// The domain is bit-sliced, so one Run solves 64 key bits and the
-// findings are read lane by lane; Report.Sort puts them in canonical
-// order afterwards. Along the way the pass also harvests the Anti
+// Pair is bit-sliced, so one call solves 64 key bits and the findings
+// are read lane by lane; Report.Sort puts them in canonical order
+// afterwards. Along the way the pass also harvests the Anti
 // proofs at the primary outputs — the key-leak rule's evidence — so the
 // leak scan costs nothing extra.
 
@@ -31,7 +31,7 @@ func removability(e *engine, c *netlist.Circuit, rep *Report) []bool {
 	e.leaks = make([][]int32, p.NumKeys())
 	for lo := 0; lo < p.NumKeys(); lo += 64 {
 		keys := p.Keys[lo:min(lo+64, p.NumKeys())]
-		vals := dataflow.Run[dataflow.PairPlanes](p, dataflow.NewPair(p, keys))
+		vals := dataflow.Pair(p, keys)
 		for id := range vals {
 			v := &vals[id]
 			// Constant under both key values: where a key-dependent

@@ -295,7 +295,7 @@ func structural(c *netlist.Circuit, rep *Report) *ir.Program {
 // Circuit runs the full rule catalog and returns the report. The
 // hygiene and key rules only run when the structural rules pass, since
 // they need a sound DAG to walk; they read reachability from the
-// compiled IR and constants from the shared dataflow engine.
+// compiled IR and constants from dataflow.Pair.
 func Circuit(c *netlist.Circuit) *Report {
 	rep := &Report{Circuit: c.Name}
 	prog := structural(c, rep)
@@ -340,7 +340,7 @@ func Circuit(c *netlist.Circuit) *Report {
 // folds regardless of the signal's value. The pair domain tracking no
 // key computes exactly that lattice, in every lane's V0.
 func constOutputs(c *netlist.Circuit, prog *ir.Program, rep *Report) {
-	vals := dataflow.Run(prog, dataflow.NewPair(prog, nil))
+	vals := dataflow.Pair(prog, nil)
 	for id := range vals {
 		switch prog.Ops[id] {
 		case ir.OpInput, ir.OpConst0, ir.OpConst1:

@@ -10,12 +10,12 @@ import (
 	"orap/internal/rng"
 )
 
-// BenchmarkDataflow measures a full four-domain engine pass
+// BenchmarkDataflow measures one pass of the four analyses
 // (pair/key-difference, key taint, SCOAP controllability +
 // observability) over the scaled b19 benchmark locked the way Table I
-// locks it — the workload internal/audit runs per analysis. Each domain
-// reaches fixpoint in a single sweep; the pair domain runs once per
-// 64-key slice, as the audit's removability pass does.
+// locks it — the workload internal/audit runs per analysis. Each
+// analysis is a single sweep; Pair runs once per 64-key slice, as the
+// audit's removability pass does.
 func BenchmarkDataflow(b *testing.B) {
 	prof, err := benchgen.ProfileByName("b19")
 	if err != nil {
@@ -42,11 +42,11 @@ func BenchmarkDataflow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for lo := 0; lo < p.NumKeys(); lo += 64 {
-			dataflow.Run[dataflow.PairPlanes](p, dataflow.NewPair(p, p.Keys[lo:min(lo+64, p.NumKeys())]))
+			dataflow.Pair(p, p.Keys[lo:min(lo+64, p.NumKeys())])
 		}
-		dataflow.Run[dataflow.KeySet](p, dataflow.NewKeyTaint(p))
-		cc := dataflow.Run[dataflow.ControlValue](p, dataflow.NewControllability(p))
-		dataflow.Run[int32](p, dataflow.NewObservability(p, cc))
+		dataflow.KeyTaint(p)
+		cc := dataflow.Controllability(p)
+		dataflow.Observability(p, cc)
 	}
 	b.ReportMetric(float64(p.NumNodes()), "nodes")
 }

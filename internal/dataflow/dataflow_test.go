@@ -114,7 +114,7 @@ func TestConstSoundness(t *testing.T) {
 	for name, c := range soundnessCircuits(t) {
 		t.Run(name, func(t *testing.T) {
 			p := compile(t, c)
-			vals := dataflow.Run[dataflow.PairPlanes](p, dataflow.NewPair(p, nil))
+			vals := dataflow.Pair(p, nil)
 			concrete := make([]bool, p.NumNodes())
 			forEachAssignment(t, p, func(pi, key []bool) {
 				evalInto(p, concrete, pi, key)
@@ -150,7 +150,7 @@ func TestPairSoundness(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			p := compile(t, c)
-			planes := dataflow.Run[dataflow.PairPlanes](p, dataflow.NewPair(p, p.Keys))
+			planes := dataflow.Pair(p, p.Keys)
 			v0 := make([]bool, p.NumNodes())
 			v1 := make([]bool, p.NumNodes())
 			for kb := range p.Keys {
@@ -196,7 +196,7 @@ func TestTaintMatchesTransitiveFanout(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			p := compile(t, c)
-			taint := dataflow.Run[dataflow.KeySet](p, dataflow.NewKeyTaint(p))
+			taint := dataflow.KeyTaint(p)
 			for kb, kid := range p.Keys {
 				cone := p.TransitiveFanout(int(kid))
 				for id := range taint {
@@ -224,8 +224,8 @@ func TestScoapHandValues(t *testing.T) {
 	}
 	p := compile(t, c)
 
-	cc := dataflow.Run[dataflow.ControlValue](p, dataflow.NewControllability(p))
-	co := dataflow.Run[int32](p, dataflow.NewObservability(p, cc))
+	cc := dataflow.Controllability(p)
+	co := dataflow.Observability(p, cc)
 
 	if cc[a] != (dataflow.ControlValue{CC0: 1, CC1: 1}) {
 		t.Fatalf("cc[a] = %+v", cc[a])
@@ -257,7 +257,7 @@ func TestScoapConstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := compile(t, c)
-	cc := dataflow.Run[dataflow.ControlValue](p, dataflow.NewControllability(p))
+	cc := dataflow.Controllability(p)
 	if cc[k].CC0 != 0 || cc[k].CC1 < dataflow.Unreachable {
 		t.Fatalf("cc[const0] = %+v", cc[k])
 	}

@@ -34,7 +34,7 @@ type PairValue struct {
 
 // PairPlanes is the pair value of one node for up to 64 key bits,
 // bit-sliced: bit j of every plane is lane j, the PairValue of the
-// domain's keys[j]. A ternary value takes two planes, known-0 and
+// analysis's keys[j]. A ternary value takes two planes, known-0 and
 // known-1; a lane set in neither is Unknown.
 type PairPlanes struct {
 	V0Is0, V0Is1 uint64
@@ -67,58 +67,40 @@ func (v *PairPlanes) negate() {
 	v.V0Is0, v.V0Is1, v.V1Is0, v.V1Is1 = v.V0Is1, v.V0Is0, v.V1Is1, v.V1Is0
 }
 
-// Pair is the pair/key-difference domain behind audit's key-removable
-// and key-leak rules. Lane j tracks keys[j] under both of its values
+// Pair solves the pair/key-difference analysis behind audit's
+// key-removable and key-leak rules and returns each node's planes,
+// indexed by node ID. Lane j tracks keys[j] under both of its values
 // with every other input Unknown-but-Eq, exactly as if keys[j] were the
-// only key bit analysed; one Run solves 64 key bits. Lanes past
-// len(keys) track no key and hold Eq everywhere; their V0 (= V1) is
-// plain ternary constant propagation, behind check's const-out rule.
-// Constants seed known values, the AND/OR families fold through
-// absorbing inputs, and the degenerate two-input XOR/XNOR of one
-// signal against itself folds regardless of the signal's value.
-type Pair struct {
-	p    *ir.Program
-	keys []int32
-}
-
-// NewPair returns the pair domain for p tracking the given key input
-// nodes, at most 64 of them.
-func NewPair(p *ir.Program, keys []int32) *Pair {
+// only key bit analysed; one call solves up to 64 key bits, and more
+// panic. Lanes past len(keys) track no key and hold Eq everywhere;
+// their V0 (= V1) is plain ternary constant propagation, behind check's
+// const-out rule. Constants seed known values, the AND/OR families fold
+// through absorbing inputs, and the degenerate two-input XOR/XNOR of
+// one signal against itself folds regardless of the signal's value.
+func Pair(p *ir.Program, keys []int32) []PairPlanes {
 	if len(keys) > 64 {
-		panic("dataflow: NewPair tracks at most 64 key inputs")
+		panic("dataflow: Pair tracks at most 64 key inputs")
 	}
-	return &Pair{p: p, keys: keys}
+	vals := make([]PairPlanes, p.NumNodes())
+	for _, id := range p.Order {
+		vals[id] = pairTransfer(p, keys, int(id), vals)
+	}
+	return vals
 }
 
-// Direction implements Domain.
-func (d *Pair) Direction() Direction { return Forward }
-
-// Join implements Domain: values join in the ternary lattice, the Eq
-// and Anti proofs survive only when both sides carry them.
-func (d *Pair) Join(a, b PairPlanes) PairPlanes {
-	return PairPlanes{
-		V0Is0: a.V0Is0 & b.V0Is0, V0Is1: a.V0Is1 & b.V0Is1,
-		V1Is0: a.V1Is0 & b.V1Is0, V1Is1: a.V1Is1 & b.V1Is1,
-		Eq: a.Eq & b.Eq, Anti: a.Anti & b.Anti,
-	}
-}
-
-// Equal implements Domain.
-func (d *Pair) Equal(a, b PairPlanes) bool { return a == b }
-
-// Transfer implements Domain, for all lanes in one pass over the
-// fanins. A lane whose two values are both known takes its proofs from
-// them; otherwise it is Eq when every fanin is Eq, and Anti when the
-// gate passes a flip through: inverters do, an XOR/XNOR does when an
-// odd number of fanins flip and every other fanin is Eq, the AND/OR
-// families never do.
-func (d *Pair) Transfer(id int, vals []PairPlanes) PairPlanes {
+// pairTransfer computes node id's planes from its fanins' entries in
+// vals, for all lanes in one pass over the fanins. A lane whose two
+// values are both known takes its proofs from them; otherwise it is Eq
+// when every fanin is Eq, and Anti when the gate passes a flip through:
+// inverters do, an XOR/XNOR does when an odd number of fanins flip and
+// every other fanin is Eq, the AND/OR families never do.
+func pairTransfer(p *ir.Program, keys []int32, id int, vals []PairPlanes) PairPlanes {
 	const all = ^uint64(0)
-	op := d.p.Ops[id]
+	op := p.Ops[id]
 	switch op {
 	case ir.OpInput:
 		var key uint64
-		for j, k := range d.keys {
+		for j, k := range keys {
 			if int(k) == id {
 				key = 1 << j
 			}
@@ -129,7 +111,7 @@ func (d *Pair) Transfer(id int, vals []PairPlanes) PairPlanes {
 	case ir.OpConst1:
 		return PairPlanes{V0Is1: all, V1Is1: all, Eq: all}
 	}
-	fi := d.p.FaninSpan(id)
+	fi := p.FaninSpan(id)
 	var v PairPlanes
 	// eq: every fanin is Eq; anti: the gate passes a flip through.
 	eq, anti := all, uint64(0)

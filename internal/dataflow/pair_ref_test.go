@@ -150,9 +150,9 @@ func wideLockedDesigns(t *testing.T) map[string]*netlist.Circuit {
 	return out
 }
 
-// TestPairLanesMatchScalar solves the sliced pair domain the way the
-// audit does, one Run per 64-key slice, and checks every lane of every
-// node against the scalar reference for that lane's key bit alone.
+// TestPairLanesMatchScalar solves the sliced pair analysis the way the
+// audit does, one Pair call per 64-key slice, and checks every lane of
+// every node against the scalar reference for that lane's key bit alone.
 // Lanes past the slice's last key must equal the keyless analysis.
 func TestPairLanesMatchScalar(t *testing.T) {
 	cases := soundnessCircuits(t)
@@ -168,7 +168,7 @@ func TestPairLanesMatchScalar(t *testing.T) {
 			keyless := scalarPair(p, -1)
 			for lo := 0; lo < p.NumKeys(); lo += 64 {
 				keys := p.Keys[lo:min(lo+64, p.NumKeys())]
-				planes := dataflow.Run[dataflow.PairPlanes](p, dataflow.NewPair(p, keys))
+				planes := dataflow.Pair(p, keys)
 				for j := 0; j < 64; j++ {
 					want := keyless
 					if j < len(keys) {

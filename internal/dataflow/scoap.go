@@ -24,35 +24,24 @@ type ControlValue struct {
 	CC0, CC1 int32
 }
 
-// Controllability is the forward half of the SCOAP testability domain
-// (Goldstein's classic difficulty estimate): inputs are directly
-// controllable, AND-family gates sum the costs of their non-controlling
-// values and take the cheapest controlling input, XOR gates fold parity
+// Controllability solves the forward half of the SCOAP testability
+// analysis (Goldstein's classic difficulty estimate) and returns each
+// net's scores, indexed by node ID: inputs are directly controllable,
+// AND-family gates sum the costs of their non-controlling values and
+// take the cheapest controlling input, XOR gates fold parity
 // combinations pairwise. High values mark nets random patterns almost
 // never exercise — where SAT-resistant point functions hide.
-type Controllability struct {
-	p *ir.Program
+func Controllability(p *ir.Program) []ControlValue {
+	vals := make([]ControlValue, p.NumNodes())
+	for _, id := range p.Order {
+		vals[id] = ccTransfer(p, int(id), vals)
+	}
+	return vals
 }
 
-// NewControllability returns the controllability domain for p.
-func NewControllability(p *ir.Program) *Controllability {
-	return &Controllability{p: p}
-}
-
-// Direction implements Domain.
-func (d *Controllability) Direction() Direction { return Forward }
-
-// Join implements Domain: the pessimistic (max) score per polarity.
-func (d *Controllability) Join(a, b ControlValue) ControlValue {
-	return ControlValue{CC0: max(a.CC0, b.CC0), CC1: max(a.CC1, b.CC1)}
-}
-
-// Equal implements Domain.
-func (d *Controllability) Equal(a, b ControlValue) bool { return a == b }
-
-// Transfer implements Domain.
-func (d *Controllability) Transfer(id int, vals []ControlValue) ControlValue {
-	p := d.p
+// ccTransfer computes node id's controllabilities from its fanins'
+// entries in vals.
+func ccTransfer(p *ir.Program, id int, vals []ControlValue) ControlValue {
 	fi := p.FaninSpan(id)
 	switch p.Ops[id] {
 	case ir.OpInput:
@@ -112,42 +101,31 @@ func (d *Controllability) Transfer(id int, vals []ControlValue) ControlValue {
 	return ControlValue{CC0: Unreachable, CC1: Unreachable}
 }
 
-// Observability is the backward half of SCOAP: CO estimates how many
-// lines must be set to propagate a net's value to a primary output
-// (0 at the outputs themselves; each gate on the path adds 1 plus the
-// cost of holding its side inputs at non-controlling values, read from
-// a completed Controllability result). CO of Unreachable means no
-// primary output can ever see the net.
-type Observability struct {
-	p    *ir.Program
-	cc   []ControlValue
-	isPO []bool
-}
-
-// NewObservability returns the observability domain for p, reading side
-// -input costs from cc (a Controllability result for the same program).
-func NewObservability(p *ir.Program, cc []ControlValue) *Observability {
-	d := &Observability{p: p, cc: cc, isPO: make([]bool, p.NumNodes())}
+// Observability solves the backward half of SCOAP and returns each
+// net's CO, indexed by node ID: CO estimates how many lines must be set
+// to propagate the net's value to a primary output (0 at the outputs
+// themselves; each gate on the path adds 1 plus the cost of holding its
+// side inputs at non-controlling values, read from cc, the
+// Controllability result for the same program). CO of Unreachable means
+// no primary output can ever see the net.
+func Observability(p *ir.Program, cc []ControlValue) []int32 {
+	isPO := make([]bool, p.NumNodes())
 	for _, o := range p.POs {
-		d.isPO[o] = true
+		isPO[o] = true
 	}
-	return d
+	vals := make([]int32, p.NumNodes())
+	for k := len(p.Order) - 1; k >= 0; k-- {
+		id := int(p.Order[k])
+		vals[id] = coTransfer(p, cc, isPO, id, vals)
+	}
+	return vals
 }
 
-// Direction implements Domain.
-func (d *Observability) Direction() Direction { return Backward }
-
-// Join implements Domain: the pessimistic (max) score.
-func (d *Observability) Join(a, b int32) int32 { return max(a, b) }
-
-// Equal implements Domain.
-func (d *Observability) Equal(a, b int32) bool { return a == b }
-
-// Transfer implements Domain.
-func (d *Observability) Transfer(id int, vals []int32) int32 {
-	p := d.p
+// coTransfer computes node id's observability from its fanouts'
+// entries in vals.
+func coTransfer(p *ir.Program, cc []ControlValue, isPO []bool, id int, vals []int32) int32 {
 	co := Unreachable
-	if d.isPO[id] {
+	if isPO[id] {
 		co = 0
 	}
 	for _, fo := range p.FanoutSpan(id) {
@@ -159,19 +137,19 @@ func (d *Observability) Transfer(id int, vals []int32) int32 {
 		case ir.OpAnd, ir.OpNand:
 			for _, f := range p.FaninSpan(g) {
 				if int(f) != id {
-					cost = satAdd(cost, d.cc[f].CC1)
+					cost = satAdd(cost, cc[f].CC1)
 				}
 			}
 		case ir.OpOr, ir.OpNor:
 			for _, f := range p.FaninSpan(g) {
 				if int(f) != id {
-					cost = satAdd(cost, d.cc[f].CC0)
+					cost = satAdd(cost, cc[f].CC0)
 				}
 			}
 		case ir.OpXor, ir.OpXnor:
 			for _, f := range p.FaninSpan(g) {
 				if int(f) != id {
-					cost = satAdd(cost, min(d.cc[f].CC0, d.cc[f].CC1))
+					cost = satAdd(cost, min(cc[f].CC0, cc[f].CC1))
 				}
 			}
 		default:

@@ -7,8 +7,8 @@ import (
 )
 
 // KeySet is a set of key-bit indices packed as a bit vector. The zero
-// value is the empty set of any width; sets produced by one KeyTaint
-// domain share a word width and may be compared with Equal.
+// value is the empty set of any width; the non-empty sets of one
+// analysis share a word width.
 type KeySet struct {
 	w []uint64
 }
@@ -52,62 +52,51 @@ func (s KeySet) Bits() []int {
 	return out
 }
 
-// KeyTaint is the input-taint domain: the abstract value of a net is
-// the set of tracked inputs with a structural path to it — the nets
-// that carry values dependent on those inputs, an over-approximation
-// of actual influence. Each tracked input seeds its own bit; gates
-// union their fanins. Instantiated over the key inputs (NewKeyTaint) a
-// primary output with a non-empty set is in some key bit's corruption
-// cone; instantiated over every input (NewInputTaint with p.Inputs)
-// the fixpoint is each net's full input support — which is how the
-// audit's exact symbolic backend sizes a cone's BDD variable set
-// before committing a node budget to it.
-type KeyTaint struct {
-	p     *ir.Program
-	words int
+// KeyTaint solves the input-taint analysis over p's key inputs: set
+// bit kb of a node's set means key bit kb reaches the net, so a primary
+// output with a non-empty set is in some key bit's corruption cone.
+func KeyTaint(p *ir.Program) []KeySet {
+	return InputTaint(p, p.Keys)
+}
+
+// InputTaint solves the input-taint analysis over an arbitrary input
+// subset and returns each node's set, indexed by node ID: set bit i
+// means inputs[i] has a structural path to the net, so the net carries
+// values dependent on it (an over-approximation of actual influence).
+// Each tracked input seeds its own bit; gates union their fanins.
+// Passing p.Inputs tracks every input, so a set is the net's exact
+// structural support (PI bits first, key bits after, mirroring the
+// p.Inputs layout) — which is how the audit's exact symbolic backend
+// sizes a cone's BDD variable set before committing a node budget to
+// it.
+func InputTaint(p *ir.Program, inputs []int32) []KeySet {
+	words := (len(inputs) + 63) / 64
 	// bitOf maps a node ID to its tracked-input index, -1 for nodes
 	// that seed nothing.
-	bitOf []int32
-}
-
-// NewKeyTaint returns the taint domain tracking p's key inputs: set
-// bit kb means key bit kb reaches the net.
-func NewKeyTaint(p *ir.Program) *KeyTaint {
-	return NewInputTaint(p, p.Keys)
-}
-
-// NewInputTaint returns the taint domain tracking an arbitrary input
-// subset: set bit i means inputs[i] reaches the net. Passing p.Inputs
-// tracks every input, so a solved value is the net's exact structural
-// support (PI bits first, key bits after, mirroring the p.Inputs
-// layout).
-func NewInputTaint(p *ir.Program, inputs []int32) *KeyTaint {
-	d := &KeyTaint{
-		p:     p,
-		words: (len(inputs) + 63) / 64,
-		bitOf: make([]int32, p.NumNodes()),
-	}
-	for i := range d.bitOf {
-		d.bitOf[i] = -1
+	bitOf := make([]int32, p.NumNodes())
+	for i := range bitOf {
+		bitOf[i] = -1
 	}
 	for i, id := range inputs {
-		d.bitOf[id] = int32(i)
+		bitOf[id] = int32(i)
 	}
-	return d
+	vals := make([]KeySet, p.NumNodes())
+	for _, id := range p.Order {
+		vals[id] = taintTransfer(p, bitOf, words, int(id), vals)
+	}
+	return vals
 }
 
-// Direction implements Domain.
-func (d *KeyTaint) Direction() Direction { return Forward }
-
-// Join implements Domain: set union.
-func (d *KeyTaint) Join(a, b KeySet) KeySet {
+// union is the taint sets' join. It shares an operand when the other
+// is empty, so a node's set may alias a fanin's.
+func union(words int, a, b KeySet) KeySet {
 	if len(a.w) == 0 {
 		return b
 	}
 	if len(b.w) == 0 {
 		return a
 	}
-	out := make([]uint64, d.words)
+	out := make([]uint64, words)
 	copy(out, a.w)
 	for i, w := range b.w {
 		out[i] |= w
@@ -115,29 +104,13 @@ func (d *KeyTaint) Join(a, b KeySet) KeySet {
 	return KeySet{w: out}
 }
 
-// Equal implements Domain.
-func (d *KeyTaint) Equal(a, b KeySet) bool {
-	for i := 0; i < d.words; i++ {
-		var aw, bw uint64
-		if i < len(a.w) {
-			aw = a.w[i]
-		}
-		if i < len(b.w) {
-			bw = b.w[i]
-		}
-		if aw != bw {
-			return false
-		}
-	}
-	return true
-}
-
-// Transfer implements Domain.
-func (d *KeyTaint) Transfer(id int, vals []KeySet) KeySet {
-	switch d.p.Ops[id] {
+// taintTransfer computes node id's set from its fanins' entries in
+// vals.
+func taintTransfer(p *ir.Program, bitOf []int32, words, id int, vals []KeySet) KeySet {
+	switch p.Ops[id] {
 	case ir.OpInput:
-		if kb := d.bitOf[id]; kb >= 0 {
-			w := make([]uint64, d.words)
+		if kb := bitOf[id]; kb >= 0 {
+			w := make([]uint64, words)
 			w[kb>>6] = 1 << (uint(kb) & 63)
 			return KeySet{w: w}
 		}
@@ -146,8 +119,8 @@ func (d *KeyTaint) Transfer(id int, vals []KeySet) KeySet {
 		return KeySet{}
 	}
 	out := KeySet{}
-	for _, f := range d.p.FaninSpan(id) {
-		out = d.Join(out, vals[f])
+	for _, f := range p.FaninSpan(id) {
+		out = union(words, out, vals[f])
 	}
 	return out
 }

@@ -33,8 +33,6 @@ type SATScalingRow struct {
 
 // SATScalingOptions configures the scaling study.
 type SATScalingOptions struct {
-	// KeyWidths lists the widths to sweep (default 4, 6, 8, 10).
-	KeyWidths []int
 	// Workers bounds the worker pool sweeping key widths concurrently
 	// (0 = all cores, 1 = serial). Each width owns a named stream which
 	// its defenses consume in a fixed order, so results do not depend on
@@ -45,13 +43,10 @@ type SATScalingOptions struct {
 }
 
 // SATScaling measures SAT-attack iterations against random XOR locking,
-// weighted locking, SARLock and Anti-SAT at several key widths on a small
-// carrier circuit.
+// weighted locking, SARLock and Anti-SAT at key widths 4, 6, 8 and 10
+// on a small carrier circuit.
 func SATScaling(opts SATScalingOptions) ([]SATScalingRow, error) {
-	widths := opts.KeyWidths
-	if len(widths) == 0 {
-		widths = []int{4, 6, 8, 10}
-	}
+	widths := []int{4, 6, 8, 10}
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {
 		return nil, err
@@ -148,11 +143,9 @@ type XorTreeRow struct {
 // levers the paper lists: "the complexity of the XOR trees depends on the
 // LFSR's characteristic polynomial, the number of seeds fed to the LFSR,
 // the number and positions of reseeding points … and the number of
-// free-run cycles".
-func XorTreeSweep(keyBits int) ([]XorTreeRow, error) {
-	if keyBits <= 0 {
-		keyBits = 128
-	}
+// free-run cycles". The key register is 128 bits wide.
+func XorTreeSweep() ([]XorTreeRow, error) {
+	const keyBits = 128
 	var rows []XorTreeRow
 	for _, spacing := range []int{0, 16, 8, 4} { // 0 = plain shift register
 		for _, sched := range []struct{ seeds, freeRun int }{
@@ -209,13 +202,11 @@ type CtrlWidthRow struct {
 // CtrlWidthSweep measures HD as a function of the weighted-locking
 // control gate width on a mid-size generated circuit, reproducing why
 // Table I uses 3-input control gates for most circuits (wider gates
-// actuate more but cost more area). Widths run concurrently on up to
-// workers workers (0 = all cores); each owns named streams, so the rows
-// do not depend on the pool size.
-func CtrlWidthSweep(seed uint64, widths []int, workers int) ([]CtrlWidthRow, error) {
-	if len(widths) == 0 {
-		widths = []int{1, 2, 3, 5}
-	}
+// actuate more but cost more area). The widths 1, 2, 3 and 5 run
+// concurrently on up to workers workers (0 = all cores); each owns named
+// streams, so the rows do not depend on the pool size.
+func CtrlWidthSweep(seed uint64, workers int) ([]CtrlWidthRow, error) {
+	widths := []int{1, 2, 3, 5}
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {
 		return nil, err
@@ -279,12 +270,11 @@ type KeySizeRow struct {
 
 // KeySizeSweep measures HD against the key (LFSR) size on one generated
 // circuit, exposing the saturation the paper's stopping rule relies on.
-// Sizes run concurrently on up to workers workers (0 = all cores); each
-// owns named streams, so the rows do not depend on the pool size.
-func KeySizeSweep(seed uint64, sizes []int, workers int) ([]KeySizeRow, error) {
-	if len(sizes) == 0 {
-		sizes = []int{6, 12, 24, 48, 96}
-	}
+// The sizes 6, 12, 24, 48 and 96 run concurrently on up to workers
+// workers (0 = all cores); each owns named streams, so the rows do not
+// depend on the pool size.
+func KeySizeSweep(seed uint64, workers int) ([]KeySizeRow, error) {
+	sizes := []int{6, 12, 24, 48, 96}
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {
 		return nil, err

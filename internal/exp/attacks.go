@@ -68,10 +68,11 @@ type AttackRow struct {
 // bits do not terminate by design.
 const attackStudyScale = 0.004
 
+// attackStudyKeyBits is the width of the weighted locking layer.
+const attackStudyKeyBits = 16
+
 // AttackStudyOptions configures the attack comparison.
 type AttackStudyOptions struct {
-	// KeyBits for the weighted locking layer (default 16).
-	KeyBits int
 	// Workers bounds the worker pool running attack×oracle cells
 	// concurrently (0 = all cores, 1 = serial). Each cell builds its own
 	// chip and derives its own streams, so the rows do not depend on it.
@@ -88,9 +89,6 @@ type AttackStudyOptions struct {
 // correct key through the unprotected scan chain and fails (converges to
 // a locked-circuit key with high disagreement) against OraP.
 func AttackStudy(opts AttackStudyOptions) ([]AttackRow, error) {
-	if opts.KeyBits <= 0 {
-		opts.KeyBits = 16
-	}
 	budgets := attack.Budgets{MaxIterations: 2000}
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {
@@ -102,9 +100,9 @@ func AttackStudy(opts AttackStudyOptions) ([]AttackRow, error) {
 		return nil, err
 	}
 	l, err := lock.Weighted(circuit, lock.WeightedOptions{
-		KeyBits:      opts.KeyBits,
+		KeyBits:      attackStudyKeyBits,
 		ControlWidth: 3,
-		KeyGates:     opts.KeyBits,
+		KeyGates:     attackStudyKeyBits,
 		Rand:         rng.NewNamed(opts.Seed, "attacks/lock"),
 	})
 	if err != nil {
@@ -227,7 +225,7 @@ func AttackStudy(opts AttackStudyOptions) ([]AttackRow, error) {
 // linearly separable at an output (key-leak findings). Weighted locking
 // should taint every output and leak nothing.
 func taintSummary(prog *ir.Program, c *netlist.Circuit) string {
-	taint := dataflow.Run[dataflow.KeySet](prog, dataflow.NewKeyTaint(prog))
+	taint := dataflow.KeyTaint(prog)
 	tainted := 0
 	for _, o := range prog.POs {
 		if !taint[o].Empty() {

@@ -13,12 +13,11 @@ import (
 func TestTableIWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) []TableIRow {
 		rows, err := TableI(TableIOptions{
-			Scale:     0.008,
-			Patterns:  1 << 11,
-			WrongKeys: 2,
-			Circuits:  []string{"b20", "s38417"},
-			Workers:   workers,
-			Seed:      21,
+			Scale:    0.008,
+			Patterns: 1 << 11,
+			Circuits: []string{"b20", "s38417"},
+			Workers:  workers,
+			Seed:     21,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -34,11 +33,10 @@ func TestTableIWorkerCountInvariance(t *testing.T) {
 func TestTableIIWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) []TableIIRow {
 		rows, err := TableII(TableIIOptions{
-			Scale:        0.006,
-			RandomBlocks: 8,
-			Circuits:     []string{"b20", "b21"},
-			Workers:      workers,
-			Seed:         22,
+			Scale:    0.006,
+			Circuits: []string{"b20", "b21"},
+			Workers:  workers,
+			Seed:     22,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -52,22 +50,22 @@ func TestTableIIWorkerCountInvariance(t *testing.T) {
 }
 
 func TestSweepWorkerCountInvariance(t *testing.T) {
-	ctrlSerial, err := CtrlWidthSweep(23, []int{1, 3}, 1)
+	ctrlSerial, err := CtrlWidthSweep(23, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrlParallel, err := CtrlWidthSweep(23, []int{1, 3}, 8)
+	ctrlParallel, err := CtrlWidthSweep(23, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ctrlSerial, ctrlParallel) {
 		t.Fatalf("ctrl-width sweep diverged: %+v vs %+v", ctrlSerial, ctrlParallel)
 	}
-	keySerial, err := KeySizeSweep(24, []int{6, 12}, 1)
+	keySerial, err := KeySizeSweep(24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyParallel, err := KeySizeSweep(24, []int{6, 12}, 8)
+	keyParallel, err := KeySizeSweep(24, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

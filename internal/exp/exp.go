@@ -4,12 +4,13 @@
 // streams throughout) and returns structured rows; Format helpers render
 // them in the paper's layout.
 //
-// Tables I and II and the Trojan study take a Scale factor: 1.0
-// reproduces the paper's circuit sizes (minutes of CPU), smaller factors
-// shrink the generated benchmark circuits proportionally for test and
-// -short bench runs while preserving the qualitative shape of every
-// result. The attack studies run on fixed small circuits, because SAT
-// attacks on full-size ones do not terminate by design.
+// Tables I and II take a Scale factor: 1.0 reproduces the paper's
+// circuit sizes (minutes of CPU), smaller factors shrink the generated
+// benchmark circuits proportionally for test and -short bench runs while
+// preserving the qualitative shape of every result. The Trojan study
+// runs on a fixed small carrier circuit, and the attack studies on fixed
+// small circuits too, because SAT attacks on full-size ones do not
+// terminate by design.
 package exp
 
 import (

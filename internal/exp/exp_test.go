@@ -18,11 +18,10 @@ func TestFormatTableAlignment(t *testing.T) {
 
 func TestTableISmallScale(t *testing.T) {
 	rows, err := TableI(TableIOptions{
-		Scale:     0.01,
-		Patterns:  1 << 12,
-		WrongKeys: 3,
-		Circuits:  []string{"b20", "s38417"},
-		Seed:      1,
+		Scale:    0.01,
+		Patterns: 1 << 12,
+		Circuits: []string{"b20", "s38417"},
+		Seed:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,11 +53,10 @@ func TestTableIOverheadShrinksWithCircuitSize(t *testing.T) {
 	// The paper's overhead-reduction trend: bigger circuits, smaller
 	// relative overhead (key size roughly constant).
 	rows, err := TableI(TableIOptions{
-		Scale:     0.02,
-		Patterns:  1 << 10,
-		WrongKeys: 2,
-		Circuits:  []string{"b20", "b18"},
-		Seed:      2,
+		Scale:    0.02,
+		Patterns: 1 << 10,
+		Circuits: []string{"b20", "b18"},
+		Seed:     2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,10 +80,9 @@ func TestTableIOverheadShrinksWithCircuitSize(t *testing.T) {
 
 func TestTableIISmallScale(t *testing.T) {
 	rows, err := TableII(TableIIOptions{
-		Scale:        0.008,
-		RandomBlocks: 16,
-		Circuits:     []string{"b20"},
-		Seed:         3,
+		Scale:    0.008,
+		Circuits: []string{"b20"},
+		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,10 +112,7 @@ func TestTableIISmallScale(t *testing.T) {
 }
 
 func TestAttackStudyShape(t *testing.T) {
-	rows, err := AttackStudy(AttackStudyOptions{
-		KeyBits: 10,
-		Seed:    4,
-	})
+	rows, err := AttackStudy(AttackStudyOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +183,7 @@ func TestAttackStudyShape(t *testing.T) {
 }
 
 func TestTrojanStudyShape(t *testing.T) {
-	rows, err := TrojanStudy(TrojanStudyOptions{KeyBits: 128, Scale: 0.01, Seed: 5})
+	rows, err := TrojanStudy(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +217,7 @@ func TestTrojanStudyShape(t *testing.T) {
 }
 
 func TestSATScalingShape(t *testing.T) {
-	rows, err := SATScaling(SATScalingOptions{KeyWidths: []int{4, 6}, Seed: 6})
+	rows, err := SATScaling(SATScalingOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +246,7 @@ func TestSATScalingShape(t *testing.T) {
 }
 
 func TestXorTreeSweepShape(t *testing.T) {
-	rows, err := XorTreeSweep(64)
+	rows, err := XorTreeSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +266,11 @@ func TestXorTreeSweepShape(t *testing.T) {
 }
 
 func TestCtrlWidthSweepShape(t *testing.T) {
-	rows, err := CtrlWidthSweep(7, []int{1, 3}, 0)
+	rows, err := CtrlWidthSweep(7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
@@ -287,16 +281,20 @@ func TestCtrlWidthSweepShape(t *testing.T) {
 }
 
 func TestKeySizeSweepSaturates(t *testing.T) {
-	rows, err := KeySizeSweep(9, []int{6, 24, 96}, 0)
+	rows, err := KeySizeSweep(9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	hd := map[int]float64{}
+	for _, r := range rows {
+		hd[r.KeyBits] = r.HDPercent
+	}
 	// HD grows with key size but saturates below ~55%.
-	if rows[0].HDPercent >= rows[2].HDPercent {
-		t.Fatalf("HD did not grow with key size: %.2f -> %.2f", rows[0].HDPercent, rows[2].HDPercent)
+	if hd[6] >= hd[96] {
+		t.Fatalf("HD did not grow with key size: %.2f -> %.2f", hd[6], hd[96])
 	}
 	for _, r := range rows {
 		if r.HDPercent > 58 {
@@ -305,8 +303,8 @@ func TestKeySizeSweepSaturates(t *testing.T) {
 	}
 	// The paper's stopping rule: the jump from 24 to 96 bits is much
 	// smaller than the jump from 6 to 24 (diminishing returns).
-	gain1 := rows[1].HDPercent - rows[0].HDPercent
-	gain2 := rows[2].HDPercent - rows[1].HDPercent
+	gain1 := hd[24] - hd[6]
+	gain2 := hd[96] - hd[24]
 	if gain2 > gain1 {
 		t.Fatalf("no saturation: gains %.2f then %.2f", gain1, gain2)
 	}

@@ -38,7 +38,7 @@ func renderPaperTables(t *testing.T) string {
 	}
 	b.WriteString("Attack study\n" + FormatAttackStudy(as) + "\n")
 
-	ts, err := TrojanStudy(TrojanStudyOptions{Seed: seed})
+	ts, err := TrojanStudy(seed)
 	if err != nil {
 		t.Fatalf("TrojanStudy: %v", err)
 	}

@@ -34,8 +34,6 @@ type TableIOptions struct {
 	// Patterns is the pseudorandom pattern count for HD (default: the
 	// metrics package default, "a few hundreds of thousands").
 	Patterns int
-	// WrongKeys averaged per circuit (default 8).
-	WrongKeys int
 	// Circuits selects a subset by name (default: all eight).
 	Circuits []string
 	// Workers bounds the worker pool running circuit rows concurrently
@@ -96,10 +94,9 @@ func TableI(opts TableIOptions) ([]TableIRow, error) {
 		regOv := orap.RegisterOverhead(cfg.LFSR)
 
 		hd, err := metrics.HammingDistance(l.Circuit, l.Key, metrics.HDOptions{
-			Patterns:  opts.Patterns,
-			WrongKeys: opts.WrongKeys,
-			Workers:   opts.Workers,
-			Rand:      rng.NewNamed(opts.Seed, "tableI/hd/"+name),
+			Patterns: opts.Patterns,
+			Workers:  opts.Workers,
+			Rand:     rng.NewNamed(opts.Seed, "tableI/hd/"+name),
 		})
 		if err != nil {
 			return err

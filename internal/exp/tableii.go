@@ -26,13 +26,14 @@ type TableIIRow struct {
 	ProtFaults  int
 }
 
+// randomBlocks is the number of 64-pattern random fault-simulation
+// blocks before deterministic ATPG (the HOPE prefilter).
+const randomBlocks = 32
+
 // TableIIOptions configures the Table II reproduction.
 type TableIIOptions struct {
 	// Scale shrinks the generated circuits (1.0 = paper scale).
 	Scale float64
-	// RandomBlocks is the number of 64-pattern random fault-simulation
-	// blocks before deterministic ATPG (the HOPE prefilter; default 32).
-	RandomBlocks int
 	// Circuits selects a subset by name (default: all eight).
 	Circuits []string
 	// Workers bounds the worker pool running circuit rows concurrently
@@ -52,9 +53,6 @@ type TableIIOptions struct {
 func TableII(opts TableIIOptions) ([]TableIIRow, error) {
 	if opts.Scale <= 0 || opts.Scale > 1 {
 		opts.Scale = 1
-	}
-	if opts.RandomBlocks <= 0 {
-		opts.RandomBlocks = 32
 	}
 	names := opts.Circuits
 	if len(names) == 0 {
@@ -122,7 +120,7 @@ func testability(c *netlist.Circuit, opts TableIIOptions, stream string) (atpg.S
 	}
 	sim.Workers = opts.Workers
 	faults := faultsim.CollapseFaults(c)
-	rand := sim.RunRandom(faults, opts.RandomBlocks, rng.NewNamed(opts.Seed, "tableII/"+stream))
+	rand := sim.RunRandom(faults, randomBlocks, rng.NewNamed(opts.Seed, "tableII/"+stream))
 	return atpg.Run(c, sim, rand, atpg.Options{})
 }
 

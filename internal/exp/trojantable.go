@@ -26,51 +26,37 @@ type TrojanRow struct {
 	ModifiedWorks bool
 }
 
-// TrojanStudyOptions configures the Section III reproduction.
-type TrojanStudyOptions struct {
-	// KeyBits is the key-register width (paper's running example: 128).
-	KeyBits int
-	// Scale shrinks the carrier circuit.
-	Scale float64
-	// Seed drives every random choice.
-	Seed uint64
-}
+// trojanKeyBits is the key-register width the payload costs are
+// computed for (the paper's running example), and trojanScale shrinks
+// the carrier circuit.
+const (
+	trojanKeyBits = 128
+	trojanScale   = 0.02
+)
 
 // TrojanStudy reproduces the Section III analysis executably: for each
 // attack scenario (a)–(e) it computes the Trojan payload in NAND2 gate
 // equivalents under the paper's countermeasures, and where the scenario is
 // behavioural it simulates the attack against chips built with the basic
-// and the modified OraP scheme.
-func TrojanStudy(opts TrojanStudyOptions) ([]TrojanRow, error) {
-	if opts.KeyBits <= 0 {
-		opts.KeyBits = 128
-	}
-	if opts.Scale <= 0 || opts.Scale > 1 {
-		opts.Scale = 0.02
-	}
+// and the modified OraP scheme. The seed drives every random choice.
+func TrojanStudy(seed uint64) ([]TrojanRow, error) {
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {
 		return nil, err
 	}
-	scaled := prof.Scale(opts.Scale)
-	circuit, err := benchgen.Generate(scaled, opts.Seed)
+	scaled := prof.Scale(trojanScale)
+	circuit, err := benchgen.Generate(scaled, seed)
 	if err != nil {
 		return nil, err
 	}
 	// The simulated chips use a moderate key width: at most 24 bits, and
 	// at most one key bit per eight gates of the small carrier. The
-	// payload table below uses the full requested width.
-	simKeyBits := opts.KeyBits
-	if simKeyBits > 24 {
-		simKeyBits = 24
-	}
-	if simKeyBits > circuit.GateCount()/8 {
-		simKeyBits = circuit.GateCount() / 8
-	}
+	// payload table below uses the full trojanKeyBits width.
+	simKeyBits := min(24, circuit.GateCount()/8)
 	l, err := lock.Weighted(circuit, lock.WeightedOptions{
 		KeyBits:      simKeyBits,
 		ControlWidth: 3,
-		Rand:         rng.NewNamed(opts.Seed, "trojan/lock"),
+		Rand:         rng.NewNamed(seed, "trojan/lock"),
 	})
 	if err != nil {
 		return nil, err
@@ -81,24 +67,24 @@ func TrojanStudy(opts TrojanStudyOptions) ([]TrojanRow, error) {
 	basicCfg, err := orap.Protect(l.Circuit, l.Key, scaled.Pins, scaled.PinOuts, scan.OraPBasic, orap.Options{
 		Seeds:   4,
 		FreeRun: 2,
-		Rand:    rng.NewNamed(opts.Seed, "trojan/basic"),
+		Rand:    rng.NewNamed(seed, "trojan/basic"),
 	})
 	if err != nil {
 		return nil, err
 	}
 	modCfg, err := orap.Protect(l.Circuit, l.Key, scaled.Pins, scaled.PinOuts, scan.OraPModified, orap.Options{
-		Rand: rng.NewNamed(opts.Seed, "trojan/mod"),
+		Rand: rng.NewNamed(seed, "trojan/mod"),
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Payload costs use the requested (paper-scale) key width and the
-	// basic scheme's synthesized schedule.
+	// Payload costs use the paper-scale key width and the basic scheme's
+	// synthesized schedule.
 	costCfg := lfsr.Config{
-		N:      opts.KeyBits,
-		Taps:   lfsr.StandardTaps(opts.KeyBits, 8),
-		Inject: lfsr.AllInject(opts.KeyBits),
+		N:      trojanKeyBits,
+		Taps:   lfsr.StandardTaps(trojanKeyBits, 8),
+		Inject: lfsr.AllInject(trojanKeyBits),
 	}
 	payloads, err := trojan.Payloads(costCfg, basicCfg.Schedule)
 	if err != nil {

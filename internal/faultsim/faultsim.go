@@ -368,17 +368,6 @@ func (s *Simulator) DetectsEach(faults []Fault, pattern []bool) ([]bool, error) 
 	return hit, nil
 }
 
-// DetectsWithPattern reports whether the given single test pattern
-// (covering primary inputs then key inputs) detects the fault: the
-// one-fault case of DetectsEach.
-func (s *Simulator) DetectsWithPattern(f Fault, pattern []bool) (bool, error) {
-	hit, err := s.DetectsEach([]Fault{f}, pattern)
-	if err != nil {
-		return false, err
-	}
-	return hit[0], nil
-}
-
 // posHeap is a small binary min-heap of node IDs keyed by topological
 // position, used to process fault events in dependency order.
 type posHeap struct {

@@ -58,18 +58,18 @@ func TestStuckOutputDetectedByObviousPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := Fault{Node: y, Pin: -1, SA1: false}
-	hit, err := s.DetectsWithPattern(f, []bool{true, true})
+	hit, err := s.DetectsEach([]Fault{f}, []bool{true, true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	if !hit[0] {
 		t.Fatal("a=b=1 must detect y s-a-0")
 	}
-	hit, err = s.DetectsWithPattern(f, []bool{true, false})
+	hit, err = s.DetectsEach([]Fault{f}, []bool{true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
+	if hit[0] {
 		t.Fatal("a=1,b=0 cannot detect y s-a-0 (output already 0)")
 	}
 }
@@ -83,15 +83,18 @@ func TestInputPinFault(t *testing.T) {
 	c.MarkOutput(y)
 	s, _ := ForProgram(ir.MustCompile(c))
 	f := Fault{Node: y, Pin: 0, SA1: true}
-	hit, err := s.DetectsWithPattern(f, []bool{false, true})
+	hit, err := s.DetectsEach([]Fault{f}, []bool{false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	if !hit[0] {
 		t.Fatal("a=0,b=1 must detect pin-a s-a-1")
 	}
-	hit, _ = s.DetectsWithPattern(f, []bool{false, false})
-	if hit {
+	hit, err = s.DetectsEach([]Fault{f}, []bool{false, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit[0] {
 		t.Fatal("b=0 masks the pin fault")
 	}
 }

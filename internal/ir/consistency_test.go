@@ -81,11 +81,11 @@ func engines(t *testing.T, c *netlist.Circuit, pattern []bool) [4]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detected, err := fs.DetectsWithPattern(faultsim.Fault{Node: c.POs[0], Pin: -1, SA1: false}, pattern)
+	detected, err := fs.DetectsEach([]faultsim.Fault{{Node: c.POs[0], Pin: -1, SA1: false}}, pattern)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out[2] = detected
+	out[2] = detected[0]
 
 	// 4. CNF: Tseitin-encode with the inputs fixed and read the output
 	// variable from the satisfying model.

@@ -97,7 +97,7 @@ func TestSymbolicMatchesConcrete(t *testing.T) {
 	sc := Schedule{FreeRunAfter: []int{0, 3, 1, 5}}
 	w := cfg.SeedWidth()
 
-	m, err := TransferMatrix(cfg, sc)
+	m, err := TransferMatrix(cfg, sc, AllInject(cfg.SeedWidth()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestTransferMatrixFullRankWithEnoughSeeds(t *testing.T) {
 	// space, so the transfer matrix must have full rank N: every key is
 	// reachable by some key sequence.
 	cfg := cfg16()
-	m, err := TransferMatrix(cfg, UniformSchedule(1, 0))
+	m, err := TransferMatrix(cfg, UniformSchedule(1, 0), AllInject(cfg.SeedWidth()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +142,14 @@ func TestTransferMatrixSparseInjectionNeedsMoreSeeds(t *testing.T) {
 	// With injection every 4 cells (width 4), one seed cannot reach all
 	// 16-bit states, but enough seeded cycles with mixing can.
 	cfg := Config{N: 16, Taps: StandardTaps(16, 8), Inject: []int{0, 4, 8, 12}}
-	m1, err := TransferMatrix(cfg, UniformSchedule(1, 0))
+	m1, err := TransferMatrix(cfg, UniformSchedule(1, 0), AllInject(cfg.SeedWidth()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1.Rank() >= 16 {
 		t.Fatalf("one 4-bit seed cannot give rank 16, got %d", m1.Rank())
 	}
-	m4, err := TransferMatrix(cfg, UniformSchedule(4, 0))
+	m4, err := TransferMatrix(cfg, UniformSchedule(4, 0), AllInject(cfg.SeedWidth()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTransferMatrixSparseInjectionNeedsMoreSeeds(t *testing.T) {
 	// with one free-run cycle between seeds (period 2, spacing 4), seed
 	// bits only ever reach half the cells, capping the rank at 8. This is
 	// why the designer must co-pick spacing and free-run counts.
-	m8, err := TransferMatrix(cfg, UniformSchedule(8, 1))
+	m8, err := TransferMatrix(cfg, UniformSchedule(8, 1), AllInject(cfg.SeedWidth()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func BenchmarkTransferMatrix256(b *testing.B) {
 	sc := UniformSchedule(4, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TransferMatrix(cfg, sc); err != nil {
+		if _, err := TransferMatrix(cfg, sc, AllInject(cfg.SeedWidth())); err != nil {
 			b.Fatal(err)
 		}
 	}

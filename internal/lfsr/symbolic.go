@@ -131,41 +131,17 @@ func UniformSchedule(seeds, freeRun int) Schedule {
 	return Schedule{FreeRunAfter: fr}
 }
 
-// TransferMatrix computes the linear map from all injected seed bits to the
-// final LFSR state for the given schedule: it returns M such that
-//
-//	finalState = M · seeds
-//
-// where seeds stacks the seed words in feeding order (seed i occupies
-// variable indices [i·w, (i+1)·w) for w = cfg.SeedWidth()).
-func TransferMatrix(cfg Config, sc Schedule) (*gf2.Matrix, error) {
-	w := cfg.SeedWidth()
-	sym, err := newSymbolic(cfg, w*sc.NumSeeds())
-	if err != nil {
-		return nil, err
-	}
-	for i, fr := range sc.FreeRunAfter {
-		vars := make([]int, w)
-		for j := range vars {
-			vars[j] = i*w + j
-		}
-		if err := sym.stepVars(vars); err != nil {
-			return nil, err
-		}
-		sym.freeRun(fr)
-	}
-	return sym.matrix(), nil
-}
-
-// MemTransferMatrix computes the linear map from memory-seed bits to the
-// final LFSR state for a schedule where injection happens on seeded cycles
-// only at the given positions (indices into cfg.Inject) — the memory-driven
-// subset of the reseeding points in the OraP schemes. The returned matrix M
-// satisfies finalState = M · seeds with seed i occupying variable indices
-// [i·w, (i+1)·w) for w = len(memInject). Its GF(2) rank is the effective
-// key entropy of the schedule: rank < cfg.N means some register states are
-// unreachable from memory, shrinking the key space an attacker must search.
-func MemTransferMatrix(cfg Config, sc Schedule, memInject []int) (*gf2.Matrix, error) {
+// TransferMatrix computes the linear map from memory-seed bits to the
+// final LFSR state for a schedule where injection happens on seeded
+// cycles only at the given positions (indices into cfg.Inject) — the
+// memory-driven subset of the reseeding points in the OraP schemes;
+// AllInject(cfg.SeedWidth()) feeds every point. The returned matrix M
+// satisfies finalState = M · seeds, where seeds stacks the seed words in
+// feeding order (seed i occupies variable indices [i·w, (i+1)·w) for
+// w = len(memInject)). Its GF(2) rank is the effective key entropy of
+// the schedule: rank < cfg.N means some register states are unreachable
+// from memory, shrinking the key space an attacker must search.
+func TransferMatrix(cfg Config, sc Schedule, memInject []int) (*gf2.Matrix, error) {
 	w := len(memInject)
 	sym, err := newSymbolic(cfg, w*sc.NumSeeds())
 	if err != nil {

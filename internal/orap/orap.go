@@ -149,7 +149,7 @@ func synthesizeBasic(core *netlist.Circuit, key []bool, realPIs, realPOs int, op
 	cfg := lfsrConfig(n)
 	memInject := lfsr.AllInject(n) // every reseeding point is memory-driven
 	sc := lfsr.UniformSchedule(max(opts.Seeds, 1), opts.FreeRun)
-	m, err := lfsr.MemTransferMatrix(cfg, sc, memInject)
+	m, err := lfsr.TransferMatrix(cfg, sc, memInject)
 	if err != nil {
 		return scan.Config{}, err
 	}

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"orap/internal/rng"
 )
 
 // FuzzSolver decodes the fuzz input into a clause set over at most 16
@@ -158,27 +160,35 @@ func FuzzSolver(f *testing.F) {
 // FuzzMarkRollback decodes base clauses over at most 12 variables and
 // marks the solver, with a solve of the base first when bit 0x80 of the
 // first byte is set, so the mark keeps learned clauses and level-0
-// assignments. Each round of extra bytes, rounds split at 0xff, then
-// works on the mark: its first byte adds 0–7 variables, each ordinary or
-// (per bit of the second byte) a derived AND of two earlier ones with
-// its Tseitin clauses; the remaining bytes are clauses over all
-// variables. The solver state must then be consistent, the round's
-// solves with and without assumptions must match a fresh solver given
-// the base and the round, and the round rolls back. After every rollback the solver must match a twin that
-// only ever saw the base clauses: NumVars is back at the mark's value,
-// the watch lists, trail and heap are consistent, and under each
-// assumption set the verdicts agree and every model satisfies every base
-// clause.
+// assignments. With bit 0x40 of the first byte the base is instead
+// random3SAT over 60 variables, seeded by the remaining base bytes:
+// only such a base learns enough long clauses of LBD above 2 for
+// reduceDB to evict some and, once the garbage passes half the arena,
+// compact it. Each round of extra bytes, rounds split at 0xff, then
+// works on the mark: bits 0–2 of its first byte add 0–7 variables, each
+// ordinary or (per bit of the second byte) a derived AND of two earlier
+// ones, the second read at an offset of bits 5–7, with its Tseitin
+// clauses; the remaining bytes are clauses over all variables. The
+// solver state must then be consistent, the round's solves with and
+// without assumptions must match a fresh solver given the base and the
+// round, and the round rolls back. Bit 3 of the first byte calls
+// reduceDB before the round's solves and bit 4 after each of them, each
+// call followed by a state check. After every rollback the solver must
+// match a twin that only ever saw the base clauses: NumVars is back at
+// the mark's value, the watch lists, trail and heap are consistent, and
+// under each assumption set the verdicts agree and every model
+// satisfies every base clause.
 func FuzzMarkRollback(f *testing.F) {
 	f.Add([]byte{3, 0x01, 0x02, 0, 0x81, 0x03}, []byte{2, 0, 0x04, 0x05, 0, 0x84, 0x85}, []byte{0x01, 0x02, 0, 0x83})
 	f.Add([]byte{0x85, 0x01, 0x82, 0x03, 0, 0x81, 0x02, 0, 0x83, 0x04}, []byte{7, 0x55, 0x06, 0x87, 0, 0x08, 0x8a, 0xff, 3, 0, 0x81, 0x86}, []byte{0x81, 0x82})
 	f.Add([]byte{11, 0x01, 0x02, 0x03, 0, 0x84, 0x85, 0, 0x86, 0x07}, []byte{0xff, 5, 0xff, 1, 1, 0x8c}, []byte{0x0b, 0, 0x8b, 0, 0x03})
 	f.Add([]byte{2, 0x01, 0x02}, []byte{0, 0, 0x01, 0, 0x81}, []byte{}) // the round makes the solver UNSAT
+	f.Add([]byte{0xc0, 0x39}, []byte{0x5d, 0xff, 0x1d}, []byte{0xae})   // reduceDB evicts, then compacts the arena
 	f.Fuzz(func(t *testing.T, base, extra, assume []byte) {
 		if len(base) < 1 || len(base) > 64 || len(extra) > 128 || len(assume) > 16 {
 			return
 		}
-		nv := 1 + int(base[0]&0x7f)%12
+		nv := 1 + int(base[0]&0x3f)%12
 		// A literal byte's low bits pick the variable and its top bit the
 		// sign; a zero byte ends the current clause or assumption set.
 		decode := func(bs []byte, n int) [][]Lit {
@@ -193,7 +203,17 @@ func FuzzMarkRollback(f *testing.F) {
 			}
 			return out
 		}
-		baseClauses := decode(base[1:], nv)
+		var baseClauses [][]Lit
+		if base[0]&0x40 != 0 {
+			nv = 60
+			var seed uint64
+			for _, b := range base[1:] {
+				seed = seed<<8 | uint64(b)
+			}
+			baseClauses = random3SAT(rng.New(seed), nv)
+		} else {
+			baseClauses = decode(base[1:], nv)
+		}
 		assumeSets := decode(assume, nv)
 		build := func() *Solver {
 			s := New()
@@ -212,6 +232,11 @@ func FuzzMarkRollback(f *testing.F) {
 			return s.Solve(assumps...)
 		}
 		s, twin := build(), build()
+		reduce := func() {
+			t.Helper()
+			s.reduceDB()
+			checkState(t, s)
+		}
 		cp := s.Mark()
 		for _, round := range bytes.Split(extra, []byte{0xff}) {
 			round = append(round, 0, 0)
@@ -223,7 +248,7 @@ func FuzzMarkRollback(f *testing.F) {
 						continue
 					}
 					y := MkLit(s.NewDerivedVar(), false)
-					a, b := MkLit(Var(i%n), false), MkLit(Var((i+int(round[0]>>3))%n), true)
+					a, b := MkLit(Var(i%n), false), MkLit(Var((i+int(round[0]>>5))%n), true)
 					s.AddClause(y.Not(), a)
 					s.AddClause(y.Not(), b)
 					s.AddClause(y, a.Not(), b.Not())
@@ -236,6 +261,9 @@ func FuzzMarkRollback(f *testing.F) {
 			addRound(s)
 			addRound(fresh)
 			checkState(t, s)
+			if round[0]&0x08 != 0 {
+				reduce()
+			}
 			var assumps []Lit
 			for _, set := range assumeSets[:min(len(assumeSets), 1)] {
 				for _, l := range set {
@@ -247,6 +275,9 @@ func FuzzMarkRollback(f *testing.F) {
 				freshOK, freshErr := solve(fresh, a...)
 				if err == nil && freshErr == nil && ok != freshOK {
 					t.Fatalf("verdict %v under %v on the mark, %v for a fresh solver with the same clauses", ok, a, freshOK)
+				}
+				if round[0]&0x10 != 0 {
+					reduce()
 				}
 			}
 			s.Rollback(cp)

@@ -424,6 +424,18 @@ func checkState(t *testing.T, s *Solver) {
 	}
 }
 
+// random3SAT draws 255 random three-literal clauses over nv variables,
+// near the satisfiability threshold at nv = 60: solving it learns many
+// clauses longer than two literals with an LBD above 2, which reduceDB
+// may evict.
+func random3SAT(r *rng.Stream, nv int) [][]Lit {
+	var cls [][]Lit
+	for i := 0; i < 255; i++ {
+		cls = append(cls, []Lit{MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool())})
+	}
+	return cls
+}
+
 // TestRollbackAfterReduceAndCompact learns clauses before and after a
 // mark, the first clause after it a learned one, and adds problem
 // clauses after it. Between the mark and its Rollback it evicts learned
@@ -435,10 +447,7 @@ func checkState(t *testing.T, s *Solver) {
 func TestRollbackAfterReduceAndCompact(t *testing.T) {
 	r := rng.New(5)
 	const nv = 60
-	var base [][]Lit
-	for i := 0; i < 255; i++ {
-		base = append(base, []Lit{MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool()), MkLit(Var(r.Intn(nv)), r.Bool())})
-	}
+	base := random3SAT(r, nv)
 	build := func() *Solver {
 		s := New()
 		mkVars(s, nv)

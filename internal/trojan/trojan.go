@@ -100,15 +100,9 @@ func payloadC(keyBits int) Payload {
 // seeds, and the free-run cycles — the reason the key register is an LFSR
 // rather than a plain shift register.
 func PayloadD(cfg lfsr.Config, sc lfsr.Schedule) (Payload, error) {
-	m, err := lfsr.TransferMatrix(cfg, sc)
+	xors, err := XorTreeGates(cfg, sc)
 	if err != nil {
 		return Payload{}, err
-	}
-	xors := 0
-	for r := 0; r < m.Rows; r++ {
-		if w := m.Row(r).Weight(); w > 1 {
-			xors += w - 1
-		}
 	}
 	seedBits := cfg.SeedWidth() * sc.NumSeeds()
 	ge := geFlipFlop*float64(seedBits) + geXOR2*float64(xors) + geMux21*float64(cfg.N)
@@ -123,7 +117,7 @@ func PayloadD(cfg lfsr.Config, sc lfsr.Schedule) (Payload, error) {
 // XorTreeGates returns just the XOR2 count of scenario (d)'s trees, the
 // quantity swept in the design-space studies.
 func XorTreeGates(cfg lfsr.Config, sc lfsr.Schedule) (int, error) {
-	m, err := lfsr.TransferMatrix(cfg, sc)
+	m, err := lfsr.TransferMatrix(cfg, sc, lfsr.AllInject(cfg.SeedWidth()))
 	if err != nil {
 		return 0, err
 	}
@@ -248,7 +242,7 @@ func SimulateXorTree(cfg scan.Config, trueKey []bool) (AttackOutcome, error) {
 	if cfg.Protection != scan.OraPBasic {
 		return AttackOutcome{}, fmt.Errorf("trojan: XOR-tree reconstruction modelled for the basic scheme only")
 	}
-	m, err := lfsr.TransferMatrix(cfg.LFSR, cfg.Schedule)
+	m, err := lfsr.TransferMatrix(cfg.LFSR, cfg.Schedule, lfsr.AllInject(cfg.LFSR.SeedWidth()))
 	if err != nil {
 		return AttackOutcome{}, err
 	}
