@@ -28,7 +28,6 @@ import (
 	"orap/internal/netlist"
 	"orap/internal/oracle"
 	"orap/internal/orap"
-	"orap/internal/par"
 	"orap/internal/rng"
 	"orap/internal/scan"
 )
@@ -57,7 +56,6 @@ func main() {
 		pins       = flag.Int("pins", -1, "package-pin inputs (-1 = all)")
 		pinOuts    = flag.Int("pinouts", -1, "package-pin outputs (-1 = all)")
 		seed       = flag.Uint64("seed", 1, "random seed for the scheme synthesis")
-		workers    = flag.Int("workers", 0, "worker pool size for reference-response simulation (0 = all cores)")
 		wall       = flag.Bool("Wall", false, "print warning- and info-level netlist diagnostics")
 	)
 	flag.Var(&queries, "query", "input pattern to scan in (repeatable); random patterns are used when none given")
@@ -72,8 +70,6 @@ func main() {
 		usage("-pins must be -1 (all inputs) or at least 0, got %d", *pins)
 	case *pinOuts < -1:
 		usage("-pinouts must be -1 (all outputs) or at least 0, got %d", *pinOuts)
-	case *workers < 0:
-		usage("-workers must be 0 (all cores) or positive, got %d", *workers)
 	}
 	checkName("protect", *prot, protections)
 	if *trojanName != "" {
@@ -141,23 +137,16 @@ func main() {
 		fmt.Printf("trojan: shadow register leaked %s\n", bits(leaked))
 	}
 
-	// Attacker session. The chip itself is stateful and must be queried
-	// serially, but the correct reference responses are independent per
-	// pattern, so they are simulated up front on the worker pool.
+	// Attacker session: each scan response beside the correct one.
 	o := oracle.NewScan(chip)
 	pats := patterns(queries, locked, *seed)
-	prog := ir.MustCompile(locked) // compiled once; Eval is goroutine-safe
-	wants := make([][]bool, len(pats))
-	fatal(par.ForEach(*workers, len(pats), func(i int) error {
-		w, err := prog.Eval(pats[i], kb)
-		wants[i] = w
-		return err
-	}))
+	prog := ir.MustCompile(locked)
 	fmt.Printf("\nattacker: %d scan queries (scan in – capture – scan out)\n", len(pats))
 	for qi, x := range pats {
 		resp, err := oracle.Query(o, x)
 		fatal(err)
-		want := wants[qi]
+		want, err := prog.Eval(x, kb)
+		fatal(err)
 		diff := 0
 		for i := range resp {
 			if resp[i] != want[i] {

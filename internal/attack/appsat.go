@@ -46,50 +46,28 @@ func AppSAT(locked *netlist.Circuit, o oracle.Oracle, opts AppSATOptions) (*Resu
 	}
 	res := &Result{}
 	defer res.finish(o, m.S)
-	maxIter := opts.iterations(10000)
-
 	for {
-		if res.Iterations >= maxIter {
-			return res, ErrIterationBudget
-		}
-		satisfiable, err := m.S.Solve(m.AssumeDiff())
+		done, err := res.dipLoop(m, o, opts.iterations(), appSATRoundsPerSettle, m.AddIOConstraint, m.AssumeDiff())
 		if err != nil {
 			return res, err
 		}
-		if !satisfiable {
-			// Exact convergence, as in the plain SAT attack.
-			key, err := consistentKey(m, m.AssumeNoDiff())
-			if err != nil {
-				return res, err
-			}
-			res.Key = key
-			res.Converged = true
-			return res, nil
-		}
-		x := m.ExtractInputs()
-		y, err := oracle.Query(o, x)
-		if err != nil {
-			return res, err
-		}
-		if err := m.AddIOConstraint(x, y); err != nil {
-			return res, err
-		}
-		res.Iterations++
-
-		if res.Iterations%appSATRoundsPerSettle != 0 {
-			continue
-		}
-		// Settlement: estimate error of the current candidate key on
-		// random queries, reinforcing each disagreement as a constraint.
+		// A consistent key: exact when no DIP is left, as in the plain
+		// SAT attack, and otherwise the candidate to settle.
 		key, err := consistentKey(m, m.AssumeNoDiff())
 		if err != nil {
 			return res, err
 		}
-		bad, err := disagreements(ev, key, o, appSATSettleSamples, opts.Rand, m.AddIOConstraint)
-		if err != nil {
-			return res, err
+		if !done {
+			// Settlement: estimate the error of the current candidate
+			// key on random queries, reinforcing each disagreement as a
+			// constraint.
+			bad, err := disagreements(ev, key, o, appSATSettleSamples, opts.Rand, m.AddIOConstraint)
+			if err != nil {
+				return res, err
+			}
+			done = bad == 0
 		}
-		if bad == 0 {
+		if done {
 			res.Key = key
 			res.Converged = true
 			return res, nil

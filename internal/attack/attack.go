@@ -13,6 +13,12 @@
 // equivalent one; against the OraP-gated oracle the observations describe
 // the locked circuit, so the attacks converge to keys that fail functional
 // equivalence — exactly the behaviour the paper's Section II-A argues.
+//
+// SAT, AppSAT, Double DIP and bypass run one distinguishing-input (DIP)
+// loop under one budget rule: a round is refused, with
+// ErrIterationBudget, only when a DIP is still pending and the budget
+// is spent, so a budget equal to the rounds an attack needs is enough.
+// Double DIP also bounds its settle rounds by the same budget.
 package attack
 
 import (
@@ -59,19 +65,20 @@ func (res *Result) finish(o oracle.Oracle, s *sat.Solver) {
 // defense makes an attack diverge. The bound counts rounds; each
 // round's SAT solves run to completion.
 type Budgets struct {
-	// MaxIterations bounds attack rounds (0 = default).
+	// MaxIterations bounds attack rounds (0 = 10,000).
 	MaxIterations int
 }
 
-func (b Budgets) iterations(def int) int {
+func (b Budgets) iterations() int {
 	if b.MaxIterations > 0 {
 		return b.MaxIterations
 	}
-	return def
+	return 10000
 }
 
 // ErrIterationBudget reports that an attack hit its round limit without
-// converging.
+// converging: a DIP was still pending after the last round the budget
+// allows.
 var ErrIterationBudget = fmt.Errorf("attack: iteration budget exhausted")
 
 // checkOracle rejects an oracle whose input or output width differs from

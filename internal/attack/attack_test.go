@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 
 	"orap/internal/circuits"
@@ -114,6 +115,81 @@ func TestSATAttackIterationBudget(t *testing.T) {
 	_, err = SAT(l.Circuit, o, Budgets{MaxIterations: 3})
 	if err != ErrIterationBudget {
 		t.Fatalf("expected ErrIterationBudget, got %v", err)
+	}
+}
+
+// TestBudgetRule pins the one round budget of the DIP loop. Each
+// attack first runs unbudgeted and takes n rounds. Under a budget of
+// n − 1 (when n ≥ 2) it must stop with ErrIterationBudget after exactly
+// n − 1 rounds, and under a budget of n, SAT and AppSAT must converge to
+// the unbudgeted key: a budget is spent only when a DIP is still
+// pending. Double DIP also bounds its settle rounds by the budget, so n
+// need not be enough for it; it takes one round on the 6-bit locks and
+// three on the 8-bit one, which is there so its budget gets spent.
+func TestBudgetRule(t *testing.T) {
+	orig := circuits.RippleAdder(4)
+	locks := []struct {
+		name string
+		mk   func() (*lock.Locked, error)
+	}{
+		{"random-xor-6", func() (*lock.Locked, error) { return lock.RandomXOR(orig, 6, rng.New(3)) }},
+		{"weighted-6", func() (*lock.Locked, error) {
+			return lock.Weighted(orig, lock.WeightedOptions{KeyBits: 6, ControlWidth: 2, KeyGates: 6, Rand: rng.New(3)})
+		}},
+		{"random-xor-8", func() (*lock.Locked, error) { return lock.RandomXOR(orig, 8, rng.New(2)) }},
+	}
+	attacks := []struct {
+		name         string
+		run          func(*netlist.Circuit, oracle.Oracle, Budgets) (*Result, error)
+		convergesAtN bool
+	}{
+		{"SAT", SAT, true},
+		{"AppSAT", func(c *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, error) {
+			return AppSAT(c, o, AppSATOptions{Budgets: b, Rand: rng.New(9)})
+		}, true},
+		{"DoubleDIP", DoubleDIP, false},
+	}
+	spent := map[string]int{} // per attack: locks that ran the n − 1 case
+	for _, lk := range locks {
+		l, err := lk.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range attacks {
+			t.Run(lk.name+"/"+a.name, func(t *testing.T) {
+				run := func(maxIter int) (*Result, error) {
+					o, err := oracle.NewComb(orig, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return a.run(l.Circuit, o, Budgets{MaxIterations: maxIter})
+				}
+				free, err := run(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := free.Iterations
+				if n >= 2 {
+					spent[a.name]++
+					res, err := run(n - 1)
+					if err != ErrIterationBudget || res.Iterations != n-1 {
+						t.Errorf("budget %d: %d rounds, error %v; want %d rounds and ErrIterationBudget", n-1, res.Iterations, err, n-1)
+					}
+				}
+				if !a.convergesAtN {
+					return
+				}
+				res, err := run(n)
+				if err != nil || !res.Converged || !slices.Equal(res.Key, free.Key) {
+					t.Errorf("budget %d: error %v, converged %v, key %v; want the unbudgeted key %v", n, err, res.Converged, res.Key, free.Key)
+				}
+			})
+		}
+	}
+	for _, a := range attacks {
+		if spent[a.name] == 0 {
+			t.Errorf("%s took fewer than 2 rounds on every lock; its budget was never spent", a.name)
+		}
 	}
 }
 

@@ -10,18 +10,17 @@ import (
 	"orap/internal/sat"
 )
 
-// BypassResult reports the bypass attack's outcome.
+// BypassResult reports the bypass attack's outcome. Key is the
+// arbitrary (wrong) key the patched circuit applies, Iterations counts
+// the patches, and Converged reports that the enumeration finished.
 type BypassResult struct {
-	// Key is the arbitrary (wrong) key the patched circuit applies.
-	Key []bool
+	Result
 	// Patches maps each bypassed pattern of the key-support inputs (the
 	// inputs that reach a key-dependent output, rendered '0'/'1' in
 	// declaration order) to the outputs on which the oracle's answer
 	// differs from the circuit under Key; the attacker realizes them as
 	// comparator-plus-XOR bypass hardware around the locked chip.
 	Patches map[string][]bool
-	// OracleQueries counts oracle accesses.
-	OracleQueries int
 
 	// support lists the key-support inputs (cnf.Miter.Support).
 	support []int
@@ -72,33 +71,18 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, maxPatch
 		return nil, err
 	}
 	res := &BypassResult{
-		Key:     append([]bool(nil), chosenKey...),
 		Patches: make(map[string][]bool),
 		support: m.Support,
 		prog:    m.Prog,
 	}
-	defer func() { res.OracleQueries = o.Queries() }()
-	for {
-		satisfiable, err := m.S.Solve(m.AssumeDiff())
-		if err != nil {
-			return res, err
-		}
-		if !satisfiable {
-			break
-		}
-		if len(res.Patches) >= maxPatches {
-			return res, fmt.Errorf("attack: bypass patch budget exhausted (%d patterns; defense is not point-like)", maxPatches)
-		}
-		x := m.ExtractInputs()
-		y, err := oracle.Query(o, x)
-		if err != nil {
-			return res, err
-		}
+	res.Key = append([]bool(nil), chosenKey...)
+	defer res.finish(o, m.S)
+	patch := func(x, y []bool) error {
 		// The patch flips the outputs on which the oracle disagrees with
 		// the circuit under the chosen key.
 		flip, err := res.prog.Eval(x, res.Key)
 		if err != nil {
-			return res, err
+			return err
 		}
 		for j := range flip {
 			flip[j] = flip[j] != y[j]
@@ -110,8 +94,13 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, maxPatch
 			blocking[i] = sat.MkLit(m.PIVars[pi], x[pi])
 		}
 		m.S.AddClause(blocking...)
+		return nil
 	}
-	return res, nil
+	res.Converged, err = res.dipLoop(m, o, maxPatches, 0, patch, m.AssumeDiff())
+	if err == ErrIterationBudget {
+		err = fmt.Errorf("attack: bypass patch budget exhausted (%d patterns; defense is not point-like)", maxPatches)
+	}
+	return res, err
 }
 
 // Eval evaluates the patched design: the locked circuit under the chosen

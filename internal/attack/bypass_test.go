@@ -179,6 +179,9 @@ func TestBypassPatchesOnlyKeySupport(t *testing.T) {
 	if len(res.Patches) != 3 || res.OracleQueries != 3 {
 		t.Fatalf("%d patches from %d queries, want 3 and 3", len(res.Patches), res.OracleQueries)
 	}
+	if res.Iterations != len(res.Patches) || !res.Converged {
+		t.Fatalf("%d iterations for %d patches, converged %v; want one per patch and converged", res.Iterations, len(res.Patches), res.Converged)
+	}
 	for v := 0; v < 16; v++ {
 		x := make([]bool, 4)
 		for i := range x {

@@ -60,7 +60,7 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 
 	res := &Result{}
 	defer res.finish(o, s)
-	maxIter := b.iterations(10000)
+	maxIter := b.iterations()
 	record := func(x []bool, y []bool) error {
 		if err := m1.AddIOConstraint(x, y); err != nil {
 			return err
@@ -75,29 +75,10 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 		return nil, err
 	}
 	settleRand := rng.NewNamed(0x2d1b, "attack/doubledip-settle")
-	settleRounds := 0
-	for {
+	for settleRounds := 1; ; settleRounds++ {
 		// Phase 1: drain 2-DIPs (both miters differ, pairs distinct).
-		for {
-			if res.Iterations >= maxIter {
-				return res, ErrIterationBudget
-			}
-			satisfiable, err := s.Solve(m1.AssumeDiff(), m2.AssumeDiff(), sat.MkLit(actPair, false))
-			if err != nil {
-				return res, err
-			}
-			if !satisfiable {
-				break // no 2-DIP left: settle with a consistent key
-			}
-			x := m1.ExtractInputs()
-			y, err := oracle.Query(o, x)
-			if err == nil {
-				err = record(x, y)
-			}
-			if err != nil {
-				return res, err
-			}
-			res.Iterations++
+		if _, err := res.dipLoop(m1, o, maxIter, 0, record, m1.AssumeDiff(), m2.AssumeDiff(), sat.MkLit(actPair, false)); err != nil {
+			return res, err
 		}
 		// Phase 2: extract a consistent key and validate it on a sample of
 		// random queries. A wrong-key class that survives the 2-DIP loop on
@@ -118,7 +99,6 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 			res.Converged = true
 			return res, nil
 		}
-		settleRounds++
 		if settleRounds >= maxIter {
 			return res, ErrIterationBudget
 		}

@@ -40,7 +40,7 @@ type Miter struct {
 	// vector reads them instead of encoding those gates again.
 	keyOnly1, keyOnly2 []sat.Var
 	constTrue          sat.Var   // lazily allocated const-true var for query folding
-	evalBuf            []bool    // per-node evaluation buffer for query folding
+	evalBuf            []uint64  // per-node evaluation buffer for query folding
 	copyVar            []sat.Var // per node: encodeCone's variables, reused by every copy
 }
 
@@ -335,20 +335,21 @@ func (m *Miter) AddIOConstraint(x, y []bool) error {
 		return fmt.Errorf("cnf: %d output bits for %d outputs", len(y), prog.NumOutputs())
 	}
 	if m.evalBuf == nil {
-		m.evalBuf = make([]bool, prog.NumNodes())
+		m.evalBuf = make([]uint64, prog.NumNodes())
 	}
+	// One word per node, all ones or zero. Key values are irrelevant to
+	// nodes outside the cone; clearing the buffer zeroes them so the
+	// evaluation is well-defined.
 	vals := m.evalBuf
+	clear(vals)
 	for i, id := range prog.PIs {
-		vals[id] = x[i]
+		if x[i] {
+			vals[id] = ^uint64(0)
+		}
 	}
-	// Key values are irrelevant to nodes outside the cone; zero them so
-	// the evaluation is well-defined.
-	for _, id := range prog.Keys {
-		vals[id] = false
-	}
-	prog.RunBools(vals)
+	prog.RunWords(vals, 1, prog.Order)
 	for i, id := range prog.POs {
-		if !info.cone[id] && vals[id] != y[i] {
+		if !info.cone[id] && (vals[id] != 0) != y[i] {
 			// The observation contradicts the key-independent logic: no key
 			// can explain it. Mark the formula unsatisfiable.
 			m.S.AddClause()
@@ -361,7 +362,7 @@ func (m *Miter) AddIOConstraint(x, y []bool) error {
 	}
 	// Constant fold: the solver's level-0 clause simplification drops
 	// false literals and discards satisfied clauses.
-	folded := func(f int32) sat.Lit { return sat.MkLit(m.constTrue, !vals[f]) }
+	folded := func(f int32) sat.Lit { return sat.MkLit(m.constTrue, vals[f] == 0) }
 	for _, k := range [][2][]sat.Var{{m.Key1, m.keyOnly1}, {m.Key2, m.keyOnly2}} {
 		outs, err := m.encodeCone(k[0], k[1], folded)
 		if err != nil {

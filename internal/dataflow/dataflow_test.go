@@ -71,16 +71,21 @@ func selfXor() *netlist.Circuit {
 	return c
 }
 
-// evalInto evaluates one pattern into vals (len NumNodes), leaving
-// every node's concrete value readable.
-func evalInto(p *ir.Program, vals, pi, key []bool) {
+// evalInto evaluates one pattern into vals (one word per node, all ones
+// or zero), leaving every node's concrete value readable.
+func evalInto(p *ir.Program, vals []uint64, pi, key []bool) {
+	clear(vals)
 	for i, id := range p.PIs {
-		vals[id] = pi[i]
+		if pi[i] {
+			vals[id] = ^uint64(0)
+		}
 	}
 	for i, id := range p.Keys {
-		vals[id] = key[i]
+		if key[i] {
+			vals[id] = ^uint64(0)
+		}
 	}
-	p.RunBools(vals)
+	p.RunWords(vals, 1, p.Order)
 }
 
 // forEachAssignment enumerates every assignment of the program's
@@ -115,7 +120,7 @@ func TestConstSoundness(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := compile(t, c)
 			vals := dataflow.Pair(p, nil)
-			concrete := make([]bool, p.NumNodes())
+			concrete := make([]uint64, p.NumNodes())
 			forEachAssignment(t, p, func(pi, key []bool) {
 				evalInto(p, concrete, pi, key)
 				for id := range vals {
@@ -127,9 +132,9 @@ func TestConstSoundness(t *testing.T) {
 					if av == dataflow.Unknown {
 						continue
 					}
-					if concrete[id] != (av == 1) {
+					if (concrete[id] != 0) != (av == 1) {
 						t.Fatalf("node %d (%s): abstract constant %d, concrete %v under pi=%v key=%v",
-							id, c.NameOf(id), av, concrete[id], pi, key)
+							id, c.NameOf(id), av, concrete[id] != 0, pi, key)
 					}
 				}
 			})
@@ -151,8 +156,8 @@ func TestPairSoundness(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := compile(t, c)
 			planes := dataflow.Pair(p, p.Keys)
-			v0 := make([]bool, p.NumNodes())
-			v1 := make([]bool, p.NumNodes())
+			v0 := make([]uint64, p.NumNodes())
+			v1 := make([]uint64, p.NumNodes())
 			for kb := range p.Keys {
 				forEachAssignment(t, p, func(pi, key []bool) {
 					if key[kb] {
@@ -165,11 +170,11 @@ func TestPairSoundness(t *testing.T) {
 					key[kb] = false
 					for id := range planes {
 						av := planes[id].Lane(kb)
-						if av.V0 != dataflow.Unknown && v0[id] != (av.V0 == 1) {
-							t.Fatalf("bit %d node %d (%s): V0=%d, concrete %v", kb, id, c.NameOf(id), av.V0, v0[id])
+						if av.V0 != dataflow.Unknown && (v0[id] != 0) != (av.V0 == 1) {
+							t.Fatalf("bit %d node %d (%s): V0=%d, concrete %v", kb, id, c.NameOf(id), av.V0, v0[id] != 0)
 						}
-						if av.V1 != dataflow.Unknown && v1[id] != (av.V1 == 1) {
-							t.Fatalf("bit %d node %d (%s): V1=%d, concrete %v", kb, id, c.NameOf(id), av.V1, v1[id])
+						if av.V1 != dataflow.Unknown && (v1[id] != 0) != (av.V1 == 1) {
+							t.Fatalf("bit %d node %d (%s): V1=%d, concrete %v", kb, id, c.NameOf(id), av.V1, v1[id] != 0)
 						}
 						if av.Eq && v0[id] != v1[id] {
 							t.Fatalf("bit %d node %d (%s): Eq proof but values differ under pi=%v key=%v",

@@ -43,10 +43,12 @@ type SATScalingOptions struct {
 }
 
 // SATScaling measures SAT-attack iterations against random XOR locking,
-// weighted locking, SARLock and Anti-SAT at key widths 4, 6, 8 and 10
-// on a small carrier circuit.
+// weighted locking, SARLock, Anti-SAT and TTLock at key widths 4, 6 and
+// 8 on a small carrier circuit. Its 8 inputs (4 pins, 4 flip-flops)
+// bound SARLock's and TTLock's width, so the sweep stops there; a lock
+// whose key width differs from its row's is an error.
 func SATScaling(opts SATScalingOptions) ([]SATScalingRow, error) {
-	widths := []int{4, 6, 8, 10}
+	widths := []int{4, 6, 8}
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {
 		return nil, err
@@ -81,6 +83,9 @@ func SATScaling(opts SATScalingOptions) ([]SATScalingRow, error) {
 			l, err := d.mk()
 			if err != nil {
 				return err
+			}
+			if l.Circuit.NumKeys() != w {
+				return fmt.Errorf("exp: %s locked %d key bits for the %d-bit row", d.name, l.Circuit.NumKeys(), w)
 			}
 			o, err := oracle.NewComb(circuit, nil)
 			if err != nil {

@@ -221,17 +221,34 @@ func TestSATScalingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every defense appears once per width, locked at that width: the
+	// carrier's 8 inputs cap SARLock and TTLock, so the sweep stops at 8.
+	defenses := []string{"random-xor", "weighted", "sarlock", "antisat", "ttlock"}
+	widths := []int{4, 6, 8}
+	if len(rows) != len(defenses)*len(widths) {
+		t.Errorf("%d rows, want %d defenses × %d widths", len(rows), len(defenses), len(widths))
+	}
 	iters := map[string]map[int]int{}
 	for _, r := range rows {
 		if iters[r.Defense] == nil {
 			iters[r.Defense] = map[int]int{}
 		}
+		if _, dup := iters[r.Defense][r.KeyBits]; dup {
+			t.Errorf("%s at %d key bits listed twice", r.Defense, r.KeyBits)
+		}
 		iters[r.Defense][r.KeyBits] = r.Iterations
+	}
+	for _, d := range defenses {
+		for _, n := range widths {
+			if _, ok := iters[d][n]; !ok {
+				t.Errorf("no %s row at %d key bits", d, n)
+			}
+		}
 	}
 	// A point function fixes the DIP count whichever DIPs the search
 	// finds: SARLock needs 2^n − 1, Anti-SAT with two n/2-bit halves
 	// 2^(n/2). Random XOR stays small.
-	for _, n := range []int{4, 6} {
+	for _, n := range widths {
 		if got, want := iters["sarlock"][n], 1<<n-1; got != want {
 			t.Errorf("SARLock at %d key bits: %d iterations, want %d", n, got, want)
 		}

@@ -3,10 +3,12 @@ package ir
 import "fmt"
 
 // This file is the shared gate-evaluation kernel. Every engine that
-// computes circuit values — the 64-way bit-parallel simulator, the
-// single-pattern Eval behind the scan chip and attacks, and the fault
-// simulator's faulty-value propagation — reduces to one of the three
-// entry points here, so the gate semantics live in exactly one place.
+// computes circuit values reduces to RunWords or EvalWord here, so the
+// gate semantics live in exactly one place: the 64-way bit-parallel
+// simulator and the fault simulator's good values run RunWords, the
+// single-pattern Eval behind the scan chip and attacks runs its one-word
+// path, and the fault simulator's faulty-value propagation runs
+// EvalWord.
 
 // RunWords evaluates the given nodes, in the order listed, over the
 // node-major value buffer vals, which holds `words` 64-pattern words per
@@ -20,7 +22,7 @@ func (p *Program) RunWords(vals []uint64, words int, nodes []int32) {
 	if words == 1 {
 		// One word per node: direct scalar-word ops, skipping the
 		// per-node subslice machinery that pays off only for wide blocks.
-		// This is the fault simulator's good-value path.
+		// This is the fault simulator's good-value path and Eval's.
 		p.runWords1(vals, nodes)
 		return
 	}
@@ -191,51 +193,11 @@ func (p *Program) runWords1(vals []uint64, nodes []int32) {
 	}
 }
 
-// RunBools evaluates every non-input node over the per-node boolean
-// buffer vals (len NumNodes). Input values must be set beforehand.
-func (p *Program) RunBools(vals []bool) {
-	for _, id32 := range p.Order {
-		id := int(id32)
-		op := p.Ops[id]
-		if op == OpInput {
-			continue
-		}
-		fan := p.Fanins[p.FaninStart[id]:p.FaninStart[id+1]]
-		switch op {
-		case OpConst0:
-			vals[id] = false
-		case OpConst1:
-			vals[id] = true
-		case OpBuf:
-			vals[id] = vals[fan[0]]
-		case OpNot:
-			vals[id] = !vals[fan[0]]
-		case OpAnd, OpNand:
-			v := true
-			for _, f := range fan {
-				v = v && vals[f]
-			}
-			vals[id] = v != (op == OpNand)
-		case OpOr, OpNor:
-			v := false
-			for _, f := range fan {
-				v = v || vals[f]
-			}
-			vals[id] = v != (op == OpNor)
-		case OpXor, OpXnor:
-			v := false
-			for _, f := range fan {
-				v = v != vals[f]
-			}
-			vals[id] = v != (op == OpXnor)
-		}
-	}
-}
-
 // Eval evaluates one pattern given as primary-input and key bit slices
-// and returns the primary-output bits in declaration order. It allocates
-// a fresh value buffer per call and is therefore safe to call from any
-// number of goroutines.
+// and returns the primary-output bits in declaration order. It runs the
+// one-word kernel with each input word all ones or zero, on a fresh
+// value buffer per call, and is therefore safe to call from any number
+// of goroutines.
 func (p *Program) Eval(pi, key []bool) ([]bool, error) {
 	if len(pi) != len(p.PIs) {
 		return nil, fmt.Errorf("ir: got %d primary input bits, program has %d", len(pi), len(p.PIs))
@@ -243,17 +205,21 @@ func (p *Program) Eval(pi, key []bool) ([]bool, error) {
 	if len(key) != len(p.Keys) {
 		return nil, fmt.Errorf("ir: got %d key bits, program has %d", len(key), len(p.Keys))
 	}
-	vals := make([]bool, p.NumNodes())
+	vals := make([]uint64, p.NumNodes())
 	for i, id := range p.PIs {
-		vals[id] = pi[i]
+		if pi[i] {
+			vals[id] = ^uint64(0)
+		}
 	}
 	for i, id := range p.Keys {
-		vals[id] = key[i]
+		if key[i] {
+			vals[id] = ^uint64(0)
+		}
 	}
-	p.RunBools(vals)
+	p.RunWords(vals, 1, p.Order)
 	out := make([]bool, len(p.POs))
 	for i, id := range p.POs {
-		out[i] = vals[id]
+		out[i] = vals[id] != 0
 	}
 	return out, nil
 }
