@@ -91,13 +91,15 @@ bench-parallel:
 # per 64-key slice, as the audit runs it), a BDD cone compile and the
 # exact audit (one compile per cone group, fallbacks must stay 0), the
 # structural audit of the weighted-locked b19@0.05 (its 8,914 findings
-# pinned, the one large report sort), the
+# pinned, the one large report sort), random fault simulation of
+# b20@0.05 serial and parallel (each must detect exactly 4,839 of its
+# 5,079 collapsed faults), the
 # Hamming-distance kernel on Table I's s38417@0.1 lock, and a full
 # secret-flow analysis of the orapvet fixture module. Catches benchmark
 # bit-rot in CI without paying for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SATAttack|VerifyKey|SolverPropagate|ATPG|Dataflow|BDDCompile|ExactCorrupt|HammingDistanceTableI|VetModule' -benchtime 1x ./internal/attack ./internal/sat ./internal/atpg ./internal/dataflow ./internal/bdd ./internal/audit ./internal/metrics ./internal/vet
-	$(GO) test -run '^$$' -bench '^BenchmarkAudit$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^Benchmark(Audit|FaultSimSerial|FaultSimParallel)$$' -benchtime 1x .
 
 # Machine-readable oracle-channel benchmarks: a 64-lane scan-protocol
 # batch, a fully memoised session batch, disagreement sampling and a full

@@ -145,8 +145,19 @@ func BenchmarkEvalIR(b *testing.B) {
 	}
 }
 
+// faultSimFaults and faultSimDetected are BenchmarkFaultSim's collapsed
+// fault count on b20@0.05 and how many of them its 16 random blocks
+// detect.
+const (
+	faultSimFaults   = 5079
+	faultSimDetected = 4839
+)
+
 // BenchmarkFaultSim measures the PPSFP random fault-simulation kernel
-// serial vs parallel on one generated circuit.
+// serial vs parallel on one generated circuit. Reported metric: the
+// coverage, whose counts are pinned to faultSimDetected of
+// faultSimFaults so a propagation bug fails the benchmark next to a
+// timing one.
 func benchmarkFaultSim(b *testing.B, workers int) {
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {
@@ -169,6 +180,9 @@ func benchmarkFaultSim(b *testing.B, workers int) {
 		}
 		s.Workers = workers
 		res := s.RunRandom(faults, 16, rng.New(benchSeed+2))
+		if res.Total != faultSimFaults || res.Detected != faultSimDetected {
+			b.Fatalf("detected %d of %d faults, want %d of %d", res.Detected, res.Total, faultSimDetected, faultSimFaults)
+		}
 		b.ReportMetric(res.Coverage(), "coverage%")
 	}
 }

@@ -37,6 +37,20 @@ func main() {
 		wall         = flag.Bool("Wall", false, "print warning- and info-level netlist diagnostics")
 	)
 	flag.Parse()
+	scaleExplicit := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "scale" {
+			scaleExplicit = true
+		}
+	})
+	switch {
+	case *in != "" && *gen != "":
+		fmt.Fprintln(os.Stderr, "orapatpg: -in and -gen are mutually exclusive")
+		os.Exit(2)
+	case scaleExplicit && *gen == "":
+		fmt.Fprintln(os.Stderr, "orapatpg: -scale applies only to -gen")
+		os.Exit(2)
+	}
 	if !(*scale > 0 && *scale <= 1) {
 		fmt.Fprintf(os.Stderr, "orapatpg: -scale must be in (0, 1], got %v\n", *scale)
 		os.Exit(2)

@@ -73,3 +73,30 @@ func TestScaleRange(t *testing.T) {
 		}
 	}
 }
+
+// -gen and an explicit -scale describe a generated circuit, so passing
+// either with -in (or -scale without -gen) is a usage error naming the
+// flags, not a run that silently ignores one of them.
+func TestInputFlagConflicts(t *testing.T) {
+	const clean = "../../internal/check/testdata/clean.bench"
+	for _, c := range []struct {
+		args  []string
+		flags []string
+	}{
+		{[]string{"-in", clean, "-gen", "nosuch"}, []string{"-in", "-gen"}},
+		{[]string{"-in", clean, "-scale", "0.5"}, []string{"-scale", "-gen"}},
+		{[]string{"-scale", "0.5"}, []string{"-scale", "-gen"}},
+	} {
+		code, out, errOut := orapatpg(t, c.args...)
+		ok := code == 2 && out == ""
+		for _, f := range c.flags {
+			ok = ok && strings.Contains(errOut, f)
+		}
+		if !ok {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming %v", c.args, code, out, errOut, c.flags)
+		}
+	}
+	if code, _, errOut := orapatpg(t, "-in", clean); code != 0 {
+		t.Errorf("-in %s: exit %d; stderr: %s", clean, code, errOut)
+	}
+}

@@ -299,15 +299,19 @@ func (s Summary) Coverage() float64 {
 // RedundantPlusAborted returns the paper's "# Red.+Abrt faults" column.
 func (s Summary) RedundantPlusAborted() int { return s.Redundant + s.Aborted }
 
-// Run performs the full Table II flow on a circuit: collapse the fault
-// list, drop the easy faults with `randomBlocks` blocks of random-pattern
-// fault simulation (the HOPE step), then target every remaining fault
-// with the SAT generator. Each generated pattern is fault-simulated once
-// against the whole live list, so faults it also detects skip
-// generation; a pattern that does not detect its own target is an error.
-// One solver serves the whole campaign (see campaign), and the fault
-// simulator's compiled program is reused for every encoding, so the
-// circuit is never recompiled per fault.
+// Run is the deterministic phase of the Table II flow (the Atalanta
+// step). The caller has already collapsed the fault list and dropped the
+// easy faults with fsim.RunRandom (the HOPE step); Run keeps that
+// result's totals and targets every fault it left with the SAT
+// generator. Each generated pattern is fault-simulated once against the
+// whole live list, so faults it also detects skip generation; a pattern
+// that does not detect its own target is an error. One solver serves the
+// whole campaign (see campaign), and the fault simulator's compiled
+// program is reused for every encoding, so the circuit is never
+// recompiled per fault.
+//
+// Run never reads c; the argument is kept only because perfbench passes
+// it.
 func Run(c *netlist.Circuit, fsim *faultsim.Simulator, randomResult faultsim.Result, opts Options) (Summary, error) {
 	cam := newCampaign(fsim.Program(), opts)
 	sum := Summary{Total: randomResult.Total, Detected: randomResult.Detected}

@@ -7,13 +7,18 @@
 // parallel-pattern single-fault propagation (PPSFP): the good circuit is
 // evaluated once per 64-pattern block, then each live fault is injected
 // and its effect propagated event-wise through its fanout cone only.
-// Good values and fault propagation both run over the compiled circuit
-// IR (internal/ir), sharing one immutable program — and the same gate
-// kernel — with the bit-parallel simulator.
+// The walk keeps the nodes awaiting re-evaluation in a bitset indexed by
+// topological position (ir.Program.Pos) and always takes the lowest set
+// bit, so each node is evaluated at most once, after all of its fanins
+// have settled, and only a node whose faulty word differs from its good
+// word marks its fanouts. Good values and fault propagation both run
+// over the compiled circuit IR (internal/ir), sharing one immutable
+// program — and the same gate kernel — with the bit-parallel simulator.
 package faultsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"orap/internal/ir"
 	"orap/internal/netlist"
@@ -105,12 +110,15 @@ type Simulator struct {
 	prog *ir.Program
 	par  *sim.Parallel
 
-	// Per-run scratch, epoch-stamped to avoid clearing.
-	faulty    []uint64
-	stamp     []int
-	seenStamp []int
-	epoch     int
-	heap      posHeap
+	// Per-fault scratch, reused across faults without clearing: faulty
+	// holds a node's faulty word when its stamp equals the fault's
+	// epoch, and pending holds one bit per topological position (Pos)
+	// for the nodes awaiting re-evaluation. Every walk leaves pending
+	// empty.
+	faulty  []uint64
+	stamp   []int
+	epoch   int
+	pending []uint64
 
 	isPO []bool
 }
@@ -122,21 +130,23 @@ func ForProgram(prog *ir.Program) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := prog.NumNodes()
-	isPO := make([]bool, n)
+	isPO := make([]bool, prog.NumNodes())
 	for _, o := range prog.POs {
 		isPO[o] = true
 	}
-	s := &Simulator{
-		prog:      prog,
-		par:       par,
-		faulty:    make([]uint64, n),
-		stamp:     make([]int, n),
-		seenStamp: make([]int, n),
-		isPO:      isPO,
+	return newSimulator(prog, par, isPO), nil
+}
+
+func newSimulator(prog *ir.Program, par *sim.Parallel, isPO []bool) *Simulator {
+	n := prog.NumNodes()
+	return &Simulator{
+		prog:    prog,
+		par:     par,
+		faulty:  make([]uint64, n),
+		stamp:   make([]int, n),
+		pending: make([]uint64, (n+63)/64),
+		isPO:    isPO,
 	}
-	s.heap.pos = prog.Pos
-	return s, nil
 }
 
 // Program returns the simulator's compiled program.
@@ -147,19 +157,7 @@ func (s *Simulator) Program() *ir.Program { return s.prog }
 // scratch. Clones only read s.par between the good-value Run and the
 // merge barrier, so a batch of clones can simulate disjoint fault chunks
 // of the same block concurrently.
-func (s *Simulator) clone() *Simulator {
-	n := s.prog.NumNodes()
-	cl := &Simulator{
-		prog:      s.prog,
-		par:       s.par,
-		faulty:    make([]uint64, n),
-		stamp:     make([]int, n),
-		seenStamp: make([]int, n),
-		isPO:      s.isPO,
-	}
-	cl.heap.pos = s.prog.Pos
-	return cl
-}
+func (s *Simulator) clone() *Simulator { return newSimulator(s.prog, s.par, s.isPO) }
 
 // goodValue returns the good-circuit word of node id for the current block.
 func (s *Simulator) goodValue(id int) uint64 { return s.par.Value(id)[0] }
@@ -198,22 +196,36 @@ func (s *Simulator) evalFaulty(id int, f Fault) uint64 {
 	})
 }
 
+// markFanouts sets the pending bit of every fanout of id and returns how
+// many bits it set; a fanout already pending (or listed twice) counts
+// once.
+func (s *Simulator) markFanouts(id int) int {
+	n := 0
+	for _, fo := range s.prog.FanoutSpan(id) {
+		p := s.prog.Pos[fo]
+		bit := uint64(1) << (p & 63)
+		if s.pending[p>>6]&bit == 0 {
+			s.pending[p>>6] |= bit
+			n++
+		}
+	}
+	return n
+}
+
 // simulateFault propagates one fault over the current block and reports
 // whether any primary output differs on any pattern.
+//
+// A node's fanouts always sit at larger positions than the node itself,
+// so the scan over pending never looks below the root's word, and a node
+// taken off pending is never marked again for the same fault.
 func (s *Simulator) simulateFault(f Fault) bool {
 	s.epoch++
-	var root int
+	root := f.Node
 	var rootVal uint64
-	if f.Pin < 0 {
-		root = f.Node
-		if f.SA1 {
-			rootVal = ^uint64(0)
-		} else {
-			rootVal = 0
-		}
-	} else {
-		root = f.Node
+	if f.Pin >= 0 {
 		rootVal = s.evalFaulty(root, f)
+	} else if f.SA1 {
+		rootVal = ^uint64(0)
 	}
 	if rootVal == s.goodValue(root) {
 		return false // fault not excited by any pattern in the block
@@ -222,32 +234,27 @@ func (s *Simulator) simulateFault(f Fault) bool {
 	if s.isPO[root] {
 		return true
 	}
-	// Event-driven propagation in topological order using a sorted
-	// frontier (binary heap keyed by topo position). The seen stamps and
-	// the heap storage are reused across faults to stay allocation-free.
-	h := &s.heap
-	h.heap = h.heap[:0]
-	push := func(id int32) {
-		if s.seenStamp[id] != s.epoch {
-			s.seenStamp[id] = s.epoch
-			h.push(id)
-		}
-	}
-	for _, fo := range s.prog.FanoutSpan(root) {
-		push(fo)
-	}
-	for h.len() > 0 {
-		id := int(h.pop())
-		nv := s.evalFaulty(id, f)
-		if nv == s.goodValue(id) {
-			continue
-		}
-		s.setFaulty(id, nv)
-		if s.isPO[id] {
-			return true
-		}
-		for _, fo := range s.prog.FanoutSpan(id) {
-			push(fo)
+	left := s.markFanouts(root)
+	for w := int(s.prog.Pos[root]) >> 6; left > 0; w++ {
+		for s.pending[w] != 0 {
+			b := bits.TrailingZeros64(s.pending[w])
+			s.pending[w] &^= 1 << b
+			left--
+			id := int(s.prog.Order[w<<6|b])
+			nv := s.evalFaulty(id, f)
+			if nv == s.goodValue(id) {
+				continue
+			}
+			s.setFaulty(id, nv)
+			if s.isPO[id] {
+				// Leave pending empty for the next fault.
+				for ; left > 0; w++ {
+					left -= bits.OnesCount64(s.pending[w])
+					s.pending[w] = 0
+				}
+				return true
+			}
+			left += s.markFanouts(id)
 		}
 	}
 	return false
@@ -272,8 +279,8 @@ func (r Result) Coverage() float64 {
 }
 
 // parallelFaultFloor is the live-list size below which the per-block
-// fan-out is not worth the goroutine round trip and RunRandom drops back
-// to the serial loop.
+// fan-out is not worth the goroutine round trip and RunRandom runs the
+// block on one worker.
 const parallelFaultFloor = 256
 
 // RunRandom simulates `blocks` blocks of 64 random patterns with fault
@@ -281,55 +288,48 @@ const parallelFaultFloor = 256
 // freely controllable (they sit in the scan chains under OraP), so they
 // receive random patterns exactly like primary inputs.
 //
-// Within each block the live fault list is partitioned into batches
-// simulated by per-worker clones over the shared good-circuit values
-// (s.Workers bounds the pool); detection flags are merged in fault order
-// at the barrier, so the result is identical at any worker count.
+// Within each block the live fault list is partitioned into chunks
+// simulated by per-worker simulators over the shared good-circuit values
+// (s.Workers bounds the pool; slot 0 is s itself, and one worker runs the
+// chunks inline); detection flags are merged in fault order at the
+// barrier, so the result is identical at any worker count.
 func (s *Simulator) RunRandom(faults []Fault, blocks int, r *rng.Stream) Result {
 	live := append([]Fault(nil), faults...)
 	res := Result{Total: len(faults)}
-	workers := par.Workers(s.Workers)
-	var clones []*Simulator // lazily grown; slot 0 is s itself
-	var detected []bool
+	sims := []*Simulator{s} // one per worker slot; clones made on first need
+	// The live list only shrinks, so one flag slice serves every block.
+	detected := make([]bool, len(live))
+	// simulate tests chunk ci of the live list's parts contiguous chunks;
+	// no two chunks touch the same detected slot, and the good values
+	// are read-only here. It is built once, so a block allocates nothing.
+	var parts int
+	simulate := func(w, ci int) error {
+		sm := sims[w]
+		if sm == nil {
+			sm = s.clone()
+			sims[w] = sm
+		}
+		lo, hi := ci*len(live)/parts, (ci+1)*len(live)/parts
+		for i := lo; i < hi; i++ {
+			detected[i] = sm.simulateFault(live[i])
+		}
+		return nil
+	}
 	for b := 0; b < blocks && len(live) > 0; b++ {
 		for _, id := range s.prog.Inputs {
 			s.par.Value(int(id))[0] = r.Uint64()
 		}
 		s.par.Run()
-		if workers <= 1 || len(live) < parallelFaultFloor {
-			kept := live[:0]
-			for _, f := range live {
-				if s.simulateFault(f) {
-					res.Detected++
-				} else {
-					kept = append(kept, f)
-				}
-			}
-			live = kept
-			continue
+		workers := 1
+		if len(live) >= parallelFaultFloor {
+			workers = par.Workers(s.Workers)
 		}
-		chunks := par.Partition(len(live), workers*4)
-		detected = append(detected[:0], make([]bool, len(live))...)
-		for len(clones) < workers {
-			clones = append(clones, nil)
+		for len(sims) < workers {
+			sims = append(sims, nil)
 		}
-		// Each worker tests a contiguous fault chunk; no two items touch
-		// the same detected slot, and the good values are read-only here.
-		par.ForEachWorker(workers, len(chunks), func(w, ci int) error {
-			sm := s
-			if w > 0 {
-				if clones[w] == nil {
-					clones[w] = s.clone()
-				}
-				sm = clones[w]
-			}
-			for i := chunks[ci][0]; i < chunks[ci][1]; i++ {
-				if sm.simulateFault(live[i]) {
-					detected[i] = true
-				}
-			}
-			return nil
-		})
+		detected = detected[:len(live)]
+		parts = min(workers*4, len(live))
+		par.ForEachWorker(workers, parts, simulate)
 		kept := live[:0]
 		for i, f := range live {
 			if detected[i] {
@@ -366,50 +366,4 @@ func (s *Simulator) DetectsEach(faults []Fault, pattern []bool) ([]bool, error) 
 		hit[i] = s.simulateFault(f)
 	}
 	return hit, nil
-}
-
-// posHeap is a small binary min-heap of node IDs keyed by topological
-// position, used to process fault events in dependency order.
-type posHeap struct {
-	pos  []int32
-	heap []int32
-}
-
-func (h *posHeap) len() int { return len(h.heap) }
-
-func (h *posHeap) push(id int32) {
-	h.heap = append(h.heap, id)
-	i := len(h.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.pos[h.heap[p]] <= h.pos[h.heap[i]] {
-			break
-		}
-		h.heap[p], h.heap[i] = h.heap[i], h.heap[p]
-		i = p
-	}
-}
-
-func (h *posHeap) pop() int32 {
-	top := h.heap[0]
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.heap = h.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h.pos[h.heap[l]] < h.pos[h.heap[small]] {
-			small = l
-		}
-		if r < last && h.pos[h.heap[r]] < h.pos[h.heap[small]] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.heap[i], h.heap[small] = h.heap[small], h.heap[i]
-		i = small
-	}
-	return top
 }

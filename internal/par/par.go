@@ -94,31 +94,3 @@ func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
 	wg.Wait()
 	return firstErr
 }
-
-// Partition splits [0, n) into parts contiguous half-open ranges of
-// near-equal size (the first n%parts ranges are one longer). Empty ranges
-// are omitted, so the result has min(n, parts) entries. It is the standard
-// way to batch a slice for ForEachWorker when per-item dispatch would be
-// too fine-grained.
-func Partition(n, parts int) [][2]int {
-	if n <= 0 || parts <= 0 {
-		return nil
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	size, rem := n/parts, n%parts
-	lo := 0
-	for p := 0; p < parts; p++ {
-		hi := lo + size
-		if p < rem {
-			hi++
-		}
-		if hi > lo {
-			out = append(out, [2]int{lo, hi})
-		}
-		lo = hi
-	}
-	return out
-}

@@ -118,32 +118,3 @@ func TestForEachWorkerScratchIsExclusive(t *testing.T) {
 		t.Fatalf("scratch total = %d, want %d", total, n)
 	}
 }
-
-func TestPartitionCoversRange(t *testing.T) {
-	for _, tc := range []struct{ n, parts int }{
-		{10, 3}, {3, 10}, {1, 1}, {100, 7}, {64, 64},
-	} {
-		ranges := Partition(tc.n, tc.parts)
-		next := 0
-		for _, r := range ranges {
-			if r[0] != next {
-				t.Fatalf("n=%d parts=%d: gap at %d (range %v)", tc.n, tc.parts, next, r)
-			}
-			if r[1] <= r[0] {
-				t.Fatalf("n=%d parts=%d: empty range %v", tc.n, tc.parts, r)
-			}
-			next = r[1]
-		}
-		if next != tc.n {
-			t.Fatalf("n=%d parts=%d: covered %d", tc.n, tc.parts, next)
-		}
-		if want := tc.parts; want > tc.n {
-			want = tc.n
-		} else if len(ranges) != tc.parts {
-			t.Fatalf("n=%d parts=%d: %d ranges", tc.n, tc.parts, len(ranges))
-		}
-	}
-	if Partition(0, 4) != nil || Partition(4, 0) != nil {
-		t.Fatal("degenerate partitions should be nil")
-	}
-}
