@@ -52,8 +52,9 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Ten seconds of real fuzzing on each loader fuzz target, the BDD kernel
-# and the SAT solver (`go test` alone only replays their seed corpora).
+# Ten seconds of real fuzzing on each loader fuzz target, the BDD kernel,
+# the SAT solver and the miter's observation encoding (`go test` alone
+# only replays their seed corpora).
 # Parse runs no validator: FuzzRoundTrip checks that every circuit it
 # accepts compiles, formats and reparses, and FuzzCheckCircuit that the
 # checker never panics on whatever the parser makes of arbitrary text.
@@ -65,14 +66,18 @@ race:
 # that a solver rolled back to a mark answers like one that never saw
 # what the mark added; its rounds can call reduceDB, which on its
 # 60-variable random 3-SAT bases evicts learned clauses from both sides
-# of the mark and compacts the arena before the rollback. A crasher
-# lands in the package's testdata/fuzz/ for checking in.
+# of the mark and compacts the arena before the rollback.
+# FuzzFoldedKeySet checks that a miter holding folded, aliased and hashed
+# observation copies is satisfiable under a key exactly when that key
+# reproduces every recorded response. A crasher lands in the package's
+# testdata/fuzz/ for checking in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckCircuit$$' -fuzztime 10s ./internal/check
 	$(GO) test -run '^$$' -fuzz '^FuzzITE$$' -fuzztime 10s ./internal/bdd
 	$(GO) test -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime 10s ./internal/sat
 	$(GO) test -run '^$$' -fuzz '^FuzzMarkRollback$$' -fuzztime 10s ./internal/sat
+	$(GO) test -run '^$$' -fuzz '^FuzzFoldedKeySet$$' -fuzztime 10s ./internal/cnf
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -16,7 +16,9 @@
 // By default every interface bit of the simulated chip is a package
 // pin. -pins and -pinouts mark only that many leading inputs and outputs
 // as pins, as in oraplock and orapsim; the rest connect to flip-flops,
-// which -protect modified needs for its response feedback.
+// which -protect modified needs for its response feedback. -protect,
+// -key, -pins and -pinouts configure the chip, so the command refuses
+// them without -oracle scan.
 //
 // With -dimacs <path> the command instead writes the SAT-attack miter for
 // the locked netlist as a DIMACS CNF file (input/key variable indices in
@@ -84,6 +86,16 @@ func main() {
 	checkName("attack", *attackName, attacks)
 	checkName("oracle", *oracleKind, oracles)
 	checkName("protect", *prot, protections)
+	if *oracleKind != "scan" {
+		// These flags configure the scan chip; without it the attack
+		// would query the bare function and read as if they had no effect.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "protect", "key", "pins", "pinouts":
+				usage("-%s applies only to -oracle scan", f.Name)
+			}
+		})
+	}
 	var warn io.Writer
 	if *wall {
 		warn = os.Stderr
@@ -178,14 +190,14 @@ func main() {
 		if res != nil {
 			fmt.Printf("iterations: %d, oracle queries: %d\n", res.Iterations, res.OracleQueries)
 		}
-		printChannel(o.Stats())
+		printChannel(o.Stats(), *oracleKind == "scan")
 		os.Exit(1)
 	}
 	fmt.Printf("attack:        %s (%v)\n", *attackName, elapsed)
 	fmt.Printf("converged:     %v\n", res.Converged)
 	fmt.Printf("iterations:    %d\n", res.Iterations)
 	fmt.Printf("oracle queries:%d\n", res.OracleQueries)
-	printChannel(o.Stats())
+	printChannel(o.Stats(), *oracleKind == "scan")
 	st := res.SolverStats
 	fmt.Printf("solver:        %d conflicts, %d decisions, %d propagations (%d binary)\n",
 		st.Conflicts, st.Decisions, st.Propagations, st.BinPropagations)
@@ -261,11 +273,12 @@ func dimacsVars(vars []sat.Var) string {
 
 // printChannel reports the session's view of the oracle access channel:
 // how many patterns crossed the interface, how many were distinct, how
-// much the transcript cache saved, and the modeled scan-clock bill.
-func printChannel(st oracle.ChannelStats) {
+// much the transcript cache saved and, through the scan oracle, the
+// modeled scan-clock bill.
+func printChannel(st oracle.ChannelStats, scanOracle bool) {
 	fmt.Printf("oracle channel: %d unique patterns, %.1f%% cache hits, %d oracle crossings\n",
 		st.Unique, 100*st.HitRate(), st.OracleCalls)
-	if st.ScanCycles > 0 {
+	if scanOracle && st.ScanCycles > 0 {
 		fmt.Printf("scan cycles:    %d (modeled, 2*chain+1 clocks per admitted query)\n", st.ScanCycles)
 	}
 }

@@ -149,3 +149,33 @@ func TestNumericFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestScanOnlyFlags passes -protect, -key, -pins or -pinouts without
+// -oracle scan, once with -oracle comb and once with the oracle left at
+// its default. The command must refuse each as a usage error naming the
+// flag and -oracle scan (exit 2, nothing on stdout) instead of attacking
+// the bare function and reporting the key correct. Under -oracle scan
+// the same flags run, and only there does the output carry the
+// scan-cycles line.
+func TestScanOnlyFlags(t *testing.T) {
+	orig, locked, key := writeLockedB20(t, t.TempDir())
+	base := []string{"-locked", locked, "-orig", orig}
+	for _, f := range [][2]string{{"protect", "basic"}, {"key", key}, {"pins", "4"}, {"pinouts", "4"}} {
+		for _, oracle := range [][]string{nil, {"-oracle", "comb"}} {
+			args := append(append(append([]string(nil), base...), oracle...), "-"+f[0], f[1])
+			code, out, errOut := orapattack(t, args...)
+			if code != 2 || out != "" || !strings.Contains(errOut, "-"+f[0]) || !strings.Contains(errOut, "-oracle scan") {
+				t.Errorf("%v: exit %d, want 2 with empty stdout and -%s and -oracle scan on stderr\nstdout:\n%s\nstderr:\n%s", args[4:], code, f[0], out, errOut)
+			}
+		}
+	}
+
+	code, out, errOut := orapattack(t, append(base, "-oracle", "scan", "-protect", "basic", "-key", key)...)
+	if code != 0 || !strings.Contains(out, "scan cycles:") {
+		t.Errorf("-oracle scan -protect basic -key: exit %d, want 0 with a scan-cycles line\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	code, out, errOut = orapattack(t, base...)
+	if code != 0 || strings.Contains(out, "scan cycles:") {
+		t.Errorf("default comb oracle: exit %d, want 0 without a scan-cycles line\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+}

@@ -5,20 +5,24 @@
 // with independent key variables, over one shared encoding of the
 // key-free logic and the primary inputs, plus a disequality constraint
 // over the key-reachable outputs. Each oracle query then adds two more
-// cone copies with the key-free logic folded to constants under the
+// cone copies with the key-free logic read as constants under the
 // query's inputs and the outputs fixed to the oracle's response. The
 // key-only part of the cone, a function of the key alone, is encoded
 // once per key vector: every query's copy under that key reads the
-// variables of the miter's own copy. All of those encodings are
-// provided here so the attack packages stay free of clause-level
-// detail.
+// literals of the miter's own copy. One encoder builds every copy: it
+// folds constants, gives a gate left with one live fanin that fanin's
+// literal, and looks up every other gate in a structural hash of the
+// gates earlier copies defined, as ABC's strash does. All of those
+// encodings are provided here so the attack packages stay free of
+// clause-level detail.
 //
 // Every gate output and disequality bit the miter encodes is a derived
 // solver variable (sat.Solver.NewDerivedVar): its clauses fix it once
 // the primary inputs, key copies and activation literal are assigned,
-// so the search branches only on those. EmitGate's own auxiliary XOR
-// variables stay ordinary: making them derived would move the attacks'
-// DIP sequences.
+// so the search branches only on those. A folded or aliased gate takes
+// no variable at all, and identical gates share one. The auxiliary
+// variables of wide XORs (xorChain, which EmitGate also calls) stay
+// ordinary: making them derived would move the attacks' DIP sequences.
 //
 // Encoding runs over the compiled circuit IR (internal/ir): a Miter
 // compiles its circuit once and every per-query copy re-walks the same
@@ -68,7 +72,7 @@ func EncodeProgram(s *sat.Solver, prog *ir.Program, opts Options) (*Instance, er
 		return nil, fmt.Errorf("cnf: %d shared key vars for %d key inputs", len(opts.KeyVars), prog.NumKeys())
 	}
 
-	inst := &Instance{NodeVar: noVars(prog.NumNodes())}
+	inst := &Instance{NodeVar: filled(prog.NumNodes(), sat.Var(-1))}
 	// Assign input variables first (shared or fresh).
 	for i, id := range prog.PIs {
 		if opts.PIVars != nil {
