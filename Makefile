@@ -94,7 +94,8 @@ bench-parallel:
 # microbench, the SAT-ATPG campaign on the tables workload's costliest
 # locked designs, the four-domain fixpoint sweep (the pair domain once
 # per 64-key slice, as the audit runs it), a BDD cone compile and the
-# exact audit (one compile per cone group, fallbacks must stay 0), the
+# exact audit (one compile per cone group, fallbacks must stay 0 and its
+# 84,279 nodes are pinned), the
 # structural audit of the weighted-locked b19@0.05 (its 8,914 findings
 # pinned, the one large report sort), random fault simulation of
 # b20@0.05 serial and parallel (each must detect exactly 4,839 of its

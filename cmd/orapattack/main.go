@@ -120,7 +120,7 @@ func main() {
 		fatal(err)
 	case "scan":
 		if len(*key) != locked.NumKeys() {
-			fatal(fmt.Errorf("-oracle scan needs -key with %d bits", locked.NumKeys()))
+			usage("-oracle scan needs -key with %d bits, one per key input of %s; got %d", locked.NumKeys(), *lockedPath, len(*key))
 		}
 		kb, err := parseBits("key", *key)
 		fatal(err)

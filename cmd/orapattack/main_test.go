@@ -118,6 +118,30 @@ func TestMalformedKey(t *testing.T) {
 	}
 }
 
+// TestKeyWidth runs -oracle scan with no -key, a -key one bit short
+// and a -key one bit long. The command must refuse each as a usage
+// error naming the locked design's key width (exit 2, nothing on
+// stdout), as it refuses every other malformed command line, instead
+// of reporting it as a failed run.
+func TestKeyWidth(t *testing.T) {
+	orig, locked, key := writeLockedB20(t, t.TempDir())
+	want := fmt.Sprintf("-oracle scan needs -key with %d bits", len(key))
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"no -key", nil},
+		{"short -key", []string{"-key", key[1:]}},
+		{"long -key", []string{"-key", key + "0"}},
+	} {
+		args := append([]string{"-locked", locked, "-orig", orig, "-oracle", "scan"}, c.args...)
+		code, out, errOut := orapattack(t, args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, want) {
+			t.Errorf("%s: exit %d, want 2 with empty stdout and %q on stderr\nstdout:\n%s\nstderr:\n%s", c.name, code, want, out, errOut)
+		}
+	}
+}
+
 // TestUnknownNames passes a name that -attack, -oracle or -protect does
 // not know. The command must refuse it as a usage error before it reads
 // a netlist or prints anything: exit 2, nothing on stdout, and the bad

@@ -23,8 +23,9 @@ import (
 //     flips, plus the corruption *rate* — the fraction of (input, key)
 //     pairs on which a wrong guess at the bit is observable at all.
 //   - key-leak: the pair domain's Anti flag (sound but incomplete)
-//     becomes a tautology check on XOR(F, F|bit flipped) per output,
-//     with the exact distinguishing-input count per key bit.
+//     becomes a tautology check on the Boolean difference ∂F/∂bit =
+//     F|bit=0 ⊕ F|bit=1 per output, with the exact distinguishing-input
+//     count per key bit.
 //   - key-removable: a bit whose exact corruption count is zero is
 //     provably inert even when two-valued constant propagation cannot
 //     see it.
@@ -264,16 +265,15 @@ func exactGroup(m *bdd.Manager, p *ir.Program, support []dataflow.KeySet, rank m
 }
 
 // bitCounts computes the exact counts of the key bit at level kbVar
-// into b, from its cone's compiled outputs fs. keyVars marks the key
-// levels; piInSup of the support's inputs are primary inputs.
+// into b, from its cone's compiled outputs fs. Each output's Boolean
+// difference by the bit, f|k=0 ⊕ f|k=1, holds exactly on the (input,
+// key) pairs whose output flips with the bit; their union is the bit's
+// corruption function. keyVars marks the key levels; piInSup of the
+// support's inputs are primary inputs.
 func bitCounts(m *bdd.Manager, p *ir.Program, b *ExactKeyBit, cone []int32, fs []bdd.Node, kbVar int, keyVars []bool, piInSup int) error {
 	diff := bdd.False
 	for j, f := range fs {
-		fl, err := m.Flip(f, kbVar)
-		if err != nil {
-			return err
-		}
-		d, err := m.Xor(f, fl)
+		d, err := m.Diff(f, kbVar)
 		if err != nil {
 			return err
 		}

@@ -111,11 +111,7 @@ func exactBit(p *ir.Program, support []dataflow.KeySet, rank map[int32]int, kb, 
 			if err != nil {
 				return err
 			}
-			fl, err := m.Flip(f, kbVar)
-			if err != nil {
-				return err
-			}
-			d, err := m.Xor(f, fl)
+			d, err := m.Diff(f, kbVar)
 			if err != nil {
 				return err
 			}

@@ -418,12 +418,19 @@ func wrongKeyMismatchPOs(t *testing.T, orig, locked *netlist.Circuit, key []bool
 	return out
 }
 
+// exactCorruptNodes is the node total of BenchmarkExactCorrupt's audit:
+// each bit's cone compile plus its Boolean differences, their union and
+// its key projection. Building each difference as Xor(f, f with the
+// bit flipped) makes 127,060, and XOR as ITE(f, ¬g, g) 94,625.
+const exactCorruptNodes = 84279
+
 // BenchmarkExactCorrupt measures the full exact audit — cone
 // compilation once per cone group, per-bit corruption model counting
 // and distinguishing-input quantification — on the same weighted-locked
 // b20 slice BenchmarkBDDCompile compiles. Runs in the bench-smoke CI
-// leg; the fallbacks metric must stay 0 at this scale, so a budget
-// regression fails loudly.
+// leg; the fallbacks metric must stay 0 at this scale and the node
+// total must be exactly exactCorruptNodes, so a budget regression or a
+// costlier difference construction fails loudly.
 func BenchmarkExactCorrupt(b *testing.B) {
 	prof, err := benchgen.ProfileByName("b20")
 	if err != nil {
@@ -449,6 +456,9 @@ func BenchmarkExactCorrupt(b *testing.B) {
 		rep := audit.AnalyzeProgram(prog, l.Circuit, audit.Options{Exact: true})
 		if rep.Exact.Stats.Fallbacks > 0 {
 			b.Fatalf("budget fallbacks at benchmark scale: %s", rep.Trailer())
+		}
+		if n := rep.Exact.Stats.Nodes; n != exactCorruptNodes {
+			b.Fatalf("the exact audit built %d nodes, want exactly %d: %s", n, exactCorruptNodes, rep.Trailer())
 		}
 		b.ReportMetric(float64(rep.Exact.Stats.Nodes), "nodes")
 	}

@@ -17,13 +17,16 @@
 //     reduction (no duplicate triples, no redundant tests), which keeps
 //     every traversal branch-free at the cost of explicit negation
 //     nodes.
-//   - Memoised ITE: every connective is if-then-else with a shared
-//     computed cache, the standard Brace/Rudell/Bryant kernel. The
-//     cache is direct-mapped and lossy (CUDD-style): a colliding entry
-//     overwrites the old one, and a miss recomputes through the
-//     lossless unique table, which hands back the nodes the first
-//     computation made. So evictions cost time, never a different node
-//     ID or an extra node.
+//   - Two memoised apply kernels sharing one computed cache: ITE, the
+//     standard Brace/Rudell/Bryant kernel, for AND, OR and Exists, and
+//     a dedicated XOR apply for XOR, XNOR and negation (XOR with True).
+//     Without complement edges, XOR as ITE(f, ¬g, g) would first build
+//     all of ¬g; the XOR apply negates only the parts of g that f's
+//     True leaves reach. The cache is direct-mapped and lossy
+//     (CUDD-style): a colliding entry overwrites the old one, and a
+//     miss recomputes through the lossless unique table, which hands
+//     back the nodes the first computation made. So evictions cost
+//     time, never a different node ID or an extra node.
 //   - Sizes follow the node count: both tables start at 1024 slots and
 //     double with the unique table, which is kept at least twice the
 //     node count, so a Manager's memory tracks the largest diagram it
@@ -41,6 +44,9 @@
 //     usable for reads and for further (re-failing) operations.
 //   - Variable order comes from the caller; InputOrder seeds it from
 //     the ir.Program's level-monotone order (see compile.go).
+//   - Exact model counts run in machine words below 64 variables and
+//     in big integers from 64 on; Diff builds a Boolean difference in
+//     one pass (count.go).
 //
 // The package has no dependencies beyond the standard library and
 // internal/ir, and a Manager is single-goroutine by design (callers
@@ -90,15 +96,15 @@ type Stats struct {
 	Nodes int
 	// Budget echoes the configured node budget.
 	Budget int
-	// CacheLookups and CacheHits count ITE computed-cache probes. The
-	// cache is lossy, so a probe for an operation computed earlier
-	// misses when a colliding operation has overwritten its entry;
-	// the counts depend on the table sizes and the fixed hash, never
-	// on the process.
+	// CacheLookups and CacheHits count computed-cache probes, ITE and
+	// XOR alike. The cache is lossy, so a probe for an operation
+	// computed earlier misses when a colliding operation has
+	// overwritten its entry; the counts depend on the table sizes and
+	// the fixed hash, never on the process.
 	CacheLookups, CacheHits int64
 }
 
-// HitRate returns the ITE cache hit fraction in [0, 1].
+// HitRate returns the computed-cache hit fraction in [0, 1].
 func (s Stats) HitRate() float64 {
 	if s.CacheLookups == 0 {
 		return 0
@@ -133,14 +139,15 @@ type Manager struct {
 	// decision-node count; False marks an empty slot, since terminals
 	// are never stored.
 	unique []Node
-	// ite is the direct-mapped computed cache, as long as unique and
-	// emptied whenever unique grows. An entry counts only while its gen
-	// equals the Manager's: Rollback and Reset move gen on, because a
-	// deleted node's ID is handed out again. An entry with f == False is
-	// empty: a terminal f never reaches the cache.
+	// ite is the direct-mapped computed cache of iteRec and xorRec, as
+	// long as unique and emptied whenever unique grows. An XOR entry
+	// carries h = xorTag, which no ITE operand is. An entry counts only
+	// while its gen equals the Manager's: Rollback and Reset move gen
+	// on, because a deleted node's ID is handed out again. An entry with
+	// f == False is empty: neither kernel caches a False f.
 	ite []iteEntry
 	gen uint32
-	// memo serves SatCount, Exists and Flip (count.go).
+	// memo serves SatCount, Exists and Diff (count.go).
 	memo    []memoEntry
 	memoGen uint32
 	stats   Stats
@@ -374,6 +381,40 @@ func (m *Manager) iteRec(f, g, h Node) Node {
 	return r
 }
 
+// xorTag is the third operand under which xorRec files its results in
+// the ITE cache.
+const xorTag Node = -1
+
+// xorRec is the memoised XOR kernel; xorRec(True, g) is ¬g. It shares
+// the ITE cache, tagged with xorTag.
+func (m *Manager) xorRec(f, g Node) Node {
+	switch {
+	case f == g:
+		return False
+	case f == False:
+		return g
+	case g == False:
+		return f
+	}
+	// XOR commutes: order the operands so both orders share one entry.
+	// Now False < f < g, so f is True or a decision node.
+	if f > g {
+		f, g = g, f
+	}
+	m.stats.CacheLookups++
+	if e := m.ite[slot(f, g, xorTag, len(m.ite)-1)]; e.f == f && e.g == g && e.h == xorTag && e.gen == m.gen {
+		m.stats.CacheHits++
+		return e.r
+	}
+	top := min(m.nodes[f].level, m.nodes[g].level)
+	f0, f1 := m.cofactors(f, top)
+	g0, g1 := m.cofactors(g, top)
+	r := m.mk(top, m.xorRec(f0, g0), m.xorRec(f1, g1))
+	// The recursion may have grown the tables, so hash again.
+	m.ite[slot(f, g, xorTag, len(m.ite)-1)] = iteEntry{f, g, xorTag, r, m.gen}
+	return r
+}
+
 // Or returns f+g.
 func (m *Manager) Or(f, g Node) (n Node, err error) {
 	defer m.guard(&n, &err)
@@ -383,5 +424,5 @@ func (m *Manager) Or(f, g Node) (n Node, err error) {
 // Xor returns f⊕g.
 func (m *Manager) Xor(f, g Node) (n Node, err error) {
 	defer m.guard(&n, &err)
-	return m.iteRec(f, m.iteRec(g, False, True), g), nil
+	return m.xorRec(f, g), nil
 }

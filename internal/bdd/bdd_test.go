@@ -25,7 +25,7 @@ func (m *Manager) and(f, g Node) (n Node, err error) {
 // not returns ¬f.
 func (m *Manager) not(f Node) (n Node, err error) {
 	defer m.guard(&n, &err)
-	return m.iteRec(f, False, True), nil
+	return m.xorRec(True, f), nil
 }
 
 // eval evaluates f under a complete assignment (indexed by variable
@@ -369,7 +369,13 @@ func TestSatCountAgainstEnumeration(t *testing.T) {
 	}
 }
 
-func TestFlipMatchesRecompile(t *testing.T) {
+// TestDiffMatchesCofactors checks Diff on every output of a weighted
+// lock of a 4-bit adder against the definition of the Boolean
+// difference, for every variable: Diff(f, v) holds at x exactly when f
+// changes as v flips, and the difference of a function that does not
+// depend on v (a variable other than v, or a difference by v itself) is
+// False, while that of v itself is True.
+func TestDiffMatchesCofactors(t *testing.T) {
 	l, err := lock.Weighted(circuits.RippleAdder(4).Clone(), lock.WeightedOptions{
 		KeyBits: 4, ControlWidth: 3, Rand: rng.New(3),
 	})
@@ -377,25 +383,132 @@ func TestFlipMatchesRecompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := compile(t, l.Circuit)
-	m, outs, varOf := compileOutputs(t, p, 0)
-	kb := p.Keys[1]
-	v := varOf[kb]
-	vars := make([]bool, m.NumVars())
-	for _, f := range outs {
-		flipped, err := m.Flip(f, v)
+	m, outs, _ := compileOutputs(t, p, 0)
+	nv := m.NumVars()
+	vars := make([]bool, nv)
+	for v := 0; v < nv; v++ {
+		for u := 0; u < nv; u++ {
+			x, err := m.variable(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := False
+			if u == v {
+				want = True
+			}
+			if d, err := m.Diff(x, v); err != nil || d != want {
+				t.Fatalf("Diff(x%d, %d) = node %d (err %v), want %d", u, v, d, err, want)
+			}
+		}
+		for j, f := range outs {
+			d, err := m.Diff(f, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 1<<uint(nv); trial++ {
+				for i := range vars {
+					vars[i] = trial>>uint(i)&1 == 1
+				}
+				a := m.eval(f, vars)
+				vars[v] = !vars[v]
+				b := m.eval(f, vars)
+				if m.eval(d, vars) != (a != b) {
+					t.Fatalf("Diff(PO %d, %d) disagrees with f(x) xor f(x with x%d flipped) at assignment %b", j, v, v, trial)
+				}
+			}
+			if dd, err := m.Diff(d, v); err != nil || dd != False {
+				t.Fatalf("Diff(Diff(PO %d, %d), %d) = node %d (err %v), want False", j, v, v, dd, err)
+			}
+		}
+	}
+}
+
+// TestCountPaths checks SatCount's two recursions against each other:
+// countWord, which SatCount runs below 64 variables, and countRec,
+// which it runs from 64 on. FuzzITE stays under 7 variables, so it
+// reaches only the word path. On random expressions over 20 and 63
+// variables both must give every node the same count, and SatCount
+// must give the exact counts of True, one variable and the parity of
+// all variables on both sides of the 63/64 edge.
+func TestCountPaths(t *testing.T) {
+	for _, nv := range []int{20, 63} {
+		m := New(nv, 0)
+		r := rng.New(uint64(nv))
+		pool := make([]Node, nv)
+		for v := range pool {
+			var err error
+			if pool[v], err = m.variable(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 300; i++ {
+			a, b := pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]
+			var n Node
+			var err error
+			switch r.Intn(4) {
+			case 0:
+				n, err = m.and(a, b)
+			case 1:
+				n, err = m.Or(a, b)
+			case 2:
+				n, err = m.Xor(a, b)
+			default:
+				n, err = m.not(a)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool = append(pool, n)
+		}
+		total := Node(len(m.nodes))
+		words := make([]uint64, total)
+		m.beginMemo()
+		for f := range total {
+			words[f] = m.countWord(f)
+		}
+		m.beginMemo()
+		for f := range total {
+			if c := m.countRec(f); !c.IsUint64() || c.Uint64() != words[f] {
+				t.Fatalf("%d variables: node %d (level %d) counts %d in a word, %v in a big integer", nv, f, m.nodes[f].level, words[f], c)
+			}
+		}
+		t.Logf("%d variables: %d nodes agree", nv, total)
+	}
+
+	for _, nv := range []int{63, 64} {
+		m := New(nv, 0)
+		pow := func(e int) *big.Int { return new(big.Int).Lsh(big.NewInt(1), uint(e)) }
+		last, err := m.variable(nv - 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 1<<uint(m.NumVars()); trial++ {
-			for i := range vars {
-				vars[i] = trial>>uint(i)&1 == 1
+		parity := last
+		for v := nv - 2; v >= 0; v-- {
+			x, err := m.variable(v)
+			if err != nil {
+				t.Fatal(err)
 			}
-			a := m.eval(flipped, vars)
-			vars[v] = !vars[v]
-			b := m.eval(f, vars)
-			vars[v] = !vars[v]
-			if a != b {
-				t.Fatalf("Flip(%d): disagreement at assignment %b", v, trial)
+			if parity, err = m.Xor(x, parity); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first, err := m.variable(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			f    Node
+			want *big.Int
+		}{
+			{"True", True, pow(nv)},
+			{"False", False, new(big.Int)},
+			{"x0", first, pow(nv - 1)},
+			{"the last variable", last, pow(nv - 1)},
+			{"the parity of all variables", parity, pow(nv - 1)},
+		} {
+			if got := m.SatCount(c.f); got.Cmp(c.want) != 0 {
+				t.Errorf("%d variables: SatCount(%s) = %v, want %v", nv, c.name, got, c.want)
 			}
 		}
 	}

@@ -135,8 +135,8 @@ func (c *Compiler) Compile(out int32) (n Node, err error) {
 }
 
 // gate evaluates one program node whose fanins are all compiled. Runs
-// inside Compile's budget guard, so it uses the panicking kernel
-// directly.
+// inside Compile's budget guard, so it uses the panicking kernels
+// directly: iteRec for AND and OR, xorRec for XOR and every negation.
 func (c *Compiler) gate(id int32) (Node, error) {
 	m, p := c.m, c.p
 	op := p.Ops[id]
@@ -153,7 +153,7 @@ func (c *Compiler) gate(id int32) (Node, error) {
 	case ir.OpBuf:
 		return c.vals[fi[0]], nil
 	case ir.OpNot:
-		return m.iteRec(c.vals[fi[0]], False, True), nil
+		return m.xorRec(True, c.vals[fi[0]]), nil
 	}
 	acc := c.vals[fi[0]]
 	for _, f := range fi[1:] {
@@ -164,14 +164,14 @@ func (c *Compiler) gate(id int32) (Node, error) {
 		case ir.OpOr, ir.OpNor:
 			acc = m.iteRec(acc, True, g)
 		case ir.OpXor, ir.OpXnor:
-			acc = m.iteRec(acc, m.iteRec(g, False, True), g)
+			acc = m.xorRec(acc, g)
 		default:
 			return False, fmt.Errorf("bdd: node %d has unknown opcode %d", id, uint8(op))
 		}
 	}
 	switch op {
 	case ir.OpNand, ir.OpNor, ir.OpXnor:
-		acc = m.iteRec(acc, False, True)
+		acc = m.xorRec(True, acc)
 	}
 	return acc, nil
 }

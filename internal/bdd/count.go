@@ -3,23 +3,29 @@ package bdd
 import "math/big"
 
 // Model counting and the two structural operations the exact audit
-// needs on top of the ITE kernel: existential quantification (project
-// the key variables out of a difference function) and single-variable
-// flip (substitute v ↦ ¬v, which turns F(x, k) into F(x, k⊕e_v)
-// without a second compile).
+// needs on top of the apply kernels: existential quantification
+// (project the key variables out of a difference function) and the
+// Boolean difference ∂f/∂v = f|v=0 ⊕ f|v=1 (the inputs and keys on
+// which flipping v flips f, built in one pass without a second compile
+// or a flipped copy of f).
 //
 // Each operation memoises in the Manager's memo, indexed by node ID: the
 // recursion only visits f and its descendants, which exist at the
 // call's start. Every call moves the memo's generation on, which empties
 // it at once, and grows it to the arena, so the memo tracks the largest
 // diagram and no call allocates one of its own.
+//
+// A model count is at most 2^NumVars, so below 64 variables SatCount
+// counts in machine words and allocates only its result; from 64
+// variables on it counts in big integers.
 
 // memoEntry is one node's slot in the Manager's memo: its SatCount
-// (count) or its Exists or Flip result (node), valid while gen equals
-// the Manager's memoGen.
+// (word below 64 variables, count from 64 on) or its Exists or Diff
+// result (node), valid while gen equals the Manager's memoGen.
 type memoEntry struct {
 	gen   uint32
 	node  Node
+	word  uint64
 	count *big.Int
 }
 
@@ -44,14 +50,35 @@ func (m *Manager) beginMemo() {
 // never allocates nodes, never trips the budget.
 func (m *Manager) SatCount(f Node) *big.Int {
 	m.beginMemo()
-	cnt := m.countRec(f)
-	// countRec counts over the variables at or below f's level; the
-	// levels above the root are free.
-	return new(big.Int).Lsh(cnt, uint(m.nodes[f].level))
+	// Both recursions count over the variables at or below f's level;
+	// the levels above the root are free.
+	top := uint(m.nodes[f].level)
+	if m.numVars < 64 {
+		return new(big.Int).SetUint64(m.countWord(f) << top)
+	}
+	return new(big.Int).Lsh(m.countRec(f), top)
 }
 
-// countRec counts satisfying assignments of the variables with level
-// >= level(f).
+// countWord counts satisfying assignments of the variables with level
+// >= level(f) in a machine word. Below 64 variables no count reaches
+// 2^64: a decision node's is under 2^(NumVars-level).
+func (m *Manager) countWord(f Node) uint64 {
+	switch {
+	case f == False:
+		return 0
+	case f == True:
+		return 1
+	case m.memo[f].gen == m.memoGen:
+		return m.memo[f].word
+	}
+	n := m.nodes[f]
+	c := m.countWord(n.low)<<uint(m.nodes[n.low].level-n.level-1) +
+		m.countWord(n.high)<<uint(m.nodes[n.high].level-n.level-1)
+	m.memo[f] = memoEntry{gen: m.memoGen, word: c}
+	return c
+}
+
+// countRec is countWord in big integers, for 64 variables or more.
 func (m *Manager) countRec(f Node) *big.Int {
 	switch {
 	case f == False:
@@ -99,28 +126,30 @@ func (m *Manager) existsRec(f Node, quant []bool) Node {
 	return r
 }
 
-// Flip substitutes ¬v for variable v: Flip(F, v)(…, v, …) = F(…, ¬v, …).
-// Nodes at levels below v cannot depend on v and are shared untouched,
-// so the operation is linear in the nodes at or above v's level.
-func (m *Manager) Flip(f Node, v int) (n Node, err error) {
+// Diff returns the Boolean difference of f with respect to variable v,
+// f|v=0 ⊕ f|v=1: true exactly where flipping v flips f. The result does
+// not depend on v. Nodes below v's level cannot depend on v, so their
+// difference is False; a node at v's level gives its children's XOR;
+// the nodes above are rebuilt over their children's differences.
+func (m *Manager) Diff(f Node, v int) (n Node, err error) {
 	defer m.guard(&n, &err)
 	m.beginMemo()
-	return m.flipRec(f, int32(v)), nil
+	return m.diffRec(f, int32(v)), nil
 }
 
-func (m *Manager) flipRec(f Node, v int32) Node {
+func (m *Manager) diffRec(f Node, v int32) Node {
 	nd := m.nodes[f]
 	if nd.level > v {
-		return f // terminal or ordered past v: independent of v
+		return False // terminal or ordered past v: independent of v
 	}
 	if e := m.memo[f]; e.gen == m.memoGen {
 		return e.node
 	}
 	var r Node
 	if nd.level == v {
-		r = m.mk(v, nd.high, nd.low)
+		r = m.xorRec(nd.low, nd.high)
 	} else {
-		r = m.mk(nd.level, m.flipRec(nd.low, v), m.flipRec(nd.high, v))
+		r = m.mk(nd.level, m.diffRec(nd.low, v), m.diffRec(nd.high, v))
 	}
 	m.memo[f] = memoEntry{gen: m.memoGen, node: r}
 	return r

@@ -11,7 +11,7 @@ import (
 // most 6 variables on one Manager, and checks the canonicity contract
 // against a concrete truth table carried alongside every stack entry:
 // equal truth tables ⇔ identical node IDs, and SatCount must equal the
-// table's popcount. Flip and Exists run through the same tables, so
+// table's popcount. Diff and Exists run through the same tables, so
 // their slice memos and the nodes they make are checked too, and so do
 // Mark, Rollback and Reset: after a Rollback the entries made before
 // the mark must still be canonical against everything built since,
@@ -83,7 +83,8 @@ func FuzzITE(f *testing.F) {
 		// control family bits 5-4 pick mark, rollback to the newest mark,
 		// reset to 1+(low 4 bits)%6 variables, or push variable (low 4
 		// bits)%nv. In the unary family bit 5 clear is not; set, bit 4
-		// picks flip or exists of variable (low 4 bits)%nv.
+		// picks the Boolean difference or exists by variable (low 4
+		// bits)%nv.
 		for _, b := range prog[1:] {
 			var err error
 			switch b >> 6 {
@@ -152,9 +153,9 @@ func FuzzITE(f *testing.F) {
 					n, err = m.not(x.n)
 					tab = ^x.tab
 				case b&0x10 == 0:
-					n, err = m.Flip(x.n, v)
+					n, err = m.Diff(x.n, v)
 					for minterm := 0; minterm < 1<<uint(nv); minterm++ {
-						tab |= (x.tab >> uint(minterm^1<<v) & 1) << uint(minterm)
+						tab |= (x.tab>>uint(minterm) ^ x.tab>>uint(minterm^1<<v)) & 1 << uint(minterm)
 					}
 				default:
 					quant := make([]bool, nv)
